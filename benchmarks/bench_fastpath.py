@@ -1,6 +1,6 @@
 """Benchmark the simulation engine backends and write ``BENCH_results.json``.
 
-Six measurements, matching the tiers of the performance work:
+Five measurements, matching the tiers of the performance work:
 
 * **Vectorised fast path**: every static-schedule governor (performance,
   powersave, userspace, oracle) across the paper's application traces,
@@ -30,12 +30,6 @@ Six measurements, matching the tiers of the performance work:
 * **Hot-loop power cache** (Tier 1): closed-loop governors with the
   cluster's per-operating-point power cache enabled vs disabled — the win
   the scalar fallback gets even where the table paths do not apply.
-* **Batched multi-scenario grid**: a 64-scenario mpeg4 grid (static +
-  ondemand + RL seed sweep) stepped simultaneously by
-  :mod:`repro.sim.batchpath` vs the same 64 scenarios run one at a time
-  on the per-scenario table engine — the campaign batch planner's
-  configuration.  The batched results must be *identical* (same
-  trajectories, energies and miss sets), not merely close.
 
 The output carries a ``metadata`` block (python/numpy versions, CPU
 count, platform, git sha) so archived results are attributable to the
@@ -61,15 +55,15 @@ import time
 from typing import Callable, Dict, List
 
 from repro.governors.conservative import ConservativeGovernor
-from repro.governors.ondemand import OndemandGovernor, OndemandParameters
+from repro.governors.ondemand import OndemandGovernor
 from repro.governors.oracle import OracleGovernor
 from repro.governors.performance import PerformanceGovernor
 from repro.governors.powersave import PowersaveGovernor
 from repro.governors.userspace import UserspaceGovernor
 from repro.platform.odroid_xu3 import build_a15_cluster
 from repro.rtm.multicore import MultiCoreRLGovernor
-from repro.rtm.rl_governor import RLGovernor, RLGovernorConfig
-from repro.sim import batchpath, jitpath, tablepath, thermalpath
+from repro.rtm.rl_governor import RLGovernor
+from repro.sim import jitpath, tablepath, thermalpath
 from repro.sim.engine import SimulationConfig, SimulationEngine
 from repro.workload.fft import fft_application
 from repro.workload.video import h264_application, mpeg4_application
@@ -197,7 +191,7 @@ def bench_vectorized(num_frames: int, repeats: int = 3) -> List[Dict[str, object
             def fast_run():
                 engine = SimulationEngine(build_a15_cluster())
                 result = engine.run(application, gov_factory())
-                if not engine.last_used_fast_path:
+                if engine.engine_used != "fastpath":
                     raise AssertionError(f"{gov_name} did not take the fast path")
                 return result
 
@@ -282,7 +276,7 @@ def bench_table_closed_loop(num_frames: int, repeats: int = 3) -> List[Dict[str,
                 build_a15_cluster(), SimulationConfig(), table_provider=provider
             )
             result = engine.run(application, governor)
-            if not engine.last_used_table_path:
+            if engine.engine_used != "tablepath":
                 raise AssertionError(f"{gov_name} did not take the table path")
             return result, governor
 
@@ -513,105 +507,12 @@ def bench_power_cache(num_frames: int, repeats: int = 3) -> List[Dict[str, objec
     return rows
 
 
-def _batched_grid_factories(num_points: int) -> List[Callable[[], object]]:
-    """The 64-scenario campaign-shaped mpeg4 grid: static + ondemand + rl.
-
-    The composition mirrors a real characterisation sweep over the shared
-    physics table: every distinct static operating point (performance,
-    powersave and one userspace pin per table entry), a 42-point ondemand
-    ``up_threshold`` sweep, and an RL scenario.  The RL member sits below
-    the planner's scalar cutoff, demonstrating the cost model routing
-    narrow families to the per-scenario engine inside a batched run.
-    """
-    factories: List[Callable[[], object]] = [PerformanceGovernor, PowersaveGovernor]
-    factories += [
-        (lambda index=index: UserspaceGovernor(index=index))
-        for index in range(num_points)
-    ]
-    factories += [
-        (lambda k=k: OndemandGovernor(OndemandParameters(up_threshold=0.55 + 0.01 * k)))
-        for k in range(42)
-    ]
-    factories += [lambda: RLGovernor(RLGovernorConfig(seed=0))]
-    return factories
-
-
-def bench_batched_grid(num_frames: int, repeats: int = 3) -> List[Dict[str, object]]:
-    """Batched multi-scenario engine vs one-at-a-time table-path runs.
-
-    Both sides share one precomputed physics table (the campaign
-    configuration): the baseline pins each of the 64 scenarios to the
-    per-scenario table engine, the contender steps all 64 through
-    :func:`repro.sim.batchpath.run_batch` in a single pass.  Every member's
-    trajectory, per-frame energies and miss set must be identical before
-    any timing is reported.
-    """
-    application = mpeg4_application(num_frames=num_frames, seed=11)
-    config = SimulationConfig()
-    shared_tables = tablepath.precompute_tables(
-        build_a15_cluster(), application, config
-    )
-    factories = _batched_grid_factories(len(build_a15_cluster().vf_table))
-    num_scenarios = len(factories)
-
-    def shared_provider(cluster, app, cfg):
-        return shared_tables
-
-    def per_scenario_run():
-        results = []
-        for factory in factories:
-            engine = SimulationEngine(
-                build_a15_cluster(),
-                config,
-                engine="tablepath",
-                table_provider=shared_provider,
-            )
-            results.append(engine.run(application, factory()))
-        return results
-
-    def batched_run():
-        members = [(build_a15_cluster(), factory()) for factory in factories]
-        return batchpath.run_batch(
-            members,
-            application,
-            config,
-            tables=shared_tables,
-            scalar_cutoffs=batchpath.DEFAULT_SCALAR_CUTOFFS,
-        )
-
-    for reference, batched in zip(per_scenario_run(), batched_run()):
-        _check_equivalence(reference, batched)
-        if [r.energy_j for r in reference.records] != [
-            r.energy_j for r in batched.records
-        ]:
-            raise AssertionError("batched engine produced different energies")
-
-    per_scenario_s = _best_of(per_scenario_run, repeats)
-    batched_s = _best_of(batched_run, repeats)
-    total_frames = num_frames * num_scenarios
-    return [
-        {
-            "scenario": f"mpeg4/{num_scenarios}x-mixed-grid",
-            "scenarios": num_scenarios,
-            "frames": num_frames,
-            "total_frames": total_frames,
-            "per_scenario_wall_s": per_scenario_s,
-            "batched_wall_s": batched_s,
-            "per_scenario_frames_per_s": total_frames / per_scenario_s,
-            "batched_frames_per_s": total_frames / batched_s,
-            "speedup": per_scenario_s / batched_s,
-            "results_identical": True,
-        }
-    ]
-
-
 def run_suite(num_frames: int, repeats: int, smoke: bool) -> Dict[str, object]:
     vectorized = bench_vectorized(num_frames, repeats)
     table = bench_table_closed_loop(num_frames, repeats)
     thermal = bench_thermal_closed_loop(num_frames, repeats)
     jit = bench_jit_closed_loop(num_frames, repeats)
     tier1 = bench_power_cache(num_frames, repeats)
-    batched = bench_batched_grid(num_frames, repeats)
     speedups = [row["speedup"] for row in vectorized]
     table_speedups = {row["governor"]: row["speedup"] for row in table}
     thermal_speedups = {row["governor"]: row["speedup"] for row in thermal}
@@ -626,7 +527,6 @@ def run_suite(num_frames: int, repeats: int, smoke: bool) -> Dict[str, object]:
         "tier1_cache_win_percent": {
             row["governor"]: row["win_percent"] for row in tier1
         },
-        "batched_grid_speedup": batched[0]["speedup"],
     }
     if jit:
         jit_speedups = {row["scenario"]: row["speedup"] for row in jit}
@@ -645,7 +545,6 @@ def run_suite(num_frames: int, repeats: int, smoke: bool) -> Dict[str, object]:
         # the sibling note marks a deliberate skip, never silent truncation.
         "jit_closed_loop": jit,
         "tier1_power_cache": tier1,
-        "batched_grid": batched,
         "summary": summary,
     }
     if not jit:
@@ -714,22 +613,6 @@ def test_bench_thermal_closed_loop_speedup_and_equivalence():
         assert row["speedup"] >= 2.0
     reactive = [r["speedup"] for r in rows if r["governor"] in ("ondemand", "conservative")]
     assert min(reactive) >= 3.0
-
-
-def test_bench_batched_grid_speedup_and_identity():
-    rows = bench_batched_grid(num_frames=600, repeats=2)
-    print()
-    for row in rows:
-        print(
-            f"{row['scenario']:24s} per-scenario {row['per_scenario_frames_per_s']:9.0f} f/s  "
-            f"batched {row['batched_frames_per_s']:10.0f} f/s  ({row['speedup']:.1f}x)"
-        )
-    for row in rows:
-        assert row["results_identical"]
-        # Conservative floor for noisy CI boxes; the tracked numbers in
-        # BENCH_results.json carry the actual grid speedup (>= 5x on the
-        # reference box at smoke scale and above).
-        assert row["speedup"] >= 3.0
 
 
 def test_bench_jit_closed_loop_speedup_and_identity():
@@ -826,11 +709,6 @@ def main() -> None:
         print(
             f"  {row['scenario']:24s} power cache win {row['win_percent']:+.1f}% "
             f"({row['speedup']:.2f}x)"
-        )
-    for row in results["batched_grid"]:
-        print(
-            f"  {row['scenario']:24s} {row['per_scenario_frames_per_s']:9.0f} -> "
-            f"{row['batched_frames_per_s']:10.0f} frames/s  ({row['speedup']:.1f}x batched)"
         )
 
 

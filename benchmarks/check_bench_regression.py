@@ -42,8 +42,6 @@ GATED_METRICS: Tuple[Tuple[str, str], ...] = (
     ("jit_closed_loop", "jit_frames_per_s"),
     ("jit_closed_loop", "baseline_frames_per_s"),
     ("tier1_power_cache", "cached_frames_per_s"),
-    ("batched_grid", "batched_frames_per_s"),
-    ("batched_grid", "per_scenario_frames_per_s"),
     ("result_store_io", "write_outcomes_per_s"),
     ("result_store_io", "checkpoint_events_per_s"),
     ("result_store_io", "summary_queries_per_s"),

@@ -67,9 +67,8 @@ def format_campaign_summary(
 
     ``cache_stats`` (the executor's ``table_cache_stats()`` dict, keys
     ``hits``/``misses``/``evictions``) appends a physics-table cache line:
-    the hit rate is a direct readout of how well the campaign grid — and
-    the batch planner's compatibility grouping — lines up with the shared
-    precomputed tables.
+    the hit rate is a direct readout of how well the campaign grid's
+    scenario order lines up with the shared precomputed tables.
     """
     rows: List[Sequence[str]] = []
     for outcome in store:

@@ -197,15 +197,6 @@ def _run_main(argv: Sequence[str]) -> int:
         "run fails with a capability-mismatch error)",
     )
     parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=16,
-        metavar="S",
-        help="group up to S compatible closed-loop scenarios (same "
-        "application, cluster and config) into one batched-engine step "
-        "(default 16; 0 disables the batch planner)",
-    )
-    parser.add_argument(
         "--store",
         choices=result_store.STORE_CHOICES,
         default=result_store.STORE_AUTO,
@@ -259,7 +250,6 @@ def _run_main(argv: Sequence[str]) -> int:
                 backoff_s=arguments.retry_backoff,
                 timeout_s=arguments.timeout,
             ),
-            batch_size=arguments.batch_size,
             store=arguments.store,
         )
     except ConfigurationError as exc:

@@ -29,7 +29,7 @@ import traceback as traceback_module
 from collections import OrderedDict
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, ReproError, ScenarioTimeoutError
 from repro.campaign import registry
@@ -37,17 +37,11 @@ from repro.campaign import store as result_store
 from repro.campaign.results import CampaignResult, ScenarioOutcome
 from repro.campaign.spec import CampaignSpec, ScenarioSpec
 from repro.platform.cluster import ThermalWorkloadTable, WorkloadTable
-from repro.rtm.governor import Governor
-from repro.sim import backends as engine_backends
-from repro.sim import batchpath, jitpath, tablepath, thermalpath
+from repro.sim import tablepath, thermalpath
 from repro.sim.engine import SimulationEngine
 
 #: Optional per-scenario completion callback (label, index, total).
 ProgressCallback = Callable[[str, int, int], None]
-
-#: A backend's stream of results: (index into the submitted sequence, outcome),
-#: yielded in completion order.
-IndexedOutcomes = Iterable[Tuple[int, ScenarioOutcome]]
 
 
 @dataclass(frozen=True)
@@ -178,8 +172,7 @@ _TABLE_CACHE_MAX_ENTRIES = 8
 #: Per-worker-process table-cache traffic counters.  A hit means a scenario
 #: reused tables precomputed by an earlier scenario of the same worker; the
 #: hit rate is therefore a direct readout of how well the campaign's
-#: scenario grouping (and the batch planner's compatibility keys) line up
-#: with the cache key.
+#: scenario grouping lines up with the cache key.
 _CACHE_STATS = {"hits": 0, "misses": 0, "evictions": 0}
 
 
@@ -411,221 +404,16 @@ def run_scenario_safely(
     raise AssertionError("unreachable")  # pragma: no cover
 
 
-# ---------------------------------------------------------------------------
-# Batch planning: group compatible scenarios for the batched engine.
-# ---------------------------------------------------------------------------
-
-#: One unit of backend work: (batched, [(index into the submitted sequence,
-#: scenario), ...]).  Singleton units carry batched=False and run through
-#: :func:`run_scenario_safely`; batched units through
-#: :func:`run_scenario_batch_safely`.
-WorkUnit = Tuple[bool, List[Tuple[int, ScenarioSpec]]]
-
-#: Memoised "does this governor factory yield a closed-loop governor"
-#: probe, keyed by the (frozen, hashable) governor FactorySpec.
-_CLOSED_LOOP_GOVERNORS: dict = {}
-
-
-def _governor_is_closed_loop(scenario: ScenarioSpec) -> bool:
-    """Whether the scenario's governor decides frame by frame.
-
-    Static-schedule governors negotiate the trace-vectorised ``fastpath``
-    backend under ``auto`` and gain nothing from scenario batching, so the
-    planner leaves them alone.  The probe builds one throwaway governor per
-    distinct factory spec and checks whether it overrides
-    :meth:`~repro.rtm.governor.Governor.static_schedule`.
-    """
-    spec = scenario.governor
-    cached = _CLOSED_LOOP_GOVERNORS.get(spec)
-    if cached is None:
-        try:
-            governor = registry.governor_factory(spec.name)(**spec.kwargs)
-        except Exception:  # noqa: BLE001 - the real run will report it
-            cached = False
-        else:
-            cached = (
-                type(governor).static_schedule is Governor.static_schedule
-            )
-        _CLOSED_LOOP_GOVERNORS[spec] = cached
-    return cached
-
-
-def _batchable(scenario: ScenarioSpec) -> bool:
-    """Whether the batch planner may group ``scenario`` into a batched unit.
-
-    ``auto`` and explicit ``batchpath`` pins go to the batched engine;
-    explicit ``jitpath`` pins are grouped too (the compiled kernels run
-    batches member-by-member — no lock-step needed once the frame loop is
-    compiled) but only when the compiled path is actually available, so a
-    numba-less worker reports the pin mismatch through engine negotiation
-    rather than a mid-batch failure.
-    """
-    if scenario.engine == engine_backends.JITPATH:
-        if not jitpath.available():
-            return False
-    elif scenario.engine not in ("auto", engine_backends.BATCHPATH):
-        return False
-    if not scenario.config.prefer_fast_path:
-        return False
-    return _governor_is_closed_loop(scenario)
-
-
-def plan_batches(
-    scenarios: Sequence[ScenarioSpec], batch_size: int
-) -> List[WorkUnit]:
-    """Group pending scenarios into batched and singleton work units.
-
-    Scenarios are batch-compatible when they share the application factory
-    (plus seed override), the cluster factory and the simulation config —
-    the cluster spec fixes the physics *and* the thermal mode, so one
-    precomputed table serves the whole group.  Compatible closed-loop
-    scenarios are grouped (chunked to ``batch_size``) and dispatched to the
-    batched engine; everything else stays a singleton.  Eligible scenarios
-    are routed through ``batchpath`` *even as a group of one* so the
-    ``engine_used`` stamp — and therefore the serialised outcome — does not
-    depend on how the campaign was sharded.
-
-    Units are emitted in first-member campaign order, so serial execution
-    (and checkpoint growth) tracks the campaign's scenario order.
-    """
-    if batch_size < 0:
-        raise ConfigurationError(f"batch_size must be >= 0, got {batch_size}")
-    if batch_size == 0 or batchpath._np is None:
-        return [(False, [(index, s)]) for index, s in enumerate(scenarios)]
-    groups: "OrderedDict[Tuple, List[Tuple[int, ScenarioSpec]]]" = OrderedDict()
-    units: List[Tuple[int, WorkUnit]] = []
-    for index, scenario in enumerate(scenarios):
-        if _batchable(scenario):
-            key = (
-                scenario.application,
-                scenario.seed,
-                scenario.cluster,
-                scenario.config,
-                # jitpath-pinned scenarios form their own groups: the unit's
-                # dispatch engine is decided by its first member.  Constant
-                # False for auto/batchpath scenarios, so pre-existing
-                # campaigns group (and checkpoint) exactly as before.
-                scenario.engine == engine_backends.JITPATH,
-            )
-            groups.setdefault(key, []).append((index, scenario))
-        else:
-            units.append((index, (False, [(index, scenario)])))
-    for grouped in groups.values():
-        for start in range(0, len(grouped), batch_size):
-            chunk = grouped[start : start + batch_size]
-            units.append((chunk[0][0], (True, chunk)))
-    units.sort(key=lambda entry: entry[0])
-    return [unit for _, unit in units]
-
-
-def run_scenario_batch(scenarios: Sequence[ScenarioSpec]) -> List[ScenarioOutcome]:
-    """Execute a planned group of compatible scenarios on the batched engine.
-
-    Builds one shared application and a fresh cluster + governor per
-    scenario, steps them simultaneously through
-    :func:`repro.sim.batchpath.run_batch` (physics tables served by the
-    worker cache), then applies each scenario's probe while its governor is
-    still live.  Outcomes come back in scenario order, each stamped with
-    ``engine_used="batchpath"``.  Exceptions propagate — use
-    :func:`run_scenario_batch_safely` for the per-scenario fallback.
-    """
-    scenarios = list(scenarios)
-    first = scenarios[0]
-    app_kwargs = dict(first.application.kwargs)
-    if first.seed is not None:
-        app_kwargs["seed"] = first.seed
-    application = registry.application_factory(first.application.name)(**app_kwargs)
-
-    members = []
-    for scenario in scenarios:
-        cluster = registry.cluster_factory(scenario.cluster.name)(
-            **scenario.cluster.kwargs
-        )
-        governor = registry.governor_factory(scenario.governor.name)(
-            **scenario.governor.kwargs
-        )
-        members.append((cluster, governor))
-
-    provider = _cached_table_provider(first)
-    tables = provider(members[0][0], application, first.config)
-    if first.engine == engine_backends.JITPATH:
-        engine_used = engine_backends.JITPATH
-        results = jitpath.run_batch(
-            members,
-            application,
-            first.config,
-            tables=tables,
-        )
-    else:
-        engine_used = engine_backends.BATCHPATH
-        results = batchpath.run_batch(
-            members,
-            application,
-            first.config,
-            tables=tables,
-            scalar_cutoffs=batchpath.DEFAULT_SCALAR_CUTOFFS,
-        )
-
-    outcomes = []
-    for scenario, result, (cluster, governor) in zip(scenarios, results, members):
-        result.engine_used = engine_used
-        probe_data = None
-        if scenario.probe is not None:
-            probe = registry.probe_factory(scenario.probe.name)
-            probe_data = probe(governor, result, **scenario.probe.kwargs)
-        outcomes.append(
-            ScenarioOutcome(scenario=scenario, result=result, probe=probe_data)
-        )
-    return outcomes
-
-
-def run_scenario_batch_safely(
-    scenarios: Sequence[ScenarioSpec],
-    max_attempts: int = 1,
-    backoff_s: float = 0.0,
-    retry: Optional[RetryPolicy] = None,
-) -> List[ScenarioOutcome]:
-    """Batch execution with per-scenario degradation on failure.
-
-    Any exception from the batched run — one bad scenario, an incompatible
-    member the planner mis-grouped, a backend bug — falls back to running
-    every member through :func:`run_scenario_safely`, which applies the
-    retry policy and records genuinely failing scenarios as ``failed``
-    outcomes without poisoning their batch-mates.
-    """
-    try:
-        return run_scenario_batch(scenarios)
-    except Exception:  # noqa: BLE001 - degrade to the per-scenario path
-        return [
-            run_scenario_safely(scenario, max_attempts, backoff_s, retry=retry)
-            for scenario in scenarios
-        ]
-
-
 class SerialBackend:
     """Runs scenarios one after another in the calling process."""
 
     name = "serial"
 
     def run_unordered(
-        self, scenarios: Sequence[ScenarioSpec], retry: RetryPolicy
+        self, entries: Sequence[Tuple[int, ScenarioSpec]], retry: RetryPolicy
     ) -> Iterator[Tuple[int, ScenarioOutcome]]:
-        units = [(False, [(index, s)]) for index, s in enumerate(scenarios)]
-        return self.run_units(units, retry)
-
-    def run_units(
-        self, units: Sequence[WorkUnit], retry: RetryPolicy
-    ) -> Iterator[Tuple[int, ScenarioOutcome]]:
-        for batched, entries in units:
-            if batched:
-                outcomes = run_scenario_batch_safely(
-                    [scenario for _, scenario in entries], retry=retry
-                )
-                for (index, _), outcome in zip(entries, outcomes):
-                    yield index, outcome
-            else:
-                index, scenario = entries[0]
-                yield index, run_scenario_safely(scenario, retry=retry)
+        for index, scenario in entries:
+            yield index, run_scenario_safely(scenario, retry=retry)
 
 
 class ProcessPoolBackend:
@@ -645,43 +433,23 @@ class ProcessPoolBackend:
         self.max_workers = max_workers
 
     def run_unordered(
-        self, scenarios: Sequence[ScenarioSpec], retry: RetryPolicy
+        self, entries: Sequence[Tuple[int, ScenarioSpec]], retry: RetryPolicy
     ) -> Iterator[Tuple[int, ScenarioOutcome]]:
-        units = [(False, [(index, s)]) for index, s in enumerate(scenarios)]
-        return self.run_units(units, retry)
-
-    def run_units(
-        self, units: Sequence[WorkUnit], retry: RetryPolicy
-    ) -> Iterator[Tuple[int, ScenarioOutcome]]:
-        if not units:
+        if not entries:
             return
-        workers = self.max_workers or min(len(units), os.cpu_count() or 1)
-        workers = min(workers, len(units))
+        workers = self.max_workers or min(len(entries), os.cpu_count() or 1)
+        workers = min(workers, len(entries))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {}
-            for batched, entries in units:
-                if batched:
-                    future = pool.submit(
-                        run_scenario_batch_safely,
-                        [scenario for _, scenario in entries],
-                        retry=retry,
-                    )
-                else:
-                    future = pool.submit(
-                        run_scenario_safely, entries[0][1], retry=retry
-                    )
-                futures[future] = (batched, [index for index, _ in entries])
+            futures = {
+                pool.submit(run_scenario_safely, scenario, retry=retry): index
+                for index, scenario in entries
+            }
             try:
                 remaining = set(futures)
                 while remaining:
                     completed, remaining = wait(remaining, return_when=FIRST_COMPLETED)
                     for future in completed:
-                        batched, indices = futures[future]
-                        if batched:
-                            for index, outcome in zip(indices, future.result()):
-                                yield index, outcome
-                        else:
-                            yield indices[0], future.result()
+                        yield futures[future], future.result()
             except BaseException:
                 # Run abandoned — GeneratorExit from the consumer, Ctrl-C
                 # landing in wait(), or a broken pool: drop the queued
@@ -711,14 +479,10 @@ class CampaignExecutor:
         backend: str = "serial",
         max_workers: Optional[int] = None,
         retry: Optional[RetryPolicy] = None,
-        batch_size: int = 0,
         store: str = result_store.STORE_AUTO,
     ) -> None:
-        if batch_size < 0:
-            raise ConfigurationError(f"batch_size must be >= 0, got {batch_size}")
         self.backend = make_backend(backend, max_workers)
         self.retry = retry or RetryPolicy()
-        self.batch_size = batch_size
         result_store.negotiate_store(store)  # reject unknown names up front
         self.store_format = store
 
@@ -773,7 +537,6 @@ class CampaignExecutor:
             for outcome in resume:
                 store.add(outcome)
         pending: List[ScenarioSpec] = store.pending(campaign)
-        units = plan_batches(pending, self.batch_size)
         resolved = result_store.negotiate_store(self.store_format)
         writer: Optional[result_store.StoreWriter] = None
         if checkpoint_path is not None and resolved != result_store.STORE_JSON:
@@ -783,7 +546,9 @@ class CampaignExecutor:
             writer = result_store.StoreWriter.open_append(checkpoint_path)
         completed = 0
         try:
-            for _, outcome in self.backend.run_units(units, self.retry):
+            for _, outcome in self.backend.run_unordered(
+                list(enumerate(pending)), self.retry
+            ):
                 store.add(outcome)
                 if writer is not None:
                     writer.append(outcome)
@@ -828,7 +593,6 @@ def run_campaign(
     retry: Optional[RetryPolicy] = None,
     checkpoint_path: Optional[str] = None,
     checkpoint_every: int = 10,
-    batch_size: int = 0,
     store: str = result_store.STORE_AUTO,
 ) -> CampaignResult:
     """One-call convenience wrapper around :class:`CampaignExecutor`."""
@@ -836,7 +600,6 @@ def run_campaign(
         backend=backend,
         max_workers=max_workers,
         retry=retry,
-        batch_size=batch_size,
         store=store,
     ).run(
         campaign,

@@ -836,9 +836,8 @@ class WorkerSite:
             )
             beat.start()
         try:
-            units = [(False, [entry]) for entry in entries]
             indexed: Dict[int, ScenarioOutcome] = {}
-            for index, outcome in self.backend.run_units(units, self.retry):
+            for index, outcome in self.backend.run_unordered(entries, self.retry):
                 indexed[index] = outcome
         finally:
             stop.set()

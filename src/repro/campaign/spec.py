@@ -21,7 +21,14 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError
+from repro.sim.backends import backend_names
 from repro.sim.engine import SimulationConfig
+
+#: Engine backends earlier releases shipped, with why they are gone: a spec
+#: naming one is rejected when it loads instead of failing every scenario.
+REMOVED_ENGINES = {
+    "batchpath": "the batched multi-scenario engine was removed; scenarios run one at a time",
+}
 
 #: JSON-representable parameter values accepted by factory specs.
 ParamValue = Union[None, bool, int, float, str, Tuple["ParamValue", ...]]
@@ -145,6 +152,12 @@ class ScenarioSpec:
             raise ConfigurationError(
                 f"scenario {self.label!r}: engine must be a non-empty backend "
                 f"name or 'auto', got {self.engine!r}"
+            )
+        if self.engine in REMOVED_ENGINES:
+            raise ConfigurationError(
+                f"scenario {self.label!r}: engine {self.engine!r} is not "
+                f"available ({REMOVED_ENGINES[self.engine]}); use 'auto' or a "
+                f"registered backend: {', '.join(backend_names())}"
             )
 
     @property

@@ -10,7 +10,7 @@ the actuator records every transition along with its cost.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro._compat import SLOTS
 from repro.errors import ConfigurationError, InvalidOperatingPointError
@@ -57,11 +57,6 @@ class DVFSActuator:
     initial_index: Optional[int] = None
     _current_index: int = field(init=False)
     _transitions: List[DVFSTransition] = field(init=False, default_factory=list)
-    #: Deferred transition columns (timestamps, from, to) absorbed in bulk;
-    #: materialised into records on first read, like columnar frame records.
-    _pending_columns: Optional[Tuple[List[float], List[int], List[int]]] = field(
-        init=False, default=None
-    )
 
     def __post_init__(self) -> None:
         if self.transition_latency_s < 0 or self.transition_energy_j < 0:
@@ -86,44 +81,24 @@ class DVFSActuator:
         """The currently applied operating point."""
         return self.table[self._current_index]
 
-    def _drain_pending(self) -> None:
-        """Materialise deferred transition columns into record objects."""
-        pending = self._pending_columns
-        if pending is None:
-            return
-        self._pending_columns = None
-        timestamps, from_indices, to_indices = pending
-        latency = self.transition_latency_s
-        energy = self.transition_energy_j
-        make = DVFSTransition
-        self._transitions.extend(
-            make(timestamp, source, target, latency, energy)
-            for timestamp, source, target in zip(timestamps, from_indices, to_indices)
-        )
-
     @property
     def transitions(self) -> List[DVFSTransition]:
         """All transitions applied so far, in order."""
-        self._drain_pending()
         return list(self._transitions)
 
     @property
     def transition_count(self) -> int:
         """Number of actual operating-point changes (same-point requests excluded)."""
-        pending = self._pending_columns
-        deferred = len(pending[0]) if pending is not None else 0
-        return len(self._transitions) + deferred
+        return len(self._transitions)
 
     @property
     def total_transition_time_s(self) -> float:
         """Cumulative stall time spent in transitions."""
-        self._drain_pending()
         return sum(t.latency_s for t in self._transitions)
 
     @property
     def total_transition_energy_j(self) -> float:
         """Cumulative energy spent in transitions."""
-        self._drain_pending()
         return sum(t.energy_j for t in self._transitions)
 
     # -- actions ----------------------------------------------------------------
@@ -137,7 +112,6 @@ class DVFSActuator:
             raise InvalidOperatingPointError(
                 f"operating-point index {index} out of range (0..{len(self.table) - 1})"
             )
-        self._drain_pending()
         if index == self._current_index:
             return DVFSTransition(
                 timestamp_s=timestamp_s,
@@ -175,42 +149,12 @@ class DVFSActuator:
         """
         if not 0 <= final_index < len(self.table):
             raise InvalidOperatingPointError(f"index {final_index} out of range")
-        self._drain_pending()
         self._transitions.extend(transitions)
-        self._current_index = final_index
-
-    def absorb_transition_columns(
-        self,
-        timestamps: List[float],
-        from_indices: List[int],
-        to_indices: List[int],
-        final_index: int,
-    ) -> None:
-        """Append transitions in columnar form, deferring record creation.
-
-        The batched engine derives every member's transition log as plain
-        columns; building a :class:`DVFSTransition` per entry eagerly would
-        dominate its finalisation cost, so the columns are adopted as-is and
-        materialised lazily — exactly when :attr:`transitions` or a total is
-        first read.  Each entry materialises with this actuator's
-        ``transition_latency_s`` / ``transition_energy_j``, matching what
-        per-frame :meth:`request` calls would have recorded.
-        """
-        if not 0 <= final_index < len(self.table):
-            raise InvalidOperatingPointError(f"index {final_index} out of range")
-        pending = self._pending_columns
-        if pending is None:
-            self._pending_columns = (timestamps, from_indices, to_indices)
-        else:
-            pending[0].extend(timestamps)
-            pending[1].extend(from_indices)
-            pending[2].extend(to_indices)
         self._current_index = final_index
 
     def reset(self, index: Optional[int] = None) -> None:
         """Clear transition history and optionally jump to ``index`` at no cost."""
         self._transitions.clear()
-        self._pending_columns = None
         if index is not None:
             if not 0 <= index < len(self.table):
                 raise InvalidOperatingPointError(f"index {index} out of range")

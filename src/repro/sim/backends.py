@@ -11,16 +11,15 @@ strategy is an :class:`EngineBackend` that *declares* its capabilities, and
 
 Built-in backends, in negotiation order (highest priority first):
 
-=========== ======== ================ ====== ===== ===== ===========================
-name        thermal  static schedule  tables numpy batch module
-=========== ======== ================ ====== ===== ===== ===========================
-fastpath    no       required         no     yes   no    :mod:`repro.sim.fastpath`
-jitpath     yes      no               yes    yes   yes   :mod:`repro.sim.jitpath`
-tablepath   no       no               yes    yes   no    :mod:`repro.sim.tablepath`
-thermalpath yes      no               yes    yes   no    :mod:`repro.sim.thermalpath`
-scalar      yes      no               no     no    no    :mod:`repro.sim.scalarpath`
-batchpath   yes      no               yes    yes   yes   :mod:`repro.sim.batchpath`
-=========== ======== ================ ====== ===== ===== ===========================
+=========== ======== ================ ====== ===== ===========================
+name        thermal  static schedule  tables numpy module
+=========== ======== ================ ====== ===== ===========================
+fastpath    no       required         no     yes   :mod:`repro.sim.fastpath`
+jitpath     yes      no               yes    yes   :mod:`repro.sim.jitpath`
+tablepath   no       no               yes    yes   :mod:`repro.sim.tablepath`
+thermalpath yes      no               yes    yes   :mod:`repro.sim.thermalpath`
+scalar      yes      no               no     no    :mod:`repro.sim.scalarpath`
+=========== ======== ================ ====== ===== ===========================
 
 ``jitpath`` only negotiates when numba is importable (the ``jit`` packaging
 extra) and the ``REPRO_DISABLE_JIT`` kill-switch is unset; without numba the
@@ -41,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.errors import SimulationError
-from repro.sim import batchpath, fastpath, jitpath, scalarpath, tablepath, thermalpath
+from repro.sim import fastpath, jitpath, scalarpath, tablepath, thermalpath
 from repro.sim.results import SimulationResult
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -57,7 +56,6 @@ FASTPATH = "fastpath"
 JITPATH = "jitpath"
 TABLEPATH = "tablepath"
 THERMALPATH = "thermalpath"
-BATCHPATH = "batchpath"
 
 #: The wildcard engine request: negotiate the fastest eligible backend.
 AUTO = "auto"
@@ -82,11 +80,6 @@ class BackendCapabilities:
         The backend consumes precomputed physics tables and will call the
         engine's table provider (the campaign executor's per-worker cache
         hook) when one is supplied.
-    supports_batch:
-        The backend can step multiple compatible scenarios simultaneously
-        (a batch axis over scenarios sharing an application trace, cluster
-        physics and thermal mode).  The campaign batch planner only
-        dispatches scenario groups to backends declaring this flag.
     supports_trace_capture:
         The backend records a complete, deterministic decision trace on its
         results: per-frame operating points and timing/energy columns on
@@ -103,7 +96,6 @@ class BackendCapabilities:
     requires_static_schedule: bool = False
     requires_numpy: bool = False
     supports_tables: bool = False
-    supports_batch: bool = False
     supports_trace_capture: bool = False
 
 
@@ -275,7 +267,6 @@ class JitPathBackend(EngineBackend):
         supports_thermal=True,
         requires_numpy=True,
         supports_tables=True,
-        supports_batch=True,
         supports_trace_capture=True,
     )
     priority = 25
@@ -349,39 +340,6 @@ class ThermalPathBackend(EngineBackend):
             request.config,
             tables=request.tables(),
         )
-
-
-class BatchPathBackend(EngineBackend):
-    """Batched multi-scenario engine (batch axis over compatible scenarios).
-
-    On a single request it degrades to a batch of one, which is strictly
-    slower than ``tablepath``/``thermalpath`` (same per-frame maths, plus
-    the batch bookkeeping) — hence the negative priority: ``auto`` never
-    selects it.  It earns its keep when the campaign batch planner hands a
-    *group* of compatible scenarios to :func:`repro.sim.batchpath.run_batch`
-    directly, amortising one frame loop across the whole group.
-    """
-
-    name = BATCHPATH
-    capabilities = BackendCapabilities(
-        supports_thermal=True,
-        requires_numpy=True,
-        supports_tables=True,
-        supports_batch=True,
-        supports_trace_capture=True,
-    )
-    priority = -10
-
-    def numpy_available(self) -> bool:
-        return batchpath._np is not None
-
-    def run(self, request: EngineRequest) -> SimulationResult:
-        return batchpath.simulate_batch(
-            [(request.cluster, request.governor)],
-            request.application,
-            request.config,
-            tables=request.tables(),
-        )[0]
 
 
 # ---------------------------------------------------------------------------
@@ -506,4 +464,3 @@ register_backend(JitPathBackend())
 register_backend(TablePathBackend())
 register_backend(ThermalPathBackend())
 register_backend(ScalarBackend())
-register_backend(BatchPathBackend())

@@ -111,22 +111,6 @@ class SimulationEngine:
         """Name of the backend the most recent :meth:`run` executed on."""
         return self._engine_used
 
-    @property
-    def last_used_fast_path(self) -> bool:
-        """Deprecated: True when the most recent run used the ``fastpath`` backend.
-
-        Prefer :attr:`engine_used` (or ``result.engine_used``).
-        """
-        return self._engine_used == backends.FASTPATH
-
-    @property
-    def last_used_table_path(self) -> bool:
-        """Deprecated: True when the most recent run used the ``tablepath`` backend.
-
-        Prefer :attr:`engine_used` (or ``result.engine_used``).
-        """
-        return self._engine_used == backends.TABLEPATH
-
     def platform_info(self) -> PlatformInfo:
         """Static platform description handed to governors at setup."""
         return PlatformInfo(

@@ -133,10 +133,9 @@ class FrameColumns:
     semantics bit-identical to iterating materialised records.
 
     A deferred instance (:meth:`from_deferred`) postpones even building the
-    lists: the batched engine keeps each family's results as matrices and
-    converts them to Python lists only when a column is first read, so runs
-    whose consumers never touch a member's columns never pay the
-    conversion.  The laziness is invisible: every accessor, ``len()``,
+    lists: a lazily loaded result store decodes a record's frames only
+    when a column is first read, so consumers that never touch a result's
+    columns (summaries from cached metrics) never pay the decode.  The laziness is invisible: every accessor, ``len()``,
     pickling and record materialisation produce exactly what an eager
     instance would.
     """
@@ -183,57 +182,13 @@ class FrameColumns:
                 )
 
     @classmethod
-    def from_trusted_lists(
-        cls,
-        *,
-        index: List[int],
-        operating_index: List[int],
-        frequency_mhz: List[float],
-        cycles_per_core: List[Tuple[float, ...]],
-        busy_time_s: List[float],
-        overhead_time_s: List[float],
-        frame_time_s: List[float],
-        interval_s: List[float],
-        deadline_s: List[float],
-        energy_j: List[float],
-        average_power_w: List[float],
-        measured_power_w: List[float],
-        temperature_c: List[float],
-        explored: List[bool],
-    ) -> "FrameColumns":
-        """Adopt already-built columns without copying or re-validating.
-
-        For engine internals that materialise whole columns at once (the
-        batched engine builds them for S members in bulk): every argument
-        must be a plain equal-length list that the caller either owns
-        outright or shares deliberately and never mutates afterwards.
-        ``__init__``'s defensive copy is what this skips — at large batch
-        sizes those copies dominate the scatter cost.
-        """
-        self = cls.__new__(cls)
-        self.index = index
-        self.operating_index = operating_index
-        self.frequency_mhz = frequency_mhz
-        self.cycles_per_core = cycles_per_core
-        self.busy_time_s = busy_time_s
-        self.overhead_time_s = overhead_time_s
-        self.frame_time_s = frame_time_s
-        self.interval_s = interval_s
-        self.deadline_s = deadline_s
-        self.energy_j = energy_j
-        self.average_power_w = average_power_w
-        self.measured_power_w = measured_power_w
-        self.temperature_c = temperature_c
-        self.explored = explored
-        return self
-
-    @classmethod
     def from_deferred(cls, loader) -> "FrameColumns":
         """Defer column construction until a column is first read.
 
         ``loader()`` must return a mapping with one entry per
-        :data:`FRAME_COLUMN_NAMES` name, each an equal-length list obeying
-        the :meth:`from_trusted_lists` ownership rules.  It runs at most
+        :data:`FRAME_COLUMN_NAMES` name, each an equal-length list that
+        the caller owns outright and never mutates afterwards (the columns
+        are adopted without a copy or re-validation).  It runs at most
         once — on the first column access (or on pickling) every column is
         filled in and the instance becomes indistinguishable from an eager
         one, with zero per-access overhead from then on.
@@ -263,7 +218,7 @@ class FrameColumns:
         raise AttributeError(name)
 
     def __getstate__(self) -> Dict[str, Any]:
-        # Deferred loaders are closures over engine internals: materialise
+        # Deferred loaders are closures over store internals: materialise
         # before pickling so the wire format is always the plain columns.
         if getattr(self, "_loader", None) is not None:
             self._materialise_columns()

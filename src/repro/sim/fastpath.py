@@ -254,7 +254,6 @@ def _sync_cluster(
     transition_energy,
     transitions: List[DVFSTransition],
     total_duration: float,
-    transition_columns=None,
 ) -> None:
     """Credit the cluster's meters/PMUs/clock with the trace's aggregates."""
     meter = cluster.energy_meter
@@ -287,15 +286,5 @@ def _sync_cluster(
                 per_core_idle_cycles[core_index], per_core_idle_s[core_index]
             )
 
-    if transition_columns is not None:
-        # Columnar transition log from the batched engine: absorbed as-is,
-        # materialised into DVFSTransition records only if a caller reads them.
-        cluster.dvfs.absorb_transition_columns(
-            transition_columns[0],
-            transition_columns[1],
-            transition_columns[2],
-            int(indices[-1]),
-        )
-    else:
-        cluster.dvfs.absorb_transitions(transitions, int(indices[-1]))
+    cluster.dvfs.absorb_transitions(transitions, int(indices[-1]))
     cluster.advance_time(total_duration)

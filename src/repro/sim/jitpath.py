@@ -81,7 +81,6 @@ __all__ = [
     "available",
     "compiled",
     "simulate_closed_loop",
-    "run_batch",
     "unsupported_reason",
 ]
 
@@ -1314,34 +1313,3 @@ def _unpack_rl(
     rng.setstate(rng_state)
     for _ in range(int(ip[_I_CONSUMED])):
         rng.random()
-
-
-def run_batch(
-    members: Sequence[Tuple["Cluster", "Governor"]],
-    application: "Application",
-    config: "SimulationConfig",
-    tables=None,
-) -> List[SimulationResult]:
-    """Reset, set up and simulate ``members`` through the compiled kernel.
-
-    Mirrors :func:`repro.sim.batchpath.run_batch`'s contract (full
-    per-scenario lifecycle, results in member order) but runs members
-    sequentially: a compiled frame loop has no per-frame Python dispatch
-    left to amortise across a batch axis, so lock-stepping would only add
-    bookkeeping.  ``tables`` are validated per member by
-    :func:`simulate_closed_loop` (and rebuilt on mismatch), exactly as the
-    batched engine validates its shared table.
-    """
-    from repro.rtm.governor import PlatformInfo
-
-    results: List[SimulationResult] = []
-    for cluster, governor in members:
-        cluster.reset(config.initial_operating_index)
-        governor.setup(
-            PlatformInfo(num_cores=cluster.num_cores, vf_table=cluster.vf_table),
-            application.requirement,
-        )
-        results.append(
-            simulate_closed_loop(cluster, application, governor, config, tables=tables)
-        )
-    return results

@@ -63,7 +63,6 @@ class TestRegistry:
             "tablepath",
             "thermalpath",
             "scalar",
-            "batchpath",
         ]
 
     def test_capability_matrix(self):
@@ -81,17 +80,8 @@ class TestRegistry:
         assert not matrix["tablepath"].supports_thermal
         assert matrix["thermalpath"].supports_thermal
         assert matrix["thermalpath"].supports_tables
-        assert matrix["batchpath"].supports_batch
-        assert matrix["batchpath"].supports_thermal
         assert matrix["jitpath"].supports_thermal
         assert matrix["jitpath"].supports_tables
-        assert matrix["jitpath"].supports_batch
-        assert matrix["batchpath"].supports_tables
-        assert not any(
-            capabilities.supports_batch
-            for name, capabilities in matrix.items()
-            if name not in ("batchpath", "jitpath")
-        )
 
     def test_unknown_backend_rejected_with_names(self):
         with pytest.raises(SimulationError, match="registered backends"):
@@ -206,8 +196,6 @@ class TestThirdPartyBackend:
             assert backend.calls == 1
             assert result.engine_used == "recording"
             assert engine.engine_used == "recording"
-            assert not engine.last_used_fast_path
-            assert not engine.last_used_table_path
         finally:
             unregister_backend("recording")
         # After unregistration, auto negotiation reverts to the built-ins.
@@ -268,7 +256,6 @@ class TestNegotiation:
         with pytest.raises(SimulationError):
             engine.run(application, OndemandGovernor())
         assert engine.engine_used is None
-        assert not engine.last_used_table_path
 
     def test_static_schedule_probed_once(self):
         class CountingOracle(OracleGovernor):
@@ -310,13 +297,14 @@ class TestEngineUsedReporting:
         assert engine.engine_used == engine_name
 
     def test_result_aliases_removed(self):
-        # The deprecated last_used_* aliases moved off SimulationResult
-        # (the engine keeps its own); engine_used is the one source of truth.
+        # The deprecated last_used_* aliases are gone from both the result
+        # and the engine; engine_used is the one source of truth.
         engine = SimulationEngine(build_a15_cluster())
         result = engine.run(mpeg4_application(num_frames=10, seed=1), OndemandGovernor())
         assert result.engine_used == "tablepath"
-        assert not hasattr(result, "last_used_table_path")
-        assert not hasattr(result, "last_used_fast_path")
+        for owner in (result, engine):
+            assert not hasattr(owner, "last_used_table_path")
+            assert not hasattr(owner, "last_used_fast_path")
 
     def test_engine_used_round_trips_through_json(self):
         engine = SimulationEngine(build_a15_cluster())
@@ -431,26 +419,10 @@ class TestCliEngineFlag:
         assert main([str(spec_path), "--output", str(output), "--quiet"]) == 0
         store = CampaignResult.load(str(output))
         engines = {o.label: o.result.engine_used for o in store}
-        # The batch planner (on by default) routes closed-loop scenarios to
-        # the batched engine; static-schedule governors keep the fastpath.
-        assert engines == {"ondemand": "batchpath", "oracle": "fastpath"}
-        summary = capsys.readouterr().out
-        assert "batchpath" in summary and "fastpath" in summary
-        assert "physics-table cache:" in summary
-
-    def test_batch_size_zero_disables_the_planner(self, tmp_path):
-        from repro.campaign.cli import main
-        from repro.campaign.results import CampaignResult
-
-        spec_path = self._write_spec(tmp_path)
-        output = tmp_path / "results.json"
-        code = main(
-            [str(spec_path), "--batch-size", "0", "--output", str(output), "--quiet"]
-        )
-        assert code == 0
-        store = CampaignResult.load(str(output))
-        engines = {o.label: o.result.engine_used for o in store}
         assert engines == {"ondemand": "tablepath", "oracle": "fastpath"}
+        summary = capsys.readouterr().out
+        assert "tablepath" in summary and "fastpath" in summary
+        assert "physics-table cache:" in summary
 
     def test_unknown_engine_rejected_by_argparse(self, tmp_path):
         from repro.campaign.cli import main
@@ -525,3 +497,82 @@ class TestCliEngineFlag:
         assert [o.result.engine_used for o in resumed] == [
             o.result.engine_used for o in first
         ]
+
+
+class TestRemovedBatchpathBackend:
+    """The batched multi-scenario engine (``batchpath``) and its
+    ``--batch-size`` planner are gone: results it stamped keep loading,
+    while every way of asking for it fails before anything runs."""
+
+    def _campaign(self):
+        from repro.campaign.spec import CampaignSpec, FactorySpec
+
+        return CampaignSpec.from_grid(
+            name="legacy",
+            applications=[FactorySpec.of("mpeg4", num_frames=10)],
+            governors=[FactorySpec.of("ondemand"), FactorySpec.of("oracle")],
+            seeds=[3],
+        )
+
+    @pytest.mark.parametrize("encoding", ["json", "jsonl"])
+    def test_saved_batchpath_results_still_load(self, tmp_path, encoding):
+        from repro.analysis.reporting import format_campaign_summary
+        from repro.campaign import store as result_store
+        from repro.campaign.executor import run_campaign
+        from repro.campaign.results import CampaignResult
+
+        saved = run_campaign(self._campaign())
+        for outcome in saved:
+            outcome.result.engine_used = "batchpath"
+        path = str(tmp_path / f"legacy.{encoding}")
+        if encoding == "json":
+            saved.save(path)
+        else:
+            result_store.save_store(saved, path, encoding)
+        assert result_store.is_store_file(path) == (encoding == "jsonl")
+
+        loaded = CampaignResult.load(path)
+        assert [o.result.engine_used for o in loaded] == ["batchpath", "batchpath"]
+        assert loaded.to_json() == saved.to_json()
+        assert "batchpath" in format_campaign_summary(loaded)
+
+    @pytest.mark.parametrize("source", ["spec-file", "scenario-dict", "grid"])
+    def test_batchpath_engine_in_a_spec_is_a_configuration_error(
+        self, tmp_path, source
+    ):
+        from repro.campaign.spec import CampaignSpec, FactorySpec, ScenarioSpec
+
+        with pytest.raises(ConfigurationError) as raised:
+            if source == "grid":
+                CampaignSpec.from_grid(
+                    name="legacy",
+                    applications=[FactorySpec.of("mpeg4", num_frames=10)],
+                    governors=[FactorySpec.of("ondemand")],
+                    engine="batchpath",
+                )
+            else:
+                data = json.loads(self._campaign().to_json())
+                data["scenarios"][0]["engine"] = "batchpath"
+                if source == "scenario-dict":
+                    ScenarioSpec.from_dict(data["scenarios"][0])
+                else:
+                    spec_path = tmp_path / "spec.json"
+                    spec_path.write_text(json.dumps(data), encoding="utf-8")
+                    CampaignSpec.load(str(spec_path))
+        message = str(raised.value)
+        assert "'batchpath'" in message
+        for name in backend_names():
+            assert name in message
+
+    @pytest.mark.parametrize(
+        "flags", [["--engine", "batchpath"], ["--batch-size", "4"]]
+    )
+    def test_removed_cli_options_rejected_by_argparse(self, tmp_path, flags, capsys):
+        from repro.campaign.cli import main
+
+        spec_path = tmp_path / "spec.json"
+        self._campaign().save(str(spec_path))
+        with pytest.raises(SystemExit) as raised:
+            main([str(spec_path), "--quiet"] + flags)
+        assert raised.value.code == 2
+        assert flags[0] in capsys.readouterr().err

@@ -303,12 +303,7 @@ class TestCheckpointQuarantine:
         checkpoint = tmp_path / "ckpt.json"
         checkpoint.write_text("garbage{", encoding="utf-8")
         with pytest.warns(RuntimeWarning, match="quarantined"):
-            rc = cli_main(
-                # --batch-size 0 keeps engine_used stamps comparable to the
-                # unbatched run_campaign reference store.
-                [spec_path, "--quiet", "--batch-size", "0",
-                 "--checkpoint", str(checkpoint)]
-            )
+            rc = cli_main([spec_path, "--quiet", "--checkpoint", str(checkpoint)])
         assert rc == 0
         assert CampaignResult.load(str(checkpoint)).to_json() == full_store.to_json()
         assert (tmp_path / "ckpt.json.corrupt").exists()
@@ -658,3 +653,34 @@ class TestExperimentSettingsCheckpointing:
         # The failed outcome was checkpointed for post-mortem inspection.
         saved = CampaignResult.load(str(tmp_path / "exp-bad.checkpoint.json"))
         assert [o.label for o in saved.failed()] == ["broken"]
+
+
+class TestOutputDeterminism:
+    def test_cli_library_and_process_outputs_are_byte_identical(self, tmp_path):
+        """A result is a pure function of its spec: the CLI at default
+        flags, the library call and the process backend write the same
+        bytes, closed-loop and static-schedule governors alike."""
+        spec = CampaignSpec.from_grid(
+            "determinism",
+            applications=[FactorySpec.of("mpeg4", num_frames=FRAMES)],
+            governors={
+                "ondemand": FactorySpec.of("ondemand"),
+                "proposed": FactorySpec.of("proposed"),
+                "oracle": FactorySpec.of("oracle"),
+            },
+            seeds=(1, 2),
+        )
+        spec_path = str(tmp_path / "spec.json")
+        spec.save(spec_path)
+        cli_default = tmp_path / "cli.json"
+        library = tmp_path / "library.json"
+        process = tmp_path / "process.json"
+        assert cli_main([spec_path, "--quiet", "--output", str(cli_default)]) == 0
+        run_campaign(spec).save(str(library))
+        assert cli_main(
+            [spec_path, "--quiet", "--backend", "process", "--workers", "2",
+             "--output", str(process)]
+        ) == 0
+        expected = cli_default.read_bytes()
+        assert library.read_bytes() == expected
+        assert process.read_bytes() == expected

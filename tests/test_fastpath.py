@@ -41,14 +41,14 @@ def _run_both(factory, application, **config_kwargs):
         SimulationConfig(prefer_fast_path=False, **config_kwargs),
     )
     scalar = scalar_engine.run(application, factory())
-    assert not scalar_engine.last_used_fast_path
+    assert scalar_engine.engine_used == "scalar"
 
     fast_engine = SimulationEngine(
         build_a15_cluster(),
         SimulationConfig(prefer_fast_path=True, **config_kwargs),
     )
     fast = fast_engine.run(application, factory())
-    assert fast_engine.last_used_fast_path
+    assert fast_engine.engine_used == "fastpath"
     return scalar, fast, fast_engine
 
 
@@ -124,7 +124,7 @@ class TestFastPathEquivalence:
 
         scalar, _ = run(False)
         fast, fast_engine = run(True)
-        assert fast_engine.last_used_fast_path
+        assert fast_engine.engine_used == "fastpath"
         _assert_frame_by_frame_equivalent(scalar, fast)
 
     def test_cluster_aggregate_state_synchronised(self):
@@ -172,21 +172,21 @@ class TestFastPathSelection:
         for factory in (OndemandGovernor, MultiCoreRLGovernor):
             engine = SimulationEngine(build_a15_cluster())
             engine.run(application, factory())
-            assert not engine.last_used_fast_path
+            assert engine.engine_used == "tablepath"
 
     def test_thermal_enabled_cluster_is_ineligible(self):
         cluster = build_a15_cluster(enable_thermal=True)
         assert not fastpath.fast_path_eligible(cluster)
         engine = SimulationEngine(cluster)
         engine.run(mpeg4_application(num_frames=30, seed=1), OracleGovernor())
-        assert not engine.last_used_fast_path
+        assert engine.engine_used == "thermalpath"
 
     def test_prefer_fast_path_false_forces_scalar(self):
         engine = SimulationEngine(
             build_a15_cluster(), SimulationConfig(prefer_fast_path=False)
         )
         engine.run(mpeg4_application(num_frames=30, seed=1), OracleGovernor())
-        assert not engine.last_used_fast_path
+        assert engine.engine_used == "scalar"
 
     def test_schedule_length_mismatch_rejected(self):
         from repro.errors import SimulationError
@@ -339,7 +339,7 @@ class TestHistoryGating:
     def test_fast_path_records_history_when_opted_in(self):
         engine = SimulationEngine(build_a15_cluster(record_history=True))
         engine.run(mpeg4_application(num_frames=50, seed=1), OracleGovernor())
-        assert engine.last_used_fast_path
+        assert engine.engine_used == "fastpath"
         assert engine.cluster.power_sensor.history_len == 50
         # The meter history is replayed per frame, matching the scalar engine.
         assert len(engine.cluster.energy_meter.intervals) == 50

@@ -12,10 +12,9 @@ Covers:
 
 * exact equality — trajectories, per-frame floats, exploration sets,
   Q-tables, visit counts, RNG stream position, transitions, cluster and
-  sensor state — against ``tablepath``/``thermalpath``/``batchpath`` for
-  every supported governor family x {isothermal, thermal} x RL seeds;
-* ``jitpath.run_batch`` == per-member engine runs, and a jitpath-pinned
-  sharded + batched campaign == the unsharded singleton campaign;
+  sensor state — against ``tablepath``/``thermalpath`` for every
+  supported governor family x {isothermal, thermal} x RL seeds;
+* a jitpath-pinned sharded campaign == the unsharded campaign;
 * negotiation: ``auto`` prefers jitpath exactly when it is available and
   the request is kernel-supported, falls through to the pre-PR selection
   otherwise (numba absent, ``REPRO_DISABLE_JIT``, governor subclasses,
@@ -33,7 +32,6 @@ numpy = pytest.importorskip("numpy")
 
 from repro import _compat
 from repro.campaign import CampaignResult, CampaignSpec, FactorySpec, run_campaign
-from repro.campaign.executor import plan_batches, run_scenario_batch
 from repro.errors import SimulationError
 from repro.governors.conservative import ConservativeGovernor
 from repro.governors.ondemand import OndemandGovernor
@@ -41,7 +39,7 @@ from repro.governors.shen_rl import ShenRLGovernor
 from repro.platform.odroid_xu3 import build_a15_cluster
 from repro.rtm.governor import PlatformInfo
 from repro.rtm.rl_governor import RLGovernor, RLGovernorConfig
-from repro.sim import backends, batchpath, jitpath
+from repro.sim import backends, jitpath
 from repro.sim.backends import EngineRequest
 from repro.sim.engine import SimulationConfig, SimulationEngine
 from repro.workload.video import mpeg4_application
@@ -142,47 +140,6 @@ class TestBitIdentity:
         jit = _run_engine("jitpath", factory, thermal)
         _assert_identical(reference, jit)
 
-    @pytest.mark.parametrize("thermal", [False, True], ids=["iso", "thermal"])
-    def test_matches_batchpath_exactly(self, jit_on, thermal):
-        application = mpeg4_application(num_frames=FRAMES, seed=5)
-        factories = [
-            OndemandGovernor,
-            ConservativeGovernor,
-            lambda: RLGovernor(RLGovernorConfig(seed=0)),
-            lambda: RLGovernor(RLGovernorConfig(seed=1)),
-        ]
-        config = SimulationConfig()
-
-        def members():
-            return [
-                (build_a15_cluster(enable_thermal=thermal), factory())
-                for factory in factories
-            ]
-
-        batch_results = batchpath.run_batch(members(), application, config)
-        jit_results = jitpath.run_batch(members(), application, config)
-        assert len(batch_results) == len(jit_results)
-        for batched, jit in zip(batch_results, jit_results):
-            for field in COLUMN_FIELDS:
-                assert getattr(jit.columns, field) == getattr(
-                    batched.columns, field
-                ), field
-            assert jit.exploration_count == batched.exploration_count
-            assert jit.converged_epoch == batched.converged_epoch
-
-    def test_run_batch_matches_per_member_runs(self, jit_on):
-        application = mpeg4_application(num_frames=FRAMES, seed=5)
-        config = SimulationConfig()
-        factories = [OndemandGovernor, lambda: RLGovernor(RLGovernorConfig(seed=2))]
-        members = [(build_a15_cluster(), factory()) for factory in factories]
-        batch_results = jitpath.run_batch(members, application, config)
-        for factory, batched in zip(factories, batch_results):
-            single, _, _ = _run_engine("jitpath", factory, thermal=False)
-            for field in COLUMN_FIELDS:
-                assert getattr(batched.columns, field) == getattr(
-                    single.columns, field
-                ), field
-
 
 def _jit_campaign():
     return CampaignSpec.from_grid(
@@ -199,47 +156,16 @@ def _jit_campaign():
 
 
 class TestCampaignRouting:
-    def test_sharded_batched_campaign_merges_to_unsharded(self, jit_on):
+    def test_sharded_campaign_merges_to_unsharded(self, jit_on):
         campaign = _jit_campaign()
         unsharded = run_campaign(campaign)
         assert all(
             outcome.result.engine_used == "jitpath"
             for outcome in unsharded.outcomes.values()
         )
-        shards = [
-            run_campaign(campaign.shard(i, 2), batch_size=4) for i in range(2)
-        ]
+        shards = [run_campaign(campaign.shard(i, 2)) for i in range(2)]
         merged = CampaignResult.merge(shards).ordered_for(campaign)
         assert merged.to_json() == unsharded.to_json()
-
-    def test_planner_separates_jitpath_groups(self, jit_on):
-        pinned = _jit_campaign().scenarios
-        auto = CampaignSpec.from_grid(
-            "auto",
-            applications=[FactorySpec.of("mpeg4", num_frames=120)],
-            governors={"ondemand": FactorySpec.of("ondemand")},
-            seeds=(1, 2),
-        ).scenarios
-        units = plan_batches(list(pinned) + list(auto), batch_size=16)
-        batched_units = [members for is_batch, members in units if is_batch]
-        # Grouping also splits by application seed; what matters here is
-        # that no group mixes jitpath-pinned and auto scenarios.
-        for members in batched_units:
-            assert len({scenario.engine for _, scenario in members}) == 1
-        engines = sorted(members[0][1].engine for members in batched_units)
-        assert engines == ["auto", "auto", "jitpath", "jitpath"]
-
-    def test_batch_dispatch_stamps_jitpath(self, jit_on):
-        scenarios = [s for s in _jit_campaign().scenarios if s.seed == 1][:2]
-        outcomes = run_scenario_batch(scenarios)
-        assert [outcome.result.engine_used for outcome in outcomes] == [
-            "jitpath",
-            "jitpath",
-        ]
-
-    def test_planner_leaves_jitpath_pins_alone_without_numba(self, jit_off):
-        units = plan_batches(list(_jit_campaign().scenarios), batch_size=16)
-        assert all(not is_batch for is_batch, _ in units)
 
 
 def _request(governor=None, cluster=None):
@@ -322,7 +248,7 @@ class TestNegotiation:
     def test_parity_matrix_without_numba_is_pre_pr(self, jit_off):
         names = [entry.name for entry in backends.trace_capture_backends(_request())]
         assert "jitpath" not in names
-        assert names == ["tablepath", "thermalpath", "scalar", "batchpath"]
+        assert names == ["tablepath", "thermalpath", "scalar"]
 
 
 class TestUnsupportedReason:

@@ -61,7 +61,7 @@ def _run_both(factory, application, **config_kwargs):
         SimulationConfig(prefer_fast_path=False, **config_kwargs),
     )
     scalar = scalar_engine.run(application, scalar_governor)
-    assert not scalar_engine.last_used_table_path
+    assert scalar_engine.engine_used == "scalar"
 
     table_governor = factory()
     table_engine = SimulationEngine(
@@ -69,8 +69,7 @@ def _run_both(factory, application, **config_kwargs):
         SimulationConfig(prefer_fast_path=True, **config_kwargs),
     )
     table = table_engine.run(application, table_governor)
-    assert table_engine.last_used_table_path
-    assert not table_engine.last_used_fast_path
+    assert table_engine.engine_used == "tablepath"
     return scalar, table, scalar_governor, table_governor, table_engine
 
 
@@ -152,7 +151,7 @@ class TestTablePathEquivalence:
 
         scalar, _ = run(False)
         table, table_engine = run(True)
-        assert table_engine.last_used_table_path
+        assert table_engine.engine_used == "tablepath"
         _assert_frame_by_frame_equivalent(scalar, table)
 
     def test_cluster_aggregate_state_synchronised(self):
@@ -201,7 +200,7 @@ class TestTablePathEquivalence:
 
         scalar, scalar_engine = run(False)
         table, table_engine = run(True)
-        assert table_engine.last_used_table_path
+        assert table_engine.engine_used == "tablepath"
         _assert_frame_by_frame_equivalent(scalar, table)
         assert table_engine.cluster.time_s == scalar_engine.cluster.time_s
         assert table_engine.cluster.current_index == scalar_engine.cluster.current_index
@@ -231,23 +230,21 @@ class TestTablePathSelection:
     def test_static_governors_still_take_vectorised_path(self):
         engine = SimulationEngine(build_a15_cluster())
         engine.run(mpeg4_application(num_frames=30, seed=1), OracleGovernor())
-        assert engine.last_used_fast_path
-        assert not engine.last_used_table_path
+        assert engine.engine_used == "fastpath"
 
     def test_thermal_enabled_cluster_falls_back_to_scalar(self):
         cluster = build_a15_cluster(enable_thermal=True)
         assert not tablepath.table_path_eligible(cluster)
         engine = SimulationEngine(cluster)
         engine.run(mpeg4_application(num_frames=30, seed=1), OndemandGovernor())
-        assert not engine.last_used_table_path
-        assert not engine.last_used_fast_path
+        assert engine.engine_used == "thermalpath"
 
     def test_prefer_fast_path_false_forces_scalar(self):
         engine = SimulationEngine(
             build_a15_cluster(), SimulationConfig(prefer_fast_path=False)
         )
         engine.run(mpeg4_application(num_frames=30, seed=1), OndemandGovernor())
-        assert not engine.last_used_table_path
+        assert engine.engine_used == "scalar"
 
     def test_numpy_missing_falls_back_to_scalar(self, monkeypatch):
         from repro.sim import fastpath
@@ -258,7 +255,7 @@ class TestTablePathSelection:
         assert not tablepath.table_path_eligible(cluster)
         engine = SimulationEngine(cluster)
         result = engine.run(mpeg4_application(num_frames=30, seed=1), OndemandGovernor())
-        assert not engine.last_used_table_path
+        assert engine.engine_used != "tablepath"
         assert result.num_frames == 30
         with pytest.raises(SimulationError):
             tablepath.simulate_closed_loop(
@@ -308,7 +305,7 @@ class TestWorkloadTable:
             build_a15_cluster(), table_provider=lambda c, a, cfg: stale
         )
         table_result = engine.run(application, OndemandGovernor())
-        assert engine.last_used_table_path
+        assert engine.engine_used == "tablepath"
 
         scalar = SimulationEngine(
             build_a15_cluster(), SimulationConfig(prefer_fast_path=False)
@@ -365,7 +362,7 @@ class TestColumnarResults:
         result = engine.run(
             mpeg4_application(num_frames=num_frames, seed=3), OndemandGovernor()
         )
-        assert engine.last_used_table_path
+        assert engine.engine_used == "tablepath"
         return result
 
     def test_records_materialise_lazily(self):

@@ -92,10 +92,6 @@ def _run_both(factory, application, cluster_kwargs=None, **config_kwargs):
     thermal = thermal_engine.run(application, thermal_governor)
     assert thermal.engine_used == "thermalpath"
     assert thermal_engine.engine_used == "thermalpath"
-    # The deprecated booleans stay False: this is neither of the isothermal
-    # fast paths.
-    assert not thermal_engine.last_used_fast_path
-    assert not thermal_engine.last_used_table_path
     return scalar, thermal, scalar_governor, thermal_governor, thermal_engine
 
 
