@@ -4,6 +4,8 @@ The unit of work is :func:`run_scenario` — a module-level function so the
 process-pool backend can pickle it.  Each invocation builds its *own*
 cluster from the scenario spec: clusters are stateful (meters, PMU, thermal
 and DVFS history) and must never be shared between concurrent runs.
+Applications are immutable, so each worker builds one per (application,
+seed) and shares it across the scenarios that run it.
 
 Fault tolerance: backends execute scenarios through
 :func:`run_scenario_safely`, which converts an exception on the final
@@ -21,6 +23,7 @@ seed).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import threading
@@ -35,10 +38,11 @@ from repro.errors import ConfigurationError, ReproError, ScenarioTimeoutError
 from repro.campaign import registry
 from repro.campaign import store as result_store
 from repro.campaign.results import CampaignResult, ScenarioOutcome
-from repro.campaign.spec import CampaignSpec, ScenarioSpec
+from repro.campaign.spec import CampaignSpec, FactorySpec, ScenarioSpec
 from repro.platform.cluster import ThermalWorkloadTable, WorkloadTable
 from repro.sim import tablepath, thermalpath
 from repro.sim.engine import SimulationEngine
+from repro.workload.application import Application
 
 #: Optional per-scenario completion callback (label, index, total).
 ProgressCallback = Callable[[str, int, int], None]
@@ -187,6 +191,35 @@ def reset_table_cache_stats() -> None:
         _CACHE_STATS[key] = 0
 
 
+def _cached_application(scenario: ScenarioSpec) -> Application:
+    """The scenario's application, built on the first request per worker."""
+    spec = scenario.application
+    # The raw registered factory, not the resolver: the resolver may be
+    # wrapped (instrumentation) and must run only when a build happens.
+    return _build_application(registry._APPLICATIONS.get(spec.name), spec, scenario.seed)
+
+
+@functools.lru_cache(maxsize=8)
+def _build_application(
+    factory: object, spec: FactorySpec, seed: Optional[int]
+) -> Application:
+    """Build one application; cached per worker process.
+
+    Keyed by the application factory spec and the scenario seed — the same
+    pair the table cache keys on — so a grid sweeping governors over one
+    workload builds it once per worker instead of once per scenario.
+    Sharing is safe: an :class:`~repro.workload.application.Application`
+    keeps its frames in a private list and every frame is frozen, so no run
+    can change what the next one reads.  ``factory`` (the registered
+    factory) is only part of the key, so re-registering a name never
+    serves a stale build.  A factory that raises leaves no entry behind.
+    """
+    app_kwargs = dict(spec.kwargs)
+    if seed is not None:
+        app_kwargs["seed"] = seed
+    return registry.application_factory(spec.name)(**app_kwargs)
+
+
 #: Upper bound on the quantised power slices prewarmed per thermal table;
 #: trajectories spanning more buckets than this fall back to lazy filling.
 _MAX_PREWARMED_SLICES = 64
@@ -278,8 +311,9 @@ def _cached_table_provider(scenario: ScenarioSpec) -> tablepath.TableProvider:
 def run_scenario(scenario: ScenarioSpec) -> ScenarioOutcome:
     """Execute one scenario from scratch and return its (``done``) outcome.
 
-    Builds a fresh cluster, application and governor from the scenario's
-    named factories, runs the closed-loop simulation, then applies the
+    Builds a fresh cluster and governor from the scenario's named
+    factories, takes the application from the per-worker cache (built on
+    first use), runs the closed-loop simulation, then applies the
     scenario's probe (if any) while the governor is still live.  Exceptions
     propagate — use :func:`run_scenario_safely` to record them instead.
 
@@ -296,10 +330,7 @@ def run_scenario(scenario: ScenarioSpec) -> ScenarioOutcome:
     bounded however many frames a scenario sweeps.
     """
     cluster = registry.cluster_factory(scenario.cluster.name)(**scenario.cluster.kwargs)
-    app_kwargs = dict(scenario.application.kwargs)
-    if scenario.seed is not None:
-        app_kwargs["seed"] = scenario.seed
-    application = registry.application_factory(scenario.application.name)(**app_kwargs)
+    application = _cached_application(scenario)
     governor = registry.governor_factory(scenario.governor.name)(**scenario.governor.kwargs)
 
     engine = SimulationEngine(

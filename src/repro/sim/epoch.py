@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Mapping, Sequence, Tuple
+from dataclasses import dataclass
+from operator import attrgetter, itemgetter
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from repro._compat import SLOTS
 from repro.errors import SimulationError
@@ -63,10 +64,8 @@ class FrameRecord:
     explored: bool = False
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-serialisable form of the record."""
-        data = asdict(self)
-        data["cycles_per_core"] = list(self.cycles_per_core)
-        return data
+        """JSON-serialisable form of the record (see :func:`frame_dicts`)."""
+        return frame_dicts(record_rows([self]))[0]
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FrameRecord":
@@ -116,6 +115,45 @@ FRAME_COLUMN_NAMES: Tuple[str, ...] = (
     "explored",
 )
 
+#: Reads a record's fields as one row in :data:`FRAME_COLUMN_NAMES` order.
+_record_row = attrgetter(*FRAME_COLUMN_NAMES)
+#: Reads a frame dict's values as one row in :data:`FRAME_COLUMN_NAMES` order.
+_dict_row = itemgetter(*FRAME_COLUMN_NAMES)
+_CYCLES = FRAME_COLUMN_NAMES.index("cycles_per_core")
+
+
+def _complete_frame(frame: Mapping[str, Any]) -> Mapping[str, Any]:
+    """``frame`` with its one defaulted field filled in; unknown fields raise."""
+    unknown = set(frame).difference(FRAME_COLUMN_NAMES)
+    if unknown:
+        raise TypeError(f"unexpected frame field(s): {sorted(map(str, unknown))}")
+    if "explored" in frame:
+        return frame  # a required field is missing: reading the row raises KeyError
+    return {**frame, "explored": False}
+
+
+def record_rows(records: Iterable[FrameRecord]) -> Iterator[Tuple[Any, ...]]:
+    """Each record's fields as a row in :data:`FRAME_COLUMN_NAMES` order."""
+    return map(_record_row, records)
+
+
+def frame_dicts(rows: Iterable[Sequence[Any]]) -> List[Dict[str, Any]]:
+    """JSON-ready frame dicts, one per row of :data:`FRAME_COLUMN_NAMES` values.
+
+    The one serialiser of per-frame data, for columnar
+    (:meth:`FrameColumns.rows`) and record-backed (:func:`record_rows`)
+    results alike.  Keys follow the :class:`FrameRecord` field order and
+    ``cycles_per_core`` becomes a list; every other value is an immutable
+    scalar and is passed through as is.
+    """
+    names = FRAME_COLUMN_NAMES
+    frames = []
+    for row in rows:
+        frame = dict(zip(names, row))
+        frame["cycles_per_core"] = list(row[_CYCLES])
+        frames.append(frame)
+    return frames
+
 
 class FrameColumns:
     """Column-oriented storage of a run's per-frame records.
@@ -125,7 +163,11 @@ class FrameColumns:
     so that no ``FrameRecord`` is allocated inside (or right after) the hot
     loop; :class:`~repro.sim.results.SimulationResult` materialises records
     lazily — only if a caller actually iterates ``result.records`` — while
-    totals, metrics and reports read the columns directly.
+    totals, metrics and reports read the columns directly.  Persistence
+    stays columnar too: ``SimulationResult.to_dict`` serialises straight
+    from :meth:`rows` and ``SimulationResult.from_dict`` gathers the frame
+    dicts back with :meth:`from_dicts`, so a save/load round trip allocates
+    no ``FrameRecord`` either.
 
     Columns are stored as lists of native Python scalars (``cycles_per_core``
     as a list of per-core tuples), which keeps the container picklable for
@@ -135,9 +177,9 @@ class FrameColumns:
     A deferred instance (:meth:`from_deferred`) postpones even building the
     lists: a lazily loaded result store decodes a record's frames only
     when a column is first read, so consumers that never touch a result's
-    columns (summaries from cached metrics) never pay the decode.  The laziness is invisible: every accessor, ``len()``,
-    pickling and record materialisation produce exactly what an eager
-    instance would.
+    columns (summaries from cached metrics) never pay the decode.  The
+    laziness is invisible: every accessor, ``len()``, pickling and record
+    materialisation produce exactly what an eager instance would.
     """
 
     __slots__ = tuple(FRAME_COLUMN_NAMES) + ("_loader",)
@@ -197,6 +239,28 @@ class FrameColumns:
         self._loader = loader
         return self
 
+    @classmethod
+    def from_dicts(cls, frames: Iterable[Mapping[str, Any]]) -> "FrameColumns":
+        """Gather frame dicts (:func:`frame_dicts` output) into columns.
+
+        As strict as :meth:`FrameRecord.from_dict` is on each frame: a
+        missing field (only ``explored`` has a default, ``False``), an
+        unknown field or a ``cycles_per_core`` that is not a sequence
+        raises ``KeyError`` or ``TypeError``.  A bad frame therefore never
+        yields a silently shorter or dropped column.
+        """
+        width = len(FRAME_COLUMN_NAMES)
+        rows = []
+        for frame in frames:
+            if len(frame) != width:
+                frame = _complete_frame(frame)
+            rows.append(_dict_row(frame))
+        if not rows:
+            return cls(*[()] * width)
+        columns = list(zip(*rows))
+        columns[_CYCLES] = [tuple(cycles) for cycles in columns[_CYCLES]]
+        return cls(*columns)
+
     def _materialise_columns(self) -> None:
         loader = self._loader
         if loader is None:
@@ -250,25 +314,26 @@ class FrameColumns:
             self.explored[position],
         )
 
+    def rows(self) -> Iterator[Tuple[Any, ...]]:
+        """Each frame as a row of values in :data:`FRAME_COLUMN_NAMES` order."""
+        return zip(
+            self.index,
+            self.operating_index,
+            self.frequency_mhz,
+            self.cycles_per_core,
+            self.busy_time_s,
+            self.overhead_time_s,
+            self.frame_time_s,
+            self.interval_s,
+            self.deadline_s,
+            self.energy_j,
+            self.average_power_w,
+            self.measured_power_w,
+            self.temperature_c,
+            self.explored,
+        )
+
     def materialize(self) -> List[FrameRecord]:
         """Materialise every record (one allocation per frame, outside any hot loop)."""
         make = FrameRecord
-        return [
-            make(*row)
-            for row in zip(
-                self.index,
-                self.operating_index,
-                self.frequency_mhz,
-                self.cycles_per_core,
-                self.busy_time_s,
-                self.overhead_time_s,
-                self.frame_time_s,
-                self.interval_s,
-                self.deadline_s,
-                self.energy_j,
-                self.average_power_w,
-                self.measured_power_w,
-                self.temperature_c,
-                self.explored,
-            )
-        ]
+        return [make(*row) for row in self.rows()]

@@ -3,7 +3,8 @@
 :class:`SimulationResult` is backed by either a list of
 :class:`~repro.sim.epoch.FrameRecord` objects (the scalar engine's output)
 or by :class:`~repro.sim.epoch.FrameColumns` columnar storage (the
-vectorised and table-driven engines' output).  Either way the public API is
+vectorised and table-driven engines' output, and every result loaded
+through :meth:`SimulationResult.from_dict`).  Either way the public API is
 the same: ``result.records`` always yields records (materialised lazily
 from columns on first access), the aggregate properties read whichever
 backing store is cheaper, and :meth:`to_arrays` exposes the run as columns
@@ -16,7 +17,13 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.errors import SimulationError
 from repro.platform.energy import EnergyAccount
-from repro.sim.epoch import FRAME_COLUMN_NAMES, FrameColumns, FrameRecord
+from repro.sim.epoch import (
+    FRAME_COLUMN_NAMES,
+    FrameColumns,
+    FrameRecord,
+    frame_dicts,
+    record_rows,
+)
 
 
 class SimulationResult:
@@ -30,10 +37,13 @@ class SimulationResult:
         The per-frame performance requirement the run was executed against.
     records:
         One :class:`~repro.sim.epoch.FrameRecord` per decision epoch.  When
-        the result was built from columns the records are materialised on
-        first access, at which point the record list becomes the single
-        source of truth (the columns are dropped, so in-place edits are
-        reflected by every aggregate, exactly as with a plain record list).
+        the result was built from columns (engine output or
+        :meth:`from_dict`) the records are materialised on first access, at
+        which point the record list becomes the single source of truth (the
+        columns are dropped, so in-place edits are reflected by every
+        aggregate, exactly as with a plain record list).  Nothing in the
+        library reads ``records`` on the save, load or summary paths, so a
+        columnar result stays columnar unless a caller asks for records.
     exploration_count:
         Number of explorative decisions the governor reported.
     converged_epoch:
@@ -254,14 +264,21 @@ class SimulationResult:
 
     # -- JSON round-trip -----------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-serialisable form of the complete run (used by campaign persistence)."""
+        """JSON-serialisable form of the complete run (used by campaign persistence).
+
+        The frame dicts are built straight from whichever store backs the
+        result (:func:`~repro.sim.epoch.frame_dicts`): no records are
+        materialised and the columns stay authoritative.
+        """
+        columns = self._columns
+        rows = columns.rows() if columns is not None else record_rows(self._records)
         data: Dict[str, Any] = {
             "governor_name": self.governor_name,
             "application_name": self.application_name,
             "reference_time_s": self.reference_time_s,
             "exploration_count": self.exploration_count,
             "converged_epoch": self.converged_epoch,
-            "records": [record.to_dict() for record in self.records],
+            "records": frame_dicts(rows),
         }
         if self.engine_used:
             data["engine_used"] = self.engine_used
@@ -269,12 +286,16 @@ class SimulationResult:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SimulationResult":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`, as a columnar result.
+
+        Each frame is validated by
+        :meth:`~repro.sim.epoch.FrameColumns.from_dicts`.
+        """
         return cls(
             governor_name=data["governor_name"],
             application_name=data["application_name"],
             reference_time_s=data["reference_time_s"],
-            records=[FrameRecord.from_dict(record) for record in data.get("records", [])],
+            columns=FrameColumns.from_dicts(data.get("records", [])),
             exploration_count=data.get("exploration_count", 0),
             converged_epoch=data.get("converged_epoch"),
             engine_used=data.get("engine_used", ""),

@@ -9,11 +9,14 @@ from repro.campaign import (
     CampaignResult,
     CampaignSpec,
     FactorySpec,
+    RetryPolicy,
     ScenarioSpec,
     register_application,
     run_campaign,
     run_scenario,
+    run_scenario_safely,
 )
+from repro.campaign import executor as campaign_executor
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim.engine import SimulationConfig
 from repro.sim.results import SimulationResult
@@ -281,6 +284,100 @@ class TestRegistryExtension:
             )
         )
         assert outcome.result.num_frames == 40
+
+
+def counting_factory(calls, fail_first=0):
+    """An mpeg4 factory that logs each build's seed and fails its first builds."""
+
+    def build(num_frames=30, seed=0):
+        calls.append(seed)
+        if len(calls) <= fail_first:
+            raise RuntimeError("transient build failure")
+        return mpeg4_application(num_frames=num_frames, seed=seed)
+
+    return build
+
+
+class TestApplicationCache:
+    @pytest.fixture(autouse=True)
+    def cold_cache(self):
+        campaign_executor._build_application.cache_clear()
+        yield
+        campaign_executor._build_application.cache_clear()
+
+    @staticmethod
+    def grid(application, seeds=(1, 2), governors=("performance", "ondemand", "proposed")):
+        return CampaignSpec.from_grid(
+            "app-cache",
+            applications=[FactorySpec.of(application, num_frames=30)],
+            governors={name: FactorySpec.of(name) for name in governors},
+            seeds=seeds,
+        )
+
+    def test_one_build_per_application_and_seed(self):
+        calls = []
+        register_application("test-cache-counting", counting_factory(calls))
+        store = run_campaign(self.grid("test-cache-counting"), backend="serial")
+        assert len(store.done()) == 6
+        assert sorted(calls) == [1, 2]
+
+    def test_shared_build_matches_fresh_builds_in_any_order(self):
+        forward_spec = self.grid("mpeg4")
+        forward = run_campaign(forward_spec)
+        campaign_executor._build_application.cache_clear()
+        backward_spec = CampaignSpec(
+            name=forward_spec.name, scenarios=tuple(reversed(forward_spec.scenarios))
+        )
+        backward = run_campaign(backward_spec)
+        assert backward.ordered_for(forward_spec).to_json() == forward.to_json()
+        for scenario in forward_spec.scenarios:
+            campaign_executor._build_application.cache_clear()
+            fresh = run_scenario(scenario)
+            assert fresh.to_dict() == forward.outcomes[scenario.scenario_id].to_dict()
+
+    def test_failed_build_is_not_cached(self):
+        calls = []
+        register_application("test-cache-flaky", counting_factory(calls, fail_first=1))
+        scenario = ScenarioSpec(
+            label="flaky",
+            application=FactorySpec.of("test-cache-flaky", num_frames=30),
+            governor=FactorySpec.of("ondemand"),
+            seed=3,
+        )
+        outcome = run_scenario_safely(scenario, retry=RetryPolicy(max_attempts=2))
+        assert outcome.ok and outcome.attempts == 2
+        assert calls == [3, 3]
+        assert campaign_executor._build_application.cache_info().currsize == 1
+
+    def test_cache_stays_bounded(self):
+        limit = campaign_executor._build_application.cache_info().maxsize
+        calls = []
+        register_application("test-cache-bounded", counting_factory(calls))
+        spec = self.grid(
+            "test-cache-bounded", seeds=tuple(range(limit + 3)), governors=("performance",)
+        )
+        run_campaign(spec)
+        assert campaign_executor._build_application.cache_info().currsize == limit
+        assert len(calls) == limit + 3
+        run_scenario(spec.scenarios[-1])  # newest seed: still cached
+        assert len(calls) == limit + 3
+        run_scenario(spec.scenarios[0])  # oldest seed: evicted, rebuilt
+        assert len(calls) == limit + 4
+        assert campaign_executor._build_application.cache_info().currsize == limit
+
+    def test_reregistered_name_rebuilds(self):
+        first, second = [], []
+        scenario = ScenarioSpec(
+            label="reregistered",
+            application=FactorySpec.of("test-cache-reregistered", num_frames=30),
+            governor=FactorySpec.of("ondemand"),
+            seed=4,
+        )
+        register_application("test-cache-reregistered", counting_factory(first))
+        run_scenario(scenario)
+        register_application("test-cache-reregistered", counting_factory(second))
+        run_scenario(scenario)
+        assert (first, second) == ([4], [4])
 
 
 class TestExperimentDriversOnCampaigns:
