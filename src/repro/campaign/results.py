@@ -109,6 +109,14 @@ class ScenarioOutcome:
         frames; it is a derived cache — excluded from equality and from
         the :meth:`to_dict` wire format, which stays byte-identical to
         the pre-store JSON.
+    store_slot:
+        Where the columnar store last wrote this outcome's record (file,
+        offset, length and checksum; set by :mod:`repro.campaign.store`,
+        never by callers).  Later writes copy those bytes back instead
+        of re-encoding the outcome.  Like :attr:`metrics` it is a cache:
+        not an ``__init__`` argument, invisible to equality, ``repr`` and
+        :meth:`to_dict`, and never carried over by
+        :func:`dataclasses.replace`.
     """
 
     scenario: ScenarioSpec
@@ -119,6 +127,9 @@ class ScenarioOutcome:
     traceback: Optional[str] = None
     attempts: int = 1
     metrics: Optional[Dict[str, Any]] = field(default=None, compare=False)
+    store_slot: Optional[tuple] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.status not in (STATUS_DONE, STATUS_FAILED):

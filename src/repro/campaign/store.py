@@ -36,6 +36,19 @@ conflicting duplicates while holding only one record in memory, and a
 cached ``metrics`` summary so reporting answers summary queries without
 touching frames at all.
 
+Each outcome is encoded **once**: :func:`encode_record` runs the first
+time a writer stores the outcome, and every write leaves a small
+:attr:`ScenarioOutcome.store_slot` behind — file, offset, length and a
+SHA-256 of the bytes written.  A later write in the same encoding copies
+those bytes back (the raw jsonl line, or the Arrow row) after checking
+the checksum, so a checkpoint append, the final checkpoint rewrite and
+an ``--output`` save cost one encode between them while the outcome
+holds no encoded payload in memory.  A slot whose file has since
+changed fails the check and the outcome is simply encoded again.  The
+merge passes jsonl records through as the raw line bytes it read: it
+parses each line for the scenario id and digest, but never re-encodes
+it on the way to a jsonl output.
+
 Corruption handling carries over from the JSON checkpoints: an unreadable
 store is quarantined to ``<path>.corrupt`` with a ``RuntimeWarning``
 (:func:`repro.campaign.results.quarantine_corrupt_file`), and — because
@@ -56,7 +69,7 @@ import io
 import json
 import os
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro._compat import HAVE_PYARROW, arrow_disabled
 from repro.errors import ConfigurationError, SimulationError
@@ -246,6 +259,11 @@ def encode_record(outcome: ScenarioOutcome) -> Dict[str, Any]:
     return record
 
 
+def record_line(record: Dict[str, Any]) -> bytes:
+    """One store record as a newline-terminated compact jsonl line."""
+    return json.dumps(record, separators=(",", ":")).encode("utf-8") + b"\n"
+
+
 def decode_record(
     record: Dict[str, Any],
     frames_loader: Optional[Callable[[], Dict[str, list]]] = None,
@@ -320,6 +338,19 @@ def _read_header(handle) -> Dict[str, Any]:
     if "campaign_name" not in meta:
         raise ValueError("store header has no campaign_name")
     return meta
+
+
+def _jsonl_lines(handle) -> Iterator[Tuple[Dict[str, Any], int, bytes]]:
+    """Yield ``(record, offset, line)`` for each record line after the header."""
+    while True:
+        offset = handle.tell()
+        line = handle.readline()
+        if not line:
+            return
+        record = json.loads(line)
+        if not isinstance(record, dict):
+            raise ValueError("store record line is not a JSON object")
+        yield record, offset, line
 
 
 _ARROW_META_COLUMN = "meta"
@@ -409,6 +440,87 @@ def _arrow_segment_frames(payload: bytes, row: int) -> Dict[str, list]:
     return {name: table.column(name)[row].as_py() for name in FRAME_COLUMN_NAMES}
 
 
+def _arrow_table_record(table, row: int) -> Dict[str, Any]:
+    """Decode one row of a segment table back to its full store record."""
+    record = json.loads(table.column(_ARROW_META_COLUMN)[row].as_py())
+    if record.get("result") is not None:
+        record["result"]["frames"] = {
+            name: table.column(name)[row].as_py() for name in FRAME_COLUMN_NAMES
+        }
+    return record
+
+
+# ---------------------------------------------------------------------------
+# Slots: where an outcome's record was last written, so it is encoded once.
+# ---------------------------------------------------------------------------
+
+
+class _Slot(NamedTuple):
+    """One written record: its jsonl line, or its row of an Arrow segment.
+
+    ``offset``/``length`` span the line or the segment payload (after its
+    length prefix), as in :meth:`StoreReader.iter_records` locations.
+    """
+
+    path: str
+    encoding: str
+    offset: int
+    length: int
+    row: int
+    checksum: bytes
+
+
+def _checksum(payload: bytes) -> bytes:
+    return hashlib.sha256(payload).digest()
+
+
+def _slot_bytes(outcome: ScenarioOutcome, encoding: str) -> Optional[bytes]:
+    """The bytes the outcome's slot names, if still on disk in ``encoding``.
+
+    ``None`` when the outcome was never written in this encoding, or when
+    its file was since removed, rewritten or truncated (the checksum no
+    longer matches): the caller then encodes the outcome afresh.
+    """
+    slot = outcome.store_slot
+    if slot is None or slot.encoding != encoding:
+        return None
+    try:
+        with open(slot.path, "rb") as handle:
+            handle.seek(slot.offset)
+            payload = handle.read(slot.length)
+    except OSError:
+        return None
+    if len(payload) != slot.length or _checksum(payload) != slot.checksum:
+        return None
+    return payload
+
+
+def _remember(outcome: ScenarioOutcome, slot: _Slot) -> None:
+    object.__setattr__(outcome, "store_slot", slot)  # frozen dataclass cache field
+
+
+def _arrow_records(outcomes: Sequence[ScenarioOutcome]) -> List[Dict[str, Any]]:
+    """Store records for one Arrow segment, decoded from slots where possible.
+
+    Consecutive outcomes usually share a source segment (a rewritten
+    store is read back in the order it was written), so the last segment
+    read stays open as a table and each row is decoded on its own.
+    """
+    records: List[Dict[str, Any]] = []
+    segment, table = None, None
+    for outcome in outcomes:
+        slot = outcome.store_slot
+        if slot is not None and slot._replace(row=0) != segment:
+            segment = slot._replace(row=0)
+            payload = _slot_bytes(outcome, ENCODING_ARROW)
+            table = None if payload is None else _arrow_segment_table(payload)
+        if slot is not None and table is not None:
+            records.append(_arrow_table_record(table, slot.row))
+        else:
+            records.append(encode_record(outcome))
+    return records
+
+
 # ---------------------------------------------------------------------------
 # Writer: create / append / flush.
 # ---------------------------------------------------------------------------
@@ -430,6 +542,9 @@ class StoreWriter:
         self.campaign_name = campaign_name
         self.encoding = encoding
         self._handle = handle
+        #: The file the written outcomes' slots name (a bulk save points
+        #: it at the final path its temp file is renamed to).
+        self.slot_path = os.path.abspath(path)
 
     @classmethod
     def create(cls, path: str, campaign_name: str, encoding: str) -> "StoreWriter":
@@ -454,18 +569,50 @@ class StoreWriter:
 
     def append(self, outcome: ScenarioOutcome) -> None:
         """Append one outcome (O(1) in the number already stored)."""
-        self.append_records([encode_record(outcome)])
+        self.append_outcomes([outcome])
+
+    def append_outcomes(self, outcomes: Sequence[ScenarioOutcome]) -> None:
+        """Append outcomes, copying each one's bytes back from its slot.
+
+        Only an outcome never written in this encoding (or whose slot's
+        file has changed) goes through :func:`encode_record`.  Afterwards
+        every outcome's slot names the bytes just written here.  Bulk
+        saves chunk through this: a jsonl chunk is written line by line,
+        an Arrow chunk as one segment.
+        """
+        if not outcomes:
+            return
+        if self.encoding == ENCODING_JSONL:
+            for outcome in outcomes:
+                line = _slot_bytes(outcome, ENCODING_JSONL)
+                if line is None:
+                    line = record_line(encode_record(outcome))
+                    checksum = _checksum(line)
+                else:
+                    checksum = outcome.store_slot.checksum
+                offset = self._handle.tell()
+                self._handle.write(line)
+                _remember(
+                    outcome,
+                    _Slot(self.slot_path, ENCODING_JSONL, offset, len(line), 0, checksum),
+                )
+            return
+        segment = _arrow_segment(_arrow_records(outcomes))
+        offset = self._handle.tell() + 8
+        self._handle.write(segment)
+        checksum = _checksum(segment[8:])
+        for row, outcome in enumerate(outcomes):
+            _remember(
+                outcome,
+                _Slot(self.slot_path, ENCODING_ARROW, offset, len(segment) - 8, row, checksum),
+            )
 
     def append_records(self, records: Sequence[Dict[str, Any]]) -> None:
-        """Append pre-encoded records (bulk saves chunk through this)."""
+        """Append pre-encoded records (the merge's decoded records)."""
         if not records:
             return
         if self.encoding == ENCODING_JSONL:
-            lines = b"".join(
-                json.dumps(record, separators=(",", ":")).encode("utf-8") + b"\n"
-                for record in records
-            )
-            self._handle.write(lines)
+            self._handle.writelines(record_line(record) for record in records)
         else:
             self._handle.write(_arrow_segment(records))
 
@@ -522,14 +669,7 @@ class StoreReader:
                 yield from self._iter_arrow(handle, include_frames)
 
     def _iter_jsonl(self, handle) -> Iterator[Tuple[Dict[str, Any], Tuple]]:
-        while True:
-            offset = handle.tell()
-            line = handle.readline()
-            if not line:
-                return
-            record = json.loads(line)
-            if not isinstance(record, dict):
-                raise ValueError("store record line is not a JSON object")
+        for record, offset, line in _jsonl_lines(handle):
             yield record, (ENCODING_JSONL, offset, len(line))
 
     def _iter_arrow(
@@ -601,14 +741,15 @@ def save_store(
     """Atomically (re)write a whole store columnar (write-temp + ``os.replace``)."""
     temp_path = f"{path}.tmp"
     writer = StoreWriter.create(temp_path, store.campaign_name, encoding)
+    writer.slot_path = os.path.abspath(path)
     try:
-        batch: List[Dict[str, Any]] = []
+        batch: List[ScenarioOutcome] = []
         for outcome in store:
-            batch.append(encode_record(outcome))
+            batch.append(outcome)
             if len(batch) >= chunk_rows:
-                writer.append_records(batch)
+                writer.append_outcomes(batch)
                 batch = []
-        writer.append_records(batch)
+        writer.append_outcomes(batch)
         writer.close()
     except BaseException:
         writer.close()
@@ -663,21 +804,36 @@ class MergeStats:
     duplicates: int
 
 
-def _iter_shard(path: str) -> Iterator[Tuple[str, Dict[str, Any]]]:
-    """Yield ``(campaign_name, record)`` from one shard file of any format.
+def _iter_shard(path: str) -> Iterator[Tuple[str, Dict[str, Any], bytes]]:
+    """Yield ``(campaign_name, record, line)`` from one shard file of any format.
 
-    Columnar shards stream record by record; legacy monolithic JSON
-    shards are parsed whole (unavoidably) but one shard at a time, so
-    merge memory is bounded by the largest single shard, not their sum.
+    ``line`` is the record's jsonl store line.  For a jsonl shard it is
+    the bytes as read — parsed (the merge needs the scenario id and
+    digest, and a garbled line must fail before its bytes reach an
+    output) but never re-encoded; only a last line whose trailing newline
+    was cut off gets one back, so spilled lines stay separable.  Other
+    shards encode it afresh.  Columnar shards stream record by record;
+    legacy monolithic JSON shards are parsed whole (unavoidably) but one
+    shard at a time, so merge memory is bounded by the largest single
+    shard, not their sum.
     """
     if is_store_file(path):
+        with open(path, "rb") as handle:
+            meta = _read_header(handle)
+            if meta["encoding"] == ENCODING_JSONL:
+                for record, _, line in _jsonl_lines(handle):
+                    if not line.endswith(b"}\n"):
+                        line = line.rstrip() + b"\n"
+                    yield meta["campaign_name"], record, line
+                return
         reader = StoreReader(path)
         for record, _ in reader.iter_records(include_frames=True):
-            yield reader.campaign_name, record
+            yield reader.campaign_name, record, record_line(record)
         return
     legacy = CampaignResult.load(path)
     for outcome in legacy:
-        yield legacy.campaign_name, encode_record(outcome)
+        record = encode_record(outcome)
+        yield legacy.campaign_name, record, record_line(record)
 
 
 def _shard_campaign_name(path: str) -> str:
@@ -699,9 +855,11 @@ def merge_store_files(
     digests — identical duplicates are unioned silently, conflicting ones
     raise :class:`SimulationError`, and at no point is more than one
     record (plus one legacy shard, if any input is monolithic JSON) held
-    in memory.  Pass 2 re-reads the spill by offset in final order
-    (``spec`` order when given, else first occurrence) and writes the
-    negotiated output format atomically; the monolithic JSON output is
+    in memory.  jsonl shard lines are spilled as the bytes read.  Pass 2
+    re-reads the spill by offset in final order (``spec`` order when
+    given, else first occurrence) and writes the negotiated output format
+    atomically: a jsonl output copies the spill lines one at a time, the
+    Arrow output re-encodes them, and the monolithic JSON output is
     streamed byte-identically to ``CampaignResult.save``.
     """
     if not paths:
@@ -715,7 +873,7 @@ def merge_store_files(
     spill = open(spill_path, "w+b")
     try:
         for path in paths:
-            for shard_name, record in _iter_shard(path):
+            for shard_name, record, line in _iter_shard(path):
                 if campaign_name is None:
                     campaign_name = shard_name
                 elif shard_name != campaign_name:
@@ -737,8 +895,7 @@ def merge_store_files(
                     duplicates += 1
                     continue
                 offset = spill.tell()
-                line = json.dumps(record, separators=(",", ":")).encode("utf-8")
-                spill.write(line + b"\n")
+                spill.write(line)
                 entries[sid] = (digest, offset, len(line), scenario.get("label", ""))
 
         if campaign_name is None:
@@ -756,35 +913,48 @@ def merge_store_files(
                     )
             campaign_name = spec.name
 
-        def read_spill(sid: str) -> Dict[str, Any]:
+        def read_spill(sid: str) -> bytes:
             _, offset, length, _ = entries[sid]
             spill.seek(offset)
-            return json.loads(spill.read(length))
+            return spill.read(length)
 
         spill.flush()
         temp_path = f"{output_path}.tmp"
-        if resolved == STORE_JSON:
-            with open(temp_path, "w", encoding="utf-8") as out:
-                out.write(
-                    '{"campaign_name": ' + json.dumps(campaign_name) + ', "outcomes": ['
-                )
-                for position, sid in enumerate(ordered_ids):
-                    if position:
-                        out.write(", ")
-                    out.write(json.dumps(decode_record(read_spill(sid)).to_dict()))
-                out.write("]}")
-        else:
-            writer = StoreWriter.create(temp_path, campaign_name, resolved)
+        try:
+            if resolved == STORE_JSON:
+                with open(temp_path, "w", encoding="utf-8") as out:
+                    out.write(
+                        '{"campaign_name": ' + json.dumps(campaign_name) + ', "outcomes": ['
+                    )
+                    for position, sid in enumerate(ordered_ids):
+                        if position:
+                            out.write(", ")
+                        record = json.loads(read_spill(sid))
+                        out.write(json.dumps(decode_record(record).to_dict()))
+                    out.write("]}")
+            elif resolved == ENCODING_JSONL:
+                with open(temp_path, "wb") as out:
+                    out.write(_header_line(campaign_name, resolved))
+                    for sid in ordered_ids:
+                        out.write(read_spill(sid))
+            else:
+                writer = StoreWriter.create(temp_path, campaign_name, resolved)
+                try:
+                    batch: List[Dict[str, Any]] = []
+                    for sid in ordered_ids:
+                        batch.append(json.loads(read_spill(sid)))
+                        if len(batch) >= STORE_CHUNK_ROWS:
+                            writer.append_records(batch)
+                            batch = []
+                    writer.append_records(batch)
+                finally:
+                    writer.close()
+        except BaseException:
             try:
-                batch: List[Dict[str, Any]] = []
-                for sid in ordered_ids:
-                    batch.append(read_spill(sid))
-                    if len(batch) >= STORE_CHUNK_ROWS:
-                        writer.append_records(batch)
-                        batch = []
-                writer.append_records(batch)
-            finally:
-                writer.close()
+                os.unlink(temp_path)
+            except OSError:
+                pass
+            raise
         os.replace(temp_path, output_path)
     finally:
         spill.close()
