@@ -15,15 +15,14 @@ Five measurements, matching the tiers of the performance work:
   applies.  Equivalence here additionally demands identical operating-point
   trajectories, exploration counts and final Q-tables.
 * **Thermally-coupled closed loop**: the same closed-loop governors on a
-  thermally-*enabled* cluster, scalar engine vs
-  :mod:`repro.sim.thermalpath` — the scenarios closest to the paper's
-  thermally-constrained hardware, which before the thermal engine were
-  stuck on the scalar loop.  Equivalence additionally demands per-frame
-  temperatures within 1e-9 relative.
+  thermally-*enabled* cluster, scalar engine vs :mod:`repro.sim.tablepath`
+  (pinned) carrying the live RC thermal state — the scenarios closest to
+  the paper's thermally-constrained hardware.  Equivalence additionally
+  demands per-frame temperatures within 1e-9 relative.
 * **Compiled JIT closed loop**: the same closed-loop governors against the
   numba-compiled kernel backend (:mod:`repro.sim.jitpath`), isothermal and
   thermal, baselined on the engine the run would take without numba
-  (``tablepath``/``thermalpath``) over the same shared tables.  Results
+  (``tablepath``) over the same shared tables.  Results
   must be *identical* — bit-identity is the compiled path's contract.  On
   runners without numba the section is recorded empty with a
   ``jit_closed_loop_note`` explaining the skip.
@@ -63,7 +62,7 @@ from repro.governors.userspace import UserspaceGovernor
 from repro.platform.odroid_xu3 import build_a15_cluster
 from repro.rtm.multicore import MultiCoreRLGovernor
 from repro.rtm.rl_governor import RLGovernor
-from repro.sim import jitpath, tablepath, thermalpath
+from repro.sim import jitpath, tablepath
 from repro.sim.engine import SimulationConfig, SimulationEngine
 from repro.workload.fft import fft_application
 from repro.workload.video import h264_application, mpeg4_application
@@ -325,7 +324,7 @@ def _check_thermal_equivalence(scalar_pair, thermal_pair) -> Dict[str, object]:
 def bench_thermal_closed_loop(
     num_frames: int, repeats: int = 3
 ) -> List[Dict[str, object]]:
-    """Scalar vs thermally-coupled engine on a thermally-enabled cluster.
+    """Scalar vs the table engine on a thermally-enabled cluster.
 
     Same shape as :func:`bench_table_closed_loop` — ``cold`` builds the
     thermal physics tables inside the measured run, ``shared`` supplies
@@ -338,7 +337,7 @@ def bench_thermal_closed_loop(
     def thermal_cluster():
         return build_a15_cluster(enable_thermal=True)
 
-    shared_tables = thermalpath.precompute_tables(
+    shared_tables = tablepath.precompute_tables(
         thermal_cluster(), application, SimulationConfig()
     )
 
@@ -354,10 +353,10 @@ def bench_thermal_closed_loop(
 
         def thermal_run(provider=None):
             governor = gov_factory()
-            engine = SimulationEngine(thermal_cluster(), table_provider=provider)
+            engine = SimulationEngine(
+                thermal_cluster(), table_provider=provider, engine="tablepath"
+            )
             result = engine.run(application, governor)
-            if result.engine_used != "thermalpath":
-                raise AssertionError(f"{gov_name} did not take the thermal path")
             return result, governor
 
         equivalence = _check_thermal_equivalence(scalar_run(), thermal_run())
@@ -388,7 +387,7 @@ def bench_jit_closed_loop(num_frames: int, repeats: int = 3) -> List[Dict[str, o
 
     mpeg4 x {ondemand, conservative, rl} on both the isothermal and the
     thermally-enabled cluster; the baseline is the engine the run would
-    take without numba (``tablepath`` / ``thermalpath``), both sides pinned
+    take without numba (``tablepath``), both sides pinned
     and fed the same shared precomputed tables.  Results must be
     *identical* (bit-identity is the compiled path's contract), not merely
     close.  Returns no rows when the compiled path is unavailable — the
@@ -403,27 +402,21 @@ def bench_jit_closed_loop(num_frames: int, repeats: int = 3) -> List[Dict[str, o
         def cluster_factory(thermal=thermal):
             return build_a15_cluster(enable_thermal=thermal)
 
-        baseline_engine = "thermalpath" if thermal else "tablepath"
-        precompute = (
-            thermalpath.precompute_tables if thermal else tablepath.precompute_tables
+        shared_tables = tablepath.precompute_tables(
+            cluster_factory(), application, SimulationConfig()
         )
-        shared_tables = precompute(cluster_factory(), application, SimulationConfig())
 
         def shared_provider(cluster, app, config, tables=shared_tables):
             return tables
 
         for gov_name, gov_factory in TABLE_GOVERNORS.items():
 
-            def baseline_run(
-                gov_factory=gov_factory,
-                cluster_factory=cluster_factory,
-                engine=baseline_engine,
-            ):
+            def baseline_run(gov_factory=gov_factory, cluster_factory=cluster_factory):
                 governor = gov_factory()
                 result = SimulationEngine(
                     cluster_factory(),
                     SimulationConfig(),
-                    engine=engine,
+                    engine="tablepath",
                     table_provider=shared_provider,
                 ).run(application, governor)
                 return result, governor
@@ -454,7 +447,7 @@ def bench_jit_closed_loop(num_frames: int, repeats: int = 3) -> List[Dict[str, o
                     "governor": gov_name,
                     "mode": mode,
                     "frames": num_frames,
-                    "baseline_engine": baseline_engine,
+                    "baseline_engine": "tablepath",
                     "baseline_wall_s": baseline_s,
                     "jit_wall_s": jit_s,
                     "baseline_frames_per_s": num_frames / baseline_s,

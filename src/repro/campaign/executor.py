@@ -39,8 +39,8 @@ from repro.campaign import registry
 from repro.campaign import store as result_store
 from repro.campaign.results import CampaignResult, ScenarioOutcome
 from repro.campaign.spec import CampaignSpec, FactorySpec, ScenarioSpec
-from repro.platform.cluster import ThermalWorkloadTable, WorkloadTable
-from repro.sim import tablepath, thermalpath
+from repro.platform.cluster import WorkloadTable
+from repro.sim import tablepath
 from repro.sim.engine import SimulationEngine
 from repro.workload.application import Application
 
@@ -157,19 +157,19 @@ class CampaignInterrupted(ReproError):
         )
 
 
-#: Per-worker-process cache of precomputed closed-loop physics tables.
-#: Keyed by everything the tables depend on — application factory + seed,
-#: cluster factory, deadline-padding flag, plus the table kind (isothermal
-#: vs thermally-decomposed) — so scenarios of one campaign grid that sweep
+#: Per-worker-process cache of precomputed closed-loop physics tables
+#: (:class:`~repro.platform.cluster.WorkloadTable`, consumed by the
+#: ``tablepath`` and ``jitpath`` backends).  Keyed by everything the tables
+#: depend on — application factory + seed, cluster factory and the
+#: deadline-padding flag — so scenarios of one campaign grid that sweep
 #: governors over the same application and cluster (the common Table-I
 #: shape) precompute the (frame x operating-point) tables once per worker
-#: instead of once per scenario.  Thermal tables additionally carry their
-#: lazily-filled per-temperature power slices, which therefore stay warm
-#: across the scenarios sharing the entry.  Entries are validated against
-#: the live cluster's physics on every reuse (see
-#: :meth:`~repro.platform.cluster.WorkloadTable.matches` /
-#: :meth:`~repro.platform.cluster.ThermalWorkloadTable.matches`), so a
-#: stale or colliding entry degrades to a rebuild, never to wrong numbers.
+#: instead of once per scenario.  A table also carries its lazily-filled
+#: per-temperature power slices (bucketed thermal clusters), which
+#: therefore stay warm across the scenarios sharing the entry.  Entries are
+#: validated against the live cluster's physics on every reuse (see
+#: :meth:`~repro.platform.cluster.WorkloadTable.matches`), so a stale or
+#: colliding entry degrades to a rebuild, never to wrong numbers.
 _TABLE_CACHE: "OrderedDict[Tuple, object]" = OrderedDict()
 _TABLE_CACHE_MAX_ENTRIES = 8
 
@@ -220,49 +220,9 @@ def _build_application(
     return registry.application_factory(spec.name)(**app_kwargs)
 
 
-#: Upper bound on the quantised power slices prewarmed per thermal table;
-#: trajectories spanning more buckets than this fall back to lazy filling.
-_MAX_PREWARMED_SLICES = 64
-
-
-def _warm_thermal_tables(tables: ThermalWorkloadTable, cluster) -> None:
-    """Prefill a fresh shared thermal table's quantised power slices.
-
-    The junction of a campaign run starts at the model's current
-    temperature and relaxes towards the steady state of the power actually
-    drawn, which is bounded by every core busy at the hottest operating
-    point.  Warming the buckets spanning that range through
-    :meth:`~repro.platform.cluster.ThermalWorkloadTable.prefill_power_slices`
-    moves the leakage ``exp`` evaluations out of every scenario's hot loop;
-    buckets outside the estimate (or beyond the prewarm bound) still fill
-    lazily, so this is purely a cache warm, never a correctness input.
-    """
-    bucket = tables.bucket_c
-    if bucket <= 0.0 or not cluster.thermal_model.enabled:
-        return
-    start = cluster.thermal_model.temperature_c
-    busy, _ = cluster.power_model.power_table(cluster.vf_table.points, start)
-    peak_power = max(busy) * cluster.num_cores + tables.uncore_power_w
-    ceiling = cluster.thermal_model.steady_state_c(peak_power)
-    low, high = min(start, ceiling), max(start, ceiling)
-    count = int((high - low) / bucket) + 1
-    if count > _MAX_PREWARMED_SLICES:
-        return
-    tables.prefill_power_slices(
-        cluster, [low + step * bucket for step in range(count)]
-    )
-
-
 def _cached_table_provider(scenario: ScenarioSpec) -> tablepath.TableProvider:
-    """A table provider backed by the worker cache.
-
-    Serves whichever table kind the winning backend asks for: thermally
-    decomposed tables (:mod:`repro.sim.thermalpath`, prewarmed via
-    :func:`_warm_thermal_tables`) when the scenario pins the thermal
-    backend or its cluster has the thermal model enabled, isothermal
-    tables (:mod:`repro.sim.tablepath`) otherwise.
-    """
-    base_key = (
+    """A table provider backed by the worker cache."""
+    key = (
         scenario.application,
         scenario.seed,
         scenario.cluster,
@@ -270,25 +230,9 @@ def _cached_table_provider(scenario: ScenarioSpec) -> tablepath.TableProvider:
     )
 
     def provider(cluster, application, config):
-        # The table kind follows the backend that will consume it: a pinned
-        # engine decides directly (thermalpath also runs thermally-disabled
-        # clusters), anything else by whether the thermal model is live.
-        if scenario.engine == "thermalpath":
-            thermal = True
-        elif scenario.engine == "tablepath":
-            thermal = False
-        else:
-            thermal = cluster.thermal_model.enabled
-        if thermal:
-            kind, table_type = "thermal", ThermalWorkloadTable
-            precompute = thermalpath.precompute_tables
-        else:
-            kind, table_type = "isothermal", WorkloadTable
-            precompute = tablepath.precompute_tables
-        key = base_key + (kind,)
         tables = _TABLE_CACHE.get(key)
         if (
-            isinstance(tables, table_type)
+            isinstance(tables, WorkloadTable)
             and tables.num_frames == application.num_frames
             and tables.matches(cluster, config.idle_until_deadline)
         ):
@@ -296,9 +240,7 @@ def _cached_table_provider(scenario: ScenarioSpec) -> tablepath.TableProvider:
             _CACHE_STATS["hits"] += 1
             return tables
         _CACHE_STATS["misses"] += 1
-        tables = precompute(cluster, application, config)
-        if thermal:
-            _warm_thermal_tables(tables, cluster)
+        tables = tablepath.precompute_tables(cluster, application, config)
         _TABLE_CACHE[key] = tables
         if len(_TABLE_CACHE) > _TABLE_CACHE_MAX_ENTRIES:
             _TABLE_CACHE.popitem(last=False)
@@ -321,10 +263,11 @@ def run_scenario(scenario: ScenarioSpec) -> ScenarioOutcome:
     :mod:`repro.sim.backends`: the scenario's ``engine`` field either pins
     a backend by name (validated against its declared capabilities) or —
     the default ``"auto"`` — negotiates the fastest eligible one:
-    static-schedule governors take the vectorised trace engine, closed-loop
-    governors the (isothermal or thermally-coupled) table-driven engine,
-    with precomputed physics shared through a per-worker cache across
-    scenarios of the same application + cluster.  The backend that ran is
+    static-schedule governors on isothermal clusters take the vectorised
+    trace engine, everything else the table-driven engine (which carries
+    the thermal state when the model is enabled), with precomputed physics
+    shared through a per-worker cache across scenarios of the same
+    application + cluster.  The backend that ran is
     recorded on the result as ``engine_used``.  Clusters built through the
     registry default to ``record_history=False``, so campaign memory stays
     bounded however many frames a scenario sweeps.

@@ -28,6 +28,8 @@ from repro.sim.engine import SimulationConfig
 #: naming one is rejected when it loads instead of failing every scenario.
 REMOVED_ENGINES = {
     "batchpath": "the batched multi-scenario engine was removed; scenarios run one at a time",
+    "thermalpath": "the thermally-coupled table engine was folded into 'tablepath', "
+    "which now runs thermally-enabled clusters",
 }
 
 #: JSON-representable parameter values accepted by factory specs.
@@ -129,7 +131,7 @@ class ScenarioSpec:
     engine:
         Engine backend request for the run: ``"auto"`` (default) negotiates
         the fastest eligible backend; a backend name (``"scalar"``,
-        ``"fastpath"``, ``"tablepath"``, ``"thermalpath"``, or a registered
+        ``"fastpath"``, ``"jitpath"``, ``"tablepath"``, or a registered
         third-party backend) pins the run to that backend.  Validated
         against the backend's declared capabilities when the scenario runs
         — a scenario the named backend cannot execute fails with a clear

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro._compat import SLOTS
 from repro.errors import PlatformError
@@ -24,86 +24,6 @@ from repro.platform.power import PowerModel
 from repro.platform.sensors import EnergyMeter, PowerSensor
 from repro.platform.thermal import ThermalModel
 from repro.platform.vf_table import OperatingPoint, VFTable
-
-
-class WorkloadTable:
-    """Precomputed physics of a frame trace over every operating point.
-
-    Produced by :meth:`Cluster.execute_workload_table`: for each of the
-    ``num_frames x num_points`` (frame, operating point) pairs it holds every
-    quantity :meth:`Cluster.execute_workload` would derive from that pair —
-    critical-path busy time, interval (with optional deadline padding) and
-    core+uncore energy — plus the per-point constants (reciprocal periods,
-    busy/idle powers) they were derived from.  DVFS transition costs are
-    *not* baked in: they depend on the previous frame's decision and are two
-    constants the consumer adds per transition.
-
-    Every table entry is built from the same IEEE operations, in the same
-    order, as the scalar ``execute_workload`` path, so indexing the table is
-    bit-identical to executing the frame — which is what lets the
-    table-driven closed-loop engine reproduce the scalar engine's governor
-    trajectories exactly (see :mod:`repro.sim.tablepath`).
-
-    Only the energy table is materialised as nested Python lists
-    (``energy_rows[frame][point]``) for fast scalar indexing in the
-    per-frame loop: busy time is one multiply (``max_cycles x
-    seconds_per_cycle``) and the interval one comparison away, the exact
-    operations the scalar engine performs, so converting their (frame,
-    point) tables to lists would only slow the precompute down.  The NumPy
-    arrays of all three quantities are kept for batch post-processing.
-    """
-
-    __slots__ = (
-        "num_frames",
-        "num_cores",
-        "num_points",
-        "idle_until_deadline",
-        "idle_at_min_opp",
-        "temperature_c",
-        "uncore_power_w",
-        "seconds_per_cycle",
-        "frequencies_hz",
-        "frequencies_mhz",
-        "busy_power_w",
-        "idle_power_w",
-        "cycles",
-        "cycles_tuples",
-        "max_cycles",
-        "deadlines_s",
-        "busy_time",
-        "interval",
-        "energy",
-        "energy_rows",
-    )
-
-    def __init__(self, **attributes: Any) -> None:
-        for name in self.__slots__:
-            setattr(self, name, attributes.pop(name))
-        if attributes:
-            raise PlatformError(f"unknown WorkloadTable attributes: {sorted(attributes)}")
-
-    def matches(self, cluster: "Cluster", idle_until_deadline: bool) -> bool:
-        """Cheap soundness check that this table describes ``cluster``'s physics.
-
-        Compares the per-operating-point constants (reciprocal periods,
-        busy/idle powers, uncore power, temperature) and the idle/padding
-        flags — O(num_points), so a cached table can be validated on every
-        reuse.  The frame trace itself is trusted to the cache key.
-        """
-        table = cluster.vf_table
-        if (
-            self.num_cores != cluster.num_cores
-            or self.num_points != len(table)
-            or self.idle_until_deadline != idle_until_deadline
-            or self.idle_at_min_opp != cluster.idle_at_min_opp
-            or self.temperature_c != cluster.thermal_model.temperature_c
-            or self.uncore_power_w != cluster.power_model.parameters.uncore_power_w
-        ):
-            return False
-        if self.seconds_per_cycle != [p.seconds_per_cycle for p in table.points]:
-            return False
-        busy, idle = cluster.power_model.power_table(table.points, self.temperature_c)
-        return self.busy_power_w == busy and self.idle_power_w == idle
 
 
 def _power_decomposition(
@@ -116,7 +36,7 @@ def _power_decomposition(
     except the single ``exp(k3*(T-55))`` factor is constant per operating
     point, so precomputing ``dynamic`` (busy and idle) and the leakage scale
     ``k1 * exp(k2*V)`` — with the exact operations, in the exact order, of
-    :meth:`PowerModel.static_power_w` — lets a thermally-coupled engine
+    :meth:`PowerModel.static_power_w` — lets the table engine
     reproduce the scalar power path bit for bit at one ``math.exp`` per
     frame instead of two per power lookup.
 
@@ -133,14 +53,13 @@ def _power_decomposition(
     return dynamic_busy, dynamic_idle, leak_scale, voltages
 
 
-class ThermalWorkloadTable:
-    """Precomputed physics of a frame trace for a thermally-coupled cluster.
+class WorkloadTable:
+    """Precomputed physics of a frame trace over every operating point.
 
-    The isothermal :class:`WorkloadTable` can bake complete energies per
-    (frame, operating point) pair because temperature — and with it leakage
-    power — is constant over the trace.  With the RC thermal model enabled
-    the junction temperature is part of the simulation state, so this table
-    precomputes everything *except* the leakage-temperature coupling:
+    Produced by :meth:`Cluster.execute_workload_table`.  Leakage power
+    depends on the junction temperature, which the RC thermal model moves
+    frame by frame, so the table precomputes everything *except* the
+    leakage-temperature coupling:
 
     * the timing tables (critical-path busy time and interval per (frame,
       point) pair), which are temperature-independent;
@@ -154,9 +73,12 @@ class ThermalWorkloadTable:
       cache exactly).  The dict is mutable shared state: a campaign worker
       reusing this table across scenarios keeps the slices warm.
 
-    Every derived quantity uses the same IEEE operations, in the same
-    order, as the scalar :meth:`Cluster.execute_workload` path, so engines
-    driving this table reproduce scalar thermal trajectories bit for bit.
+    DVFS transition costs are not baked in: they depend on the previous
+    frame's decision and are two constants the consumer adds per
+    transition.  Every derived quantity uses the same IEEE operations, in
+    the same order, as the scalar :meth:`Cluster.execute_workload` path, so
+    engines driving this table reproduce scalar trajectories bit for bit,
+    with the thermal model enabled or not (see :mod:`repro.sim.tablepath`).
     """
 
     __slots__ = (
@@ -173,7 +95,6 @@ class ThermalWorkloadTable:
         "cycles_tuples",
         "max_cycles",
         "deadlines_s",
-        "busy_time",
         "interval",
         "dynamic_busy_w",
         "dynamic_idle_w",
@@ -193,41 +114,7 @@ class ThermalWorkloadTable:
         for name in self.__slots__:
             setattr(self, name, attributes.pop(name))
         if attributes:
-            raise PlatformError(
-                f"unknown ThermalWorkloadTable attributes: {sorted(attributes)}"
-            )
-
-    def prefill_power_slices(
-        self, cluster: "Cluster", temperatures_c: Sequence[float]
-    ) -> int:
-        """Warm the quantised power slices for ``temperatures_c`` up front.
-
-        The per-frame loop fills slices lazily as the trajectory visits
-        temperature buckets; callers that know the expected junction range
-        (e.g. a campaign warming a shared table before fanning out
-        scenarios) can bulk-fill it here instead, through the temperature
-        axis of :meth:`PowerModel.power_table
-        <repro.platform.power.PowerModel.power_table>`.  Temperatures are
-        quantised to this table's bucket first; already-filled buckets are
-        skipped.  Returns the number of slices added — always 0 for
-        exact-mode tables (``bucket_c == 0``), which have no slices.
-        """
-        bucket = self.bucket_c
-        if bucket <= 0.0:
-            return 0
-        pending: List[float] = []
-        for temperature in temperatures_c:
-            quantised = round(temperature / bucket) * bucket
-            if quantised not in self.power_slices and quantised not in pending:
-                pending.append(quantised)
-        if not pending:
-            return 0
-        busy_rows, idle_rows = cluster.power_model.power_table(
-            cluster.vf_table.points, pending
-        )
-        for quantised, busy, idle in zip(pending, busy_rows, idle_rows):
-            self.power_slices[quantised] = (busy, idle)
-        return len(pending)
+            raise PlatformError(f"unknown WorkloadTable attributes: {sorted(attributes)}")
 
     @staticmethod
     def effective_bucket_c(cluster: "Cluster") -> float:
@@ -236,7 +123,7 @@ class ThermalWorkloadTable:
         :meth:`Cluster.core_power_w` quantises the cache key only when the
         cache is enabled; with ``power_cache_size == 0`` it evaluates the
         power model at the exact temperature regardless of the configured
-        bucket.  Thermal tables must mirror that decision.
+        bucket.  Tables must mirror that decision.
         """
         if cluster.power_cache_size == 0:
             return 0.0
@@ -591,111 +478,22 @@ class Cluster:
         deadlines_s: Sequence[float],
         idle_until_deadline: bool = True,
     ) -> WorkloadTable:
-        """Batch-evaluate :meth:`execute_workload` over every operating point.
+        """Precompute a trace's physics over every operating point.
 
         For a trace of ``num_frames`` frames (``cycles_per_core[frame]`` is
         the per-core cycle demand, ``deadlines_s[frame]`` the minimum
-        interval when ``idle_until_deadline``), precompute busy time,
-        interval and core+uncore energy for every (frame, operating point)
-        pair.  Requires NumPy and a disabled thermal model (constant
-        junction temperature); transition costs are left to the caller.
-
-        Bit-exactness with the scalar path holds by construction:
-
-        * per-core busy time is ``cycles * seconds_per_cycle`` (the same
-          hoisted reciprocal, the same single multiply), and the critical
-          path is ``max_cycles * seconds_per_cycle`` — identical to the max
-          over per-core products because multiplying by a positive constant
-          is monotonic under IEEE rounding;
-        * per-frame core energy accumulates the per-core terms
-          ``busy_power * busy_time + idle_power * idle_time`` left to right
-          across cores, exactly like the scalar engine's ``sum()``;
-        * busy/idle powers come from :meth:`PowerModel.power_table`, the
-          same evaluations the scalar loop's power cache stores.
+        interval when ``idle_until_deadline``), the table carries the
+        temperature-independent timing per (frame, operating point) pair
+        plus the power decomposition that reduces per-frame power
+        evaluation to a single ``math.exp`` (see
+        :func:`_power_decomposition`).  Requires NumPy; valid whether or
+        not the thermal model is enabled (the consuming engine mirrors the
+        live model's behaviour either way).
         """
         try:
             import numpy as np
         except ImportError as exc:  # pragma: no cover - numpy-less installs
             raise PlatformError("execute_workload_table requires numpy") from exc
-        if self.thermal_model.enabled:
-            raise PlatformError(
-                "execute_workload_table requires a disabled thermal model "
-                "(temperature-dependent leakage varies per frame)"
-            )
-        timing = self._trace_timing(np, cycles_per_core, deadlines_s, idle_until_deadline)
-        num_frames, cycles, cycles_tuples, deadlines = timing[:4]
-        seconds_per_cycle, max_cycles, busy_time, interval = timing[4:]
-        num_cores = self.num_cores
-        points = self.vf_table.points
-        num_points = len(points)
-        temperature_c = self.thermal_model.temperature_c
-
-        busy_list, idle_list = self.power_model.power_table(points, temperature_c)
-        busy_power = np.array(busy_list)
-        idle_power = np.array(idle_list)
-        uncore_power_w = self.power_model.parameters.uncore_power_w
-
-        # Core energy, accumulated core by core in scalar summation order.
-        # The scalar path clamps idle time with max(0, interval - busy), but
-        # busy <= interval holds for every (frame, point) pair by
-        # construction (busy <= busy_max <= interval, monotonic multiply),
-        # so the clamp is a numerical no-op and is skipped here.
-        if self.idle_at_min_opp:
-            idle_row = idle_power[0]
-        else:
-            idle_row = idle_power[None, :]
-        core_energy = None
-        for core in range(num_cores):
-            core_busy = cycles[:, core, None] * seconds_per_cycle[None, :]
-            core_idle = interval - core_busy
-            term = busy_power[None, :] * core_busy
-            term += idle_row * core_idle
-            if core_energy is None:
-                core_energy = term
-            else:
-                core_energy += term
-        if core_energy is None:  # zero-core clusters cannot exist, but be safe
-            core_energy = np.zeros_like(interval)
-        energy = core_energy + uncore_power_w * interval
-
-        return WorkloadTable(
-            num_frames=num_frames,
-            num_cores=num_cores,
-            num_points=num_points,
-            idle_until_deadline=idle_until_deadline,
-            idle_at_min_opp=self.idle_at_min_opp,
-            temperature_c=temperature_c,
-            uncore_power_w=uncore_power_w,
-            seconds_per_cycle=list(seconds_per_cycle.tolist()),
-            frequencies_hz=self.vf_table.frequencies_hz,
-            frequencies_mhz=[p.frequency_mhz for p in points],
-            busy_power_w=busy_list,
-            idle_power_w=idle_list,
-            cycles=cycles,
-            cycles_tuples=cycles_tuples,
-            max_cycles=max_cycles.tolist(),
-            deadlines_s=deadlines,
-            busy_time=busy_time,
-            interval=interval,
-            energy=energy,
-            energy_rows=energy.tolist(),
-        )
-
-    def _trace_timing(
-        self,
-        np,
-        cycles_per_core: Sequence[Sequence[float]],
-        deadlines_s: Sequence[float],
-        idle_until_deadline: bool,
-    ):
-        """Temperature-independent trace arrays shared by both table builders.
-
-        Critical-path time per (frame, point) is ``max_cycles x
-        seconds_per_cycle`` — identical to the max over per-core products
-        because multiplying by a positive constant is monotonic under IEEE
-        rounding — and the interval applies the optional deadline padding
-        with the scalar engine's ``max``.
-        """
         num_frames = len(cycles_per_core)
         if num_frames != len(deadlines_s):
             raise PlatformError("cycles_per_core and deadlines_s must have equal length")
@@ -706,60 +504,27 @@ class Cluster:
                 raise PlatformError(
                     f"got {len(row)} per-core demands for a {num_cores}-core cluster"
                 )
+        points = self.vf_table.points
         cycles = np.asarray(cycles_tuples, dtype=np.float64).reshape(num_frames, num_cores)
         deadlines = np.asarray(deadlines_s, dtype=np.float64)
-        seconds_per_cycle = np.array([p.seconds_per_cycle for p in self.vf_table.points])
+        seconds_per_cycle = np.array([p.seconds_per_cycle for p in points])
+        # Critical-path time is max_cycles x seconds_per_cycle: identical to
+        # the max over per-core products, because multiplying by a positive
+        # constant is monotonic under IEEE rounding.
         max_cycles = cycles.max(axis=1) if num_frames else np.zeros(0)
         busy_time = max_cycles[:, None] * seconds_per_cycle[None, :]
         if idle_until_deadline:
             interval = np.maximum(busy_time, deadlines[:, None])
         else:
             interval = busy_time.copy()
-        return (
-            num_frames,
-            cycles,
-            cycles_tuples,
-            deadlines,
-            seconds_per_cycle,
-            max_cycles,
-            busy_time,
-            interval,
-        )
-
-    def execute_thermal_workload_table(
-        self,
-        cycles_per_core: Sequence[Sequence[float]],
-        deadlines_s: Sequence[float],
-        idle_until_deadline: bool = True,
-    ) -> ThermalWorkloadTable:
-        """Precompute a trace's physics for a thermally-coupled run.
-
-        The thermal counterpart of :meth:`execute_workload_table`: energies
-        cannot be baked per (frame, operating point) because leakage power
-        depends on the evolving junction temperature, so this table carries
-        the temperature-independent timing tables plus the power
-        decomposition that reduces per-frame power evaluation to a single
-        ``math.exp`` (see :func:`_power_decomposition`).  Requires NumPy;
-        valid whether or not the thermal model is currently enabled (the
-        consuming engine mirrors the live model's behaviour either way).
-        """
-        try:
-            import numpy as np
-        except ImportError as exc:  # pragma: no cover - numpy-less installs
-            raise PlatformError("execute_thermal_workload_table requires numpy") from exc
-        timing = self._trace_timing(np, cycles_per_core, deadlines_s, idle_until_deadline)
-        num_frames, cycles, cycles_tuples, deadlines = timing[:4]
-        seconds_per_cycle, max_cycles, busy_time, interval = timing[4:]
-        points = self.vf_table.points
         params = self.power_model.parameters
         thermal = self.thermal_model.parameters
         dynamic_busy, dynamic_idle, leak_scale, voltages = _power_decomposition(
             self.power_model, points
         )
-        power_slices: Dict[float, Tuple[List[float], List[float]]] = {}
-        return ThermalWorkloadTable(
+        return WorkloadTable(
             num_frames=num_frames,
-            num_cores=self.num_cores,
+            num_cores=num_cores,
             num_points=len(points),
             idle_until_deadline=idle_until_deadline,
             idle_at_min_opp=self.idle_at_min_opp,
@@ -771,7 +536,6 @@ class Cluster:
             cycles_tuples=cycles_tuples,
             max_cycles=max_cycles.tolist(),
             deadlines_s=deadlines,
-            busy_time=busy_time,
             interval=interval,
             dynamic_busy_w=dynamic_busy,
             dynamic_idle_w=dynamic_idle,
@@ -779,12 +543,12 @@ class Cluster:
             voltages_v=voltages,
             leakage_k3_per_c=params.leakage_k3_per_c,
             leakage_k4_a=params.leakage_k4_a,
-            bucket_c=ThermalWorkloadTable.effective_bucket_c(self),
+            bucket_c=WorkloadTable.effective_bucket_c(self),
             ambient_c=thermal.ambient_c,
             resistance_c_per_w=thermal.resistance_c_per_w,
             capacitance_j_per_c=thermal.capacitance_j_per_c,
             throttle_c=thermal.throttle_c,
-            power_slices=power_slices,
+            power_slices={},
         )
 
     def advance_time(self, duration_s: float) -> None:

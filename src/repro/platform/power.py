@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
 from repro._compat import SLOTS
 from repro.errors import ConfigurationError
@@ -166,10 +166,8 @@ class PowerModel:
         )
 
     def power_table(
-        self,
-        points: "Sequence[OperatingPoint]",
-        temperature_c: "Union[float, Sequence[float]]" = 55.0,
-    ) -> "Tuple[List, List]":
+        self, points: "Sequence[OperatingPoint]", temperature_c: float = 55.0
+    ) -> "Tuple[List[float], List[float]]":
         """Batch-evaluate per-core busy and idle power over a table of points.
 
         Returns ``(busy_powers_w, idle_powers_w)`` with one entry per
@@ -179,27 +177,10 @@ class PowerModel:
         table-driven engines that index these lists reproduce the scalar
         simulation loop bit for bit.  Evaluated once per trace, this replaces
         ``2 x num_frames`` leakage-model calls with ``2 x num_points``.
-
-        ``temperature_c`` may also be a *sequence* of temperatures — the
-        table then grows a temperature axis and each returned value is a
-        nested list indexed ``[temperature][point]``.  This is the bulk
-        form :meth:`ThermalWorkloadTable.prefill_power_slices
-        <repro.platform.cluster.ThermalWorkloadTable.prefill_power_slices>`
-        uses to warm a thermal table's quantised power slices up front
-        (the per-frame loop fills the slices it visits lazily, one scalar
-        temperature at a time).
         """
-        if isinstance(temperature_c, (int, float)):
-            busy = [self.core_power_w(point, 1.0, temperature_c) for point in points]
-            idle = [self.core_power_w(point, 0.0, temperature_c) for point in points]
-            return busy, idle
-        busy_rows: List[List[float]] = []
-        idle_rows: List[List[float]] = []
-        for temperature in temperature_c:
-            busy_row, idle_row = self.power_table(points, float(temperature))
-            busy_rows.append(busy_row)
-            idle_rows.append(idle_row)
-        return busy_rows, idle_rows
+        busy = [self.core_power_w(point, 1.0, temperature_c) for point in points]
+        idle = [self.core_power_w(point, 0.0, temperature_c) for point in points]
+        return busy, idle
 
     def cluster_power(
         self,

@@ -10,9 +10,10 @@ next decision.
 Execution strategies are pluggable backends selected per run by capability
 negotiation (see :mod:`repro.sim.backends`): the NumPy-vectorised trace
 engine in :mod:`repro.sim.fastpath` for static-schedule governors, the
-isothermal table-driven closed loop in :mod:`repro.sim.tablepath`, the
-thermally-coupled table-driven closed loop in :mod:`repro.sim.thermalpath`,
-and the universal scalar reference loop in :mod:`repro.sim.scalarpath`.
+compiled closed-loop kernels in :mod:`repro.sim.jitpath` (when numba is
+installed), the table-driven closed loop with live thermal state in
+:mod:`repro.sim.tablepath`, and the universal scalar reference loop in
+:mod:`repro.sim.scalarpath`.
 """
 
 from repro.sim.epoch import FrameColumns, FrameRecord
@@ -28,12 +29,7 @@ from repro.sim.backends import (
     unregister_backend,
 )
 from repro.sim.fastpath import fast_path_eligible, simulate_schedule
-from repro.sim.tablepath import (
-    precompute_tables,
-    simulate_closed_loop,
-    table_path_eligible,
-)
-from repro.sim.thermalpath import thermal_path_eligible
+from repro.sim.tablepath import precompute_tables, simulate_closed_loop
 from repro.sim.results import SimulationResult
 from repro.sim.metrics import (
     MetricsSummary,
@@ -58,12 +54,10 @@ __all__ = [
     "negotiate",
     "register_backend",
     "unregister_backend",
-    "thermal_path_eligible",
     "fast_path_eligible",
     "simulate_schedule",
     "precompute_tables",
     "simulate_closed_loop",
-    "table_path_eligible",
     "MetricsSummary",
     "summarize_records",
     "summarize_result",

@@ -11,15 +11,14 @@ strategy is an :class:`EngineBackend` that *declares* its capabilities, and
 
 Built-in backends, in negotiation order (highest priority first):
 
-=========== ======== ================ ====== ===== ===========================
-name        thermal  static schedule  tables numpy module
-=========== ======== ================ ====== ===== ===========================
-fastpath    no       required         no     yes   :mod:`repro.sim.fastpath`
-jitpath     yes      no               yes    yes   :mod:`repro.sim.jitpath`
-tablepath   no       no               yes    yes   :mod:`repro.sim.tablepath`
-thermalpath yes      no               yes    yes   :mod:`repro.sim.thermalpath`
-scalar      yes      no               no     no    :mod:`repro.sim.scalarpath`
-=========== ======== ================ ====== ===== ===========================
+========= ======== ================ ====== ===== ===========================
+name      thermal  static schedule  tables numpy module
+========= ======== ================ ====== ===== ===========================
+fastpath  no       required         no     yes   :mod:`repro.sim.fastpath`
+jitpath   yes      no               yes    yes   :mod:`repro.sim.jitpath`
+tablepath yes      no               yes    yes   :mod:`repro.sim.tablepath`
+scalar    yes      no               no     no    :mod:`repro.sim.scalarpath`
+========= ======== ================ ====== ===== ===========================
 
 ``jitpath`` only negotiates when numba is importable (the ``jit`` packaging
 extra) and the ``REPRO_DISABLE_JIT`` kill-switch is unset; without numba the
@@ -40,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 
 from repro.errors import SimulationError
-from repro.sim import fastpath, jitpath, scalarpath, tablepath, thermalpath
+from repro.sim import fastpath, jitpath, scalarpath, tablepath
 from repro.sim.results import SimulationResult
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -55,7 +54,6 @@ SCALAR = "scalar"
 FASTPATH = "fastpath"
 JITPATH = "jitpath"
 TABLEPATH = "tablepath"
-THERMALPATH = "thermalpath"
 
 #: The wildcard engine request: negotiate the fastest eligible backend.
 AUTO = "auto"
@@ -251,9 +249,9 @@ class FastPathBackend(EngineBackend):
 class JitPathBackend(EngineBackend):
     """Compiled (numba) closed-loop kernels over precomputed physics tables.
 
-    Out-prioritises ``tablepath``/``thermalpath`` so ``auto`` negotiation
-    takes the compiled frame loop whenever numba is importable and the
-    request is one the kernels replicate bit for bit: exactly the three
+    Out-prioritises ``tablepath`` so ``auto`` negotiation takes the
+    compiled frame loop whenever numba is importable and the request is
+    one the kernels replicate bit for bit: exactly the three
     paper governors (ondemand, conservative, RL — subclasses fall through,
     since they may override hooks the kernel inlines), noiseless
     non-recording sensors, and exact-mode thermal leakage.  Everything else
@@ -296,11 +294,14 @@ class JitPathBackend(EngineBackend):
 
 
 class TablePathBackend(EngineBackend):
-    """Isothermal table-driven closed loop (O(1) physics per frame)."""
+    """Table-driven closed loop (O(1) physics per frame, live RC state)."""
 
     name = TABLEPATH
     capabilities = BackendCapabilities(
-        requires_numpy=True, supports_tables=True, supports_trace_capture=True
+        supports_thermal=True,
+        requires_numpy=True,
+        supports_tables=True,
+        supports_trace_capture=True,
     )
     priority = 20
 
@@ -309,31 +310,6 @@ class TablePathBackend(EngineBackend):
 
     def run(self, request: EngineRequest) -> SimulationResult:
         return tablepath.simulate_closed_loop(
-            request.cluster,
-            request.application,
-            request.governor,
-            request.config,
-            tables=request.tables(),
-        )
-
-
-class ThermalPathBackend(EngineBackend):
-    """Thermally-coupled table-driven closed loop (live RC state)."""
-
-    name = THERMALPATH
-    capabilities = BackendCapabilities(
-        supports_thermal=True,
-        requires_numpy=True,
-        supports_tables=True,
-        supports_trace_capture=True,
-    )
-    priority = 10
-
-    def numpy_available(self) -> bool:
-        return thermalpath._np is not None
-
-    def run(self, request: EngineRequest) -> SimulationResult:
-        return thermalpath.simulate_closed_loop(
             request.cluster,
             request.application,
             request.governor,
@@ -462,5 +438,4 @@ def negotiate(request: EngineRequest, engine: str = AUTO) -> EngineBackend:
 register_backend(FastPathBackend())
 register_backend(JitPathBackend())
 register_backend(TablePathBackend())
-register_backend(ThermalPathBackend())
 register_backend(ScalarBackend())

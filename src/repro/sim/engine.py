@@ -11,9 +11,9 @@ implementations selected per run by capability negotiation (see
 (thermal coupling, static schedules, table reuse, NumPy) and the highest
 priority backend whose declarations admit the (cluster, application,
 governor, config) request wins.  The built-ins are the vectorised trace
-engine (``fastpath``), the isothermal table-driven closed loop
-(``tablepath``), the thermally-coupled table-driven closed loop
-(``thermalpath``) and the universal scalar reference loop (``scalar``).
+engine (``fastpath``), the compiled closed-loop kernels (``jitpath``, when
+numba is installed), the table-driven closed loop with live thermal state
+(``tablepath``) and the universal scalar reference loop (``scalar``).
 The backend that ran is recorded on the result as
 :attr:`SimulationResult.engine_used`.
 """
@@ -87,8 +87,8 @@ class SimulationEngine:
     engine:
         Engine request: ``"auto"`` (default) negotiates the fastest
         eligible backend from the registry in :mod:`repro.sim.backends`; a
-        backend name (``"scalar"``, ``"fastpath"``, ``"tablepath"``,
-        ``"thermalpath"``, or any registered third-party backend) pins the
+        backend name (``"scalar"``, ``"fastpath"``, ``"jitpath"``,
+        ``"tablepath"``, or any registered third-party backend) pins the
         run to that backend, failing with a clear error when its declared
         capabilities cannot accept the run.
     """

@@ -34,9 +34,10 @@ Eligibility: NumPy must be importable and the cluster's thermal model must
 be disabled (the paper's setting) so temperature — and with it leakage
 power — is constant over the trace.  Everything else (idle-at-min-OPP or
 not, deadline padding or not, sensor noise, DVFS transition costs) is
-handled exactly.  Thermally-enabled clusters negotiate to the
-thermally-coupled engine in :mod:`repro.sim.thermalpath`; the scalar
-engine remains the universal fallback (see :mod:`repro.sim.backends`).
+handled exactly.  Thermally-enabled clusters negotiate to the table-driven
+engine in :mod:`repro.sim.tablepath`, which carries the RC thermal state;
+the scalar engine remains the universal fallback (see
+:mod:`repro.sim.backends`).
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """Compiled (numba JIT) closed-loop engine for the paper's frame governors.
 
-The table-driven engines (:mod:`repro.sim.tablepath`,
-:mod:`repro.sim.thermalpath`) reduced the per-frame physics to O(1) table
-lookups, but every frame still pays Python bytecode dispatch for the
-governor's ``decide()`` and — for the RL family — a chain of small-object
-operations (deque update, reward arithmetic, Q-row scans, ε bookkeeping).
+The table-driven engine (:mod:`repro.sim.tablepath`) reduced the
+per-frame physics to O(1) table lookups, but every frame still pays Python
+bytecode dispatch for the governor's ``decide()`` and — for the RL family —
+a chain of small-object operations (deque update, reward arithmetic, Q-row
+scans, ε bookkeeping).
 This module moves the *entire* frame loop into one numba ``@njit`` kernel
 operating on the precomputed ``(frame x operating-point)`` tables: the
 threshold governors' decide logic (ondemand's proportional scale-down with
@@ -36,7 +36,7 @@ which is exactly how the equivalence suite exercises it on numba-less
 machines.
 
 Supported requests (anything else is rejected during negotiation and falls
-through to ``tablepath``/``thermalpath``/``scalar``):
+through to ``tablepath``/``scalar``):
 
 * governors: exactly ``OndemandGovernor``, ``ConservativeGovernor`` or
   ``RLGovernor`` (subclasses may override hooks the kernel inlines, so they
@@ -62,11 +62,11 @@ from repro import _compat
 from repro.errors import SimulationError
 from repro.governors.conservative import ConservativeGovernor
 from repro.governors.ondemand import OndemandGovernor
-from repro.platform.cluster import ThermalWorkloadTable, WorkloadTable
+from repro.platform.cluster import WorkloadTable
 from repro.platform.dvfs import DVFSTransition
 from repro.rtm.exploration import ExponentialPolicy, UniformPolicy
 from repro.rtm.rl_governor import RLGovernor
-from repro.sim import fastpath, tablepath, thermalpath
+from repro.sim import fastpath, tablepath
 from repro.sim.epoch import FrameColumns
 from repro.sim.results import SimulationResult
 from repro.sim.tablepath import static_processing_overhead
@@ -168,7 +168,7 @@ def unsupported_reason(
         return "the kernel does not record per-conversion sensor history"
     if (
         cluster.thermal_model.enabled
-        and ThermalWorkloadTable.effective_bucket_c(cluster) > 0.0
+        and WorkloadTable.effective_bucket_c(cluster) > 0.0
     ):
         return (
             "bucketed thermal power caching keeps a lazily-filled slice "
@@ -225,36 +225,35 @@ _F_LAST_OVERHEAD = 34  # out: last decide's overhead (sans transition latency)
 _F_COUNT = 35
 
 _I_KIND = 0  # 0 = ondemand, 1 = conservative, 2 = rl
-_I_THERMAL_TABLES = 1  # physics mode: 0 isothermal energies, 1 decomposition
-_I_THERMAL_ENABLED = 2
-_I_PAD = 3
-_I_INITIAL_INDEX = 4
-_I_CHARGE_OVERHEAD = 5
-_I_IDLE_AT_MIN = 6
-_I_HOLD = 7  # in/out: ondemand hold-at-max countdown
-_I_SAMPLING_DOWN = 8
-_I_FREQ_STEP = 9
-_I_DECAY_ON_ANY = 10
-_I_POLICY_KIND = 11  # 0 = EPD, 1 = uniform
-_I_SELECTION_COUNT = 12  # in/out
-_I_EXPLOITATION_START = 13  # in/out (-1 encodes None)
-_I_EXPLORATION_DRAWS = 14  # in/out
-_I_UPDATE_COUNT = 15  # in/out
-_I_LAST_CHANGED = 16  # in/out
-_I_PENDING_STATE = 17  # in: frame-0 state; out: final pending state
-_I_PENDING_ACTION = 18  # in/out
-_I_SLACK_WINDOW = 19  # 0 = cumulative (eq. 5 literally)
-_I_SLACK_LEVELS = 20
-_I_CONV_WINDOW = 21
-_I_CONV_EPOCH = 22  # in/out
-_I_CONV_LAST_UNSTABLE = 23  # in/out
-_I_CONV_CONVERGED = 24  # in/out (-1 encodes None)
-_I_PREV_EXPLORATION = 25  # in/out: explored-column poll state
-_I_FROZEN = 26  # in/out
-_I_TRANS_COUNT = 27  # out
-_I_THROTTLE_TOTAL = 28  # in/out
-_I_CONSUMED = 29  # out: pre-drawn uniforms consumed
-_I_COUNT = 30
+_I_THERMAL_ENABLED = 1
+_I_PAD = 2
+_I_INITIAL_INDEX = 3
+_I_CHARGE_OVERHEAD = 4
+_I_IDLE_AT_MIN = 5
+_I_HOLD = 6  # in/out: ondemand hold-at-max countdown
+_I_SAMPLING_DOWN = 7
+_I_FREQ_STEP = 8
+_I_DECAY_ON_ANY = 9
+_I_POLICY_KIND = 10  # 0 = EPD, 1 = uniform
+_I_SELECTION_COUNT = 11  # in/out
+_I_EXPLOITATION_START = 12  # in/out (-1 encodes None)
+_I_EXPLORATION_DRAWS = 13  # in/out
+_I_UPDATE_COUNT = 14  # in/out
+_I_LAST_CHANGED = 15  # in/out
+_I_PENDING_STATE = 16  # in: frame-0 state; out: final pending state
+_I_PENDING_ACTION = 17  # in/out
+_I_SLACK_WINDOW = 18  # 0 = cumulative (eq. 5 literally)
+_I_SLACK_LEVELS = 19
+_I_CONV_WINDOW = 20
+_I_CONV_EPOCH = 21  # in/out
+_I_CONV_LAST_UNSTABLE = 22  # in/out
+_I_CONV_CONVERGED = 23  # in/out (-1 encodes None)
+_I_PREV_EXPLORATION = 24  # in/out: explored-column poll state
+_I_FROZEN = 25  # in/out
+_I_TRANS_COUNT = 26  # out
+_I_THROTTLE_TOTAL = 27  # in/out
+_I_CONSUMED = 28  # out: pre-drawn uniforms consumed
+_I_COUNT = 29
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +339,6 @@ def _frame_loop(
     max_cycles,
     deadlines,
     spc,
-    energy,
     cycles,
     dynamic_busy,
     dynamic_idle,
@@ -380,7 +378,6 @@ def _frame_loop(
     max_index = num_points - 1
 
     kind = ip[_I_KIND]
-    thermal_tables = ip[_I_THERMAL_TABLES] != 0
     thermal_enabled = ip[_I_THERMAL_ENABLED] != 0
     pad = ip[_I_PAD] != 0
     charge_overhead = ip[_I_CHARGE_OVERHEAD] != 0
@@ -669,7 +666,7 @@ def _frame_loop(
                 gov_overhead = oh_learning
             index = next_action
 
-        # ---- physics (tablepath / thermalpath loop bodies) ----------------
+        # ---- physics (the tablepath loop body) ----------------------------
         if index != current:
             if index < 0 or index > max_index:
                 raise ValueError("operating-point index out of range")
@@ -687,55 +684,44 @@ def _frame_loop(
         spc_i = spc[index]
         busy = max_cycles[f] * spc_i
         deadline = deadlines[f]
-        if thermal_tables:
-            if pad and deadline > busy:
-                interval = deadline
-            else:
-                interval = busy
-            if idle_at_min:
-                idle_index = 0
-            else:
-                idle_index = index
-            if temperature != theta_temperature:
-                theta = math.exp(leakage_k3 * (temperature - 55.0))
-                theta_temperature = temperature
-            busy_power = dynamic_busy[index] + voltages[index] * (
-                leak_scale[index] * theta + leakage_k4
-            )
-            idle_power = dynamic_idle[idle_index] + voltages[idle_index] * (
-                leak_scale[idle_index] * theta + leakage_k4
-            )
-            core_energy = 0.0
-            for c in range(num_cores):
-                core_busy = cycles[f, c] * spc_i
-                core_energy += busy_power * core_busy + idle_power * (
-                    interval - core_busy
-                )
-            core_uncore = core_energy + uncore_power_w * interval
-            frame_energy = core_uncore + frame_transition_energy
-            duration = interval + transition_latency
-            if duration > 0.0:
-                power = frame_energy / duration
-            else:
-                power = 0.0
-            if thermal_enabled and duration > 0.0:
-                steady = ambient_c + power * resistance
-                decay = math.exp(-duration / tau)
-                temperature = steady + (temperature - steady) * decay
-                if temperature >= throttle_c:
-                    throttle_total += 1
-            out_core_uncore[f] = core_uncore
-            out_temperature[f] = temperature
+        if pad and deadline > busy:
+            interval = deadline
         else:
-            frame_energy = energy[f, index] + frame_transition_energy
-            if pad and deadline > busy:
-                duration = deadline + transition_latency
-            else:
-                duration = busy + transition_latency
-            if duration > 0.0:
-                power = frame_energy / duration
-            else:
-                power = 0.0
+            interval = busy
+        if idle_at_min:
+            idle_index = 0
+        else:
+            idle_index = index
+        if temperature != theta_temperature:
+            theta = math.exp(leakage_k3 * (temperature - 55.0))
+            theta_temperature = temperature
+        busy_power = dynamic_busy[index] + voltages[index] * (
+            leak_scale[index] * theta + leakage_k4
+        )
+        idle_power = dynamic_idle[idle_index] + voltages[idle_index] * (
+            leak_scale[idle_index] * theta + leakage_k4
+        )
+        core_energy = 0.0
+        for c in range(num_cores):
+            core_busy = cycles[f, c] * spc_i
+            core_energy += busy_power * core_busy + idle_power * (
+                interval - core_busy
+            )
+        core_uncore = core_energy + uncore_power_w * interval
+        frame_energy = core_uncore + frame_transition_energy
+        duration = interval + transition_latency
+        if duration > 0.0:
+            power = frame_energy / duration
+        else:
+            power = 0.0
+        if thermal_enabled and duration > 0.0:
+            steady = ambient_c + power * resistance
+            decay = math.exp(-duration / tau)
+            temperature = steady + (temperature - steady) * decay
+            if temperature >= throttle_c:
+                throttle_total += 1
+        out_core_uncore[f] = core_uncore
+        out_temperature[f] = temperature
 
         time_s += duration
         measured = _sensor_measure(
@@ -818,14 +804,11 @@ def simulate_closed_loop(
 ) -> SimulationResult:
     """Run the closed governor loop through the compiled kernel.
 
-    Mirrors :func:`repro.sim.tablepath.simulate_closed_loop` /
-    :func:`repro.sim.thermalpath.simulate_closed_loop` exactly — same
+    Mirrors :func:`repro.sim.tablepath.simulate_closed_loop` exactly — same
     contract (caller resets the cluster and sets the governor up first, as
     the engine does), same table validation and rebuild, same
     scalar-equivalent final state for the cluster, sensor, thermal model
-    and governor.  ``tables`` may be either table kind; the thermal kind
-    wins when both would validate, and a missing/mismatched table is
-    rebuilt for the cluster's thermal mode.
+    and governor.
     """
     np = _np
     if np is None:
@@ -837,24 +820,12 @@ def simulate_closed_loop(
     if num_frames == 0:
         raise SimulationError("cannot simulate an application with no frames")
 
-    thermal_tables = (
-        isinstance(tables, ThermalWorkloadTable)
-        and tables.num_frames == num_frames
-        and tables.matches(cluster, config.idle_until_deadline)
-    )
-    if not thermal_tables:
-        iso_ok = (
-            not cluster.thermal_model.enabled
-            and isinstance(tables, WorkloadTable)
-            and tables.num_frames == num_frames
-            and tables.matches(cluster, config.idle_until_deadline)
-        )
-        if not iso_ok:
-            if cluster.thermal_model.enabled:
-                tables = thermalpath.precompute_tables(cluster, application, config)
-                thermal_tables = True
-            else:
-                tables = tablepath.precompute_tables(cluster, application, config)
+    if (
+        not isinstance(tables, WorkloadTable)
+        or tables.num_frames != num_frames
+        or not tables.matches(cluster, config.idle_until_deadline)
+    ):
+        tables = tablepath.precompute_tables(cluster, application, config)
 
     num_points = tables.num_points
     cycles_tuples = tables.cycles_tuples
@@ -877,7 +848,6 @@ def simulate_closed_loop(
     fp[_F_SAMPLE_PERIOD] = sensor.sample_period_s
     fp[_F_RESOLUTION] = sensor.resolution_w
     ip[_I_KIND] = kind
-    ip[_I_THERMAL_TABLES] = 1 if thermal_tables else 0
     ip[_I_PAD] = 1 if tables.idle_until_deadline else 0
     ip[_I_INITIAL_INDEX] = initial_index
     ip[_I_CHARGE_OVERHEAD] = 1 if config.charge_governor_overhead else 0
@@ -894,33 +864,23 @@ def simulate_closed_loop(
     cycles_arr = np.asarray(tables.cycles, dtype=np.float64)
     frequencies_arr = np.asarray(tables.frequencies_hz, dtype=np.float64)
 
-    if thermal_tables:
-        thermal_model = cluster.thermal_model
-        energy_arr = np.zeros((1, 1), dtype=np.float64)
-        dynamic_busy = np.asarray(tables.dynamic_busy_w, dtype=np.float64)
-        dynamic_idle = np.asarray(tables.dynamic_idle_w, dtype=np.float64)
-        leak_scale = np.asarray(tables.leak_scale_a, dtype=np.float64)
-        voltages = np.asarray(tables.voltages_v, dtype=np.float64)
-        fp[_F_K3] = tables.leakage_k3_per_c
-        fp[_F_K4] = tables.leakage_k4_a
-        fp[_F_UNCORE] = tables.uncore_power_w
-        fp[_F_AMBIENT] = tables.ambient_c
-        fp[_F_RESISTANCE] = tables.resistance_c_per_w
-        fp[_F_TAU] = tables.resistance_c_per_w * tables.capacitance_j_per_c
-        fp[_F_THROTTLE_C] = tables.throttle_c
-        fp[_F_TEMPERATURE] = thermal_model.temperature_c
-        ip[_I_THERMAL_ENABLED] = 1 if thermal_model.enabled else 0
-        ip[_I_IDLE_AT_MIN] = 1 if tables.idle_at_min_opp else 0
-        out_temperature = np.zeros(num_frames, dtype=np.float64)
-        out_core_uncore = np.zeros(num_frames, dtype=np.float64)
-    else:
-        energy_arr = np.ascontiguousarray(tables.energy, dtype=np.float64)
-        dynamic_busy = np.zeros(num_points, dtype=np.float64)
-        dynamic_idle = np.zeros(num_points, dtype=np.float64)
-        leak_scale = np.zeros(num_points, dtype=np.float64)
-        voltages = np.zeros(num_points, dtype=np.float64)
-        out_temperature = np.zeros(1, dtype=np.float64)
-        out_core_uncore = np.zeros(1, dtype=np.float64)
+    thermal_model = cluster.thermal_model
+    dynamic_busy = np.asarray(tables.dynamic_busy_w, dtype=np.float64)
+    dynamic_idle = np.asarray(tables.dynamic_idle_w, dtype=np.float64)
+    leak_scale = np.asarray(tables.leak_scale_a, dtype=np.float64)
+    voltages = np.asarray(tables.voltages_v, dtype=np.float64)
+    fp[_F_K3] = tables.leakage_k3_per_c
+    fp[_F_K4] = tables.leakage_k4_a
+    fp[_F_UNCORE] = tables.uncore_power_w
+    fp[_F_AMBIENT] = tables.ambient_c
+    fp[_F_RESISTANCE] = tables.resistance_c_per_w
+    fp[_F_TAU] = tables.resistance_c_per_w * tables.capacitance_j_per_c
+    fp[_F_THROTTLE_C] = tables.throttle_c
+    fp[_F_TEMPERATURE] = thermal_model.temperature_c
+    ip[_I_THERMAL_ENABLED] = 1 if thermal_model.enabled else 0
+    ip[_I_IDLE_AT_MIN] = 1 if tables.idle_at_min_opp else 0
+    out_temperature = np.zeros(num_frames, dtype=np.float64)
+    out_core_uncore = np.zeros(num_frames, dtype=np.float64)
 
     # -- per-kind governor state in ---------------------------------------
     rl_state = None
@@ -977,7 +937,6 @@ def simulate_closed_loop(
         max_cycles_arr,
         deadlines_arr,
         spc_arr,
-        energy_arr,
         cycles_arr,
         dynamic_busy,
         dynamic_idle,
@@ -1026,10 +985,6 @@ def simulate_closed_loop(
     indices = out_opp.astype(np.intp)
     rows = np.arange(num_frames)
     frequencies_mhz = np.asarray(tables.frequencies_mhz)
-    if thermal_tables:
-        temperature_column = out_temperature.tolist()
-    else:
-        temperature_column = [tables.temperature_c] * num_frames
     columns = FrameColumns(
         index=list(range(num_frames)),
         operating_index=out_opp.tolist(),
@@ -1043,7 +998,7 @@ def simulate_closed_loop(
         energy_j=out_energy.tolist(),
         average_power_w=out_power.tolist(),
         measured_power_w=out_measured.tolist(),
-        temperature_c=temperature_column,
+        temperature_c=out_temperature.tolist(),
         explored=out_explored.tolist(),
     )
     result = SimulationResult(
@@ -1058,10 +1013,6 @@ def simulate_closed_loop(
     busy_times = table_cycles * spc_arr[indices][:, None]
     intervals = tables.interval[rows, indices]
     idle_times = intervals[:, None] - busy_times
-    if thermal_tables:
-        core_uncore_energy = out_core_uncore
-    else:
-        core_uncore_energy = tables.energy[rows, indices]
     previous_indices = np.empty_like(indices)
     previous_indices[0] = initial_index
     previous_indices[1:] = indices[:-1]
@@ -1076,15 +1027,12 @@ def simulate_closed_loop(
         frequencies_hz=frequencies_arr,
         indices=indices,
         intervals=intervals,
-        core_uncore_energy=core_uncore_energy,
+        core_uncore_energy=out_core_uncore,
         transition_energy=transition_energy,
         transitions=transitions,
         total_duration=float(fp[_F_TIME]) - initial_time_s,
     )
-    if thermal_tables:
-        cluster.thermal_model.absorb_state(
-            float(fp[_F_TEMPERATURE]), int(ip[_I_THROTTLE_TOTAL])
-        )
+    thermal_model.absorb_state(float(fp[_F_TEMPERATURE]), int(ip[_I_THROTTLE_TOTAL]))
 
     # -- sensor and governor hidden state out ------------------------------
     if sensor_state[0] != 0.0:

@@ -51,8 +51,9 @@ class SimulationResult:
         non-learning governors or unconverged runs).
     engine_used:
         Name of the engine backend that produced this result (``"scalar"``,
-        ``"fastpath"``, ``"tablepath"``, ``"thermalpath"``, or a registered
-        third-party backend).  Stamped by
+        ``"fastpath"``, ``"jitpath"``, ``"tablepath"``, or a registered
+        third-party backend; results saved by earlier releases may carry a
+        retired name such as ``"thermalpath"``, and still load).  Stamped by
         :meth:`~repro.sim.engine.SimulationEngine.run`; empty for results
         built by hand or by calling an engine module directly.
     """

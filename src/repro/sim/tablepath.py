@@ -6,35 +6,58 @@ The paper's actual contribution — the closed-loop Q-learning RTM — and its
 Linux baselines (ondemand, conservative) cannot be vectorised: frame *i*'s
 operating point depends on what the governor observed during frame *i - 1*.
 
-What *can* be precomputed is the physics.  With the thermal model disabled
-(the paper's setting) every quantity :meth:`Cluster.execute_workload
-<repro.platform.cluster.Cluster.execute_workload>` derives is a pure
-function of ``(frame, operating_index)`` plus two transition constants.
-:func:`simulate_closed_loop` therefore asks the cluster for its
-:class:`~repro.platform.cluster.WorkloadTable` — busy time, interval and
-energy for every (frame, operating point) pair, built with the scalar
-engine's exact IEEE operations — and the per-frame loop collapses to the
-governor's ``decide()`` plus a handful of list lookups: no core model, no
-power model, no ``FrameRecord`` allocation (results are columnar, see
-:class:`~repro.sim.epoch.FrameColumns`).
+What *can* be precomputed is the physics.  One frame's physics is a pure
+function of ``(frame, operating point, junction temperature)``, and the
+temperature dependence is a *single scalar factor*:
 
-Because every observed quantity (busy time, interval, energy, measured
-power, overhead) is bit-identical to the scalar engine's — and the stateful
-power sensor is *driven*, not re-implemented — any deterministic governor
-makes the identical decision sequence, so results match the scalar engine
-frame by frame: 1e-9 relative tolerance on every float, identical
-deadline-miss sets, identical exploration counts and final Q-tables
-(``tests/test_tablepath.py`` enforces all of this).
+* timing (critical-path busy time, interval, DVFS costs) is temperature
+  independent and fully precomputed per (frame, operating point) in a
+  :class:`~repro.platform.cluster.WorkloadTable`;
+* core power splits into a precomputed dynamic part plus a static part
+  ``V * (leak_scale * exp(k3*(T-55)) + k4)`` whose only per-frame work is
+  one ``math.exp`` shared by every operating point, paid only when the
+  temperature changed (see
+  :func:`repro.platform.cluster._power_decomposition`);
+* with the RC thermal model enabled, the state update
+  ``T' = steady + (T - steady) * exp(-dt/tau)`` needs one more
+  ``math.exp`` whose argument depends only on the frame duration — and
+  durations repeat heavily (deadline-padded frames all share one), so the
+  decay factor is memoised per distinct duration;
+* for thermally-enabled clusters that opted into ``power_cache_bucket_c``
+  temperature quantisation, complete per-point power tables are instead
+  filled lazily per *quantised* temperature
+  (``WorkloadTable.power_slices``) and shared across the scenarios of a
+  campaign through the executor's per-worker table cache.
 
-Eligibility mirrors the vectorised fast path: NumPy importable, thermal
-model disabled.  Thermally-enabled clusters negotiate to the
-thermally-coupled engine in :mod:`repro.sim.thermalpath`; the scalar
-engine remains the universal fallback (see :mod:`repro.sim.backends`).
+With the thermal model disabled (the paper's setting) the temperature
+never moves, so the loop pays one ``exp`` per run.  The per-frame loop is
+the governor's ``decide()`` plus a handful of list lookups and the per-core
+energy sum: no core model, no power-model call, no ``FrameRecord``
+allocation (results are columnar, see :class:`~repro.sim.epoch.FrameColumns`).
+
+Every operation above uses the same IEEE arithmetic, in the same order, as
+the scalar :meth:`Cluster.execute_workload
+<repro.platform.cluster.Cluster.execute_workload>` path, so every quantity
+a governor observes (busy time, interval, energy, measured power, overhead,
+throttle events) is *bit-identical* to the scalar engine's — and the
+stateful power sensor is *driven*, not re-implemented.  Deterministic
+governors therefore make the identical decision sequence, and the run
+matches the scalar engine frame by frame: identical floats, trajectories,
+temperatures, miss sets, exploration counts and Q-tables
+(``tests/test_tablepath.py`` and ``tests/test_thermalpath.py`` enforce all
+of this).
+
+The live :class:`~repro.platform.thermal.ThermalModel`, power sensor, DVFS
+actuator, meters and PMUs are left in scalar-equivalent aggregate state.
+Eligibility: NumPy importable (for the table precompute and the aggregate
+cluster sync); the scalar engine remains the universal fallback (see
+:mod:`repro.sim.backends`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, TYPE_CHECKING
+from math import exp
+from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
 try:  # NumPy is optional: without it every run takes the scalar engine.
     import numpy as _np
@@ -57,31 +80,20 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Signature of a table provider: builds (or fetches from a cache) the
 #: precomputed :class:`WorkloadTable` for one (cluster, application, config).
-TableProvider = Callable[["Cluster", "Application", "SimulationConfig"], "WorkloadTable"]
-
-
-def table_path_eligible(cluster: "Cluster") -> bool:
-    """True when :func:`simulate_closed_loop` reproduces the scalar engine here.
-
-    Same probe as :func:`repro.sim.fastpath.fast_path_eligible`: NumPy must
-    be importable and the cluster's thermal model disabled (constant
-    junction temperature, hence per-operating-point physics constant over
-    the trace).
-    """
-    return _np is not None and not cluster.thermal_model.enabled
+TableProvider = Callable[["Cluster", "Application", "SimulationConfig"], WorkloadTable]
 
 
 def precompute_tables(
     cluster: "Cluster", application: "Application", config: "SimulationConfig"
-) -> "WorkloadTable":
+) -> WorkloadTable:
     """Precompute the (frame, operating point) physics tables for one run.
 
     Thin wrapper over :meth:`Cluster.execute_workload_table` that extracts
     the frame trace from ``application``.  The returned table depends only
-    on the application's trace, the cluster's physical constants and
-    ``config.idle_until_deadline`` — it is reusable across runs (and across
-    governors) sharing those, which is what the campaign executor's
-    per-worker table cache exploits.
+    on the trace, the cluster's physical constants and
+    ``config.idle_until_deadline`` — it is reusable across runs and across
+    governors sharing those (including its lazily-filled temperature power
+    slices), which the campaign executor's per-worker cache exploits.
     """
     num_cores = cluster.num_cores
     cycles = [frame.cycles_per_core(num_cores) for frame in application]
@@ -96,14 +108,16 @@ def simulate_closed_loop(
     application: "Application",
     governor: "Governor",
     config: "SimulationConfig",
-    tables: Optional["WorkloadTable"] = None,
+    tables: Optional[WorkloadTable] = None,
 ) -> SimulationResult:
     """Run the closed governor loop with table-driven physics.
 
     The cluster is used as-is (the caller resets it first, exactly as the
     scalar engine does) and is left in scalar-equivalent aggregate state:
     clock advanced, energy meter and PMUs credited, power sensor stepped
-    through every frame, DVFS actuator holding the same transition history.
+    through every frame, DVFS actuator holding the same transition history,
+    thermal model holding the trajectory's final temperature and
+    throttle-event count.
 
     ``tables`` may be supplied by a caller that cached them (see
     :func:`precompute_tables`); they are validated against the cluster's
@@ -112,11 +126,6 @@ def simulate_closed_loop(
     np = _np
     if np is None:
         raise SimulationError("the table-driven closed-loop engine requires numpy")
-    if cluster.thermal_model.enabled:
-        raise SimulationError(
-            "the table-driven closed-loop engine requires a disabled thermal "
-            "model (temperature-dependent leakage needs the scalar engine)"
-        )
     num_frames = application.num_frames
     if num_frames == 0:
         raise SimulationError("cannot simulate an application with no frames")
@@ -133,9 +142,36 @@ def simulate_closed_loop(
     deadlines = tables.deadlines_s.tolist()
     max_cycles = tables.max_cycles
     seconds_per_cycle = tables.seconds_per_cycle
-    energy_rows = tables.energy_rows
-    temperature_c = tables.temperature_c
     pad_to_deadline = tables.idle_until_deadline
+    idle_at_min_opp = tables.idle_at_min_opp
+    uncore_power_w = tables.uncore_power_w
+
+    # Power decomposition (exact mode) and lazy slices (bucketed mode).
+    dynamic_busy = tables.dynamic_busy_w
+    dynamic_idle = tables.dynamic_idle_w
+    leak_scale = tables.leak_scale_a
+    voltages = tables.voltages_v
+    leakage_k3 = tables.leakage_k3_per_c
+    leakage_k4 = tables.leakage_k4_a
+    power_slices = tables.power_slices
+    power_model = cluster.power_model
+    vf_points = cluster.vf_table.points
+
+    thermal_model = cluster.thermal_model
+    thermal_enabled = thermal_model.enabled
+    bucket_c = tables.bucket_c
+    bucketed = thermal_enabled and bucket_c > 0.0
+    ambient_c = tables.ambient_c
+    resistance = tables.resistance_c_per_w
+    throttle_c = tables.throttle_c
+    # tau is recomputed per step by the scalar model; the product is
+    # deterministic, so hoisting it preserves bit-identity.
+    tau = tables.resistance_c_per_w * tables.capacitance_j_per_c
+    decay_cache: Dict[float, float] = {}
+    temperature = thermal_model.temperature_c
+    theta = 0.0
+    theta_temperature: Optional[float] = None
+    throttle_total = 0
 
     dvfs = cluster.dvfs
     latency_s = dvfs.transition_latency_s
@@ -143,18 +179,12 @@ def simulate_closed_loop(
     sensor_measure = cluster.power_sensor.measure_w
     charge_overhead = config.charge_governor_overhead
     decide = governor.decide
-
-    # Hoist the governor's processing overhead when it is a plain class
-    # attribute (every non-learning governor); learning governors expose it
-    # as a property whose value changes per epoch and are read per frame.
     static_overhead = static_processing_overhead(governor)
 
-    # One reusable FrameHint: frozen, but rebuilt in place each frame via
-    # object.__setattr__.  Safe because the hint is documented as valid only
-    # inside decide() — no governor retains it (the Oracle, the only reader,
-    # consumes it immediately).
+    # One reusable FrameHint / EpochObservation, rebuilt in place (both are
+    # documented as valid only inside the decide() call they are passed to).
     hint = FrameHint(cycles_per_core=cycles_tuples[0], deadline_s=deadlines[0])
-    set_hint = object.__setattr__
+    set_field = object.__setattr__
 
     initial_index = cluster.current_index
     current = initial_index
@@ -170,25 +200,27 @@ def simulate_closed_loop(
     col_busy: List[float] = []
     col_overhead: List[float] = []
     col_duration: List[float] = []
+    col_core_uncore: List[float] = []
     col_energy: List[float] = []
     col_power: List[float] = []
     col_measured: List[float] = []
+    col_temperature: List[float] = []
     col_explored: List[bool] = []
     opp_append = col_opp.append
     busy_append = col_busy.append
     overhead_append = col_overhead.append
     duration_append = col_duration.append
+    core_uncore_append = col_core_uncore.append
     energy_append = col_energy.append
     power_append = col_power.append
     measured_append = col_measured.append
+    temperature_append = col_temperature.append
     explored_append = col_explored.append
 
-    frame_rows = zip(cycles_tuples, max_cycles, deadlines, energy_rows)
-    for frame_index, (cycles, frame_max_cycles, deadline, energy_row) in enumerate(
-        frame_rows
-    ):
-        set_hint(hint, "cycles_per_core", cycles)
-        set_hint(hint, "deadline_s", deadline)
+    frame_rows = zip(cycles_tuples, max_cycles, deadlines)
+    for frame_index, (cycles, frame_max_cycles, deadline) in enumerate(frame_rows):
+        set_field(hint, "cycles_per_core", cycles)
+        set_field(hint, "deadline_s", deadline)
 
         index = decide(previous, hint)
         if index != current:
@@ -201,19 +233,70 @@ def simulate_closed_loop(
             )
             current = index
             transition_latency = latency_s
-            energy = energy_row[index] + transition_energy_j
+            frame_transition_energy = transition_energy_j
         else:
             transition_latency = 0.0
-            energy = energy_row[index] + 0.0
+            frame_transition_energy = 0.0
 
-        # Same two operations the scalar engine performs per frame: one
-        # multiply by the hoisted reciprocal, one max against the deadline.
-        busy = frame_max_cycles * seconds_per_cycle[index]
+        # Same operations the scalar engine performs: one multiply by the
+        # hoisted reciprocal, one max against the deadline.
+        spc = seconds_per_cycle[index]
+        busy = frame_max_cycles * spc
         if pad_to_deadline and deadline > busy:
-            duration = deadline + transition_latency
+            interval = deadline
         else:
-            duration = busy + transition_latency
+            interval = busy
+
+        # Per-core powers at the start-of-frame junction temperature,
+        # mirroring Cluster.core_power_w exactly: quantised slice lookup
+        # when the cluster opted into bucketing, otherwise the one-exp
+        # decomposition of the exact leakage evaluation.
+        idle_index = 0 if idle_at_min_opp else index
+        if bucketed:
+            quantised = round(temperature / bucket_c) * bucket_c
+            slices = power_slices.get(quantised)
+            if slices is None:
+                slices = power_model.power_table(vf_points, quantised)
+                power_slices[quantised] = slices
+            busy_power = slices[0][index]
+            idle_power = slices[1][idle_index]
+        else:
+            if temperature != theta_temperature:
+                theta = exp(leakage_k3 * (temperature - 55.0))
+                theta_temperature = temperature
+            busy_power = dynamic_busy[index] + voltages[index] * (
+                leak_scale[index] * theta + leakage_k4
+            )
+            idle_power = dynamic_idle[idle_index] + voltages[idle_index] * (
+                leak_scale[idle_index] * theta + leakage_k4
+            )
+
+        # Core energy accumulated core by core in scalar summation order;
+        # the scalar idle clamp max(0, interval - busy) is a numerical no-op
+        # because busy <= busy_max <= interval for the chosen point.
+        core_energy = 0.0
+        for core_cycles in cycles:
+            core_busy = core_cycles * spc
+            core_energy += busy_power * core_busy + idle_power * (interval - core_busy)
+        core_uncore = core_energy + uncore_power_w * interval
+        energy = core_uncore + frame_transition_energy
+        duration = interval + transition_latency
         power = energy / duration if duration > 0 else 0.0
+
+        # RC state update with the scalar model's exact operations; the
+        # decay factor depends only on the duration and is memoised.
+        frame_throttle = 0
+        if thermal_enabled and duration > 0:
+            steady = ambient_c + power * resistance
+            decay = decay_cache.get(duration)
+            if decay is None:
+                decay = exp(-duration / tau)
+                decay_cache[duration] = decay
+            temperature = steady + (temperature - steady) * decay
+            if temperature >= throttle_c:
+                throttle_total += 1
+                frame_throttle = 1
+
         time_s += duration
         measured = sensor_measure(power, time_s)
 
@@ -233,9 +316,6 @@ def simulate_closed_loop(
             previous_exploration = exploration
             exploration_frozen = governor.exploration_frozen
 
-        # One reusable observation, rebuilt in place (same rationale as the
-        # hint: observations are valid only inside the next decide(); no
-        # governor retains them).
         if previous is None:
             previous = EpochObservation(
                 frame_index,
@@ -247,29 +327,32 @@ def simulate_closed_loop(
                 energy,
                 measured,
                 overhead,
+                frame_throttle,
             )
         else:
-            set_hint(previous, "epoch_index", frame_index)
-            set_hint(previous, "cycles_per_core", cycles)
-            set_hint(previous, "busy_time_s", busy)
-            set_hint(previous, "interval_s", duration)
-            set_hint(previous, "reference_time_s", deadline)
-            set_hint(previous, "operating_index", index)
-            set_hint(previous, "energy_j", energy)
-            set_hint(previous, "measured_power_w", measured)
-            set_hint(previous, "overhead_time_s", overhead)
+            set_field(previous, "epoch_index", frame_index)
+            set_field(previous, "cycles_per_core", cycles)
+            set_field(previous, "busy_time_s", busy)
+            set_field(previous, "interval_s", duration)
+            set_field(previous, "reference_time_s", deadline)
+            set_field(previous, "operating_index", index)
+            set_field(previous, "energy_j", energy)
+            set_field(previous, "measured_power_w", measured)
+            set_field(previous, "overhead_time_s", overhead)
+            set_field(previous, "throttle_events", frame_throttle)
         opp_append(index)
         busy_append(busy)
         overhead_append(overhead)
         duration_append(duration)
+        core_uncore_append(core_uncore)
         energy_append(energy)
         power_append(power)
         measured_append(measured)
+        temperature_append(temperature)
         explored_append(explored)
 
     # -- columnar result (records materialise lazily) --------------------------
     indices = np.asarray(col_opp, dtype=np.intp)
-    rows = np.arange(num_frames)
     busy_arr = np.asarray(col_busy)
     overhead_arr = np.asarray(col_overhead)
     frequencies_mhz = np.asarray(tables.frequencies_mhz)
@@ -286,7 +369,7 @@ def simulate_closed_loop(
         energy_j=col_energy,
         average_power_w=col_power,
         measured_power_w=col_measured,
-        temperature_c=[temperature_c] * num_frames,
+        temperature_c=col_temperature,
         explored=col_explored,
     )
     result = SimulationResult(
@@ -298,19 +381,16 @@ def simulate_closed_loop(
 
     # -- leave the cluster in scalar-equivalent aggregate state ----------------
     cycles_arr = tables.cycles
-    spc = np.asarray(tables.seconds_per_cycle)
-    busy_times = cycles_arr * spc[indices][:, None]
+    spc_arr = np.asarray(tables.seconds_per_cycle)
+    rows = np.arange(num_frames)
+    busy_times = cycles_arr * spc_arr[indices][:, None]
     intervals = tables.interval[rows, indices]
     idle_times = intervals[:, None] - busy_times
-    core_uncore_energy = tables.energy[rows, indices]
     previous_indices = np.empty_like(indices)
     previous_indices[0] = initial_index
     previous_indices[1:] = indices[:-1]
     changed = indices != previous_indices
     transition_energy = np.where(changed, transition_energy_j, 0.0)
-    # The loop accumulated the clock sequentially, exactly as the scalar
-    # engine does; advancing by (final - initial) leaves the cluster clock
-    # bit-identical to a scalar run whenever the run started at time 0.
     fastpath._sync_cluster(
         cluster,
         np,
@@ -320,11 +400,12 @@ def simulate_closed_loop(
         frequencies_hz=np.asarray(tables.frequencies_hz),
         indices=indices,
         intervals=intervals,
-        core_uncore_energy=core_uncore_energy,
+        core_uncore_energy=np.asarray(col_core_uncore),
         transition_energy=transition_energy,
         transitions=transitions,
         total_duration=time_s - initial_time_s,
     )
+    thermal_model.absorb_state(temperature, throttle_total)
 
     result.exploration_count = governor.exploration_count
     result.converged_epoch = governor.converged_epoch

@@ -21,7 +21,7 @@ def _numba_less_negotiation(monkeypatch):
     """Pin engine negotiation to the numba-less default for every test.
 
     The tier-1 suite asserts *which* backend auto-negotiation selects
-    (tablepath/thermalpath/...), and those expectations must not flip when
+    (fastpath/tablepath/...), and those expectations must not flip when
     the optional ``jit`` extra happens to be installed (the CI ``jit`` job
     runs this same suite with numba present).  Tests that exercise the
     compiled backend — :mod:`tests.test_jitpath` — opt back in by

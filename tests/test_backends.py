@@ -61,7 +61,6 @@ class TestRegistry:
             "fastpath",
             "jitpath",
             "tablepath",
-            "thermalpath",
             "scalar",
         ]
 
@@ -77,9 +76,7 @@ class TestRegistry:
         assert matrix["fastpath"].requires_static_schedule
         assert not matrix["fastpath"].supports_thermal
         assert matrix["tablepath"].supports_tables
-        assert not matrix["tablepath"].supports_thermal
-        assert matrix["thermalpath"].supports_thermal
-        assert matrix["thermalpath"].supports_tables
+        assert matrix["tablepath"].supports_thermal
         assert matrix["jitpath"].supports_thermal
         assert matrix["jitpath"].supports_tables
 
@@ -221,8 +218,8 @@ class TestNegotiation:
         assert negotiate(_request(OracleGovernor())).name == "fastpath"
         assert negotiate(_request(OndemandGovernor())).name == "tablepath"
         thermal = build_a15_cluster(enable_thermal=True)
-        assert negotiate(_request(OndemandGovernor(), thermal)).name == "thermalpath"
-        assert negotiate(_request(OracleGovernor(), thermal)).name == "thermalpath"
+        assert negotiate(_request(OndemandGovernor(), thermal)).name == "tablepath"
+        assert negotiate(_request(OracleGovernor(), thermal)).name == "tablepath"
 
     def test_prefer_fast_path_false_maps_to_scalar(self):
         config = SimulationConfig(prefer_fast_path=False)
@@ -233,16 +230,14 @@ class TestNegotiation:
             negotiate(_request(OndemandGovernor()), engine="fastpath")
         thermal = build_a15_cluster(enable_thermal=True)
         with pytest.raises(SimulationError, match="thermal"):
-            negotiate(_request(cluster=thermal), engine="tablepath")
-        with pytest.raises(SimulationError, match="thermal"):
             negotiate(_request(OracleGovernor(), thermal), engine="fastpath")
 
     def test_numpy_seam_is_per_backend(self, monkeypatch):
         """Disabling one engine module's numpy rejects only that backend."""
-        from repro.sim import thermalpath
+        from repro.sim import tablepath
 
-        monkeypatch.setattr(thermalpath, "_np", None)
-        assert negotiate(_request(OndemandGovernor())).name == "tablepath"
+        monkeypatch.setattr(tablepath, "_np", None)
+        assert negotiate(_request(OndemandGovernor())).name == "scalar"
         assert negotiate(_request(OracleGovernor())).name == "fastpath"
         thermal = build_a15_cluster(enable_thermal=True)
         assert negotiate(_request(OndemandGovernor(), thermal)).name == "scalar"
@@ -286,7 +281,6 @@ class TestEngineUsedReporting:
         [
             ("scalar", OndemandGovernor),
             ("tablepath", OndemandGovernor),
-            ("thermalpath", OndemandGovernor),
             ("fastpath", OracleGovernor),
         ],
     )
@@ -343,10 +337,10 @@ class TestScenarioSpecEngine:
     def test_round_trip(self):
         from repro.campaign.spec import ScenarioSpec
 
-        pinned = self._scenario("thermalpath")
+        pinned = self._scenario("tablepath")
         clone = ScenarioSpec.from_dict(json.loads(json.dumps(pinned.to_dict())))
         assert clone == pinned
-        assert clone.engine == "thermalpath"
+        assert clone.engine == "tablepath"
 
     def test_invalid_engine_rejected(self):
         with pytest.raises(ConfigurationError, match="engine"):
@@ -500,9 +494,11 @@ class TestCliEngineFlag:
 
 
 class TestRemovedBatchpathBackend:
-    """The batched multi-scenario engine (``batchpath``) and its
-    ``--batch-size`` planner are gone: results it stamped keep loading,
-    while every way of asking for it fails before anything runs."""
+    """Retired engine backends — the batched multi-scenario engine
+    (``batchpath``) with its ``--batch-size`` planner, and the
+    thermally-coupled table engine (``thermalpath``) folded into
+    ``tablepath`` — are gone: results they stamped keep loading, while
+    every way of asking for them fails before anything runs."""
 
     def _campaign(self):
         from repro.campaign.spec import CampaignSpec, FactorySpec
@@ -514,8 +510,18 @@ class TestRemovedBatchpathBackend:
             seeds=[3],
         )
 
-    @pytest.mark.parametrize("encoding", ["json", "jsonl"])
-    def test_saved_batchpath_results_still_load(self, tmp_path, encoding):
+    @pytest.mark.parametrize(
+        "encoding, legacy_engine",
+        [
+            pytest.param("json", "batchpath", id="json"),
+            pytest.param("jsonl", "batchpath", id="jsonl"),
+            pytest.param("json", "thermalpath", id="json-thermalpath"),
+            pytest.param("jsonl", "thermalpath", id="jsonl-thermalpath"),
+        ],
+    )
+    def test_saved_batchpath_results_still_load(
+        self, tmp_path, encoding, legacy_engine
+    ):
         from repro.analysis.reporting import format_campaign_summary
         from repro.campaign import store as result_store
         from repro.campaign.executor import run_campaign
@@ -523,7 +529,7 @@ class TestRemovedBatchpathBackend:
 
         saved = run_campaign(self._campaign())
         for outcome in saved:
-            outcome.result.engine_used = "batchpath"
+            outcome.result.engine_used = legacy_engine
         path = str(tmp_path / f"legacy.{encoding}")
         if encoding == "json":
             saved.save(path)
@@ -532,9 +538,9 @@ class TestRemovedBatchpathBackend:
         assert result_store.is_store_file(path) == (encoding == "jsonl")
 
         loaded = CampaignResult.load(path)
-        assert [o.result.engine_used for o in loaded] == ["batchpath", "batchpath"]
+        assert [o.result.engine_used for o in loaded] == [legacy_engine] * 2
         assert loaded.to_json() == saved.to_json()
-        assert "batchpath" in format_campaign_summary(loaded)
+        assert legacy_engine in format_campaign_summary(loaded)
 
     @pytest.mark.parametrize("source", ["spec-file", "scenario-dict", "grid"])
     def test_batchpath_engine_in_a_spec_is_a_configuration_error(
@@ -564,8 +570,22 @@ class TestRemovedBatchpathBackend:
         for name in backend_names():
             assert name in message
 
+    def test_thermalpath_engine_in_a_spec_points_to_tablepath(self, tmp_path):
+        from repro.campaign.spec import CampaignSpec
+
+        data = json.loads(self._campaign().to_json())
+        data["scenarios"][0]["engine"] = "thermalpath"
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(ConfigurationError) as raised:
+            CampaignSpec.load(str(spec_path))
+        message = str(raised.value)
+        assert "'thermalpath'" in message
+        assert "folded into 'tablepath'" in message
+
     @pytest.mark.parametrize(
-        "flags", [["--engine", "batchpath"], ["--batch-size", "4"]]
+        "flags",
+        [["--engine", "batchpath"], ["--batch-size", "4"], ["--engine", "thermalpath"]],
     )
     def test_removed_cli_options_rejected_by_argparse(self, tmp_path, flags, capsys):
         from repro.campaign.cli import main

@@ -179,7 +179,7 @@ class TestFastPathSelection:
         assert not fastpath.fast_path_eligible(cluster)
         engine = SimulationEngine(cluster)
         engine.run(mpeg4_application(num_frames=30, seed=1), OracleGovernor())
-        assert engine.engine_used == "thermalpath"
+        assert engine.engine_used == "tablepath"
 
     def test_prefer_fast_path_false_forces_scalar(self):
         engine = SimulationEngine(

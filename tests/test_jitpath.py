@@ -12,7 +12,7 @@ Covers:
 
 * exact equality — trajectories, per-frame floats, exploration sets,
   Q-tables, visit counts, RNG stream position, transitions, cluster and
-  sensor state — against ``tablepath``/``thermalpath`` for every
+  sensor state — against ``tablepath`` for every
   supported governor family x {isothermal, thermal} x RL seeds;
 * a jitpath-pinned sharded campaign == the unsharded campaign;
 * negotiation: ``auto`` prefers jitpath exactly when it is available and
@@ -135,8 +135,7 @@ class TestBitIdentity:
     @pytest.mark.parametrize("name", sorted(GOVERNOR_FACTORIES))
     def test_matches_table_engines_exactly(self, jit_on, name, thermal):
         factory = GOVERNOR_FACTORIES[name]
-        reference_engine = "thermalpath" if thermal else "tablepath"
-        reference = _run_engine(reference_engine, factory, thermal)
+        reference = _run_engine("tablepath", factory, thermal)
         jit = _run_engine("jitpath", factory, thermal)
         _assert_identical(reference, jit)
 
@@ -213,7 +212,7 @@ class TestNegotiation:
                     )
                 )
             ).name
-            == "thermalpath"
+            == "tablepath"
         )
 
     def test_without_numba_selection_is_pre_pr(self, jit_off):
@@ -222,7 +221,7 @@ class TestNegotiation:
             backends.negotiate(
                 _request(cluster=build_a15_cluster(enable_thermal=True))
             ).name
-            == "thermalpath"
+            == "tablepath"
         )
 
     def test_without_numba_pin_is_clear_error(self, jit_off):
@@ -248,7 +247,7 @@ class TestNegotiation:
     def test_parity_matrix_without_numba_is_pre_pr(self, jit_off):
         names = [entry.name for entry in backends.trace_capture_backends(_request())]
         assert "jitpath" not in names
-        assert names == ["tablepath", "thermalpath", "scalar"]
+        assert names == ["tablepath", "scalar"]
 
 
 class TestUnsupportedReason:

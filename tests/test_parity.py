@@ -173,9 +173,12 @@ class TestHarness:
         assert "fastpath" in eligible_engines(scenario(governor="performance"))
 
     def test_run_parity_all_backends_agree(self):
-        report = run_parity([scenario()])
+        # A static governor adds fastpath beside tablepath, so more than one
+        # replay backend is compared against the scalar reference.
+        report = run_parity([scenario(), scenario(governor="performance")])
         assert report.ok
         assert len(report.results) >= 2
+        assert {result.engine for result in report.results} >= {"fastpath", "tablepath"}
         assert all(result.status == "ok" for result in report.results)
 
     def test_smoke_matrix_covers_paper_governors(self):

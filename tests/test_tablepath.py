@@ -3,11 +3,12 @@
 The contract under test: for every *closed-loop* governor (the paper's
 Q-learning RTM in both formulations, the UPD baseline and the reactive
 Linux policies) the table-driven engine in :mod:`repro.sim.tablepath` must
-reproduce the scalar engine frame by frame — every float within 1e-9
-relative tolerance, identical operating-point trajectories, identical
+reproduce the scalar engine frame by frame on an isothermal cluster — every
+float bit-identical, identical operating-point trajectories, identical
 deadline-miss sets, identical exploration counts and identical final
-Q-tables — and the engine must fall back to the scalar loop whenever the
-platform is ineligible.
+Q-tables — and the engine must fall back to the scalar loop whenever NumPy
+is missing.  ``tests/test_thermalpath.py`` holds the same contract for
+thermally-enabled clusters.
 """
 
 from __future__ import annotations
@@ -85,14 +86,12 @@ def _assert_frame_by_frame_equivalent(scalar, table):
         assert table_record.cycles_per_core == scalar_record.cycles_per_core
         assert table_record.explored == scalar_record.explored
         for field in FLOAT_FIELDS:
-            assert getattr(table_record, field) == pytest.approx(
-                getattr(scalar_record, field), rel=1e-9, abs=1e-15
-            ), field
+            assert getattr(table_record, field) == getattr(scalar_record, field), field
     scalar_misses = [r.index for r in scalar.records if not r.met_deadline]
     table_misses = [r.index for r in table.records if not r.met_deadline]
     assert table_misses == scalar_misses
-    assert table.total_energy_j == pytest.approx(scalar.total_energy_j, rel=1e-9)
-    assert table.total_time_s == pytest.approx(scalar.total_time_s, rel=1e-9)
+    assert table.total_energy_j == scalar.total_energy_j
+    assert table.total_time_s == scalar.total_time_s
 
 
 class TestTablePathEquivalence:
@@ -232,12 +231,10 @@ class TestTablePathSelection:
         engine.run(mpeg4_application(num_frames=30, seed=1), OracleGovernor())
         assert engine.engine_used == "fastpath"
 
-    def test_thermal_enabled_cluster_falls_back_to_scalar(self):
-        cluster = build_a15_cluster(enable_thermal=True)
-        assert not tablepath.table_path_eligible(cluster)
-        engine = SimulationEngine(cluster)
+    def test_thermal_enabled_cluster_negotiates_tablepath(self):
+        engine = SimulationEngine(build_a15_cluster(enable_thermal=True))
         engine.run(mpeg4_application(num_frames=30, seed=1), OndemandGovernor())
-        assert engine.engine_used == "thermalpath"
+        assert engine.engine_used == "tablepath"
 
     def test_prefer_fast_path_false_forces_scalar(self):
         engine = SimulationEngine(
@@ -252,21 +249,10 @@ class TestTablePathSelection:
         monkeypatch.setattr(tablepath, "_np", None)
         monkeypatch.setattr(fastpath, "_np", None)
         cluster = build_a15_cluster()
-        assert not tablepath.table_path_eligible(cluster)
         engine = SimulationEngine(cluster)
         result = engine.run(mpeg4_application(num_frames=30, seed=1), OndemandGovernor())
         assert engine.engine_used != "tablepath"
         assert result.num_frames == 30
-        with pytest.raises(SimulationError):
-            tablepath.simulate_closed_loop(
-                cluster,
-                mpeg4_application(num_frames=5, seed=1),
-                OndemandGovernor(),
-                SimulationConfig(),
-            )
-
-    def test_thermal_enabled_simulate_closed_loop_rejected(self):
-        cluster = build_a15_cluster(enable_thermal=True)
         with pytest.raises(SimulationError):
             tablepath.simulate_closed_loop(
                 cluster,
@@ -312,8 +298,8 @@ class TestWorkloadTable:
         ).run(application, OndemandGovernor())
         _assert_frame_by_frame_equivalent(scalar, table_result)
 
-    def test_batch_energy_matches_execute_workload(self):
-        """Table entries equal the scalar execute_workload outputs bit for bit."""
+    def test_timing_matches_execute_workload(self):
+        """Busy time and interval equal the scalar execute_workload outputs."""
         application = mpeg4_application(num_frames=25, seed=4)
         cluster = build_a15_cluster()
         tables = self._table(cluster, application)
@@ -332,18 +318,16 @@ class TestWorkloadTable:
                     core.busy_time_s for core in execution.core_results
                 )
                 assert tables.interval[frame_index, point_index] == execution.duration_s
-                assert tables.energy[frame_index, point_index] == execution.energy_j
 
-    def test_requires_numpy_and_disabled_thermal(self, monkeypatch):
+    def test_rejects_mismatched_trace(self):
         application = mpeg4_application(num_frames=5, seed=1)
-        thermal_cluster = build_a15_cluster(enable_thermal=True)
         cycles = [f.cycles_per_core(4) for f in application]
         deadlines = [f.deadline_s for f in application]
-        with pytest.raises(PlatformError):
-            thermal_cluster.execute_workload_table(cycles, deadlines)
         cluster = build_a15_cluster()
         with pytest.raises(PlatformError):
             cluster.execute_workload_table(cycles, deadlines[:-1])
+        with pytest.raises(PlatformError):
+            build_a15_cluster(num_cores=2).execute_workload_table(cycles, deadlines)
 
     def test_power_table_matches_core_power(self):
         cluster = build_a15_cluster()

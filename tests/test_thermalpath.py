@@ -1,14 +1,13 @@
-"""Equivalence, throttling and caching tests for the thermally-coupled engine.
+"""Equivalence, throttling and caching tests for the table engine's thermal state.
 
 The contract under test: for *every* governor — closed-loop and
-static-schedule alike — the thermally-coupled table engine in
-:mod:`repro.sim.thermalpath` must reproduce the scalar engine frame by
-frame on a thermally-enabled cluster: every float (temperatures included)
-within 1e-9 relative tolerance, identical operating-point trajectories,
-identical deadline-miss sets, identical per-epoch throttle events,
-identical exploration counts and final Q-tables.  (The implementation is
-bit-exact by construction; the tolerance here states the guaranteed
-contract, mirroring ``tests/test_tablepath.py``.)
+static-schedule alike — the table-driven engine in
+:mod:`repro.sim.tablepath` must reproduce the scalar engine frame by frame
+on a thermally-enabled cluster: every float (temperatures included)
+bit-identical, identical operating-point trajectories, identical
+deadline-miss sets, identical per-epoch throttle events, identical
+exploration counts and final Q-tables.  ``tests/test_tablepath.py`` holds
+the same contract for isothermal clusters.
 """
 
 from __future__ import annotations
@@ -23,12 +22,13 @@ from repro.governors.performance import PerformanceGovernor
 from repro.governors.powersave import PowersaveGovernor
 from repro.governors.shen_rl import ShenRLGovernor
 from repro.governors.userspace import UserspaceGovernor
-from repro.platform.cluster import ThermalWorkloadTable
+from repro.platform.cluster import WorkloadTable
 from repro.platform.odroid_xu3 import build_a15_cluster
 from repro.platform.thermal import ThermalModel, ThermalParameters
 from repro.rtm.multicore import MultiCoreRLGovernor
 from repro.rtm.rl_governor import RLGovernor
-from repro.sim import thermalpath
+from repro.sim import backends, tablepath
+from repro.sim.backends import EngineRequest
 from repro.sim.engine import SimulationConfig, SimulationEngine
 from repro.workload.fft import fft_application
 from repro.workload.video import mpeg4_application
@@ -46,7 +46,7 @@ CLOSED_LOOP_GOVERNORS = {
 }
 
 #: Static-schedule governors: on a thermally-enabled cluster the vectorised
-#: fast path is ineligible, so these too negotiate to the thermal engine.
+#: fast path is ineligible, so these too negotiate to the table engine.
 STATIC_GOVERNORS = {
     "performance": PerformanceGovernor,
     "powersave": PowersaveGovernor,
@@ -74,7 +74,7 @@ def _thermal_cluster(**kwargs):
 
 
 def _run_both(factory, application, cluster_kwargs=None, **config_kwargs):
-    """Run ``application`` under ``factory()`` on the scalar and thermal engines."""
+    """Run ``application`` under ``factory()`` on the scalar and table engines."""
     cluster_kwargs = cluster_kwargs or {}
     scalar_governor = factory()
     scalar_engine = SimulationEngine(
@@ -90,8 +90,8 @@ def _run_both(factory, application, cluster_kwargs=None, **config_kwargs):
         _thermal_cluster(**cluster_kwargs), SimulationConfig(**config_kwargs)
     )
     thermal = thermal_engine.run(application, thermal_governor)
-    assert thermal.engine_used == "thermalpath"
-    assert thermal_engine.engine_used == "thermalpath"
+    assert thermal.engine_used == "tablepath"
+    assert thermal_engine.engine_used == "tablepath"
     return scalar, thermal, scalar_governor, thermal_governor, thermal_engine
 
 
@@ -107,14 +107,12 @@ def _assert_frame_by_frame_equivalent(scalar, thermal):
         assert thermal_record.cycles_per_core == scalar_record.cycles_per_core
         assert thermal_record.explored == scalar_record.explored
         for field in FLOAT_FIELDS:
-            assert getattr(thermal_record, field) == pytest.approx(
-                getattr(scalar_record, field), rel=1e-9, abs=1e-15
-            ), field
+            assert getattr(thermal_record, field) == getattr(scalar_record, field), field
     scalar_misses = [r.index for r in scalar.records if not r.met_deadline]
     thermal_misses = [r.index for r in thermal.records if not r.met_deadline]
     assert thermal_misses == scalar_misses
-    assert thermal.total_energy_j == pytest.approx(scalar.total_energy_j, rel=1e-9)
-    assert thermal.total_time_s == pytest.approx(scalar.total_time_s, rel=1e-9)
+    assert thermal.total_energy_j == scalar.total_energy_j
+    assert thermal.total_time_s == scalar.total_time_s
 
 
 class TestThermalPathEquivalence:
@@ -159,7 +157,7 @@ class TestThermalPathEquivalence:
         assert scalar_governor.reward_history == thermal_governor.reward_history
 
     def test_matches_with_sensor_noise(self):
-        """The thermal path drives the real sensor, so seeded noise matches too."""
+        """The table engine drives the real sensor, so seeded noise matches too."""
         application = mpeg4_application(num_frames=120, seed=3)
         scalar, thermal, _, _, _ = _run_both(
             OndemandGovernor,
@@ -215,7 +213,7 @@ class TestThermalPathEquivalence:
 
         scalar, scalar_engine = run("scalar")
         thermal, thermal_engine = run("auto")
-        assert thermal.engine_used == "thermalpath"
+        assert thermal.engine_used == "tablepath"
         _assert_frame_by_frame_equivalent(scalar, thermal)
         assert thermal_engine.cluster.time_s == scalar_engine.cluster.time_s
         assert (
@@ -245,15 +243,15 @@ class TestThermalPathEquivalence:
             )
 
     def test_thermal_disabled_cluster_explicit_request_matches_scalar(self):
-        """The engine also reproduces isothermal runs when pinned explicitly."""
+        """Pinned explicitly, the engine reproduces isothermal runs too."""
         application = mpeg4_application(num_frames=100, seed=4)
         scalar = SimulationEngine(
             build_a15_cluster(), SimulationConfig(), engine="scalar"
         ).run(application, OndemandGovernor())
         thermal = SimulationEngine(
-            build_a15_cluster(), SimulationConfig(), engine="thermalpath"
+            build_a15_cluster(), SimulationConfig(), engine="tablepath"
         ).run(application, OndemandGovernor())
-        assert thermal.engine_used == "thermalpath"
+        assert thermal.engine_used == "tablepath"
         _assert_frame_by_frame_equivalent(scalar, thermal)
         # Temperature never moves on a disabled model.
         assert {r.temperature_c for r in thermal.records} == {
@@ -310,7 +308,7 @@ class TestThrottleEvents:
 
         scalar_observed, scalar_total, scalar_result = run("scalar")
         thermal_observed, thermal_total, thermal_result = run("auto")
-        assert thermal_result.engine_used == "thermalpath"
+        assert thermal_result.engine_used == "tablepath"
         assert scalar_observed == thermal_observed
         assert scalar_total == thermal_total
         # The chosen threshold produces a *mixed* pattern: some epochs
@@ -349,14 +347,14 @@ class TestThrottleEvents:
 
 class TestThermalWorkloadTable:
     def _tables(self, cluster, application, config=None):
-        return thermalpath.precompute_tables(
+        return tablepath.precompute_tables(
             cluster, application, config or SimulationConfig()
         )
 
     def test_matches_validates_cluster_physics(self):
         application = mpeg4_application(num_frames=20, seed=1)
         tables = self._tables(_thermal_cluster(), application)
-        assert isinstance(tables, ThermalWorkloadTable)
+        assert isinstance(tables, WorkloadTable)
         assert tables.matches(_thermal_cluster(), idle_until_deadline=True)
         assert not tables.matches(_thermal_cluster(), idle_until_deadline=False)
         other = _thermal_cluster()
@@ -379,48 +377,12 @@ class TestThermalWorkloadTable:
             _thermal_cluster(), table_provider=lambda c, a, cfg: stale
         )
         thermal_result = engine.run(application, OndemandGovernor())
-        assert thermal_result.engine_used == "thermalpath"
+        assert thermal_result.engine_used == "tablepath"
 
         scalar = SimulationEngine(
             _thermal_cluster(), SimulationConfig(), engine="scalar"
         ).run(application, OndemandGovernor())
         _assert_frame_by_frame_equivalent(scalar, thermal_result)
-
-    def test_foreign_table_kind_rebuilds_instead_of_crashing(self):
-        """Each table engine rejects the other's table type and rebuilds."""
-        application = mpeg4_application(num_frames=30, seed=2)
-        config = SimulationConfig()
-        # Thermal tables handed to the isothermal engine: auto negotiation
-        # on a thermal-disabled cluster picks tablepath, which must rebuild.
-        thermal_tables = self._tables(build_a15_cluster(), application, config)
-        iso_result = SimulationEngine(
-            build_a15_cluster(), config, table_provider=lambda c, a, cfg: thermal_tables
-        ).run(application, OndemandGovernor())
-        assert iso_result.engine_used == "tablepath"
-        # Isothermal tables handed to the thermal engine: same, mirrored.
-        from repro.sim import tablepath
-
-        iso_tables = tablepath.precompute_tables(build_a15_cluster(), application, config)
-        thermal_result = SimulationEngine(
-            _thermal_cluster(), config, table_provider=lambda c, a, cfg: iso_tables
-        ).run(application, OndemandGovernor())
-        assert thermal_result.engine_used == "thermalpath"
-        scalar = SimulationEngine(
-            _thermal_cluster(), config, engine="scalar"
-        ).run(application, OndemandGovernor())
-        _assert_frame_by_frame_equivalent(scalar, thermal_result)
-
-    def test_power_table_temperature_axis(self):
-        """power_table grows a temperature axis for sequences of temperatures."""
-        cluster = _thermal_cluster()
-        points = cluster.vf_table.points
-        temperatures = [45.0, 55.0, 65.0]
-        busy_rows, idle_rows = cluster.power_model.power_table(points, temperatures)
-        assert len(busy_rows) == len(idle_rows) == len(temperatures)
-        for row_index, temperature in enumerate(temperatures):
-            busy, idle = cluster.power_model.power_table(points, temperature)
-            assert busy_rows[row_index] == busy
-            assert idle_rows[row_index] == idle
 
     def test_power_slices_fill_lazily_and_are_shared(self):
         """Bucketed runs populate the table's slices; reuse keeps them warm."""
@@ -435,7 +397,7 @@ class TestThermalWorkloadTable:
                 cluster, config, table_provider=lambda c, a, cfg: tables
             )
             result = engine.run(application, governor)
-            assert result.engine_used == "thermalpath"
+            assert result.engine_used == "tablepath"
 
         run(cluster, OndemandGovernor())
         slices_after_first = dict(tables.power_slices)
@@ -444,44 +406,6 @@ class TestThermalWorkloadTable:
         run(_thermal_cluster(power_cache_bucket_c=2.0), ConservativeGovernor())
         for key, value in slices_after_first.items():
             assert tables.power_slices[key] is value
-
-
-class TestPrefillPowerSlices:
-    def test_prefilled_slices_match_lazily_filled_ones(self):
-        application = mpeg4_application(num_frames=150, seed=5)
-        config = SimulationConfig()
-        cluster = _thermal_cluster(power_cache_bucket_c=2.0)
-        lazy_tables = thermalpath.precompute_tables(cluster, application, config)
-        SimulationEngine(
-            cluster, config, table_provider=lambda c, a, cfg: lazy_tables
-        ).run(application, OndemandGovernor())
-        visited = sorted(lazy_tables.power_slices)
-        assert visited
-
-        warm_cluster = _thermal_cluster(power_cache_bucket_c=2.0)
-        warm_tables = thermalpath.precompute_tables(warm_cluster, application, config)
-        added = warm_tables.prefill_power_slices(warm_cluster, visited)
-        assert added == len(visited)
-        for key in visited:
-            assert warm_tables.power_slices[key] == lazy_tables.power_slices[key]
-        # Already-filled buckets are skipped; quantisation collapses inputs.
-        assert warm_tables.prefill_power_slices(warm_cluster, visited) == 0
-        # The prefilled slices are the ones the run then uses (identity).
-        before = {key: value for key, value in warm_tables.power_slices.items()}
-        SimulationEngine(
-            warm_cluster, config, table_provider=lambda c, a, cfg: warm_tables
-        ).run(application, OndemandGovernor())
-        for key, value in before.items():
-            assert warm_tables.power_slices[key] is value
-
-    def test_exact_mode_tables_have_no_slices(self):
-        application = mpeg4_application(num_frames=20, seed=1)
-        cluster = _thermal_cluster()  # bucket_c == 0: exact leakage
-        tables = thermalpath.precompute_tables(
-            cluster, application, SimulationConfig()
-        )
-        assert tables.prefill_power_slices(cluster, [45.0, 55.0]) == 0
-        assert tables.power_slices == {}
 
 
 class TestCampaignThermalTableCache:
@@ -503,10 +427,10 @@ class TestCampaignThermalTableCache:
             store = campaign_executor.run_campaign(campaign)
             assert len(campaign_executor._TABLE_CACHE) == 1  # one shared entry
             (cached_tables,) = campaign_executor._TABLE_CACHE.values()
-            assert isinstance(cached_tables, ThermalWorkloadTable)
+            assert isinstance(cached_tables, WorkloadTable)
             assert all(outcome.ok for outcome in store)
             assert all(
-                outcome.result.engine_used == "thermalpath" for outcome in store
+                outcome.result.engine_used == "tablepath" for outcome in store
             )
 
             scalar = SimulationEngine(
@@ -519,9 +443,9 @@ class TestCampaignThermalTableCache:
             campaign_registry._CLUSTERS.pop("a15-thermal-test", None)
             campaign_executor._TABLE_CACHE.clear()
 
-    def test_bucketed_campaign_prewarms_power_slices_and_matches_scalar(self):
-        """Fresh shared thermal tables are prewarmed across the expected
-        junction range, and the prewarmed slices still reproduce scalar."""
+    def test_bucketed_campaign_matches_scalar(self):
+        """A bucketed thermal campaign fills the shared table's power slices
+        lazily and still reproduces scalar."""
         from repro.campaign import executor as campaign_executor
         from repro.campaign import registry as campaign_registry
         from repro.campaign.spec import CampaignSpec, FactorySpec
@@ -533,7 +457,7 @@ class TestCampaignThermalTableCache:
         campaign_executor._TABLE_CACHE.clear()
         try:
             campaign = CampaignSpec.from_grid(
-                name="thermal-prewarm-test",
+                name="thermal-bucketed-test",
                 applications=[FactorySpec.of("mpeg4", num_frames=40)],
                 governors=[FactorySpec.of("ondemand")],
                 cluster=FactorySpec.of("a15-thermal-bucketed-test"),
@@ -541,10 +465,8 @@ class TestCampaignThermalTableCache:
             )
             store = campaign_executor.run_campaign(campaign)
             (cached_tables,) = campaign_executor._TABLE_CACHE.values()
-            assert isinstance(cached_tables, ThermalWorkloadTable)
-            # Warmed from the initial temperature up to the full-load steady
-            # state — strictly more buckets than the short run visits.
-            assert len(cached_tables.power_slices) > 1
+            assert isinstance(cached_tables, WorkloadTable)
+            assert cached_tables.power_slices  # visited buckets were filled
 
             scalar = SimulationEngine(
                 bucketed_cluster(), SimulationConfig(), engine="scalar"
@@ -556,46 +478,24 @@ class TestCampaignThermalTableCache:
             campaign_registry._CLUSTERS.pop("a15-thermal-bucketed-test", None)
             campaign_executor._TABLE_CACHE.clear()
 
-    def test_pinned_thermalpath_on_isothermal_cluster_caches_thermal_tables(self):
-        """The provider follows the pinned backend, so the per-worker cache
-        hits even when thermalpath runs a thermally-disabled cluster."""
-        from repro.campaign import executor as campaign_executor
-        from repro.campaign.spec import CampaignSpec, FactorySpec
-
-        campaign_executor._TABLE_CACHE.clear()
-        try:
-            campaign = CampaignSpec.from_grid(
-                name="pinned-thermal-cache-test",
-                applications=[FactorySpec.of("mpeg4", num_frames=40)],
-                governors=[FactorySpec.of("ondemand"), FactorySpec.of("conservative")],
-                seeds=[11],
-                engine="thermalpath",
-            )
-            store = campaign_executor.run_campaign(campaign)
-            assert all(
-                outcome.result.engine_used == "thermalpath" for outcome in store
-            )
-            assert len(campaign_executor._TABLE_CACHE) == 1  # one shared entry
-            (cached_tables,) = campaign_executor._TABLE_CACHE.values()
-            assert isinstance(cached_tables, ThermalWorkloadTable)
-        finally:
-            campaign_executor._TABLE_CACHE.clear()
-
 
 class TestThermalPathSelection:
     def test_numpy_missing_falls_back_to_scalar(self, monkeypatch):
-        from repro.sim import fastpath, tablepath
+        from repro.sim import fastpath
 
-        monkeypatch.setattr(thermalpath, "_np", None)
         monkeypatch.setattr(tablepath, "_np", None)
         monkeypatch.setattr(fastpath, "_np", None)
         cluster = _thermal_cluster()
-        assert not thermalpath.thermal_path_eligible(cluster)
         engine = SimulationEngine(cluster)
         result = engine.run(mpeg4_application(num_frames=30, seed=1), OndemandGovernor())
         assert result.engine_used == "scalar"
         assert result.num_frames == 30
 
     def test_eligible_with_numpy(self):
-        assert thermalpath.thermal_path_eligible(_thermal_cluster())
-        assert thermalpath.thermal_path_eligible(build_a15_cluster())
+        table_backend = backends.backend("tablepath")
+        application = mpeg4_application(num_frames=5, seed=1)
+        for cluster in (_thermal_cluster(), build_a15_cluster()):
+            request = EngineRequest(
+                cluster, application, OndemandGovernor(), SimulationConfig()
+            )
+            assert table_backend.rejection_reason(request) is None
