@@ -3,7 +3,7 @@
 Runs the acceptance sweep — three applications × four governors, twelve
 scenarios — through both backends and checks that the process pool's output
 is bit-identical to the serial run (same scenarios, same per-frame records,
-byte-equal JSON).  The printed timing shows the wall-clock effect of
+byte-equal saved result stores).  The printed timing shows the wall-clock effect of
 fanning the independent simulations out over the cores.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 
-from repro.campaign import CampaignSpec, FactorySpec, run_campaign
+from repro.campaign import CampaignResult, CampaignSpec, FactorySpec, run_campaign
 
 GOVERNORS = {
     "ondemand": FactorySpec.of("ondemand"),
@@ -34,7 +34,13 @@ def _acceptance_campaign(num_frames: int) -> CampaignSpec:
     )
 
 
-def test_bench_parallel_vs_serial_identical(benchmark, quick_settings):
+def saved_bytes(store: CampaignResult, path) -> bytes:
+    """The bytes ``store.save`` writes: the strict equality oracle."""
+    store.save(str(path))
+    return path.read_bytes()
+
+
+def test_bench_parallel_vs_serial_identical(benchmark, quick_settings, tmp_path):
     campaign = _acceptance_campaign(quick_settings.num_frames)
     assert len(campaign) >= 12
 
@@ -56,11 +62,13 @@ def test_bench_parallel_vs_serial_identical(benchmark, quick_settings):
         f"process pool {parallel_s:.1f} s ({serial_s / parallel_s:.2f}x)"
     )
     # The parallel run must be indistinguishable from the serial run.
-    assert serial.to_json() == parallel.to_json()
+    assert saved_bytes(serial, tmp_path / "serial.store") == saved_bytes(
+        parallel, tmp_path / "parallel.store"
+    )
     assert list(serial.results()) == campaign.labels
 
 
-def test_bench_campaign_resume_skips_completed(benchmark, quick_settings):
+def test_bench_campaign_resume_skips_completed(benchmark, quick_settings, tmp_path):
     """Resuming from a full result store re-runs nothing and is near-instant."""
     campaign = _acceptance_campaign(min(quick_settings.num_frames, 300))
     store = run_campaign(campaign)
@@ -69,4 +77,6 @@ def test_bench_campaign_resume_skips_completed(benchmark, quick_settings):
         return run_campaign(campaign, resume=store)
 
     resumed = benchmark.pedantic(resume, rounds=3, iterations=1)
-    assert resumed.to_json() == store.to_json()
+    assert saved_bytes(resumed, tmp_path / "resumed.store") == saved_bytes(
+        store, tmp_path / "store.store"
+    )

@@ -1,26 +1,22 @@
 """Benchmark the campaign result-store I/O path (``repro.campaign.store``).
 
-Three measurements per store flavor on a synthetic large campaign (one
+Three measurements per store encoding on a synthetic large campaign (one
 columnar :class:`~repro.sim.epoch.FrameColumns` result per scenario, no
 simulation in the timed region — this benchmarks persistence, not
 physics):
 
 * **Write throughput** (``write_outcomes_per_s``): persisting the whole
-  store in one go — the legacy monolithic JSON blob vs the columnar
-  chunked bulk save.
+  store in one go (the chunked bulk save).
 * **Checkpoint latency** (``checkpoint_events_per_s``): the cost of
-  keeping the on-disk checkpoint current while a campaign runs.  The
-  legacy blob must atomically *rewrite everything so far* per checkpoint
-  event (O(campaign) each), the columnar store *appends one record and
-  flushes* (O(1) each) — this row pair is the tentpole's headline number.
+  keeping the on-disk checkpoint current while a campaign runs: the
+  store *appends one record and flushes* per event (O(1) each).
 * **Summary-query latency** (``summary_queries_per_s``): loading the
-  persisted store and summarising every outcome
-  (:meth:`ScenarioOutcome.metrics_summary`).  The legacy blob parses and
-  re-reduces every frame; the columnar store loads lazily and answers
-  from the cached per-record metrics without touching frames.
+  persisted store lazily and summarising every outcome
+  (:meth:`ScenarioOutcome.metrics_summary`) from the cached per-record
+  metrics, without touching frames.
 
-The ``result_store_io`` section always carries the ``json`` and
-``jsonl`` rows (pure stdlib).  The Arrow encoding lives in its own
+The ``result_store_io`` section always carries the ``jsonl`` row (pure
+stdlib).  The Arrow encoding lives in its own
 ``result_store_arrow_io`` section, recorded empty with a
 ``result_store_arrow_io_note`` on pyarrow-less runners — exactly the
 optional-dependency pattern of the ``jit_closed_loop`` section.
@@ -62,9 +58,7 @@ SMOKE_SCENARIOS = 200
 #: Frames per synthetic scenario result.
 FRAMES = 40
 
-#: Checkpoint events timed per flavor: the legacy blob rewrite is
-#: O(campaign) per event, so a bounded event count keeps the benchmark
-#: honest *and* finite; the columnar flavors append per event.
+#: Checkpoint events timed per encoding, spread across the campaign.
 CHECKPOINT_EVENTS = 100
 
 #: Note recorded in place of ``result_store_arrow_io`` rows without pyarrow.
@@ -130,16 +124,9 @@ def fresh_outcomes(store: CampaignResult) -> CampaignResult:
     return copy
 
 
-def _write_store(store: CampaignResult, path: str, flavor: str) -> None:
-    if flavor == "json":
-        store.save(path, store="json")
-    else:
-        result_store.save_store(store, path, flavor)
-
-
 def _bench_write(store: CampaignResult, path: str, flavor: str) -> float:
     started = time.perf_counter()
-    _write_store(store, path, flavor)
+    result_store.save_store(store, path, flavor)
     return time.perf_counter() - started
 
 
@@ -147,24 +134,11 @@ def _bench_checkpoint(store: CampaignResult, path: str, flavor: str) -> float:
     """Wall-clock of ``CHECKPOINT_EVENTS`` checkpoint events mid-campaign.
 
     Each event persists one more completed outcome the way the executor
-    does for that flavor: the legacy blob atomically rewrites everything
-    completed so far, the columnar store appends the one record and
-    flushes.  Events are spread across the campaign so the legacy rewrites
-    pay the realistic (growing) store size, not just the cheap start.
+    does: the store appends the one record and flushes.
     """
     outcomes = list(store)
     events = min(CHECKPOINT_EVENTS, len(outcomes))
     stride = len(outcomes) // events
-    if flavor == "json":
-        partial = CampaignResult(campaign_name=store.campaign_name)
-        elapsed = 0.0
-        for position, outcome in enumerate(outcomes):
-            partial.add(outcome)
-            if position % stride == 0:
-                started = time.perf_counter()
-                partial.save(path, store="json")
-                elapsed += time.perf_counter() - started
-        return elapsed
     writer = result_store.StoreWriter.create(path, store.campaign_name, flavor)
     elapsed = 0.0
     try:
@@ -195,10 +169,12 @@ def _bench_summary(path: str) -> float:
 def bench_flavor(
     store: CampaignResult, flavor: str, workdir: str
 ) -> Dict[str, object]:
-    """All three measurements for one store flavor, with a parity check."""
+    """All three measurements for one store encoding, with a parity check."""
     path = os.path.join(workdir, f"store-{flavor}.bin")
     write_s = _bench_write(fresh_outcomes(store), path, flavor)
-    if CampaignResult.load(path).to_dict() != store.to_dict():
+    if list(map(result_store.encode_line, CampaignResult.load(path))) != list(
+        map(result_store.encode_line, store)
+    ):
         raise AssertionError(f"{flavor} store did not round-trip")
     summary_s = _bench_summary(path)
     checkpoint_path = os.path.join(workdir, f"ckpt-{flavor}.bin")
@@ -224,26 +200,12 @@ def bench_flavor(
 def run_suite(num_scenarios: int, smoke: bool) -> Dict[str, object]:
     store = synthetic_store(num_scenarios)
     with tempfile.TemporaryDirectory(prefix="bench-result-store-") as workdir:
-        io_rows = [
-            bench_flavor(store, flavor, workdir)
-            for flavor in ("json", result_store.ENCODING_JSONL)
-        ]
+        io_rows = [bench_flavor(store, result_store.ENCODING_JSONL, workdir)]
         arrow_rows: List[Dict[str, object]] = []
         if result_store.arrow_available():
             arrow_rows.append(
                 bench_flavor(store, result_store.ENCODING_ARROW, workdir)
             )
-    by_flavor = {row["flavor"]: row for row in io_rows + arrow_rows}
-    summary = {
-        "checkpoint_speedup_jsonl_vs_json": (
-            by_flavor["jsonl"]["checkpoint_events_per_s"]
-            / by_flavor["json"]["checkpoint_events_per_s"]
-        ),
-        "summary_speedup_jsonl_vs_json": (
-            by_flavor["jsonl"]["summary_queries_per_s"]
-            / by_flavor["json"]["summary_queries_per_s"]
-        ),
-    }
     results: Dict[str, object] = {
         "result_store_mode": "smoke" if smoke else "full",
         "result_store_scenarios": num_scenarios,
@@ -251,7 +213,6 @@ def run_suite(num_scenarios: int, smoke: bool) -> Dict[str, object]:
         # Always a list (the regression gate indexes sections by rows); the
         # sibling note marks a deliberate skip, never silent truncation.
         "result_store_arrow_io": arrow_rows,
-        "result_store_summary": summary,
     }
     if not arrow_rows:
         results["result_store_arrow_io_note"] = ARROW_SKIP_NOTE
@@ -261,29 +222,17 @@ def run_suite(num_scenarios: int, smoke: bool) -> Dict[str, object]:
 # -- pytest entry point (explicit: `pytest benchmarks/bench_result_store.py`) --
 def test_bench_result_store_checkpoint_and_parity():
     results = run_suite(SMOKE_SCENARIOS, smoke=True)
-    rows = {row["flavor"]: row for row in results["result_store_io"]}
+    rows = results["result_store_io"] + results["result_store_arrow_io"]
     print()
-    for row in results["result_store_io"] + results["result_store_arrow_io"]:
+    for row in rows:
         print(
             f"{row['scenario']:28s} write {row['write_outcomes_per_s']:8.0f}/s  "
             f"ckpt {row['checkpoint_events_per_s']:8.0f}/s  "
             f"summary {row['summary_queries_per_s']:8.0f}/s  "
             f"({row['store_bytes'] / 1e6:.1f} MB)"
         )
-    for row in rows.values():
+    for row in rows:
         assert row["round_trip_identical"]
-    # The tentpole claim: appending a record is O(1), rewriting the blob is
-    # O(campaign) — at 200 scenarios the gap must already be wide (>= 5x;
-    # the tracked numbers in BENCH_results.json carry the real ratio).
-    assert (
-        rows["jsonl"]["checkpoint_events_per_s"]
-        >= 5.0 * rows["json"]["checkpoint_events_per_s"]
-    )
-    # Cached-metrics summaries must never be slower than re-reducing frames.
-    assert (
-        rows["jsonl"]["summary_queries_per_s"]
-        >= rows["json"]["summary_queries_per_s"]
-    )
 
 
 def main() -> None:
@@ -335,11 +284,6 @@ def main() -> None:
         )
     if not results["result_store_arrow_io"]:
         print(f"  result_store_arrow_io: {results['result_store_arrow_io_note']}")
-    summary = results["result_store_summary"]
-    print(
-        f"  checkpoint speedup (jsonl vs json): "
-        f"{summary['checkpoint_speedup_jsonl_vs_json']:.1f}x"
-    )
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ Exits non-zero on any divergence, so CI can gate on it directly.
 from __future__ import annotations
 
 import argparse
-import json
+import filecmp
 import os
 import signal
 import subprocess
@@ -68,9 +68,11 @@ def main() -> int:
 
     workdir = tempfile.mkdtemp(prefix="campaign-chaos-")
     spec_path = os.path.join(workdir, "spec.json")
-    output_path = os.path.join(workdir, "service.json")
+    output_path = os.path.join(workdir, "service.store")
+    reference_path = os.path.join(workdir, "reference.store")
     journal_path = os.path.join(workdir, "journal.json")
     campaign.save(spec_path)
+    reference.save(reference_path)
 
     deadline = time.monotonic() + DEADLINE_S
     procs = []
@@ -82,6 +84,7 @@ def main() -> int:
                 spec_path,
                 "--port", "0",
                 "--output", output_path,
+                "--store", "json",
                 "--journal", journal_path,
                 "--lease-timeout", str(LEASE_TIMEOUT_S),
                 "--quiet",
@@ -146,14 +149,12 @@ def main() -> int:
             if proc.poll() is None:
                 proc.kill()
 
-    with open(output_path, encoding="utf-8") as handle:
-        service_result = json.load(handle)
-    if service_result != json.loads(reference.to_json()):
+    if not filecmp.cmp(output_path, reference_path, shallow=False):
         print("FAIL: service result differs from the unsharded serial run")
         return 1
     print(
         "OK: killed-worker service run is bit-identical to the serial run "
-        f"({len(service_result['outcomes'])} scenarios)"
+        f"({len(reference)} scenarios)"
     )
     return 0
 

@@ -2,35 +2,36 @@
 
 Usage::
 
-    repro-campaign spec.json --backend process --workers 4 --output results.json
-    repro-campaign spec.json --resume results.json --output results.json
-    repro-campaign spec.json --checkpoint ckpt.json --checkpoint-every 5 --retries 2
-    repro-campaign spec.json --shard 0/2 --output shard0.json
-    repro-campaign spec.json --engine scalar --output reference.json
+    repro-campaign spec.json --backend process --workers 4 --output results.store
+    repro-campaign spec.json --resume results.store --output results.store
+    repro-campaign spec.json --checkpoint ckpt.store --checkpoint-every 5 --retries 2
+    repro-campaign spec.json --shard 0/2 --output shard0.store
+    repro-campaign spec.json --engine scalar --output reference.store
     repro-campaign spec.json --store arrow --checkpoint ckpt.bin --output results.bin
-    repro-campaign merge shard0.json shard1.json --spec spec.json --output merged.json
-    repro-campaign serve spec.json --port 8765 --journal journal.json --output results.json
+    repro-campaign merge shard0.store shard1.store --spec spec.json --output merged.store
+    repro-campaign serve spec.json --port 8765 --journal journal.json --output results.store
     repro-campaign work --coordinator http://127.0.0.1:8765
     repro-campaign --list
 
 The spec file is a :class:`~repro.campaign.spec.CampaignSpec` JSON document
 (``CampaignSpec.save`` writes one).  With ``--resume``, scenarios already
 ``done`` in the given results file are skipped (``failed`` ones re-run);
-``--checkpoint`` additionally rewrites the store atomically every
-``--checkpoint-every`` completions — and on Ctrl-C — so a crashed or killed
-campaign resumes from its last checkpoint instead of starting over (an
-existing checkpoint file is picked up automatically; a truncated or
-corrupt one is quarantined with a warning instead of aborting the run).
+``--checkpoint`` additionally appends each outcome to a store file as it
+completes, flushed every ``--checkpoint-every`` completions — and on
+Ctrl-C — so a crashed or killed campaign resumes from its last checkpoint
+instead of starting over (an existing checkpoint file is picked up
+automatically; a torn tail is salvaged and a corrupt file quarantined
+with a warning instead of aborting the run).
 ``--shard I/N`` runs the deterministic 1/N slice of the campaign; the
 ``merge`` subcommand streams shard result files back into the store an
 unsharded run would produce — never holding more than one shard's batch
 in memory (pass ``--spec`` to verify completeness and restore campaign
-order).  ``--store`` picks the on-disk format (see
-:mod:`repro.campaign.store`): ``json`` is the legacy monolithic document,
-``arrow`` the columnar append-only store, ``auto`` (the default) uses
-columnar when pyarrow is installed and json otherwise.  With a columnar
-store, ``--checkpoint`` appends each outcome in O(1) instead of rewriting
-the whole store every ``--checkpoint-every`` completions.
+order).  Every file written is a result store (see
+:mod:`repro.campaign.store`); ``--store`` picks its encoding: ``json``
+is the stdlib jsonl encoding, ``arrow`` and ``auto`` (the default) use
+Arrow when pyarrow is installed and jsonl otherwise.  Results files of
+earlier releases (one JSON blob) are still read by ``--resume``,
+``--checkpoint`` and ``merge``.
 
 ``serve`` starts the fault-tolerant coordinator of
 :mod:`repro.campaign.service`: scenarios are handed to ``work`` sites as
@@ -137,25 +138,25 @@ def _run_main(argv: Sequence[str]) -> int:
         "--workers", type=int, default=None, help="worker count for the process backend"
     )
     parser.add_argument(
-        "--output", default=None, help="write the campaign results to this JSON file"
+        "--output", default=None, help="write the campaign results to this store file"
     )
     parser.add_argument(
         "--resume",
         default=None,
-        help="results JSON file whose done scenarios are skipped (failed ones re-run)",
+        help="results file whose done scenarios are skipped (failed ones re-run)",
     )
     parser.add_argument(
         "--checkpoint",
         default=None,
-        help="atomically rewrite the (partial) store to this file as scenarios "
-        "complete; an existing file is resumed from automatically",
+        help="append each outcome to this store file as it completes; an "
+        "existing file is resumed from automatically",
     )
     parser.add_argument(
         "--checkpoint-every",
         type=int,
         default=10,
         metavar="K",
-        help="completions between checkpoint writes (default 10)",
+        help="completions between checkpoint flushes (default 10)",
     )
     parser.add_argument(
         "--retries",
@@ -200,10 +201,9 @@ def _run_main(argv: Sequence[str]) -> int:
         "--store",
         choices=result_store.STORE_CHOICES,
         default=result_store.STORE_AUTO,
-        help="result/checkpoint file format: 'json' is the legacy "
-        "monolithic blob, 'arrow' the append-only columnar store "
-        "(jsonl-encoded when pyarrow is missing), 'auto' negotiates "
-        "arrow when available and falls back to json (default)",
+        help="encoding of the --output and --checkpoint stores: 'json' is "
+        "the stdlib jsonl encoding, 'arrow' and 'auto' (default) use Arrow "
+        "when pyarrow is installed and jsonl otherwise",
     )
     parser.add_argument(
         "--list", action="store_true", help="list registered factories and exit"
@@ -307,7 +307,7 @@ def _merge_main(argv: Sequence[str]) -> int:
         "(conflict = error); never holds more than one shard in memory.",
     )
     parser.add_argument(
-        "stores", nargs="+", help="shard result files to merge (either format)"
+        "stores", nargs="+", help="shard result files to merge (any encoding, or legacy JSON)"
     )
     parser.add_argument(
         "--output", required=True, help="write the merged store to this file"
@@ -323,7 +323,9 @@ def _merge_main(argv: Sequence[str]) -> int:
         "--store",
         choices=result_store.STORE_CHOICES,
         default=result_store.STORE_AUTO,
-        help="output format (input formats are auto-detected per shard)",
+        help="encoding of the merged store: 'json' is jsonl, 'arrow' and "
+        "'auto' (default) use Arrow when pyarrow is installed and jsonl "
+        "otherwise (input formats are auto-detected per shard)",
     )
     parser.add_argument(
         "--quiet", action="store_true", help="suppress the merged-store summary"
@@ -374,14 +376,13 @@ def _serve_main(argv: Sequence[str]) -> int:
         "--journal",
         default=None,
         help="journal every state transition to this file; an existing "
-        "journal is resumed from (a corrupt one is quarantined). With a "
-        "columnar --store, outcomes append to <journal>.outcomes in O(1) "
-        "per completion instead of rewriting the whole journal",
+        "journal is resumed from (a corrupt one is quarantined). Outcomes "
+        "append to the store <journal>.outcomes in O(1) per completion",
     )
     parser.add_argument(
         "--resume",
         default=None,
-        help="results JSON file whose done scenarios are skipped "
+        help="results file whose done scenarios are skipped "
         "(failed ones re-run, delivery budget permitting)",
     )
     parser.add_argument(
@@ -421,9 +422,9 @@ def _serve_main(argv: Sequence[str]) -> int:
         "--store",
         choices=result_store.STORE_CHOICES,
         default=result_store.STORE_AUTO,
-        help="format for the journal and --output results: json (legacy "
-        "monolithic), arrow (columnar, needs pyarrow), or auto (columnar "
-        "when available)",
+        help="encoding of the journal's outcomes and the --output store: "
+        "json (jsonl), arrow or auto (default; Arrow when pyarrow is "
+        "installed, jsonl otherwise)",
     )
     parser.add_argument(
         "--quiet", action="store_true", help="suppress per-transition progress lines"
@@ -570,7 +571,7 @@ def _work_main(argv: Sequence[str]) -> int:
         "--fallback",
         default=None,
         metavar="PATH",
-        help="checkpoint undeliverable results to this JSON file when the "
+        help="checkpoint undeliverable results to this store file when the "
         "coordinator becomes unreachable (merge them back later)",
     )
     parser.add_argument(

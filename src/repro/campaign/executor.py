@@ -483,17 +483,19 @@ class CampaignExecutor:
             with ``(label, completed_count, total_pending)``.
         checkpoint_path:
             When given, completed work is persisted to this path as the
-            campaign runs.  With the legacy ``json`` store the whole file
-            is atomically rewritten every ``checkpoint_every``
-            completions; with the columnar store each outcome is
-            *appended* as it completes (O(1) per scenario, never
-            O(campaign)) and ``checkpoint_every`` only sets the flush
-            cadence.  Either way the file is written once more on
-            ``KeyboardInterrupt`` (which is re-raised as
+            campaign runs, as a result store file
+            (:mod:`repro.campaign.store`): the first completion publishes
+            it atomically together with the resume state, then each
+            outcome is *appended* as it completes (O(1) per scenario,
+            never O(campaign)).  Whatever stops the run, the appended
+            tail is flushed (a ``KeyboardInterrupt`` is re-raised as
             :class:`CampaignInterrupted` carrying the partial store), and
-            a final time with the completed, campaign-ordered store.
+            a finished run rewrites the file once more with the
+            completed, campaign-ordered store.  A legacy JSON blob at
+            the path is read by :meth:`CampaignResult.load_checkpoint`
+            and replaced by a store file here.
         checkpoint_every:
-            Completions between checkpoint writes/flushes (>= 1).
+            Completions between checkpoint flushes (>= 1).
 
         Returns
         -------
@@ -511,13 +513,7 @@ class CampaignExecutor:
             for outcome in resume:
                 store.add(outcome)
         pending: List[ScenarioSpec] = store.pending(campaign)
-        resolved = result_store.negotiate_store(self.store_format)
         writer: Optional[result_store.StoreWriter] = None
-        if checkpoint_path is not None and resolved != result_store.STORE_JSON:
-            # Seed the columnar checkpoint once (atomic rewrite of the
-            # resume state), then append each completion in O(1).
-            result_store.save_store(store, checkpoint_path, resolved)
-            writer = result_store.StoreWriter.open_append(checkpoint_path)
         completed = 0
         try:
             for _, outcome in self.backend.run_unordered(
@@ -526,26 +522,28 @@ class CampaignExecutor:
                 store.add(outcome)
                 if writer is not None:
                     writer.append(outcome)
+                elif checkpoint_path is not None:
+                    # The first completion publishes the checkpoint (the
+                    # resume state included) atomically; later ones append.
+                    store.save(checkpoint_path, store=self.store_format)
+                    writer = result_store.StoreWriter.open_append(checkpoint_path)
                 completed += 1
+                if writer is not None and completed % checkpoint_every == 0:
+                    writer.flush()
                 if progress is not None:
                     progress(outcome.label, completed, len(pending))
-                if checkpoint_path is not None and completed % checkpoint_every == 0:
-                    if writer is not None:
-                        writer.flush()
-                    else:
-                        store.save(checkpoint_path)
         except BaseException as exc:
             # Emergency checkpoint: whatever killed the run — Ctrl-C, a
             # broken worker pool, a crashing progress callback — the work
-            # completed since the last periodic write must survive.  The
-            # columnar writer already holds every completion; closing it
-            # flushes the tail appends to disk.
-            if checkpoint_path is not None:
-                if writer is not None:
-                    writer.close()
-                    writer = None
-                else:
-                    store.save(checkpoint_path)
+            # completed since the last flush must survive.  The writer
+            # already holds every completion; closing it flushes the tail
+            # appends to disk.  Without one (nothing completed, or the
+            # first publish itself was interrupted) the store is saved.
+            if writer is not None:
+                writer.close()
+                writer = None
+            elif checkpoint_path is not None:
+                store.save(checkpoint_path, store=self.store_format)
             if isinstance(exc, KeyboardInterrupt):
                 raise CampaignInterrupted(campaign, store, checkpoint_path) from exc
             raise
@@ -553,8 +551,8 @@ class CampaignExecutor:
             writer.close()
         ordered = store.ordered_for(campaign)
         if checkpoint_path is not None:
-            # Final atomic rewrite in campaign order (both formats), so
-            # the surviving checkpoint equals --output bit for bit.
+            # Final atomic rewrite in campaign order, so the surviving
+            # checkpoint equals --output bit for bit.
             ordered.save(checkpoint_path, store=self.store_format)
         return ordered
 

@@ -50,6 +50,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, ServiceError
+from repro.campaign import store as result_store
 from repro.campaign.executor import RetryPolicy, run_scenario_safely
 from repro.campaign.results import CampaignResult, ScenarioOutcome
 from repro.campaign.spec import CampaignSpec, ScenarioSpec
@@ -279,7 +280,7 @@ class _SimWorker:
             "op": "submit",
             "worker": self.worker_id,
             "lease_id": self.lease_id,
-            "outcome": self.outcome.to_dict(),
+            "outcome": result_store.encode_record(self.outcome),
         }
         response = self.client.call(request)
         assert response.get("ok"), response

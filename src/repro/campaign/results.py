@@ -7,11 +7,14 @@ result, ``"failed"`` for one whose execution raised (the error message and
 traceback text are captured in the outcome instead of killing the
 campaign) — plus the number of attempts the executor spent on it.
 
-The store round-trips through JSON so long campaigns can checkpoint to
-disk and *resume*: the executor skips any scenario whose stored outcome is
-``done`` and re-runs the ``failed`` ones.  :meth:`CampaignResult.save` is
-atomic (write-temp + ``os.replace``), so a crash mid-checkpoint can never
-truncate a previously good store.  Disjoint stores of the same campaign —
+The store persists through :mod:`repro.campaign.store` so long campaigns
+can checkpoint to disk and *resume*: the executor skips any scenario whose
+stored outcome is ``done`` and re-runs the ``failed`` ones.
+:meth:`CampaignResult.save` is atomic (write-temp + ``os.replace``), so a
+crash mid-checkpoint can never truncate a previously good store.  The
+monolithic JSON blob of earlier releases is read-only
+(:meth:`CampaignResult.load`, :meth:`CampaignResult.from_dict`).
+Disjoint stores of the same campaign —
 e.g. the per-shard result files of a :meth:`CampaignSpec.shard` split —
 recombine with :meth:`CampaignResult.merge`.
 
@@ -104,18 +107,18 @@ class ScenarioOutcome:
         re-ran it).
     metrics:
         Optional cached :class:`~repro.sim.metrics.MetricsSummary` as a
-        plain dict.  Stamped by the columnar store
-        (:mod:`repro.campaign.store`) so summary queries never touch the
-        frames; it is a derived cache — excluded from equality and from
-        the :meth:`to_dict` wire format, which stays byte-identical to
-        the pre-store JSON.
+        plain dict.  Stamped by the result store
+        (:mod:`repro.campaign.store`) on every record it writes, so
+        summary queries on a loaded store never touch the frames; it is a
+        derived cache — excluded from equality and from the record's
+        ``digest``.
     store_slot:
         Where the columnar store last wrote this outcome's record (file,
         offset, length and checksum; set by :mod:`repro.campaign.store`,
         never by callers).  Later writes copy those bytes back instead
         of re-encoding the outcome.  Like :attr:`metrics` it is a cache:
-        not an ``__init__`` argument, invisible to equality, ``repr`` and
-        :meth:`to_dict`, and never carried over by
+        not an ``__init__`` argument, invisible to equality and ``repr``,
+        and never carried over by
         :func:`dataclasses.replace`.
     """
 
@@ -193,24 +196,9 @@ class ScenarioOutcome:
                 pass  # unknown cache shape: recompute from the frames
         return summarize_result(self.result)
 
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {
-            "scenario": self.scenario.to_dict(),
-            "status": self.status,
-            "attempts": self.attempts,
-        }
-        if self.result is not None:
-            data["result"] = self.result.to_dict()
-        if self.probe is not None:
-            data["probe"] = self.probe
-        if self.error is not None:
-            data["error"] = self.error
-        if self.traceback is not None:
-            data["traceback"] = self.traceback
-        return data
-
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioOutcome":
+        """Read one outcome of the legacy monolithic JSON blob."""
         result = data.get("result")
         return cls(
             scenario=ScenarioSpec.from_dict(data["scenario"]),
@@ -344,8 +332,10 @@ class CampaignResult:
             named campaigns.
         SimulationError
             If the same scenario id appears in several stores with
-            different payloads (identical duplicates are unioned silently).
+            different record digests (identical duplicates are unioned
+            silently).
         """
+        from repro.campaign.store import outcome_digest
         if not stores:
             raise ConfigurationError("merge needs at least one result store")
         names = sorted({store.campaign_name for store in stores})
@@ -357,7 +347,7 @@ class CampaignResult:
         for store in stores:
             for outcome in store:
                 existing = merged.outcomes.get(outcome.scenario_id)
-                if existing is not None and existing.to_dict() != outcome.to_dict():
+                if existing is not None and outcome_digest(existing) != outcome_digest(outcome):
                     raise SimulationError(
                         f"conflicting outcomes for scenario {outcome.label!r} "
                         f"(id {outcome.scenario_id}) while merging campaign "
@@ -386,59 +376,42 @@ class CampaignResult:
         return ordered
 
     # -- persistence --------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "campaign_name": self.campaign_name,
-            "outcomes": [outcome.to_dict() for outcome in self.outcomes.values()],
-        }
-
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CampaignResult":
+        """Read a legacy monolithic JSON blob (``{"campaign_name", "outcomes"}``)."""
         store = cls(campaign_name=data["campaign_name"])
         for item in data.get("outcomes", []):
             store.add(ScenarioOutcome.from_dict(item))
         return store
 
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
-
     @classmethod
     def from_json(cls, text: str) -> "CampaignResult":
+        """Parse the text of a legacy monolithic JSON blob."""
         return cls.from_dict(json.loads(text))
 
     def save(self, path: str, store: str = "json") -> None:
         """Atomically write the store (write-temp + ``os.replace``).
 
-        ``store`` picks the on-disk format through
+        ``store`` picks the encoding through
         :func:`repro.campaign.store.negotiate_store`: the default
-        ``"json"`` keeps the legacy monolithic blob byte-identical to
-        every earlier release; ``"arrow"`` (or ``"auto"`` on an install
-        with pyarrow) writes the columnar store instead.  Whatever the
-        format, the rename guarantees a reader (or a crash) never sees a
-        half-written store.
+        ``"json"`` is the stdlib jsonl encoding; ``"arrow"`` (or
+        ``"auto"``) is Arrow on an install with pyarrow.  The rename
+        guarantees a reader (or a crash) never sees a half-written store.
         """
         from repro.campaign import store as result_store
 
-        resolved = result_store.negotiate_store(store)
-        if resolved != result_store.STORE_JSON:
-            result_store.save_store(self, path, resolved)
-            return
-        temp_path = f"{path}.tmp"
-        with open(temp_path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_json())
-        os.replace(temp_path, path)
+        result_store.save_store(self, path, result_store.negotiate_store(store))
 
     @classmethod
     def load(cls, path: str, lazy: bool = False) -> "CampaignResult":
-        """Load a result store of either format (auto-detected by content).
+        """Load a store file, or a legacy JSON blob (detected by content).
 
-        ``lazy`` applies to columnar store files: outcomes come back with
+        ``lazy`` applies to store files: outcomes come back with
         disk-backed deferred frame columns and their cached metrics, so a
         million-scenario store can be summarised without holding any
         per-frame data in memory (first access to a result's columns
-        re-reads just that record from disk).  Monolithic JSON files are
-        parsed whole regardless — laziness is a property the columnar
-        layout provides.
+        re-reads just that record from disk).  Legacy JSON blobs are
+        parsed whole regardless.
         """
         from repro.campaign import store as result_store
 
@@ -458,7 +431,7 @@ class CampaignResult:
         of dying on a ``JSONDecodeError``.  Completed work checkpointed
         *before* the corruption was introduced is only lost in that rare
         quarantine case; the atomic save path makes it rarer still.
-        Columnar checkpoints do one better: records are independent, so
+        Store checkpoints do one better: records are independent, so
         the valid prefix of a torn file is salvaged before the file is
         quarantined (see
         :func:`repro.campaign.store.load_store_checkpoint`).

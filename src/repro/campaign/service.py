@@ -13,11 +13,11 @@ crashes, network partitions and ``kill -9``:
   never loses them.  Requeues are bounded by a
   :class:`~repro.campaign.executor.RetryPolicy` whose capped exponential
   backoff + deterministic jitter sets each requeued scenario's
-  not-before time.  Every state transition is journalled through the
-  same atomic write-temp + ``os.replace`` path the checkpoint machinery
-  uses, so the coordinator can crash and resume mid-campaign (corrupt
-  journals are quarantined, not fatal).  Results are accepted
-  *first-wins* by scenario id: duplicated or late responses (a partition
+  not-before time.  Every state transition is journalled — outcomes
+  appended to a result store, delivery counts in a small atomically
+  rewritten meta file — so the coordinator can crash and resume
+  mid-campaign (corrupt journals are quarantined, not fatal).  Results
+  are accepted *first-wins* by scenario id: duplicated or late responses (a partition
   healing after its lease was requeued) are acknowledged and dropped,
   which keeps the final store identical to an unsharded serial run —
   every scenario is fully determined by its spec.
@@ -45,6 +45,12 @@ Workers are elastic: a site can join (``repro-campaign work``) or vanish
 at any point of a running campaign.  The protocol is four idempotent
 operations (``lease`` / ``heartbeat`` / ``submit`` / ``status``) carried
 as JSON objects, so third-party sites need nothing beyond an HTTP POST.
+A ``submit`` carries the outcome as its result store record
+(:func:`repro.campaign.store.encode_record`), the encoding every
+checkpoint, output and journal uses; the coordinator recomputes the
+record's ``metrics`` from its frames.  Workers of releases that
+submitted the JSON-blob outcome get a ``malformed submit`` reply naming
+the expected payload: upgrade coordinator and workers together.
 """
 
 from __future__ import annotations
@@ -55,7 +61,8 @@ import threading
 import time
 import uuid
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Tuple
 from urllib import request as urllib_request
@@ -70,6 +77,7 @@ from repro.campaign.results import (
     quarantine_corrupt_file,
 )
 from repro.campaign.spec import CampaignSpec, ScenarioSpec
+from repro.sim.metrics import summarize_result
 
 #: Lease-grant response states.
 STATE_GRANTED = "granted"
@@ -137,17 +145,15 @@ class Coordinator:
         deliveries left are re-queued, mirroring the executor's resume
         semantics), so the coordinator survives its own crash or restart.
         A corrupt journal is quarantined with a warning and the campaign
-        restarts from scratch.  The on-disk shape follows
-        ``journal_store``: the legacy ``json`` mode atomically rewrites
-        one JSON blob per transition (O(campaign) each time), while the
-        columnar mode keeps outcomes in an append-only
-        ``<journal_path>.outcomes`` store (O(1) per completion) next to a
-        small atomically rewritten meta file at ``journal_path`` itself.
+        restarts from scratch.  Outcomes live in an append-only
+        ``<journal_path>.outcomes`` result store (O(1) per completion)
+        next to a small atomically rewritten meta file at
+        ``journal_path`` itself; a legacy single-blob journal is still
+        resumed from, and replaced by that pair.
     journal_store:
-        Requested journal format, resolved through
+        Requested encoding of the outcomes store, resolved through
         :func:`repro.campaign.store.negotiate_store` (default ``auto``:
-        columnar when pyarrow is available, the legacy JSON blob
-        otherwise).
+        Arrow when pyarrow is available, jsonl otherwise).
     resume:
         Optional result store whose outcomes seed the coordinator (e.g. a
         previous run's ``--output``); applied before the journal.
@@ -223,10 +229,7 @@ class Coordinator:
             for scenario in campaign.scenarios
             if scenario.scenario_id not in self.store.outcomes
         )
-        if (
-            journal_path is not None
-            and self._journal_encoding != result_store.STORE_JSON
-        ):
+        if journal_path is not None:
             # Seed the append-only outcomes store once (atomic rewrite of
             # whatever survived resume + requeue pruning), then every
             # completed scenario is a single O(1) append.
@@ -250,8 +253,9 @@ class Coordinator:
             with open(path, "r", encoding="utf-8") as handle:
                 data = json.loads(handle.read())
             if data.get("outcomes") == "store":
-                # Columnar journal: outcomes live in the sidecar store
-                # (a torn tail there is salvaged + quarantined).
+                # Outcomes live in the sidecar store (a torn tail there
+                # is salvaged + quarantined); a legacy journal holds them
+                # as one JSON blob under "results".
                 store = result_store.load_store_checkpoint(self._outcomes_path())
                 if store is None:
                     store = CampaignResult(campaign_name=str(data["campaign_name"]))
@@ -273,7 +277,7 @@ class Coordinator:
             self._journal_pending.append(outcome)
 
     def _write_journal_meta(self) -> None:
-        """Atomically rewrite the small meta file of a columnar journal."""
+        """Atomically rewrite the small meta file of the journal."""
         data = {
             "campaign_name": self.campaign.name,
             "attempts": self._attempts,
@@ -287,37 +291,21 @@ class Coordinator:
     def _journal(self) -> None:
         """Persist the service state.
 
-        Legacy mode atomically rewrites the whole JSON blob.  Columnar
-        mode appends the outcomes staged since the last transition to the
+        Appends the outcomes staged since the last transition to the
         sidecar store (O(1) per completed scenario) and atomically
         rewrites only the small meta file (campaign name + delivery
         attempts).
         """
-        if self.journal_path is None:
+        if self._journal_writer is None:
             return
-        if self._journal_writer is not None:
-            for outcome in self._journal_pending:
-                self._journal_writer.append(outcome)
-            self._journal_pending.clear()
-            self._journal_writer.flush()
-            self._write_journal_meta()
-            return
-        data = {
-            "campaign_name": self.campaign.name,
-            "attempts": self._attempts,
-            "results": self.store.to_dict(),
-        }
-        temp_path = f"{self.journal_path}.tmp"
-        with open(temp_path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(data))
-        os.replace(temp_path, self.journal_path)
+        for outcome in self._journal_pending:
+            self._journal_writer.append(outcome)
+        self._journal_pending.clear()
+        self._journal_writer.flush()
+        self._write_journal_meta()
 
     def close_journal(self) -> None:
-        """Flush staged outcomes and close the append-only writer (idempotent).
-
-        Only meaningful for columnar journals; the legacy JSON journal
-        has no long-lived handle.
-        """
+        """Flush staged outcomes and close the append-only writer (idempotent)."""
         with self._lock:
             if self._journal_writer is None:
                 return
@@ -486,7 +474,7 @@ class Coordinator:
             return {"ok": True, "unknown": unknown, "drained": self.finished}
 
     def submit(
-        self, worker: str, lease_id: Optional[str], outcome: Mapping[str, Any]
+        self, worker: str, lease_id: Optional[str], outcome: ScenarioOutcome
     ) -> Dict[str, Any]:
         """Record a scenario outcome (idempotent; first result wins).
 
@@ -495,11 +483,10 @@ class Coordinator:
         scenarios are deterministic functions of their spec, so the first
         recorded outcome is *the* outcome.
         """
-        parsed = ScenarioOutcome.from_dict(outcome)
         with self._lock:
             now = self._clock()
             self._workers_seen[worker] = now
-            sid = parsed.scenario_id
+            sid = outcome.scenario_id
             if sid not in self._scenarios:
                 return {
                     "ok": False,
@@ -522,9 +509,9 @@ class Coordinator:
                 stale_lease = self._lease_by_scenario.pop(sid, None)
                 if stale_lease is not None:
                     self._leases.pop(stale_lease, None)
-                self._record_outcome(parsed)
+                self._record_outcome(outcome)
                 self._journal()
-                self._emit("done" if parsed.ok else "failed", sid, worker)
+                self._emit("done" if outcome.ok else "failed", sid, worker)
             self._reap(now)
             return {
                 "ok": True,
@@ -578,22 +565,59 @@ class Coordinator:
             return self.store.ordered_for(self.campaign)
 
 
+def _optional_str(value: Any) -> Optional[str]:
+    return None if value is None else str(value)
+
+
+def _submitted_outcome(record: Any) -> ScenarioOutcome:
+    """Decode a submitted store record, with metrics recomputed from its frames.
+
+    The digest does not cover a worker's ``metrics``, so they are not
+    trusted; summarising here also rejects frames no summary is taken over.
+    """
+    outcome = result_store.decode_record(record)
+    if outcome.result is None:
+        return replace(outcome, metrics=None)
+    return replace(outcome, metrics=asdict(summarize_result(outcome.result)))
+
+
 def dispatch_op(coordinator: Coordinator, request: Mapping[str, Any]) -> Dict[str, Any]:
-    """Route one protocol request to the coordinator (shared by transports)."""
+    """Route one protocol request to the coordinator (shared by transports).
+
+    A request that cannot be parsed — not a JSON object, a lease count
+    that is not an integer, a ``submit`` without a well-formed store
+    record — is answered with ``{"ok": False, "error": ...}``, like a
+    request the coordinator refuses; it never raises.
+    """
+    if not isinstance(request, Mapping):
+        return {"ok": False, "error": "malformed request: not a JSON object"}
     op = request.get("op")
     worker = str(request.get("worker", "?"))
     try:
         if op == "lease":
-            return coordinator.lease(worker, int(request.get("count", 1)))
-        if op == "heartbeat":
-            return coordinator.heartbeat(worker, list(request.get("leases", [])))
-        if op == "submit":
-            return coordinator.submit(
-                worker, request.get("lease_id"), request["outcome"]
+            call = partial(coordinator.lease, worker, int(request.get("count", 1)))
+        elif op == "heartbeat":
+            leases = [str(lease) for lease in request.get("leases", [])]
+            call = partial(coordinator.heartbeat, worker, leases)
+        elif op == "submit":
+            call = partial(
+                coordinator.submit,
+                worker,
+                _optional_str(request.get("lease_id")),
+                _submitted_outcome(request["outcome"]),
             )
-        if op == "status":
-            return coordinator.status(bool(request.get("summary", False)))
-        return {"ok": False, "error": f"unknown op {op!r}"}
+        elif op == "status":
+            call = partial(coordinator.status, bool(request.get("summary", False)))
+        else:
+            return {"ok": False, "error": f"unknown op {op!r}"}
+    except (ReproError, *CORRUPT_CHECKPOINT_ERRORS) as exc:
+        expected = " (expected a result store record as 'outcome')" if op == "submit" else ""
+        return {
+            "ok": False,
+            "error": f"malformed {op} request{expected}: {type(exc).__name__}: {exc}",
+        }
+    try:
+        return call()
     except ReproError as exc:
         return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
 
@@ -885,7 +909,7 @@ class WorkerSite:
                     {
                         "op": "submit",
                         "lease_id": lease_id,
-                        "outcome": outcome.to_dict(),
+                        "outcome": result_store.encode_record(outcome),
                     }
                 )
                 if submit is None:

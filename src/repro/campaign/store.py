@@ -1,7 +1,8 @@
-"""Columnar on-disk campaign result store with append-only writes.
+"""The campaign result store: the one on-disk encoding of an outcome.
 
-This module extends the in-memory :class:`~repro.sim.epoch.FrameColumns`
-design to persistence.  A store file is::
+Every save, checkpoint, service journal, merge output and worker submit
+writes a :class:`ScenarioOutcome` as the store record this module
+defines.  A store file is::
 
     #repro-campaign-store {"campaign_name": ..., "encoding": ..., "version": 1}\n
     <one outcome record per line or per Arrow IPC segment>
@@ -12,9 +13,13 @@ Two encodings share that framing:
     One JSON object per line.  Frames are stored *columnar* inside the
     record (``result.frames`` maps each
     :data:`~repro.sim.epoch.FRAME_COLUMN_NAMES` name to its column), so a
-    record never materialises per-frame dicts.  Pure stdlib — this is the
-    fallback encoding on pyarrow-less installs, mirroring the
-    numpy-optional pattern in :mod:`repro._compat`.
+    record never materialises per-frame dicts.  Pure stdlib, and the
+    default: ``--store json`` names it, and ``auto``/``arrow`` fall back
+    to it on pyarrow-less installs, mirroring the numpy-optional pattern
+    in :mod:`repro._compat`.  Each line is one ``json.dumps`` of the record
+    without ``metrics``/``digest`` (sorted keys, compact separators),
+    closed by the ``metrics`` summary and the ``digest`` of those same
+    bytes (:func:`encode_line`).
 
 ``arrow``
     Repeated ``[8-byte little-endian length][self-contained Arrow IPC
@@ -36,30 +41,37 @@ conflicting duplicates while holding only one record in memory, and a
 cached ``metrics`` summary so reporting answers summary queries without
 touching frames at all.
 
-Each outcome is encoded **once**: :func:`encode_record` runs the first
-time a writer stores the outcome, and every write leaves a small
-:attr:`ScenarioOutcome.store_slot` behind — file, offset, length and a
-SHA-256 of the bytes written.  A later write in the same encoding copies
-those bytes back (the raw jsonl line, or the Arrow row) after checking
-the checksum, so a checkpoint append, the final checkpoint rewrite and
-an ``--output`` save cost one encode between them while the outcome
-holds no encoded payload in memory.  A slot whose file has since
-changed fails the check and the outcome is simply encoded again.  The
-merge passes jsonl records through as the raw line bytes it read: it
-parses each line for the scenario id and digest, but never re-encodes
-it on the way to a jsonl output.
+Each outcome is encoded **once**: :func:`encode_line` (or, for Arrow,
+:func:`encode_record`) runs the first time a writer stores the outcome,
+and every write leaves a small :attr:`ScenarioOutcome.store_slot`
+behind — file, offset, length and a SHA-256 of the bytes written.  A
+later write in the same encoding copies those bytes back (the raw jsonl
+line, or the Arrow row) after checking the checksum, so a checkpoint
+append, the final checkpoint rewrite and an ``--output`` save cost one
+encode between them while the outcome holds no encoded payload in
+memory.  A slot whose file has since changed fails the check and the
+outcome is simply encoded again.  The merge passes jsonl records through
+as the raw line bytes it read: it parses and decodes each line (for the
+scenario id, the digest and validity), but never re-encodes it on the
+way to a jsonl output.
 
-Corruption handling carries over from the JSON checkpoints: an unreadable
-store is quarantined to ``<path>.corrupt`` with a ``RuntimeWarning``
+The monolithic JSON blob of earlier releases (``{"campaign_name": ...,
+"outcomes": [...]}`` with per-frame row dicts) is read-only: it still
+loads, resumes and merges, but nothing writes it any more.  jsonl lines
+written before the sorted-key layout load and merge too, and carry the
+same digests.
+
+Corruption handling: an unreadable store is quarantined to
+``<path>.corrupt`` with a ``RuntimeWarning``
 (:func:`repro.campaign.results.quarantine_corrupt_file`), and — because
 records are independent — :func:`load_store_checkpoint` additionally
 salvages the valid prefix of a torn file before quarantining it.
 
 Format selection is capability-negotiated like the engine backends:
 :func:`negotiate_store` maps the CLI's ``--store {auto,json,arrow}`` onto
-``json`` (the legacy monolithic blob), ``jsonl`` or ``arrow``, and
-:meth:`CampaignResult.load` auto-detects the format from the magic header
-so readers never need to be told what they are looking at.
+``jsonl`` or ``arrow``, and :meth:`CampaignResult.load` auto-detects the
+format from the magic header so readers never need to be told what they
+are looking at.
 """
 
 from __future__ import annotations
@@ -111,26 +123,20 @@ def arrow_available() -> bool:
 
 
 def negotiate_store(requested: str = STORE_AUTO) -> str:
-    """Resolve a requested ``--store`` format to a concrete one.
+    """Resolve a requested ``--store`` format to an encoding of the store.
 
-    Returns ``"json"`` (the legacy monolithic blob) or a columnar
-    encoding (``"jsonl"`` / ``"arrow"``):
+    Returns ``"jsonl"`` or ``"arrow"``; nothing writes the legacy
+    monolithic JSON blob any more (it stays readable):
 
-    * ``json`` — always the legacy blob; never columnar.
-    * ``arrow`` — the columnar store, Arrow-encoded when pyarrow is
-      importable and not disabled, jsonl-encoded otherwise (the columnar
-      machinery is identical; only the byte encoding degrades).
-    * ``auto`` — Arrow when available, otherwise the legacy ``json``
-      blob, so a pyarrow-less install behaves byte-identically to one
-      that predates this module (mirroring jitpath's negotiation
-      fall-through).
+    * ``json`` — always ``jsonl``, the stdlib encoding.
+    * ``arrow`` / ``auto`` — Arrow when pyarrow is importable and not
+      disabled, ``jsonl`` otherwise (the records are identical; only the
+      byte encoding degrades).
     """
     if requested == STORE_JSON:
-        return STORE_JSON
-    if requested == STORE_ARROW:
+        return ENCODING_JSONL
+    if requested in (STORE_ARROW, STORE_AUTO):
         return ENCODING_ARROW if arrow_available() else ENCODING_JSONL
-    if requested == STORE_AUTO:
-        return ENCODING_ARROW if arrow_available() else STORE_JSON
     raise ConfigurationError(
         f"unknown result store format {requested!r}; expected one of {STORE_CHOICES}"
     )
@@ -201,6 +207,20 @@ def _frames_for_deferred(frames: Dict[str, Any]) -> Dict[str, list]:
     }
 
 
+def _canonical(payload: Any) -> bytes:
+    """The sorted-key, compact JSON bytes the digest is taken over."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def _unsealed(record: Dict[str, Any]) -> Dict[str, Any]:
+    """``record`` without its ``metrics`` and ``digest``."""
+    return {
+        key: value
+        for key, value in record.items()
+        if key not in ("digest", "metrics")
+    }
+
+
 def record_digest(record: Dict[str, Any]) -> str:
     """Content hash of a store record, for streaming-merge conflict checks.
 
@@ -210,22 +230,11 @@ def record_digest(record: Dict[str, Any]) -> str:
     Python fallback produce different float dust for the same frames, and
     a derived cache must never make identical outcomes look conflicting.
     """
-    payload = {
-        key: value
-        for key, value in record.items()
-        if key not in ("digest", "metrics")
-    }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_canonical(_unsealed(record))).hexdigest()
 
 
-def encode_record(outcome: ScenarioOutcome) -> Dict[str, Any]:
-    """Serialise one outcome to a store record (columnar frames + digest).
-
-    The cached ``metrics`` summary is carried over from the outcome when
-    present and computed once here otherwise, so every record on disk can
-    answer summary queries without its frames.
-    """
+def _outcome_record(outcome: ScenarioOutcome) -> Dict[str, Any]:
+    """The outcome's store record without ``metrics`` and ``digest``."""
     record: Dict[str, Any] = {
         "scenario": outcome.scenario.to_dict(),
         "status": outcome.status,
@@ -250,18 +259,65 @@ def encode_record(outcome: ScenarioOutcome) -> Dict[str, Any]:
         record["error"] = outcome.error
     if outcome.traceback is not None:
         record["traceback"] = outcome.traceback
+    return record
+
+
+def _outcome_metrics(outcome: ScenarioOutcome) -> Optional[Dict[str, Any]]:
+    """The record's ``metrics``: the outcome's cache, else computed once here.
+
+    Every record on disk can therefore answer summary queries without
+    its frames.
+    """
     metrics = outcome.metrics
-    if metrics is None and result is not None:
-        metrics = asdict(summarize_result(result))
+    if metrics is None and outcome.result is not None:
+        metrics = asdict(summarize_result(outcome.result))
+    return dict(metrics) if metrics is not None else None
+
+
+def outcome_digest(outcome: ScenarioOutcome) -> str:
+    """The ``digest`` the outcome's store record carries (no metrics computed)."""
+    return record_digest(_outcome_record(outcome))
+
+
+def encode_record(outcome: ScenarioOutcome) -> Dict[str, Any]:
+    """Serialise one outcome to a store record dict (columnar frames + digest).
+
+    The form the Arrow encoding and the service's ``submit`` payload
+    carry; jsonl writers use :func:`encode_line`, which yields the same
+    record as bytes.
+    """
+    record = _outcome_record(outcome)
+    metrics = _outcome_metrics(outcome)
     if metrics is not None:
-        record["metrics"] = dict(metrics)
+        record["metrics"] = metrics
     record["digest"] = record_digest(record)
     return record
 
 
+def _seal(record: Dict[str, Any], metrics: Optional[Dict[str, Any]]) -> bytes:
+    """The jsonl line of an unsealed record: one dump, then metrics and digest.
+
+    The record is dumped once, canonically; those bytes are hashed for the
+    digest (exactly :func:`record_digest`'s value) and reused as the body
+    of the line, with ``metrics`` and ``digest`` appended before the
+    closing brace.
+    """
+    body = _canonical(record)
+    tail = b""
+    if metrics is not None:
+        tail = b',"metrics":' + _canonical(metrics)
+    digest = hashlib.sha256(body).hexdigest().encode("ascii")
+    return body[:-1] + tail + b',"digest":"' + digest + b'"}\n'
+
+
+def encode_line(outcome: ScenarioOutcome) -> bytes:
+    """One outcome as its newline-terminated jsonl store line."""
+    return _seal(_outcome_record(outcome), _outcome_metrics(outcome))
+
+
 def record_line(record: Dict[str, Any]) -> bytes:
-    """One store record as a newline-terminated compact jsonl line."""
-    return json.dumps(record, separators=(",", ":")).encode("utf-8") + b"\n"
+    """A store record dict as its jsonl line (the layout of :func:`encode_line`)."""
+    return _seal(_unsealed(record), record.get("metrics"))
 
 
 def decode_record(
@@ -575,7 +631,8 @@ class StoreWriter:
         """Append outcomes, copying each one's bytes back from its slot.
 
         Only an outcome never written in this encoding (or whose slot's
-        file has changed) goes through :func:`encode_record`.  Afterwards
+        file has changed) is encoded (:func:`encode_line` or
+        :func:`encode_record`).  Afterwards
         every outcome's slot names the bytes just written here.  Bulk
         saves chunk through this: a jsonl chunk is written line by line,
         an Arrow chunk as one segment.
@@ -586,7 +643,7 @@ class StoreWriter:
             for outcome in outcomes:
                 line = _slot_bytes(outcome, ENCODING_JSONL)
                 if line is None:
-                    line = record_line(encode_record(outcome))
+                    line = encode_line(outcome)
                     checksum = _checksum(line)
                 else:
                     checksum = outcome.store_slot.checksum
@@ -832,8 +889,8 @@ def _iter_shard(path: str) -> Iterator[Tuple[str, Dict[str, Any], bytes]]:
         return
     legacy = CampaignResult.load(path)
     for outcome in legacy:
-        record = encode_record(outcome)
-        yield legacy.campaign_name, record, record_line(record)
+        line = encode_line(outcome)
+        yield legacy.campaign_name, json.loads(line), line
 
 
 def _shard_campaign_name(path: str) -> str:
@@ -855,20 +912,21 @@ def merge_store_files(
     digests — identical duplicates are unioned silently, conflicting ones
     raise :class:`SimulationError`, and at no point is more than one
     record (plus one legacy shard, if any input is monolithic JSON) held
-    in memory.  jsonl shard lines are spilled as the bytes read.  Pass 2
-    re-reads the spill by offset in final order (``spec`` order when
-    given, else first occurrence) and writes the negotiated output format
-    atomically: a jsonl output copies the spill lines one at a time, the
-    Arrow output re-encodes them, and the monolithic JSON output is
-    streamed byte-identically to ``CampaignResult.save``.
+    in memory.  Every record is decoded once, so one that parses but is
+    not a valid outcome (ragged frame columns, say) fails the merge
+    before any output is written.  jsonl shard lines are spilled as the
+    bytes read.  Pass 2 re-reads the spill by offset in final order
+    (``spec`` order when given, else first occurrence) and writes the
+    negotiated encoding atomically: a jsonl output copies the spill lines
+    one at a time and the Arrow output re-encodes them.
     """
     if not paths:
         raise ConfigurationError("merge needs at least one result store")
     resolved = negotiate_store(store)
     spill_path = f"{output_path}.merge-spill"
     campaign_name: Optional[str] = None
-    #: scenario_id -> (digest, spill offset, spill length, label)
-    entries: Dict[str, Tuple[str, int, int, str]] = {}
+    #: scenario_id -> (digest, spill offset, spill length)
+    entries: Dict[str, Tuple[str, int, int]] = {}
     duplicates = 0
     spill = open(spill_path, "w+b")
     try:
@@ -881,22 +939,22 @@ def merge_store_files(
                         "cannot merge result stores of different campaigns: "
                         f"{sorted({campaign_name, shard_name})}"
                     )
-                scenario = record["scenario"]
-                sid = ScenarioSpec.from_dict(scenario).scenario_id
+                outcome = decode_record(record)
+                sid = outcome.scenario_id
                 digest = record.get("digest") or record_digest(record)
                 existing = entries.get(sid)
                 if existing is not None:
                     if existing[0] != digest:
                         raise SimulationError(
                             f"conflicting outcomes for scenario "
-                            f"{scenario.get('label')!r} (id {sid}) while merging "
+                            f"{outcome.label!r} (id {sid}) while merging "
                             f"campaign {campaign_name!r}"
                         )
                     duplicates += 1
                     continue
                 offset = spill.tell()
                 spill.write(line)
-                entries[sid] = (digest, offset, len(line), scenario.get("label", ""))
+                entries[sid] = (digest, offset, len(line))
 
         if campaign_name is None:
             # Every shard was empty; name the merge after the first one.
@@ -914,25 +972,14 @@ def merge_store_files(
             campaign_name = spec.name
 
         def read_spill(sid: str) -> bytes:
-            _, offset, length, _ = entries[sid]
+            _, offset, length = entries[sid]
             spill.seek(offset)
             return spill.read(length)
 
         spill.flush()
         temp_path = f"{output_path}.tmp"
         try:
-            if resolved == STORE_JSON:
-                with open(temp_path, "w", encoding="utf-8") as out:
-                    out.write(
-                        '{"campaign_name": ' + json.dumps(campaign_name) + ', "outcomes": ['
-                    )
-                    for position, sid in enumerate(ordered_ids):
-                        if position:
-                            out.write(", ")
-                        record = json.loads(read_spill(sid))
-                        out.write(json.dumps(decode_record(record).to_dict()))
-                    out.write("]}")
-            elif resolved == ENCODING_JSONL:
+            if resolved == ENCODING_JSONL:
                 with open(temp_path, "wb") as out:
                     out.write(_header_line(campaign_name, resolved))
                     for sid in ordered_ids:

@@ -58,8 +58,11 @@ class ExperimentSettings:
         checkpoints its campaign to ``<dir>/<campaign>.checkpoint.json``
         as scenarios complete and resumes from an existing checkpoint, so
         a crashed/killed reproduction run picks up where it left off.
+        Despite the suffix the file is a result store
+        (:mod:`repro.campaign.store`); a JSON blob left there by an
+        earlier release is resumed from and replaced by one.
     checkpoint_every:
-        Scenario completions between checkpoint writes.
+        Scenario completions between checkpoint flushes.
     max_attempts:
         Per-scenario execution attempts (> 1 retries crashing scenarios).
     retry_backoff_s:

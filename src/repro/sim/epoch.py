@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from repro._compat import SLOTS
@@ -63,13 +63,9 @@ class FrameRecord:
     temperature_c: float
     explored: bool = False
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serialisable form of the record (see :func:`frame_dicts`)."""
-        return frame_dicts(record_rows([self]))[0]
-
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FrameRecord":
-        """Inverse of :meth:`to_dict`."""
+        """Read one frame dict of the legacy JSON blob."""
         fields = dict(data)
         fields["cycles_per_core"] = tuple(fields["cycles_per_core"])
         return cls(**fields)
@@ -115,8 +111,6 @@ FRAME_COLUMN_NAMES: Tuple[str, ...] = (
     "explored",
 )
 
-#: Reads a record's fields as one row in :data:`FRAME_COLUMN_NAMES` order.
-_record_row = attrgetter(*FRAME_COLUMN_NAMES)
 #: Reads a frame dict's values as one row in :data:`FRAME_COLUMN_NAMES` order.
 _dict_row = itemgetter(*FRAME_COLUMN_NAMES)
 _CYCLES = FRAME_COLUMN_NAMES.index("cycles_per_core")
@@ -132,29 +126,6 @@ def _complete_frame(frame: Mapping[str, Any]) -> Mapping[str, Any]:
     return {**frame, "explored": False}
 
 
-def record_rows(records: Iterable[FrameRecord]) -> Iterator[Tuple[Any, ...]]:
-    """Each record's fields as a row in :data:`FRAME_COLUMN_NAMES` order."""
-    return map(_record_row, records)
-
-
-def frame_dicts(rows: Iterable[Sequence[Any]]) -> List[Dict[str, Any]]:
-    """JSON-ready frame dicts, one per row of :data:`FRAME_COLUMN_NAMES` values.
-
-    The one serialiser of per-frame data, for columnar
-    (:meth:`FrameColumns.rows`) and record-backed (:func:`record_rows`)
-    results alike.  Keys follow the :class:`FrameRecord` field order and
-    ``cycles_per_core`` becomes a list; every other value is an immutable
-    scalar and is passed through as is.
-    """
-    names = FRAME_COLUMN_NAMES
-    frames = []
-    for row in rows:
-        frame = dict(zip(names, row))
-        frame["cycles_per_core"] = list(row[_CYCLES])
-        frames.append(frame)
-    return frames
-
-
 class FrameColumns:
     """Column-oriented storage of a run's per-frame records.
 
@@ -164,10 +135,10 @@ class FrameColumns:
     loop; :class:`~repro.sim.results.SimulationResult` materialises records
     lazily — only if a caller actually iterates ``result.records`` — while
     totals, metrics and reports read the columns directly.  Persistence
-    stays columnar too: ``SimulationResult.to_dict`` serialises straight
-    from :meth:`rows` and ``SimulationResult.from_dict`` gathers the frame
-    dicts back with :meth:`from_dicts`, so a save/load round trip allocates
-    no ``FrameRecord`` either.
+    stays columnar too: the result store (:mod:`repro.campaign.store`)
+    writes and reads frames as columns, and a legacy JSON blob's frame
+    dicts are gathered back with :meth:`from_dicts`, so a save/load round
+    trip allocates no ``FrameRecord`` either.
 
     Columns are stored as lists of native Python scalars (``cycles_per_core``
     as a list of per-core tuples), which keeps the container picklable for
@@ -241,7 +212,7 @@ class FrameColumns:
 
     @classmethod
     def from_dicts(cls, frames: Iterable[Mapping[str, Any]]) -> "FrameColumns":
-        """Gather frame dicts (:func:`frame_dicts` output) into columns.
+        """Gather the frame dicts of a legacy JSON blob into columns.
 
         As strict as :meth:`FrameRecord.from_dict` is on each frame: a
         missing field (only ``explored`` has a default, ``False``), an

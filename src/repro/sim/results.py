@@ -4,11 +4,12 @@
 :class:`~repro.sim.epoch.FrameRecord` objects (the scalar engine's output)
 or by :class:`~repro.sim.epoch.FrameColumns` columnar storage (the
 vectorised and table-driven engines' output, and every result loaded
-through :meth:`SimulationResult.from_dict`).  Either way the public API is
-the same: ``result.records`` always yields records (materialised lazily
-from columns on first access), the aggregate properties read whichever
-backing store is cheaper, and :meth:`to_arrays` exposes the run as columns
-for array-oriented consumers (metrics, reporting, plotting).
+through the result store or :meth:`SimulationResult.from_dict`).  Either
+way the public API is the same: ``result.records`` always yields records
+(materialised lazily from columns on first access), the aggregate
+properties read whichever backing store is cheaper, and :meth:`to_arrays`
+exposes the run as columns for array-oriented consumers (metrics,
+reporting, plotting).
 """
 
 from __future__ import annotations
@@ -17,13 +18,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.errors import SimulationError
 from repro.platform.energy import EnergyAccount
-from repro.sim.epoch import (
-    FRAME_COLUMN_NAMES,
-    FrameColumns,
-    FrameRecord,
-    frame_dicts,
-    record_rows,
-)
+from repro.sim.epoch import FRAME_COLUMN_NAMES, FrameColumns, FrameRecord
 
 
 class SimulationResult:
@@ -37,8 +32,8 @@ class SimulationResult:
         The per-frame performance requirement the run was executed against.
     records:
         One :class:`~repro.sim.epoch.FrameRecord` per decision epoch.  When
-        the result was built from columns (engine output or
-        :meth:`from_dict`) the records are materialised on first access, at
+        the result was built from columns (engine output or a loaded
+        store) the records are materialised on first access, at
         which point the record list becomes the single source of truth (the
         columns are dropped, so in-place edits are reflected by every
         aggregate, exactly as with a plain record list).  Nothing in the
@@ -263,33 +258,14 @@ class SimulationResult:
             reference_time_s=self.reference_time_s,
         )
 
-    # -- JSON round-trip -----------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serialisable form of the complete run (used by campaign persistence).
-
-        The frame dicts are built straight from whichever store backs the
-        result (:func:`~repro.sim.epoch.frame_dicts`): no records are
-        materialised and the columns stay authoritative.
-        """
-        columns = self._columns
-        rows = columns.rows() if columns is not None else record_rows(self._records)
-        data: Dict[str, Any] = {
-            "governor_name": self.governor_name,
-            "application_name": self.application_name,
-            "reference_time_s": self.reference_time_s,
-            "exploration_count": self.exploration_count,
-            "converged_epoch": self.converged_epoch,
-            "records": frame_dicts(rows),
-        }
-        if self.engine_used:
-            data["engine_used"] = self.engine_used
-        return data
-
+    # -- legacy JSON blob --------------------------------------------------------------
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SimulationResult":
-        """Inverse of :meth:`to_dict`, as a columnar result.
+        """Read a result of the legacy JSON blob, as a columnar result.
 
-        Each frame is validated by
+        Results are written only as store records
+        (:mod:`repro.campaign.store`); this reads the per-frame row dicts
+        earlier releases saved.  Each frame is validated by
         :meth:`~repro.sim.epoch.FrameColumns.from_dicts`.
         """
         return cls(

@@ -45,6 +45,7 @@ from repro.campaign.registry import (
 )
 from repro.campaign.results import CampaignResult
 from repro.campaign.spec import CampaignSpec, FactorySpec, ScenarioSpec
+from repro.campaign.store import encode_line
 from repro.governors.conservative import ConservativeGovernor, ConservativeParameters
 from repro.governors.ondemand import OndemandGovernor, OndemandParameters
 from repro.platform.cluster import Cluster
@@ -334,7 +335,9 @@ def _check_shard_merge(scenario: ScenarioSpec, rng: random.Random) -> List[str]:
         for index in range(shard_count)
     ]
     merged = CampaignResult.merge(shards).ordered_for(campaign)
-    if merged.to_dict() != unsharded.to_dict():
+    # Compare the store lines each run would save: order, frames,
+    # engine_used and cached metrics all count.
+    if list(map(encode_line, merged)) != list(map(encode_line, unsharded)):
         return [
             f"sharded ({shard_count} shards) + merged campaign differs "
             f"from the unsharded run"

@@ -2,14 +2,26 @@
 
 from __future__ import annotations
 
+import gzip
+import json
+import os
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
 from repro import _compat
+from repro.campaign import store as result_store
+from repro.campaign.results import CampaignResult, ScenarioOutcome
+from repro.campaign.spec import CampaignSpec, FactorySpec, ScenarioSpec
 from repro.platform.cluster import Cluster
 from repro.platform.core import Core
 from repro.platform.odroid_xu3 import A15_VF_TABLE, build_a15_cluster
 from repro.platform.vf_table import OperatingPoint, VFTable
 from repro.rtm.governor import PlatformInfo
+from repro.sim.results import SimulationResult
+from repro.testing.parity.harness import paper_governors
 from repro.workload.application import Application, PerformanceRequirement
 from repro.workload.task import Frame
 from repro.workload.video import h264_football_application, mpeg4_application
@@ -30,6 +42,73 @@ def _numba_less_negotiation(monkeypatch):
     bit-identical by construction).
     """
     monkeypatch.setattr(_compat, "HAVE_NUMBA", False)
+
+
+#: Committed inputs in formats nothing writes any more (see ``tests/data``).
+DATA_DIR = Path(__file__).parent / "data"
+
+
+def legacy_bytes(name: str) -> bytes:
+    """The decompressed bytes of the committed ``tests/data/<name>.gz``."""
+    return gzip.decompress((DATA_DIR / f"{name}.gz").read_bytes())
+
+
+def wire_campaign() -> CampaignSpec:
+    """The 7 paper governors on mpeg4, plus ondemand pinned to the scalar engine.
+
+    ``tests/data/wire-format.v1.json.gz`` is this campaign's result as
+    the legacy JSON blob.
+    """
+    grid = CampaignSpec.from_grid(
+        "wire-format",
+        applications=[FactorySpec.of("mpeg4", num_frames=40)],
+        governors=paper_governors(),
+        seeds=(5,),
+    )
+    ondemand = next(s for s in grid.scenarios if s.label == "ondemand")
+    scalar = replace(ondemand, label="ondemand-scalar", engine="scalar")
+    return CampaignSpec(name=grid.name, scenarios=grid.scenarios + (scalar,))
+
+
+def legacy_wire_blob() -> dict:
+    """The parsed legacy JSON blob of :func:`wire_campaign`."""
+    return json.loads(legacy_bytes("wire-format.v1.json"))
+
+
+def saved_bytes(result: CampaignResult | ScenarioOutcome) -> bytes:
+    """The strict equality oracle: the bytes :meth:`CampaignResult.save` writes.
+
+    Two results are the same when these bytes are: outcome order, every
+    frame, ``engine_used``, probes, errors and the cached metrics all
+    count (dataclass ``==`` ignores outcome order and ``engine_used``).
+    A single outcome is saved as a one-outcome result.
+    """
+    if isinstance(result, ScenarioOutcome):
+        result = CampaignResult("outcome", {result.scenario_id: result})
+    with tempfile.TemporaryDirectory() as workdir:
+        path = os.path.join(workdir, "result.store")
+        result.save(path)
+        return Path(path).read_bytes()
+
+
+def outcome_of(result: SimulationResult) -> ScenarioOutcome:
+    """``result`` as the done outcome of a placeholder scenario."""
+    scenario = ScenarioSpec(
+        label="record",
+        application=FactorySpec.of("mpeg4"),
+        governor=FactorySpec.of("ondemand"),
+    )
+    return ScenarioOutcome(scenario, result)
+
+
+def store_record(result: SimulationResult) -> dict:
+    """The store record a done outcome with ``result`` is saved as."""
+    return json.loads(result_store.encode_line(outcome_of(result)))
+
+
+def store_round_trip(result: SimulationResult) -> SimulationResult:
+    """``result`` saved as a store record and read back."""
+    return result_store.decode_record(store_record(result)).result
 
 
 @pytest.fixture

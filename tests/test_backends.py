@@ -34,6 +34,7 @@ from repro.sim.backends import (
 from repro.sim.engine import SimulationConfig, SimulationEngine
 from repro.sim.results import SimulationResult
 from repro.workload.video import mpeg4_application
+from tests.conftest import legacy_bytes, saved_bytes, store_record, store_round_trip
 
 numpy = pytest.importorskip("numpy")
 
@@ -303,14 +304,14 @@ class TestEngineUsedReporting:
     def test_engine_used_round_trips_through_json(self):
         engine = SimulationEngine(build_a15_cluster())
         result = engine.run(mpeg4_application(num_frames=10, seed=1), OndemandGovernor())
-        clone = SimulationResult.from_dict(result.to_dict())
+        clone = store_round_trip(result)
         assert clone.engine_used == "tablepath"
         assert clone == result
 
     def test_hand_built_results_have_no_engine(self):
         result = SimulationResult("g", "a", 0.04)
         assert result.engine_used == ""
-        assert "engine_used" not in result.to_dict()
+        assert "engine_used" not in store_record(result)["result"]
 
 
 class TestScenarioSpecEngine:
@@ -527,19 +528,25 @@ class TestRemovedBatchpathBackend:
         from repro.campaign.executor import run_campaign
         from repro.campaign.results import CampaignResult
 
-        saved = run_campaign(self._campaign())
-        for outcome in saved:
-            outcome.result.engine_used = legacy_engine
         path = str(tmp_path / f"legacy.{encoding}")
         if encoding == "json":
-            saved.save(path)
+            # The monolithic JSON blob those releases wrote by default.
+            data = json.loads(legacy_bytes("wire-format.v1.json"))
+            for item in data["outcomes"]:
+                item["result"]["engine_used"] = legacy_engine
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(data, handle)
+            saved = CampaignResult.from_dict(data)
         else:
+            saved = run_campaign(self._campaign())
+            for outcome in saved:
+                outcome.result.engine_used = legacy_engine
             result_store.save_store(saved, path, encoding)
         assert result_store.is_store_file(path) == (encoding == "jsonl")
 
         loaded = CampaignResult.load(path)
-        assert [o.result.engine_used for o in loaded] == [legacy_engine] * 2
-        assert loaded.to_json() == saved.to_json()
+        assert [o.result.engine_used for o in loaded] == [legacy_engine] * len(saved)
+        assert saved_bytes(loaded) == saved_bytes(saved)
         assert legacy_engine in format_campaign_summary(loaded)
 
     @pytest.mark.parametrize("source", ["spec-file", "scenario-dict", "grid"])

@@ -21,6 +21,7 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.sim.engine import SimulationConfig
 from repro.sim.results import SimulationResult
 from repro.workload.video import mpeg4_application
+from tests.conftest import saved_bytes
 
 #: Small scale so the whole module stays fast.
 FRAMES = 120
@@ -196,12 +197,12 @@ class TestBackendDeterminism:
         assert len(campaign) >= 12
         serial = run_campaign(campaign, backend="serial")
         parallel = run_campaign(campaign, backend="process", max_workers=4)
-        assert serial.to_json() == parallel.to_json()
+        assert saved_bytes(serial) == saved_bytes(parallel)
         assert list(parallel.results()) == campaign.labels
 
     def test_rerun_is_deterministic(self, small_campaign, small_store):
         again = run_campaign(small_campaign)
-        assert again.to_json() == small_store.to_json()
+        assert saved_bytes(again) == saved_bytes(small_store)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -225,7 +226,7 @@ class TestCampaignResult:
         path = tmp_path / "results.json"
         small_store.save(str(path))
         restored = CampaignResult.load(str(path))
-        assert restored.to_json() == small_store.to_json()
+        assert saved_bytes(restored) == saved_bytes(small_store)
         original = next(iter(small_store)).result
         loaded = next(iter(restored)).result
         assert loaded.records == original.records
@@ -243,7 +244,7 @@ class TestResume:
         def progress(label, done, total):
             executed.append(label)
 
-        partial = CampaignResult.from_json(small_store.to_json())
+        partial = CampaignResult(small_store.campaign_name, dict(small_store.outcomes))
         dropped = small_campaign.scenarios[1].scenario_id
         del partial.outcomes[dropped]
 
@@ -252,13 +253,13 @@ class TestResume:
         # Only the dropped scenario re-ran, and the final store is complete
         # and identical to the from-scratch run.
         assert executed == [small_campaign.scenarios[1].label]
-        assert resumed.to_json() == small_store.to_json()
+        assert saved_bytes(resumed) == saved_bytes(small_store)
 
     def test_resume_from_disk(self, small_campaign, small_store, tmp_path):
         path = tmp_path / "partial.json"
         small_store.save(str(path))
         resumed = run_campaign(small_campaign, resume=CampaignResult.load(str(path)))
-        assert resumed.to_json() == small_store.to_json()
+        assert saved_bytes(resumed) == saved_bytes(small_store)
 
     def test_resume_with_full_store_runs_nothing(self, small_campaign, small_store):
         executed = []
@@ -329,11 +330,11 @@ class TestApplicationCache:
             name=forward_spec.name, scenarios=tuple(reversed(forward_spec.scenarios))
         )
         backward = run_campaign(backward_spec)
-        assert backward.ordered_for(forward_spec).to_json() == forward.to_json()
+        assert saved_bytes(backward.ordered_for(forward_spec)) == saved_bytes(forward)
         for scenario in forward_spec.scenarios:
             campaign_executor._build_application.cache_clear()
             fresh = run_scenario(scenario)
-            assert fresh.to_dict() == forward.outcomes[scenario.scenario_id].to_dict()
+            assert saved_bytes(fresh) == saved_bytes(forward.outcomes[scenario.scenario_id])
 
     def test_failed_build_is_not_cached(self):
         calls = []

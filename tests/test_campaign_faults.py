@@ -22,6 +22,7 @@ from repro.campaign.faults import (
     run_with_faults,
 )
 from repro.errors import ConfigurationError
+from tests.conftest import saved_bytes
 
 #: Small scale so the whole module stays fast.
 FRAMES = 60
@@ -72,7 +73,7 @@ class TestSingleFaultKinds:
         )
         assert [event.kind for event in report.fired] == ["crash-worker"]
         assert report.coordinator_stats["requeued"] >= 1
-        assert report.result.to_json() == serial_store.to_json()
+        assert saved_bytes(report.result) == saved_bytes(serial_store)
 
     def test_dropped_response_is_retried(self, campaign, serial_store):
         report = run_with_faults(
@@ -80,7 +81,7 @@ class TestSingleFaultKinds:
         )
         assert [event.kind for event in report.fired] == ["drop-response"]
         assert any("dropped" in line for line in report.events_log)
-        assert report.result.to_json() == serial_store.to_json()
+        assert saved_bytes(report.result) == saved_bytes(serial_store)
 
     def test_duplicate_response_is_acknowledged(self, campaign, serial_store):
         report = run_with_faults(
@@ -88,7 +89,7 @@ class TestSingleFaultKinds:
         )
         assert report.duplicates_acknowledged == 1
         assert report.coordinator_stats["duplicates"] == 1
-        assert report.result.to_json() == serial_store.to_json()
+        assert saved_bytes(report.result) == saved_bytes(serial_store)
 
     def test_heartbeat_loss_requeues_first_wins(self, campaign, serial_store):
         report = run_with_faults(
@@ -96,14 +97,14 @@ class TestSingleFaultKinds:
         )
         assert any("heartbeats lost" in line for line in report.events_log)
         assert report.coordinator_stats["requeued"] >= 1
-        assert report.result.to_json() == serial_store.to_json()
+        assert saved_bytes(report.result) == saved_bytes(serial_store)
 
     def test_coordinator_restart_resumes_from_journal(self, campaign, serial_store):
         report = run_with_faults(
             campaign, FaultSchedule.of(FaultEvent("restart-coordinator", at=1))
         )
         assert report.restarts == 1
-        assert report.result.to_json() == serial_store.to_json()
+        assert saved_bytes(report.result) == saved_bytes(serial_store)
 
     def test_all_fault_kinds_together(self, campaign, serial_store):
         schedule = FaultSchedule.of(
@@ -115,14 +116,14 @@ class TestSingleFaultKinds:
         )
         report = run_with_faults(campaign, schedule)
         assert sorted(event.kind for event in report.fired) == sorted(FAULT_KINDS)
-        assert report.result.to_json() == serial_store.to_json()
+        assert saved_bytes(report.result) == saved_bytes(serial_store)
 
 
 class TestRandomSweep:
     @pytest.mark.parametrize("seed", range(5))
     def test_seeded_schedule_is_bit_identical(self, campaign, serial_store, seed):
         report = run_with_faults(campaign, FaultSchedule.random(seed))
-        assert report.result.to_json() == serial_store.to_json()
+        assert saved_bytes(report.result) == saved_bytes(serial_store)
 
 
 class TestElasticityAndExhaustion:
@@ -133,7 +134,7 @@ class TestElasticityAndExhaustion:
         )
         report = run_with_faults(campaign, schedule, num_workers=2)
         assert report.respawned >= 1
-        assert report.result.to_json() == serial_store.to_json()
+        assert saved_bytes(report.result) == saved_bytes(serial_store)
 
     def test_exhausted_delivery_budget_records_failure(self, campaign):
         # Scenarios finish inside their lease (work_time < lease_timeout),
@@ -152,7 +153,7 @@ class TestElasticityAndExhaustion:
     def test_fault_free_schedule_matches_serial(self, campaign, serial_store):
         report = run_with_faults(campaign, FaultSchedule.of(), num_workers=3)
         assert report.fired == []
-        assert report.result.to_json() == serial_store.to_json()
+        assert saved_bytes(report.result) == saved_bytes(serial_store)
 
     def test_worker_count_validated(self, campaign):
         with pytest.raises(ConfigurationError):

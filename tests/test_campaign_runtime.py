@@ -11,6 +11,7 @@ import json
 import os
 import signal
 import time
+from pathlib import Path
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -28,10 +29,12 @@ from repro.campaign import (
     run_campaign,
     run_scenario_safely,
 )
+from repro.campaign import store as result_store
 from repro.campaign.cli import main as cli_main
 from repro.analysis.reporting import format_campaign_summary
 from repro.errors import ConfigurationError, SimulationError
 from repro.governors.performance import PerformanceGovernor
+from tests.conftest import legacy_bytes, saved_bytes
 
 #: Small scale so the whole module stays fast.
 FRAMES = 60
@@ -116,7 +119,8 @@ class TestScenarioOutcomeStatus:
             traceback_text="Traceback...\nRuntimeError: boom\n",
             attempts=3,
         )
-        restored = ScenarioOutcome.from_dict(json.loads(json.dumps(outcome.to_dict())))
+        record = json.loads(json.dumps(result_store.encode_record(outcome)))
+        restored = result_store.decode_record(record)
         assert restored == outcome
         assert not restored.ok
         assert restored.status == "failed"
@@ -125,8 +129,8 @@ class TestScenarioOutcomeStatus:
         assert restored.attempts == 3
         assert restored.result is None
 
-    def test_legacy_dict_without_status_is_done(self, full_store):
-        data = next(iter(full_store)).to_dict()
+    def test_legacy_dict_without_status_is_done(self):
+        data = json.loads(legacy_bytes("wire-format.v1.json"))["outcomes"][0]
         del data["status"]
         del data["attempts"]
         restored = ScenarioOutcome.from_dict(data)
@@ -265,10 +269,7 @@ class TestScenarioTimeout:
     def test_timeout_guard_preserves_result_bits(self, campaign, full_store):
         scenario = campaign.scenarios[0]
         guarded = run_scenario_safely(scenario, retry=RetryPolicy(timeout_s=120.0))
-        assert (
-            guarded.to_dict()
-            == full_store.outcomes[scenario.scenario_id].to_dict()
-        )
+        assert saved_bytes(guarded) == saved_bytes(full_store.outcomes[scenario.scenario_id])
 
 
 class TestCheckpointQuarantine:
@@ -295,7 +296,7 @@ class TestCheckpointQuarantine:
         path = tmp_path / "ckpt.json"
         full_store.save(str(path))
         loaded = CampaignResult.load_checkpoint(str(path))
-        assert loaded is not None and loaded.to_json() == full_store.to_json()
+        assert loaded is not None and saved_bytes(loaded) == saved_bytes(full_store)
 
     def test_cli_quarantines_and_reruns(self, campaign, full_store, tmp_path):
         spec_path = str(tmp_path / "spec.json")
@@ -305,7 +306,7 @@ class TestCheckpointQuarantine:
         with pytest.warns(RuntimeWarning, match="quarantined"):
             rc = cli_main([spec_path, "--quiet", "--checkpoint", str(checkpoint)])
         assert rc == 0
-        assert CampaignResult.load(str(checkpoint)).to_json() == full_store.to_json()
+        assert saved_bytes(CampaignResult.load(str(checkpoint))) == saved_bytes(full_store)
         assert (tmp_path / "ckpt.json.corrupt").exists()
 
 
@@ -344,7 +345,7 @@ class TestExecutorFaultInjection:
         assert "kamikaze" in executed
         assert not resumed.failed()
         # The sentinel now exists, so a clean serial run is the reference.
-        assert resumed.to_json() == run_campaign(chaos).to_json()
+        assert saved_bytes(resumed) == saved_bytes(run_campaign(chaos))
 
     def test_interrupt_during_checkpoint_write_resumes_cleanly(
         self, campaign, full_store, tmp_path, monkeypatch
@@ -379,12 +380,12 @@ class TestExecutorFaultInjection:
             checkpoint_path=str(path),
         )
         assert executed == [s.label for s in checkpoint.pending(campaign)]
-        assert resumed.to_json() == full_store.to_json()
+        assert saved_bytes(resumed) == saved_bytes(full_store)
 
 
 class TestResumeSemantics:
     def test_resume_reruns_failed_not_done(self, campaign, full_store):
-        partial = CampaignResult.from_json(full_store.to_json())
+        partial = CampaignResult(full_store.campaign_name, dict(full_store.outcomes))
         victim = campaign.scenarios[2]
         partial.add(
             ScenarioOutcome.failure(victim, error="Killed", traceback_text="...")
@@ -396,10 +397,10 @@ class TestResumeSemantics:
             progress=lambda label, done, total: executed.append(label),
         )
         assert executed == [victim.label]
-        assert resumed.to_json() == full_store.to_json()
+        assert saved_bytes(resumed) == saved_bytes(full_store)
 
     def test_pending_lists_failed_and_missing(self, campaign, full_store):
-        partial = CampaignResult.from_json(full_store.to_json())
+        partial = CampaignResult(full_store.campaign_name, dict(full_store.outcomes))
         partial.add(
             ScenarioOutcome.failure(campaign.scenarios[0], error="x", traceback_text="")
         )
@@ -417,32 +418,41 @@ class TestCheckpointing:
         sizes = []
 
         def watch(label, done, total):
-            # The checkpoint on disk always trails by < checkpoint_every.
             sizes.append(len(CampaignResult.load(str(path))) if path.exists() else 0)
 
         store = CampaignExecutor().run(
             campaign, progress=watch, checkpoint_path=str(path), checkpoint_every=1
         )
-        # Before completion k the file held k-1 outcomes (progress fires
-        # after add but before the k-th checkpoint write).
-        assert sizes == [0, 1, 2, 3]
-        assert store.to_json() == full_store.to_json()
+        # Completion k is on disk by the time progress reports it: the
+        # first one publishes the file, each later one is appended and
+        # flushed.
+        assert sizes == [1, 2, 3, 4]
+        assert saved_bytes(store) == saved_bytes(full_store)
         # The final checkpoint is the completed, campaign-ordered store.
-        assert CampaignResult.load(str(path)).to_json() == full_store.to_json()
+        assert saved_bytes(CampaignResult.load(str(path))) == saved_bytes(full_store)
         assert not (tmp_path / "ckpt.json.tmp").exists()
 
-    def test_checkpoint_every_k(self, campaign, tmp_path):
+    def test_checkpoint_every_k(self, campaign, tmp_path, monkeypatch):
         path = tmp_path / "ckpt.json"
-        observed = []
+        observed, flushed_at = [], []
 
         def watch(label, done, total):
             observed.append(path.exists())
 
+        real_flush = result_store.StoreWriter.flush
+
+        def flush(writer):
+            flushed_at.append(len(observed) + 1)
+            real_flush(writer)
+
+        monkeypatch.setattr(result_store.StoreWriter, "flush", flush)
         CampaignExecutor().run(
             campaign, progress=watch, checkpoint_path=str(path), checkpoint_every=3
         )
-        # No file after completions 1 and 2; written at completion 3.
-        assert observed == [False, False, False, True]
+        # The first completion publishes the file; the appends after it
+        # are flushed every third completion (and on close).
+        assert observed == [True, True, True, True]
+        assert flushed_at == [3]
 
     def test_checkpoint_every_validated(self, campaign):
         with pytest.raises(ConfigurationError):
@@ -472,8 +482,7 @@ class TestCheckpointing:
             checkpoint_path=str(path),
         )
         assert len(executed) == 2  # only the missing half re-ran
-        assert resumed.to_json() == full_store.to_json()
-        assert json.loads(resumed.to_json()) == json.loads(full_store.to_json())
+        assert saved_bytes(resumed) == saved_bytes(full_store)
 
     def test_fatal_error_still_saves_emergency_checkpoint(self, campaign, tmp_path):
         """Any fatal error (not just Ctrl-C) persists completed work first."""
@@ -537,7 +546,7 @@ class TestSharding:
     def test_sharded_run_merges_to_unsharded(self, campaign, full_store):
         stores = [run_campaign(campaign.shard(i, 2)) for i in range(2)]
         merged = CampaignResult.merge(stores).ordered_for(campaign)
-        assert merged.to_json() == full_store.to_json()
+        assert saved_bytes(merged) == saved_bytes(full_store)
 
 
 class TestMerge:
@@ -546,8 +555,7 @@ class TestMerge:
             CampaignResult.merge([])
 
     def test_merge_rejects_different_campaigns(self, full_store):
-        other = CampaignResult.from_json(full_store.to_json())
-        other.campaign_name = "something-else"
+        other = CampaignResult("something-else", dict(full_store.outcomes))
         with pytest.raises(ConfigurationError):
             CampaignResult.merge([full_store, other])
 
@@ -559,10 +567,11 @@ class TestMerge:
         with pytest.raises(SimulationError):
             CampaignResult.merge([full_store, conflicting])
 
-    def test_identical_duplicates_union_silently(self, full_store):
-        twin = CampaignResult.from_json(full_store.to_json())
+    def test_identical_duplicates_union_silently(self, full_store, tmp_path):
+        full_store.save(str(tmp_path / "twin.store"))
+        twin = CampaignResult.load(str(tmp_path / "twin.store"))
         merged = CampaignResult.merge([full_store, twin])
-        assert merged.to_json() == full_store.to_json()
+        assert saved_bytes(merged) == saved_bytes(full_store)
 
 
 class TestCli:
@@ -586,9 +595,7 @@ class TestCli:
         assert cli_main(
             ["merge", *shard_files, "--spec", spec_path, "--output", merged, "--quiet"]
         ) == 0
-        # Compare through the loader so the assertion holds whatever on-disk
-        # format `auto` negotiated (legacy JSON here, columnar under pyarrow).
-        assert CampaignResult.load(merged).to_dict() == CampaignResult.load(full).to_dict()
+        assert Path(merged).read_bytes() == Path(full).read_bytes()
 
     def test_bad_shard_selector_is_usage_error(self, spec_path, capsys):
         assert cli_main([spec_path, "--shard", "nope", "--quiet"]) == 2
@@ -607,11 +614,11 @@ class TestCli:
     def test_checkpoint_flag_resumes_automatically(self, spec_path, tmp_path, capsys):
         checkpoint = str(tmp_path / "ckpt.json")
         assert cli_main([spec_path, "--quiet", "--checkpoint", checkpoint]) == 0
-        first = CampaignResult.load(checkpoint).to_json()
+        first = Path(checkpoint).read_bytes()
         # Second invocation finds everything done and re-runs nothing.
         assert cli_main([spec_path, "--checkpoint", checkpoint]) == 0
         assert capsys.readouterr().err == ""  # no per-scenario progress lines
-        assert CampaignResult.load(checkpoint).to_json() == first
+        assert Path(checkpoint).read_bytes() == first
 
     def test_merge_conflict_exit_code(self, spec_path, tmp_path, capsys):
         campaign = CampaignSpec.load(spec_path)
@@ -639,9 +646,9 @@ class TestExperimentSettingsCheckpointing:
         store = settings.run_campaign(campaign)
         checkpoint = tmp_path / "exp-ckpt.checkpoint.json"
         assert checkpoint.exists()
-        assert CampaignResult.load(str(checkpoint)).to_json() == store.to_json()
+        assert saved_bytes(CampaignResult.load(str(checkpoint))) == saved_bytes(store)
         # Second run resumes: no scenario re-executes (identical output).
-        assert settings.run_campaign(campaign).to_json() == store.to_json()
+        assert saved_bytes(settings.run_campaign(campaign)) == saved_bytes(store)
 
     def test_run_campaign_raises_on_failures(self, tmp_path):
         from repro.experiments import ExperimentSettings

@@ -9,6 +9,7 @@ checkpoint), the bit-identity of :func:`run_campaign_service` against a
 serial run, and the ``serve`` / ``work`` CLI subcommands end to end.
 """
 
+import json
 import socket
 import threading
 import time
@@ -29,6 +30,7 @@ from repro.campaign import (
     run_campaign,
     run_campaign_service,
 )
+from repro.campaign import store as result_store
 from repro.campaign.cli import main as cli_main
 from repro.campaign.service import (
     STATE_DRAINED,
@@ -37,6 +39,7 @@ from repro.campaign.service import (
     dispatch_op,
 )
 from repro.errors import ConfigurationError, ServiceError
+from tests.conftest import saved_bytes
 
 #: Small scale so the whole module stays fast.
 FRAMES = 60
@@ -145,16 +148,16 @@ class TestCoordinatorProtocol:
         for outcome in serial_store:
             if outcome.label == lease["scenario"]["label"]:
                 sid = outcome
-        first = coordinator.submit("w0", lease["lease_id"], sid.to_dict())
+        first = coordinator.submit("w0", lease["lease_id"], sid)
         assert first["ok"] and first["accepted"] and not first["duplicate"]
-        again = coordinator.submit("w1", None, sid.to_dict())
+        again = coordinator.submit("w1", None, sid)
         assert again["ok"] and again["duplicate"] and not again["accepted"]
         assert coordinator.stats["duplicates"] == 1
 
     def test_submit_unknown_scenario_rejected(self, campaign, serial_store):
         other = small_campaign(name="other", seeds=(9,))
         coordinator, _ = make_coordinator(other)
-        stray = next(iter(serial_store)).to_dict()
+        stray = next(iter(serial_store))
         response = coordinator.submit("w0", None, stray)
         assert not response["ok"]
         assert "unknown scenario" in response["error"]
@@ -162,10 +165,10 @@ class TestCoordinatorProtocol:
     def test_all_submits_drain_to_serial_bytes(self, campaign, serial_store):
         coordinator, _ = make_coordinator(campaign)
         for outcome in serial_store:
-            coordinator.submit("w0", None, outcome.to_dict())
+            coordinator.submit("w0", None, outcome)
         assert coordinator.finished
         assert coordinator.lease("w0")["state"] == STATE_DRAINED
-        assert coordinator.result().to_json() == serial_store.to_json()
+        assert saved_bytes(coordinator.result()) == saved_bytes(serial_store)
 
     def test_result_before_drain_raises(self, campaign):
         coordinator, _ = make_coordinator(campaign)
@@ -174,7 +177,7 @@ class TestCoordinatorProtocol:
 
     def test_status_counts(self, campaign, serial_store):
         coordinator, _ = make_coordinator(campaign)
-        coordinator.submit("w0", None, next(iter(serial_store)).to_dict())
+        coordinator.submit("w0", None, next(iter(serial_store)))
         status = coordinator.status(include_summary=True)
         assert status["total"] == len(campaign)
         assert status["done"] == 1
@@ -193,13 +196,102 @@ class TestCoordinatorProtocol:
         with pytest.raises(ConfigurationError):
             Coordinator(campaign, lease_timeout_s=0.0)
 
+    def test_submit_carries_the_store_record(self, campaign, serial_store):
+        coordinator, _ = make_coordinator(campaign)
+        outcome = next(iter(serial_store))
+        record = result_store.encode_record(outcome)
+        # A lease id is opaque text: one of another JSON type names no lease.
+        response = LocalClient(coordinator).call(
+            {"op": "submit", "worker": "w0", "lease_id": ["?"], "outcome": record}
+        )
+        assert response["ok"] and response["accepted"]
+        # The coordinator recomputes the metrics from the frames; an honest
+        # worker's cached ones are the same values.
+        assert coordinator.store.outcomes[outcome.scenario_id].metrics == record["metrics"]
+
+    @pytest.mark.parametrize("metrics", [5, "x", {"total_energy_j": 1e9}])
+    def test_submitted_metrics_are_recomputed(
+        self, campaign, serial_store, tmp_path, metrics
+    ):
+        journal = str(tmp_path / "journal.json")
+        coordinator, _ = make_coordinator(campaign, journal_path=journal)
+        client = LocalClient(coordinator)
+        outcomes = list(serial_store)
+        record = result_store.encode_record(outcomes[0])
+        honest = record["metrics"]
+        record["metrics"] = metrics
+        response = client.call({"op": "submit", "worker": "w0", "outcome": record})
+        assert response["ok"] and response["accepted"]
+        assert coordinator.store.outcomes[outcomes[0].scenario_id].metrics == honest
+        # The journal keeps being written: later leases and submits work.
+        grant = client.call({"op": "lease", "worker": "w0", "count": len(campaign)})
+        assert grant["ok"] and len(grant["leases"]) == len(campaign) - 1
+        for outcome in outcomes[1:]:
+            coordinator.submit("w0", None, outcome)
+        coordinator.close_journal()
+        assert saved_bytes(coordinator.result()) == saved_bytes(serial_store)
+
+
+#: Requests that cannot be parsed, each of which once raised out of
+#: ``dispatch_op`` (over HTTP: a connection closed without a response).
+MALFORMED_REQUESTS = {
+    "submit-without-outcome": {"op": "submit"},
+    "submit-record-without-scenario": {"op": "submit", "outcome": {"status": "done"}},
+    "lease-count-not-an-integer": {"op": "lease", "count": "two"},
+    "submit-record-not-an-object": {"op": "submit", "outcome": []},
+    "heartbeat-leases-not-a-list": {"op": "heartbeat", "leases": 5},
+}
+
+
+def _poisoned_records(record):
+    """Store records that decode but whose frames no summary can be taken over."""
+    text = json.loads(json.dumps(record))
+    text["result"]["frames"]["energy_j"][0] = "x"
+    short = json.loads(json.dumps(record))
+    short["result"]["frames"]["energy_j"].pop()
+    return {"frame-value-not-a-number": text, "frame-column-too-short": short}
+
+
+class TestMalformedRequests:
+    @pytest.mark.parametrize("transport", ["local", "http"])
+    @pytest.mark.parametrize("name", sorted(MALFORMED_REQUESTS))
+    def test_answered_with_an_error(self, campaign, transport, name):
+        coordinator, _ = make_coordinator(campaign)
+        server = None
+        if transport == "http":
+            server = CoordinatorServer(coordinator)
+            server.start()
+            client = HTTPClient(server.address, timeout_s=5.0)
+        else:
+            client = LocalClient(coordinator)
+        try:
+            response = client.call(MALFORMED_REQUESTS[name])
+            assert response["ok"] is False
+            assert "malformed" in response["error"]
+            # Nothing was recorded and the coordinator keeps serving.
+            status = client.call({"op": "status"})
+            assert status["ok"] and status["done"] == 0
+        finally:
+            if server is not None:
+                server.stop()
+
+    @pytest.mark.parametrize("name", ["frame-value-not-a-number", "frame-column-too-short"])
+    def test_poisoned_record_rejected(self, campaign, serial_store, name):
+        coordinator, _ = make_coordinator(campaign)
+        client = LocalClient(coordinator)
+        record = result_store.encode_record(next(iter(serial_store)))
+        response = client.call({"op": "submit", "outcome": _poisoned_records(record)[name]})
+        assert response["ok"] is False
+        assert "malformed" in response["error"]
+        assert client.call({"op": "status"})["done"] == 0
+
 
 class TestCoordinatorJournal:
     def test_restart_resumes_from_journal(self, campaign, serial_store, tmp_path):
         journal = str(tmp_path / "journal.json")
         coordinator, _ = make_coordinator(campaign, journal_path=journal)
         for outcome in list(serial_store)[:2]:
-            coordinator.submit("w0", None, outcome.to_dict())
+            coordinator.submit("w0", None, outcome)
         # A brand-new coordinator (same journal) carries the work over.
         revived, _ = make_coordinator(campaign, journal_path=journal)
         assert revived.stats["resumed"] == 2
@@ -213,7 +305,9 @@ class TestCoordinatorJournal:
         with pytest.warns(RuntimeWarning, match="quarantined"):
             coordinator, _ = make_coordinator(campaign, journal_path=str(journal))
         assert len(coordinator.store) == 0
-        assert not journal.exists()
+        # A fresh, empty journal took the corrupt one's place.
+        assert json.loads(journal.read_text(encoding="utf-8"))["attempts"] == {}
+        assert len(CampaignResult.load(f"{journal}.outcomes")) == 0
         assert (tmp_path / "journal.json.corrupt").exists()
 
     def test_resumed_failure_with_budget_is_rerun(self, campaign):
@@ -235,7 +329,7 @@ class TestInProcessService:
     def test_service_run_is_bit_identical_to_serial(self, campaign, serial_store):
         events = []
         store = run_campaign_service(campaign, num_workers=3, progress=events.append)
-        assert store.to_json() == serial_store.to_json()
+        assert saved_bytes(store) == saved_bytes(serial_store)
         # Live streaming observed every completion, in order.
         assert [event.kind for event in events] == ["done"] * len(campaign)
         assert events[-1].done == events[-1].total == len(campaign)
@@ -288,13 +382,13 @@ class TestWorkerDegradation:
             heartbeat_interval_s=None,
         ).run()
         merged = CampaignResult.merge([CampaignResult.load(fallback)])
-        assert merged.ordered_for(solo).to_json() == CampaignResult(
+        assert saved_bytes(merged.ordered_for(solo)) == saved_bytes(CampaignResult(
             campaign_name=solo.name,
             outcomes={
                 s.scenario_id: serial_store.outcomes[s.scenario_id]
                 for s in solo.scenarios
             },
-        ).to_json()
+        ))
 
     def test_never_reachable_coordinator_exits_cleanly(self, tmp_path):
         class DeadClient:
@@ -339,7 +433,7 @@ class TestHTTPTransport:
             for thread in threads:
                 thread.join(timeout=60.0)
             assert all(stats.drained for stats in results.values())
-            assert coordinator.result().to_json() == serial_store.to_json()
+            assert saved_bytes(coordinator.result()) == saved_bytes(serial_store)
         finally:
             server.stop()
 
@@ -408,7 +502,7 @@ class TestServeWorkCli:
         server_thread.join(timeout=60.0)
         assert not server_thread.is_alive()
         assert serve_rc["rc"] == 0
-        assert CampaignResult.load(output).to_json() == serial_store.to_json()
+        assert saved_bytes(CampaignResult.load(output)) == saved_bytes(serial_store)
 
     def test_work_against_nothing_fails(self, tmp_path):
         port = _free_port()  # nothing is listening on it

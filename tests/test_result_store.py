@@ -1,8 +1,8 @@
 """Tests for the columnar on-disk result store (``repro.campaign.store``).
 
-Covers the PR-10 tentpole surface: format negotiation (with the
-``REPRO_DISABLE_ARROW`` kill-switch), store/load round-trip parity with
-the legacy JSON blob (eager and lazy), O(1) append-only checkpointing
+Covers format negotiation (with the ``REPRO_DISABLE_ARROW``
+kill-switch), store/load round-trip parity (eager and lazy), O(1)
+append-only checkpointing
 (byte-prefix stability across appends), torn-file salvage + quarantine,
 the streaming shard merge (sharded + merged == unsharded in every
 format combination), the executor/service integration, and the CLI's
@@ -30,6 +30,7 @@ from repro.campaign import (
 from repro.campaign import store as result_store
 from repro.campaign.cli import main as cli_main
 from repro.errors import ConfigurationError, SimulationError
+from tests.conftest import legacy_wire_blob, saved_bytes, wire_campaign
 
 #: Small scale so the whole module stays fast.
 FRAMES = 40
@@ -80,8 +81,11 @@ def mixed_store(campaign):
 
 
 class TestNegotiation:
-    def test_json_is_always_legacy(self):
-        assert result_store.negotiate_store("json") == result_store.STORE_JSON
+    def test_json_is_always_jsonl(self, monkeypatch):
+        assert result_store.negotiate_store("json") == result_store.ENCODING_JSONL
+        monkeypatch.setattr(result_store, "HAVE_PYARROW", True)
+        monkeypatch.delenv("REPRO_DISABLE_ARROW", raising=False)
+        assert result_store.negotiate_store("json") == result_store.ENCODING_JSONL
 
     def test_arrow_degrades_to_jsonl_without_pyarrow(self):
         resolved = result_store.negotiate_store("arrow")
@@ -90,12 +94,12 @@ class TestNegotiation:
         else:
             assert resolved == result_store.ENCODING_JSONL
 
-    def test_auto_prefers_arrow_else_legacy_json(self):
+    def test_auto_prefers_arrow_else_jsonl(self):
         resolved = result_store.negotiate_store("auto")
         if result_store.arrow_available():
             assert resolved == result_store.ENCODING_ARROW
         else:
-            assert resolved == result_store.STORE_JSON
+            assert resolved == result_store.ENCODING_JSONL
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown result store"):
@@ -107,7 +111,7 @@ class TestNegotiation:
         monkeypatch.setattr(result_store, "HAVE_PYARROW", True)
         monkeypatch.setenv("REPRO_DISABLE_ARROW", "1")
         assert not result_store.arrow_available()
-        assert result_store.negotiate_store("auto") == result_store.STORE_JSON
+        assert result_store.negotiate_store("auto") == result_store.ENCODING_JSONL
         assert result_store.negotiate_store("arrow") == result_store.ENCODING_JSONL
 
     def test_kill_switch_off_values(self, monkeypatch):
@@ -119,18 +123,18 @@ class TestNegotiation:
 
 @pytest.mark.parametrize("encoding", ENCODINGS)
 class TestRoundTrip:
-    def test_to_dict_parity_with_legacy_json(self, tmp_path, full_store, encoding):
+    def test_round_trip_parity(self, tmp_path, full_store, encoding):
         path = str(tmp_path / "results.bin")
         result_store.save_store(full_store, path, encoding)
         assert result_store.is_store_file(path)
         loaded = CampaignResult.load(path)
-        assert loaded.to_dict() == full_store.to_dict()
+        assert saved_bytes(loaded) == saved_bytes(full_store)
 
     def test_lazy_load_parity(self, tmp_path, full_store, encoding):
         path = str(tmp_path / "results.bin")
         result_store.save_store(full_store, path, encoding)
         lazy = CampaignResult.load(path, lazy=True)
-        assert lazy.to_dict() == full_store.to_dict()
+        assert saved_bytes(lazy) == saved_bytes(full_store)
 
     def test_lazy_metrics_without_touching_frames(
         self, tmp_path, full_store, encoding
@@ -151,21 +155,20 @@ class TestRoundTrip:
         path = str(tmp_path / "mixed.bin")
         result_store.save_store(mixed_store, path, encoding)
         loaded = CampaignResult.load(path)
-        assert loaded.to_dict() == mixed_store.to_dict()
+        assert saved_bytes(loaded) == saved_bytes(mixed_store)
         assert [o.label for o in loaded.failed()] == ["broken"]
 
     def test_save_via_campaign_result(self, tmp_path, full_store, encoding):
-        # CampaignResult.save routes "arrow" through the negotiated
-        # columnar encoding; "json" stays byte-identical legacy.
+        # CampaignResult.save writes the store whatever is asked: "arrow"
+        # through the negotiated encoding, "json" (the default) as jsonl.
         columnar = str(tmp_path / "columnar.bin")
-        legacy = str(tmp_path / "legacy.json")
+        jsonl = str(tmp_path / "results.store")
         full_store.save(columnar, store="arrow")
-        full_store.save(legacy, store="json")
+        full_store.save(jsonl, store="json")
+        assert result_store.StoreReader(jsonl).encoding == result_store.ENCODING_JSONL
         assert result_store.is_store_file(columnar)
-        assert not result_store.is_store_file(legacy)
-        with open(legacy, encoding="utf-8") as handle:
-            assert json.load(handle) == full_store.to_dict()
-        assert CampaignResult.load(columnar).to_dict() == full_store.to_dict()
+        assert saved_bytes(CampaignResult.load(columnar)) == saved_bytes(full_store)
+        assert saved_bytes(CampaignResult.load(jsonl)) == saved_bytes(full_store)
 
 
 @pytest.mark.parametrize("encoding", ENCODINGS)
@@ -182,7 +185,7 @@ class TestAppendOnly:
         with result_store.StoreWriter.open_append(path) as writer:
             for outcome in outcomes[1:]:
                 writer.append(outcome)
-        assert CampaignResult.load(path).to_dict() == full_store.to_dict()
+        assert saved_bytes(CampaignResult.load(path)) == saved_bytes(full_store)
 
     def test_appends_are_byte_prefix_stable(self, tmp_path, full_store, encoding):
         # O(1) checkpointing in observable form: appending outcome N+1
@@ -234,7 +237,7 @@ class TestCorruption:
         # Salvaged outcomes are bit-identical to the originals.
         originals = {o.scenario_id: o for o in full_store}
         for outcome in salvaged:
-            assert outcome.to_dict() == originals[outcome.scenario_id].to_dict()
+            assert saved_bytes(outcome) == saved_bytes(originals[outcome.scenario_id])
         # The torn file moved aside for post-mortem; a resume starts clean.
         assert not os.path.exists(path)
         assert os.path.exists(path + ".corrupt")
@@ -246,7 +249,7 @@ class TestCorruption:
         with pytest.warns(RuntimeWarning, match="quarantined"):
             salvaged = CampaignResult.load_checkpoint(path)
         assert salvaged is not None
-        assert salvaged.to_dict() == full_store.to_dict()
+        assert saved_bytes(salvaged) == saved_bytes(full_store)
         assert os.path.exists(path + ".corrupt")
 
     def test_corrupt_header_quarantines_with_none(self, tmp_path, encoding):
@@ -335,24 +338,41 @@ class TestStreamingMerge:
             shard_paths, merged, spec=campaign, store="arrow"
         )
         assert result_store.is_store_file(merged)
-        assert CampaignResult.load(merged).to_dict() == full_store.to_dict()
+        assert saved_bytes(CampaignResult.load(merged)) == saved_bytes(full_store)
 
-    def test_merge_mixed_legacy_and_columnar_inputs(
-        self, tmp_path, campaign, full_store
-    ):
-        legacy = str(tmp_path / "shard0.json")
+    def test_merge_mixed_legacy_and_columnar_inputs(self, tmp_path):
+        # Shard 0 as the legacy JSON blob earlier releases wrote, shard 1
+        # as a store: the merge equals the whole campaign.
+        spec = wire_campaign()
+        blob = legacy_wire_blob()
+        legacy = tmp_path / "shard0.json"
+        shard0 = {s.scenario_id for s in spec.shard(0, 2).scenarios}
+        legacy.write_text(
+            json.dumps(
+                {
+                    "campaign_name": blob["campaign_name"],
+                    "outcomes": [
+                        item
+                        for item in blob["outcomes"]
+                        if ScenarioSpec.from_dict(item["scenario"]).scenario_id in shard0
+                    ],
+                }
+            ),
+            encoding="utf-8",
+        )
+        whole = CampaignResult.from_dict(blob)
         columnar = str(tmp_path / "shard1.bin")
-        run_campaign(campaign.shard(0, 2), store="json").save(legacy)
-        result_store.save_store(
-            run_campaign(campaign.shard(1, 2), store="json"),
-            columnar,
-            result_store.ENCODING_JSONL,
+        shard1 = CampaignResult(
+            whole.campaign_name,
+            {sid: o for sid, o in whole.outcomes.items() if sid not in shard0},
         )
-        merged = str(tmp_path / "merged.json")
-        result_store.merge_store_files(
-            [legacy, columnar], merged, spec=campaign, store="json"
+        result_store.save_store(shard1, columnar, result_store.ENCODING_JSONL)
+        merged = str(tmp_path / "merged.store")
+        stats = result_store.merge_store_files(
+            [str(legacy), columnar], merged, spec=spec, store="json"
         )
-        assert CampaignResult.load(merged).to_dict() == full_store.to_dict()
+        assert stats.scenarios == len(spec) and stats.duplicates == 0
+        assert saved_bytes(CampaignResult.load(merged)) == saved_bytes(whole)
 
     def test_identical_duplicates_union_silently(
         self, tmp_path, campaign, full_store, shard_paths
@@ -364,7 +384,7 @@ class TestStreamingMerge:
         assert stats.duplicates == len(
             CampaignResult.load(shard_paths[0])
         )
-        assert CampaignResult.load(merged).to_dict() == full_store.to_dict()
+        assert saved_bytes(CampaignResult.load(merged)) == saved_bytes(full_store)
 
     def test_conflicting_duplicates_raise(self, tmp_path, campaign, shard_paths):
         conflicting = CampaignResult(campaign_name=campaign.name)
@@ -413,11 +433,11 @@ class TestExecutorIntegration:
         )
         assert result_store.is_store_file(checkpoint)
         saved = CampaignResult.load(checkpoint)
-        assert saved.to_dict() == first.to_dict()
+        assert saved_bytes(saved) == saved_bytes(first)
         # Resuming from the columnar checkpoint re-runs nothing and is
         # bit-identical.
         resumed = run_campaign(campaign, resume=saved, store="arrow")
-        assert resumed.to_dict() == first.to_dict()
+        assert saved_bytes(resumed) == saved_bytes(first)
 
     def test_torn_columnar_checkpoint_resumes_cleanly(self, tmp_path, campaign):
         checkpoint = str(tmp_path / "ckpt.bin")
@@ -437,7 +457,7 @@ class TestExecutorIntegration:
             checkpoint_path=checkpoint,
             store="arrow",
         )
-        assert finished.to_dict() == reference.to_dict()
+        assert saved_bytes(finished) == saved_bytes(reference)
 
 
 class TestServiceIntegration:
@@ -448,7 +468,7 @@ class TestServiceIntegration:
             campaign, journal_path=journal, journal_store="arrow"
         )
         for outcome in list(serial)[:2]:
-            coordinator.submit("w0", None, outcome.to_dict())
+            coordinator.submit("w0", None, outcome)
         coordinator.close_journal()
         # The meta journal is a small pointer; outcomes live in the
         # append-only sidecar store.
@@ -469,12 +489,12 @@ class TestServiceIntegration:
             campaign, journal_path=journal, journal_store="arrow"
         )
         for outcome in serial:
-            coordinator.submit("w0", None, outcome.to_dict())
+            coordinator.submit("w0", None, outcome)
         assert coordinator.finished
-        assert coordinator.result().to_json() == serial.to_json()
+        assert saved_bytes(coordinator.result()) == saved_bytes(serial)
         coordinator.close_journal()
         sidecar = CampaignResult.load(journal + ".outcomes")
-        assert sidecar.to_dict()["outcomes"] == serial.to_dict()["outcomes"]
+        assert saved_bytes(sidecar) == saved_bytes(serial)
 
 
 class TestCli:
@@ -505,7 +525,7 @@ class TestCli:
         assert result_store.is_store_file(output)
         assert result_store.is_store_file(checkpoint)
         loaded = CampaignResult.load(output)
-        assert CampaignResult.load(checkpoint).to_dict() == loaded.to_dict()
+        assert saved_bytes(CampaignResult.load(checkpoint)) == saved_bytes(loaded)
         # Re-running resumes from the columnar checkpoint (nothing re-runs).
         assert (
             cli_main(
@@ -517,24 +537,23 @@ class TestCli:
     def test_store_json_output_matches_arrow(self, spec_path, tmp_path, capsys):
         json_out = str(tmp_path / "results.json")
         arrow_out = str(tmp_path / "results.bin")
-        assert cli_main([spec_path, "--quiet", "--output", json_out]) == 0
+        assert cli_main([spec_path, "--quiet", "--store", "json", "--output", json_out]) == 0
         assert (
             cli_main(
                 [spec_path, "--quiet", "--store", "arrow", "--output", arrow_out]
             )
             == 0
         )
-        assert not result_store.is_store_file(json_out) or result_store.arrow_available()
-        assert (
-            CampaignResult.load(arrow_out).to_dict()
-            == CampaignResult.load(json_out).to_dict()
+        assert result_store.StoreReader(json_out).encoding == result_store.ENCODING_JSONL
+        assert saved_bytes(CampaignResult.load(arrow_out)) == saved_bytes(
+            CampaignResult.load(json_out)
         )
 
     def test_shard_merge_with_columnar_shards(self, spec_path, tmp_path):
         spec_file = str(tmp_path / "spec2.json")
         small_campaign(name="store-cli-merge").save(spec_file)
         full = str(tmp_path / "full.json")
-        assert cli_main([spec_file, "--quiet", "--output", full]) == 0
+        assert cli_main([spec_file, "--quiet", "--store", "json", "--output", full]) == 0
         shard_files = []
         for index in range(2):
             out = str(tmp_path / f"shard{index}.bin")
@@ -594,6 +613,6 @@ class TestCli:
             campaign, journal_path=journal, journal_store="arrow"
         )
         for outcome in serial:
-            coordinator.submit("w0", None, outcome.to_dict())
+            coordinator.submit("w0", None, outcome)
         coordinator.close_journal()
         assert result_store.is_store_file(journal + ".outcomes")

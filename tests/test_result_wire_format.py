@@ -1,46 +1,41 @@
-"""The JSON wire format of campaign results, pinned byte for byte.
+"""The legacy JSON blob of campaign results, pinned byte for byte.
 
-``SimulationResult.to_dict`` serialises straight from the frame columns
-(or, for record-backed results, from the records) and ``from_dict``
-gathers the frame dicts back into columns.  These tests hold both
-directions to the exact bytes, key order and strictness of the
-record-at-a-time format they replaced.
+Nothing writes the blob any more: every outcome is saved as a result
+store record (``tests/test_store_wire_format.py`` pins those bytes).
+Results saved by earlier releases must still load, resume and merge, so
+``tests/data/wire-format.v1.json.gz`` holds the blob the record-at-a-time
+serialiser (``FrameRecord.to_dict`` per frame) wrote for
+:func:`~tests.conftest.wire_campaign`.  These tests pin that file and hold
+the readers (``from_dict``) to its exact contents and strictness.
 """
 
 import hashlib
 import json
-from dataclasses import replace
 
 import pytest
 
 from repro import _compat
-from repro.campaign import CampaignResult, CampaignSpec, FactorySpec, run_campaign
+from repro.campaign import CampaignExecutor, CampaignResult, Coordinator, run_campaign
+from repro.campaign import store as result_store
 from repro.campaign.results import CORRUPT_CHECKPOINT_ERRORS
 from repro.sim.epoch import FrameRecord
 from repro.sim.results import SimulationResult
-from repro.testing.parity.harness import paper_governors
+from tests.conftest import (
+    legacy_bytes,
+    outcome_of,
+    saved_bytes,
+    store_round_trip,
+    wire_campaign,
+)
 
-# The pinned digest names which engine ran each scenario: without numpy
-# the vectorised backend is absent and negotiation picks another engine.
+# The fresh runs compared with the committed blob must pick the engines
+# it names: without numpy negotiation picks another engine.
 pytest.importorskip("numpy")
 
 #: sha256 of ``CampaignResult.to_json()`` for :func:`wire_campaign`, as
 #: written by the record-at-a-time serialiser (``FrameRecord.to_dict`` per
-#: frame).  A change here is a change of the on-disk format.
+#: frame): the committed ``tests/data/wire-format.v1.json.gz``.
 WIRE_SHA256 = "69051c41c08ab29e27343c0d1a257ced9c2697d87c323a2a379897d2b39b553c"
-
-
-def wire_campaign() -> CampaignSpec:
-    """The 7 paper governors on mpeg4, plus ondemand pinned to the scalar engine."""
-    grid = CampaignSpec.from_grid(
-        "wire-format",
-        applications=[FactorySpec.of("mpeg4", num_frames=40)],
-        governors=paper_governors(),
-        seeds=(5,),
-    )
-    ondemand = next(s for s in grid.scenarios if s.label == "ondemand")
-    scalar = replace(ondemand, label="ondemand-scalar", engine="scalar")
-    return CampaignSpec(name=grid.name, scenarios=grid.scenarios + (scalar,))
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +46,24 @@ def wire_store():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_compat, "HAVE_NUMBA", False)
         return run_campaign(wire_campaign())
+
+
+@pytest.fixture(scope="module")
+def legacy_text():
+    return legacy_bytes("wire-format.v1.json").decode("utf-8")
+
+
+@pytest.fixture
+def legacy_data(legacy_text):
+    """A fresh parse of the blob, for tests that edit it."""
+    return json.loads(legacy_text)
+
+
+def legacy_result(data, label):
+    """The saved result dict of the outcome labelled ``label``."""
+    return next(
+        item["result"] for item in data["outcomes"] if item["scenario"]["label"] == label
+    )
 
 
 @pytest.fixture(scope="module")
@@ -79,44 +92,84 @@ class TestPinnedBytes:
         assert wire_store.result("ondemand-scalar").columns is None
         assert wire_store.result("ondemand").columns is not None
 
-    def test_to_json_digest(self, wire_store):
-        text = wire_store.to_json()
-        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == WIRE_SHA256
+    def test_to_json_digest(self, legacy_text):
+        assert hashlib.sha256(legacy_text.encode("utf-8")).hexdigest() == WIRE_SHA256
 
-    def test_from_json_round_trip_is_exact(self, wire_store):
-        text = wire_store.to_json()
-        assert CampaignResult.from_json(text).to_json() == text
+    def test_from_json_round_trip_is_exact(self, wire_store, legacy_text):
+        # The blob loads to exactly what a fresh run saves.
+        loaded = CampaignResult.from_json(legacy_text)
+        assert saved_bytes(loaded) == saved_bytes(wire_store)
+
+    def test_v1_checkpoint_resumes_and_is_rewritten_as_a_store(
+        self, wire_store, legacy_text, tmp_path
+    ):
+        checkpoint = tmp_path / "ckpt.json"
+        checkpoint.write_text(legacy_text, encoding="utf-8")
+        resume = CampaignResult.load_checkpoint(str(checkpoint))
+        executed = []
+        resumed = CampaignExecutor().run(
+            wire_campaign(),
+            resume=resume,
+            progress=lambda label, done, total: executed.append(label),
+            checkpoint_path=str(checkpoint),
+        )
+        assert executed == [] and len(resumed) == len(wire_campaign())
+        assert result_store.is_store_file(str(checkpoint))
+        assert checkpoint.read_bytes() == saved_bytes(wire_store)
+
+    def test_v1_journal_resumes_and_is_rewritten_as_a_store(
+        self, wire_store, legacy_data, tmp_path
+    ):
+        journal = tmp_path / "journal.json"
+        journal.write_text(
+            json.dumps(
+                {
+                    "campaign_name": legacy_data["campaign_name"],
+                    "attempts": {},
+                    "results": legacy_data,
+                }
+            ),
+            encoding="utf-8",
+        )
+        coordinator = Coordinator(wire_campaign(), journal_path=str(journal))
+        coordinator.close_journal()
+        assert coordinator.stats["resumed"] == len(wire_campaign())
+        assert saved_bytes(coordinator.result()) == saved_bytes(wire_store)
+        assert json.loads(journal.read_text(encoding="utf-8"))["outcomes"] == "store"
+        sidecar = CampaignResult.load(f"{journal}.outcomes")
+        assert saved_bytes(sidecar) == saved_bytes(wire_store)
 
 
 class TestTwoPathsAgree:
     def test_columnar_and_record_backed_serialise_identically(self, columnar):
         twin = record_twin(columnar)
         assert twin.columns is None
-        assert json.dumps(columnar.to_dict()) == json.dumps(twin.to_dict())
+        assert saved_bytes(outcome_of(columnar)) == saved_bytes(outcome_of(twin))
 
     def test_to_dict_keeps_the_columns(self, columnar):
+        # Saving reads the columns without materialising records.
         before = columnar.columns
-        columnar.to_dict()
+        saved_bytes(outcome_of(columnar))
         assert columnar.columns is before
 
-    def test_from_dict_is_columnar_with_the_same_records(self, columnar):
-        data = columnar.to_dict()
+    def test_from_dict_is_columnar_with_the_same_records(self, columnar, legacy_data):
+        data = legacy_result(legacy_data, "ondemand")
         loaded = SimulationResult.from_dict(data)
         assert loaded.columns is not None
         assert loaded.records == [FrameRecord.from_dict(frame) for frame in data["records"]]
-        assert loaded.to_dict() == data
+        assert saved_bytes(outcome_of(loaded)) == saved_bytes(outcome_of(columnar))
 
-    def test_zero_frames_round_trip(self):
+    def test_zero_frames_round_trip(self, legacy_data):
         empty = SimulationResult("ondemand", "mpeg4", 0.04, records=[])
-        data = empty.to_dict()
-        assert data["records"] == []
-        loaded = SimulationResult.from_dict(data)
+        loaded = store_round_trip(empty)
         assert loaded.num_frames == 0
         assert loaded.records == []
-        assert json.dumps(loaded.to_dict()) == json.dumps(data)
+        data = legacy_result(legacy_data, "ondemand")
+        data["records"] = []
+        assert SimulationResult.from_dict(data).num_frames == 0
 
-    def test_explored_keeps_its_default(self, columnar):
-        data = columnar.to_dict()
+    def test_explored_keeps_its_default(self, legacy_data):
+        data = legacy_result(legacy_data, "ondemand")
         for frame in data["records"]:
             del frame["explored"]
         loaded = SimulationResult.from_dict(data)
@@ -150,8 +203,8 @@ CORRUPTIONS = {
 
 class TestFromDictStaysStrict:
     @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
-    def test_corrupt_frame_raises(self, columnar, corruption):
-        data = columnar.to_dict()
+    def test_corrupt_frame_raises(self, legacy_data, corruption):
+        data = legacy_result(legacy_data, "ondemand")
         # One bad frame in the middle: a per-key column gather would turn
         # it into ragged (or silently short) columns instead of an error.
         bad_frame = data["records"][len(data["records"]) // 2]
@@ -163,12 +216,11 @@ class TestFromDictStaysStrict:
 
     @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
     def test_checkpoint_with_corrupt_frame_is_quarantined(
-        self, wire_store, tmp_path, corruption
+        self, legacy_data, tmp_path, corruption
     ):
-        data = wire_store.to_dict()
-        CORRUPTIONS[corruption](data["outcomes"][0]["result"]["records"][-1])
+        CORRUPTIONS[corruption](legacy_data["outcomes"][0]["result"]["records"][-1])
         path = tmp_path / "ckpt.json"
-        path.write_text(json.dumps(data), encoding="utf-8")
+        path.write_text(json.dumps(legacy_data), encoding="utf-8")
         with pytest.warns(RuntimeWarning, match="quarantined"):
             assert CampaignResult.load_checkpoint(str(path)) is None
         assert not path.exists()

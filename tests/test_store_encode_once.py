@@ -4,11 +4,14 @@ A ``--store arrow --checkpoint ... --output ...`` run writes every
 outcome three times: the checkpoint append, the final checkpoint rewrite
 and the ``--output`` save.  The first write leaves a slot on the
 :class:`ScenarioOutcome` (file, offset, length, checksum) and the later
-ones copy those bytes back, so :func:`encode_record` (and the
-``summarize_result`` it calls for the cached metrics) runs once per
-outcome.  The slot must stay small, must be dropped when its file no
-longer holds the bytes, and must stay invisible to equality, ``repr``,
-``to_dict`` and the bytes on disk.
+ones copy those bytes back, so the encoder (:func:`encode_line` for jsonl,
+:func:`encode_record` for Arrow, and the ``summarize_result`` either calls
+for the cached metrics) runs once per outcome.  The slot must stay small,
+must be dropped when its file no longer holds the bytes, and must stay
+invisible to equality, ``repr`` and the bytes on disk.
+
+A jsonl line is itself one ``json.dumps`` of the record: its ``digest``
+hashes those same bytes and equals :func:`record_digest`.
 """
 
 import filecmp
@@ -22,6 +25,7 @@ import pytest
 from repro.campaign import CampaignResult, CampaignSpec, FactorySpec, run_campaign
 from repro.campaign import store as result_store
 from repro.campaign.cli import main as cli_main
+from tests.conftest import saved_bytes
 
 FRAMES = 40
 
@@ -40,13 +44,14 @@ def small_campaign():
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Count calls of the store's encoder and of its metrics summariser."""
+    """Count calls of the store's encoders (as ``encode``) and summariser."""
     counts = Counter()
-    for name in ("encode_record", "summarize_result"):
+    for name in ("encode_line", "encode_record", "summarize_result"):
         original = getattr(result_store, name)
+        key = "encode" if name.startswith("encode") else name
 
-        def counting(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
+        def counting(*args, _key=key, _original=original, **kwargs):
+            counts[_key] += 1
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(result_store, name, counting)
@@ -73,7 +78,7 @@ class TestCliShardRun:
     def test_one_encode_and_one_summary_per_outcome(self, shard_run):
         _, _, outcomes, counts = shard_run
         assert outcomes == len(small_campaign().shard(0, 2))
-        assert counts == Counter(encode_record=outcomes, summarize_result=outcomes)
+        assert counts == Counter(encode=outcomes, summarize_result=outcomes)
 
     def test_checkpoint_output_and_slot_less_save_agree(self, shard_run, tmp_path):
         checkpoint, output, _, _ = shard_run
@@ -101,7 +106,7 @@ class TestSlot:
     def test_repeated_writes_copy_the_bytes(self, outcome, calls, tmp_path):
         first = save(outcome, tmp_path / "first.store")
         second = save(outcome, tmp_path / "second.store")
-        assert calls["encode_record"] == 1
+        assert calls["encode"] == 1
         assert filecmp.cmp(first, second, shallow=False)
         assert outcome.store_slot.path == second
 
@@ -123,7 +128,7 @@ class TestSlot:
         else:
             os.unlink(first)
         second = save(outcome, tmp_path / "second.store")
-        assert calls["encode_record"] == (3 if change == "rewrite" else 2)
+        assert calls["encode"] == (3 if change == "rewrite" else 2)
         fresh = save(replace(outcome), tmp_path / "fresh.store")
         assert filecmp.cmp(second, fresh, shallow=False)
 
@@ -134,7 +139,7 @@ class TestSlot:
         record = stored_record(save(retried, tmp_path / "retried.store"))
         assert record["attempts"] == 2
         assert record["digest"] != digest
-        assert calls["encode_record"] == 2
+        assert calls["encode"] == 2
 
     def test_slot_is_invisible(self, outcome, tmp_path):
         fresh = replace(outcome)
@@ -142,4 +147,48 @@ class TestSlot:
         assert outcome.store_slot is not None
         assert outcome == fresh
         assert repr(outcome) == repr(fresh)
-        assert json.dumps(outcome.to_dict()) == json.dumps(fresh.to_dict())
+        assert saved_bytes(outcome) == saved_bytes(fresh)
+
+
+class TestOneDumpPerRecord:
+    @pytest.fixture
+    def saved(self, tmp_path):
+        store = run_campaign(small_campaign())
+        path = str(tmp_path / "out.store")
+        result_store.save_store(store, path, result_store.ENCODING_JSONL)
+        return store, path
+
+    def test_digest_is_record_digest(self, saved):
+        store, path = saved
+        records = [record for record, _ in result_store.StoreReader(path).iter_records()]
+        assert len(records) == len(store)
+        for record, outcome in zip(records, store):
+            assert record["digest"] == result_store.record_digest(record)
+            assert record["digest"] == result_store.outcome_digest(outcome)
+
+    def test_line_is_the_canonical_dump_plus_metrics_and_digest(self, saved):
+        _, path = saved
+        with open(path, "rb") as handle:
+            lines = handle.read().splitlines()[1:]
+        for line in lines:
+            record = json.loads(line)
+            body = {k: v for k, v in record.items() if k not in ("metrics", "digest")}
+            canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
+            assert line.startswith(canonical[:-1].encode("utf-8") + b',"metrics":')
+            assert line.endswith(b',"digest":"' + record["digest"].encode("ascii") + b'"}')
+
+    def test_frames_are_dumped_once_per_record(self, tmp_path, monkeypatch):
+        store = run_campaign(small_campaign())
+        frame_dumps = []
+        real_dumps = json.dumps
+
+        def dumps(payload, *args, **kwargs):
+            if isinstance(payload, dict) and "result" in payload:
+                frame_dumps.append(payload["scenario"]["label"])
+            return real_dumps(payload, *args, **kwargs)
+
+        monkeypatch.setattr(result_store.json, "dumps", dumps)
+        result_store.save_store(
+            store, str(tmp_path / "out.store"), result_store.ENCODING_JSONL
+        )
+        assert frame_dumps == [outcome.label for outcome in store]

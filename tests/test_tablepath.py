@@ -28,6 +28,7 @@ from repro.sim import tablepath
 from repro.sim.engine import SimulationConfig, SimulationEngine
 from repro.workload.fft import fft_application
 from repro.workload.video import mpeg4_application
+from tests.conftest import store_round_trip
 
 numpy = pytest.importorskip("numpy")
 
@@ -375,10 +376,8 @@ class TestColumnarResults:
         assert arrays["energy_j"].tolist() == record_energies
 
     def test_json_round_trip(self):
-        from repro.sim.results import SimulationResult
-
         result = self._table_result(20)
-        clone = SimulationResult.from_dict(result.to_dict())
+        clone = store_round_trip(result)
         assert clone == result
 
     def test_window_and_append_compatibility(self):
