@@ -1,6 +1,6 @@
 """Benchmark the simulation engine backends and write ``BENCH_results.json``.
 
-Five measurements, matching the tiers of the performance work:
+Four measurements, matching the tiers of the performance work:
 
 * **Vectorised fast path**: every static-schedule governor (performance,
   powersave, userspace, oracle) across the paper's application traces,
@@ -26,9 +26,6 @@ Five measurements, matching the tiers of the performance work:
   must be *identical* — bit-identity is the compiled path's contract.  On
   runners without numba the section is recorded empty with a
   ``jit_closed_loop_note`` explaining the skip.
-* **Hot-loop power cache** (Tier 1): closed-loop governors with the
-  cluster's per-operating-point power cache enabled vs disabled — the win
-  the scalar fallback gets even where the table paths do not apply.
 
 The output carries a ``metadata`` block (python/numpy versions, CPU
 count, platform, git sha) so archived results are attributable to the
@@ -467,45 +464,11 @@ JIT_SKIP_NOTE = (
 )
 
 
-def bench_power_cache(num_frames: int, repeats: int = 3) -> List[Dict[str, object]]:
-    """Closed-loop governors with the Tier-1 power cache on vs off."""
-    rows: List[Dict[str, object]] = []
-    application = mpeg4_application(num_frames=num_frames, seed=11)
-    for gov_name, gov_factory in CLOSED_LOOP_GOVERNORS.items():
-
-        def run(power_cache_size: int):
-            return SimulationEngine(
-                build_a15_cluster(power_cache_size=power_cache_size),
-                SimulationConfig(prefer_fast_path=False),
-            ).run(application, gov_factory())
-
-        cached = run(1024)
-        uncached = run(0)
-        if [r.energy_j for r in cached.records] != [r.energy_j for r in uncached.records]:
-            raise AssertionError("power cache changed per-frame energies")
-        uncached_s = _best_of(lambda: run(0), repeats)
-        cached_s = _best_of(lambda: run(1024), repeats)
-        rows.append(
-            {
-                "scenario": f"mpeg4/{gov_name}",
-                "governor": gov_name,
-                "frames": num_frames,
-                "uncached_wall_s": uncached_s,
-                "cached_wall_s": cached_s,
-                "cached_frames_per_s": num_frames / cached_s,
-                "speedup": uncached_s / cached_s,
-                "win_percent": 100.0 * (uncached_s - cached_s) / uncached_s,
-            }
-        )
-    return rows
-
-
 def run_suite(num_frames: int, repeats: int, smoke: bool) -> Dict[str, object]:
     vectorized = bench_vectorized(num_frames, repeats)
     table = bench_table_closed_loop(num_frames, repeats)
     thermal = bench_thermal_closed_loop(num_frames, repeats)
     jit = bench_jit_closed_loop(num_frames, repeats)
-    tier1 = bench_power_cache(num_frames, repeats)
     speedups = [row["speedup"] for row in vectorized]
     table_speedups = {row["governor"]: row["speedup"] for row in table}
     thermal_speedups = {row["governor"]: row["speedup"] for row in thermal}
@@ -517,9 +480,6 @@ def run_suite(num_frames: int, repeats: int, smoke: bool) -> Dict[str, object]:
         "table_closed_loop_speedup_min": min(table_speedups.values()),
         "thermal_closed_loop_speedup": thermal_speedups,
         "thermal_closed_loop_speedup_min": min(thermal_speedups.values()),
-        "tier1_cache_win_percent": {
-            row["governor"]: row["win_percent"] for row in tier1
-        },
     }
     if jit:
         jit_speedups = {row["scenario"]: row["speedup"] for row in jit}
@@ -537,7 +497,6 @@ def run_suite(num_frames: int, repeats: int, smoke: bool) -> Dict[str, object]:
         # Always a list (the regression gate indexes every section by rows);
         # the sibling note marks a deliberate skip, never silent truncation.
         "jit_closed_loop": jit,
-        "tier1_power_cache": tier1,
         "summary": summary,
     }
     if not jit:
@@ -639,18 +598,6 @@ def test_bench_jit_closed_loop_speedup_and_identity():
             assert row["speedup"] >= 1.5
 
 
-def test_bench_power_cache_win():
-    rows = bench_power_cache(num_frames=600, repeats=2)
-    print()
-    for row in rows:
-        print(
-            f"{row['scenario']:24s} uncached {row['uncached_wall_s'] * 1e3:7.1f} ms  "
-            f"cached {row['cached_wall_s'] * 1e3:7.1f} ms  ({row['win_percent']:+.1f}%)"
-        )
-    # The cache must never make things slower by more than noise.
-    assert all(row["win_percent"] > -5.0 for row in rows)
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -698,11 +645,6 @@ def main() -> None:
             )
     else:
         print(f"  jit_closed_loop: {results['jit_closed_loop_note']}")
-    for row in results["tier1_power_cache"]:
-        print(
-            f"  {row['scenario']:24s} power cache win {row['win_percent']:+.1f}% "
-            f"({row['speedup']:.2f}x)"
-        )
 
 
 if __name__ == "__main__":

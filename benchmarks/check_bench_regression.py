@@ -41,7 +41,6 @@ GATED_METRICS: Tuple[Tuple[str, str], ...] = (
     ("thermal_closed_loop", "scalar_frames_per_s"),
     ("jit_closed_loop", "jit_frames_per_s"),
     ("jit_closed_loop", "baseline_frames_per_s"),
-    ("tier1_power_cache", "cached_frames_per_s"),
     ("result_store_io", "write_outcomes_per_s"),
     ("result_store_io", "checkpoint_events_per_s"),
     ("result_store_io", "summary_queries_per_s"),

@@ -14,9 +14,9 @@ call:
   resume that skips ``done`` scenarios while re-running ``failed`` ones;
 * :mod:`repro.campaign.results` — the :class:`CampaignResult` store with
   per-scenario status (``done``/``failed`` + captured traceback), JSON
-  round-trip persistence and shard-store :meth:`~CampaignResult.merge`,
-  feeding the existing :func:`~repro.sim.comparison.compare_to_oracle`
-  analysis unchanged;
+  round-trip persistence (shard stores merge on disk with
+  :func:`~repro.campaign.store.merge_store_files`), feeding the existing
+  :func:`~repro.sim.comparison.compare_to_oracle` analysis unchanged;
 * :mod:`repro.campaign.service` — the fault-tolerant distributed layer:
   a lease/heartbeat :class:`Coordinator` with journalled crash-resume,
   the JSON-over-HTTP transport, pull-based :class:`WorkerSite`\\ s with

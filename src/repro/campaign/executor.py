@@ -164,9 +164,8 @@ class CampaignInterrupted(ReproError):
 #: deadline-padding flag — so scenarios of one campaign grid that sweep
 #: governors over the same application and cluster (the common Table-I
 #: shape) precompute the (frame x operating-point) tables once per worker
-#: instead of once per scenario.  A table also carries its lazily-filled
-#: per-temperature power slices (bucketed thermal clusters), which
-#: therefore stay warm across the scenarios sharing the entry.  Entries are
+#: instead of once per scenario.  Engines only read a table, so sharing one
+#: across scenarios cannot leak state between them.  Entries are
 #: validated against the live cluster's physics on every reuse (see
 #: :meth:`~repro.platform.cluster.WorkloadTable.matches`), so a stale or
 #: colliding entry degrades to a rebuild, never to wrong numbers.
@@ -326,29 +325,21 @@ def _run_scenario_with_timeout(
 
 
 def run_scenario_safely(
-    scenario: ScenarioSpec,
-    max_attempts: int = 1,
-    backoff_s: float = 0.0,
-    retry: Optional[RetryPolicy] = None,
+    scenario: ScenarioSpec, retry: Optional[RetryPolicy] = None
 ) -> ScenarioOutcome:
     """Execute one scenario, converting failure into a ``failed`` outcome.
 
-    Runs :func:`run_scenario` up to ``max_attempts`` times.  The first
-    successful attempt wins (its outcome is stamped with the attempt
-    count); if every attempt raises, the final exception's message and
-    traceback are captured in a ``failed`` outcome so the campaign records
-    the crash instead of dying from it.  ``KeyboardInterrupt`` (and other
-    non-``Exception`` interrupts) still propagate.
-
-    Pass ``retry`` to drive the run from a full :class:`RetryPolicy`
-    (capped exponential backoff with deterministic jitter, optional
-    per-attempt ``timeout_s`` guard); the positional ``max_attempts`` /
-    ``backoff_s`` arguments are kept for existing call sites and are
-    ignored when a policy is given.
+    Runs :func:`run_scenario` up to ``retry.max_attempts`` times (once
+    when no :class:`RetryPolicy` is given), waiting the policy's capped
+    exponential backoff between attempts and guarding each attempt with
+    its optional ``timeout_s``.  The first successful attempt wins (its
+    outcome is stamped with the attempt count); if every attempt raises,
+    the final exception's message and traceback are captured in a
+    ``failed`` outcome so the campaign records the crash instead of dying
+    from it.  ``KeyboardInterrupt`` (and other non-``Exception``
+    interrupts) still propagate.
     """
-    policy = retry if retry is not None else RetryPolicy(
-        max_attempts=max_attempts, backoff_s=backoff_s
-    )
+    policy = retry if retry is not None else RetryPolicy()
     for attempt in range(1, policy.max_attempts + 1):
         try:
             if policy.timeout_s is not None:

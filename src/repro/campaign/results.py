@@ -16,7 +16,7 @@ monolithic JSON blob of earlier releases is read-only
 (:meth:`CampaignResult.load`, :meth:`CampaignResult.from_dict`).
 Disjoint stores of the same campaign —
 e.g. the per-shard result files of a :meth:`CampaignSpec.shard` split —
-recombine with :meth:`CampaignResult.merge`.
+recombine on disk with :func:`repro.campaign.store.merge_store_files`.
 
 The store feeds the existing analysis layer unchanged —
 :meth:`CampaignResult.results` returns the plain ``label ->
@@ -31,9 +31,9 @@ import json
 import os
 import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Mapping, Optional
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import SimulationError
 from repro.campaign.spec import CampaignSpec, ScenarioSpec
 from repro.sim.results import SimulationResult
 
@@ -50,15 +50,19 @@ STATUS_FAILED = "failed"
 CORRUPT_CHECKPOINT_ERRORS = (ValueError, KeyError, TypeError, AttributeError)
 
 
-def quarantine_corrupt_file(path: str, reason: Exception) -> Optional[str]:
+def quarantine_corrupt_file(
+    path: str, reason: Exception, salvaged: Optional[int] = None
+) -> Optional[str]:
     """Move an unreadable checkpoint aside and warn, instead of raising.
 
     A crash mid-``os.replace`` on exotic filesystems (or a partial copy)
     can leave a truncated or garbled JSON file where a checkpoint should
     be.  This renames it to ``<path>.corrupt`` (``.corrupt-2``, ... when
     one already exists) so the bad bytes stay available for post-mortem
-    while the caller resumes from scratch.  Returns the quarantine path,
-    or ``None`` when even the rename failed (the warning still fires).
+    while the caller resumes from scratch — or, when the caller recovered
+    a valid prefix, from those ``salvaged`` outcomes (the warning names
+    the count).  Returns the quarantine path, or ``None`` when even the
+    rename failed (the warning still fires).
     """
     quarantine = f"{path}.corrupt"
     suffix = 1
@@ -69,12 +73,17 @@ def quarantine_corrupt_file(path: str, reason: Exception) -> Optional[str]:
         os.replace(path, quarantine)
     except OSError:
         quarantine = None
+    resuming = (
+        "resuming from scratch"
+        if salvaged is None
+        else f"resuming from {salvaged} salvaged outcome(s)"
+    )
     warnings.warn(
         f"checkpoint {path!r} is corrupt ({type(reason).__name__}: {reason}); "
         + (
-            f"quarantined to {quarantine!r} and resuming from scratch"
+            f"quarantined to {quarantine!r} and {resuming}"
             if quarantine
-            else "could not quarantine it; resuming from scratch"
+            else f"could not quarantine it; {resuming}"
         ),
         RuntimeWarning,
         stacklevel=3,
@@ -314,47 +323,6 @@ class CampaignResult:
             if outcome is None or not outcome.ok:
                 pending.append(scenario)
         return pending
-
-    # -- sharding -----------------------------------------------------------------
-    @classmethod
-    def merge(cls, stores: Sequence["CampaignResult"]) -> "CampaignResult":
-        """Union several result stores of the same campaign by scenario id.
-
-        The inverse of running a campaign as :meth:`CampaignSpec.shard`
-        slices: merging the shard stores reconstructs the store an
-        unsharded run would have produced (order it with
-        :meth:`ordered_for` for bit-identical JSON).
-
-        Raises
-        ------
-        ConfigurationError
-            If no stores are given or the stores belong to differently
-            named campaigns.
-        SimulationError
-            If the same scenario id appears in several stores with
-            different record digests (identical duplicates are unioned
-            silently).
-        """
-        from repro.campaign.store import outcome_digest
-        if not stores:
-            raise ConfigurationError("merge needs at least one result store")
-        names = sorted({store.campaign_name for store in stores})
-        if len(names) > 1:
-            raise ConfigurationError(
-                f"cannot merge result stores of different campaigns: {names}"
-            )
-        merged = cls(campaign_name=stores[0].campaign_name)
-        for store in stores:
-            for outcome in store:
-                existing = merged.outcomes.get(outcome.scenario_id)
-                if existing is not None and outcome_digest(existing) != outcome_digest(outcome):
-                    raise SimulationError(
-                        f"conflicting outcomes for scenario {outcome.label!r} "
-                        f"(id {outcome.scenario_id}) while merging campaign "
-                        f"{merged.campaign_name!r}"
-                    )
-                merged.add(outcome)
-        return merged
 
     def ordered_for(self, campaign: CampaignSpec) -> "CampaignResult":
         """A copy whose outcomes follow ``campaign``'s scenario order.

@@ -274,10 +274,10 @@ class CampaignSpec:
         is congruent to ``index`` modulo ``count`` — an interleaved split,
         so grid axes (which vary fastest by seed) spread evenly across
         shards.  The shards of one campaign are disjoint, cover every
-        scenario, and keep the campaign's name, so their result stores
-        recombine with :meth:`CampaignResult.merge
-        <repro.campaign.results.CampaignResult.merge>` into exactly the
-        store an unsharded run would produce.
+        scenario, and keep the campaign's name, so their saved result
+        stores recombine with
+        :func:`~repro.campaign.store.merge_store_files` into exactly the
+        store an unsharded run would save.
 
         Raises
         ------

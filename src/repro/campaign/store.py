@@ -848,7 +848,7 @@ def load_store_checkpoint(path: str) -> Optional[CampaignResult]:
         for outcome in reader.iter_outcomes(lazy=False):
             store.add(outcome)
     except CORRUPT_CHECKPOINT_ERRORS as exc:
-        quarantine_corrupt_file(path, exc)
+        quarantine_corrupt_file(path, exc, salvaged=len(store))
     return store
 
 

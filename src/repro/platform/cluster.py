@@ -12,9 +12,8 @@ operating point and tell me how long it took and how much energy it cost*.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro._compat import SLOTS
 from repro.errors import PlatformError
@@ -65,13 +64,11 @@ class WorkloadTable:
       point) pair), which are temperature-independent;
     * the power decomposition of :func:`_power_decomposition`, which reduces
       per-frame power evaluation to one ``math.exp`` shared by every
-      operating point;
-    * ``power_slices`` — complete per-point busy/idle power tables keyed by
-      *quantised* junction temperature, filled lazily as the trajectory
-      visits temperature buckets (only used when the cluster opted into
-      ``power_cache_bucket_c`` quantisation, mirroring the scalar power
-      cache exactly).  The dict is mutable shared state: a campaign worker
-      reusing this table across scenarios keeps the slices warm.
+      operating point, so leakage is always evaluated at the exact
+      junction temperature.
+
+    A table is read-only once built: engines only read it, so a campaign
+    worker can share one table across scenarios and governors.
 
     DVFS transition costs are not baked in: they depend on the previous
     frame's decision and are two constants the consumer adds per
@@ -102,12 +99,10 @@ class WorkloadTable:
         "voltages_v",
         "leakage_k3_per_c",
         "leakage_k4_a",
-        "bucket_c",
         "ambient_c",
         "resistance_c_per_w",
         "capacitance_j_per_c",
         "throttle_c",
-        "power_slices",
     )
 
     def __init__(self, **attributes: Any) -> None:
@@ -115,19 +110,6 @@ class WorkloadTable:
             setattr(self, name, attributes.pop(name))
         if attributes:
             raise PlatformError(f"unknown WorkloadTable attributes: {sorted(attributes)}")
-
-    @staticmethod
-    def effective_bucket_c(cluster: "Cluster") -> float:
-        """The temperature quantisation the scalar power path applies here.
-
-        :meth:`Cluster.core_power_w` quantises the cache key only when the
-        cache is enabled; with ``power_cache_size == 0`` it evaluates the
-        power model at the exact temperature regardless of the configured
-        bucket.  Tables must mirror that decision.
-        """
-        if cluster.power_cache_size == 0:
-            return 0.0
-        return cluster.power_cache_bucket_c
 
     def matches(self, cluster: "Cluster", idle_until_deadline: bool) -> bool:
         """Cheap soundness check that this table describes ``cluster``'s physics.
@@ -145,7 +127,6 @@ class WorkloadTable:
             or self.idle_until_deadline != idle_until_deadline
             or self.idle_at_min_opp != cluster.idle_at_min_opp
             or self.uncore_power_w != cluster.power_model.parameters.uncore_power_w
-            or self.bucket_c != self.effective_bucket_c(cluster)
             or self.ambient_c != thermal.ambient_c
             or self.resistance_c_per_w != thermal.resistance_c_per_w
             or self.capacitance_j_per_c != thermal.capacitance_j_per_c
@@ -236,22 +217,12 @@ class Cluster:
         :class:`PowerSensor` when the caller does not supply one): per-frame
         history recording is opt-in so long campaign runs do not grow memory
         without bound.
-    power_cache_size:
-        Maximum number of entries of the per-operating-point core-power LRU
-        cache.  The leakage model costs two ``math.exp`` calls per lookup,
-        evaluated twice per frame in the simulator's inner loop; with the
-        thermal model disabled (the paper's setting) the junction
-        temperature is constant and every busy/idle power is one of
-        ``2 × #OPPs`` values, so the cache turns the hot loop's power-model
-        work into two dict reads.  ``0`` disables caching (used by the
-        benchmarks to measure the win).
-    power_cache_bucket_c:
-        Optional temperature quantisation (degrees Celsius) of the cache
-        key.  ``0.0`` (default) keys on the exact temperature — numerically
-        transparent, and still fully effective when the thermal model is
-        off.  A positive bucket makes thermally-enabled runs cache-friendly
-        at the cost of evaluating leakage at the bucket centre instead of
-        the exact temperature (an approximation the caller opts into).
+
+    Core power is always evaluated at the exact junction temperature (see
+    :meth:`core_power_w`).  With the thermal model disabled (the paper's
+    setting) the temperature is constant, so every busy/idle power is one
+    of ``2 × #OPPs`` values and an exact memo turns the scalar engine's
+    per-frame leakage evaluation into two dict reads.
     """
 
     def __init__(
@@ -265,15 +236,9 @@ class Cluster:
         dvfs: Optional[DVFSActuator] = None,
         idle_at_min_opp: bool = True,
         record_history: bool = False,
-        power_cache_size: int = 1024,
-        power_cache_bucket_c: float = 0.0,
     ) -> None:
         if not cores:
             raise PlatformError("a cluster requires at least one core")
-        if power_cache_size < 0:
-            raise PlatformError("power_cache_size must be non-negative")
-        if power_cache_bucket_c < 0:
-            raise PlatformError("power_cache_bucket_c must be non-negative")
         self.name = name
         self.cores: List[Core] = list(cores)
         self.vf_table = vf_table
@@ -283,9 +248,7 @@ class Cluster:
         self.dvfs = dvfs or DVFSActuator(table=vf_table)
         self.idle_at_min_opp = idle_at_min_opp
         self.energy_meter = EnergyMeter(record_history=record_history)
-        self.power_cache_bucket_c = power_cache_bucket_c
-        self._power_cache_size = power_cache_size
-        self._power_cache: "OrderedDict[Tuple[int, bool, float], float]" = OrderedDict()
+        self._power_cache: Dict[Tuple[int, bool, float], float] = {}
         self._time_s = 0.0
 
     # -- introspection ---------------------------------------------------------
@@ -314,53 +277,30 @@ class Cluster:
         """Total true energy consumed by the cluster so far."""
         return self.energy_meter.energy_j
 
-    @property
-    def power_cache_size(self) -> int:
-        """Capacity of the per-operating-point core-power LRU cache (0 = off).
-
-        Exposed so table-building engines can mirror the exact caching
-        semantics of :meth:`core_power_w` — temperature quantisation only
-        applies when the cache is enabled.
-        """
-        return self._power_cache_size
-
     # -- power cache -----------------------------------------------------------
     def core_power_w(self, index: int, busy: bool, temperature_c: float) -> float:
-        """Single-core power at operating point ``index``, via the LRU cache.
+        """Single-core power at operating point ``index`` and ``temperature_c``.
 
         ``busy`` selects utilisation 1.0 (executing) vs 0.0 (clocked idle).
-        Cached values are exact: the key includes the temperature, so a hit
-        returns bit-identical power to an uncached evaluation (unless the
-        caller opted into ``power_cache_bucket_c`` quantisation).  With the
-        thermal model enabled and no bucketing the temperature moves every
-        frame and exact keys would never hit, so the cache is bypassed
-        entirely rather than churned.  The cache assumes ``power_model`` is
-        not mutated after construction; call :meth:`invalidate_power_cache`
-        if it is.
+        While the thermal model is disabled the temperature never moves, so
+        values are memoised on the exact ``(index, busy, temperature)`` key:
+        a hit is bit-identical to a direct evaluation, and the memo holds at
+        most ``2 × #OPPs`` entries per temperature.  With the thermal model
+        enabled the temperature moves every frame, so the power model is
+        evaluated directly.  The memo assumes ``power_model`` is not mutated
+        after construction; call :meth:`invalidate_power_cache` if it is.
         """
-        bucket = self.power_cache_bucket_c
-        thermal_enabled = self.thermal_model.enabled
-        if self._power_cache_size == 0 or (thermal_enabled and bucket == 0.0):
+        if self.thermal_model.enabled:
             return self.power_model.core_power_w(
                 self.vf_table[index], 1.0 if busy else 0.0, temperature_c
             )
-        if bucket > 0.0 and thermal_enabled:
-            # Quantise only when the temperature actually moves; with the
-            # thermal model off, exact keys already hit every time and
-            # bucketing would perturb results for no benefit.
-            temperature_c = round(temperature_c / bucket) * bucket
         key = (index, busy, temperature_c)
-        cache = self._power_cache
-        value = cache.get(key)
+        value = self._power_cache.get(key)
         if value is None:
             value = self.power_model.core_power_w(
                 self.vf_table[index], 1.0 if busy else 0.0, temperature_c
             )
-            cache[key] = value
-            if len(cache) > self._power_cache_size:
-                cache.popitem(last=False)
-        else:
-            cache.move_to_end(key)
+            self._power_cache[key] = value
         return value
 
     def invalidate_power_cache(self) -> None:
@@ -543,12 +483,10 @@ class Cluster:
             voltages_v=voltages,
             leakage_k3_per_c=params.leakage_k3_per_c,
             leakage_k4_a=params.leakage_k4_a,
-            bucket_c=WorkloadTable.effective_bucket_c(self),
             ambient_c=thermal.ambient_c,
             resistance_c_per_w=thermal.resistance_c_per_w,
             capacitance_j_per_c=thermal.capacitance_j_per_c,
             throttle_c=thermal.throttle_c,
-            power_slices={},
         )
 
     def advance_time(self, duration_s: float) -> None:

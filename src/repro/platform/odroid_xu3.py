@@ -116,8 +116,6 @@ def build_a15_cluster(
     sensor_noise_w: float = 0.0,
     seed: Optional[int] = 0,
     record_history: bool = False,
-    power_cache_size: int = 1024,
-    power_cache_bucket_c: float = 0.0,
 ) -> Cluster:
     """Build the A15 (big) cluster the paper's experiments run on.
 
@@ -136,14 +134,6 @@ def build_a15_cluster(
     record_history:
         Opt into per-frame sensor/meter history recording (off by default:
         the history grows unbounded over a campaign).
-    power_cache_size:
-        Size of the cluster's per-operating-point core-power LRU cache;
-        ``0`` disables caching (the benchmarks use this to measure the win).
-    power_cache_bucket_c:
-        Temperature quantisation of the cache key in degrees Celsius;
-        ``0.0`` keeps exact keys (which bypass the cache when the thermal
-        model is enabled).  Set a positive bucket to make thermally-enabled
-        sweeps cache-friendly at the cost of approximated leakage.
     """
     cores = [Core(core_id=i, name=f"A15-{i}") for i in range(num_cores)]
     thermal = ThermalModel(
@@ -171,8 +161,6 @@ def build_a15_cluster(
         ),
         dvfs=DVFSActuator(table=A15_VF_TABLE),
         record_history=record_history,
-        power_cache_size=power_cache_size,
-        power_cache_bucket_c=power_cache_bucket_c,
     )
 
 
@@ -182,8 +170,6 @@ def build_a7_cluster(
     sensor_noise_w: float = 0.0,
     seed: Optional[int] = 1,
     record_history: bool = False,
-    power_cache_size: int = 1024,
-    power_cache_bucket_c: float = 0.0,
 ) -> Cluster:
     """Build the A7 (LITTLE) cluster of the Exynos 5422."""
     cores = [Core(core_id=i, name=f"A7-{i}") for i in range(num_cores)]
@@ -212,8 +198,6 @@ def build_a7_cluster(
         ),
         dvfs=DVFSActuator(table=A7_VF_TABLE),
         record_history=record_history,
-        power_cache_size=power_cache_size,
-        power_cache_bucket_c=power_cache_bucket_c,
     )
 
 

@@ -42,9 +42,7 @@ through to ``tablepath``/``scalar``):
   ``RLGovernor`` (subclasses may override hooks the kernel inlines, so they
   are *not* accepted);
 * sensors: noiseless, non-recording (the INA231 defaults) — Gaussian noise
-  draws and history appends cannot be replicated in-kernel;
-* thermal: exact-mode leakage only (``power_cache_bucket_c`` quantisation
-  keeps a lazily-filled dict the kernel cannot grow).
+  draws and history appends cannot be replicated in-kernel.
 """
 
 from __future__ import annotations
@@ -166,14 +164,6 @@ def unsupported_reason(
         return "the kernel cannot replicate Gaussian sensor noise draws"
     if sensor.record_history:
         return "the kernel does not record per-conversion sensor history"
-    if (
-        cluster.thermal_model.enabled
-        and WorkloadTable.effective_bucket_c(cluster) > 0.0
-    ):
-        return (
-            "bucketed thermal power caching keeps a lazily-filled slice "
-            "table the kernel cannot grow (exact-mode leakage only)"
-        )
     return None
 
 

@@ -22,12 +22,11 @@ temperature dependence is a *single scalar factor*:
   ``T' = steady + (T - steady) * exp(-dt/tau)`` needs one more
   ``math.exp`` whose argument depends only on the frame duration — and
   durations repeat heavily (deadline-padded frames all share one), so the
-  decay factor is memoised per distinct duration;
-* for thermally-enabled clusters that opted into ``power_cache_bucket_c``
-  temperature quantisation, complete per-point power tables are instead
-  filled lazily per *quantised* temperature
-  (``WorkloadTable.power_slices``) and shared across the scenarios of a
-  campaign through the executor's per-worker table cache.
+  decay factor is memoised per distinct duration.
+
+Leakage is always evaluated at the exact junction temperature; the loop
+never writes to the table, so one table can be shared read-only across the
+scenarios of a campaign through the executor's per-worker table cache.
 
 With the thermal model disabled (the paper's setting) the temperature
 never moves, so the loop pays one ``exp`` per run.  The per-frame loop is
@@ -91,9 +90,9 @@ def precompute_tables(
     Thin wrapper over :meth:`Cluster.execute_workload_table` that extracts
     the frame trace from ``application``.  The returned table depends only
     on the trace, the cluster's physical constants and
-    ``config.idle_until_deadline`` — it is reusable across runs and across
-    governors sharing those (including its lazily-filled temperature power
-    slices), which the campaign executor's per-worker cache exploits.
+    ``config.idle_until_deadline`` — it is read-only and reusable across
+    runs and across governors sharing those, which the campaign executor's
+    per-worker cache exploits.
     """
     num_cores = cluster.num_cores
     cycles = [frame.cycles_per_core(num_cores) for frame in application]
@@ -146,21 +145,16 @@ def simulate_closed_loop(
     idle_at_min_opp = tables.idle_at_min_opp
     uncore_power_w = tables.uncore_power_w
 
-    # Power decomposition (exact mode) and lazy slices (bucketed mode).
+    # Power decomposition: one exp of the temperature per distinct value.
     dynamic_busy = tables.dynamic_busy_w
     dynamic_idle = tables.dynamic_idle_w
     leak_scale = tables.leak_scale_a
     voltages = tables.voltages_v
     leakage_k3 = tables.leakage_k3_per_c
     leakage_k4 = tables.leakage_k4_a
-    power_slices = tables.power_slices
-    power_model = cluster.power_model
-    vf_points = cluster.vf_table.points
 
     thermal_model = cluster.thermal_model
     thermal_enabled = thermal_model.enabled
-    bucket_c = tables.bucket_c
-    bucketed = thermal_enabled and bucket_c > 0.0
     ambient_c = tables.ambient_c
     resistance = tables.resistance_c_per_w
     throttle_c = tables.throttle_c
@@ -248,28 +242,18 @@ def simulate_closed_loop(
             interval = busy
 
         # Per-core powers at the start-of-frame junction temperature,
-        # mirroring Cluster.core_power_w exactly: quantised slice lookup
-        # when the cluster opted into bucketing, otherwise the one-exp
+        # mirroring Cluster.core_power_w exactly through the one-exp
         # decomposition of the exact leakage evaluation.
         idle_index = 0 if idle_at_min_opp else index
-        if bucketed:
-            quantised = round(temperature / bucket_c) * bucket_c
-            slices = power_slices.get(quantised)
-            if slices is None:
-                slices = power_model.power_table(vf_points, quantised)
-                power_slices[quantised] = slices
-            busy_power = slices[0][index]
-            idle_power = slices[1][idle_index]
-        else:
-            if temperature != theta_temperature:
-                theta = exp(leakage_k3 * (temperature - 55.0))
-                theta_temperature = temperature
-            busy_power = dynamic_busy[index] + voltages[index] * (
-                leak_scale[index] * theta + leakage_k4
-            )
-            idle_power = dynamic_idle[idle_index] + voltages[idle_index] * (
-                leak_scale[idle_index] * theta + leakage_k4
-            )
+        if temperature != theta_temperature:
+            theta = exp(leakage_k3 * (temperature - 55.0))
+            theta_temperature = temperature
+        busy_power = dynamic_busy[index] + voltages[index] * (
+            leak_scale[index] * theta + leakage_k4
+        )
+        idle_power = dynamic_idle[idle_index] + voltages[idle_index] * (
+            leak_scale[idle_index] * theta + leakage_k4
+        )
 
         # Core energy accumulated core by core in scalar summation order;
         # the scalar idle clamp max(0, interval - busy) is a numerical no-op

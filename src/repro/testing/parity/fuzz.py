@@ -16,7 +16,9 @@ sample:
 * **cross-backend parity** — every eligible engine backend reproduces the
   reference decision trace (:func:`repro.testing.parity.harness.run_parity`);
 * **shard/merge identity** — a small campaign built around the scenario,
-  run as shards and merged, equals the unsharded run byte-for-byte.
+  run as shards, saved and merged with the streaming merge
+  ``repro-campaign merge`` runs (:func:`~repro.campaign.store.merge_store_files`),
+  equals the saved unsharded run byte-for-byte.
 
 Every failure is reproducible from its integer seed alone
 (``repro-parity fuzz --seed N``), and :func:`minimize_scenario` greedily
@@ -32,8 +34,11 @@ data and resolve wherever :mod:`repro.testing.parity` is imported.
 
 from __future__ import annotations
 
+import filecmp
 import json
+import os
 import random
+import tempfile
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional
 
@@ -43,9 +48,8 @@ from repro.campaign.registry import (
     register_cluster,
     register_governor,
 )
-from repro.campaign.results import CampaignResult
 from repro.campaign.spec import CampaignSpec, FactorySpec, ScenarioSpec
-from repro.campaign.store import encode_line
+from repro.campaign.store import STORE_JSON, merge_store_files
 from repro.governors.conservative import ConservativeGovernor, ConservativeParameters
 from repro.governors.ondemand import OndemandGovernor, OndemandParameters
 from repro.platform.cluster import Cluster
@@ -329,19 +333,25 @@ def _check_shard_merge(scenario: ScenarioSpec, rng: random.Random) -> List[str]:
     )
     shard_count = rng.choice([2, 3])
     executor = CampaignExecutor(backend="serial")
-    unsharded = executor.run(campaign)
-    shards = [
-        executor.run(campaign.shard(index, shard_count))
-        for index in range(shard_count)
-    ]
-    merged = CampaignResult.merge(shards).ordered_for(campaign)
-    # Compare the store lines each run would save: order, frames,
-    # engine_used and cached metrics all count.
-    if list(map(encode_line, merged)) != list(map(encode_line, unsharded)):
-        return [
-            f"sharded ({shard_count} shards) + merged campaign differs "
-            f"from the unsharded run"
-        ]
+    # Save and merge exactly as ``repro-campaign`` does, then compare the
+    # files: order, frames, engine_used and cached metrics all count.
+    with tempfile.TemporaryDirectory(prefix="repro-fuzz-") as directory:
+        unsharded_path = os.path.join(directory, "unsharded.store")
+        executor.run(campaign).save(unsharded_path, store=STORE_JSON)
+        shard_paths = []
+        for index in range(shard_count):
+            shard_path = os.path.join(directory, f"shard{index}.store")
+            executor.run(campaign.shard(index, shard_count)).save(
+                shard_path, store=STORE_JSON
+            )
+            shard_paths.append(shard_path)
+        merged_path = os.path.join(directory, "merged.store")
+        merge_store_files(shard_paths, merged_path, spec=campaign, store=STORE_JSON)
+        if not filecmp.cmp(merged_path, unsharded_path, shallow=False):
+            return [
+                f"sharded ({shard_count} shards) + merged campaign differs "
+                f"from the unsharded run"
+            ]
     return []
 
 

@@ -91,6 +91,18 @@ def saved_bytes(result: CampaignResult | ScenarioOutcome) -> bytes:
         return Path(path).read_bytes()
 
 
+def merged_bytes(stores, spec: CampaignSpec | None = None) -> bytes:
+    """Save each store, merge the files as ``repro-campaign merge`` does, read the output."""
+    with tempfile.TemporaryDirectory() as workdir:
+        paths = []
+        for index, store in enumerate(stores):
+            paths.append(os.path.join(workdir, f"shard{index}.store"))
+            store.save(paths[-1])
+        merged = os.path.join(workdir, "merged.store")
+        result_store.merge_store_files(paths, merged, spec=spec, store="json")
+        return Path(merged).read_bytes()
+
+
 def outcome_of(result: SimulationResult) -> ScenarioOutcome:
     """``result`` as the done outcome of a placeholder scenario."""
     scenario = ScenarioSpec(

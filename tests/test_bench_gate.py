@@ -16,7 +16,9 @@ gate = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(gate)
 
 
-def results(fast=100_000.0, scalar=10_000.0, cached=5_000.0, scenario="mpeg4/oracle"):
+def results(
+    fast=100_000.0, scalar=10_000.0, table_scalar=5_000.0, scenario="mpeg4/oracle"
+):
     return {
         "vectorized_fast_path": [
             {
@@ -25,8 +27,13 @@ def results(fast=100_000.0, scalar=10_000.0, cached=5_000.0, scenario="mpeg4/ora
                 "scalar_frames_per_s": scalar,
             }
         ],
-        "tier1_power_cache": [
-            {"scenario": "mpeg4/ondemand", "cached_frames_per_s": cached}
+        "table_closed_loop": [
+            {
+                "scenario": "mpeg4/ondemand",
+                "table_frames_per_s": 50_000.0,
+                "cold_table_frames_per_s": 40_000.0,
+                "scalar_frames_per_s": table_scalar,
+            }
         ],
     }
 
@@ -50,11 +57,12 @@ class TestCompare:
         assert gate.compare(results(fast=1e9), results(), tolerance=0.0) == []
 
     def test_every_gated_metric_checked(self):
-        current = results(scalar=1.0, cached=1.0)
+        current = results(scalar=1.0, table_scalar=1.0)
         failures = gate.compare(current, results(), tolerance=0.30)
         assert len(failures) == 2
-        assert any("scalar_frames_per_s" in f for f in failures)
-        assert any("cached_frames_per_s" in f for f in failures)
+        assert any(f.startswith("vectorized_fast_path/") for f in failures)
+        assert any(f.startswith("table_closed_loop/") for f in failures)
+        assert all("scalar_frames_per_s" in f for f in failures)
 
     def test_missing_scenario_fails(self):
         current = results()

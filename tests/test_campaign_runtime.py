@@ -34,7 +34,7 @@ from repro.campaign.cli import main as cli_main
 from repro.analysis.reporting import format_campaign_summary
 from repro.errors import ConfigurationError, SimulationError
 from repro.governors.performance import PerformanceGovernor
-from tests.conftest import legacy_bytes, saved_bytes
+from tests.conftest import legacy_bytes, merged_bytes, saved_bytes
 
 #: Small scale so the whole module stays fast.
 FRAMES = 60
@@ -243,8 +243,10 @@ class TestBackoffSchedule:
         with pytest.raises(ConfigurationError):
             RetryPolicy().delay_for(0)
 
-    def test_legacy_positional_call_still_works(self):
-        outcome = run_scenario_safely(broken_scenario(), 1, 0.0)
+    def test_single_attempt_policy_records_failure(self):
+        outcome = run_scenario_safely(
+            broken_scenario(), retry=RetryPolicy(max_attempts=1, backoff_s=0.0)
+        )
         assert not outcome.ok and outcome.attempts == 1
 
 
@@ -545,33 +547,14 @@ class TestSharding:
 
     def test_sharded_run_merges_to_unsharded(self, campaign, full_store):
         stores = [run_campaign(campaign.shard(i, 2)) for i in range(2)]
-        merged = CampaignResult.merge(stores).ordered_for(campaign)
-        assert saved_bytes(merged) == saved_bytes(full_store)
+        assert merged_bytes(stores, spec=campaign) == saved_bytes(full_store)
 
 
 class TestMerge:
-    def test_merge_requires_stores(self):
-        with pytest.raises(ConfigurationError):
-            CampaignResult.merge([])
-
-    def test_merge_rejects_different_campaigns(self, full_store):
-        other = CampaignResult("something-else", dict(full_store.outcomes))
-        with pytest.raises(ConfigurationError):
-            CampaignResult.merge([full_store, other])
-
-    def test_merge_conflict_is_error(self, campaign, full_store):
-        conflicting = CampaignResult(campaign_name=campaign.name)
-        conflicting.add(
-            ScenarioOutcome.failure(campaign.scenarios[0], error="x", traceback_text="")
-        )
-        with pytest.raises(SimulationError):
-            CampaignResult.merge([full_store, conflicting])
-
     def test_identical_duplicates_union_silently(self, full_store, tmp_path):
         full_store.save(str(tmp_path / "twin.store"))
         twin = CampaignResult.load(str(tmp_path / "twin.store"))
-        merged = CampaignResult.merge([full_store, twin])
-        assert saved_bytes(merged) == saved_bytes(full_store)
+        assert merged_bytes([full_store, twin]) == saved_bytes(full_store)
 
 
 class TestCli:

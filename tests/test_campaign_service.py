@@ -39,7 +39,7 @@ from repro.campaign.service import (
     dispatch_op,
 )
 from repro.errors import ConfigurationError, ServiceError
-from tests.conftest import saved_bytes
+from tests.conftest import merged_bytes, saved_bytes
 
 #: Small scale so the whole module stays fast.
 FRAMES = 60
@@ -381,8 +381,8 @@ class TestWorkerDegradation:
             fallback_path=fallback,
             heartbeat_interval_s=None,
         ).run()
-        merged = CampaignResult.merge([CampaignResult.load(fallback)])
-        assert saved_bytes(merged.ordered_for(solo)) == saved_bytes(CampaignResult(
+        merged = merged_bytes([CampaignResult.load(fallback)], spec=solo)
+        assert merged == saved_bytes(CampaignResult(
             campaign_name=solo.name,
             outcomes={
                 s.scenario_id: serial_store.outcomes[s.scenario_id]

@@ -257,61 +257,46 @@ class TestStaticScheduleProbe:
             assert index == governor.decide(None, hint)
 
 
-class TestPowerCache:
-    def test_cached_and_uncached_energies_identical(self):
-        application = mpeg4_application(num_frames=60, seed=4)
+def _scalar_run(application, cluster):
+    engine = SimulationEngine(cluster, SimulationConfig(), engine="scalar")
+    result = engine.run(application, OndemandGovernor())
+    assert result.engine_used == "scalar"
+    return result
 
-        def run(power_cache_size):
-            engine = SimulationEngine(
-                build_a15_cluster(power_cache_size=power_cache_size),
-                SimulationConfig(prefer_fast_path=False),
-            )
-            return engine.run(application, OndemandGovernor())
 
-        cached = run(1024)
-        uncached = run(0)
-        assert [r.energy_j for r in cached.records] == [
-            r.energy_j for r in uncached.records
-        ]
-
-    def test_cache_is_exact_with_thermal_enabled(self):
-        """Moving temperature never changes numbers (exact keys bypass the cache)."""
-        application = mpeg4_application(num_frames=40, seed=4)
-
-        def run(power_cache_size):
-            engine = SimulationEngine(
-                build_a15_cluster(enable_thermal=True, power_cache_size=power_cache_size),
-                SimulationConfig(prefer_fast_path=False),
-            )
-            return engine.run(application, OndemandGovernor())
-
-        assert [r.energy_j for r in run(1024).records] == [
-            r.energy_j for r in run(0).records
-        ]
-
-    def test_temperature_bucketing_approximates(self):
-        application = mpeg4_application(num_frames=40, seed=4)
-
-        def run(bucket):
-            cluster = build_a15_cluster(enable_thermal=True)
-            cluster.power_cache_bucket_c = bucket
-            engine = SimulationEngine(cluster, SimulationConfig(prefer_fast_path=False))
-            return engine.run(application, OndemandGovernor())
-
-        exact = run(0.0)
-        bucketed = run(0.5)
-        assert bucketed.total_energy_j == pytest.approx(
-            exact.total_energy_j, rel=1e-2
+def _direct_power(cluster):
+    """Shadow the memo with a direct ``PowerModel.core_power_w`` evaluation."""
+    def core_power_w(index, busy, temperature_c):
+        return cluster.power_model.core_power_w(
+            cluster.vf_table[index], 1.0 if busy else 0.0, temperature_c
         )
 
-    def test_lru_eviction_bounds_cache(self):
-        cluster = build_a15_cluster(power_cache_size=4)
-        for index in range(10):
-            cluster.core_power_w(index, True, 50.0)
-        assert len(cluster._power_cache) <= 4
-        # Evicted entries recompute to the same value.
-        direct = cluster.power_model.core_power_w(cluster.vf_table[0], 1.0, 50.0)
-        assert cluster.core_power_w(0, True, 50.0) == direct
+    cluster.core_power_w = core_power_w
+    return cluster
+
+
+class TestPowerCache:
+    def test_cached_and_uncached_energies_identical(self):
+        """The isothermal memo is exact: frame-for-frame equal to direct evaluation."""
+        application = mpeg4_application(num_frames=60, seed=4)
+        cluster = build_a15_cluster()
+        memoised = _scalar_run(application, cluster)
+        direct = _scalar_run(application, _direct_power(build_a15_cluster()))
+        assert memoised.records == direct.records
+        # Constant temperature: at most one busy and one idle entry per point.
+        assert 0 < len(cluster._power_cache) <= 2 * len(cluster.vf_table)
+
+    def test_cache_is_exact_with_thermal_enabled(self):
+        """A moving temperature is evaluated directly and never memoised."""
+        application = mpeg4_application(num_frames=40, seed=4)
+        cluster = build_a15_cluster(enable_thermal=True)
+        scalar = _scalar_run(application, cluster)
+        direct = _scalar_run(
+            application, _direct_power(build_a15_cluster(enable_thermal=True))
+        )
+        assert scalar.records == direct.records
+        assert len({r.temperature_c for r in scalar.records}) > 1
+        assert len(cluster._power_cache) == 0
 
     def test_invalidate_power_cache(self):
         cluster = build_a15_cluster()

@@ -18,7 +18,7 @@ Covers:
 * negotiation: ``auto`` prefers jitpath exactly when it is available and
   the request is kernel-supported, falls through to the pre-PR selection
   otherwise (numba absent, ``REPRO_DISABLE_JIT``, governor subclasses,
-  noisy sensors, bucketed thermal), and a pinned ``jitpath`` mismatch is a
+  noisy sensors), and a pinned ``jitpath`` mismatch is a
   clear :class:`~repro.errors.SimulationError`;
 * the parity harness sees jitpath through ``trace_capture_backends`` as
   soon as it is available — no harness edits.
@@ -31,7 +31,7 @@ import pytest
 numpy = pytest.importorskip("numpy")
 
 from repro import _compat
-from repro.campaign import CampaignResult, CampaignSpec, FactorySpec, run_campaign
+from repro.campaign import CampaignSpec, FactorySpec, run_campaign
 from repro.errors import SimulationError
 from repro.governors.conservative import ConservativeGovernor
 from repro.governors.ondemand import OndemandGovernor
@@ -43,7 +43,7 @@ from repro.sim import backends, jitpath
 from repro.sim.backends import EngineRequest
 from repro.sim.engine import SimulationConfig, SimulationEngine
 from repro.workload.video import mpeg4_application
-from tests.conftest import saved_bytes
+from tests.conftest import merged_bytes, saved_bytes
 
 FRAMES = 240
 
@@ -164,8 +164,7 @@ class TestCampaignRouting:
             for outcome in unsharded.outcomes.values()
         )
         shards = [run_campaign(campaign.shard(i, 2)) for i in range(2)]
-        merged = CampaignResult.merge(shards).ordered_for(campaign)
-        assert saved_bytes(merged) == saved_bytes(unsharded)
+        assert merged_bytes(shards, spec=campaign) == saved_bytes(unsharded)
 
 
 def _request(governor=None, cluster=None):
@@ -201,17 +200,6 @@ class TestNegotiation:
         assert (
             backends.negotiate(
                 _request(cluster=build_a15_cluster(sensor_noise_w=0.01))
-            ).name
-            == "tablepath"
-        )
-        # Bucketed thermal power caching keeps a lazily-filled slice table.
-        assert (
-            backends.negotiate(
-                _request(
-                    cluster=build_a15_cluster(
-                        enable_thermal=True, power_cache_bucket_c=0.5
-                    )
-                )
             ).name
             == "tablepath"
         )

@@ -230,7 +230,7 @@ class TestCorruption:
         # Tear the file mid-way through the last record.
         with open(path, "wb") as handle:
             handle.write(blob[: len(blob) - 40])
-        with pytest.warns(RuntimeWarning, match="quarantined"):
+        with pytest.warns(RuntimeWarning, match="quarantined") as record:
             salvaged = CampaignResult.load_checkpoint(path)
         assert salvaged is not None
         assert 0 < len(salvaged) < len(full_store)
@@ -238,6 +238,11 @@ class TestCorruption:
         originals = {o.scenario_id: o for o in full_store}
         for outcome in salvaged:
             assert saved_bytes(outcome) == saved_bytes(originals[outcome.scenario_id])
+        # The warning names the salvaged count instead of "from scratch".
+        (warning,) = record
+        message = str(warning.message)
+        assert f"resuming from {len(salvaged)} salvaged outcome(s)" in message
+        assert "from scratch" not in message
         # The torn file moved aside for post-mortem; a resume starts clean.
         assert not os.path.exists(path)
         assert os.path.exists(path + ".corrupt")

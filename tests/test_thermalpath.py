@@ -12,6 +12,8 @@ the same contract for isothermal clusters.
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from repro.governors.conservative import ConservativeGovernor
@@ -163,26 +165,6 @@ class TestThermalPathEquivalence:
             OndemandGovernor,
             application,
             cluster_kwargs={"sensor_noise_w": 0.05, "seed": 42},
-        )
-        _assert_frame_by_frame_equivalent(scalar, thermal)
-
-    def test_matches_with_bucketed_power_cache(self):
-        """Clusters that quantise cache temperatures are mirrored exactly."""
-        application = mpeg4_application(num_frames=200, seed=5)
-        scalar, thermal, _, _, _ = _run_both(
-            OndemandGovernor,
-            application,
-            cluster_kwargs={"power_cache_bucket_c": 2.0},
-        )
-        _assert_frame_by_frame_equivalent(scalar, thermal)
-
-    def test_matches_with_bucket_but_cache_disabled(self):
-        """power_cache_size=0 disables quantisation; the engine must follow."""
-        application = mpeg4_application(num_frames=120, seed=5)
-        scalar, thermal, _, _, _ = _run_both(
-            OndemandGovernor,
-            application,
-            cluster_kwargs={"power_cache_bucket_c": 2.0, "power_cache_size": 0},
         )
         _assert_frame_by_frame_equivalent(scalar, thermal)
 
@@ -363,10 +345,6 @@ class TestThermalWorkloadTable:
         assert not tables.matches(
             _thermal_cluster(num_cores=2), idle_until_deadline=True
         )
-        # The quantisation mode is part of the physics contract.
-        assert not tables.matches(
-            _thermal_cluster(power_cache_bucket_c=2.0), idle_until_deadline=True
-        )
 
     def test_mismatched_tables_are_rebuilt_not_trusted(self):
         """A wrong-shaped cached table degrades to a rebuild, never bad data."""
@@ -383,29 +361,6 @@ class TestThermalWorkloadTable:
             _thermal_cluster(), SimulationConfig(), engine="scalar"
         ).run(application, OndemandGovernor())
         _assert_frame_by_frame_equivalent(scalar, thermal_result)
-
-    def test_power_slices_fill_lazily_and_are_shared(self):
-        """Bucketed runs populate the table's slices; reuse keeps them warm."""
-        application = mpeg4_application(num_frames=150, seed=5)
-        config = SimulationConfig()
-        cluster = _thermal_cluster(power_cache_bucket_c=2.0)
-        tables = self._tables(cluster, application, config)
-        assert tables.power_slices == {}
-
-        def run(cluster, governor):
-            engine = SimulationEngine(
-                cluster, config, table_provider=lambda c, a, cfg: tables
-            )
-            result = engine.run(application, governor)
-            assert result.engine_used == "tablepath"
-
-        run(cluster, OndemandGovernor())
-        slices_after_first = dict(tables.power_slices)
-        assert slices_after_first  # visited buckets were filled
-        # A second governor over the same tables reuses the filled slices.
-        run(_thermal_cluster(power_cache_bucket_c=2.0), ConservativeGovernor())
-        for key, value in slices_after_first.items():
-            assert tables.power_slices[key] is value
 
 
 class TestCampaignThermalTableCache:
@@ -443,40 +398,51 @@ class TestCampaignThermalTableCache:
             campaign_registry._CLUSTERS.pop("a15-thermal-test", None)
             campaign_executor._TABLE_CACHE.clear()
 
-    def test_bucketed_campaign_matches_scalar(self):
-        """A bucketed thermal campaign fills the shared table's power slices
-        lazily and still reproduces scalar."""
+    def test_cached_table_is_read_only(self):
+        """Two thermal scenarios sharing one cached table leave it untouched."""
         from repro.campaign import executor as campaign_executor
         from repro.campaign import registry as campaign_registry
         from repro.campaign.spec import CampaignSpec, FactorySpec
 
-        def bucketed_cluster(**kwargs):
-            return _thermal_cluster(power_cache_bucket_c=2.0, **kwargs)
-
-        campaign_registry.register_cluster("a15-thermal-bucketed-test", bucketed_cluster)
+        campaign_registry.register_cluster("a15-thermal-readonly-test", _thermal_cluster)
         campaign_executor._TABLE_CACHE.clear()
         try:
             campaign = CampaignSpec.from_grid(
-                name="thermal-bucketed-test",
+                name="thermal-readonly-test",
                 applications=[FactorySpec.of("mpeg4", num_frames=40)],
-                governors=[FactorySpec.of("ondemand")],
-                cluster=FactorySpec.of("a15-thermal-bucketed-test"),
+                governors=[FactorySpec.of("ondemand"), FactorySpec.of("conservative")],
+                cluster=FactorySpec.of("a15-thermal-readonly-test"),
                 seeds=[11],
             )
-            store = campaign_executor.run_campaign(campaign)
-            (cached_tables,) = campaign_executor._TABLE_CACHE.values()
-            assert isinstance(cached_tables, WorkloadTable)
-            assert cached_tables.power_slices  # visited buckets were filled
-
-            scalar = SimulationEngine(
-                bucketed_cluster(), SimulationConfig(), engine="scalar"
-            ).run(mpeg4_application(num_frames=40, seed=11), OndemandGovernor())
-            _assert_frame_by_frame_equivalent(
-                scalar, store.outcome("ondemand").result
+            scenario = campaign.scenarios[0]
+            tables = campaign_executor._cached_table_provider(scenario)(
+                _thermal_cluster(),
+                campaign_executor._cached_application(scenario),
+                SimulationConfig(),
             )
+            baseline = {
+                name: copy.deepcopy(getattr(tables, name))
+                for name in WorkloadTable.__slots__
+            }
+
+            campaign_executor.reset_table_cache_stats()
+            store = campaign_executor.run_campaign(campaign)
+
+            assert all(outcome.ok for outcome in store)
+            assert campaign_executor.table_cache_stats()["hits"] == 2
+            (cached,) = campaign_executor._TABLE_CACHE.values()
+            assert cached is tables
+            for name, before in baseline.items():
+                after = getattr(tables, name)
+                if isinstance(before, numpy.ndarray):
+                    assert after.dtype == before.dtype, name
+                    assert numpy.array_equal(after, before), name
+                else:
+                    assert after == before, name
         finally:
-            campaign_registry._CLUSTERS.pop("a15-thermal-bucketed-test", None)
+            campaign_registry._CLUSTERS.pop("a15-thermal-readonly-test", None)
             campaign_executor._TABLE_CACHE.clear()
+            campaign_executor.reset_table_cache_stats()
 
 
 class TestThermalPathSelection:
