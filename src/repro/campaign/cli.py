@@ -190,11 +190,11 @@ def _run_main(argv: Sequence[str]) -> int:
     )
     parser.add_argument(
         "--engine",
-        choices=[sim_backends.AUTO] + sim_backends.backend_names(),
+        choices=[sim_backends.AUTO, *sim_backends.ENGINES],
         default=None,
-        help="pin every scenario to this simulation engine backend "
+        help="pin every scenario to this simulation engine "
         "(overrides the specs' engine field; 'auto' negotiates the fastest "
-        "eligible backend per scenario; a scenario the named backend cannot "
+        "eligible engine per scenario; a scenario the named engine cannot "
         "run fails with a capability-mismatch error)",
     )
     parser.add_argument(

@@ -47,6 +47,14 @@ from repro.workload.application import Application
 #: Optional per-scenario completion callback (label, index, total).
 ProgressCallback = Callable[[str, int, int], None]
 
+#: Fractional jitter amplitude of every retry delay: the delay is scaled by
+#: a factor in ``[1 - BACKOFF_JITTER, 1 + BACKOFF_JITTER]`` drawn
+#: deterministically from ``(BACKOFF_SEED, key, attempt)``, so concurrent
+#: workers de-synchronise their retries without losing reproducibility.
+BACKOFF_JITTER = 0.1
+#: Seed folded into the jitter hash.
+BACKOFF_SEED = 0
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -67,17 +75,9 @@ class RetryPolicy:
         under its original name (old specs and call sites load unchanged)
         but now seeds a *capped exponential* schedule: attempt ``k``
         waits ``backoff_s * 2**(k-1)`` seconds, capped at
-        :attr:`backoff_cap_s`, then spread by deterministic jitter.  With
-        one retry this degenerates to the historical fixed sleep.
+        :attr:`backoff_cap_s`, then spread by :data:`BACKOFF_JITTER`.
     backoff_cap_s:
         Upper bound on the exponential delay (before jitter).
-    backoff_jitter:
-        Fractional jitter amplitude in ``[0, 1]``: the delay is scaled by
-        a factor in ``[1 - jitter, 1 + jitter]`` drawn deterministically
-        from ``(backoff_seed, key, attempt)``, so concurrent workers
-        de-synchronise their retries without losing reproducibility.
-    backoff_seed:
-        Seed folded into the jitter hash.
     timeout_s:
         Optional per-attempt wall-clock budget.  A scenario still running
         after this many seconds is recorded as a ``failed`` attempt with
@@ -88,8 +88,6 @@ class RetryPolicy:
     max_attempts: int = 1
     backoff_s: float = 0.0
     backoff_cap_s: float = 60.0
-    backoff_jitter: float = 0.1
-    backoff_seed: int = 0
     timeout_s: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -102,10 +100,6 @@ class RetryPolicy:
         if self.backoff_cap_s < 0:
             raise ConfigurationError(
                 f"backoff_cap_s must be >= 0, got {self.backoff_cap_s}"
-            )
-        if not 0.0 <= self.backoff_jitter <= 1.0:
-            raise ConfigurationError(
-                f"backoff_jitter must be in [0, 1], got {self.backoff_jitter}"
             )
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ConfigurationError(
@@ -125,12 +119,10 @@ class RetryPolicy:
         if self.backoff_s <= 0:
             return 0.0
         delay = min(self.backoff_s * (2.0 ** (attempt - 1)), self.backoff_cap_s)
-        if self.backoff_jitter > 0.0:
-            token = f"{self.backoff_seed}:{key}:{attempt}".encode("utf-8")
-            digest = hashlib.sha256(token).digest()
-            unit = int.from_bytes(digest[:8], "big") / 2.0**64  # [0, 1)
-            delay *= 1.0 + self.backoff_jitter * (2.0 * unit - 1.0)
-        return delay
+        token = f"{BACKOFF_SEED}:{key}:{attempt}".encode("utf-8")
+        digest = hashlib.sha256(token).digest()
+        unit = int.from_bytes(digest[:8], "big") / 2.0**64  # [0, 1)
+        return delay * (1.0 + BACKOFF_JITTER * (2.0 * unit - 1.0))
 
 
 class CampaignInterrupted(ReproError):
@@ -258,9 +250,9 @@ def run_scenario(scenario: ScenarioSpec) -> ScenarioOutcome:
     scenario's probe (if any) while the governor is still live.  Exceptions
     propagate — use :func:`run_scenario_safely` to record them instead.
 
-    Engine selection goes through the backend registry in
+    Engine selection goes through the engine ladder in
     :mod:`repro.sim.backends`: the scenario's ``engine`` field either pins
-    a backend by name (validated against its declared capabilities) or —
+    an engine by name (validated against the request) or —
     the default ``"auto"`` — negotiates the fastest eligible one:
     static-schedule governors on isothermal clusters take the vectorised
     trace engine, everything else the table-driven engine (which carries

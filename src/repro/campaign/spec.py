@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError
-from repro.sim.backends import backend_names
+from repro.sim.backends import AUTO, ENGINES
 from repro.sim.engine import SimulationConfig
 
 #: Engine backends earlier releases shipped, with why they are gone: a spec
@@ -129,12 +129,12 @@ class ScenarioSpec:
         Grid coordinates filled in by :meth:`CampaignSpec.from_grid`, used
         to select/aggregate results along grid axes.
     engine:
-        Engine backend request for the run: ``"auto"`` (default) negotiates
-        the fastest eligible backend; a backend name (``"scalar"``,
-        ``"fastpath"``, ``"jitpath"``, ``"tablepath"``, or a registered
-        third-party backend) pins the run to that backend.  Validated
-        against the backend's declared capabilities when the scenario runs
-        — a scenario the named backend cannot execute fails with a clear
+        Engine request for the run: ``"auto"`` (default) negotiates the
+        fastest eligible engine; an engine name (``"fastpath"``,
+        ``"jitpath"``, ``"tablepath"`` or ``"scalar"``) pins the run to that
+        engine.  Any other name is rejected when the spec is built.  The
+        pinned engine is checked against the request when the scenario runs
+        — a scenario the named engine cannot execute fails with a clear
         capability-mismatch error instead of silently falling back.
     """
 
@@ -150,17 +150,17 @@ class ScenarioSpec:
     engine: str = "auto"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.engine, str) or not self.engine:
-            raise ConfigurationError(
-                f"scenario {self.label!r}: engine must be a non-empty backend "
-                f"name or 'auto', got {self.engine!r}"
-            )
+        if self.engine == AUTO or self.engine in ENGINES:
+            return
+        choices = f"use 'auto' or one of: {', '.join(ENGINES)}"
         if self.engine in REMOVED_ENGINES:
             raise ConfigurationError(
                 f"scenario {self.label!r}: engine {self.engine!r} is not "
-                f"available ({REMOVED_ENGINES[self.engine]}); use 'auto' or a "
-                f"registered backend: {', '.join(backend_names())}"
+                f"available ({REMOVED_ENGINES[self.engine]}); {choices}"
             )
+        raise ConfigurationError(
+            f"scenario {self.label!r}: unknown engine {self.engine!r}; {choices}"
+        )
 
     @property
     def scenario_id(self) -> str:
@@ -194,7 +194,7 @@ class ScenarioSpec:
             data["probe"] = self.probe.to_dict()
         # Serialised only when non-default so pre-existing scenario ids (the
         # content hashes resume/merge key on) are unchanged for auto runs.
-        if self.engine != "auto":
+        if self.engine != AUTO:
             data["engine"] = self.engine
         return data
 

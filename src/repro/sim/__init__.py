@@ -7,8 +7,8 @@ epoch's PMU and sensor data, chooses a V-F operating point, the platform
 executes the frame at that point, and the resulting time/energy feed the
 next decision.
 
-Execution strategies are pluggable backends selected per run by capability
-negotiation (see :mod:`repro.sim.backends`): the NumPy-vectorised trace
+Each run executes on the first engine of a fixed four-row ladder that
+accepts it (see :mod:`repro.sim.backends`): the NumPy-vectorised trace
 engine in :mod:`repro.sim.fastpath` for static-schedule governors, the
 compiled closed-loop kernels in :mod:`repro.sim.jitpath` (when numba is
 installed), the table-driven closed loop with live thermal state in
@@ -18,17 +18,8 @@ installed), the table-driven closed loop with live thermal state in
 
 from repro.sim.epoch import FrameColumns, FrameRecord
 from repro.sim.engine import SimulationConfig, SimulationEngine
-from repro.sim.backends import (
-    BackendCapabilities,
-    EngineBackend,
-    EngineRequest,
-    backend_names,
-    capability_matrix,
-    negotiate,
-    register_backend,
-    unregister_backend,
-)
-from repro.sim.fastpath import fast_path_eligible, simulate_schedule
+from repro.sim.backends import ENGINES, EngineRequest, negotiate, rejection_reason
+from repro.sim.fastpath import simulate_schedule
 from repro.sim.tablepath import precompute_tables, simulate_closed_loop
 from repro.sim.results import SimulationResult
 from repro.sim.metrics import (
@@ -46,15 +37,10 @@ __all__ = [
     "SimulationConfig",
     "SimulationEngine",
     "SimulationResult",
-    "BackendCapabilities",
-    "EngineBackend",
+    "ENGINES",
     "EngineRequest",
-    "backend_names",
-    "capability_matrix",
     "negotiate",
-    "register_backend",
-    "unregister_backend",
-    "fast_path_eligible",
+    "rejection_reason",
     "simulate_schedule",
     "precompute_tables",
     "simulate_closed_loop",

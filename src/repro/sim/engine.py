@@ -5,17 +5,14 @@ runs one application under one governor at a time, producing a
 :class:`~repro.sim.results.SimulationResult` with a per-epoch record of
 time, energy and governor behaviour.
 
-Execution strategies are pluggable :class:`~repro.sim.backends.EngineBackend`
-implementations selected per run by capability negotiation (see
-:mod:`repro.sim.backends`): each backend declares what it supports
-(thermal coupling, static schedules, table reuse, NumPy) and the highest
-priority backend whose declarations admit the (cluster, application,
-governor, config) request wins.  The built-ins are the vectorised trace
-engine (``fastpath``), the compiled closed-loop kernels (``jitpath``, when
-numba is installed), the table-driven closed loop with live thermal state
+Each run executes on one of four engines, picked per run from the fixed
+ladder in :mod:`repro.sim.backends`: the vectorised trace engine
+(``fastpath``), the compiled closed-loop kernels (``jitpath``, when numba
+is installed), the table-driven closed loop with live thermal state
 (``tablepath``) and the universal scalar reference loop (``scalar``).
-The backend that ran is recorded on the result as
-:attr:`SimulationResult.engine_used`.
+``auto`` takes the first engine on that ladder that accepts the (cluster,
+application, governor, config) request.  The engine that ran is recorded
+on the result as :attr:`SimulationResult.engine_used`.
 """
 
 from __future__ import annotations
@@ -53,11 +50,11 @@ class SimulationConfig:
         selects the fastest point (the after-boot default).
     prefer_fast_path:
         Deprecated compatibility switch: ``False`` pins the run to the
-        ``scalar`` reference backend (e.g. for bit-exact regression
+        ``scalar`` reference engine (e.g. for bit-exact regression
         comparisons against archived scalar results).  Prefer the engine
         request — ``SimulationEngine(..., engine="scalar")`` or a scenario
-        spec's ``engine`` field — which goes through the same backend
-        registry as every other selection.
+        spec's ``engine`` field — which goes through the same negotiation
+        as every other selection.
     """
 
     idle_until_deadline: bool = True
@@ -77,8 +74,8 @@ class SimulationEngine:
         Engine behaviour switches (see :class:`SimulationConfig`).
     table_provider:
         Optional callable ``(cluster, application, config) -> tables``
-        invoked when (and only when) the winning backend consumes
-        precomputed physics tables (``supports_tables``).  Callers that run
+        invoked when (and only when) the winning engine consumes
+        precomputed physics tables (``jitpath``, ``tablepath``).  Callers that run
         many scenarios over the same application and cluster (the campaign
         executor) supply a caching provider here so the precomputed physics
         is shared; ``None`` builds fresh tables per run.  Returned tables
@@ -86,11 +83,10 @@ class SimulationEngine:
         provider degrades to a rebuild, never to wrong numbers.
     engine:
         Engine request: ``"auto"`` (default) negotiates the fastest
-        eligible backend from the registry in :mod:`repro.sim.backends`; a
-        backend name (``"scalar"``, ``"fastpath"``, ``"jitpath"``,
-        ``"tablepath"``, or any registered third-party backend) pins the
-        run to that backend, failing with a clear error when its declared
-        capabilities cannot accept the run.
+        eligible engine from the ladder in :mod:`repro.sim.backends`; an
+        engine name (``"fastpath"``, ``"jitpath"``, ``"tablepath"`` or
+        ``"scalar"``) pins the run to that engine, failing with a clear
+        error when the engine cannot run it.
     """
 
     def __init__(
@@ -108,7 +104,7 @@ class SimulationEngine:
 
     @property
     def engine_used(self) -> Optional[str]:
-        """Name of the backend the most recent :meth:`run` executed on."""
+        """Name of the engine the most recent :meth:`run` executed on."""
         return self._engine_used
 
     def platform_info(self) -> PlatformInfo:
@@ -153,10 +149,10 @@ class SimulationEngine:
             table_provider=self.table_provider,
         )
         # Cleared before negotiation so a failed selection (or a failed run)
-        # cannot leave a previous run's backend name dangling.
+        # cannot leave a previous run's engine name dangling.
         self._engine_used = None
         selected = backends.negotiate(request, engine=self.engine)
-        result = selected.run(request)
-        self._engine_used = selected.name
-        result.engine_used = selected.name
+        result = backends.run(selected, request)
+        self._engine_used = selected
+        result.engine_used = selected
         return result

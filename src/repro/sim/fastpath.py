@@ -36,8 +36,8 @@ power — is constant over the trace.  Everything else (idle-at-min-OPP or
 not, deadline padding or not, sensor noise, DVFS transition costs) is
 handled exactly.  Thermally-enabled clusters negotiate to the table-driven
 engine in :mod:`repro.sim.tablepath`, which carries the RC thermal state;
-the scalar engine remains the universal fallback (see
-:mod:`repro.sim.backends`).
+the scalar engine remains the universal fallback.  The rule itself lives in
+:func:`repro.sim.backends.rejection_reason`.
 """
 
 from __future__ import annotations
@@ -59,15 +59,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.rtm.governor import Governor
     from repro.sim.engine import SimulationConfig
     from repro.workload.application import Application
-
-
-def fast_path_eligible(cluster: "Cluster") -> bool:
-    """True when :func:`simulate_schedule` reproduces the scalar engine here.
-
-    Requires NumPy and a disabled thermal model (constant junction
-    temperature, hence constant per-operating-point powers over the trace).
-    """
-    return _np is not None and not cluster.thermal_model.enabled
 
 
 def simulate_schedule(

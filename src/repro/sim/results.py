@@ -45,10 +45,10 @@ class SimulationResult:
         Epoch at which the governor's learning converged (``None`` for
         non-learning governors or unconverged runs).
     engine_used:
-        Name of the engine backend that produced this result (``"scalar"``,
-        ``"fastpath"``, ``"jitpath"``, ``"tablepath"``, or a registered
-        third-party backend; results saved by earlier releases may carry a
-        retired name such as ``"thermalpath"``, and still load).  Stamped by
+        Name of the engine that produced this result (``"fastpath"``,
+        ``"jitpath"``, ``"tablepath"`` or ``"scalar"``; results saved by
+        earlier releases may carry a retired name such as
+        ``"thermalpath"``, and still load).  Stamped by
         :meth:`~repro.sim.engine.SimulationEngine.run`; empty for results
         built by hand or by calling an engine module directly.
     """

@@ -5,7 +5,7 @@ This is the universal fallback every fast engine is validated against: one
 call per frame, no precomputation, no NumPy requirement, correct for every
 (cluster, governor, config) combination including thermally-coupled runs.
 It used to live inside :class:`~repro.sim.engine.SimulationEngine`; with
-engine selection moved to the backend registry in :mod:`repro.sim.backends`
+engine selection moved to the engine ladder in :mod:`repro.sim.backends`
 the loop is a plain module-level function like its fast siblings.
 """
 

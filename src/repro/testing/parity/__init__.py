@@ -16,8 +16,8 @@ This package turns that guarantee into executable infrastructure:
 :mod:`repro.testing.parity.harness`
     The differential replay harness: one
     :class:`~repro.campaign.spec.ScenarioSpec` through every eligible
-    (governor x engine backend) pair from the
-    :mod:`repro.sim.backends` registry, diffing every trace against the
+    (governor x engine) pair on the fixed :mod:`repro.sim.backends`
+    ladder, diffing every trace against the
     ``scalar`` reference.
 
 :mod:`repro.testing.parity.goldens`

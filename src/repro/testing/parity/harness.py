@@ -3,9 +3,9 @@
 The harness answers the question every engine or governor PR must answer
 before it lands: *do all engine backends still hand every governor
 bit-identical observations?*  It replays a
-:class:`~repro.campaign.spec.ScenarioSpec` through every backend the
-registry declares eligible for trace capture
-(:func:`repro.sim.backends.trace_capture_backends`), diffs each decision
+:class:`~repro.campaign.spec.ScenarioSpec` through every engine of the
+fixed ladder that accepts it (:data:`repro.sim.backends.ENGINES` with no
+:func:`~repro.sim.backends.rejection_reason`), diffs each decision
 trace against the ``scalar`` reference, and collects the outcomes into a
 :class:`ParityReport` — including the first divergent frame with both
 sides' state whenever a pair disagrees.
@@ -87,12 +87,13 @@ def smoke_parity_campaign(num_frames: int = SMOKE_FRAMES) -> CampaignSpec:
 
 
 def eligible_engines(scenario: ScenarioSpec) -> List[str]:
-    """Engine backends that can replay ``scenario`` with trace capture.
+    """Every engine that accepts ``scenario``, in ladder order.
 
-    Builds the scenario's components once and negotiates against the live
-    registry, so the answer always reflects what is actually registered
-    (a third-party backend declaring ``supports_trace_capture`` joins the
-    parity matrix with no harness edits).
+    Builds the scenario's components once and asks each name in
+    :data:`~repro.sim.backends.ENGINES` for its rejection reason, so the
+    answer follows what this interpreter can run (``jitpath`` joins the
+    parity matrix as soon as numba is importable).  Includes the reference
+    ``scalar`` engine.
     """
     cluster, application, governor = build_scenario_components(scenario)
     governor.setup(
@@ -105,7 +106,11 @@ def eligible_engines(scenario: ScenarioSpec) -> List[str]:
         governor=governor,
         config=scenario.config,
     )
-    return [entry.name for entry in backends.trace_capture_backends(request)]
+    return [
+        name
+        for name in backends.ENGINES
+        if backends.rejection_reason(name, request) is None
+    ]
 
 
 @dataclass

@@ -1,18 +1,20 @@
-"""Tests for the engine backend registry, capability negotiation and wiring.
+"""Tests for the fixed engine ladder, negotiation and wiring.
 
-The contract under test: engine selection goes through the registry in
-:mod:`repro.sim.backends` only — a third-party backend registers and
-participates in negotiation without touching ``sim/engine.py`` — explicit
-engine requests are validated against declared capabilities with clear
-errors, and the selection outcome is recorded uniformly as
-``SimulationResult.engine_used`` through the engine, the campaign layer,
-the CLI and the summary report.
+The contract under test: engine selection goes through the four-row
+ladder in :mod:`repro.sim.backends` only — ``auto`` takes the first engine
+with no rejection reason, explicit engine requests are validated with
+clear errors, unknown names are refused when a spec loads — and the
+selection outcome is recorded uniformly as ``SimulationResult.engine_used``
+through the engine, the campaign layer, the CLI and the summary report.
 """
 
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,17 +22,8 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.governors.ondemand import OndemandGovernor
 from repro.governors.oracle import OracleGovernor
 from repro.platform.odroid_xu3 import build_a15_cluster
-from repro.sim import backends, scalarpath
-from repro.sim.backends import (
-    BackendCapabilities,
-    EngineBackend,
-    EngineRequest,
-    backend_names,
-    capability_matrix,
-    negotiate,
-    register_backend,
-    unregister_backend,
-)
+from repro.sim import backends
+from repro.sim.backends import ENGINES, EngineRequest, negotiate, rejection_reason
 from repro.sim.engine import SimulationConfig, SimulationEngine
 from repro.sim.results import SimulationResult
 from repro.workload.video import mpeg4_application
@@ -58,173 +51,125 @@ def _request(governor=None, cluster=None, config=None):
 
 class TestRegistry:
     def test_builtin_backends_in_priority_order(self):
-        assert backend_names() == [
-            "fastpath",
-            "jitpath",
-            "tablepath",
-            "scalar",
-        ]
-
-    def test_capability_matrix(self):
-        matrix = capability_matrix()
-        assert matrix["scalar"] == BackendCapabilities(
-            supports_thermal=True, supports_trace_capture=True
-        )
-        assert all(
-            capabilities.supports_trace_capture
-            for capabilities in matrix.values()
-        )
-        assert matrix["fastpath"].requires_static_schedule
-        assert not matrix["fastpath"].supports_thermal
-        assert matrix["tablepath"].supports_tables
-        assert matrix["tablepath"].supports_thermal
-        assert matrix["jitpath"].supports_thermal
-        assert matrix["jitpath"].supports_tables
+        assert ENGINES == ("fastpath", "jitpath", "tablepath", "scalar")
 
     def test_unknown_backend_rejected_with_names(self):
-        with pytest.raises(SimulationError, match="registered backends"):
-            backends.backend("warp-drive")
-
-    def test_duplicate_and_invalid_registration_rejected(self):
-        class Dup(EngineBackend):
-            name = "scalar"
-
-            def run(self, request):  # pragma: no cover - never invoked
-                raise AssertionError
-
-        with pytest.raises(SimulationError, match="already registered"):
-            register_backend(Dup())
-
-        class Nameless(Dup):
-            name = ""
-
-        with pytest.raises(SimulationError, match="invalid engine backend name"):
-            register_backend(Nameless())
-        with pytest.raises(SimulationError):
-            unregister_backend("warp-drive")
+        for call in (
+            lambda: rejection_reason("warp-drive", _request()),
+            lambda: negotiate(_request(), engine="warp-drive"),
+            lambda: backends.run("warp-drive", _request()),
+        ):
+            with pytest.raises(SimulationError, match="unknown engine") as raised:
+                call()
+            for name in ENGINES:
+                assert name in str(raised.value)
 
 
-@contextmanager
-def _temporarily_registered(*entries: EngineBackend):
-    """Register backends for one test, guaranteeing unregistration.
-
-    Yields the registered backends; on exit every one still present is
-    removed, so a failing assertion cannot leak registry state into the
-    next test.
-    """
-    registered = []
-    try:
-        for entry in entries:
-            register_backend(entry)
-            registered.append(entry)
-        yield entries
-    finally:
-        for entry in reversed(registered):
-            try:
-                unregister_backend(entry.name)
-            except SimulationError:  # pragma: no cover - already removed
-                pass
-
-
-def _accepting_backend(name, priority):
-    """A uniquely-typed accept-everything backend for negotiation tests."""
-
-    class _Probe(EngineBackend):
-        capabilities = BackendCapabilities(supports_thermal=True)
-
-        def run(self, request):  # pragma: no cover - negotiation only
-            raise AssertionError
-
-    _Probe.name = name
-    _Probe.priority = priority
-    return _Probe()
+#: The ladder as a table, numba absent (the conftest default):
+#: (governor, thermal, tablepath numpy) -> (reason keyword of each engine
+#: that declines, the engine ``auto`` picks).
+_NO_JIT = "REPRO_DISABLE_JIT"
+LADDER = {
+    ("oracle", False, True): ({"jitpath": _NO_JIT}, "fastpath"),
+    ("oracle", False, False): ({"jitpath": _NO_JIT, "tablepath": "numpy"}, "fastpath"),
+    ("oracle", True, True): ({"fastpath": "thermal", "jitpath": _NO_JIT}, "tablepath"),
+    ("oracle", True, False): (
+        {"fastpath": "thermal", "jitpath": _NO_JIT, "tablepath": "numpy"},
+        "scalar",
+    ),
+    ("ondemand", False, True): (
+        {"fastpath": "static schedule", "jitpath": _NO_JIT},
+        "tablepath",
+    ),
+    ("ondemand", False, False): (
+        {"fastpath": "static schedule", "jitpath": _NO_JIT, "tablepath": "numpy"},
+        "scalar",
+    ),
+    ("ondemand", True, True): ({"fastpath": "thermal", "jitpath": _NO_JIT}, "tablepath"),
+    ("ondemand", True, False): (
+        {"fastpath": "thermal", "jitpath": _NO_JIT, "tablepath": "numpy"},
+        "scalar",
+    ),
+}
 
 
-class TestNegotiationOrder:
-    def test_equal_priority_ties_break_by_registration_order(self):
-        """Two backends at the same priority: the earlier registration wins."""
-        first = _accepting_backend("tie-first", 99)
-        second = _accepting_backend("tie-second", 99)
-        with _temporarily_registered(first, second):
-            assert negotiate(_request()).name == "tie-first"
-            names = backend_names()
-            assert names.index("tie-first") < names.index("tie-second")
+class TestLadder:
+    @pytest.mark.parametrize("prefer_fast_path", [True, False])
+    @pytest.mark.parametrize(
+        "governor, thermal, has_numpy",
+        list(LADDER),
+        ids=[
+            f"{governor}-{'thermal' if thermal else 'isothermal'}-"
+            f"{'numpy' if has_numpy else 'no-numpy'}"
+            for governor, thermal, has_numpy in LADDER
+        ],
+    )
+    def test_rejection_reasons_and_pick(
+        self, monkeypatch, governor, thermal, has_numpy, prefer_fast_path
+    ):
+        from repro.sim import tablepath
 
-    def test_unregister_restores_prior_negotiation_order(self):
-        """Removing a winning backend falls negotiation back to the next one,
-        and removing both restores the built-in order exactly."""
-        baseline = backend_names()
-        winner = _accepting_backend("pre-empt", 99)
-        runner_up = _accepting_backend("runner-up", 98)
-        with _temporarily_registered(winner, runner_up):
-            assert negotiate(_request()).name == "pre-empt"
-            unregister_backend("pre-empt")
-            assert negotiate(_request()).name == "runner-up"
-            unregister_backend("runner-up")
-            assert backend_names() == baseline
-            assert negotiate(_request()).name == "tablepath"
-        assert backend_names() == baseline
-
-
-class _RecordingBackend(EngineBackend):
-    """A third-party backend: accepts everything, delegates to the scalar loop."""
-
-    name = "recording"
-    capabilities = BackendCapabilities(supports_thermal=True)
-    priority = 99  # out-prioritise every built-in
-
-    def __init__(self):
-        self.calls = 0
-
-    def run(self, request):
-        self.calls += 1
-        return scalarpath.simulate_scalar(
-            request.cluster, request.application, request.governor, request.config
+        if not has_numpy:
+            monkeypatch.setattr(tablepath, "_np", None)
+        declines, picked = LADDER[(governor, thermal, has_numpy)]
+        factory = {"oracle": OracleGovernor, "ondemand": OndemandGovernor}[governor]
+        request = _request(
+            factory(),
+            build_a15_cluster(enable_thermal=thermal),
+            SimulationConfig(prefer_fast_path=prefer_fast_path),
         )
+        for name in ENGINES:
+            reason = rejection_reason(name, request)
+            if name in declines:
+                assert reason is not None and declines[name] in reason, name
+            else:
+                assert reason is None, (name, reason)
+        expected = picked if prefer_fast_path else "scalar"
+        assert negotiate(request) == expected
 
 
-class TestThirdPartyBackend:
-    def test_registered_backend_wins_negotiation_without_engine_edits(self):
-        backend = register_backend(_RecordingBackend())
-        try:
-            engine = SimulationEngine(build_a15_cluster())
-            result = engine.run(
-                mpeg4_application(num_frames=10, seed=1), OndemandGovernor()
-            )
-            assert backend.calls == 1
-            assert result.engine_used == "recording"
-            assert engine.engine_used == "recording"
-        finally:
-            unregister_backend("recording")
-        # After unregistration, auto negotiation reverts to the built-ins.
-        engine = SimulationEngine(build_a15_cluster())
-        result = engine.run(mpeg4_application(num_frames=10, seed=1), OndemandGovernor())
-        assert result.engine_used == "tablepath"
+_NEVER_LOADS_JITPATH = """
+import sys
+import repro.campaign.cli
+assert 'repro.sim.jitpath' not in sys.modules
+from repro.governors.ondemand import OndemandGovernor
+from repro.platform.odroid_xu3 import build_a15_cluster
+from repro.sim.engine import SimulationEngine
+from repro.workload.video import mpeg4_application
+result = SimulationEngine(build_a15_cluster()).run(
+    mpeg4_application(num_frames=10, seed=1), OndemandGovernor()
+)
+assert result.engine_used == 'tablepath', result.engine_used
+assert 'repro.sim.jitpath' not in sys.modules
+"""
 
-    def test_explicit_request_for_registered_backend(self):
-        backend = register_backend(_RecordingBackend())
-        try:
-            engine = SimulationEngine(build_a15_cluster(), engine="recording")
-            result = engine.run(
-                mpeg4_application(num_frames=10, seed=1), OracleGovernor()
-            )
-            assert backend.calls == 1
-            assert result.engine_used == "recording"
-        finally:
-            unregister_backend("recording")
+
+def test_jitpath_not_imported_until_its_probe_passes():
+    """Importing the CLI and negotiating past jitpath never loads it.
+
+    The kill-switch fails the probe whether or not numba is installed.
+    """
+    src = Path(__file__).resolve().parents[1] / "src"
+    environment = dict(os.environ, REPRO_DISABLE_JIT="1")
+    environment["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), environment.get("PYTHONPATH")])
+    )
+    subprocess.run(
+        [sys.executable, "-c", _NEVER_LOADS_JITPATH], check=True, env=environment
+    )
 
 
 class TestNegotiation:
     def test_auto_prefers_fastest_eligible(self):
-        assert negotiate(_request(OracleGovernor())).name == "fastpath"
-        assert negotiate(_request(OndemandGovernor())).name == "tablepath"
+        assert negotiate(_request(OracleGovernor())) == "fastpath"
+        assert negotiate(_request(OndemandGovernor())) == "tablepath"
         thermal = build_a15_cluster(enable_thermal=True)
-        assert negotiate(_request(OndemandGovernor(), thermal)).name == "tablepath"
-        assert negotiate(_request(OracleGovernor(), thermal)).name == "tablepath"
+        assert negotiate(_request(OndemandGovernor(), thermal)) == "tablepath"
+        assert negotiate(_request(OracleGovernor(), thermal)) == "tablepath"
 
     def test_prefer_fast_path_false_maps_to_scalar(self):
         config = SimulationConfig(prefer_fast_path=False)
-        assert negotiate(_request(config=config)).name == "scalar"
+        assert negotiate(_request(config=config)) == "scalar"
 
     def test_explicit_capability_mismatch_is_a_clear_error(self):
         with pytest.raises(SimulationError, match="static schedule"):
@@ -238,10 +183,10 @@ class TestNegotiation:
         from repro.sim import tablepath
 
         monkeypatch.setattr(tablepath, "_np", None)
-        assert negotiate(_request(OndemandGovernor())).name == "scalar"
-        assert negotiate(_request(OracleGovernor())).name == "fastpath"
+        assert negotiate(_request(OndemandGovernor())) == "scalar"
+        assert negotiate(_request(OracleGovernor())) == "fastpath"
         thermal = build_a15_cluster(enable_thermal=True)
-        assert negotiate(_request(OndemandGovernor(), thermal)).name == "scalar"
+        assert negotiate(_request(OndemandGovernor(), thermal)) == "scalar"
 
     def test_failed_negotiation_clears_engine_used(self):
         application = mpeg4_application(num_frames=10, seed=1)
@@ -344,8 +289,11 @@ class TestScenarioSpecEngine:
         assert clone.engine == "tablepath"
 
     def test_invalid_engine_rejected(self):
-        with pytest.raises(ConfigurationError, match="engine"):
-            self._scenario(engine="")
+        for engine in ("", "tablepth"):
+            with pytest.raises(ConfigurationError, match="engine") as raised:
+                self._scenario(engine=engine)
+            for name in ("auto", *ENGINES):
+                assert name in str(raised.value)
 
     def test_run_scenario_honours_engine(self):
         from repro.campaign.executor import run_scenario
@@ -425,6 +373,19 @@ class TestCliEngineFlag:
         spec_path = self._write_spec(tmp_path)
         with pytest.raises(SystemExit):
             main([str(spec_path), "--engine", "warp-drive"])
+
+    def test_misspelled_engine_in_spec_exits_before_running(self, tmp_path, capsys):
+        from repro.campaign.cli import EXIT_USAGE, main
+
+        data = json.loads(self._write_spec(tmp_path).read_text(encoding="utf-8"))
+        data["scenarios"][0]["engine"] = "tablepth"
+        spec_path = tmp_path / "typo.json"
+        spec_path.write_text(json.dumps(data), encoding="utf-8")
+        output = tmp_path / "results.json"
+        assert main([str(spec_path), "--output", str(output), "--quiet"]) == EXIT_USAGE
+        assert not output.exists()
+        error = capsys.readouterr().err
+        assert "'tablepth'" in error and "tablepath" in error
 
     def test_engine_pinned_shards_merge_against_original_spec(self, tmp_path):
         """--engine must not break the shard -> merge --spec round trip."""
@@ -574,7 +535,7 @@ class TestRemovedBatchpathBackend:
                     CampaignSpec.load(str(spec_path))
         message = str(raised.value)
         assert "'batchpath'" in message
-        for name in backend_names():
+        for name in ENGINES:
             assert name in message
 
     def test_thermalpath_engine_in_a_spec_points_to_tablepath(self, tmp_path):

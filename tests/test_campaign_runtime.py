@@ -212,23 +212,19 @@ class TestRetryPolicy:
 
 class TestBackoffSchedule:
     def test_exponential_growth_is_capped(self):
-        policy = RetryPolicy(
-            max_attempts=5, backoff_s=1.0, backoff_cap_s=4.0, backoff_jitter=0.0
-        )
-        assert [policy.delay_for(k) for k in (1, 2, 3, 4)] == [1.0, 2.0, 4.0, 4.0]
+        policy = RetryPolicy(max_attempts=5, backoff_s=1.0, backoff_cap_s=4.0)
+        for attempt in (1, 2, 3, 4, 5):
+            nominal = min(1.0 * 2.0 ** (attempt - 1), 4.0)
+            delay = policy.delay_for(attempt, "scenario")
+            assert nominal * 0.9 <= delay <= nominal * 1.1, (attempt, delay)
 
     def test_jitter_is_deterministic_and_bounded(self):
-        policy = RetryPolicy(max_attempts=3, backoff_s=1.0, backoff_jitter=0.5)
+        policy = RetryPolicy(max_attempts=3, backoff_s=1.0)
         first = policy.delay_for(1, "scenario-a")
         other = policy.delay_for(1, "scenario-b")
         assert policy.delay_for(1, "scenario-a") == first  # reproducible
         assert first != other  # keys de-synchronise
-        assert 0.5 <= first <= 1.5 and 0.5 <= other <= 1.5
-
-    def test_seed_changes_jitter(self):
-        base = RetryPolicy(max_attempts=2, backoff_s=1.0)
-        reseeded = RetryPolicy(max_attempts=2, backoff_s=1.0, backoff_seed=99)
-        assert base.delay_for(1, "x") != reseeded.delay_for(1, "x")
+        assert 0.9 <= first <= 1.1 and 0.9 <= other <= 1.1
 
     def test_zero_backoff_means_no_delay(self):
         assert RetryPolicy(max_attempts=3).delay_for(2, "x") == 0.0
@@ -236,8 +232,6 @@ class TestBackoffSchedule:
     def test_new_fields_validated(self):
         with pytest.raises(ConfigurationError):
             RetryPolicy(backoff_cap_s=-1.0)
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(backoff_jitter=1.5)
         with pytest.raises(ConfigurationError):
             RetryPolicy(timeout_s=0.0)
         with pytest.raises(ConfigurationError):

@@ -176,7 +176,6 @@ class TestFastPathSelection:
 
     def test_thermal_enabled_cluster_is_ineligible(self):
         cluster = build_a15_cluster(enable_thermal=True)
-        assert not fastpath.fast_path_eligible(cluster)
         engine = SimulationEngine(cluster)
         engine.run(mpeg4_application(num_frames=30, seed=1), OracleGovernor())
         assert engine.engine_used == "tablepath"

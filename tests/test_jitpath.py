@@ -20,8 +20,8 @@ Covers:
   otherwise (numba absent, ``REPRO_DISABLE_JIT``, governor subclasses,
   noisy sensors), and a pinned ``jitpath`` mismatch is a
   clear :class:`~repro.errors.SimulationError`;
-* the parity harness sees jitpath through ``trace_capture_backends`` as
-  soon as it is available — no harness edits.
+* the parity harness's ``eligible_engines`` includes jitpath as soon as
+  it is available — no harness edits.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import pytest
 numpy = pytest.importorskip("numpy")
 
 from repro import _compat
-from repro.campaign import CampaignSpec, FactorySpec, run_campaign
+from repro.campaign import CampaignSpec, FactorySpec, ScenarioSpec, run_campaign
 from repro.errors import SimulationError
 from repro.governors.conservative import ConservativeGovernor
 from repro.governors.ondemand import OndemandGovernor
@@ -42,6 +42,7 @@ from repro.rtm.rl_governor import RLGovernor, RLGovernorConfig
 from repro.sim import backends, jitpath
 from repro.sim.backends import EngineRequest
 from repro.sim.engine import SimulationConfig, SimulationEngine
+from repro.testing.parity.harness import eligible_engines
 from repro.workload.video import mpeg4_application
 from tests.conftest import merged_bytes, saved_bytes
 
@@ -183,35 +184,31 @@ def _request(governor=None, cluster=None):
     )
 
 
+def _ondemand_scenario():
+    return ScenarioSpec(
+        label="probe",
+        application=FactorySpec.of("mpeg4", num_frames=10),
+        governor=FactorySpec.of("ondemand"),
+    )
+
+
 class TestNegotiation:
     def test_auto_prefers_jitpath_when_available(self, jit_on):
-        assert backends.negotiate(_request()).name == "jitpath"
-        assert (
-            backends.negotiate(
-                _request(RLGovernor(), build_a15_cluster(enable_thermal=True))
-            ).name
-            == "jitpath"
-        )
+        assert backends.negotiate(_request()) == "jitpath"
+        thermal = build_a15_cluster(enable_thermal=True)
+        assert backends.negotiate(_request(RLGovernor(), thermal)) == "jitpath"
 
     def test_unsupported_requests_fall_through(self, jit_on):
         # Subclasses may override hooks the kernel inlines.
-        assert backends.negotiate(_request(ShenRLGovernor())).name == "tablepath"
+        assert backends.negotiate(_request(ShenRLGovernor())) == "tablepath"
         # Gaussian sensor noise cannot be replicated in-kernel.
-        assert (
-            backends.negotiate(
-                _request(cluster=build_a15_cluster(sensor_noise_w=0.01))
-            ).name
-            == "tablepath"
-        )
+        noisy = build_a15_cluster(sensor_noise_w=0.01)
+        assert backends.negotiate(_request(cluster=noisy)) == "tablepath"
 
     def test_without_numba_selection_is_pre_pr(self, jit_off):
-        assert backends.negotiate(_request()).name == "tablepath"
-        assert (
-            backends.negotiate(
-                _request(cluster=build_a15_cluster(enable_thermal=True))
-            ).name
-            == "tablepath"
-        )
+        assert backends.negotiate(_request()) == "tablepath"
+        thermal = build_a15_cluster(enable_thermal=True)
+        assert backends.negotiate(_request(cluster=thermal)) == "tablepath"
 
     def test_without_numba_pin_is_clear_error(self, jit_off):
         with pytest.raises(SimulationError, match="numba"):
@@ -220,7 +217,7 @@ class TestNegotiation:
     def test_kill_switch_disables_negotiation(self, jit_on, monkeypatch):
         monkeypatch.setenv("REPRO_DISABLE_JIT", "1")
         assert not jitpath.available()
-        assert backends.negotiate(_request()).name == "tablepath"
+        assert backends.negotiate(_request()) == "tablepath"
         with pytest.raises(SimulationError, match="REPRO_DISABLE_JIT"):
             backends.negotiate(_request(), engine="jitpath")
 
@@ -229,14 +226,12 @@ class TestNegotiation:
         assert jitpath.available()
 
     def test_parity_matrix_gains_jitpath_when_available(self, jit_on):
-        names = [entry.name for entry in backends.trace_capture_backends(_request())]
+        names = eligible_engines(_ondemand_scenario())
         assert "jitpath" in names
         assert names.index("jitpath") < names.index("tablepath")
 
     def test_parity_matrix_without_numba_is_pre_pr(self, jit_off):
-        names = [entry.name for entry in backends.trace_capture_backends(_request())]
-        assert "jitpath" not in names
-        assert names == ["tablepath", "scalar"]
+        assert eligible_engines(_ondemand_scenario()) == ["tablepath", "scalar"]
 
 
 class TestUnsupportedReason:

@@ -458,10 +458,9 @@ class TestThermalPathSelection:
         assert result.num_frames == 30
 
     def test_eligible_with_numpy(self):
-        table_backend = backends.backend("tablepath")
         application = mpeg4_application(num_frames=5, seed=1)
         for cluster in (_thermal_cluster(), build_a15_cluster()):
             request = EngineRequest(
                 cluster, application, OndemandGovernor(), SimulationConfig()
             )
-            assert table_backend.rejection_reason(request) is None
+            assert backends.rejection_reason("tablepath", request) is None
