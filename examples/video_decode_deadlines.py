@@ -57,17 +57,18 @@ def main() -> None:
           f"dropped frames: {result.deadline_miss_ratio:.1%}")
     print()
 
-    frequencies = [record.frequency_mhz for record in result.records]
-    slack = [record.slack_ratio for record in result.records]
+    records = result.records
+    frequencies = [record.frequency_mhz for record in records]
+    slack = [record.slack_ratio for record in records]
     print("Selected frequency over time (MHz, low→high):")
     print("  " + sparkline(frequencies))
     print("Per-frame slack ratio over time (negative = dropped frame):")
     print("  " + sparkline(windowed_mean(slack, 10)))
     print()
 
-    histogram = frequency_histogram(result.records)
+    histogram = frequency_histogram(records)
     rows = [
-        (f"{mhz:.0f} MHz", count, f"{100.0 * count / len(result.records):.1f}%")
+        (f"{mhz:.0f} MHz", count, f"{100.0 * count / len(records):.1f}%")
         for mhz, count in histogram.items()
     ]
     print(format_table(["Operating point", "Frames", "Share"], rows,

@@ -259,9 +259,7 @@ def run_scenario(scenario: ScenarioSpec) -> ScenarioOutcome:
     the thermal state when the model is enabled), with precomputed physics
     shared through a per-worker cache across scenarios of the same
     application + cluster.  The backend that ran is
-    recorded on the result as ``engine_used``.  Clusters built through the
-    registry default to ``record_history=False``, so campaign memory stays
-    bounded however many frames a scenario sweeps.
+    recorded on the result as ``engine_used``.
     """
     cluster = registry.cluster_factory(scenario.cluster.name)(**scenario.cluster.kwargs)
     application = _cached_application(scenario)

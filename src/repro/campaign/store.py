@@ -169,19 +169,9 @@ def _pyarrow():
 
 
 def _frame_columns_of(result: SimulationResult) -> Dict[str, list]:
-    """The result's frames as columns, without materialising records.
-
-    Columnar results hand out their live column lists (callers must not
-    mutate them); record-backed results are scattered into fresh columns.
-    """
+    """The result's live column lists (callers must not mutate them)."""
     columns = result.columns
-    if columns is not None:
-        return {name: getattr(columns, name) for name in FRAME_COLUMN_NAMES}
-    data: Dict[str, list] = {name: [] for name in FRAME_COLUMN_NAMES}
-    for record in result.records:
-        for name in FRAME_COLUMN_NAMES:
-            data[name].append(getattr(record, name))
-    return data
+    return {name: getattr(columns, name) for name in FRAME_COLUMN_NAMES}
 
 
 def _columns_from_lists(frames: Dict[str, Any]) -> FrameColumns:

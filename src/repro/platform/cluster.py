@@ -212,11 +212,9 @@ class Cluster:
         of the real platform where an idle core is clock-gated regardless of
         the cluster's DVFS setting.  If False, idle time is charged at the
         active operating point (pessimistic, no idle states).
-    record_history:
-        Passed to the cluster-built :class:`EnergyMeter` (and to the default
-        :class:`PowerSensor` when the caller does not supply one): per-frame
-        history recording is opt-in so long campaign runs do not grow memory
-        without bound.
+
+    The sensor and meter keep running totals and the last conversion only;
+    a run's per-frame readings live in its result's frame columns.
 
     Core power is always evaluated at the exact junction temperature (see
     :meth:`core_power_w`).  With the thermal model disabled (the paper's
@@ -235,7 +233,6 @@ class Cluster:
         power_sensor: Optional[PowerSensor] = None,
         dvfs: Optional[DVFSActuator] = None,
         idle_at_min_opp: bool = True,
-        record_history: bool = False,
     ) -> None:
         if not cores:
             raise PlatformError("a cluster requires at least one core")
@@ -244,10 +241,10 @@ class Cluster:
         self.vf_table = vf_table
         self.power_model = power_model or PowerModel()
         self.thermal_model = thermal_model or ThermalModel(enabled=False)
-        self.power_sensor = power_sensor or PowerSensor(record_history=record_history)
+        self.power_sensor = power_sensor or PowerSensor()
         self.dvfs = dvfs or DVFSActuator(table=vf_table)
         self.idle_at_min_opp = idle_at_min_opp
-        self.energy_meter = EnergyMeter(record_history=record_history)
+        self.energy_meter = EnergyMeter()
         self._power_cache: Dict[Tuple[int, bool, float], float] = {}
         self._time_s = 0.0
 
@@ -506,7 +503,8 @@ class Cluster:
 
         ``operating_index`` selects the operating point after the reset;
         ``None`` returns the cluster to its power-on default (the fastest
-        point), so back-to-back simulation runs start from identical state.
+        point).  The sensor's noise stream restarts from its seed, so
+        back-to-back simulation runs start from identical state.
         """
         for core in self.cores:
             core.pmu.reset()

@@ -115,7 +115,6 @@ def build_a15_cluster(
     enable_thermal: bool = False,
     sensor_noise_w: float = 0.0,
     seed: Optional[int] = 0,
-    record_history: bool = False,
 ) -> Cluster:
     """Build the A15 (big) cluster the paper's experiments run on.
 
@@ -130,10 +129,8 @@ def build_a15_cluster(
     sensor_noise_w:
         Standard deviation of the power-sensor noise in watts.
     seed:
-        Seed for the sensor-noise generator.
-    record_history:
-        Opt into per-frame sensor/meter history recording (off by default:
-        the history grows unbounded over a campaign).
+        Seed for the sensor-noise generator (the stream restarts from it
+        on every :meth:`~repro.platform.cluster.Cluster.reset`).
     """
     cores = [Core(core_id=i, name=f"A15-{i}") for i in range(num_cores)]
     thermal = ThermalModel(
@@ -157,10 +154,8 @@ def build_a15_cluster(
             resolution_w=0.005,
             noise_stddev_w=sensor_noise_w,
             seed=seed,
-            record_history=record_history,
         ),
         dvfs=DVFSActuator(table=A15_VF_TABLE),
-        record_history=record_history,
     )
 
 
@@ -169,7 +164,6 @@ def build_a7_cluster(
     enable_thermal: bool = False,
     sensor_noise_w: float = 0.0,
     seed: Optional[int] = 1,
-    record_history: bool = False,
 ) -> Cluster:
     """Build the A7 (LITTLE) cluster of the Exynos 5422."""
     cores = [Core(core_id=i, name=f"A7-{i}") for i in range(num_cores)]
@@ -194,10 +188,8 @@ def build_a7_cluster(
             resolution_w=0.005,
             noise_stddev_w=sensor_noise_w,
             seed=seed,
-            record_history=record_history,
         ),
         dvfs=DVFSActuator(table=A7_VF_TABLE),
-        record_history=record_history,
     )
 
 

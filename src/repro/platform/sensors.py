@@ -6,18 +6,16 @@ power by execution time to obtain per-frame energy.  This module reproduces
 that measurement path: a sampled, quantised, optionally noisy power sensor
 and an integrating energy meter built on top of it.
 
-Both components can keep a per-conversion history for debugging and
-plotting.  Recording is gated behind an opt-in ``record_history`` flag
-(default off): a campaign sweeps thousands of scenarios with thousands of
-frames each, and an always-on history grows by one record per frame for the
-lifetime of the run — unbounded memory for data almost no caller reads.
+Neither component keeps a per-conversion history: a run's per-frame
+readings live in its result (``measured_power_w``, ``interval_s`` and
+``energy_j`` of :class:`~repro.sim.epoch.FrameColumns`).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 try:  # NumPy accelerates whole-trace measurement; optional.
     import numpy as _np
@@ -51,22 +49,17 @@ class PowerSensor:
     noise_stddev_w:
         Standard deviation of additive Gaussian measurement noise.
     seed:
-        Seed for the noise generator, so simulations stay reproducible.
-    record_history:
-        When True every fresh conversion is appended to :attr:`history`.
-        Off by default — the history grows without bound (one entry per
-        simulated frame), which campaign runs cannot afford.
+        Seed for the noise generator, so simulations stay reproducible;
+        :meth:`reset` restarts the noise stream from it.
     """
 
     sample_period_s: float = 0.01
     resolution_w: float = 0.005
     noise_stddev_w: float = 0.0
     seed: Optional[int] = 0
-    record_history: bool = False
     _rng: random.Random = field(init=False, repr=False)
     _last_time_s: Optional[float] = field(init=False, default=None)
     _last_power_w: float = field(init=False, default=0.0)
-    _history: List[SensorReading] = field(init=False, default_factory=list)
 
     def __post_init__(self) -> None:
         if self.sample_period_s <= 0:
@@ -80,8 +73,8 @@ class PowerSensor:
 
         Identical semantics to :meth:`measure` — conversion-period holdover,
         noise, quantisation, state updates — without allocating a
-        :class:`SensorReading` (unless history recording is on).  This is
-        the entry point the simulators' per-frame loops use.
+        :class:`SensorReading`.  This is the entry point the simulators'
+        per-frame loops use.
         """
         if true_power_w < 0:
             raise ValueError(f"power must be non-negative, got {true_power_w}")
@@ -96,8 +89,6 @@ class PowerSensor:
         measured = max(0.0, measured)
         self._last_time_s = timestamp_s
         self._last_power_w = measured
-        if self.record_history:
-            self._history.append(SensorReading(timestamp_s=timestamp_s, power_w=measured))
         return measured
 
     def measure(self, true_power_w: float, timestamp_s: float) -> SensorReading:
@@ -142,26 +133,11 @@ class PowerSensor:
                 out = measured.tolist()
                 self._last_time_s = float(times[-1])
                 self._last_power_w = out[-1]
-                if self.record_history:
-                    self._history.extend(
-                        SensorReading(timestamp_s=t, power_w=p)
-                        for t, p in zip(times.tolist(), out)
-                    )
                 return out
         return [
             self.measure_w(power, timestamp)
             for power, timestamp in zip(true_powers_w, timestamps_s)
         ]
-
-    @property
-    def history(self) -> Tuple[SensorReading, ...]:
-        """Recorded conversions (empty unless ``record_history`` is on)."""
-        return tuple(self._history)
-
-    @property
-    def history_len(self) -> int:
-        """Number of recorded conversions, without materialising a copy."""
-        return len(self._history)
 
     @property
     def last_reading(self) -> Optional[SensorReading]:
@@ -171,10 +147,10 @@ class PowerSensor:
         return SensorReading(timestamp_s=self._last_time_s, power_w=self._last_power_w)
 
     def reset(self) -> None:
-        """Forget all previous conversions."""
+        """Forget all previous conversions and restart the noise stream."""
         self._last_time_s = None
         self._last_power_w = 0.0
-        self._history.clear()
+        self._rng = random.Random(self.seed)
 
 
 class EnergyMeter:
@@ -183,30 +159,17 @@ class EnergyMeter:
     The meter accepts exact (model-truth) power/duration pairs; it is used
     both for the ground-truth energy accounting of the simulator and, via a
     :class:`PowerSensor`, for the governor-visible measured energy.
-
-    Parameters
-    ----------
-    record_history:
-        When True each ``add_interval`` call is recorded in
-        :attr:`intervals`.  Off by default for the same unbounded-growth
-        reason as :class:`PowerSensor`.
     """
 
-    def __init__(self, record_history: bool = False) -> None:
-        self.record_history = record_history
+    def __init__(self) -> None:
         self._energy_j = 0.0
         self._elapsed_s = 0.0
-        self._intervals: List[SensorReading] = []
 
     def add_interval(self, power_w: float, duration_s: float) -> None:
         """Accumulate ``power_w`` drawn for ``duration_s`` seconds."""
         if power_w < 0 or duration_s < 0:
             raise ValueError("power and duration must be non-negative")
         self._energy_j += power_w * duration_s
-        if self.record_history:
-            self._intervals.append(
-                SensorReading(timestamp_s=self._elapsed_s, power_w=power_w)
-            )
         self._elapsed_s += duration_s
 
     def add_energy(self, energy_j: float) -> None:
@@ -232,13 +195,7 @@ class EnergyMeter:
             return 0.0
         return self._energy_j / self._elapsed_s
 
-    @property
-    def intervals(self) -> Tuple[SensorReading, ...]:
-        """Recorded intervals (empty unless ``record_history`` is on)."""
-        return tuple(self._intervals)
-
     def reset(self) -> None:
         """Zero the meter."""
         self._energy_j = 0.0
         self._elapsed_s = 0.0
-        self._intervals.clear()

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import starmap
+from operator import attrgetter, itemgetter
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from repro._compat import SLOTS
@@ -111,8 +112,10 @@ FRAME_COLUMN_NAMES: Tuple[str, ...] = (
     "explored",
 )
 
-#: Reads a frame dict's values as one row in :data:`FRAME_COLUMN_NAMES` order.
+#: Read a frame dict's / a record's values as one row in
+#: :data:`FRAME_COLUMN_NAMES` order.
 _dict_row = itemgetter(*FRAME_COLUMN_NAMES)
+_record_row = attrgetter(*FRAME_COLUMN_NAMES)
 _CYCLES = FRAME_COLUMN_NAMES.index("cycles_per_core")
 
 
@@ -130,10 +133,12 @@ class FrameColumns:
     """Column-oriented storage of a run's per-frame records.
 
     Holds one plain-Python sequence per :class:`FrameRecord` field, all of
-    equal length.  The fast-path engines produce their results in this form
-    so that no ``FrameRecord`` is allocated inside (or right after) the hot
-    loop; :class:`~repro.sim.results.SimulationResult` materialises records
-    lazily — only if a caller actually iterates ``result.records`` — while
+    equal length.  It is the one backing store of
+    :class:`~repro.sim.results.SimulationResult`: the fast engines produce
+    their results in this form so that no ``FrameRecord`` is allocated
+    inside (or right after) the hot loop, the scalar engine's records are
+    gathered with :meth:`from_records` once at the end of a run, and
+    records are materialised only when a caller reads ``result.records``;
     totals, metrics and reports read the columns directly.  Persistence
     stays columnar too: the result store (:mod:`repro.campaign.store`)
     writes and reads frames as columns, and a legacy JSON blob's frame
@@ -226,8 +231,17 @@ class FrameColumns:
             if len(frame) != width:
                 frame = _complete_frame(frame)
             rows.append(_dict_row(frame))
+        return cls._from_rows(rows)
+
+    @classmethod
+    def from_records(cls, records: Iterable[FrameRecord]) -> "FrameColumns":
+        """Gather records into columns (the inverse of :meth:`materialize`)."""
+        return cls._from_rows([_record_row(record) for record in records])
+
+    @classmethod
+    def _from_rows(cls, rows: List[Tuple[Any, ...]]) -> "FrameColumns":
         if not rows:
-            return cls(*[()] * width)
+            return cls(*[()] * len(FRAME_COLUMN_NAMES))
         columns = list(zip(*rows))
         columns[_CYCLES] = [tuple(cycles) for cycles in columns[_CYCLES]]
         return cls(*columns)
@@ -266,25 +280,6 @@ class FrameColumns:
     def __len__(self) -> int:
         return len(self.index)
 
-    def record(self, position: int) -> FrameRecord:
-        """Materialise the :class:`FrameRecord` at ``position``."""
-        return FrameRecord(
-            self.index[position],
-            self.operating_index[position],
-            self.frequency_mhz[position],
-            self.cycles_per_core[position],
-            self.busy_time_s[position],
-            self.overhead_time_s[position],
-            self.frame_time_s[position],
-            self.interval_s[position],
-            self.deadline_s[position],
-            self.energy_j[position],
-            self.average_power_w[position],
-            self.measured_power_w[position],
-            self.temperature_c[position],
-            self.explored[position],
-        )
-
     def rows(self) -> Iterator[Tuple[Any, ...]]:
         """Each frame as a row of values in :data:`FRAME_COLUMN_NAMES` order."""
         return zip(
@@ -304,7 +299,6 @@ class FrameColumns:
             self.explored,
         )
 
-    def materialize(self) -> List[FrameRecord]:
+    def materialize(self) -> Tuple[FrameRecord, ...]:
         """Materialise every record (one allocation per frame, outside any hot loop)."""
-        make = FrameRecord
-        return [make(*row) for row in self.rows()]
+        return tuple(starmap(FrameRecord, self.rows()))

@@ -249,21 +249,11 @@ def _sync_cluster(
 ) -> None:
     """Credit the cluster's meters/PMUs/clock with the trace's aggregates."""
     meter = cluster.energy_meter
-    if meter.record_history:
-        # The caller opted into per-interval history: replay the per-frame
-        # entries the scalar engine would have recorded.
-        for frame_energy, interval in zip(
-            core_uncore_energy.tolist(), intervals.tolist()
-        ):
-            meter.add_interval(
-                frame_energy / interval if interval > 0 else 0.0, interval
-            )
-    else:
-        total_interval = float(intervals.sum())
-        if total_interval > 0:
-            meter.add_interval(
-                float(core_uncore_energy.sum()) / total_interval, total_interval
-            )
+    total_interval = float(intervals.sum())
+    if total_interval > 0:
+        meter.add_interval(
+            float(core_uncore_energy.sum()) / total_interval, total_interval
+        )
     meter.add_energy(float(transition_energy.sum()))
 
     idle_cycles = idle_times * frequencies_hz[indices][:, None]

@@ -27,9 +27,10 @@ Bit-identity to the scalar reference is the contract, not a tolerance:
   sensor and thermal model exactly as a scalar run would.
 
 numba is optional (the ``jit`` packaging extra).  Without it — or with the
-``REPRO_DISABLE_JIT`` kill-switch set — :func:`available` is False, the
-backend drops out of negotiation, and behaviour is identical to a build
-without this module.  The kernels themselves are plain Python functions
+``REPRO_DISABLE_JIT`` kill-switch set — the engine ladder
+(:func:`repro.sim.backends.rejection_reason`) drops this backend out of
+negotiation without importing this module, and behaviour is identical to
+a build without it.  The kernels themselves are plain Python functions
 over numpy arrays; ``@njit`` is applied only when numba is importable, so
 the same code runs (slowly, but bit-identically) in interpreted mode —
 which is exactly how the equivalence suite exercises it on numba-less
@@ -41,8 +42,8 @@ through to ``tablepath``/``scalar``):
 * governors: exactly ``OndemandGovernor``, ``ConservativeGovernor`` or
   ``RLGovernor`` (subclasses may override hooks the kernel inlines, so they
   are *not* accepted);
-* sensors: noiseless, non-recording (the INA231 defaults) — Gaussian noise
-  draws and history appends cannot be replicated in-kernel.
+* sensors: noiseless (the INA231 default) — Gaussian noise draws cannot be
+  replicated in-kernel.
 """
 
 from __future__ import annotations
@@ -88,9 +89,11 @@ def _resolve_njit():
 
     Resolved once at import: compiling kernels is a per-process decision
     (recompiling on an env flip mid-process would invalidate nothing but
-    cost seconds).  ``available()`` stays dynamic so tests can monkeypatch
-    :data:`repro._compat.HAVE_NUMBA` and exercise negotiation — the kernels
-    then simply run in interpreted mode, which is bit-identical.
+    cost seconds).  Negotiation stays dynamic:
+    :func:`repro.sim.backends.rejection_reason` reads
+    :data:`repro._compat.HAVE_NUMBA` and the kill-switch per call, so tests
+    can monkeypatch them — the kernels then simply run in interpreted
+    mode, which is bit-identical.
     """
     if _np is None or not _compat.HAVE_NUMBA or _compat.jit_disabled():
         return None
@@ -122,19 +125,6 @@ def compiled() -> bool:
     return _NJIT is not None
 
 
-def available() -> bool:
-    """Whether the jit backend should take part in engine negotiation.
-
-    Reads :data:`repro._compat.HAVE_NUMBA` through the module (so tests can
-    monkeypatch it) and the ``REPRO_DISABLE_JIT`` kill-switch per call.
-    """
-    return (
-        _np is not None
-        and _compat.HAVE_NUMBA
-        and not _compat.jit_disabled()
-    )
-
-
 def unsupported_reason(
     cluster: "Cluster", governor: "Governor"
 ) -> Optional[str]:
@@ -162,8 +152,6 @@ def unsupported_reason(
     sensor = cluster.power_sensor
     if sensor.noise_stddev_w > 0:
         return "the kernel cannot replicate Gaussian sensor noise draws"
-    if sensor.record_history:
-        return "the kernel does not record per-conversion sensor history"
     return None
 
 
@@ -255,7 +243,7 @@ _I_COUNT = 29
 
 @_jit
 def _sensor_measure(power, time_s, sensor_state, sample_period, resolution):
-    """One ``PowerSensor.measure_w`` conversion (noiseless, no history).
+    """One noiseless ``PowerSensor.measure_w`` conversion.
 
     ``sensor_state`` is ``[has_last, last_time, last_power]``; holdover
     returns the previous conversion without touching the state, exactly as

@@ -1,20 +1,19 @@
 """Simulation result container and the paper's normalisations.
 
-:class:`SimulationResult` is backed by either a list of
-:class:`~repro.sim.epoch.FrameRecord` objects (the scalar engine's output)
-or by :class:`~repro.sim.epoch.FrameColumns` columnar storage (the
-vectorised and table-driven engines' output, and every result loaded
-through the result store or :meth:`SimulationResult.from_dict`).  Either
-way the public API is the same: ``result.records`` always yields records
-(materialised lazily from columns on first access), the aggregate
-properties read whichever backing store is cheaper, and :meth:`to_arrays`
-exposes the run as columns for array-oriented consumers (metrics,
-reporting, plotting).
+:class:`SimulationResult` holds a run's per-frame data in one place: a
+:class:`~repro.sim.epoch.FrameColumns` (every engine's output, and every
+result loaded through the result store or
+:meth:`SimulationResult.from_dict`).  A list of
+:class:`~repro.sim.epoch.FrameRecord` objects is accepted as an input form
+and gathered into columns once.  The aggregate properties read the
+columns, :meth:`~SimulationResult.to_arrays` exposes them to
+array-oriented consumers (metrics, reporting, plotting), and
+``result.records`` hands out a fresh tuple of records on each call.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.platform.energy import EnergyAccount
@@ -30,15 +29,15 @@ class SimulationResult:
         Identification of the run.
     reference_time_s:
         The per-frame performance requirement the run was executed against.
+    columns:
+        The run's per-frame data, one :class:`~repro.sim.epoch.FrameColumns`
+        column per :class:`~repro.sim.epoch.FrameRecord` field.  Callers
+        must not mutate the column lists.
     records:
-        One :class:`~repro.sim.epoch.FrameRecord` per decision epoch.  When
-        the result was built from columns (engine output or a loaded
-        store) the records are materialised on first access, at
-        which point the record list becomes the single source of truth (the
-        columns are dropped, so in-place edits are reflected by every
-        aggregate, exactly as with a plain record list).  Nothing in the
-        library reads ``records`` on the save, load or summary paths, so a
-        columnar result stays columnar unless a caller asks for records.
+        One :class:`~repro.sim.epoch.FrameRecord` per decision epoch, built
+        from the columns as a new tuple on every access.  It is a snapshot:
+        it cannot be appended to or assigned into, so it can never go out
+        of step with the columns.
     exploration_count:
         Number of explorative decisions the governor reported.
     converged_epoch:
@@ -60,7 +59,6 @@ class SimulationResult:
         "exploration_count",
         "converged_epoch",
         "engine_used",
-        "_records",
         "_columns",
     )
 
@@ -69,7 +67,7 @@ class SimulationResult:
         governor_name: str,
         application_name: str,
         reference_time_s: float,
-        records: Optional[List[FrameRecord]] = None,
+        records: Optional[Sequence[FrameRecord]] = None,
         exploration_count: int = 0,
         converged_epoch: Optional[int] = None,
         columns: Optional[FrameColumns] = None,
@@ -85,43 +83,20 @@ class SimulationResult:
         self.exploration_count = exploration_count
         self.converged_epoch = converged_epoch
         self.engine_used = engine_used
-        self._columns = columns
-        # The passed-in list is stored as-is (not copied) so callers that
-        # append to `result.records` after construction keep working.
-        self._records: Optional[List[FrameRecord]] = (
-            records if records is not None else (None if columns is not None else [])
-        )
-
-    # -- backing stores ---------------------------------------------------------
-    @property
-    def records(self) -> List[FrameRecord]:
-        """Per-frame records, materialised from columns on first access.
-
-        Materialisation hands authority over to the record list: the
-        columnar store is dropped so any caller mutation of the list (or of
-        individual entries) is reflected by every aggregate, matching the
-        semantics of a result constructed from records directly.
-        """
-        if self._records is None:
-            self._records = self._columns.materialize()
-            self._columns = None
-        return self._records
-
-    @property
-    def columns(self) -> Optional[FrameColumns]:
-        """The columnar backing store, if still authoritative.
-
-        ``None`` for record-built results and for columnar results whose
-        ``records`` have been materialised (authority moves to the list).
-        """
-        return self._columns
-
-    def _column(self, name: str) -> Optional[Sequence]:
-        """The named column when the columnar store is authoritative."""
-        columns = self._columns
         if columns is None:
-            return None
-        return getattr(columns, name)
+            columns = FrameColumns.from_records(records or ())
+        self._columns = columns
+
+    # -- per-frame data -----------------------------------------------------------
+    @property
+    def records(self) -> Tuple[FrameRecord, ...]:
+        """Per-frame records, materialised from the columns on each call."""
+        return self._columns.materialize()
+
+    @property
+    def columns(self) -> FrameColumns:
+        """The columnar per-frame data (never ``None``)."""
+        return self._columns
 
     def to_arrays(self) -> Dict[str, Any]:
         """The run as one array (NumPy when available, list otherwise) per field.
@@ -135,11 +110,10 @@ class SimulationResult:
             import numpy as np
         except ImportError:  # pragma: no cover - exercised on numpy-less installs
             np = None
+        columns = self._columns
         arrays: Dict[str, Any] = {}
         for name in FRAME_COLUMN_NAMES:
-            column = self._column(name)
-            if column is None:
-                column = [getattr(record, name) for record in self.records]
+            column = getattr(columns, name)
             arrays[name] = np.asarray(column) if np is not None else list(column)
         return arrays
 
@@ -147,26 +121,17 @@ class SimulationResult:
     @property
     def num_frames(self) -> int:
         """Number of simulated decision epochs."""
-        columns = self._columns
-        if columns is not None:
-            return len(columns)
-        return len(self.records)
+        return len(self._columns)
 
     @property
     def total_energy_j(self) -> float:
         """Total energy over the run."""
-        column = self._column("energy_j")
-        if column is not None:
-            return sum(column)
-        return sum(r.energy_j for r in self.records)
+        return sum(self._columns.energy_j)
 
     @property
     def total_time_s(self) -> float:
         """Total wall-clock time of the run (sum of epoch intervals)."""
-        column = self._column("interval_s")
-        if column is not None:
-            return sum(column)
-        return sum(r.interval_s for r in self.records)
+        return sum(self._columns.interval_s)
 
     @property
     def average_power_w(self) -> float:
@@ -179,10 +144,7 @@ class SimulationResult:
     @property
     def frame_times_s(self) -> List[float]:
         """Per-frame execution times (busy + overhead)."""
-        column = self._column("frame_time_s")
-        if column is not None:
-            return list(column)
-        return [r.frame_time_s for r in self.records]
+        return list(self._columns.frame_time_s)
 
     @property
     def average_frame_time_s(self) -> float:
@@ -208,46 +170,32 @@ class SimulationResult:
     @property
     def deadline_miss_ratio(self) -> float:
         """Fraction of frames that missed their deadline."""
-        frame_times = self._column("frame_time_s")
-        deadlines = self._column("deadline_s")
-        if frame_times is not None and deadlines is not None:
-            if not frame_times:
-                return 0.0
-            misses = sum(
-                1
-                for frame_time, deadline in zip(frame_times, deadlines)
-                if frame_time > deadline + 1e-12
-            )
-            return misses / len(frame_times)
-        if not self.records:
+        frame_times = self._columns.frame_time_s
+        if not frame_times:
             return 0.0
-        misses = sum(1 for r in self.records if not r.met_deadline)
-        return misses / len(self.records)
+        misses = sum(
+            1
+            for frame_time, deadline in zip(frame_times, self._columns.deadline_s)
+            if frame_time > deadline + 1e-12
+        )
+        return misses / len(frame_times)
 
     @property
     def mean_slack_ratio(self) -> float:
         """Mean per-frame slack ratio."""
-        frame_times = self._column("frame_time_s")
-        deadlines = self._column("deadline_s")
-        if frame_times is not None and deadlines is not None:
-            if not frame_times:
-                return 0.0
-            total = sum(
-                (deadline - frame_time) / deadline if deadline > 0 else 0.0
-                for frame_time, deadline in zip(frame_times, deadlines)
-            )
-            return total / len(frame_times)
-        if not self.records:
+        frame_times = self._columns.frame_time_s
+        if not frame_times:
             return 0.0
-        return sum(r.slack_ratio for r in self.records) / len(self.records)
+        total = sum(
+            (deadline - frame_time) / deadline if deadline > 0 else 0.0
+            for frame_time, deadline in zip(frame_times, self._columns.deadline_s)
+        )
+        return total / len(frame_times)
 
     @property
     def total_overhead_s(self) -> float:
         """Total governor overhead charged over the run."""
-        column = self._column("overhead_time_s")
-        if column is not None:
-            return sum(column)
-        return sum(r.overhead_time_s for r in self.records)
+        return sum(self._columns.overhead_time_s)
 
     def energy_account(self) -> EnergyAccount:
         """Export the run as an :class:`~repro.platform.energy.EnergyAccount`."""
@@ -281,7 +229,7 @@ class SimulationResult:
     # -- slicing ------------------------------------------------------------------------
     def window(self, first_frame: int, last_frame: Optional[int] = None) -> "SimulationResult":
         """A copy restricted to frames ``[first_frame, last_frame)`` (for phase analysis)."""
-        subset: Sequence[FrameRecord] = [
+        subset = [
             r
             for r in self.records
             if r.index >= first_frame and (last_frame is None or r.index < last_frame)
@@ -290,7 +238,7 @@ class SimulationResult:
             governor_name=self.governor_name,
             application_name=self.application_name,
             reference_time_s=self.reference_time_s,
-            records=list(subset),
+            records=subset,
             exploration_count=self.exploration_count,
             converged_epoch=self.converged_epoch,
             engine_used=self.engine_used,
@@ -300,13 +248,17 @@ class SimulationResult:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimulationResult):
             return NotImplemented
+        mine, theirs = self._columns, other._columns
         return (
             self.governor_name == other.governor_name
             and self.application_name == other.application_name
             and self.reference_time_s == other.reference_time_s
             and self.exploration_count == other.exploration_count
             and self.converged_epoch == other.converged_epoch
-            and self.records == other.records
+            and all(
+                getattr(mine, name) == getattr(theirs, name)
+                for name in FRAME_COLUMN_NAMES
+            )
         )
 
     def __repr__(self) -> str:

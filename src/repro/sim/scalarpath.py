@@ -11,7 +11,7 @@ the loop is a plain module-level function like its fast siblings.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, TYPE_CHECKING, Tuple
+from typing import List, Optional, Sequence, TYPE_CHECKING, Tuple
 
 from repro.rtm.governor import EpochObservation, FrameHint
 from repro.sim.epoch import FrameRecord
@@ -83,11 +83,6 @@ def simulate_scalar(
     """
     from repro.sim import tablepath
 
-    result = SimulationResult(
-        governor_name=governor.name,
-        application_name=application.name,
-        reference_time_s=application.reference_time_s,
-    )
     previous_observation: Optional[EpochObservation] = None
     previous_exploration_count = governor.exploration_count
     exploration_frozen = governor.exploration_frozen
@@ -100,7 +95,8 @@ def simulate_scalar(
     static_overhead = tablepath.static_processing_overhead(governor)
     hint: Optional[FrameHint] = None
     set_hint = object.__setattr__
-    records_append = result.records.append
+    records: List[FrameRecord] = []
+    records_append = records.append
 
     for frame in application:
         per_core = frame.cycles_per_core(cluster.num_cores)
@@ -145,6 +141,11 @@ def simulate_scalar(
         )
         records_append(record)
 
-    result.exploration_count = governor.exploration_count
-    result.converged_epoch = governor.converged_epoch
-    return result
+    return SimulationResult(
+        governor_name=governor.name,
+        application_name=application.name,
+        reference_time_s=application.reference_time_s,
+        records=records,
+        exploration_count=governor.exploration_count,
+        converged_epoch=governor.converged_epoch,
+    )

@@ -138,7 +138,6 @@ def fuzz_cluster(
     v_exponent: float = 1.5,
     enable_thermal: bool = False,
     throttle_c: float = 95.0,
-    record_history: bool = False,
 ) -> Cluster:
     """A synthetic cluster on a generated V/F table (A15 power constants)."""
     table = make_linear_vf_table(
@@ -165,7 +164,6 @@ def fuzz_cluster(
         vf_table=table,
         power_model=PowerModel(parameters=A15_POWER_PARAMETERS),
         thermal_model=thermal,
-        record_history=record_history,
     )
 
 

@@ -225,10 +225,18 @@ def capture_decision_trace(
     sim = SimulationEngine(cluster, scenario.config, engine=engine)
     result = sim.run(application, governor)
 
-    records = result.records
-    operating_index = [int(r.operating_index) for r in records]
-    explored_frames = [r.index for r in records if r.explored]
-    miss_frames = [r.index for r in records if not r.met_deadline]
+    columns = result.columns
+    operating_index = [int(index) for index in columns.operating_index]
+    explored_frames = [
+        index for index, explored in zip(columns.index, columns.explored) if explored
+    ]
+    miss_frames = [
+        index
+        for index, frame_time, deadline in zip(
+            columns.index, columns.frame_time_s, columns.deadline_s
+        )
+        if frame_time > deadline + 1e-12
+    ]
     actuator = cluster.dvfs
     transitions = [(t.from_index, t.to_index) for t in actuator.transitions]
     return DecisionTrace(
@@ -236,16 +244,16 @@ def capture_decision_trace(
         application=scenario.application.name,
         scenario_id=scenario.scenario_id,
         engine=engine,
-        num_frames=len(records),
+        num_frames=len(columns),
         operating_index=operating_index,
         explored_frames=explored_frames,
         miss_frames=miss_frames,
         transitions=transitions,
         transition_latency_s=actuator.total_transition_time_s,
         transition_energy_j=actuator.total_transition_energy_j,
-        frame_time_s=[r.frame_time_s for r in records],
-        energy_j=[r.energy_j for r in records],
-        temperature_c=[r.temperature_c for r in records],
+        frame_time_s=list(columns.frame_time_s),
+        energy_j=list(columns.energy_j),
+        temperature_c=list(columns.temperature_c),
         total_energy_j=result.total_energy_j,
         exploration_count=result.exploration_count,
         converged_epoch=result.converged_epoch,

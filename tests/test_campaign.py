@@ -176,6 +176,19 @@ class TestRunScenario:
         with pytest.raises(ConfigurationError):
             run_scenario(scenario)
 
+    @pytest.mark.parametrize("cluster", ["a15", "fuzz-cluster"])
+    def test_removed_history_keyword_fails_the_scenario(self, cluster):
+        outcome = run_scenario_safely(
+            ScenarioSpec(
+                label="x",
+                application=FactorySpec.of("mpeg4", num_frames=10),
+                governor=FactorySpec.of("ondemand"),
+                cluster=FactorySpec.of(cluster, record_history=True),
+            )
+        )
+        assert outcome.status == "failed"
+        assert "TypeError" in outcome.error and "record_history" in outcome.error
+
     def test_probe_payload_attached(self):
         outcome = run_scenario(
             ScenarioSpec(

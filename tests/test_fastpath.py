@@ -305,50 +305,6 @@ class TestPowerCache:
         assert len(cluster._power_cache) == 0
 
 
-class TestHistoryGating:
-    def test_cluster_history_off_by_default(self):
-        engine = SimulationEngine(build_a15_cluster())
-        engine.run(mpeg4_application(num_frames=50, seed=1), OndemandGovernor())
-        cluster = engine.cluster
-        assert cluster.power_sensor.history_len == 0
-        assert cluster.energy_meter.intervals == ()
-
-    def test_record_history_opt_in(self):
-        engine = SimulationEngine(build_a15_cluster(record_history=True))
-        engine.run(mpeg4_application(num_frames=50, seed=1), OndemandGovernor())
-        cluster = engine.cluster
-        assert cluster.power_sensor.history_len == 50
-        assert len(cluster.energy_meter.intervals) == 50
-
-    def test_fast_path_records_history_when_opted_in(self):
-        engine = SimulationEngine(build_a15_cluster(record_history=True))
-        engine.run(mpeg4_application(num_frames=50, seed=1), OracleGovernor())
-        assert engine.engine_used == "fastpath"
-        assert engine.cluster.power_sensor.history_len == 50
-        # The meter history is replayed per frame, matching the scalar engine.
-        assert len(engine.cluster.energy_meter.intervals) == 50
-
-    def test_fast_path_meter_history_matches_scalar(self):
-        application = mpeg4_application(num_frames=40, seed=6)
-
-        def run(prefer):
-            engine = SimulationEngine(
-                build_a15_cluster(record_history=True),
-                SimulationConfig(prefer_fast_path=prefer),
-            )
-            engine.run(application, OracleGovernor())
-            return engine.cluster.energy_meter.intervals
-
-        scalar_intervals = run(False)
-        fast_intervals = run(True)
-        assert len(fast_intervals) == len(scalar_intervals)
-        for fast_entry, scalar_entry in zip(fast_intervals, scalar_intervals):
-            assert fast_entry.timestamp_s == pytest.approx(
-                scalar_entry.timestamp_s, rel=1e-9, abs=1e-15
-            )
-            assert fast_entry.power_w == pytest.approx(scalar_entry.power_w, rel=1e-9)
-
-
 class TestMeasureTrace:
     def test_matches_sequential_measure(self):
         from repro.platform.sensors import PowerSensor

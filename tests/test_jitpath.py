@@ -216,14 +216,15 @@ class TestNegotiation:
 
     def test_kill_switch_disables_negotiation(self, jit_on, monkeypatch):
         monkeypatch.setenv("REPRO_DISABLE_JIT", "1")
-        assert not jitpath.available()
+        reason = backends.rejection_reason("jitpath", _request())
+        assert reason is not None and "REPRO_DISABLE_JIT" in reason
         assert backends.negotiate(_request()) == "tablepath"
         with pytest.raises(SimulationError, match="REPRO_DISABLE_JIT"):
             backends.negotiate(_request(), engine="jitpath")
 
     def test_kill_switch_zero_means_enabled(self, jit_on, monkeypatch):
         monkeypatch.setenv("REPRO_DISABLE_JIT", "0")
-        assert jitpath.available()
+        assert backends.rejection_reason("jitpath", _request()) is None
 
     def test_parity_matrix_gains_jitpath_when_available(self, jit_on):
         names = eligible_engines(_ondemand_scenario())
@@ -240,11 +241,6 @@ class TestUnsupportedReason:
         governor.processing_overhead_s = 0.25
         reason = jitpath.unsupported_reason(build_a15_cluster(), governor)
         assert reason is not None and "processing_overhead_s" in reason
-
-    def test_rejects_recording_sensors(self, jit_on):
-        cluster = build_a15_cluster(record_history=True)
-        reason = jitpath.unsupported_reason(cluster, OndemandGovernor())
-        assert reason is not None and "history" in reason
 
     def test_accepts_paper_defaults(self, jit_on):
         assert jitpath.unsupported_reason(build_a15_cluster(), RLGovernor()) is None

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.platform.odroid_xu3 import build_a15_cluster, build_a7_cluster
 from repro.platform.pmu import PerformanceMonitoringUnit, PMUSample
 from repro.platform.sensors import EnergyMeter, PowerSensor
 
@@ -101,30 +102,21 @@ class TestPowerSensor:
         with pytest.raises(ConfigurationError):
             PowerSensor(resolution_w=-0.1)
 
-    def test_history_recording_is_opt_in(self):
-        # Default off: measurements do not accumulate history (memory growth
-        # is unbounded over a campaign otherwise).
-        sensor = PowerSensor()
-        for t in range(5):
-            sensor.measure(1.0, t * 0.02)
-        assert sensor.history_len == 0
-        assert sensor.history == ()
-        assert sensor.last_reading is not None
-
-        recording = PowerSensor(record_history=True)
-        for t in range(5):
-            recording.measure(1.0, t * 0.02)
-        assert recording.history_len == 5
-        assert isinstance(recording.history, tuple)
-
     def test_reset_clears_history(self):
-        sensor = PowerSensor(record_history=True)
-        sensor.measure(1.0, 0.0)
-        assert sensor.history_len == 1
+        sensor = PowerSensor(noise_stddev_w=0.1, resolution_w=0.0)
+        first = [sensor.measure_w(1.0, t * 0.02) for t in range(5)]
+        assert sensor.last_reading is not None
         sensor.reset()
-        assert sensor.history == ()
-        assert sensor.history_len == 0
         assert sensor.last_reading is None
+        # The noise stream restarts from the seed: a reset sensor repeats
+        # its first readings instead of continuing the stream.
+        assert [sensor.measure_w(1.0, t * 0.02) for t in range(5)] == first
+
+    def test_history_knob_is_gone(self):
+        # Per-frame readings live in a result's frame columns only.
+        for make in (PowerSensor, EnergyMeter, build_a15_cluster, build_a7_cluster):
+            with pytest.raises(TypeError, match="record_history"):
+                make(record_history=True)
 
 
 class TestEnergyMeter:

@@ -18,7 +18,7 @@ from repro import _compat
 from repro.campaign import CampaignExecutor, CampaignResult, Coordinator, run_campaign
 from repro.campaign import store as result_store
 from repro.campaign.results import CORRUPT_CHECKPOINT_ERRORS
-from repro.sim.epoch import FrameRecord
+from repro.sim.epoch import FrameColumns, FrameRecord
 from repro.sim.results import SimulationResult
 from tests.conftest import (
     legacy_bytes,
@@ -74,7 +74,7 @@ def columnar(wire_store):
 
 
 def record_twin(result: SimulationResult) -> SimulationResult:
-    """The same run backed by materialised records instead of columns."""
+    """The same run rebuilt from its materialised records (``records=`` input)."""
     return SimulationResult(
         governor_name=result.governor_name,
         application_name=result.application_name,
@@ -88,9 +88,12 @@ def record_twin(result: SimulationResult) -> SimulationResult:
 
 class TestPinnedBytes:
     def test_grid_covers_both_backing_stores(self, wire_store):
-        assert wire_store.result("ondemand-scalar").engine_used == "scalar"
-        assert wire_store.result("ondemand-scalar").columns is None
-        assert wire_store.result("ondemand").columns is not None
+        # The scalar engine builds its result from records; like every
+        # other engine's, that result is held as frame columns.
+        scalar = wire_store.result("ondemand-scalar")
+        assert scalar.engine_used == "scalar"
+        assert isinstance(scalar.columns, FrameColumns)
+        assert isinstance(wire_store.result("ondemand").columns, FrameColumns)
 
     def test_to_json_digest(self, legacy_text):
         assert hashlib.sha256(legacy_text.encode("utf-8")).hexdigest() == WIRE_SHA256
@@ -142,8 +145,11 @@ class TestPinnedBytes:
 
 class TestTwoPathsAgree:
     def test_columnar_and_record_backed_serialise_identically(self, columnar):
+        # ``records=`` input and ``columns=`` input save the same bytes.
         twin = record_twin(columnar)
-        assert twin.columns is None
+        assert twin.columns is not columnar.columns
+        assert twin == columnar
+        assert twin.records == columnar.records
         assert saved_bytes(outcome_of(columnar)) == saved_bytes(outcome_of(twin))
 
     def test_to_dict_keeps_the_columns(self, columnar):
@@ -155,15 +161,24 @@ class TestTwoPathsAgree:
     def test_from_dict_is_columnar_with_the_same_records(self, columnar, legacy_data):
         data = legacy_result(legacy_data, "ondemand")
         loaded = SimulationResult.from_dict(data)
-        assert loaded.columns is not None
-        assert loaded.records == [FrameRecord.from_dict(frame) for frame in data["records"]]
+        assert isinstance(loaded.columns, FrameColumns)
+        assert loaded.records == tuple(
+            FrameRecord.from_dict(frame) for frame in data["records"]
+        )
+        assert saved_bytes(outcome_of(record_twin(loaded))) == saved_bytes(
+            outcome_of(columnar)
+        )
         assert saved_bytes(outcome_of(loaded)) == saved_bytes(outcome_of(columnar))
 
     def test_zero_frames_round_trip(self, legacy_data):
         empty = SimulationResult("ondemand", "mpeg4", 0.04, records=[])
+        from_columns = SimulationResult(
+            "ondemand", "mpeg4", 0.04, columns=FrameColumns.from_records(())
+        )
+        assert saved_bytes(outcome_of(empty)) == saved_bytes(outcome_of(from_columns))
         loaded = store_round_trip(empty)
         assert loaded.num_frames == 0
-        assert loaded.records == []
+        assert loaded.records == ()
         data = legacy_result(legacy_data, "ondemand")
         data["records"] = []
         assert SimulationResult.from_dict(data).num_frames == 0

@@ -7,13 +7,16 @@ from repro.governors.oracle import OracleGovernor
 from repro.governors.performance import PerformanceGovernor
 from repro.governors.powersave import PowersaveGovernor
 from repro.governors.ondemand import OndemandGovernor
+from repro.platform.odroid_xu3 import build_a15_cluster
 from repro.rtm.multicore import MultiCoreRLGovernor
+from repro.rtm.rl_governor import RLGovernor
 from repro.sim.comparison import compare_to_oracle, pairwise_energy_saving
 from repro.sim.engine import SimulationConfig, SimulationEngine
 from repro.sim.epoch import FrameRecord
 from repro.sim.metrics import energy_by_phase, frequency_histogram, summarize_records
 from repro.sim.results import SimulationResult
 from repro.sim.runner import ExperimentRunner
+from repro.workload.video import mpeg4_application
 from tests.conftest import make_constant_application
 
 
@@ -80,6 +83,27 @@ class TestSimulationEngine:
         second = engine.run(constant_application, OndemandGovernor())
         assert first.total_energy_j == pytest.approx(second.total_energy_j)
         assert first.frame_times_s == pytest.approx(second.frame_times_s)
+
+    @pytest.mark.parametrize("engine_name", ["auto", "scalar"])
+    @pytest.mark.parametrize("governor_factory", [OndemandGovernor, RLGovernor])
+    def test_noisy_sensor_reruns_are_identical(self, engine_name, governor_factory):
+        # The sensor's noise stream restarts with the cluster, so a second
+        # run on one noisy cluster repeats the first, as a fresh cluster does.
+        application = mpeg4_application(num_frames=200, seed=4)
+        engine = SimulationEngine(build_a15_cluster(sensor_noise_w=0.05), engine=engine_name)
+        first = engine.run(application, governor_factory())
+        second = engine.run(application, governor_factory())
+        fresh = SimulationEngine(
+            build_a15_cluster(sensor_noise_w=0.05), engine=engine_name
+        ).run(application, governor_factory())
+        assert len(set(first.columns.measured_power_w)) > 1
+        assert second == first
+        assert fresh == first
+        # Mutating what a result hands out cannot corrupt it.
+        arrays = first.to_arrays()
+        arrays["energy_j"][0] = -1.0
+        first.frame_times_s.append(0.0)
+        assert first == fresh
 
     def test_empty_application_rejected(self, a15_cluster, constant_application):
         engine = SimulationEngine(a15_cluster)

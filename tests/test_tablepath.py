@@ -205,26 +205,6 @@ class TestTablePathEquivalence:
         assert table_engine.cluster.time_s == scalar_engine.cluster.time_s
         assert table_engine.cluster.current_index == scalar_engine.cluster.current_index
 
-    def test_history_recording_matches_scalar(self):
-        application = mpeg4_application(num_frames=80, seed=6)
-
-        def run(prefer):
-            engine = SimulationEngine(
-                build_a15_cluster(record_history=True),
-                SimulationConfig(prefer_fast_path=prefer),
-            )
-            engine.run(application, OndemandGovernor())
-            return engine.cluster
-
-        scalar_cluster = run(False)
-        table_cluster = run(True)
-        assert table_cluster.power_sensor.history_len == (
-            scalar_cluster.power_sensor.history_len
-        )
-        assert len(table_cluster.energy_meter.intervals) == len(
-            scalar_cluster.energy_meter.intervals
-        )
-
 
 class TestTablePathSelection:
     def test_static_governors_still_take_vectorised_path(self):
@@ -352,17 +332,15 @@ class TestColumnarResults:
 
     def test_records_materialise_lazily(self):
         result = self._table_result()
-        assert result.columns is not None
-        assert result._records is None  # nothing materialised yet
-        assert result.num_frames == 60  # totals do not materialise
-        assert result.total_energy_j > 0
-        assert result._records is None  # aggregates read the columns
+        columns = result.columns
+        assert result.num_frames == 60
         records = result.records
-        assert len(records) == 60
-        assert result.records is records  # cached after first access
-        # Materialisation hands authority to the list: the columns are gone
-        # and aggregates now reflect in-place mutation of the records.
-        assert result.columns is None
+        assert isinstance(records, tuple) and len(records) == 60
+        # Each call builds a fresh snapshot; the columns stay the one store.
+        assert result.records is not records
+        assert result.records == records
+        assert result.columns is columns
+        assert [r.energy_j for r in records] == columns.energy_j
 
     def test_to_arrays_shapes_and_values(self):
         result = self._table_result()
@@ -384,26 +362,27 @@ class TestColumnarResults:
         result = self._table_result(30)
         head = result.window(0, 10)
         assert head.num_frames == 10
-        # Appending after materialisation keeps totals consistent.
-        extra = result.records[0]
-        result.records.append(extra)
-        assert result.num_frames == 31
-        assert result.total_energy_j == pytest.approx(
-            sum(r.energy_j for r in result.records)
-        )
+        assert head.records == result.records[:10]
+        assert head.columns.energy_j == result.columns.energy_j[:10]
+        # The records are a snapshot: appending raises and the totals stay.
+        total = result.total_energy_j
+        with pytest.raises(AttributeError):
+            result.records.append(result.records[0])
+        assert result.num_frames == 30
+        assert result.total_energy_j == total
 
     def test_in_place_record_replacement_reflected(self):
-        """After materialisation the record list is the single source of truth."""
+        """Item assignment into the records raises instead of going out of step."""
         from dataclasses import replace
 
         result = self._table_result(10)
         original_total = result.total_energy_j
-        result.records[0] = replace(result.records[0], energy_j=1000.0)
-        assert result.total_energy_j != original_total
-        assert result.total_energy_j == pytest.approx(
-            sum(r.energy_j for r in result.records)
-        )
-        assert result.to_arrays()["energy_j"][0] == 1000.0
+        records = result.records
+        with pytest.raises(TypeError):
+            records[0] = replace(records[0], energy_j=1000.0)
+        assert result.total_energy_j == original_total
+        assert result.records == records
+        assert result.to_arrays()["energy_j"][0] == records[0].energy_j
 
     def test_summarize_result_matches_summarize_records(self):
         from repro.sim.metrics import summarize_records, summarize_result
