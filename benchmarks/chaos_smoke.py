@@ -9,9 +9,13 @@ worker's scenarios onto the survivor, and the merged result written by
 of the same campaign (the spec comes from
 :mod:`benchmarks.make_smoke_campaign`, same as CI's sharding jobs).
 
-Usage::
+Usage (from any directory)::
 
     PYTHONPATH=src python benchmarks/chaos_smoke.py [--frames 120]
+
+The child processes get the absolute ``src`` of this checkout as their
+``PYTHONPATH``; the coordinator's standard error is kept in the work
+directory and printed when its banner does not arrive.
 
 Exits non-zero on any divergence, so CI can gate on it directly.
 """
@@ -38,11 +42,13 @@ from repro.campaign.service import HTTPClient  # noqa: E402
 DEADLINE_S = 240.0
 #: Short lease so the killed worker's scenarios requeue quickly.
 LEASE_TIMEOUT_S = 5.0
+#: The checkout's source tree, for the child interpreters.
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def _spawn(args, **kwargs):
     env = dict(os.environ)
-    env["PYTHONPATH"] = "src"
+    env["PYTHONPATH"] = SRC
     return subprocess.Popen(
         [sys.executable, "-m", "repro.campaign.cli", *args],
         env=env,
@@ -71,12 +77,14 @@ def main() -> int:
     output_path = os.path.join(workdir, "service.store")
     reference_path = os.path.join(workdir, "reference.store")
     journal_path = os.path.join(workdir, "journal.json")
+    serve_stderr_path = os.path.join(workdir, "serve.stderr")
     campaign.save(spec_path)
     reference.save(reference_path)
 
     deadline = time.monotonic() + DEADLINE_S
     procs = []
     serve_lines: list = []
+    serve_stderr = open(serve_stderr_path, "w", encoding="utf-8")
     try:
         serve = _spawn(
             [
@@ -90,14 +98,20 @@ def main() -> int:
                 "--quiet",
             ],
             stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
+            stderr=serve_stderr,
         )
         procs.append(serve)
         # The serve banner carries the resolved address; keep draining the
         # pipe afterwards so the summary print cannot block the server.
         banner = serve.stdout.readline().strip()
         if " at http://" not in banner:
-            raise RuntimeError(f"unexpected serve banner: {banner!r}")
+            serve.kill()
+            serve.wait()
+            with open(serve_stderr_path, encoding="utf-8", errors="replace") as handle:
+                stderr = handle.read()
+            raise RuntimeError(
+                f"unexpected serve banner: {banner!r}; serve stderr:\n{stderr}"
+            )
         url = banner.rsplit(" at ", 1)[1]
         threading.Thread(
             target=_drain, args=(serve.stdout, serve_lines), daemon=True
@@ -148,6 +162,7 @@ def main() -> int:
         for proc in procs:
             if proc.poll() is None:
                 proc.kill()
+        serve_stderr.close()
 
     if not filecmp.cmp(output_path, reference_path, shallow=False):
         print("FAIL: service result differs from the unsharded serial run")

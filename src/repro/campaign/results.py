@@ -129,6 +129,11 @@ class ScenarioOutcome:
         not an ``__init__`` argument, invisible to equality and ``repr``,
         and never carried over by
         :func:`dataclasses.replace`.
+    summary:
+        The :class:`~repro.sim.metrics.MetricsSummary` that
+        :meth:`metrics_summary` returns, kept from its first computation
+        (there, or when the store encodes the record's ``metrics``) so an
+        outcome is summarised once.  A cache like :attr:`store_slot`.
     """
 
     scenario: ScenarioSpec
@@ -140,6 +145,9 @@ class ScenarioOutcome:
     attempts: int = 1
     metrics: Optional[Dict[str, Any]] = field(default=None, compare=False)
     store_slot: Optional[tuple] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    summary: Optional["MetricsSummary"] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -192,10 +200,16 @@ class ScenarioOutcome:
         store at write time — answering from it never touches the frames,
         which for a lazily loaded store means no disk read at all) and
         falls back to :func:`~repro.sim.metrics.summarize_result`'s
-        columnar reductions.  ``None`` for failed outcomes.
+        columnar reductions.  The answer is kept in :attr:`summary`.
+        ``None`` for failed outcomes.
         """
         if self.result is None:
             return None
+        if self.summary is None:
+            object.__setattr__(self, "summary", self._summarise())
+        return self.summary
+
+    def _summarise(self) -> "MetricsSummary":
         from repro.sim.metrics import MetricsSummary, summarize_result
 
         if self.metrics is not None:

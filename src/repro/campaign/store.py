@@ -4,7 +4,7 @@ Every save, checkpoint, service journal, merge output and worker submit
 writes a :class:`ScenarioOutcome` as the store record this module
 defines.  A store file is::
 
-    #repro-campaign-store {"campaign_name": ..., "encoding": ..., "version": 1}\n
+    #repro-campaign-store {"campaign_name": ..., "encoding": ..., "version": 2}\n
     <one outcome record per line or per Arrow IPC segment>
 
 Two encodings share that framing:
@@ -13,13 +13,23 @@ Two encodings share that framing:
     One JSON object per line.  Frames are stored *columnar* inside the
     record (``result.frames`` maps each
     :data:`~repro.sim.epoch.FRAME_COLUMN_NAMES` name to its column), so a
-    record never materialises per-frame dicts.  Pure stdlib, and the
-    default: ``--store json`` names it, and ``auto``/``arrow`` fall back
-    to it on pyarrow-less installs, mirroring the numpy-optional pattern
-    in :mod:`repro._compat`.  Each line is one ``json.dumps`` of the record
-    without ``metrics``/``digest`` (sorted keys, compact separators),
-    closed by the ``metrics`` summary and the ``digest`` of those same
-    bytes (:func:`encode_line`).
+    record never materialises per-frame dicts.  Each column whose values
+    are all Python floats is *packed*: one base64 string of the values as
+    little-endian IEEE-754 binary64, so every float round-trips bit-exact
+    without being printed as decimal text and parsed back.
+    ``cycles_per_core`` is packed as ``{"packed": <base64 of the rows,
+    flattened>, "width": <values per row>}``.  A column that does not
+    qualify stays a JSON list: the int and bool columns, a float column
+    holding an int or a bool, ragged ``cycles_per_core`` rows, and empty
+    columns.  Pure stdlib, and the default: ``--store json`` names it,
+    and ``auto``/``arrow`` fall back to it on pyarrow-less installs,
+    mirroring the numpy-optional pattern in :mod:`repro._compat`.  Each
+    line is one ``json.dumps`` of the packed record without
+    ``metrics``/``digest`` (sorted keys, compact separators), closed by
+    the ``metrics`` summary and the ``digest`` of those same bytes
+    (:func:`encode_line`).  Packed columns are decoded only where frames
+    are read: an eager load, the merge's validation and the deferred
+    loader of a lazy load.
 
 ``arrow``
     Repeated ``[8-byte little-endian length][self-contained Arrow IPC
@@ -39,7 +49,10 @@ carry a content ``digest`` (frames + spec + status, *excluding* the
 derived ``metrics`` summary) so :func:`merge_store_files` can detect
 conflicting duplicates while holding only one record in memory, and a
 cached ``metrics`` summary so reporting answers summary queries without
-touching frames at all.
+touching frames at all.  The digest is the SHA-256 of the canonical JSON
+of the record with its frames packed (:func:`record_digest`), so one
+outcome has one digest whether its frames were read packed or as lists;
+the merge recomputes it for every record and never trusts a stored one.
 
 Each outcome is encoded **once**: :func:`encode_line` (or, for Arrow,
 :func:`encode_record`) runs the first time a writer stores the outcome,
@@ -55,11 +68,21 @@ as the raw line bytes it read: it parses and decodes each line (for the
 scenario id, the digest and validity), but never re-encodes it on the
 way to a jsonl output.
 
+Versions: this build writes version 2 (packed jsonl columns) and reads
+versions 1 and 2 (:data:`READABLE_VERSIONS`).  A version-1 file holds
+every frame column as a JSON list; its lines load, resume and merge, but
+their stored digests were taken over the list form and are not
+recomputable.  :meth:`StoreWriter.open_append` refuses a version-1 file,
+so no version-2 line ever lands under a version-1 header; the executor
+and the service rewrite a loaded checkpoint before appending.  A build
+that reads only version 1 refuses a version-2 file with a
+:class:`~repro.errors.ConfigurationError` instead of quarantining it.
+
 The monolithic JSON blob of earlier releases (``{"campaign_name": ...,
 "outcomes": [...]}`` with per-frame row dicts) is read-only: it still
-loads, resumes and merges, but nothing writes it any more.  jsonl lines
-written before the sorted-key layout load and merge too, and carry the
-same digests.
+loads, resumes and merges, but nothing writes it any more.  Version-1
+jsonl lines, in both the insertion-order and the sorted-key layout,
+load and merge too; a merge copies them through as read.
 
 Corruption handling: an unreadable store is quarantined to
 ``<path>.corrupt`` with a ``RuntimeWarning``
@@ -76,11 +99,15 @@ are looking at.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import io
 import json
 import os
+import sys
+from array import array
 from dataclasses import asdict, dataclass
+from itertools import chain
 from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro._compat import HAVE_PYARROW, arrow_disabled
@@ -98,8 +125,12 @@ from repro.sim.results import SimulationResult
 
 #: First bytes of every columnar store file (followed by the JSON header).
 MAGIC = b"#repro-campaign-store"
-#: Store format version stamped into (and required from) the header.
-FORMAT_VERSION = 1
+#: Store format version stamped into the header of every file written.
+FORMAT_VERSION = 2
+#: Header versions this build reads.  Version 1 wrote every frame column
+#: as a JSON list; version 2 packs float columns (:func:`_packed_frames`).
+#: List-form columns decode under either header.
+READABLE_VERSIONS = (1, 2)
 
 #: Requested-format names (the CLI's ``--store`` choices).
 STORE_AUTO = "auto"
@@ -174,12 +205,125 @@ def _frame_columns_of(result: SimulationResult) -> Dict[str, list]:
     return {name: getattr(columns, name) for name in FRAME_COLUMN_NAMES}
 
 
+#: Packed columns are little-endian on disk, whatever the host's byte order.
+_BYTESWAP = sys.byteorder != "little"
+
+
+def _pack_floats(values: Sequence[float]) -> str:
+    """base64 of ``values`` as little-endian IEEE-754 binary64."""
+    packed = array("d", values)
+    if _BYTESWAP:
+        packed.byteswap()
+    return base64.b64encode(packed.tobytes()).decode("ascii")
+
+
+def _unpack_floats(text: str) -> list:
+    """Inverse of :func:`_pack_floats`; ``ValueError`` on malformed input.
+
+    Bad base64 raises ``binascii.Error`` (a ``ValueError``), and so does
+    ``frombytes`` on a byte length that is not a multiple of 8.
+    """
+    values = array("d")
+    values.frombytes(base64.b64decode(text, validate=True))
+    if _BYTESWAP:
+        values.byteswap()
+    return values.tolist()
+
+
+def _all_floats(values: Sequence[Any]) -> bool:
+    """Whether ``values`` is non-empty and holds nothing but exact floats."""
+    return bool(values) and set(map(type, values)) == {float}
+
+
+def _packed_cycles(rows: Any) -> Any:
+    """``cycles_per_core`` as one flat packed column plus its row width.
+
+    Ragged rows, and rows holding anything but floats, stay a list of rows.
+    """
+    if type(rows) is not list or not rows:
+        return rows
+    widths = set(map(len, rows))
+    if len(widths) != 1:
+        return rows
+    flat = list(chain.from_iterable(rows))
+    if not _all_floats(flat):
+        return rows
+    return {"packed": _pack_floats(flat), "width": widths.pop()}
+
+
+def _packed_frames(frames: Dict[str, Any]) -> Dict[str, Any]:
+    """The frames with every all-float column packed (:func:`_pack_floats`).
+
+    Idempotent: packed columns, and list columns that hold ints, bools or
+    a mix of ints and floats, are kept as they are.  A record therefore
+    has one packed form, whichever layout it was read from.
+    """
+    packed: Dict[str, Any] = {}
+    for name, column in frames.items():
+        if name == "cycles_per_core":
+            packed[name] = _packed_cycles(column)
+        elif type(column) is list and _all_floats(column):
+            packed[name] = _pack_floats(column)
+        else:
+            packed[name] = column
+    return packed
+
+
+def _packed(record: Dict[str, Any]) -> Dict[str, Any]:
+    """``record`` with its frames packed (a shallow copy; frames-less as is)."""
+    result_data = record.get("result")
+    if not isinstance(result_data, dict) or "frames" not in result_data:
+        return record
+    frames = _packed_frames(result_data["frames"])
+    return {**record, "result": {**result_data, "frames": frames}}
+
+
+def _unpacked_column(column: Any) -> list:
+    if isinstance(column, str):
+        return _unpack_floats(column)
+    return column if type(column) is list else list(column)
+
+
+def _unpacked_cycles(column: Any, rows: int) -> list:
+    if not isinstance(column, dict):
+        return [tuple(row) for row in column]
+    width = column["width"]
+    flat = _unpack_floats(column["packed"])
+    if type(width) is not int or width < 1 or len(flat) != rows * width:
+        raise ValueError(
+            f"packed cycles_per_core holds {len(flat)} values, not {rows} rows "
+            f"of width {width!r}"
+        )
+    return list(zip(*[iter(flat)] * width))
+
+
+def _unpacked_frames(frames: Dict[str, Any]) -> Dict[str, list]:
+    """Every frame column as a list (``cycles_per_core`` as tuple rows).
+
+    Packed columns are decoded, list columns are passed through.  A
+    column whose length differs from ``index`` raises ``ValueError``, as
+    does a malformed packed column.
+    """
+    columns = {
+        name: _unpacked_column(frames[name])
+        for name in FRAME_COLUMN_NAMES
+        if name != "cycles_per_core"
+    }
+    rows = len(columns["index"])
+    columns["cycles_per_core"] = _unpacked_cycles(frames["cycles_per_core"], rows)
+    for name in FRAME_COLUMN_NAMES:
+        if len(columns[name]) != rows:
+            raise ValueError(
+                f"frame column {name!r} has {len(columns[name])} entries, "
+                f"expected {rows}"
+            )
+    return columns
+
+
 def _columns_from_lists(frames: Dict[str, Any]) -> FrameColumns:
     """Validating inverse of :func:`_frame_columns_of` (decode path)."""
-    kwargs = {name: frames[name] for name in FRAME_COLUMN_NAMES}
-    kwargs["cycles_per_core"] = [tuple(row) for row in kwargs["cycles_per_core"]]
     try:
-        return FrameColumns(**kwargs)
+        return FrameColumns(**_unpacked_frames(frames))
     except SimulationError as exc:
         # Unify corrupt-shape detection on the checkpoint-quarantine errors.
         raise ValueError(str(exc)) from exc
@@ -187,14 +331,7 @@ def _columns_from_lists(frames: Dict[str, Any]) -> FrameColumns:
 
 def _frames_for_deferred(frames: Dict[str, Any]) -> Dict[str, list]:
     """Shape raw decoded frames for :meth:`FrameColumns.from_deferred`."""
-    return {
-        name: (
-            [tuple(row) for row in frames[name]]
-            if name == "cycles_per_core"
-            else list(frames[name])
-        )
-        for name in FRAME_COLUMN_NAMES
-    }
+    return _unpacked_frames(frames)
 
 
 def _canonical(payload: Any) -> bytes:
@@ -214,13 +351,16 @@ def _unsealed(record: Dict[str, Any]) -> Dict[str, Any]:
 def record_digest(record: Dict[str, Any]) -> str:
     """Content hash of a store record, for streaming-merge conflict checks.
 
-    Canonical JSON (sorted keys, compact separators) over everything
-    except ``digest`` itself and the derived ``metrics`` summary —
-    metrics are excluded because NumPy's pairwise summation and the pure
-    Python fallback produce different float dust for the same frames, and
-    a derived cache must never make identical outcomes look conflicting.
+    Canonical JSON (sorted keys, compact separators) of the record with
+    its frames packed (:func:`_packed_frames`), over everything except
+    ``digest`` itself and the derived ``metrics`` summary.  Packing first
+    gives one outcome the same digest whether its frames arrive as lists
+    (a version-1 line, :func:`encode_record`'s dict) or packed.  Metrics
+    are excluded because NumPy's pairwise summation and the pure Python
+    fallback produce different float dust for the same frames, and a
+    derived cache must never make identical outcomes look conflicting.
     """
-    return hashlib.sha256(_canonical(_unsealed(record))).hexdigest()
+    return hashlib.sha256(_canonical(_packed(_unsealed(record)))).hexdigest()
 
 
 def _outcome_record(outcome: ScenarioOutcome) -> Dict[str, Any]:
@@ -253,15 +393,20 @@ def _outcome_record(outcome: ScenarioOutcome) -> Dict[str, Any]:
 
 
 def _outcome_metrics(outcome: ScenarioOutcome) -> Optional[Dict[str, Any]]:
-    """The record's ``metrics``: the outcome's cache, else computed once here.
+    """The record's ``metrics``: the outcome's cache, else summarised once.
 
     Every record on disk can therefore answer summary queries without
-    its frames.
+    its frames.  A summary computed here is kept on the outcome
+    (:attr:`ScenarioOutcome.summary`), so a later
+    :meth:`~ScenarioOutcome.metrics_summary` does not compute it again.
     """
-    metrics = outcome.metrics
-    if metrics is None and outcome.result is not None:
-        metrics = asdict(summarize_result(outcome.result))
-    return dict(metrics) if metrics is not None else None
+    if outcome.metrics is not None:
+        return dict(outcome.metrics)
+    if outcome.result is None:
+        return None
+    if outcome.summary is None:
+        object.__setattr__(outcome, "summary", summarize_result(outcome.result))
+    return asdict(outcome.summary)
 
 
 def outcome_digest(outcome: ScenarioOutcome) -> str:
@@ -273,8 +418,9 @@ def encode_record(outcome: ScenarioOutcome) -> Dict[str, Any]:
     """Serialise one outcome to a store record dict (columnar frames + digest).
 
     The form the Arrow encoding and the service's ``submit`` payload
-    carry; jsonl writers use :func:`encode_line`, which yields the same
-    record as bytes.
+    carry: frames are plain column lists.  jsonl writers use
+    :func:`encode_line`, which yields the same record, frames packed, as
+    bytes with the same ``digest``.
     """
     record = _outcome_record(outcome)
     metrics = _outcome_metrics(outcome)
@@ -301,13 +447,13 @@ def _seal(record: Dict[str, Any], metrics: Optional[Dict[str, Any]]) -> bytes:
 
 
 def encode_line(outcome: ScenarioOutcome) -> bytes:
-    """One outcome as its newline-terminated jsonl store line."""
-    return _seal(_outcome_record(outcome), _outcome_metrics(outcome))
+    """One outcome as its newline-terminated jsonl store line (frames packed)."""
+    return _seal(_packed(_outcome_record(outcome)), _outcome_metrics(outcome))
 
 
 def record_line(record: Dict[str, Any]) -> bytes:
     """A store record dict as its jsonl line (the layout of :func:`encode_line`)."""
-    return _seal(_unsealed(record), record.get("metrics"))
+    return _seal(_packed(_unsealed(record)), record.get("metrics"))
 
 
 def decode_record(
@@ -372,12 +518,12 @@ def _read_header(handle) -> Dict[str, Any]:
     if not isinstance(meta, dict):
         raise ValueError("store header is not a JSON object")
     version = meta.get("version")
-    if version != FORMAT_VERSION:
+    if version not in READABLE_VERSIONS:
         # A future format is a setup problem, not corruption: never
         # quarantine a file a newer build wrote deliberately.
         raise ConfigurationError(
             f"result store {getattr(handle, 'name', '?')!r} has format version "
-            f"{version!r}; this build reads version {FORMAT_VERSION}"
+            f"{version!r}; this build reads versions {READABLE_VERSIONS}"
         )
     if meta.get("encoding") not in ENCODINGS:
         raise ValueError(f"unknown store encoding {meta.get('encoding')!r}")
@@ -417,10 +563,15 @@ def _arrow_schema(pa):
     return pa.schema(fields)
 
 
-def _arrow_segment(records: Sequence[Dict[str, Any]]) -> bytes:
-    """Encode records as one length-prefixed, self-contained IPC segment."""
-    pa = _pyarrow()
-    schema = _arrow_schema(pa)
+def _arrow_columns(
+    records: Sequence[Dict[str, Any]],
+) -> Tuple[List[str], Dict[str, List[Optional[list]]]]:
+    """Shape records for an Arrow segment: meta JSON rows and frame columns.
+
+    Frames may arrive as lists (:func:`encode_record`) or packed (a jsonl
+    line the merge re-encodes); either way each column becomes one list
+    per record, ``None`` for a record without a result.
+    """
     metas: List[str] = []
     frame_columns: Dict[str, List[Optional[list]]] = {
         name: [] for name in FRAME_COLUMN_NAMES
@@ -432,13 +583,21 @@ def _arrow_segment(records: Sequence[Dict[str, Any]]) -> bytes:
             meta["result"] = {
                 key: value for key, value in result_data.items() if key != "frames"
             }
-            frames = result_data["frames"]
+            frames = _unpacked_frames(result_data["frames"])
             for name in FRAME_COLUMN_NAMES:
-                frame_columns[name].append(list(frames[name]))
+                frame_columns[name].append(frames[name])
         else:
             for name in FRAME_COLUMN_NAMES:
                 frame_columns[name].append(None)
         metas.append(json.dumps(meta))
+    return metas, frame_columns
+
+
+def _arrow_segment(records: Sequence[Dict[str, Any]]) -> bytes:
+    """Encode records as one length-prefixed, self-contained IPC segment."""
+    pa = _pyarrow()
+    schema = _arrow_schema(pa)
+    metas, frame_columns = _arrow_columns(records)
     arrays = [pa.array(metas, type=pa.string())]
     for field in schema[1:]:
         arrays.append(pa.array(frame_columns[field.name], type=field.type))
@@ -607,8 +766,20 @@ class StoreWriter:
 
     @classmethod
     def open_append(cls, path: str) -> "StoreWriter":
+        """Reopen a store written by this build (``FORMAT_VERSION``) for appends.
+
+        A file under an older header is refused: a build that reads only
+        that version would take the appended lines for corruption.
+        Rewrite it first (:func:`save_store`), as the executor and the
+        service's journal do before their first append.
+        """
         with open(path, "rb") as probe:
             meta = _read_header(probe)
+        if meta["version"] != FORMAT_VERSION:
+            raise ConfigurationError(
+                f"result store {path!r} has format version {meta['version']!r}; "
+                f"rewrite it before appending version-{FORMAT_VERSION} records"
+            )
         if meta["encoding"] == ENCODING_ARROW:
             _pyarrow()
         return cls(path, meta["campaign_name"], meta["encoding"], open(path, "ab"))
@@ -931,7 +1102,9 @@ def merge_store_files(
                     )
                 outcome = decode_record(record)
                 sid = outcome.scenario_id
-                digest = record.get("digest") or record_digest(record)
+                # Recomputed, never read: a version-1 line's stored digest
+                # was taken over list-form frames.
+                digest = record_digest(record)
                 existing = entries.get(sid)
                 if existing is not None:
                     if existing[0] != digest:

@@ -244,12 +244,25 @@ MALFORMED_REQUESTS = {
 
 
 def _poisoned_records(record):
-    """Store records that decode but whose frames no summary can be taken over."""
+    """Store records that parse but do not decode, or whose frames no summary
+    can be taken over: list-framed (as :func:`encode_record` sends them) and
+    packed (as a jsonl store line holds them)."""
     text = json.loads(json.dumps(record))
     text["result"]["frames"]["energy_j"][0] = "x"
     short = json.loads(json.dumps(record))
     short["result"]["frames"]["energy_j"].pop()
-    return {"frame-value-not-a-number": text, "frame-column-too-short": short}
+    bad_base64 = json.loads(result_store.record_line(record))
+    bad_base64["result"]["frames"]["energy_j"] = "not base64!"
+    packed_short = json.loads(result_store.record_line(record))
+    packed_short["result"]["frames"]["energy_j"] = result_store._pack_floats(
+        record["result"]["frames"]["energy_j"][:-1]
+    )
+    return {
+        "frame-value-not-a-number": text,
+        "frame-column-too-short": short,
+        "packed-column-not-base64": bad_base64,
+        "packed-column-too-short": packed_short,
+    }
 
 
 class TestMalformedRequests:
@@ -275,7 +288,15 @@ class TestMalformedRequests:
             if server is not None:
                 server.stop()
 
-    @pytest.mark.parametrize("name", ["frame-value-not-a-number", "frame-column-too-short"])
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "frame-value-not-a-number",
+            "frame-column-too-short",
+            "packed-column-not-base64",
+            "packed-column-too-short",
+        ],
+    )
     def test_poisoned_record_rejected(self, campaign, serial_store, name):
         coordinator, _ = make_coordinator(campaign)
         client = LocalClient(coordinator)

@@ -487,6 +487,48 @@ class TestServiceIntegration:
         assert len(revived.store) == 2
         revived.close_journal()
 
+    def test_version_1_journal_is_rewritten_before_appends(
+        self, tmp_path, campaign, monkeypatch
+    ):
+        serial = run_campaign(campaign, store="json")
+        journal = str(tmp_path / "journal.json")
+        coordinator = Coordinator(campaign, journal_path=journal, journal_store="json")
+        for outcome in list(serial)[:2]:
+            coordinator.submit("w0", None, outcome)
+        coordinator.close_journal()
+        # Downgrade the sidecar to a version-1 file: list-framed records.
+        sidecar = journal + ".outcomes"
+        with open(sidecar, "rb") as handle:
+            header, *lines = handle.read().splitlines(keepends=True)
+        records = [json.loads(line) for line in lines]
+        for record in records:
+            frames = result_store._unpacked_frames(record["result"]["frames"])
+            record["result"]["frames"] = frames
+        with open(sidecar, "wb") as handle:
+            handle.write(header.replace(b'"version": 2', b'"version": 1'))
+            handle.writelines(
+                json.dumps(record, sort_keys=True).encode("utf-8") + b"\n"
+                for record in records
+            )
+        with open(sidecar, "rb") as handle:
+            assert result_store._read_header(handle)["version"] == 1
+        versions = []
+        append = result_store.StoreWriter.append_outcomes
+
+        def checked(writer, outcomes):
+            with open(writer.path, "rb") as handle:
+                versions.append(result_store._read_header(handle)["version"])
+            return append(writer, outcomes)
+
+        monkeypatch.setattr(result_store.StoreWriter, "append_outcomes", checked)
+        revived = Coordinator(campaign, journal_path=journal, journal_store="json")
+        assert revived.stats["resumed"] == 2
+        for outcome in list(serial)[2:]:
+            revived.submit("w0", None, outcome)
+        revived.close_journal()
+        assert versions and set(versions) == {result_store.FORMAT_VERSION}
+        assert saved_bytes(CampaignResult.load(sidecar)) == saved_bytes(serial)
+
     def test_columnar_journal_drains_to_serial_result(self, tmp_path, campaign):
         serial = run_campaign(campaign, store="json")
         journal = str(tmp_path / "journal.json")

@@ -12,13 +12,17 @@ invisible to equality, ``repr`` and the bytes on disk.
 
 A jsonl line is itself one ``json.dumps`` of the record: its ``digest``
 hashes those same bytes and equals :func:`record_digest`.
+
+The summary behind a record's ``metrics`` is kept on the outcome, so
+:meth:`ScenarioOutcome.metrics_summary` after a save (or a save after
+it) summarises the frames once between them.
 """
 
 import filecmp
 import json
 import os
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -113,7 +117,12 @@ class TestSlot:
     def test_slot_holds_no_payload(self, outcome, tmp_path):
         save(outcome, tmp_path / "out.store")
         slot = outcome.store_slot
-        assert slot.length > 10_000
+        # The slot names the whole line (one record of FRAMES frames) and
+        # holds a small fixed part of it: a path, offsets and a checksum.
+        with open(slot.path, "rb") as handle:
+            lines = handle.read().splitlines(keepends=True)
+        assert (len(lines), slot.offset, slot.length) == (2, len(lines[0]), len(lines[1]))
+        assert slot.length > 5_000
         assert all(isinstance(value, (str, int, bytes)) for value in slot)
         assert len(slot.checksum) == 32
 
@@ -148,6 +157,43 @@ class TestSlot:
         assert outcome == fresh
         assert repr(outcome) == repr(fresh)
         assert saved_bytes(outcome) == saved_bytes(fresh)
+
+
+class TestSummaryOnce:
+    """The store's metrics and :meth:`metrics_summary` share one summary."""
+
+    @pytest.fixture
+    def summaries(self, monkeypatch):
+        from repro.sim import metrics
+
+        counts = Counter()
+        for module in (metrics, result_store):
+            def counting(result, _module=module.__name__):
+                counts[_module] += 1
+                return metrics.summarize_records(result.records)
+
+            monkeypatch.setattr(module, "summarize_result", counting)
+        return counts
+
+    def test_save_then_summary(self, outcome, summaries, tmp_path):
+        path = save(outcome, tmp_path / "out.store")
+        summary = outcome.metrics_summary()
+        assert outcome.metrics_summary() is summary
+        assert sum(summaries.values()) == 1
+        assert asdict(summary) == stored_record(path)["metrics"]
+
+    def test_summary_then_save(self, outcome, summaries, tmp_path):
+        summary = outcome.metrics_summary()
+        path = save(outcome, tmp_path / "out.store")
+        assert sum(summaries.values()) == 1
+        assert asdict(summary) == stored_record(path)["metrics"]
+
+    def test_replace_summarises_afresh(self, outcome, summaries):
+        outcome.metrics_summary()
+        retried = replace(outcome, attempts=2)
+        assert retried.summary is None
+        retried.metrics_summary()
+        assert sum(summaries.values()) == 2
 
 
 class TestOneDumpPerRecord:

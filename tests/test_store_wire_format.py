@@ -11,11 +11,16 @@ The merge cases around the raw-line path are pinned the same way: a shard
 whose last line lost its trailing newline, a garbled line, and a mix of
 old-layout and current jsonl shards.
 
-Lines are written as one sorted-key ``json.dumps`` of the record followed
-by ``metrics`` and ``digest``.  Earlier releases wrote the record's keys in
-insertion order; ``tests/data/store-wire-format.shard0.v1.store.gz`` is
-shard 0 in that old layout, pinned by :data:`SHA256` and still loaded,
-resumed and merged here.
+Lines are written as one sorted-key ``json.dumps`` of the record, frames
+packed (every all-float column as base64 of little-endian binary64),
+followed by ``metrics`` and ``digest``, under a version-2 header.  Two
+older layouts, both under a version-1 header, are committed as shard 0
+and still loaded, resumed and merged here:
+
+* ``tests/data/store-wire-format.shard0.v1.store.gz``: record keys in
+  insertion order, frames as JSON lists, pinned by :data:`SHA256`;
+* ``tests/data/store-wire-format.shard0.text.store.gz``: sorted keys,
+  frames as JSON lists, pinned by :data:`SORTED_SHA256`.
 """
 
 import hashlib
@@ -29,6 +34,7 @@ from repro import _compat
 from repro.campaign import CampaignResult, CampaignSpec, FactorySpec
 from repro.campaign import store as result_store
 from repro.campaign.cli import main as cli_main
+from repro.errors import ConfigurationError
 from repro.testing.parity.harness import paper_governors
 from tests.conftest import legacy_bytes, saved_bytes
 
@@ -51,18 +57,36 @@ MIXED_SHA256 = {
     "json": "4aaa7f3c4da59543c5fb04da0b23ad64586a19abcb55fca83f256d186fa659cf",
 }
 
-#: sha256 of each file the fixture writes in the current (sorted-key) line
-#: layout.  A change here is a change of the on-disk store format.
+#: sha256 of each file the fixture wrote in the sorted-key, list-framed
+#: line layout (version 1); ``shard0.store`` is the committed text shard.
 SORTED_SHA256 = {
     "shard0.store": "f5f1cd2ac10d4070748b355d7cb37249ac99340ac2fbab9728b4e44358c9a08a",
     "shard1.store": "75d0a499f7ffccead27f783c99200cd8507e9cd995ee3fbb6a942bcbdb2d102d",
     "merged.store": "e78fb0fcfccd9a6b9b97f06ff401c5bcf14e89bb2a56379ca3269ee0187bfba8",
 }
 
-#: sha256 of the ``--spec`` merge of the old-layout shard 0 with the
+#: sha256 of each file the fixture writes in the current (packed, version
+#: 2) layout.  A change here is a change of the on-disk store format.
+PACKED_SHA256 = {
+    "shard0.store": "f3465fd03062a9efcc08a52cde132b6189705a9a360abc824f8c414221412fa7",
+    "shard1.store": "38ddffa3aeb62c6668f47275527badc1a4d59b59933c04e5e9af0a8cc6a7c02b",
+    "merged.store": "ba426fd24110d95ecfde44863f44cb64c8cda39050f2beebbf9b7ff3de615359",
+}
+
+#: sha256 of the ``--spec`` merge of shard 0 in each layout with the
 #: current shard 1, for every ``--store``: lines are copied as read, so
-#: each keeps its layout.
-MIXED_LAYOUT_SHA256 = "cf4563c5356f0ecfcc992257c8491d4da4675f753ae943e628172f66a0829ee3"
+#: each keeps its layout under the current header.
+MIXED_LAYOUT_SHA256 = {
+    "v1": "4b7230a2009942052508d3bb8e1a9624da1246e5dd694dee3a78ded07112f14f",
+    "text": "ac6beb7aa506828edd559d936f799175d88b110e87cf65b7f3b2300822495e04",
+    "packed": PACKED_SHA256["merged.store"],
+}
+
+#: The committed shard-0 file of each older layout.
+OLD_LAYOUT_FILES = {
+    "v1": "store-wire-format.shard0.v1.store",
+    "text": "store-wire-format.shard0.text.store",
+}
 
 
 def store_campaign() -> CampaignSpec:
@@ -115,20 +139,32 @@ def wire_dir(tmp_path_factory):
 
 
 @pytest.fixture
-def old_shard0(tmp_path):
-    """The committed shard 0 in the old line layout."""
-    path = tmp_path / "old-shard0.store"
-    path.write_bytes(legacy_bytes("store-wire-format.shard0.v1.store"))
-    return path
+def layouts(wire_dir, tmp_path):
+    """Shard 0 in every layout: the two committed older ones and the current."""
+    paths = {}
+    for layout, name in OLD_LAYOUT_FILES.items():
+        paths[layout] = tmp_path / f"{layout}-shard0.store"
+        paths[layout].write_bytes(legacy_bytes(name))
+    paths["packed"] = tmp_path / "packed-shard0.store"
+    paths["packed"].write_bytes((wire_dir / "shard0.store").read_bytes())
+    return paths
+
+
+def header_version(path) -> int:
+    with open(path, "rb") as handle:
+        return result_store._read_header(handle)["version"]
 
 
 class TestPinnedBytes:
-    @pytest.mark.parametrize("name", sorted(SORTED_SHA256))
+    @pytest.mark.parametrize("name", sorted(PACKED_SHA256))
     def test_digest(self, wire_dir, name):
-        assert sha256(wire_dir / name) == SORTED_SHA256[name]
+        assert sha256(wire_dir / name) == PACKED_SHA256[name]
 
-    def test_old_layout_shard_is_pinned(self, old_shard0):
-        assert sha256(old_shard0) == SHA256["shard0.store"]
+    def test_old_layout_shard_is_pinned(self, layouts):
+        assert sha256(layouts["v1"]) == SHA256["shard0.store"]
+        assert sha256(layouts["text"]) == SORTED_SHA256["shard0.store"]
+        assert header_version(layouts["v1"]) == header_version(layouts["text"]) == 1
+        assert header_version(layouts["packed"]) == result_store.FORMAT_VERSION == 2
 
     def test_files_are_jsonl_stores(self, wire_dir):
         for name in SHA256:
@@ -139,6 +175,14 @@ class TestPinnedBytes:
     def test_checkpoint_equals_output(self, wire_dir, index):
         checkpoint = (wire_dir / f"shard{index}.ckpt").read_bytes()
         assert checkpoint == (wire_dir / f"shard{index}.store").read_bytes()
+
+    def test_float_columns_are_packed(self, wire_dir):
+        line = (wire_dir / "shard0.store").read_bytes().splitlines()[1]
+        frames = json.loads(line)["result"]["frames"]
+        lists = sorted(name for name, column in frames.items() if isinstance(column, list))
+        assert lists == ["explored", "index", "operating_index"]
+        assert set(frames["cycles_per_core"]) == {"packed", "width"}
+        assert isinstance(frames["energy_j"], str)
 
 
 class TestRawLineMerge:
@@ -153,7 +197,7 @@ class TestRawLineMerge:
             "--spec", wire_dir / "spec.json", "--store", "arrow", "--output", merged,
         ) == 0
         assert merged.read_bytes().endswith(b"}\n")
-        assert sha256(merged) == SORTED_SHA256["merged.store"]
+        assert sha256(merged) == PACKED_SHA256["merged.store"]
         assert len(CampaignResult.load(str(merged))) == len(store_campaign())
 
     @pytest.mark.parametrize("store", ["arrow", "json"])
@@ -186,7 +230,7 @@ class TestRawLineMerge:
         # stops before it writes any output.
         lines = (wire_dir / "shard0.store").read_bytes().splitlines(keepends=True)
         record = json.loads(lines[1])
-        record["result"]["frames"]["energy_j"].pop()
+        record["result"]["frames"]["index"].pop()
         ragged = tmp_path / "ragged.store"
         line = json.dumps(record, separators=(",", ":")).encode("utf-8") + b"\n"
         ragged.write_bytes(lines[0] + line + b"".join(lines[2:]))
@@ -194,52 +238,91 @@ class TestRawLineMerge:
         assert merge(ragged, wire_dir / "shard1.store", "--store", "json", "--output", output) == 2
         assert os.listdir(tmp_path) == ["ragged.store"]
 
-    @pytest.mark.parametrize("store", sorted(MIXED_SHA256))
-    def test_mixed_legacy_and_jsonl_inputs(self, wire_dir, old_shard0, tmp_path, store):
-        merged = tmp_path / "merged"
-        assert merge(
-            old_shard0, wire_dir / "shard1.store",
-            "--spec", wire_dir / "spec.json", "--store", store, "--output", merged,
-        ) == 0
-        assert sha256(merged) == MIXED_LAYOUT_SHA256
-        assert saved_bytes(CampaignResult.load(str(merged))) == (
-            wire_dir / "merged.store"
-        ).read_bytes()
+    @pytest.mark.parametrize("store", ["arrow", "json"])
+    def test_mixed_legacy_and_jsonl_inputs(self, wire_dir, layouts, tmp_path, store):
+        for layout, shard0 in layouts.items():
+            merged = tmp_path / f"merged-{layout}"
+            assert merge(
+                shard0, wire_dir / "shard1.store",
+                "--spec", wire_dir / "spec.json", "--store", store, "--output", merged,
+            ) == 0
+            assert sha256(merged) == MIXED_LAYOUT_SHA256[layout], layout
+            assert header_version(merged) == result_store.FORMAT_VERSION
+            assert saved_bytes(CampaignResult.load(str(merged))) == (
+                wire_dir / "merged.store"
+            ).read_bytes()
 
 
 class TestOldLayout:
-    def test_loads_to_the_current_bytes(self, wire_dir, old_shard0):
-        loaded = CampaignResult.load(str(old_shard0), lazy=True)
-        assert saved_bytes(loaded) == (wire_dir / "shard0.store").read_bytes()
+    """Shard 0 loads, resumes and merges alike in every layout."""
 
-    def test_digests_are_unchanged(self, wire_dir, old_shard0):
-        old = list(result_store.StoreReader(str(old_shard0)).iter_records())
-        new = list(result_store.StoreReader(str(wire_dir / "shard0.store")).iter_records())
-        assert [r["digest"] for r, _ in old] == [r["digest"] for r, _ in new]
-        for record, _ in old + new:
-            assert record["digest"] == result_store.record_digest(record)
+    def test_loads_to_the_current_bytes(self, wire_dir, layouts):
+        current = (wire_dir / "shard0.store").read_bytes()
+        for layout, path in layouts.items():
+            for lazy in (False, True):
+                loaded = CampaignResult.load(str(path), lazy=lazy)
+                assert saved_bytes(loaded) == current, (layout, lazy)
 
-    def test_resumes_without_rerunning(self, wire_dir, old_shard0):
+    def test_record_digest_is_equal_across_layouts(self, wire_dir, layouts):
+        digests = {}
+        for layout, path in layouts.items():
+            records = [r for r, _ in result_store.StoreReader(str(path)).iter_records()]
+            digests[layout] = [result_store.record_digest(r) for r in records]
+            stored = [r["digest"] for r in records]
+            # A version-1 line's stored digest hashed its list-form frames,
+            # so it cannot be recomputed; the merge never reads it.
+            assert (stored == digests[layout]) == (layout == "packed"), layout
+        assert digests["v1"] == digests["text"] == digests["packed"]
+
+    def test_resumes_without_rerunning(self, wire_dir, layouts):
         spec = CampaignSpec.load(str(wire_dir / "spec.json"))
         argv = [str(wire_dir / "spec.json"), "--shard", "0/2", "--store", "arrow"]
-        assert cli_main(argv + ["--checkpoint", str(old_shard0), "--quiet"]) == 0
-        # Every scenario was already done: the checkpoint is just rewritten
-        # in the current layout.
-        assert old_shard0.read_bytes() == (wire_dir / "shard0.store").read_bytes()
-        assert len(CampaignResult.load(str(old_shard0))) == len(spec.shard(0, 2))
+        for layout, path in layouts.items():
+            assert cli_main(argv + ["--checkpoint", str(path), "--quiet"]) == 0
+            # Every scenario was already done: the checkpoint is just
+            # rewritten in the current layout.
+            assert path.read_bytes() == (wire_dir / "shard0.store").read_bytes(), layout
+            assert len(CampaignResult.load(str(path))) == len(spec.shard(0, 2))
 
     def test_shared_scenario_with_a_current_shard_is_a_duplicate(
-        self, wire_dir, old_shard0, tmp_path
+        self, wire_dir, layouts, tmp_path
     ):
         header, first, *_ = (wire_dir / "shard0.store").read_bytes().splitlines(True)
         one = tmp_path / "one.store"
         one.write_bytes(header + first)
-        merged = tmp_path / "merged.store"
-        stats = result_store.merge_store_files(
-            [str(old_shard0), str(one), str(wire_dir / "shard1.store")],
-            str(merged),
-            spec=CampaignSpec.load(str(wire_dir / "spec.json")),
-            store="json",
-        )
-        assert stats.duplicates == 1
-        assert stats.scenarios == len(store_campaign())
+        for layout, shard0 in layouts.items():
+            merged = tmp_path / f"merged-{layout}.store"
+            stats = result_store.merge_store_files(
+                [str(shard0), str(one), str(wire_dir / "shard1.store")],
+                str(merged),
+                spec=CampaignSpec.load(str(wire_dir / "spec.json")),
+                store="json",
+            )
+            assert stats.duplicates == 1, layout
+            assert stats.scenarios == len(store_campaign())
+
+    def test_appends_never_land_under_a_version_1_header(
+        self, wire_dir, layouts, tmp_path, monkeypatch
+    ):
+        old = layouts["v1"]
+        before = old.read_bytes()
+        with pytest.raises(ConfigurationError, match="format version 1"):
+            result_store.StoreWriter.open_append(str(old))
+        assert old.read_bytes() == before
+        # Resume from a version-1 checkpoint that lacks one outcome: the
+        # missing scenario is run and checkpointed, and every append finds
+        # the current header.
+        header, *lines = before.splitlines(keepends=True)
+        old.write_bytes(header + b"".join(lines[:-1]))
+        headers = []
+        append = result_store.StoreWriter.append_outcomes
+
+        def checked(writer, outcomes):
+            headers.append(header_version(writer.path))
+            return append(writer, outcomes)
+
+        monkeypatch.setattr(result_store.StoreWriter, "append_outcomes", checked)
+        argv = [str(wire_dir / "spec.json"), "--shard", "0/2", "--store", "arrow"]
+        assert cli_main(argv + ["--checkpoint", str(old), "--quiet"]) == 0
+        assert headers and set(headers) == {result_store.FORMAT_VERSION}
+        assert old.read_bytes() == (wire_dir / "shard0.store").read_bytes()
