@@ -8,7 +8,8 @@ Four measurements, matching the tiers of the performance work:
   for numerical equivalence (energy within 1e-9 relative, identical
   deadline-miss sets) so a speedup can never be bought with wrong numbers.
 * **Table-driven closed loop**: the closed-loop governors the paper
-  actually studies (ondemand, conservative, the Q-learning RTM), scalar
+  actually studies (ondemand, conservative, the single-cluster Q-learning
+  RTM and the paper's many-core ``proposed`` learner), scalar
   engine vs :mod:`repro.sim.tablepath` — both with freshly built physics
   tables (a cold single run) and with tables shared across runs, the
   campaign-grid configuration where the executor's per-worker cache
@@ -83,8 +84,11 @@ TABLE_GOVERNORS: Dict[str, Callable[[], object]] = {
     "rl": RLGovernor,
 }
 
-CLOSED_LOOP_GOVERNORS: Dict[str, Callable[[], object]] = {
-    "ondemand": OndemandGovernor,
+#: The table-path section also times the paper's many-core learner (one
+#: workload predictor per core, shared Q-table), which the jit kernel does
+#: not run, so it is not in :data:`TABLE_GOVERNORS`.
+TABLE_SECTION_GOVERNORS: Dict[str, Callable[[], object]] = {
+    **TABLE_GOVERNORS,
     "proposed": MultiCoreRLGovernor,
 }
 
@@ -257,7 +261,7 @@ def bench_table_closed_loop(num_frames: int, repeats: int = 3) -> List[Dict[str,
     def shared_provider(cluster, app, config):
         return shared_tables
 
-    for gov_name, gov_factory in TABLE_GOVERNORS.items():
+    for gov_name, gov_factory in TABLE_SECTION_GOVERNORS.items():
 
         def scalar_run():
             governor = gov_factory()
@@ -533,13 +537,16 @@ def test_bench_table_closed_loop_speedup_and_equivalence():
     for row in rows:
         assert row["miss_sets_identical"]
         assert row["exploration_counts_identical"]
-        if row["governor"] == "rl":  # the learning scenario compares Q-tables
+        if row["governor"] in ("rl", "proposed"):  # learners compare Q-tables
             assert row["qtables_identical"] is True
         assert row["max_rel_energy_err"] <= 1e-9
         # Conservative floors for noisy CI boxes; the tracked numbers in
         # BENCH_results.json carry the actual speedups (>= 3x per scenario
-        # on the reference box).
-        assert row["speedup"] >= 2.0
+        # on the reference box).  The many-core learner's decision (a
+        # predictor per core, the shared Q-table) is the same Python in
+        # both engines and bounds its speedup: 600-frame runs read
+        # 1.7x-4.0x on a 2-vCPU box, so its floor is 1.5x.
+        assert row["speedup"] >= (1.5 if row["governor"] == "proposed" else 2.0)
     reactive = [r["speedup"] for r in rows if r["governor"] in ("ondemand", "conservative")]
     assert min(reactive) >= 3.0
 

@@ -280,7 +280,7 @@ class _SimWorker:
             "op": "submit",
             "worker": self.worker_id,
             "lease_id": self.lease_id,
-            "outcome": result_store.encode_record(self.outcome),
+            "outcome": result_store.packed_record(self.outcome),
         }
         response = self.client.call(request)
         assert response.get("ok"), response

@@ -45,10 +45,12 @@ Workers are elastic: a site can join (``repro-campaign work``) or vanish
 at any point of a running campaign.  The protocol is four idempotent
 operations (``lease`` / ``heartbeat`` / ``submit`` / ``status``) carried
 as JSON objects, so third-party sites need nothing beyond an HTTP POST.
-A ``submit`` carries the outcome as its result store record
-(:func:`repro.campaign.store.encode_record`), the encoding every
-checkpoint, output and journal uses; the coordinator recomputes the
-record's ``metrics`` from its frames.  Workers of releases that
+A ``submit`` carries the outcome as its result store record with the
+float frame columns packed (:func:`repro.campaign.store.packed_record`,
+the record a jsonl store line holds), so no frame float is printed as
+decimal text on the wire; the coordinator also accepts list-framed
+records (:func:`~repro.campaign.store.encode_record`) and recomputes
+the record's ``metrics`` from its frames either way.  Workers of releases that
 submitted the JSON-blob outcome get a ``malformed submit`` reply naming
 the expected payload: upgrade coordinator and workers together.
 """
@@ -909,7 +911,7 @@ class WorkerSite:
                     {
                         "op": "submit",
                         "lease_id": lease_id,
-                        "outcome": result_store.encode_record(outcome),
+                        "outcome": result_store.packed_record(outcome),
                     }
                 )
                 if submit is None:

@@ -417,10 +417,9 @@ def outcome_digest(outcome: ScenarioOutcome) -> str:
 def encode_record(outcome: ScenarioOutcome) -> Dict[str, Any]:
     """Serialise one outcome to a store record dict (columnar frames + digest).
 
-    The form the Arrow encoding and the service's ``submit`` payload
-    carry: frames are plain column lists.  jsonl writers use
-    :func:`encode_line`, which yields the same record, frames packed, as
-    bytes with the same ``digest``.
+    The form the Arrow encoding carries: frames are plain column lists.
+    jsonl writers use :func:`encode_line`, which yields the same record,
+    frames packed, as bytes with the same ``digest``.
     """
     record = _outcome_record(outcome)
     metrics = _outcome_metrics(outcome)
@@ -446,9 +445,20 @@ def _seal(record: Dict[str, Any], metrics: Optional[Dict[str, Any]]) -> bytes:
     return body[:-1] + tail + b',"digest":"' + digest + b'"}\n'
 
 
+def packed_record(outcome: ScenarioOutcome) -> Dict[str, Any]:
+    """The outcome's store record, frames packed, without ``metrics``/``digest``.
+
+    The record :func:`encode_line` seals into a line, as a dict: the form
+    the service's ``submit`` carries.  The coordinator derives the
+    metrics from the frames itself, and nothing checks a digest in
+    transit, so neither is computed for the wire.
+    """
+    return _packed(_outcome_record(outcome))
+
+
 def encode_line(outcome: ScenarioOutcome) -> bytes:
     """One outcome as its newline-terminated jsonl store line (frames packed)."""
-    return _seal(_packed(_outcome_record(outcome)), _outcome_metrics(outcome))
+    return _seal(packed_record(outcome), _outcome_metrics(outcome))
 
 
 def record_line(record: Dict[str, Any]) -> bytes:

@@ -121,10 +121,12 @@ class MultiCoreRLGovernor(RLGovernor):
         # prediction) does, since that is what the shared V-F domain must
         # accommodate.
         cycles = previous.cycles_per_core
-        num_observed = len(cycles)
+        predictors = self._core_predictors
+        num_cores = len(predictors)
+        if len(cycles) != num_cores:  # missing cores read as idle; extra ones are ignored
+            cycles = (tuple(cycles) + (0.0,) * num_cores)[:num_cores]
         predictions = [
-            predictor.observe(cycles[core_index] if core_index < num_observed else 0.0)
-            for core_index, predictor in enumerate(self._core_predictors)
+            predictor.observe(core_cycles) for predictor, core_cycles in zip(predictors, cycles)
         ]
         focus_core = self._round_robin_core
         if self.config.use_total_share_normalisation:
@@ -136,8 +138,9 @@ class MultiCoreRLGovernor(RLGovernor):
         else:
             # Critical-path prediction mapped onto the application's
             # characterised workload range (online pre-characterisation).
-            self._range_tracker.observe(previous.max_cycles)
-            normalised = self._range_tracker.normalise(max(predictions))
+            range_tracker = self._range_tracker
+            range_tracker.observe(previous.max_cycles)
+            normalised = range_tracker.normalise(max(predictions))
         next_state = self._state_space.state_index(normalised, average_slack)
 
         # (3) Bellman update of the previous state-action pair in the shared
@@ -161,7 +164,7 @@ class MultiCoreRLGovernor(RLGovernor):
         )
         self._pending_state = next_state
         self._pending_action = action
-        self._round_robin_core = (focus_core + 1) % self.platform.num_cores
+        self._round_robin_core = (focus_core + 1) % num_cores
         self._last_overhead_s = (
             self._overhead_exploiting_s if exploiting else self._overhead_learning_s
         )

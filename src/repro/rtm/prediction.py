@@ -9,11 +9,20 @@ and motivates this choice against adaptive-filter predictors, which lag on
 dynamic workloads.  This module provides the EWMA predictor, a last-value
 predictor and an NLMS adaptive filter (the baseline the paper argues
 against), plus the misprediction statistics reported in Fig. 3.
+
+Every predictor keeps its predicted/actual history as two ``array('d')``
+columns, appended once per epoch: a learning governor observes one
+predictor per core per epoch, so the history must cost no object
+allocation.  :attr:`WorkloadPredictor.records` builds the
+:class:`PredictionRecord` view only when it is read, and
+:meth:`WorkloadPredictor.misprediction_stats` reads the columns directly,
+with the same arithmetic as :func:`summarize_mispredictions`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from array import array
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -64,30 +73,45 @@ class MispredictionStats:
 
 def summarize_mispredictions(records: Sequence[PredictionRecord]) -> MispredictionStats:
     """Aggregate a sequence of prediction records into misprediction statistics."""
-    if not records:
+    return _summarize([r.predicted for r in records], [r.actual for r in records])
+
+
+def _summarize(predicted: Sequence[float], actual: Sequence[float]) -> MispredictionStats:
+    """Misprediction statistics of paired predicted/actual columns.
+
+    Per pair, the same operations as :attr:`PredictionRecord.absolute_relative_error`
+    and :attr:`PredictionRecord.is_underprediction`.
+    """
+    if not actual:
         return MispredictionStats(
             num_epochs=0,
             mean_absolute_relative_error=0.0,
             max_absolute_relative_error=0.0,
             underprediction_fraction=0.0,
         )
-    errors = [r.absolute_relative_error for r in records]
-    under = sum(1 for r in records if r.is_underprediction)
+    errors = [0.0 if a == 0 else abs(a - p) / abs(a) for p, a in zip(predicted, actual)]
+    under = sum(1 for p, a in zip(predicted, actual) if a > p)
     return MispredictionStats(
-        num_epochs=len(records),
+        num_epochs=len(actual),
         mean_absolute_relative_error=sum(errors) / len(errors),
         max_absolute_relative_error=max(errors),
-        underprediction_fraction=under / len(records),
+        underprediction_fraction=under / len(actual),
     )
 
 
 class WorkloadPredictor(ABC):
-    """Predicts the next epoch's workload from the history of observed workloads."""
+    """Predicts the next epoch's workload from the history of observed workloads.
+
+    The history is two float columns: entry ``i`` pairs the prediction made
+    for epoch ``i + 1`` with the workload observed in it (epoch 0 has no
+    prediction to score), so a record's epoch index is its position plus
+    one and is not stored.
+    """
 
     def __init__(self) -> None:
-        self._records: List[PredictionRecord] = []
+        self._predicted = array("d")
+        self._actual = array("d")
         self._last_prediction: Optional[float] = None
-        self._epoch = 0
 
     @abstractmethod
     def _predict_next(self, actual: float) -> float:
@@ -102,16 +126,10 @@ class WorkloadPredictor(ABC):
         if actual < 0:
             raise ValueError(f"observed workload must be non-negative, got {actual}")
         if self._last_prediction is not None:
-            self._records.append(
-                PredictionRecord(
-                    epoch_index=self._epoch,
-                    predicted=self._last_prediction,
-                    actual=actual,
-                )
-            )
+            self._predicted.append(self._last_prediction)
+            self._actual.append(actual)
         prediction = self._predict_next(actual)
         self._last_prediction = prediction
-        self._epoch += 1
         return prediction
 
     @property
@@ -121,26 +139,29 @@ class WorkloadPredictor(ABC):
 
     @property
     def records(self) -> List[PredictionRecord]:
-        """All predicted/actual pairs recorded so far."""
-        return list(self._records)
+        """All predicted/actual pairs recorded so far, built from the columns."""
+        return [
+            PredictionRecord(epoch_index=index, predicted=predicted, actual=actual)
+            for index, (predicted, actual) in enumerate(
+                zip(self._predicted, self._actual), start=1
+            )
+        ]
 
     def misprediction_stats(
         self, first_epoch: int = 0, last_epoch: Optional[int] = None
     ) -> MispredictionStats:
         """Misprediction statistics restricted to ``[first_epoch, last_epoch)``."""
-        window = [
-            r
-            for r in self._records
-            if r.epoch_index >= first_epoch
-            and (last_epoch is None or r.epoch_index < last_epoch)
-        ]
-        return summarize_mispredictions(window)
+        # Entry i holds epoch i + 1, so the window is one slice of each column.
+        count = len(self._actual)
+        start = max(first_epoch - 1, 0)
+        stop = count if last_epoch is None else max(min(last_epoch - 1, count), start)
+        return _summarize(self._predicted[start:stop], self._actual[start:stop])
 
     def reset(self) -> None:
         """Forget all history."""
-        self._records.clear()
+        del self._predicted[:]
+        del self._actual[:]
         self._last_prediction = None
-        self._epoch = 0
 
 
 class EWMAPredictor(WorkloadPredictor):
@@ -172,9 +193,8 @@ class EWMAPredictor(WorkloadPredictor):
             raise ValueError(f"observed workload must be non-negative, got {actual}")
         last = self._last_prediction
         if last is not None:
-            self._records.append(
-                PredictionRecord(epoch_index=self._epoch, predicted=last, actual=actual)
-            )
+            self._predicted.append(last)
+            self._actual.append(actual)
         state = self._state
         if state is None:
             state = actual
@@ -182,7 +202,6 @@ class EWMAPredictor(WorkloadPredictor):
             state = self.gamma * actual + self._one_minus_gamma * state
         self._state = state
         self._last_prediction = state
-        self._epoch += 1
         return state
 
     def _predict_next(self, actual: float) -> float:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 
@@ -109,6 +109,12 @@ class SlackTracker:
     The tracker is fed the per-epoch execution time ``T_i`` (critical-path
     time of the frame) and the overhead ``T_OVH`` charged to the epoch, and
     maintains both the instantaneous and the running-average slack ratios.
+    Each :meth:`update` computes the epoch's instantaneous slack ratio and
+    the change in L once; the properties return the stored values, so a
+    governor reads them every epoch at the cost of an attribute load.  An
+    engine that computes the epochs elsewhere (the jitpath kernel) hands
+    the tracker its final state through :meth:`restore`, which derives the
+    same stored values.
 
     Parameters
     ----------
@@ -139,6 +145,8 @@ class SlackTracker:
         self._epochs = 0
         self._history: List[float] = []
         self._last_average = 0.0
+        self._slack_delta = 0.0
+        self._last_instantaneous_slack = 0.0
 
     # -- updates -------------------------------------------------------------------
     def update(self, execution_time_s: float, overhead_time_s: float = 0.0) -> float:
@@ -157,8 +165,35 @@ class SlackTracker:
         else:
             average = sum(slacks) / (len(slacks) * reference)
         self._history.append(average)
+        self._slack_delta = average if epochs == 1 else average - self._last_average
+        self._last_instantaneous_slack = slack / reference
         self._last_average = average
         return average
+
+    def restore(
+        self, slacks_s: Sequence[float], history: List[float], running_sum: float
+    ) -> None:
+        """Adopt the state after ``len(history)`` epochs computed elsewhere.
+
+        ``slacks_s`` are the most recent per-epoch slacks in seconds (at
+        most ``window`` of them are kept), ``history`` the average slack
+        ratio after every epoch and ``running_sum`` the cumulative slack sum
+        of the unwindowed mode.  The stored reads are derived exactly as
+        :meth:`update` would have left them.
+        """
+        self._slacks_s = deque(slacks_s, maxlen=self.window)
+        self._running_sum = running_sum
+        self._epochs = len(history)
+        self._history = history
+        if not history:
+            self._last_average = 0.0
+            self._slack_delta = 0.0
+            self._last_instantaneous_slack = 0.0
+            return
+        average = history[-1]
+        self._last_average = average
+        self._slack_delta = average if len(history) == 1 else average - history[-2]
+        self._last_instantaneous_slack = self._slacks_s[-1] / self.reference_time_s
 
     # -- reads -----------------------------------------------------------------------
     @property
@@ -169,9 +204,7 @@ class SlackTracker:
     @property
     def last_instantaneous_slack(self) -> float:
         """Slack ratio of the most recent epoch alone (0 before any update)."""
-        if not self._slacks_s:
-            return 0.0
-        return self._slacks_s[-1] / self.reference_time_s
+        return self._last_instantaneous_slack
 
     @property
     def average_slack(self) -> float:
@@ -180,10 +213,11 @@ class SlackTracker:
 
     @property
     def slack_delta(self) -> float:
-        """Change in the average slack ratio over the last epoch (the dL of eq. 4)."""
-        if len(self._history) < 2:
-            return self._history[-1] if self._history else 0.0
-        return self._history[-1] - self._history[-2]
+        """Change in the average slack ratio over the last epoch (the dL of eq. 4).
+
+        After the first epoch this is L itself (the change from no history).
+        """
+        return self._slack_delta
 
     @property
     def history(self) -> List[float]:
@@ -199,3 +233,5 @@ class SlackTracker:
         self._epochs = 0
         self._history.clear()
         self._last_average = 0.0
+        self._slack_delta = 0.0
+        self._last_instantaneous_slack = 0.0

@@ -175,12 +175,14 @@ class RLGovernor(Governor):
         exploitation; the paper's Table II compares how many such epochs the
         EPD- and UPD-guided learners need.
         """
-        return self.agent.exploration_phase_length if self._agent else 0
+        agent = self._agent
+        return 0 if agent is None else agent.exploration_phase_length
 
     @property
     def exploration_draw_count(self) -> int:
         """Number of epochs whose action was sampled from the exploration policy."""
-        return self.agent.exploration_draws if self._agent else 0
+        agent = self._agent
+        return 0 if agent is None else agent.exploration_draws
 
     @property
     def exploration_frozen(self) -> bool:
@@ -190,7 +192,8 @@ class RLGovernor(Governor):
         exploration phase length is final and engines may stop polling
         :attr:`exploration_count`.
         """
-        return self._agent is not None and self._agent.is_exploiting
+        agent = self._agent
+        return agent is not None and agent.is_exploiting
 
     @property
     def converged_epoch(self) -> Optional[int]:

@@ -49,8 +49,7 @@ through to ``tablepath``/``scalar``):
 from __future__ import annotations
 
 import math
-from collections import deque
-from typing import List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Optional, Sequence, Tuple, TYPE_CHECKING
 
 try:  # NumPy is optional: without it every run takes the scalar engine.
     import numpy as _np
@@ -1217,15 +1216,12 @@ def _unpack_rl(
     epochs = num_frames - 1
     window = tracker.window
     keep = epochs if window is None else min(epochs, window)
-    tracker._slacks_s = deque(
-        out_slack[num_frames - keep : num_frames].tolist(), maxlen=window
+    # The kernel leaves the running sum untouched in windowed mode.
+    tracker.restore(
+        out_slack[num_frames - keep : num_frames].tolist(),
+        out_average[1:num_frames].tolist(),
+        float(fp[_F_RUNNING_SUM]),
     )
-    if window is None:
-        tracker._running_sum = float(fp[_F_RUNNING_SUM])
-    tracker._epochs = epochs
-    history: List[float] = out_average[1:num_frames].tolist()
-    tracker._history = history
-    tracker._last_average = history[-1] if history else 0.0
 
     convergence = governor._convergence
     convergence._epoch = int(ip[_I_CONV_EPOCH])

@@ -209,6 +209,23 @@ class TestCoordinatorProtocol:
         # worker's cached ones are the same values.
         assert coordinator.store.outcomes[outcome.scenario_id].metrics == record["metrics"]
 
+    def test_packed_submit_round_trips_bit_exact(self, campaign, serial_store):
+        """What a worker sends: frames packed, so smaller than the list form."""
+        coordinator, _ = make_coordinator(campaign)
+        client = LocalClient(coordinator)
+        for outcome in serial_store:
+            record = result_store.packed_record(outcome)
+            assert isinstance(record["result"]["frames"]["energy_j"], str)
+            listed = result_store.encode_record(outcome)
+            assert len(json.dumps(record)) < len(json.dumps(listed))
+            response = client.call({"op": "submit", "worker": "w0", "outcome": record})
+            assert response["ok"] and response["accepted"]
+            stored = coordinator.store.outcomes[outcome.scenario_id]
+            assert stored == outcome
+            assert result_store.encode_line(stored) == result_store.encode_line(outcome)
+            assert stored.metrics == listed["metrics"]
+        assert saved_bytes(coordinator.result()) == saved_bytes(serial_store)
+
     @pytest.mark.parametrize("metrics", [5, "x", {"total_energy_j": 1e9}])
     def test_submitted_metrics_are_recomputed(
         self, campaign, serial_store, tmp_path, metrics
@@ -245,7 +262,7 @@ MALFORMED_REQUESTS = {
 
 def _poisoned_records(record):
     """Store records that parse but do not decode, or whose frames no summary
-    can be taken over: list-framed (as :func:`encode_record` sends them) and
+    can be taken over: list-framed (:func:`encode_record`, still accepted) and
     packed (as a jsonl store line holds them)."""
     text = json.loads(json.dumps(record))
     text["result"]["frames"]["energy_j"][0] = "x"

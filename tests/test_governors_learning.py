@@ -155,6 +155,31 @@ class TestMultiCoreRLGovernor:
         with pytest.raises(ConfigurationError):
             _ = MultiCoreRLGovernor().core_predictors
 
+    @staticmethod
+    def _drive(platform_info, requirement, cycles_seq):
+        governor = MultiCoreRLGovernor()
+        governor.setup(platform_info, requirement)
+        actions = [governor.decide(None)]
+        for epoch, cycles in enumerate(cycles_seq):
+            obs = make_observation(0.030, actions[-1], epoch_index=epoch, cycles_per_core=cycles)
+            actions.append(governor.decide(obs))
+        actuals = [[r.actual for r in p.records] for p in governor.core_predictors]
+        return actions, actuals
+
+    def test_missing_cores_read_as_idle(self, platform_info, requirement_25fps):
+        short = [(2e7 + 1e6 * k, 1.5e7 - 1e5 * k) for k in range(6)]
+        padded = [c + (0.0, 0.0) for c in short]
+        actions, actuals = self._drive(platform_info, requirement_25fps, short)
+        assert (actions, actuals) == self._drive(platform_info, requirement_25fps, padded)
+        assert actuals[2] == actuals[3] == [0.0] * 5
+
+    def test_extra_cores_are_ignored(self, platform_info, requirement_25fps):
+        cycles = [(2e7 + 1e6 * k, 1.5e7, 1.6e7, 1.8e7) for k in range(6)]
+        wide = [c + (1e6, 2e6) for c in cycles]  # below the max: same critical path
+        assert self._drive(platform_info, requirement_25fps, wide) == self._drive(
+            platform_info, requirement_25fps, cycles
+        )
+
 
 class TestShenRLGovernor:
     def test_uses_uniform_exploration(self, platform_info, requirement_25fps):

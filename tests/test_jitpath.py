@@ -32,6 +32,7 @@ numpy = pytest.importorskip("numpy")
 
 from repro import _compat
 from repro.campaign import CampaignSpec, FactorySpec, ScenarioSpec, run_campaign
+from repro.campaign.registry import governor_factory
 from repro.errors import SimulationError
 from repro.governors.conservative import ConservativeGovernor
 from repro.governors.ondemand import OndemandGovernor
@@ -140,6 +141,41 @@ class TestBitIdentity:
         reference = _run_engine("tablepath", factory, thermal)
         jit = _run_engine("jitpath", factory, thermal)
         _assert_identical(reference, jit)
+
+
+
+class TestLearningStateWriteBack:
+    """The kernel's write-back leaves the tracker and predictor readable.
+
+    jitpath computes the slack chain in the kernel and writes the result
+    back into the governor's :class:`~repro.rtm.rewards.SlackTracker`; the
+    reads a probe or a caller makes afterwards must equal tablepath's.
+    """
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_tracker_and_predictor_reads_match_tablepath(self, jit_on, seed):
+        factory = lambda: governor_factory("proposed-single")(seed=seed)
+        _, reference, _ = _run_engine("tablepath", factory, thermal=False)
+        _, jit, _ = _run_engine("jitpath", factory, thermal=False)
+        ref_tracker, jit_tracker = reference.slack_tracker, jit.slack_tracker
+        assert ref_tracker.epochs == FRAMES - 1
+        for read in (
+            "slack_delta",
+            "last_instantaneous_slack",
+            "average_slack",
+            "epochs",
+            "history",
+        ):
+            assert getattr(jit_tracker, read) == getattr(ref_tracker, read), read
+        assert ref_tracker.slack_delta != 0.0
+        assert ref_tracker.last_instantaneous_slack != 0.0
+        assert jit.predictor.records == reference.predictor.records
+        assert jit.predictor.records
+        # Both trackers keep updating identically from the restored state.
+        for tracker in (ref_tracker, jit_tracker):
+            tracker.update(0.9 * tracker.reference_time_s, 0.0)
+        assert jit_tracker.slack_delta == ref_tracker.slack_delta
+        assert jit_tracker.history == ref_tracker.history
 
 
 def _jit_campaign():
