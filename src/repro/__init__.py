@@ -18,6 +18,10 @@ The package is organised in layers mirroring the paper's cross-layer view:
 * :mod:`repro.experiments` — one driver per paper table / figure;
 * :mod:`repro.analysis` — statistics and plain-text reporting helpers.
 
+The public names below are resolved lazily (PEP 562, see
+:mod:`repro._lazy`): ``import repro`` runs this file only, and a name's
+defining module is imported when the name is first read.
+
 Quickstart
 ----------
 >>> from repro import build_a15_cluster, mpeg4_application
@@ -29,114 +33,66 @@ Quickstart
 True
 """
 
-from repro.version import __version__, PAPER_TITLE, PAPER_VENUE
-from repro.errors import (
-    ReproError,
-    ConfigurationError,
-    PlatformError,
-    WorkloadError,
-    GovernorError,
-    SimulationError,
-    StateSpaceError,
-)
-from repro.platform import (
-    OperatingPoint,
-    VFTable,
-    PowerModel,
-    Cluster,
-    Chip,
-    build_odroid_xu3,
-    build_a15_cluster,
-    A15_VF_TABLE,
-)
-from repro.workload import (
-    Frame,
-    Application,
-    PerformanceRequirement,
-    mpeg4_application,
-    h264_application,
-    h264_football_application,
-    fft_application,
-    parsec_application,
-    splash2_application,
-)
-from repro.rtm import RLGovernor, MultiCoreRLGovernor, RLGovernorConfig
-from repro.governors import (
-    OndemandGovernor,
-    OracleGovernor,
-    MultiCoreDVFSGovernor,
-    ShenRLGovernor,
-    PerformanceGovernor,
-    PowersaveGovernor,
-)
-from repro.sim import SimulationEngine, SimulationConfig, ExperimentRunner
-from repro.campaign import (
-    CampaignSpec,
-    ScenarioSpec,
-    FactorySpec,
-    CampaignResult,
-    ScenarioOutcome,
-    CampaignExecutor,
-    CampaignInterrupted,
-    RetryPolicy,
-    run_campaign,
-    register_application,
-    register_governor,
-    register_cluster,
-    register_probe,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "__version__",
-    "PAPER_TITLE",
-    "PAPER_VENUE",
-    "ReproError",
-    "ConfigurationError",
-    "PlatformError",
-    "WorkloadError",
-    "GovernorError",
-    "SimulationError",
-    "StateSpaceError",
-    "OperatingPoint",
-    "VFTable",
-    "PowerModel",
-    "Cluster",
-    "Chip",
-    "build_odroid_xu3",
-    "build_a15_cluster",
-    "A15_VF_TABLE",
-    "Frame",
-    "Application",
-    "PerformanceRequirement",
-    "mpeg4_application",
-    "h264_application",
-    "h264_football_application",
-    "fft_application",
-    "parsec_application",
-    "splash2_application",
-    "RLGovernor",
-    "MultiCoreRLGovernor",
-    "RLGovernorConfig",
-    "OndemandGovernor",
-    "OracleGovernor",
-    "MultiCoreDVFSGovernor",
-    "ShenRLGovernor",
-    "PerformanceGovernor",
-    "PowersaveGovernor",
-    "SimulationEngine",
-    "SimulationConfig",
-    "ExperimentRunner",
-    "CampaignSpec",
-    "ScenarioSpec",
-    "FactorySpec",
-    "CampaignResult",
-    "ScenarioOutcome",
-    "CampaignExecutor",
-    "CampaignInterrupted",
-    "RetryPolicy",
-    "run_campaign",
-    "register_application",
-    "register_governor",
-    "register_cluster",
-    "register_probe",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.version": ("__version__", "PAPER_TITLE", "PAPER_VENUE"),
+        "repro.errors": (
+            "ReproError",
+            "ConfigurationError",
+            "PlatformError",
+            "WorkloadError",
+            "GovernorError",
+            "SimulationError",
+            "StateSpaceError",
+        ),
+        "repro.platform": (
+            "OperatingPoint",
+            "VFTable",
+            "PowerModel",
+            "Cluster",
+            "Chip",
+            "build_odroid_xu3",
+            "build_a15_cluster",
+            "A15_VF_TABLE",
+        ),
+        "repro.workload": (
+            "Frame",
+            "Application",
+            "PerformanceRequirement",
+            "mpeg4_application",
+            "h264_application",
+            "h264_football_application",
+            "fft_application",
+            "parsec_application",
+            "splash2_application",
+        ),
+        "repro.rtm": ("RLGovernor", "MultiCoreRLGovernor", "RLGovernorConfig"),
+        "repro.governors": (
+            "OndemandGovernor",
+            "OracleGovernor",
+            "MultiCoreDVFSGovernor",
+            "ShenRLGovernor",
+            "PerformanceGovernor",
+            "PowersaveGovernor",
+        ),
+        "repro.sim": ("SimulationEngine", "SimulationConfig", "ExperimentRunner"),
+        "repro.campaign": (
+            "CampaignSpec",
+            "ScenarioSpec",
+            "FactorySpec",
+            "CampaignResult",
+            "ScenarioOutcome",
+            "CampaignExecutor",
+            "CampaignInterrupted",
+            "RetryPolicy",
+            "run_campaign",
+            "register_application",
+            "register_governor",
+            "register_cluster",
+            "register_probe",
+        ),
+    },
+)

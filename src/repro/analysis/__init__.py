@@ -1,27 +1,22 @@
 """Analysis helpers: statistics and plain-text reporting."""
 
-from repro.analysis.stats import (
-    mean,
-    population_std,
-    coefficient_of_variation,
-    percentile,
-    windowed_mean,
-    misprediction_percent,
-)
-from repro.analysis.reporting import (
-    format_table,
-    format_comparison_rows,
-    format_campaign_summary,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "mean",
-    "population_std",
-    "coefficient_of_variation",
-    "percentile",
-    "windowed_mean",
-    "misprediction_percent",
-    "format_table",
-    "format_comparison_rows",
-    "format_campaign_summary",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.analysis.stats": (
+            "mean",
+            "population_std",
+            "coefficient_of_variation",
+            "percentile",
+            "windowed_mean",
+            "misprediction_percent",
+        ),
+        "repro.analysis.reporting": (
+            "format_table",
+            "format_comparison_rows",
+            "format_campaign_summary",
+        ),
+    },
+)

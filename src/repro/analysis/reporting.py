@@ -8,10 +8,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
 
-from repro.sim.comparison import ComparisonRow
-
-if TYPE_CHECKING:  # pragma: no cover — import cycle guard (campaign -> analysis)
+if TYPE_CHECKING:  # pragma: no cover — annotations only: rendering needs no import
     from repro.campaign.results import CampaignResult
+    from repro.sim.comparison import ComparisonRow
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]], title: str = "") -> str:

@@ -28,6 +28,11 @@ call:
   (run, ``--shard I/N``, and the ``merge`` / ``serve`` / ``work``
   subcommands).
 
+The public API below is resolved lazily (PEP 562, :mod:`repro._lazy`):
+``import repro.campaign`` runs this file only, and each name's module is
+imported when the name is first read, so a campaign run never loads the
+service or the fault harness, and a merge or a reload loads no engine.
+
 Quickstart
 ----------
 >>> from repro.campaign import CampaignSpec, FactorySpec, run_campaign
@@ -41,98 +46,57 @@ Quickstart
 ['ondemand', 'oracle']
 """
 
-from repro.campaign.spec import (
-    CampaignSpec,
-    DEFAULT_CLUSTER,
-    FactorySpec,
-    ScenarioSpec,
-)
-from repro.campaign.registry import (
-    application_factory,
-    cluster_factory,
-    governor_factory,
-    probe_factory,
-    register_application,
-    register_cluster,
-    register_governor,
-    register_probe,
-    registered_names,
-)
-from repro.campaign.results import (
-    STATUS_DONE,
-    STATUS_FAILED,
-    CampaignResult,
-    ScenarioOutcome,
-    quarantine_corrupt_file,
-)
-from repro.campaign.executor import (
-    BACKENDS,
-    CampaignExecutor,
-    CampaignInterrupted,
-    ProcessPoolBackend,
-    RetryPolicy,
-    SerialBackend,
-    run_campaign,
-    run_scenario,
-    run_scenario_safely,
-)
-from repro.campaign.service import (
-    Coordinator,
-    CoordinatorServer,
-    HTTPClient,
-    LocalClient,
-    ServiceEvent,
-    WorkerSite,
-    WorkerStats,
-    run_campaign_service,
-)
-from repro.campaign.faults import (
-    FAULT_KINDS,
-    FaultEvent,
-    FaultRunReport,
-    FaultSchedule,
-    run_with_faults,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CampaignSpec",
-    "ScenarioSpec",
-    "FactorySpec",
-    "DEFAULT_CLUSTER",
-    "CampaignResult",
-    "ScenarioOutcome",
-    "STATUS_DONE",
-    "STATUS_FAILED",
-    "CampaignExecutor",
-    "CampaignInterrupted",
-    "RetryPolicy",
-    "SerialBackend",
-    "ProcessPoolBackend",
-    "BACKENDS",
-    "run_campaign",
-    "run_scenario",
-    "run_scenario_safely",
-    "quarantine_corrupt_file",
-    "Coordinator",
-    "CoordinatorServer",
-    "HTTPClient",
-    "LocalClient",
-    "ServiceEvent",
-    "WorkerSite",
-    "WorkerStats",
-    "run_campaign_service",
-    "FAULT_KINDS",
-    "FaultEvent",
-    "FaultRunReport",
-    "FaultSchedule",
-    "run_with_faults",
-    "register_application",
-    "register_governor",
-    "register_cluster",
-    "register_probe",
-    "application_factory",
-    "governor_factory",
-    "cluster_factory",
-    "probe_factory",
-    "registered_names",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.campaign.spec": ("CampaignSpec", "DEFAULT_CLUSTER", "FactorySpec", "ScenarioSpec"),
+        "repro.campaign.registry": (
+            "application_factory",
+            "cluster_factory",
+            "governor_factory",
+            "probe_factory",
+            "register_application",
+            "register_cluster",
+            "register_governor",
+            "register_probe",
+            "registered_names",
+        ),
+        "repro.campaign.results": (
+            "STATUS_DONE",
+            "STATUS_FAILED",
+            "CampaignResult",
+            "ScenarioOutcome",
+            "quarantine_corrupt_file",
+        ),
+        "repro.campaign.executor": (
+            "BACKENDS",
+            "CampaignExecutor",
+            "CampaignInterrupted",
+            "ProcessPoolBackend",
+            "RetryPolicy",
+            "SerialBackend",
+            "run_campaign",
+            "run_scenario",
+            "run_scenario_safely",
+        ),
+        "repro.campaign.service": (
+            "Coordinator",
+            "CoordinatorServer",
+            "HTTPClient",
+            "LocalClient",
+            "ServiceEvent",
+            "WorkerSite",
+            "WorkerStats",
+            "run_campaign_service",
+        ),
+        "repro.campaign.faults": (
+            "FAULT_KINDS",
+            "FaultEvent",
+            "FaultRunReport",
+            "FaultSchedule",
+            "run_with_faults",
+        ),
+    },
+)

@@ -50,28 +50,17 @@ import time
 from dataclasses import replace
 from typing import List, Optional, Sequence, Tuple
 
+# Shared by every subcommand; what only one subcommand runs (the executor
+# with its engines, governors and numpy; the distributed service with its
+# HTTP stack) is imported at the top of that subcommand's handler, before
+# it parses arguments, so ``merge`` never loads an engine and no run loads
+# the service.
 from repro.analysis.reporting import format_campaign_summary
-from repro.campaign.executor import (
-    BACKENDS,
-    CampaignExecutor,
-    CampaignInterrupted,
-    RetryPolicy,
-    table_cache_stats,
-)
 from repro.errors import ConfigurationError, ReproError
 from repro.campaign import store as result_store
-from repro.campaign.registry import registered_names
 from repro.campaign.results import CampaignResult
-from repro.campaign.service import (
-    DEFAULT_DELIVERY_RETRY,
-    DEFAULT_LEASE_TIMEOUT_S,
-    Coordinator,
-    CoordinatorServer,
-    HTTPClient,
-    WorkerSite,
-)
 from repro.campaign.spec import CampaignSpec
-from repro.sim import backends as sim_backends
+from repro.sim.config import AUTO, ENGINES
 
 #: Everything spec/results parsing+validation can raise: I/O and JSON errors,
 #: missing keys, spec validation, unexpected fields.
@@ -84,6 +73,8 @@ EXIT_INTERRUPTED = 130
 
 
 def _print_registries() -> None:
+    from repro.campaign.registry import registered_names
+
     for kind, names in registered_names().items():
         print(f"{kind}:")
         for name in names:
@@ -129,6 +120,14 @@ def _load_resume_stores(
 
 
 def _run_main(argv: Sequence[str]) -> int:
+    from repro.campaign.executor import (
+        BACKENDS,
+        CampaignExecutor,
+        CampaignInterrupted,
+        RetryPolicy,
+        table_cache_stats,
+    )
+
     parser = argparse.ArgumentParser(prog="repro-campaign", description=__doc__)
     parser.add_argument("spec", nargs="?", help="path to a CampaignSpec JSON file")
     parser.add_argument(
@@ -190,7 +189,7 @@ def _run_main(argv: Sequence[str]) -> int:
     )
     parser.add_argument(
         "--engine",
-        choices=[sim_backends.AUTO, *sim_backends.ENGINES],
+        choices=[AUTO, *ENGINES],
         default=None,
         help="pin every scenario to this simulation engine "
         "(overrides the specs' engine field; 'auto' negotiates the fastest "
@@ -357,6 +356,14 @@ def _merge_main(argv: Sequence[str]) -> int:
 
 
 def _serve_main(argv: Sequence[str]) -> int:
+    from repro.campaign.executor import RetryPolicy
+    from repro.campaign.service import (
+        DEFAULT_DELIVERY_RETRY,
+        DEFAULT_LEASE_TIMEOUT_S,
+        Coordinator,
+        CoordinatorServer,
+    )
+
     parser = argparse.ArgumentParser(
         prog="repro-campaign serve",
         description="Serve a campaign to pull-based worker sites "
@@ -503,6 +510,9 @@ def _serve_main(argv: Sequence[str]) -> int:
 
 
 def _work_main(argv: Sequence[str]) -> int:
+    from repro.campaign.executor import BACKENDS, RetryPolicy
+    from repro.campaign.service import HTTPClient, WorkerSite
+
     parser = argparse.ArgumentParser(
         prog="repro-campaign work",
         description="Run one pull-based worker site against a serving coordinator.",

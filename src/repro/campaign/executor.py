@@ -30,7 +30,6 @@ import threading
 import time
 import traceback as traceback_module
 from collections import OrderedDict
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
@@ -390,6 +389,10 @@ class ProcessPoolBackend:
     def run_unordered(
         self, entries: Sequence[Tuple[int, ScenarioSpec]], retry: RetryPolicy
     ) -> Iterator[Tuple[int, ScenarioOutcome]]:
+        # Imported here: the pool loads multiprocessing and logging, which
+        # no serial run needs.
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
         if not entries:
             return
         workers = self.max_workers or min(len(entries), os.cpu_count() or 1)

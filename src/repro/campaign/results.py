@@ -31,14 +31,13 @@ import json
 import os
 import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Mapping, Optional
+from typing import Any, Dict, Iterator, List, Mapping, Optional
 
 from repro.errors import SimulationError
 from repro.campaign.spec import CampaignSpec, ScenarioSpec
+from repro.sim import metrics as sim_metrics
+from repro.sim.metrics import MetricsSummary
 from repro.sim.results import SimulationResult
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (results -> metrics)
-    from repro.sim.metrics import MetricsSummary
 
 #: Status of a scenario that ran to completion and has a simulation result.
 STATUS_DONE = "done"
@@ -147,7 +146,7 @@ class ScenarioOutcome:
     store_slot: Optional[tuple] = field(
         default=None, init=False, repr=False, compare=False
     )
-    summary: Optional["MetricsSummary"] = field(
+    summary: Optional[MetricsSummary] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -193,7 +192,7 @@ class ScenarioOutcome:
         """The scenario's campaign label."""
         return self.scenario.label
 
-    def metrics_summary(self) -> Optional["MetricsSummary"]:
+    def metrics_summary(self) -> Optional[MetricsSummary]:
         """The outcome's aggregate metrics, without materialising records.
 
         Prefers the cached :attr:`metrics` dict (stamped by the columnar
@@ -209,15 +208,13 @@ class ScenarioOutcome:
             object.__setattr__(self, "summary", self._summarise())
         return self.summary
 
-    def _summarise(self) -> "MetricsSummary":
-        from repro.sim.metrics import MetricsSummary, summarize_result
-
+    def _summarise(self) -> MetricsSummary:
         if self.metrics is not None:
             try:
                 return MetricsSummary(**self.metrics)
             except TypeError:
                 pass  # unknown cache shape: recompute from the frames
-        return summarize_result(self.result)
+        return sim_metrics.summarize_result(self.result)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioOutcome":
@@ -380,8 +377,6 @@ class CampaignResult:
         ``"auto"``) is Arrow on an install with pyarrow.  The rename
         guarantees a reader (or a crash) never sees a half-written store.
         """
-        from repro.campaign import store as result_store
-
         result_store.save_store(self, path, result_store.negotiate_store(store))
 
     @classmethod
@@ -395,8 +390,6 @@ class CampaignResult:
         re-reads just that record from disk).  Legacy JSON blobs are
         parsed whole regardless.
         """
-        from repro.campaign import store as result_store
-
         if result_store.is_store_file(path):
             return result_store.load_store(path, lazy=lazy)
         with open(path, "r", encoding="utf-8") as handle:
@@ -418,8 +411,6 @@ class CampaignResult:
         quarantined (see
         :func:`repro.campaign.store.load_store_checkpoint`).
         """
-        from repro.campaign import store as result_store
-
         if result_store.is_store_file(path):
             return result_store.load_store_checkpoint(path)
         try:
@@ -432,3 +423,9 @@ class CampaignResult:
 
     def __repr__(self) -> str:
         return f"CampaignResult({self.campaign_name!r}, {len(self)} outcomes)"
+
+
+# The store reads and writes this module's types, so it is imported last,
+# once every name above exists; loading a result then needs no import of
+# its own (a timed reload pass imports nothing).
+from repro.campaign import store as result_store  # noqa: E402

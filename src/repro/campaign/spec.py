@@ -18,11 +18,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError
-from repro.sim.backends import AUTO, ENGINES
-from repro.sim.engine import SimulationConfig
+from repro.sim.config import AUTO, ENGINES, SimulationConfig
 
 #: Engine backends earlier releases shipped, with why they are gone: a spec
 #: naming one is rejected when it loads instead of failing every scenario.
@@ -162,9 +162,12 @@ class ScenarioSpec:
             f"scenario {self.label!r}: unknown engine {self.engine!r}; {choices}"
         )
 
-    @property
+    @cached_property
     def scenario_id(self) -> str:
         """Stable content hash identifying the scenario (used for resume/merge).
+
+        A pure function of the frozen spec, so it is computed once per spec
+        object (runs, checkpoints, saves and merges each read it).
 
         The ``engine`` request is deliberately excluded from the hash:
         every backend reproduces the same numbers (the registry's

@@ -15,27 +15,19 @@ These are the comparison points of the paper's evaluation:
   and ablations.
 """
 
-from repro.governors.base import StaticGovernor
-from repro.governors.ondemand import OndemandGovernor, OndemandParameters
-from repro.governors.conservative import ConservativeGovernor, ConservativeParameters
-from repro.governors.performance import PerformanceGovernor
-from repro.governors.powersave import PowersaveGovernor
-from repro.governors.userspace import UserspaceGovernor
-from repro.governors.oracle import OracleGovernor
-from repro.governors.multicore_dvfs import MultiCoreDVFSGovernor, MultiCoreDVFSParameters
-from repro.governors.shen_rl import ShenRLGovernor
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "StaticGovernor",
-    "OndemandGovernor",
-    "OndemandParameters",
-    "ConservativeGovernor",
-    "ConservativeParameters",
-    "PerformanceGovernor",
-    "PowersaveGovernor",
-    "UserspaceGovernor",
-    "OracleGovernor",
-    "MultiCoreDVFSGovernor",
-    "MultiCoreDVFSParameters",
-    "ShenRLGovernor",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.governors.base": ("StaticGovernor",),
+        "repro.governors.ondemand": ("OndemandGovernor", "OndemandParameters"),
+        "repro.governors.conservative": ("ConservativeGovernor", "ConservativeParameters"),
+        "repro.governors.performance": ("PerformanceGovernor",),
+        "repro.governors.powersave": ("PowersaveGovernor",),
+        "repro.governors.userspace": ("UserspaceGovernor",),
+        "repro.governors.oracle": ("OracleGovernor",),
+        "repro.governors.multicore_dvfs": ("MultiCoreDVFSGovernor", "MultiCoreDVFSParameters"),
+        "repro.governors.shen_rl": ("ShenRLGovernor",),
+    },
+)

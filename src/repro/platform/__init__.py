@@ -17,45 +17,26 @@ is produced by the analytic models in :mod:`repro.platform.power` and
 :mod:`repro.platform.thermal`.
 """
 
-from repro.platform.vf_table import OperatingPoint, VFTable
-from repro.platform.power import PowerModel, PowerModelParameters, PowerBreakdown
-from repro.platform.pmu import PerformanceMonitoringUnit, PMUSample
-from repro.platform.core import Core, CoreExecutionResult
-from repro.platform.cluster import Cluster
-from repro.platform.chip import Chip
-from repro.platform.dvfs import DVFSActuator, DVFSTransition
-from repro.platform.sensors import PowerSensor, EnergyMeter, SensorReading
-from repro.platform.thermal import ThermalModel, ThermalParameters
-from repro.platform.odroid_xu3 import (
-    build_odroid_xu3,
-    build_a15_cluster,
-    build_a7_cluster,
-    A15_VF_TABLE,
-    A7_VF_TABLE,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "OperatingPoint",
-    "VFTable",
-    "PowerModel",
-    "PowerModelParameters",
-    "PowerBreakdown",
-    "PerformanceMonitoringUnit",
-    "PMUSample",
-    "Core",
-    "CoreExecutionResult",
-    "Cluster",
-    "Chip",
-    "DVFSActuator",
-    "DVFSTransition",
-    "PowerSensor",
-    "EnergyMeter",
-    "SensorReading",
-    "ThermalModel",
-    "ThermalParameters",
-    "build_odroid_xu3",
-    "build_a15_cluster",
-    "build_a7_cluster",
-    "A15_VF_TABLE",
-    "A7_VF_TABLE",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.platform.vf_table": ("OperatingPoint", "VFTable"),
+        "repro.platform.power": ("PowerModel", "PowerModelParameters", "PowerBreakdown"),
+        "repro.platform.pmu": ("PerformanceMonitoringUnit", "PMUSample"),
+        "repro.platform.core": ("Core", "CoreExecutionResult"),
+        "repro.platform.cluster": ("Cluster",),
+        "repro.platform.chip": ("Chip",),
+        "repro.platform.dvfs": ("DVFSActuator", "DVFSTransition"),
+        "repro.platform.sensors": ("PowerSensor", "EnergyMeter", "SensorReading"),
+        "repro.platform.thermal": ("ThermalModel", "ThermalParameters"),
+        "repro.platform.odroid_xu3": (
+            "build_odroid_xu3",
+            "build_a15_cluster",
+            "build_a7_cluster",
+            "A15_VF_TABLE",
+            "A7_VF_TABLE",
+        ),
+    },
+)

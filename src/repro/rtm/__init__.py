@@ -25,64 +25,33 @@ all of its building blocks:
   API of the cross-layer framework.
 """
 
-from repro.rtm.governor import (
-    Governor,
-    PlatformInfo,
-    EpochObservation,
-    FrameHint,
-)
-from repro.rtm.prediction import (
-    WorkloadPredictor,
-    EWMAPredictor,
-    LastValuePredictor,
-    NLMSPredictor,
-    PredictionRecord,
-    MispredictionStats,
-)
-from repro.rtm.state import StateSpace, Discretizer, WorkloadNormalisation
-from repro.rtm.qtable import QTable
-from repro.rtm.rewards import RewardParameters, SlackTracker, compute_reward
-from repro.rtm.exploration import (
-    ActionSelectionPolicy,
-    ExponentialPolicy,
-    UniformPolicy,
-    EpsilonSchedule,
-)
-from repro.rtm.qlearning import QLearningAgent, QLearningParameters
-from repro.rtm.rl_governor import RLGovernor, RLGovernorConfig
-from repro.rtm.multicore import MultiCoreRLGovernor
-from repro.rtm.overhead import OverheadModel, ConvergenceDetector
-from repro.rtm.api import RuntimeManagerAPI, PerformanceTarget
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Governor",
-    "PlatformInfo",
-    "EpochObservation",
-    "FrameHint",
-    "WorkloadPredictor",
-    "EWMAPredictor",
-    "LastValuePredictor",
-    "NLMSPredictor",
-    "PredictionRecord",
-    "MispredictionStats",
-    "StateSpace",
-    "Discretizer",
-    "WorkloadNormalisation",
-    "QTable",
-    "RewardParameters",
-    "SlackTracker",
-    "compute_reward",
-    "ActionSelectionPolicy",
-    "ExponentialPolicy",
-    "UniformPolicy",
-    "EpsilonSchedule",
-    "QLearningAgent",
-    "QLearningParameters",
-    "RLGovernor",
-    "RLGovernorConfig",
-    "MultiCoreRLGovernor",
-    "OverheadModel",
-    "ConvergenceDetector",
-    "RuntimeManagerAPI",
-    "PerformanceTarget",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.rtm.governor": ("Governor", "PlatformInfo", "EpochObservation", "FrameHint"),
+        "repro.rtm.prediction": (
+            "WorkloadPredictor",
+            "EWMAPredictor",
+            "LastValuePredictor",
+            "NLMSPredictor",
+            "PredictionRecord",
+            "MispredictionStats",
+        ),
+        "repro.rtm.state": ("StateSpace", "Discretizer", "WorkloadNormalisation"),
+        "repro.rtm.qtable": ("QTable",),
+        "repro.rtm.rewards": ("RewardParameters", "SlackTracker", "compute_reward"),
+        "repro.rtm.exploration": (
+            "ActionSelectionPolicy",
+            "ExponentialPolicy",
+            "UniformPolicy",
+            "EpsilonSchedule",
+        ),
+        "repro.rtm.qlearning": ("QLearningAgent", "QLearningParameters"),
+        "repro.rtm.rl_governor": ("RLGovernor", "RLGovernorConfig"),
+        "repro.rtm.multicore": ("MultiCoreRLGovernor",),
+        "repro.rtm.overhead": ("OverheadModel", "ConvergenceDetector"),
+        "repro.rtm.api": ("RuntimeManagerAPI", "PerformanceTarget"),
+    },
+)

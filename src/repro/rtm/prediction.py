@@ -21,7 +21,6 @@ with the same arithmetic as :func:`summarize_mispredictions`.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from array import array
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
@@ -99,7 +98,7 @@ def _summarize(predicted: Sequence[float], actual: Sequence[float]) -> Mispredic
     )
 
 
-class WorkloadPredictor(ABC):
+class WorkloadPredictor:
     """Predicts the next epoch's workload from the history of observed workloads.
 
     The history is two float columns: entry ``i`` pairs the prediction made
@@ -113,9 +112,14 @@ class WorkloadPredictor(ABC):
         self._actual = array("d")
         self._last_prediction: Optional[float] = None
 
-    @abstractmethod
     def _predict_next(self, actual: float) -> float:
-        """Update internal state with ``actual`` and return the next prediction."""
+        """Update internal state with ``actual`` and return the next prediction.
+
+        The step :meth:`observe` calls after recording the finished epoch.
+        A predictor implements it, or overrides :meth:`observe` whole as
+        :class:`EWMAPredictor` does, whose ``observe`` is eq. 1's only home.
+        """
+        raise NotImplementedError(f"{type(self).__name__} does not predict")
 
     def observe(self, actual: float) -> float:
         """Record the observed workload for the finished epoch and predict the next.
@@ -183,11 +187,12 @@ class EWMAPredictor(WorkloadPredictor):
         self._state: Optional[float] = None
 
     def observe(self, actual: float) -> float:
-        """Specialised :meth:`WorkloadPredictor.observe` for the per-epoch hot loop.
+        """:meth:`WorkloadPredictor.observe` with eq. 1 fused in, for the per-epoch hot loop.
 
-        Identical bookkeeping and arithmetic to the generic implementation
-        (record the predicted/actual pair, fold ``actual`` into the EWMA
-        state, return the next prediction) fused into one call.
+        The same bookkeeping as the generic implementation (record the
+        predicted/actual pair, then return the next prediction), with the
+        EWMA update ``gamma * actual + (1 - gamma) * state`` in line rather
+        than behind a :meth:`~WorkloadPredictor._predict_next` call.
         """
         if actual < 0:
             raise ValueError(f"observed workload must be non-negative, got {actual}")
@@ -203,13 +208,6 @@ class EWMAPredictor(WorkloadPredictor):
         self._state = state
         self._last_prediction = state
         return state
-
-    def _predict_next(self, actual: float) -> float:
-        if self._state is None:
-            self._state = actual
-        else:
-            self._state = self.gamma * actual + (1.0 - self.gamma) * self._state
-        return self._state
 
     def reset(self) -> None:
         super().reset()

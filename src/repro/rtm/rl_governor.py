@@ -236,26 +236,6 @@ class RLGovernor(Governor):
             state["reward_count"] = len(self._reward_history)
         return state
 
-    # -- workload observation hooks (overridden by the many-core formulation) -----------
-    def _observed_workload(self, observation: EpochObservation) -> float:
-        """Raw workload measure extracted from the epoch observation.
-
-        The single-cluster formulation tracks the critical-path (largest
-        per-core) cycle count, since that is what determines whether the
-        shared V-F domain meets the frame deadline.
-        """
-        return observation.max_cycles
-
-    def _normalised_prediction(self, predicted_cycles: float) -> float:
-        """Normalise a predicted cycle count into [0, 1] for state mapping.
-
-        Normalisation is relative to the application's characterised
-        workload range (the paper's pre-characterisation step, performed
-        online by :class:`~repro.rtm.state.WorkloadRangeTracker`), so the N
-        workload levels resolve the range the application actually spans.
-        """
-        return self._range_tracker.normalise(predicted_cycles)
-
     # -- the per-epoch decision ------------------------------------------------------------
     def decide(
         self,
@@ -293,11 +273,18 @@ class RLGovernor(Governor):
         self._reward_history.append(reward)
 
         # (3) Predict the next epoch's workload (eq. 1) and map to a state.
-        actual_workload = self._observed_workload(previous)
-        self._range_tracker.observe(actual_workload)
+        # The single-cluster formulation tracks the critical-path (largest
+        # per-core) cycle count, since that decides whether the shared V-F
+        # domain meets the frame deadline; the prediction is normalised to
+        # the application's characterised range (the paper's
+        # pre-characterisation step, performed online by the range tracker)
+        # so the N workload levels resolve the range the application spans.
+        actual_workload = max(previous.cycles_per_core)
+        range_tracker = self._range_tracker
+        range_tracker.observe(actual_workload)
         predicted_workload = self._predictor.observe(actual_workload)
         next_state = self._state_space.state_index(
-            self._normalised_prediction(predicted_workload), average_slack
+            range_tracker.normalise(predicted_workload), average_slack
         )
 
         # (2) Update the Q-table entry for the previous state-action (eq. 3)

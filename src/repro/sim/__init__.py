@@ -13,43 +13,32 @@ engine in :mod:`repro.sim.fastpath` for static-schedule governors, the
 compiled closed-loop kernels in :mod:`repro.sim.jitpath` (when numba is
 installed), the table-driven closed loop with live thermal state in
 :mod:`repro.sim.tablepath`, and the universal scalar reference loop in
-:mod:`repro.sim.scalarpath`.
+:mod:`repro.sim.scalarpath`.  The engine names and the run switches
+(:class:`SimulationConfig`) live in the leaf module :mod:`repro.sim.config`,
+so specs and stored results load without importing any engine.
+
+The public names are resolved lazily (PEP 562, :mod:`repro._lazy`).
 """
 
-from repro.sim.epoch import FrameColumns, FrameRecord
-from repro.sim.engine import SimulationConfig, SimulationEngine
-from repro.sim.backends import ENGINES, EngineRequest, negotiate, rejection_reason
-from repro.sim.fastpath import simulate_schedule
-from repro.sim.tablepath import precompute_tables, simulate_closed_loop
-from repro.sim.results import SimulationResult
-from repro.sim.metrics import (
-    MetricsSummary,
-    summarize_records,
-    summarize_result,
-    frequency_histogram,
-)
-from repro.sim.runner import ExperimentRunner, GovernorFactory
-from repro.sim.comparison import ComparisonRow, compare_to_oracle
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FrameColumns",
-    "FrameRecord",
-    "SimulationConfig",
-    "SimulationEngine",
-    "SimulationResult",
-    "ENGINES",
-    "EngineRequest",
-    "negotiate",
-    "rejection_reason",
-    "simulate_schedule",
-    "precompute_tables",
-    "simulate_closed_loop",
-    "MetricsSummary",
-    "summarize_records",
-    "summarize_result",
-    "frequency_histogram",
-    "ExperimentRunner",
-    "GovernorFactory",
-    "ComparisonRow",
-    "compare_to_oracle",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.sim.epoch": ("FrameColumns", "FrameRecord"),
+        "repro.sim.config": ("SimulationConfig", "ENGINES"),
+        "repro.sim.engine": ("SimulationEngine",),
+        "repro.sim.backends": ("EngineRequest", "negotiate", "rejection_reason"),
+        "repro.sim.fastpath": ("simulate_schedule",),
+        "repro.sim.tablepath": ("precompute_tables", "simulate_closed_loop"),
+        "repro.sim.results": ("SimulationResult",),
+        "repro.sim.metrics": (
+            "MetricsSummary",
+            "summarize_records",
+            "summarize_result",
+            "frequency_histogram",
+        ),
+        "repro.sim.runner": ("ExperimentRunner", "GovernorFactory"),
+        "repro.sim.comparison": ("ComparisonRow", "compare_to_oracle"),
+    },
+)

@@ -27,6 +27,9 @@ and negotiation behaves exactly as if it did not exist.
 
 ``scalar`` is the reference implementation every other engine is
 validated against; it accepts every request.
+
+The engine names (:data:`ENGINES`, :data:`AUTO`, ...) are defined in the
+leaf module :mod:`repro.sim.config` and re-exported here.
 """
 
 from __future__ import annotations
@@ -37,27 +40,21 @@ from typing import Optional, Sequence, TYPE_CHECKING
 from repro import _compat
 from repro.errors import SimulationError
 from repro.sim import fastpath, scalarpath, tablepath
+from repro.sim.config import (
+    AUTO,
+    ENGINES,
+    FASTPATH,
+    JITPATH,
+    SCALAR,
+    TABLEPATH,
+    SimulationConfig,
+)
 from repro.sim.results import SimulationResult
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.platform.cluster import Cluster
     from repro.rtm.governor import Governor
-    from repro.sim.engine import SimulationConfig
     from repro.workload.application import Application
-
-#: Name of the reference engine (and the target of the deprecated
-#: ``SimulationConfig.prefer_fast_path=False`` switch).
-SCALAR = "scalar"
-FASTPATH = "fastpath"
-JITPATH = "jitpath"
-TABLEPATH = "tablepath"
-
-#: Every engine, in ``auto`` negotiation order (fastest eligible first).
-ENGINES = (FASTPATH, JITPATH, TABLEPATH, SCALAR)
-
-#: The wildcard engine request: negotiate the fastest eligible engine.
-AUTO = "auto"
-
 
 _SCHEDULE_UNPROBED = object()
 

@@ -57,7 +57,7 @@ from repro.sim.results import SimulationResult
 if TYPE_CHECKING:  # pragma: no cover
     from repro.platform.cluster import Cluster
     from repro.rtm.governor import Governor
-    from repro.sim.engine import SimulationConfig
+    from repro.sim.config import SimulationConfig
     from repro.workload.application import Application
 
 

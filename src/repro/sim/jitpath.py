@@ -72,7 +72,7 @@ from repro.sim.tablepath import static_processing_overhead
 if TYPE_CHECKING:  # pragma: no cover
     from repro.platform.cluster import Cluster
     from repro.rtm.governor import Governor
-    from repro.sim.engine import SimulationConfig
+    from repro.sim.config import SimulationConfig
     from repro.workload.application import Application
 
 __all__ = [
@@ -132,9 +132,9 @@ def unsupported_reason(
     The kernel inlines the three paper governors' decide logic and the
     sensor's noiseless measurement path, so it must reject anything whose
     behaviour it cannot replicate bit-for-bit.  Exact-type checks are
-    deliberate: a subclass may override any of the hooks the kernel inlines
-    (``decide``, ``_observed_workload``, the policy ``sample``), and such a
-    governor must fall through to the generic table engines.
+    deliberate: a subclass may override any of the methods the kernel
+    inlines (``decide``, the policy ``sample``), and such a governor must
+    fall through to the generic table engines.
     """
     gtype = type(governor)
     if gtype is OndemandGovernor or gtype is ConservativeGovernor:

@@ -15,47 +15,25 @@ multiple threads performing the work.  This subpackage provides
 * trace containers with CSV/JSON round-trip (:mod:`repro.workload.trace`).
 """
 
-from repro.workload.task import Frame
-from repro.workload.application import Application, PerformanceRequirement
-from repro.workload.generators import (
-    WorkloadGenerator,
-    PhaseSpec,
-    PhasedWorkloadGenerator,
-)
-from repro.workload.threads import ThreadSplitModel, EvenSplit, ImbalancedSplit
-from repro.workload.video import (
-    VideoWorkloadModel,
-    mpeg4_application,
-    h264_application,
-    h264_football_application,
-    ffmpeg_decode_application,
-)
-from repro.workload.fft import FFTWorkloadModel, fft_application
-from repro.workload.parsec import parsec_application, PARSEC_BENCHMARKS
-from repro.workload.splash2 import splash2_application, SPLASH2_BENCHMARKS
-from repro.workload.trace import FrameTrace, TraceSummary
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Frame",
-    "Application",
-    "PerformanceRequirement",
-    "WorkloadGenerator",
-    "PhaseSpec",
-    "PhasedWorkloadGenerator",
-    "ThreadSplitModel",
-    "EvenSplit",
-    "ImbalancedSplit",
-    "VideoWorkloadModel",
-    "mpeg4_application",
-    "h264_application",
-    "h264_football_application",
-    "ffmpeg_decode_application",
-    "FFTWorkloadModel",
-    "fft_application",
-    "parsec_application",
-    "PARSEC_BENCHMARKS",
-    "splash2_application",
-    "SPLASH2_BENCHMARKS",
-    "FrameTrace",
-    "TraceSummary",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.workload.task": ("Frame",),
+        "repro.workload.application": ("Application", "PerformanceRequirement"),
+        "repro.workload.generators": ("WorkloadGenerator", "PhaseSpec", "PhasedWorkloadGenerator"),
+        "repro.workload.threads": ("ThreadSplitModel", "EvenSplit", "ImbalancedSplit"),
+        "repro.workload.video": (
+            "VideoWorkloadModel",
+            "mpeg4_application",
+            "h264_application",
+            "h264_football_application",
+            "ffmpeg_decode_application",
+        ),
+        "repro.workload.fft": ("FFTWorkloadModel", "fft_application"),
+        "repro.workload.parsec": ("parsec_application", "PARSEC_BENCHMARKS"),
+        "repro.workload.splash2": ("splash2_application", "SPLASH2_BENCHMARKS"),
+        "repro.workload.trace": ("FrameTrace", "TraceSummary"),
+    },
+)

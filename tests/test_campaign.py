@@ -1,6 +1,7 @@
 """Tests for the campaign subsystem: specs, executor backends, result store."""
 
 import json
+import pickle
 
 import pytest
 
@@ -106,6 +107,20 @@ class TestScenarioSpec:
         )
         assert build(10).scenario_id == build(10).scenario_id
         assert build(10).scenario_id != build(20).scenario_id
+
+    def test_scenario_id_is_computed_once_per_spec(self, monkeypatch):
+        build = lambda: ScenarioSpec(
+            label="x",
+            application=FactorySpec.of("mpeg4", num_frames=10),
+            governor=FactorySpec.of("ondemand"),
+        )
+        scenario, twin = build(), build()
+        first = scenario.scenario_id
+        monkeypatch.setattr(ScenarioSpec, "to_dict", lambda self: pytest.fail("rehashed"))
+        assert scenario.scenario_id == first
+        # The cached id is not a field: equality and hashing ignore it.
+        assert twin == scenario and hash(twin) == hash(scenario)
+        assert pickle.loads(pickle.dumps(scenario)).scenario_id == first
 
     def test_json_round_trip_preserves_id(self):
         scenario = ScenarioSpec(

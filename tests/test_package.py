@@ -32,6 +32,7 @@ class TestSubpackageImports:
             "repro.sim",
             "repro.experiments",
             "repro.analysis",
+            "repro.campaign",
         ],
     )
     def test_subpackage_imports_cleanly(self, module):
@@ -39,6 +40,54 @@ class TestSubpackageImports:
         assert imported is not None
         for name in getattr(imported, "__all__", []):
             assert hasattr(imported, name), f"{module}.{name} listed in __all__ but missing"
+        assert set(imported.__all__) <= set(dir(imported))
+
+
+LAZY_PACKAGES = [
+    "repro",
+    "repro.campaign",
+    "repro.sim",
+    "repro.platform",
+    "repro.workload",
+    "repro.rtm",
+    "repro.governors",
+    "repro.analysis",
+]
+
+
+class TestLazyExports:
+    """Package names resolve on first read, to the defining module's objects."""
+
+    @pytest.mark.parametrize("module", LAZY_PACKAGES)
+    def test_names_are_the_defining_modules_objects(self, module):
+        package = importlib.import_module(module)
+        for name in package.__all__:
+            value = getattr(package, name)
+            home = getattr(value, "__module__", None)
+            if isinstance(home, str) and home.startswith("repro."):
+                assert getattr(importlib.import_module(home), name, value) is value
+
+    @pytest.mark.parametrize("module", LAZY_PACKAGES)
+    def test_unknown_name_raises_attribute_error(self, module):
+        package = importlib.import_module(module)
+        with pytest.raises(AttributeError, match="no_such_name"):
+            package.no_such_name
+        assert not hasattr(package, "no_such_name")
+
+    def test_star_import_binds_every_public_name(self):
+        namespace: dict = {}
+        exec("from repro import *", namespace)
+        assert set(repro.__all__) <= set(namespace)
+        assert namespace["CampaignSpec"] is importlib.import_module(
+            "repro.campaign.spec"
+        ).CampaignSpec
+
+    def test_submodules_still_import_through_the_package(self):
+        from repro.campaign import store
+        from repro.sim import config
+
+        assert store.__name__ == "repro.campaign.store"
+        assert config.SimulationConfig is repro.SimulationConfig
 
 
 class TestExceptionHierarchy:
