@@ -40,20 +40,13 @@ from typing import Optional, Sequence, TYPE_CHECKING
 from repro import _compat
 from repro.errors import SimulationError
 from repro.sim import fastpath, scalarpath, tablepath
-from repro.sim.config import (
-    AUTO,
-    ENGINES,
-    FASTPATH,
-    JITPATH,
-    SCALAR,
-    TABLEPATH,
-    SimulationConfig,
-)
+from repro.sim.config import AUTO, ENGINES, FASTPATH, JITPATH, SCALAR, TABLEPATH
 from repro.sim.results import SimulationResult
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.platform.cluster import Cluster
     from repro.rtm.governor import Governor
+    from repro.sim.config import SimulationConfig
     from repro.workload.application import Application
 
 _SCHEDULE_UNPROBED = object()

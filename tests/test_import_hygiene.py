@@ -10,6 +10,10 @@ read ``sys.modules``.
   platform model.
 * A campaign run imports everything it uses before its spec has loaded, and
   a reload imports everything before its first pass.
+
+Every store here is jsonl (``--store json``, and ``CampaignResult.save``'s
+default): an Arrow store imports pyarrow on first use, and pyarrow may
+import numpy, so these checks would not hold for it.
 """
 
 from __future__ import annotations
@@ -101,7 +105,7 @@ from repro.campaign import cli
 from repro.campaign.results import CampaignResult
 
 code = cli.main(["merge", "shard0.store", "shard1.store", "--spec", "spec.json",
-                 "--output", "merged.store", "--quiet"])
+                 "--store", "json", "--output", "merged.store", "--quiet"])
 sizes = {}
 for lazy in (False, True):
     store = CampaignResult.load("merged.store", lazy=lazy)
@@ -151,7 +155,8 @@ print(json.dumps({"code": code, "late": late}))
 def test_campaign_run_imports_nothing_after_its_spec_loads(shards):
     report = run_python(
         _RUN_AFTER_SPEC_LOAD,
-        "spec.json", "--quiet", "--checkpoint", "run.ckpt", "--output", "run.store",
+        "spec.json", "--quiet", "--store", "json", "--checkpoint", "run.ckpt",
+        "--output", "run.store",
         cwd=shards,
     )
     assert report == {"code": 0, "late": []}
@@ -161,7 +166,7 @@ def test_merge_imports_nothing_after_its_spec_loads(shards):
     report = run_python(
         _RUN_AFTER_SPEC_LOAD,
         "merge", "shard0.store", "shard1.store", "--spec", "spec.json",
-        "--output", "merged-late.store", "--quiet",
+        "--store", "json", "--output", "merged-late.store", "--quiet",
         cwd=shards,
     )
     assert report == {"code": 0, "late": []}
