@@ -198,8 +198,9 @@ class ScenarioOutcome:
         Prefers the cached :attr:`metrics` dict (stamped by the columnar
         store at write time — answering from it never touches the frames,
         which for a lazily loaded store means no disk read at all) and
-        falls back to :func:`~repro.sim.metrics.summarize_result`'s
-        columnar reductions.  The answer is kept in :attr:`summary`.
+        falls back to :func:`~repro.sim.metrics.summarize_result` over the
+        result's columns, the summary the store writes.  The answer is
+        kept in :attr:`summary`.
         ``None`` for failed outcomes.
         """
         if self.result is None:

@@ -34,7 +34,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "repro.sim.results": ("SimulationResult",),
         "repro.sim.metrics": (
             "MetricsSummary",
-            "summarize_records",
             "summarize_result",
             "frequency_histogram",
         ),

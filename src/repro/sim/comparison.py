@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.errors import SimulationError
-from repro.platform.energy import energy_saving_percent
 from repro.sim.results import SimulationResult
 
 
@@ -72,6 +71,16 @@ def compare_to_oracle(
             )
         )
     return rows
+
+
+def energy_saving_percent(candidate_energy_j: float, baseline_energy_j: float) -> float:
+    """Percentage energy saving of ``candidate`` relative to ``baseline``.
+
+    Positive values mean the candidate used less energy.
+    """
+    if baseline_energy_j <= 0:
+        raise ValueError("baseline energy must be positive")
+    return 100.0 * (baseline_energy_j - candidate_energy_j) / baseline_energy_j
 
 
 def pairwise_energy_saving(

@@ -10,6 +10,10 @@ from typing import Any, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 from repro._compat import SLOTS
 from repro.errors import SimulationError
 
+#: Slack, in seconds, a frame may overrun its deadline by and still count as
+#: met: a frame misses when ``frame_time_s > deadline_s + DEADLINE_TOLERANCE_S``.
+DEADLINE_TOLERANCE_S = 1e-12
+
 
 @dataclass(frozen=True, **SLOTS)
 class FrameRecord:
@@ -74,7 +78,7 @@ class FrameRecord:
     @property
     def met_deadline(self) -> bool:
         """True when the frame (including overhead) finished within its deadline."""
-        return self.frame_time_s <= self.deadline_s + 1e-12
+        return self.frame_time_s <= self.deadline_s + DEADLINE_TOLERANCE_S
 
     @property
     def slack_ratio(self) -> float:

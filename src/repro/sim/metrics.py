@@ -1,11 +1,18 @@
-"""Aggregate metrics over simulation records.
+"""A run's aggregate metrics as one :class:`MetricsSummary`.
 
-:func:`summarize_records` walks a record list; :func:`summarize_result`
-computes the same summary from a :class:`~repro.sim.results.SimulationResult`
-through its columnar :meth:`~repro.sim.results.SimulationResult.to_arrays`
-accessor — one NumPy reduction per metric instead of one Python-level
-attribute access per record per metric — falling back to the record walk on
-NumPy-less installs.
+The :class:`~repro.sim.results.SimulationResult` properties are the one
+Python definition of every aggregate; :func:`summarize_result` builds a
+summary from them, reading the three aggregates the result has no
+property for (mean frequency, exploration epochs, DVFS changes) from its
+columns.
+
+When NumPy is installed, :func:`summarize_result` instead reduces the
+columns with ``np.sum``/``np.count_nonzero``.  ``np.sum`` is pairwise, so
+its sums differ from the properties' in the last digits.  That reduction
+stays only because stored bytes pin it: the result store writes this
+summary into every record's ``metrics``, and the e2ebench digest checks
+its ``total_energy_j`` exactly.  Replacing it with the Python summary is
+a declared wire-format change.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Sequence
 
-from repro.sim.epoch import FrameRecord
+from repro.sim.epoch import DEADLINE_TOLERANCE_S, FrameRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (results -> metrics)
     from repro.sim.results import SimulationResult
@@ -21,7 +28,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (results -> metrics)
 
 @dataclass(frozen=True)
 class MetricsSummary:
-    """Aggregate statistics over a sequence of frame records."""
+    """Aggregate statistics of one simulation run."""
 
     num_frames: int
     total_energy_j: float
@@ -36,68 +43,40 @@ class MetricsSummary:
     dvfs_changes: int
 
 
-def summarize_records(records: Sequence[FrameRecord]) -> MetricsSummary:
-    """Compute a :class:`MetricsSummary` over ``records``."""
-    if not records:
-        return MetricsSummary(
-            num_frames=0,
-            total_energy_j=0.0,
-            total_time_s=0.0,
-            average_power_w=0.0,
-            average_frame_time_s=0.0,
-            average_frequency_mhz=0.0,
-            deadline_miss_ratio=0.0,
-            mean_slack_ratio=0.0,
-            total_overhead_s=0.0,
-            exploration_epochs=0,
-            dvfs_changes=0,
-        )
-    total_energy = sum(r.energy_j for r in records)
-    total_time = sum(r.interval_s for r in records)
-    num = len(records)
-    dvfs_changes = sum(
-        1
-        for earlier, later in zip(records, records[1:])
-        if earlier.operating_index != later.operating_index
-    )
-    return MetricsSummary(
-        num_frames=num,
-        total_energy_j=total_energy,
-        total_time_s=total_time,
-        average_power_w=total_energy / total_time if total_time > 0 else 0.0,
-        average_frame_time_s=sum(r.frame_time_s for r in records) / num,
-        average_frequency_mhz=sum(r.frequency_mhz for r in records) / num,
-        deadline_miss_ratio=sum(1 for r in records if not r.met_deadline) / num,
-        mean_slack_ratio=sum(r.slack_ratio for r in records) / num,
-        total_overhead_s=sum(r.overhead_time_s for r in records),
-        exploration_epochs=sum(1 for r in records if r.explored),
-        dvfs_changes=dvfs_changes,
-    )
-
-
 def summarize_result(result: "SimulationResult") -> MetricsSummary:
     """Compute a :class:`MetricsSummary` for a whole simulation result.
 
-    Uses :meth:`~repro.sim.results.SimulationResult.to_arrays` so a
-    columnar result (from the vectorised or table-driven engines) is
-    summarised with array reductions and without materialising one
-    ``FrameRecord`` per frame.
+    Reads the result's columns and never materialises a ``FrameRecord``.
     """
+    num = result.num_frames
+    if num == 0:
+        return MetricsSummary(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0, 0)
+    columns = result.columns
     try:
         import numpy as np
-    except ImportError:  # pragma: no cover - exercised on numpy-less installs
-        return summarize_records(result.records)
-    arrays = result.to_arrays()
-    num = len(arrays["index"])
-    if num == 0:
-        return summarize_records([])
-    frame_times = arrays["frame_time_s"]
-    deadlines = arrays["deadline_s"]
-    intervals = arrays["interval_s"]
-    operating = arrays["operating_index"]
-    total_energy = float(np.sum(arrays["energy_j"]))
-    total_time = float(np.sum(intervals))
-    misses = int(np.count_nonzero(frame_times > deadlines + 1e-12))
+    except ImportError:
+        operating = columns.operating_index
+        return MetricsSummary(
+            num_frames=num,
+            total_energy_j=result.total_energy_j,
+            total_time_s=result.total_time_s,
+            average_power_w=result.average_power_w,
+            average_frame_time_s=result.average_frame_time_s,
+            average_frequency_mhz=sum(columns.frequency_mhz) / num,
+            deadline_miss_ratio=result.deadline_miss_ratio,
+            mean_slack_ratio=result.mean_slack_ratio,
+            total_overhead_s=result.total_overhead_s,
+            exploration_epochs=sum(1 for explored in columns.explored if explored),
+            dvfs_changes=sum(
+                1 for earlier, later in zip(operating, operating[1:]) if earlier != later
+            ),
+        )
+    frame_times = np.asarray(columns.frame_time_s)
+    deadlines = np.asarray(columns.deadline_s)
+    operating = np.asarray(columns.operating_index)
+    total_energy = float(np.sum(np.asarray(columns.energy_j)))
+    total_time = float(np.sum(np.asarray(columns.interval_s)))
+    misses = int(np.count_nonzero(frame_times > deadlines + DEADLINE_TOLERANCE_S))
     positive_deadlines = deadlines > 0
     slack_ratios = np.where(
         positive_deadlines,
@@ -110,11 +89,11 @@ def summarize_result(result: "SimulationResult") -> MetricsSummary:
         total_time_s=total_time,
         average_power_w=total_energy / total_time if total_time > 0 else 0.0,
         average_frame_time_s=float(np.sum(frame_times)) / num,
-        average_frequency_mhz=float(np.sum(arrays["frequency_mhz"])) / num,
+        average_frequency_mhz=float(np.sum(np.asarray(columns.frequency_mhz))) / num,
         deadline_miss_ratio=misses / num,
         mean_slack_ratio=float(np.sum(slack_ratios)) / num,
-        total_overhead_s=float(np.sum(arrays["overhead_time_s"])),
-        exploration_epochs=int(np.count_nonzero(arrays["explored"])),
+        total_overhead_s=float(np.sum(np.asarray(columns.overhead_time_s))),
+        exploration_epochs=int(np.count_nonzero(np.asarray(columns.explored))),
         dvfs_changes=int(np.count_nonzero(operating[1:] != operating[:-1])),
     )
 
@@ -129,13 +108,3 @@ def frequency_histogram(records: Sequence[FrameRecord]) -> Dict[float, int]:
         histogram[record.frequency_mhz] = histogram.get(record.frequency_mhz, 0) + 1
     return dict(sorted(histogram.items()))
 
-
-def energy_by_phase(records: Sequence[FrameRecord], boundary_frame: int) -> Dict[str, float]:
-    """Split the run's energy into before/after ``boundary_frame``.
-
-    Handy for separating the exploration (learning) phase from the
-    exploitation phase of a learning governor.
-    """
-    before = sum(r.energy_j for r in records if r.index < boundary_frame)
-    after = sum(r.energy_j for r in records if r.index >= boundary_frame)
-    return {"before": before, "after": after}

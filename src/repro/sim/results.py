@@ -5,19 +5,21 @@
 result loaded through the result store or
 :meth:`SimulationResult.from_dict`).  A list of
 :class:`~repro.sim.epoch.FrameRecord` objects is accepted as an input form
-and gathered into columns once.  The aggregate properties read the
-columns, :meth:`~SimulationResult.to_arrays` exposes them to
-array-oriented consumers (metrics, reporting, plotting), and
-``result.records`` hands out a fresh tuple of records on each call.
+and gathered into columns once.  ``result.records`` hands out a fresh
+tuple of records on each call.
+
+The aggregate properties (totals, means, the deadline-miss ratio and the
+paper's normalisations) are the one Python definition of a run's
+aggregates, each summed over the columns;
+:func:`~repro.sim.metrics.summarize_result` builds its summary from them.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
-from repro.platform.energy import EnergyAccount
-from repro.sim.epoch import FRAME_COLUMN_NAMES, FrameColumns, FrameRecord
+from repro.sim.epoch import DEADLINE_TOLERANCE_S, FRAME_COLUMN_NAMES, FrameColumns, FrameRecord
 
 
 class SimulationResult:
@@ -98,25 +100,6 @@ class SimulationResult:
         """The columnar per-frame data (never ``None``)."""
         return self._columns
 
-    def to_arrays(self) -> Dict[str, Any]:
-        """The run as one array (NumPy when available, list otherwise) per field.
-
-        Keys are the :class:`~repro.sim.epoch.FrameRecord` field names;
-        ``cycles_per_core`` is a 2-D ``(num_frames, num_cores)`` array.  This
-        is the accessor array-oriented consumers (metrics, reporting,
-        plotting) should use instead of looping over ``records``.
-        """
-        try:
-            import numpy as np
-        except ImportError:  # pragma: no cover - exercised on numpy-less installs
-            np = None
-        columns = self._columns
-        arrays: Dict[str, Any] = {}
-        for name in FRAME_COLUMN_NAMES:
-            column = getattr(columns, name)
-            arrays[name] = np.asarray(column) if np is not None else list(column)
-        return arrays
-
     # -- totals ------------------------------------------------------------------
     @property
     def num_frames(self) -> int:
@@ -142,14 +125,9 @@ class SimulationResult:
         return self.total_energy_j / total_time
 
     @property
-    def frame_times_s(self) -> List[float]:
-        """Per-frame execution times (busy + overhead)."""
-        return list(self._columns.frame_time_s)
-
-    @property
     def average_frame_time_s(self) -> float:
         """Mean per-frame execution time."""
-        frame_times = self.frame_times_s
+        frame_times = self._columns.frame_time_s
         if not frame_times:
             return 0.0
         return sum(frame_times) / len(frame_times)
@@ -176,7 +154,7 @@ class SimulationResult:
         misses = sum(
             1
             for frame_time, deadline in zip(frame_times, self._columns.deadline_s)
-            if frame_time > deadline + 1e-12
+            if frame_time > deadline + DEADLINE_TOLERANCE_S
         )
         return misses / len(frame_times)
 
@@ -196,15 +174,6 @@ class SimulationResult:
     def total_overhead_s(self) -> float:
         """Total governor overhead charged over the run."""
         return sum(self._columns.overhead_time_s)
-
-    def energy_account(self) -> EnergyAccount:
-        """Export the run as an :class:`~repro.platform.energy.EnergyAccount`."""
-        return EnergyAccount(
-            total_energy_j=self.total_energy_j,
-            total_time_s=self.total_time_s,
-            frame_times_s=self.frame_times_s,
-            reference_time_s=self.reference_time_s,
-        )
 
     # -- legacy JSON blob --------------------------------------------------------------
     @classmethod

@@ -28,6 +28,7 @@ from repro.campaign.spec import ScenarioSpec
 from repro.errors import ParityError
 from repro.rtm.governor import Governor
 from repro.sim.engine import SimulationEngine
+from repro.sim.epoch import DEADLINE_TOLERANCE_S
 from repro.workload.application import Application
 
 #: The backend every other backend is diffed against.
@@ -235,7 +236,7 @@ def capture_decision_trace(
         for index, frame_time, deadline in zip(
             columns.index, columns.frame_time_s, columns.deadline_s
         )
-        if frame_time > deadline + 1e-12
+        if frame_time > deadline + DEADLINE_TOLERANCE_S
     ]
     actuator = cluster.dvfs
     transitions = [(t.from_index, t.to_index) for t in actuator.transitions]

@@ -160,33 +160,12 @@ def test_jitpath_not_imported_until_its_probe_passes():
 
 
 class TestNegotiation:
-    def test_auto_prefers_fastest_eligible(self):
-        assert negotiate(_request(OracleGovernor())) == "fastpath"
-        assert negotiate(_request(OndemandGovernor())) == "tablepath"
-        thermal = build_a15_cluster(enable_thermal=True)
-        assert negotiate(_request(OndemandGovernor(), thermal)) == "tablepath"
-        assert negotiate(_request(OracleGovernor(), thermal)) == "tablepath"
-
-    def test_prefer_fast_path_false_maps_to_scalar(self):
-        config = SimulationConfig(prefer_fast_path=False)
-        assert negotiate(_request(config=config)) == "scalar"
-
     def test_explicit_capability_mismatch_is_a_clear_error(self):
         with pytest.raises(SimulationError, match="static schedule"):
             negotiate(_request(OndemandGovernor()), engine="fastpath")
         thermal = build_a15_cluster(enable_thermal=True)
         with pytest.raises(SimulationError, match="thermal"):
             negotiate(_request(OracleGovernor(), thermal), engine="fastpath")
-
-    def test_numpy_seam_is_per_backend(self, monkeypatch):
-        """Disabling one engine module's numpy rejects only that backend."""
-        from repro.sim import tablepath
-
-        monkeypatch.setattr(tablepath, "_np", None)
-        assert negotiate(_request(OndemandGovernor())) == "scalar"
-        assert negotiate(_request(OracleGovernor())) == "fastpath"
-        thermal = build_a15_cluster(enable_thermal=True)
-        assert negotiate(_request(OndemandGovernor(), thermal)) == "scalar"
 
     def test_failed_negotiation_clears_engine_used(self):
         application = mpeg4_application(num_frames=10, seed=1)

@@ -133,7 +133,7 @@ class TestTraceReplayIntegration:
         original = engine.run(application, OndemandGovernor())
         repeated = engine.run(replayed, OndemandGovernor())
         assert repeated.total_energy_j == pytest.approx(original.total_energy_j)
-        assert repeated.frame_times_s == pytest.approx(original.frame_times_s)
+        assert repeated.columns.frame_time_s == pytest.approx(original.columns.frame_time_s)
 
 
 class TestSeedReproducibility:

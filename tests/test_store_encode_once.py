@@ -167,10 +167,11 @@ class TestSummaryOnce:
         from repro.sim import metrics
 
         counts = Counter()
+        summarize = metrics.summarize_result
         for module in (metrics, result_store):
             def counting(result, _module=module.__name__):
                 counts[_module] += 1
-                return metrics.summarize_records(result.records)
+                return summarize(result)
 
             monkeypatch.setattr(module, "summarize_result", counting)
         return counts

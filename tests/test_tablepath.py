@@ -342,17 +342,6 @@ class TestColumnarResults:
         assert result.columns is columns
         assert [r.energy_j for r in records] == columns.energy_j
 
-    def test_to_arrays_shapes_and_values(self):
-        result = self._table_result()
-        arrays = result.to_arrays()
-        assert arrays["energy_j"].shape == (60,)
-        assert arrays["cycles_per_core"].shape == (60, 4)
-        assert float(arrays["energy_j"].sum()) == pytest.approx(
-            result.total_energy_j, rel=1e-12
-        )
-        record_energies = [r.energy_j for r in result.records]
-        assert arrays["energy_j"].tolist() == record_energies
-
     def test_json_round_trip(self):
         result = self._table_result(20)
         clone = store_round_trip(result)
@@ -382,20 +371,7 @@ class TestColumnarResults:
             records[0] = replace(records[0], energy_j=1000.0)
         assert result.total_energy_j == original_total
         assert result.records == records
-        assert result.to_arrays()["energy_j"][0] == records[0].energy_j
-
-    def test_summarize_result_matches_summarize_records(self):
-        from repro.sim.metrics import summarize_records, summarize_result
-
-        result = self._table_result()
-        from_arrays = summarize_result(result)
-        from_records = summarize_records(result.records)
-        assert from_arrays.num_frames == from_records.num_frames
-        assert from_arrays.total_energy_j == pytest.approx(from_records.total_energy_j)
-        assert from_arrays.deadline_miss_ratio == from_records.deadline_miss_ratio
-        assert from_arrays.mean_slack_ratio == pytest.approx(from_records.mean_slack_ratio)
-        assert from_arrays.dvfs_changes == from_records.dvfs_changes
-        assert from_arrays.exploration_epochs == from_records.exploration_epochs
+        assert result.columns.energy_j[0] == records[0].energy_j
 
 
 class TestCampaignTableCache:
