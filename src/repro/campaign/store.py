@@ -29,7 +29,10 @@ Two encodings share that framing:
     the ``metrics`` summary and the ``digest`` of those same bytes
     (:func:`encode_line`).  Packed columns are decoded only where frames
     are read: an eager load, the merge's validation and the deferred
-    loader of a lazy load.
+    loader of a lazy load.  The packing rule is
+    :func:`~repro.sim.epoch.float_column`'s, so a result's ``array('d')``
+    columns are exactly the packed ones: each is encoded from its buffer
+    and decoded back into one, and no float is boxed on either side.
 
 ``arrow``
     Repeated ``[8-byte little-endian length][self-contained Arrow IPC
@@ -63,10 +66,10 @@ line, or the Arrow row) after checking the checksum, so a checkpoint
 append, the final checkpoint rewrite and an ``--output`` save cost one
 encode between them while the outcome holds no encoded payload in
 memory.  A slot whose file has since changed fails the check and the
-outcome is simply encoded again.  The merge passes jsonl records through
-as the raw line bytes it read: it parses and decodes each line (for the
-scenario id, the digest and validity), but never re-encodes it on the
-way to a jsonl output.
+outcome is simply encoded again.  The merge passes current-version jsonl
+records through as the raw line bytes it read: it parses and decodes each
+line (for the scenario id, the digest and validity), but never re-encodes
+it on the way to a jsonl output.
 
 Versions: this build writes version 2 (packed jsonl columns) and reads
 versions 1 and 2 (:data:`READABLE_VERSIONS`).  A version-1 file holds
@@ -82,7 +85,9 @@ The monolithic JSON blob of earlier releases (``{"campaign_name": ...,
 "outcomes": [...]}`` with per-frame row dicts) is read-only: it still
 loads, resumes and merges, but nothing writes it any more.  Version-1
 jsonl lines, in both the insertion-order and the sorted-key layout,
-load and merge too; a merge copies them through as read.
+load and merge too; a merge re-seals them as version-2 lines (frames
+packed, ``digest`` recomputed), so its output's stored digests all equal
+:func:`record_digest` of their lines.
 
 Corruption handling: an unreadable store is quarantined to
 ``<path>.corrupt`` with a ``RuntimeWarning``
@@ -119,7 +124,7 @@ from repro.campaign.results import (
     quarantine_corrupt_file,
 )
 from repro.campaign.spec import CampaignSpec, ScenarioSpec
-from repro.sim.epoch import FRAME_COLUMN_NAMES, FrameColumns
+from repro.sim.epoch import FLOAT_COLUMN_NAMES, FRAME_COLUMN_NAMES, FrameColumns, float_column
 from repro.sim.metrics import summarize_result
 from repro.sim.results import SimulationResult
 
@@ -199,8 +204,8 @@ def _pyarrow():
 # ---------------------------------------------------------------------------
 
 
-def _frame_columns_of(result: SimulationResult) -> Dict[str, list]:
-    """The result's live column lists (callers must not mutate them)."""
+def _frame_columns_of(result: SimulationResult) -> Dict[str, Any]:
+    """The result's live columns (callers must not mutate them)."""
     columns = result.columns
     return {name: getattr(columns, name) for name in FRAME_COLUMN_NAMES}
 
@@ -210,29 +215,32 @@ _BYTESWAP = sys.byteorder != "little"
 
 
 def _pack_floats(values: Sequence[float]) -> str:
-    """base64 of ``values`` as little-endian IEEE-754 binary64."""
-    packed = array("d", values)
+    """base64 of ``values`` as little-endian IEEE-754 binary64.
+
+    An ``array('d')`` (a :class:`FrameColumns` float column) is encoded
+    from its own buffer; any other sequence of floats is copied into one
+    first.
+    """
+    packed = values if type(values) is array and values.typecode == "d" else array("d", values)
     if _BYTESWAP:
+        packed = array("d", packed)  # never swap the caller's column in place
         packed.byteswap()
-    return base64.b64encode(packed.tobytes()).decode("ascii")
+    return base64.b64encode(packed).decode("ascii")
 
 
-def _unpack_floats(text: str) -> list:
+def _unpack_floats(text: str) -> array:
     """Inverse of :func:`_pack_floats`; ``ValueError`` on malformed input.
 
-    Bad base64 raises ``binascii.Error`` (a ``ValueError``), and so does
-    ``frombytes`` on a byte length that is not a multiple of 8.
+    Returns the ``array('d')`` the bytes were decoded into, so no float
+    is boxed.  Bad base64 raises ``binascii.Error`` (a ``ValueError``),
+    and so does ``frombytes`` on a byte length that is not a multiple
+    of 8.
     """
     values = array("d")
     values.frombytes(base64.b64decode(text, validate=True))
     if _BYTESWAP:
         values.byteswap()
-    return values.tolist()
-
-
-def _all_floats(values: Sequence[Any]) -> bool:
-    """Whether ``values`` is non-empty and holds nothing but exact floats."""
-    return bool(values) and set(map(type, values)) == {float}
+    return values
 
 
 def _packed_cycles(rows: Any) -> Any:
@@ -245,8 +253,8 @@ def _packed_cycles(rows: Any) -> Any:
     widths = set(map(len, rows))
     if len(widths) != 1:
         return rows
-    flat = list(chain.from_iterable(rows))
-    if not _all_floats(flat):
+    flat = float_column(chain.from_iterable(rows))
+    if type(flat) is not array:
         return rows
     return {"packed": _pack_floats(flat), "width": widths.pop()}
 
@@ -254,16 +262,22 @@ def _packed_cycles(rows: Any) -> Any:
 def _packed_frames(frames: Dict[str, Any]) -> Dict[str, Any]:
     """The frames with every all-float column packed (:func:`_pack_floats`).
 
-    Idempotent: packed columns, and list columns that hold ints, bools or
-    a mix of ints and floats, are kept as they are.  A record therefore
-    has one packed form, whichever layout it was read from.
+    A column is packed exactly when :func:`~repro.sim.epoch.float_column`
+    makes it an ``array('d')``: an array column (a live
+    :class:`FrameColumns` column) is packed from its buffer, and a list
+    column (a version-1 record, :func:`encode_record`'s dict) when it is
+    non-empty and all floats.  Idempotent: packed columns, and list
+    columns that hold ints, bools or a mix of ints and floats, are kept
+    as they are.  A record therefore has one packed form, whichever
+    layout it was read from.
     """
     packed: Dict[str, Any] = {}
     for name, column in frames.items():
         if name == "cycles_per_core":
             packed[name] = _packed_cycles(column)
-        elif type(column) is list and _all_floats(column):
-            packed[name] = _pack_floats(column)
+        elif type(column) in (list, array):
+            column = float_column(column)
+            packed[name] = _pack_floats(column) if type(column) is array else column
         else:
             packed[name] = column
     return packed
@@ -278,9 +292,19 @@ def _packed(record: Dict[str, Any]) -> Dict[str, Any]:
     return {**record, "result": {**result_data, "frames": frames}}
 
 
-def _unpacked_column(column: Any) -> list:
+def _listed(frames: Dict[str, Any]) -> Dict[str, Any]:
+    """The frames with every ``array('d')`` column as a list (JSON, Arrow)."""
+    return {
+        name: column.tolist() if type(column) is array else column
+        for name, column in frames.items()
+    }
+
+
+def _unpacked_column(name: str, column: Any) -> Any:
     if isinstance(column, str):
-        return _unpack_floats(column)
+        column = _unpack_floats(column)
+    if name in FLOAT_COLUMN_NAMES:
+        return float_column(column)
     return column if type(column) is list else list(column)
 
 
@@ -297,15 +321,18 @@ def _unpacked_cycles(column: Any, rows: int) -> list:
     return list(zip(*[iter(flat)] * width))
 
 
-def _unpacked_frames(frames: Dict[str, Any]) -> Dict[str, list]:
-    """Every frame column as a list (``cycles_per_core`` as tuple rows).
+def _unpacked_frames(frames: Dict[str, Any]) -> Dict[str, Any]:
+    """Every frame column in its :class:`FrameColumns` form.
 
-    Packed columns are decoded, list columns are passed through.  A
-    column whose length differs from ``index`` raises ``ValueError``, as
-    does a malformed packed column.
+    Packed columns are decoded to ``array('d')`` columns, list columns
+    are passed through, and every float column is given the type
+    :func:`~repro.sim.epoch.float_column` gives it (so an all-float list
+    of a version-1 record becomes an array too); ``cycles_per_core`` is
+    a list of tuple rows.  A column whose length differs from ``index``
+    raises ``ValueError``, as does a malformed packed column.
     """
     columns = {
-        name: _unpacked_column(frames[name])
+        name: _unpacked_column(name, frames[name])
         for name in FRAME_COLUMN_NAMES
         if name != "cycles_per_core"
     }
@@ -329,7 +356,7 @@ def _columns_from_lists(frames: Dict[str, Any]) -> FrameColumns:
         raise ValueError(str(exc)) from exc
 
 
-def _frames_for_deferred(frames: Dict[str, Any]) -> Dict[str, list]:
+def _frames_for_deferred(frames: Dict[str, Any]) -> Dict[str, Any]:
     """Shape raw decoded frames for :meth:`FrameColumns.from_deferred`."""
     return _unpacked_frames(frames)
 
@@ -417,11 +444,15 @@ def outcome_digest(outcome: ScenarioOutcome) -> str:
 def encode_record(outcome: ScenarioOutcome) -> Dict[str, Any]:
     """Serialise one outcome to a store record dict (columnar frames + digest).
 
-    The form the Arrow encoding carries: frames are plain column lists.
-    jsonl writers use :func:`encode_line`, which yields the same record,
-    frames packed, as bytes with the same ``digest``.
+    The form the Arrow encoding carries: frames are plain column lists
+    (``array('d')`` columns are converted with ``tolist()``), so the dict
+    is JSON-serialisable.  jsonl writers use :func:`encode_line`, which
+    yields the same record, frames packed, as bytes with the same
+    ``digest``.
     """
     record = _outcome_record(outcome)
+    if "result" in record:
+        record["result"]["frames"] = _listed(record["result"]["frames"])
     metrics = _outcome_metrics(outcome)
     if metrics is not None:
         record["metrics"] = metrics
@@ -593,7 +624,7 @@ def _arrow_columns(
             meta["result"] = {
                 key: value for key, value in result_data.items() if key != "frames"
             }
-            frames = _unpacked_frames(result_data["frames"])
+            frames = _listed(_unpacked_frames(result_data["frames"]))
             for name in FRAME_COLUMN_NAMES:
                 frame_columns[name].append(frames[name])
         else:
@@ -1035,22 +1066,28 @@ class MergeStats:
 def _iter_shard(path: str) -> Iterator[Tuple[str, Dict[str, Any], bytes]]:
     """Yield ``(campaign_name, record, line)`` from one shard file of any format.
 
-    ``line`` is the record's jsonl store line.  For a jsonl shard it is
-    the bytes as read — parsed (the merge needs the scenario id and
-    digest, and a garbled line must fail before its bytes reach an
-    output) but never re-encoded; only a last line whose trailing newline
-    was cut off gets one back, so spilled lines stay separable.  Other
-    shards encode it afresh.  Columnar shards stream record by record;
-    legacy monolithic JSON shards are parsed whole (unavoidably) but one
-    shard at a time, so merge memory is bounded by the largest single
-    shard, not their sum.
+    ``line`` is the record's jsonl store line.  For a jsonl shard of the
+    current :data:`FORMAT_VERSION` it is the bytes as read — parsed (the
+    merge needs the scenario id and digest, and a garbled line must fail
+    before its bytes reach an output) but never re-encoded; only a last
+    line whose trailing newline was cut off gets one back, so spilled
+    lines stay separable.  A version-1 jsonl shard's lines are re-sealed
+    (:func:`record_line`): their frames are packed and their stored
+    ``digest`` becomes :func:`record_digest`, so every line of a merged
+    output answers for itself.  Other shards encode it afresh.  Columnar
+    shards stream record by record; legacy monolithic JSON shards are
+    parsed whole (unavoidably) but one shard at a time, so merge memory
+    is bounded by the largest single shard, not their sum.
     """
     if is_store_file(path):
         with open(path, "rb") as handle:
             meta = _read_header(handle)
             if meta["encoding"] == ENCODING_JSONL:
+                current = meta["version"] == FORMAT_VERSION
                 for record, _, line in _jsonl_lines(handle):
-                    if not line.endswith(b"}\n"):
+                    if not current:
+                        line = record_line(record)
+                    elif not line.endswith(b"}\n"):
                         line = line.rstrip() + b"\n"
                     yield meta["campaign_name"], record, line
                 return
@@ -1085,11 +1122,12 @@ def merge_store_files(
     record (plus one legacy shard, if any input is monolithic JSON) held
     in memory.  Every record is decoded once, so one that parses but is
     not a valid outcome (ragged frame columns, say) fails the merge
-    before any output is written.  jsonl shard lines are spilled as the
-    bytes read.  Pass 2 re-reads the spill by offset in final order
-    (``spec`` order when given, else first occurrence) and writes the
-    negotiated encoding atomically: a jsonl output copies the spill lines
-    one at a time and the Arrow output re-encodes them.
+    before any output is written.  Current-version jsonl shard lines are
+    spilled as the bytes read; version-1 lines are re-sealed first.
+    Pass 2 re-reads the spill by offset in final order (``spec`` order
+    when given, else first occurrence) and writes the negotiated encoding
+    atomically: a jsonl output copies the spill lines one at a time and
+    the Arrow output re-encodes them.
     """
     if not paths:
         raise ConfigurationError("merge needs at least one result store")

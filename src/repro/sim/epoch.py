@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import starmap
 from operator import attrgetter, itemgetter
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
 
 from repro._compat import SLOTS
 from repro.errors import SimulationError
@@ -116,6 +117,42 @@ FRAME_COLUMN_NAMES: Tuple[str, ...] = (
     "explored",
 )
 
+#: The float columns of :class:`FrameColumns`: each is held as an
+#: ``array('d')`` whenever :func:`float_column` allows it.
+FLOAT_COLUMN_NAMES: Tuple[str, ...] = (
+    "frequency_mhz",
+    "busy_time_s",
+    "overhead_time_s",
+    "frame_time_s",
+    "interval_s",
+    "deadline_s",
+    "energy_j",
+    "average_power_w",
+    "measured_power_w",
+    "temperature_c",
+)
+
+
+def float_column(values: Iterable[Any]) -> Union[array, list]:
+    """``values`` as an ``array('d')`` when it may be one, else as a list.
+
+    The one rule for the type of a float column: a column becomes an
+    ``array('d')`` exactly when it is non-empty and every value is an
+    exact ``float``.  Any other column (empty, or holding an int, a bool
+    or a float subclass) stays a list, so its values keep their types.
+    The result store packs a column by the same rule
+    (:mod:`repro.campaign.store`), so the two never disagree.  A
+    non-empty ``array('d')`` is adopted without a copy; anything else is
+    copied.
+    """
+    if type(values) is array and values.typecode == "d":
+        return values if values else []
+    values = list(values)
+    if values and set(map(type, values)) == {float}:
+        return array("d", values)
+    return values
+
+
 #: Read a frame dict's / a record's values as one row in
 #: :data:`FRAME_COLUMN_NAMES` order.
 _dict_row = itemgetter(*FRAME_COLUMN_NAMES)
@@ -149,13 +186,21 @@ class FrameColumns:
     dicts are gathered back with :meth:`from_dicts`, so a save/load round
     trip allocates no ``FrameRecord`` either.
 
-    Columns are stored as lists of native Python scalars (``cycles_per_core``
-    as a list of per-core tuples), which keeps the container picklable for
-    the campaign process-pool backend and keeps ``sum()``/comparison
-    semantics bit-identical to iterating materialised records.
+    The ten float columns (:data:`FLOAT_COLUMN_NAMES`) are ``array('d')``
+    whenever :func:`float_column` allows it: non-empty and every value an
+    exact ``float``.  An array holds each value in 8 bytes, where a list
+    of floats spends 32 (a pointer plus a boxed ``float``).  The others
+    are lists: ``index``, ``operating_index`` and ``explored`` of native
+    scalars, ``cycles_per_core`` of per-core tuples, and a float column
+    holding an int or a bool, whose values keep their types.  Both forms
+    pickle (the campaign process-pool backend), and iterating or
+    ``sum()``-ing either yields the same Python floats in the same order
+    as iterating materialised records.  An array never equals a list
+    under ``==``; :class:`~repro.sim.results.SimulationResult` equality
+    compares the values.
 
     A deferred instance (:meth:`from_deferred`) postpones even building the
-    lists: a lazily loaded result store decodes a record's frames only
+    columns: a lazily loaded result store decodes a record's frames only
     when a column is first read, so consumers that never touch a result's
     columns (summaries from cached metrics) never pay the decode.  The
     laziness is invisible: every accessor, ``len()``, pickling and record
@@ -183,17 +228,17 @@ class FrameColumns:
     ) -> None:
         self.index = list(index)
         self.operating_index = list(operating_index)
-        self.frequency_mhz = list(frequency_mhz)
+        self.frequency_mhz = float_column(frequency_mhz)
         self.cycles_per_core = list(cycles_per_core)
-        self.busy_time_s = list(busy_time_s)
-        self.overhead_time_s = list(overhead_time_s)
-        self.frame_time_s = list(frame_time_s)
-        self.interval_s = list(interval_s)
-        self.deadline_s = list(deadline_s)
-        self.energy_j = list(energy_j)
-        self.average_power_w = list(average_power_w)
-        self.measured_power_w = list(measured_power_w)
-        self.temperature_c = list(temperature_c)
+        self.busy_time_s = float_column(busy_time_s)
+        self.overhead_time_s = float_column(overhead_time_s)
+        self.frame_time_s = float_column(frame_time_s)
+        self.interval_s = float_column(interval_s)
+        self.deadline_s = float_column(deadline_s)
+        self.energy_j = float_column(energy_j)
+        self.average_power_w = float_column(average_power_w)
+        self.measured_power_w = float_column(measured_power_w)
+        self.temperature_c = float_column(temperature_c)
         self.explored = list(explored)
         length = len(self.index)
         for name in FRAME_COLUMN_NAMES:
@@ -208,9 +253,11 @@ class FrameColumns:
         """Defer column construction until a column is first read.
 
         ``loader()`` must return a mapping with one entry per
-        :data:`FRAME_COLUMN_NAMES` name, each an equal-length list that
+        :data:`FRAME_COLUMN_NAMES` name, each an equal-length column that
         the caller owns outright and never mutates afterwards (the columns
-        are adopted without a copy or re-validation).  It runs at most
+        are adopted without a copy or re-validation).  Each float column
+        must already have the type :func:`float_column` gives it: an
+        ``array('d')`` when non-empty and all exact floats, else a list.  It runs at most
         once — on the first column access (or on pickling) every column is
         filled in and the instance becomes indistinguishable from an eager
         one, with zero per-access overhead from then on.

@@ -42,7 +42,8 @@ the scalar engine remains the universal fallback.  The rule itself lives in
 
 from __future__ import annotations
 
-from typing import List, Sequence, TYPE_CHECKING
+from array import array
+from typing import List, Sequence, TYPE_CHECKING, Union
 
 try:  # NumPy is optional: without it every run takes the scalar engine.
     import numpy as _np
@@ -105,11 +106,23 @@ def simulate_schedule(
         )
 
     # -- trace arrays ---------------------------------------------------------
+    # The result's cycles_per_core shares each frame's own tuple when it
+    # already is the row the array holds (num_cores exact floats); any
+    # other row is read back from the array, as floats.
     cycles = np.empty((num_frames, num_cores), dtype=np.float64)
     deadlines = np.empty(num_frames, dtype=np.float64)
+    cycles_per_core = []
     for row, frame in enumerate(application):
-        cycles[row] = frame.cycles_per_core(num_cores)
+        frame_cycles = frame.cycles_per_core(num_cores)
+        cycles[row] = frame_cycles
         deadlines[row] = frame.deadline_s
+        if not (
+            type(frame_cycles) is tuple
+            and len(frame_cycles) == num_cores
+            and set(map(type, frame_cycles)) == {float}
+        ):
+            frame_cycles = tuple(cycles[row].tolist())
+        cycles_per_core.append(frame_cycles)
 
     points = table.points
     seconds_per_cycle = np.array([p.seconds_per_cycle for p in points])
@@ -178,16 +191,16 @@ def simulate_schedule(
     columns = FrameColumns(
         index=list(range(num_frames)),
         operating_index=index_list,
-        frequency_mhz=frequency_mhz[indices].tolist(),
-        cycles_per_core=[tuple(row) for row in cycles.tolist()],
-        busy_time_s=busy_max.tolist(),
-        overhead_time_s=overheads.tolist(),
-        frame_time_s=frame_times.tolist(),
-        interval_s=durations.tolist(),
-        deadline_s=deadlines.tolist(),
-        energy_j=energies.tolist(),
-        average_power_w=average_powers.tolist(),
-        measured_power_w=list(measured),
+        frequency_mhz=float_column_of(frequency_mhz[indices]),
+        cycles_per_core=cycles_per_core,
+        busy_time_s=float_column_of(busy_max),
+        overhead_time_s=float_column_of(overheads),
+        frame_time_s=float_column_of(frame_times),
+        interval_s=float_column_of(durations),
+        deadline_s=float_column_of(deadlines),
+        energy_j=float_column_of(energies),
+        average_power_w=float_column_of(average_powers),
+        measured_power_w=measured,
         temperature_c=[temperature_c] * num_frames,
         explored=[False] * num_frames,
     )
@@ -230,6 +243,21 @@ def simulate_schedule(
     result.exploration_count = governor.exploration_count
     result.converged_epoch = governor.converged_epoch
     return result
+
+
+def float_column_of(values) -> Union[array, list]:
+    """A 1-D ndarray as a frame column, without boxing a float.
+
+    A float64 array is copied from its buffer into an ``array('d')``:
+    every value is an exact float, so :func:`~repro.sim.epoch.float_column`
+    keeps it an array.  Any other dtype goes through ``tolist()`` and
+    keeps its Python types (an int column stays ints).
+    """
+    if values.dtype != _np.float64:
+        return values.tolist()
+    column = array("d")
+    column.frombytes(memoryview(_np.ascontiguousarray(values)).cast("B"))
+    return column
 
 
 def _sync_cluster(

@@ -47,6 +47,9 @@ def summarize_result(result: "SimulationResult") -> MetricsSummary:
     """Compute a :class:`MetricsSummary` for a whole simulation result.
 
     Reads the result's columns and never materialises a ``FrameRecord``.
+    ``np.asarray`` of an ``array('d')`` column is a zero-copy view of its
+    buffer; a list column is copied, as before.  Either way the values and
+    the summation order are the same.
     """
     num = result.num_frames
     if num == 0:

@@ -22,6 +22,13 @@ from repro.errors import SimulationError
 from repro.sim.epoch import DEADLINE_TOLERANCE_S, FRAME_COLUMN_NAMES, FrameColumns, FrameRecord
 
 
+def _same_column(mine: Sequence[Any], theirs: Sequence[Any]) -> bool:
+    """Value equality of two columns, whether each is a list or an ``array('d')``."""
+    if type(mine) is type(theirs):
+        return mine == theirs
+    return list(mine) == list(theirs)
+
+
 class SimulationResult:
     """Complete outcome of running one governor over one application.
 
@@ -34,7 +41,7 @@ class SimulationResult:
     columns:
         The run's per-frame data, one :class:`~repro.sim.epoch.FrameColumns`
         column per :class:`~repro.sim.epoch.FrameRecord` field.  Callers
-        must not mutate the column lists.
+        must not mutate the columns.
     records:
         One :class:`~repro.sim.epoch.FrameRecord` per decision epoch, built
         from the columns as a new tuple on every access.  It is a snapshot:
@@ -197,17 +204,28 @@ class SimulationResult:
 
     # -- slicing ------------------------------------------------------------------------
     def window(self, first_frame: int, last_frame: Optional[int] = None) -> "SimulationResult":
-        """A copy restricted to frames ``[first_frame, last_frame)`` (for phase analysis)."""
-        subset = [
-            r
-            for r in self.records
-            if r.index >= first_frame and (last_frame is None or r.index < last_frame)
+        """A copy restricted to frames ``[first_frame, last_frame)`` (for phase analysis).
+
+        Keeps, in order, the frames whose ``index`` value lies in the range,
+        by slicing each column; no ``FrameRecord`` is built.
+        """
+        columns = self._columns
+        keep = [
+            position
+            for position, index in enumerate(columns.index)
+            if index >= first_frame and (last_frame is None or index < last_frame)
         ]
+        contiguous = bool(keep) and keep[-1] - keep[0] + 1 == len(keep)
+        rows = slice(keep[0], keep[-1] + 1) if contiguous else None
+        subset = {}
+        for name in FRAME_COLUMN_NAMES:
+            column = getattr(columns, name)
+            subset[name] = column[rows] if contiguous else [column[i] for i in keep]
         return SimulationResult(
             governor_name=self.governor_name,
             application_name=self.application_name,
             reference_time_s=self.reference_time_s,
-            records=subset,
+            columns=FrameColumns(**subset),
             exploration_count=self.exploration_count,
             converged_epoch=self.converged_epoch,
             engine_used=self.engine_used,
@@ -225,7 +243,7 @@ class SimulationResult:
             and self.exploration_count == other.exploration_count
             and self.converged_epoch == other.converged_epoch
             and all(
-                getattr(mine, name) == getattr(theirs, name)
+                _same_column(getattr(mine, name), getattr(theirs, name))
                 for name in FRAME_COLUMN_NAMES
             )
         )

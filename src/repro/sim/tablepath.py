@@ -189,7 +189,8 @@ def simulate_closed_loop(
     exploration_frozen = governor.exploration_frozen
     transitions: List[DVFSTransition] = []
 
-    # Column accumulators (lists of native scalars; see FrameColumns).
+    # Column accumulators: lists of native scalars, which FrameColumns turns
+    # into array('d') columns where every value is a float.
     col_opp: List[int] = []
     col_busy: List[float] = []
     col_overhead: List[float] = []
@@ -343,13 +344,13 @@ def simulate_closed_loop(
     columns = FrameColumns(
         index=list(range(num_frames)),
         operating_index=col_opp,
-        frequency_mhz=frequencies_mhz[indices].tolist(),
+        frequency_mhz=fastpath.float_column_of(frequencies_mhz[indices]),
         cycles_per_core=cycles_tuples,
         busy_time_s=col_busy,
         overhead_time_s=col_overhead,
-        frame_time_s=(busy_arr + overhead_arr).tolist(),
+        frame_time_s=fastpath.float_column_of(busy_arr + overhead_arr),
         interval_s=col_duration,
-        deadline_s=deadlines,
+        deadline_s=fastpath.float_column_of(tables.deadlines_s),
         energy_j=col_energy,
         average_power_w=col_power,
         measured_power_w=col_measured,

@@ -503,7 +503,7 @@ class TestServiceIntegration:
         records = [json.loads(line) for line in lines]
         for record in records:
             frames = result_store._unpacked_frames(record["result"]["frames"])
-            record["result"]["frames"] = frames
+            record["result"]["frames"] = result_store._listed(frames)
         with open(sidecar, "wb") as handle:
             handle.write(header.replace(b'"version": 2', b'"version": 1'))
             handle.writelines(

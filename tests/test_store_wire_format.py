@@ -74,11 +74,12 @@ PACKED_SHA256 = {
 }
 
 #: sha256 of the ``--spec`` merge of shard 0 in each layout with the
-#: current shard 1, for every ``--store``: lines are copied as read, so
-#: each keeps its layout under the current header.
+#: current shard 1, for every ``--store``: a version-1 line is re-sealed
+#: (frames packed, digest recomputed), so every layout merges to the bytes
+#: of a current merge.
 MIXED_LAYOUT_SHA256 = {
-    "v1": "4b7230a2009942052508d3bb8e1a9624da1246e5dd694dee3a78ded07112f14f",
-    "text": "ac6beb7aa506828edd559d936f799175d88b110e87cf65b7f3b2300822495e04",
+    "v1": PACKED_SHA256["merged.store"],
+    "text": PACKED_SHA256["merged.store"],
     "packed": PACKED_SHA256["merged.store"],
 }
 
@@ -326,3 +327,29 @@ class TestOldLayout:
         assert cli_main(argv + ["--checkpoint", str(old), "--quiet"]) == 0
         assert headers and set(headers) == {result_store.FORMAT_VERSION}
         assert old.read_bytes() == (wire_dir / "shard0.store").read_bytes()
+
+    @pytest.mark.parametrize("layout", sorted(OLD_LAYOUT_FILES))
+    def test_merge_reseals_version_1_lines(self, wire_dir, layouts, tmp_path, layout):
+        spec = CampaignSpec.load(str(wire_dir / "spec.json"))
+        shards = [layouts[layout], wire_dir / "shard1.store"]
+        merged = tmp_path / "merged.store"
+        result_store.merge_store_files(
+            [str(path) for path in shards], str(merged), spec=spec, store="json"
+        )
+        records = [r for r, _ in result_store.StoreReader(str(merged)).iter_records()]
+        assert len(records) == len(spec.scenarios)
+        # Every line answers for itself: its stored digest is its content's.
+        assert [r["digest"] for r in records] == [
+            result_store.record_digest(r) for r in records
+        ]
+        inputs = {
+            outcome.scenario_id: outcome
+            for path in shards
+            for outcome in CampaignResult.load(str(path))
+        }
+        for outcome in CampaignResult.load(str(merged)):
+            source = inputs[outcome.scenario_id]
+            assert outcome.result == source.result, outcome.label
+            assert (outcome.status, outcome.metrics) == (source.status, source.metrics)
+        # Re-sealed, the lines are the bytes a merge of current shards writes.
+        assert merged.read_bytes() == (wire_dir / "merged.store").read_bytes()

@@ -340,7 +340,7 @@ class TestColumnarResults:
         assert result.records is not records
         assert result.records == records
         assert result.columns is columns
-        assert [r.energy_j for r in records] == columns.energy_j
+        assert [r.energy_j for r in records] == list(columns.energy_j)
 
     def test_json_round_trip(self):
         result = self._table_result(20)
