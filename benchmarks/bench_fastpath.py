@@ -2,9 +2,11 @@
 
 Four measurements, matching the tiers of the performance work:
 
-* **Vectorised fast path**: every static-schedule governor (performance,
-  powersave, userspace, oracle) across the paper's application traces,
-  scalar engine vs :mod:`repro.sim.fastpath`.  Each pair is also checked
+* **Static-schedule fast path** (the ``vectorized_fast_path`` section,
+  named for the numpy kernel it once timed): every static-schedule
+  governor (performance, powersave, userspace, oracle) across the paper's
+  application traces, scalar engine vs the plain-Python whole-trace
+  engine in :mod:`repro.sim.fastpath`.  Each pair is also checked
   for numerical equivalence (energy within 1e-9 relative, identical
   deadline-miss sets) so a speedup can never be bought with wrong numbers.
 * **Table-driven closed loop**: the closed-loop governors the paper
@@ -177,7 +179,7 @@ def _check_equivalence(scalar, fast) -> Dict[str, object]:
 
 
 def bench_vectorized(num_frames: int, repeats: int = 3) -> List[Dict[str, object]]:
-    """Scalar vs vectorised engine across the static-schedule grid."""
+    """Scalar vs static-schedule engine across the static-schedule grid."""
     rows: List[Dict[str, object]] = []
     for app_name, app_factory in APPLICATIONS.items():
         application = app_factory(num_frames=num_frames, seed=11)

@@ -6,9 +6,8 @@ interpreters.  Slotted frozen dataclasses only pickle correctly from Python
 3.11 onward (needed by the campaign process-pool backend), so the flag is
 gated on 3.11 rather than 3.10 where the keyword first appeared.
 
-``HAVE_NUMBA`` mirrors the numpy-optional pattern used throughout the
-engines: a one-time import probe that downstream modules (and tests, via
-monkeypatching) consult instead of importing numba themselves.  The
+``HAVE_NUMBA`` is a one-time import probe that downstream modules (and
+tests, via monkeypatching) consult instead of importing numba themselves.  The
 ``REPRO_DISABLE_JIT`` environment variable is a kill-switch read *per call*
 by :func:`jit_disabled`, so an operator can turn the compiled path off for
 a single process without reinstalling anything.

@@ -51,7 +51,7 @@ from dataclasses import replace
 from typing import List, Optional, Sequence, Tuple
 
 # Shared by every subcommand; what only one subcommand runs (the executor
-# with its engines, governors and numpy; the distributed service with its
+# with its engines and governors; the distributed service with its
 # HTTP stack) is imported at the top of that subcommand's handler, before
 # it parses arguments, so ``merge`` never loads an engine and no run loads
 # the service.

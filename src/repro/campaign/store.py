@@ -22,9 +22,9 @@ Two encodings share that framing:
     qualify stays a JSON list: the int and bool columns, a float column
     holding an int or a bool, ragged ``cycles_per_core`` rows, and empty
     columns.  Pure stdlib, and the default: ``--store json`` names it,
-    and ``auto``/``arrow`` fall back to it on pyarrow-less installs,
-    mirroring the numpy-optional pattern in :mod:`repro._compat`.  Each
-    line is one ``json.dumps`` of the packed record without
+    and ``auto``/``arrow`` fall back to it on pyarrow-less installs, as
+    the engines drop ``jitpath`` on numba-less ones (:mod:`repro._compat`).
+    Each line is one ``json.dumps`` of the packed record without
     ``metrics``/``digest`` (sorted keys, compact separators), closed by
     the ``metrics`` summary and the ``digest`` of those same bytes
     (:func:`encode_line`).  Packed columns are decoded only where frames
@@ -231,13 +231,18 @@ def _pack_floats(values: Sequence[float]) -> str:
 def _unpack_floats(text: str) -> array:
     """Inverse of :func:`_pack_floats`; ``ValueError`` on malformed input.
 
-    Returns the ``array('d')`` the bytes were decoded into, so no float
-    is boxed.  Bad base64 raises ``binascii.Error`` (a ``ValueError``),
-    and so does ``frombytes`` on a byte length that is not a multiple
-    of 8.
+    Returns the ``array('d')`` the bytes were copied into, so no float is
+    boxed.  The array is allocated at its exact size and filled through a
+    byte view (``frombytes`` would over-allocate it by about 1/16).  Bad
+    base64 raises ``binascii.Error`` (a ``ValueError``), and so does a
+    byte length that is not a multiple of 8.
     """
-    values = array("d")
-    values.frombytes(base64.b64decode(text, validate=True))
+    raw = base64.b64decode(text, validate=True)
+    count, remainder = divmod(len(raw), 8)
+    if remainder:
+        raise ValueError("bytes length not a multiple of item size")
+    values = array("d", [0.0]) * count
+    memoryview(values).cast("B")[:] = raw
     if _BYTESWAP:
         values.byteswap()
     return values

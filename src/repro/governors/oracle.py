@@ -60,20 +60,15 @@ class OracleGovernor(Governor):
 
         Per-frame this is exactly :meth:`decide` on the hint the engine
         would pass: ``lowest_index_meeting`` over the guard-banded deadline,
-        so the vectorised fast path chooses bit-identical operating points.
+        so the static-schedule fast path chooses bit-identical operating points.
         """
         table = self.platform.vf_table
         num_cores = self.platform.num_cores
         margin = 1.0 - self.guard_band
-        max_cycles = [max(frame.cycles_per_core(num_cores)) for frame in application]
-        deadlines = [frame.deadline_s * margin for frame in application]
-        try:
-            return table.lowest_indices_meeting(max_cycles, deadlines)
-        except ImportError:  # pragma: no cover - numpy-less installs
-            return [
-                table.lowest_index_meeting(cycles, deadline)
-                for cycles, deadline in zip(max_cycles, deadlines)
-            ]
+        return [
+            table.lowest_index_meeting(max(cycles), frame.deadline_s * margin)
+            for cycles, frame in zip(application.cycles_per_core(num_cores), application)
+        ]
 
     def describe(self) -> str:
         return "oracle: slowest deadline-meeting operating point with perfect knowledge"

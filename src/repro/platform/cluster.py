@@ -12,6 +12,7 @@ operating point and tell me how long it took and how much energy it cost*.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -60,8 +61,10 @@ class WorkloadTable:
     frame by frame, so the table precomputes everything *except* the
     leakage-temperature coupling:
 
-    * the timing tables (critical-path busy time and interval per (frame,
-      point) pair), which are temperature-independent;
+    * the timing inputs, which are temperature-independent: each frame's
+      largest per-core demand (``max_cycles``) and deadline, and each
+      point's seconds per cycle, whose product is the frame's critical-path
+      busy time at that point;
     * the power decomposition of :func:`_power_decomposition`, which reduces
       per-frame power evaluation to one ``math.exp`` shared by every
       operating point, so leakage is always evaluated at the exact
@@ -88,11 +91,9 @@ class WorkloadTable:
         "seconds_per_cycle",
         "frequencies_hz",
         "frequencies_mhz",
-        "cycles",
         "cycles_tuples",
         "max_cycles",
         "deadlines_s",
-        "interval",
         "dynamic_busy_w",
         "dynamic_idle_w",
         "leak_scale_a",
@@ -420,17 +421,14 @@ class Cluster:
         For a trace of ``num_frames`` frames (``cycles_per_core[frame]`` is
         the per-core cycle demand, ``deadlines_s[frame]`` the minimum
         interval when ``idle_until_deadline``), the table carries the
-        temperature-independent timing per (frame, operating point) pair
-        plus the power decomposition that reduces per-frame power
+        temperature-independent timing inputs (each frame's largest demand
+        and deadline, each point's seconds per cycle) plus the power
+        decomposition that reduces per-frame power
         evaluation to a single ``math.exp`` (see
-        :func:`_power_decomposition`).  Requires NumPy; valid whether or
-        not the thermal model is enabled (the consuming engine mirrors the
-        live model's behaviour either way).
+        :func:`_power_decomposition`).  Valid whether or not the thermal
+        model is enabled (the consuming engine mirrors the live model's
+        behaviour either way).
         """
-        try:
-            import numpy as np
-        except ImportError as exc:  # pragma: no cover - numpy-less installs
-            raise PlatformError("execute_workload_table requires numpy") from exc
         num_frames = len(cycles_per_core)
         if num_frames != len(deadlines_s):
             raise PlatformError("cycles_per_core and deadlines_s must have equal length")
@@ -442,18 +440,6 @@ class Cluster:
                     f"got {len(row)} per-core demands for a {num_cores}-core cluster"
                 )
         points = self.vf_table.points
-        cycles = np.asarray(cycles_tuples, dtype=np.float64).reshape(num_frames, num_cores)
-        deadlines = np.asarray(deadlines_s, dtype=np.float64)
-        seconds_per_cycle = np.array([p.seconds_per_cycle for p in points])
-        # Critical-path time is max_cycles x seconds_per_cycle: identical to
-        # the max over per-core products, because multiplying by a positive
-        # constant is monotonic under IEEE rounding.
-        max_cycles = cycles.max(axis=1) if num_frames else np.zeros(0)
-        busy_time = max_cycles[:, None] * seconds_per_cycle[None, :]
-        if idle_until_deadline:
-            interval = np.maximum(busy_time, deadlines[:, None])
-        else:
-            interval = busy_time.copy()
         params = self.power_model.parameters
         thermal = self.thermal_model.parameters
         dynamic_busy, dynamic_idle, leak_scale, voltages = _power_decomposition(
@@ -466,14 +452,15 @@ class Cluster:
             idle_until_deadline=idle_until_deadline,
             idle_at_min_opp=self.idle_at_min_opp,
             uncore_power_w=params.uncore_power_w,
-            seconds_per_cycle=list(seconds_per_cycle.tolist()),
+            seconds_per_cycle=[p.seconds_per_cycle for p in points],
             frequencies_hz=self.vf_table.frequencies_hz,
             frequencies_mhz=[p.frequency_mhz for p in points],
-            cycles=cycles,
             cycles_tuples=cycles_tuples,
-            max_cycles=max_cycles.tolist(),
-            deadlines_s=deadlines,
-            interval=interval,
+            # Critical-path time is max_cycles x seconds_per_cycle: identical
+            # to the max over per-core products, because multiplying by a
+            # positive constant is monotonic under IEEE rounding.
+            max_cycles=[max(row) for row in cycles_tuples],
+            deadlines_s=array("d", deadlines_s),
             dynamic_busy_w=dynamic_busy,
             dynamic_idle_w=dynamic_idle,
             leak_scale_a=leak_scale,
@@ -489,9 +476,9 @@ class Cluster:
     def advance_time(self, duration_s: float) -> None:
         """Advance the cluster clock by ``duration_s`` without executing work.
 
-        Used by the vectorised fast path, which accounts energy and PMU
-        activity in aggregate and then moves the clock once for the whole
-        trace.
+        Used by the engines that bypass the cluster model, which account
+        energy and PMU activity in aggregate and then move the clock once
+        for the whole trace (:func:`repro.sim.fastpath.sync_cluster`).
         """
         if duration_s < 0:
             raise PlatformError(f"duration must be non-negative, got {duration_s}")

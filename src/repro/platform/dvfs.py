@@ -141,9 +141,9 @@ class DVFSActuator:
     ) -> None:
         """Append externally computed transition records and set the final point.
 
-        Used by the vectorised fast path, which derives the per-frame
-        transitions of a pre-computed schedule in array form rather than
-        through per-frame :meth:`request` calls, then hands the records over
+        Used by the engines that bypass the cluster model, which derive the
+        per-frame transitions of a run rather than making per-frame
+        :meth:`request` calls, then hand the records over
         so ``transition_count`` / ``total_transition_*`` report the same
         values a scalar run would.
         """

@@ -15,12 +15,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import islice, repeat
+from operator import ge, mul, sub, truediv
 from typing import List, Optional, Sequence
-
-try:  # NumPy accelerates whole-trace measurement; optional.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on numpy-less installs
-    _np = None  # type: ignore[assignment]
 
 from repro._compat import SLOTS
 from repro.errors import ConfigurationError
@@ -107,33 +104,41 @@ class PowerSensor:
         """Measure a whole trace of (power, timestamp) pairs, in order.
 
         Semantically identical to calling :meth:`measure` once per pair;
-        the vectorised fast path uses it to step the sensor through a
+        the static-schedule fast path uses it to step the sensor through a
         pre-computed trace.  When no noise is configured, no previous
-        conversion is pending and every timestamp gap is at least one
-        sample period (so holdover can never trigger), the whole trace is
-        quantised in one NumPy pass — both NumPy and Python ``round`` use
-        round-half-even, so the readings are bit-identical to the scalar
-        loop.
+        conversion is pending, no power is negative and every timestamp gap
+        is at least one sample period (so holdover can never trigger), each
+        reading is :meth:`measure_w`'s quantisation of its power alone, so
+        the whole trace is quantised in one pass with the same expression.
         """
         if len(true_powers_w) != len(timestamps_s):
             raise ValueError("true_powers_w and timestamps_s must have equal length")
         if len(true_powers_w) == 0:  # len(), not truthiness: arrays are valid input
             return []
-        if _np is not None and self.noise_stddev_w == 0 and self._last_time_s is None:
-            powers = _np.asarray(true_powers_w, dtype=float)
-            times = _np.asarray(timestamps_s, dtype=float)
-            no_holdover = (
-                times.size < 2 or float(_np.diff(times).min()) >= self.sample_period_s
+        if (
+            self.noise_stddev_w == 0
+            and self._last_time_s is None
+            and min(true_powers_w) >= 0
+            and all(
+                map(
+                    ge,
+                    map(sub, islice(timestamps_s, 1, None), timestamps_s),
+                    repeat(self.sample_period_s),
+                )
             )
-            if no_holdover and float(powers.min()) >= 0:
-                measured = powers
-                if self.resolution_w > 0:
-                    measured = _np.round(measured / self.resolution_w) * self.resolution_w
-                measured = _np.maximum(measured, 0.0)
-                out = measured.tolist()
-                self._last_time_s = float(times[-1])
-                self._last_power_w = out[-1]
-                return out
+        ):
+            resolution = self.resolution_w
+            if resolution > 0:
+                # round(power / resolution) * resolution, as measure_w does.
+                # A non-negative power rounds to a non-negative int step, so
+                # measure_w's floor at 0.0 never changes a reading here.
+                steps = map(round, map(truediv, true_powers_w, repeat(resolution)))
+                out = list(map(mul, steps, repeat(resolution)))
+            else:
+                out = list(map(max, repeat(0.0), true_powers_w))
+            self._last_time_s = timestamps_s[-1]
+            self._last_power_w = out[-1]
+            return out
         return [
             self.measure_w(power, timestamp)
             for power, timestamp in zip(true_powers_w, timestamps_s)

@@ -31,8 +31,8 @@ class OperatingPoint:
         Precomputed ``1 / frequency_hz``.  Cycle-to-time conversion happens
         once per core per frame in the simulator's inner loop, so the
         reciprocal is hoisted here and :meth:`time_for_cycles` reduces to a
-        single multiply; the vectorised fast path uses the same constant so
-        both engines perform the identical IEEE operation.
+        single multiply; the table and static-schedule engines use the same
+        constant so every engine performs the identical IEEE operation.
     """
 
     frequency_hz: float
@@ -170,25 +170,6 @@ class VFTable:
         # table is sorted ascending); this runs once per frame per
         # operating-point evaluation in the Oracle's schedule computation.
         return min(bisect_left(self._frequencies, required_hz), len(self._points) - 1)
-
-    def lowest_indices_meeting(
-        self, cycles: Sequence[float], deadlines_s: Sequence[float]
-    ) -> List[int]:
-        """Vectorised :meth:`lowest_index_meeting` over parallel sequences.
-
-        Requires NumPy (raises ImportError without it); ``searchsorted`` with
-        ``side='left'`` performs the identical binary search per element, so
-        the returned indices are bit-identical to per-frame scalar calls.
-        """
-        import numpy as np
-
-        cycle_array = np.asarray(cycles, dtype=float)
-        deadline_array = np.asarray(deadlines_s, dtype=float)
-        if deadline_array.size and float(deadline_array.min()) <= 0:
-            raise ValueError("deadlines must be positive")
-        required_hz = cycle_array / deadline_array
-        indices = np.searchsorted(self._frequencies, required_hz, side="left")
-        return np.minimum(indices, len(self._points) - 1).tolist()
 
     def nearest_index_for_frequency(self, frequency_hz: float) -> int:
         """Index of the slowest point at least as fast as ``frequency_hz``.

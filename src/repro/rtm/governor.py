@@ -208,8 +208,8 @@ class Governor(ABC):
         (the pinned Linux policies, or the Oracle with its perfect per-frame
         knowledge) can compute its entire schedule from the application
         alone.  Returning that schedule lets the simulation engine replace
-        the frame-by-frame closed loop with the NumPy-vectorised trace
-        engine in :mod:`repro.sim.fastpath`.
+        the frame-by-frame closed loop with the static-schedule engine in
+        :mod:`repro.sim.fastpath`.
 
         Closed-loop governors must return ``None`` (the default), which
         keeps them on the scalar engine.  Called after :meth:`setup`.

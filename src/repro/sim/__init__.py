@@ -8,7 +8,7 @@ executes the frame at that point, and the resulting time/energy feed the
 next decision.
 
 Each run executes on the first engine of a fixed four-row ladder that
-accepts it (see :mod:`repro.sim.backends`): the NumPy-vectorised trace
+accepts it (see :mod:`repro.sim.backends`): the static-schedule trace
 engine in :mod:`repro.sim.fastpath` for static-schedule governors, the
 compiled closed-loop kernels in :mod:`repro.sim.jitpath` (when numba is
 installed), the table-driven closed loop with live thermal state in

@@ -3,14 +3,14 @@
 Every simulation run executes on one of four engines, tried in this order
 by ``auto`` negotiation (:data:`ENGINES`):
 
-========= ======== ================ ====== ===== ===========================
-name      thermal  static schedule  tables numpy module
-========= ======== ================ ====== ===== ===========================
-fastpath  no       required         no     yes   :mod:`repro.sim.fastpath`
-jitpath   yes      no               yes    yes   :mod:`repro.sim.jitpath`
-tablepath yes      no               yes    yes   :mod:`repro.sim.tablepath`
-scalar    yes      no               no     no    :mod:`repro.sim.scalarpath`
-========= ======== ================ ====== ===== ===========================
+========= ======== ================ ====== ===========================
+name      thermal  static schedule  tables module
+========= ======== ================ ====== ===========================
+fastpath  no       required         no     :mod:`repro.sim.fastpath`
+jitpath   yes      no               yes    :mod:`repro.sim.jitpath`
+tablepath yes      no               yes    :mod:`repro.sim.tablepath`
+scalar    yes      no               no     :mod:`repro.sim.scalarpath`
+========= ======== ================ ====== ===========================
 
 :func:`rejection_reason` holds every rule of that table in one place and
 says, for one engine and one request, why the engine declines (``None``
@@ -20,10 +20,12 @@ engine and reports its reason as a clear
 :class:`~repro.errors.SimulationError`.  :func:`run` dispatches the request
 to the chosen engine.
 
-``jitpath`` only negotiates when numba is importable (the ``jit`` packaging
-extra) and the ``REPRO_DISABLE_JIT`` kill-switch is unset; the module is
-imported only once that probe passes, so without numba it is never loaded
-and negotiation behaves exactly as if it did not exist.
+``jitpath`` only negotiates when numba and numpy are importable (the
+``jit`` packaging extra) and the ``REPRO_DISABLE_JIT`` kill-switch is
+unset; the module is imported only once numba is found, so without numba
+it is never loaded and negotiation behaves exactly as if it did not exist.
+The other three engines are plain Python: without numpy they negotiate
+exactly as with it.
 
 ``scalar`` is the reference implementation every other engine is
 validated against; it accepts every request.
@@ -102,11 +104,10 @@ def _jitpath():
 def rejection_reason(name: str, request: EngineRequest) -> Optional[str]:
     """Why engine ``name`` cannot run ``request``, or ``None`` if it can.
 
-    Each engine's numpy requirement is read from its own module's ``_np``
-    import slot, so monkeypatching e.g. ``tablepath._np`` to ``None``
-    rejects exactly that engine and no other.
+    ``jitpath``'s numpy requirement is read from its module's ``_np``
+    import slot, so monkeypatching ``jitpath._np`` to ``None`` rejects it.
     """
-    if name == SCALAR:
+    if name in (SCALAR, TABLEPATH):
         return None
     if name == JITPATH:
         if not _compat.HAVE_NUMBA or _compat.jit_disabled():
@@ -115,27 +116,21 @@ def rejection_reason(name: str, request: EngineRequest) -> Optional[str]:
                 "(numba not importable, or REPRO_DISABLE_JIT set)"
             )
         module = _jitpath()
-    elif name == FASTPATH:
-        module = fastpath
-    elif name == TABLEPATH:
-        module = tablepath
-    else:
-        raise _unknown_engine(name)
-    if module._np is None:
-        return "requires numpy, which is not importable"
-    if name == JITPATH:
+        if module._np is None:
+            return "requires numpy, which is not importable"
         return module.unsupported_reason(request.cluster, request.governor)
-    if name == FASTPATH:
-        if request.cluster.thermal_model.enabled:
-            return (
-                "does not support thermally-enabled clusters "
-                "(temperature-dependent leakage)"
-            )
-        if request.static_schedule() is None:
-            return (
-                f"requires a static schedule, which governor "
-                f"{request.governor.name!r} does not expose"
-            )
+    if name != FASTPATH:
+        raise _unknown_engine(name)
+    if request.cluster.thermal_model.enabled:
+        return (
+            "does not support thermally-enabled clusters "
+            "(temperature-dependent leakage)"
+        )
+    if request.static_schedule() is None:
+        return (
+            f"requires a static schedule, which governor "
+            f"{request.governor.name!r} does not expose"
+        )
     return None
 
 

@@ -6,7 +6,7 @@ runs one application under one governor at a time, producing a
 time, energy and governor behaviour.
 
 Each run executes on one of four engines, picked per run from the fixed
-ladder in :mod:`repro.sim.backends`: the vectorised trace engine
+ladder in :mod:`repro.sim.backends`: the static-schedule trace engine
 (``fastpath``), the compiled closed-loop kernels (``jitpath``, when numba
 is installed), the table-driven closed loop with live thermal state
 (``tablepath``) and the universal scalar reference loop (``scalar``).

@@ -1,4 +1,4 @@
-"""NumPy-vectorised trace engine — the simulator's "fast path".
+"""Static-schedule trace engine — the simulator's "fast path".
 
 The scalar engine in :mod:`repro.sim.engine` steps one frame at a time
 because in general the governor's next decision depends on what it observed
@@ -6,57 +6,64 @@ during the previous frame.  For governors whose schedule is knowable up
 front — the pinned Linux policies (``performance``, ``powersave``,
 ``userspace``) and the Oracle's per-frame optimal evaluation — that closed
 loop is pure overhead: every quantity of the run is a function of the frame
-trace and a pre-computed per-frame operating-point schedule, and can be
-evaluated for the whole trace in array form.
+trace and a pre-computed per-frame operating-point schedule, so no governor
+is consulted and no cluster model is stepped.
 
-:func:`simulate_schedule` is that evaluation.  It reproduces the scalar
-engine's numbers to tight tolerance by construction:
+:func:`simulate_schedule` is that evaluation, in plain Python, in one pass
+over the frames with no governor call and no cluster step:
 
 * busy times are ``cycles * seconds_per_cycle`` with the same hoisted
   reciprocal the scalar path multiplies by, so they are bit-identical;
 * per-operating-point busy/idle core powers come from the same
   ``PowerModel.core_power_w`` evaluated at the same (constant) temperature;
+* a frame's energy is ``busy_w * Σbusy + idle_w * Σidle + uncore *
+  interval``, each per-core sum taken in ``numpy.sum``'s pairwise order
+  (:func:`~repro.sim.metrics.pairwise_sum`; left to right below 8 cores),
+  the order the stored results of static scenarios were written in;
 * the stateful power sensor (conversion-period holdover, quantisation,
   seeded noise) is *driven*, not re-implemented: the real
-  :class:`~repro.platform.sensors.PowerSensor` is stepped once per frame
-  with pre-computed true powers and timestamps, so the measurement
-  mechanism — holdover pattern, noise sequence, quantisation — is the
-  scalar engine's own.
+  :class:`~repro.platform.sensors.PowerSensor` measures the pre-computed
+  true powers at their timestamps, so the measurement mechanism — holdover
+  pattern, noise sequence, quantisation — is the scalar engine's own.
 
-The only divergence is float summation order inside a frame's per-core
-energy (vectorised sum vs sequential Python sum), far inside the 1e-9
-relative tolerance the equivalence tests enforce.  Because the sensor
-quantises the (last-bits-different) true average power, a frame whose
-power sits exactly on a quantisation boundary could in principle report
-one resolution step differently; the equivalence tests bound this too.
+The only divergence from the scalar engine is the float summation order
+inside a frame's per-core energy (factored and pairwise vs core by core),
+which can move ``energy_j`` and ``average_power_w`` in the last ulp.
+Because the sensor quantises the (last-bits-different) true average power,
+a frame whose power sits exactly on a quantisation boundary could in
+principle report one resolution step differently; the equivalence tests
+bound this too.
 
-Eligibility: NumPy must be importable and the cluster's thermal model must
-be disabled (the paper's setting) so temperature — and with it leakage
-power — is constant over the trace.  Everything else (idle-at-min-OPP or
-not, deadline padding or not, sensor noise, DVFS transition costs) is
-handled exactly.  Thermally-enabled clusters negotiate to the table-driven
-engine in :mod:`repro.sim.tablepath`, which carries the RC thermal state;
-the scalar engine remains the universal fallback.  The rule itself lives in
+Eligibility: the cluster's thermal model must be disabled (the paper's
+setting) so temperature — and with it leakage power — is constant over the
+trace.  Everything else (idle-at-min-OPP or not, deadline padding or not,
+sensor noise, DVFS transition costs) is handled exactly.
+Thermally-enabled clusters negotiate to the table-driven engine in
+:mod:`repro.sim.tablepath`, which carries the RC thermal state; the scalar
+engine remains the universal fallback.  The rule itself lives in
 :func:`repro.sim.backends.rejection_reason`.
+
+:func:`sync_cluster` leaves a cluster in scalar-equivalent aggregate state
+after a run; every engine that bypasses the cluster model calls it.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import List, Sequence, TYPE_CHECKING, Union
-
-try:  # NumPy is optional: without it every run takes the scalar engine.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on numpy-less installs
-    _np = None  # type: ignore[assignment]
+from functools import partial, reduce
+from itertools import chain
+from operator import add, attrgetter, mul, sub
+from typing import List, Sequence, TYPE_CHECKING, Tuple
 
 from repro.errors import SimulationError
 from repro.platform.dvfs import DVFSTransition
-from repro.sim.epoch import FrameColumns
+from repro.sim.epoch import FrameColumns, float_column
+from repro.sim.metrics import pairwise_sum
 from repro.sim.results import SimulationResult
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.platform.cluster import Cluster
+    from repro.platform.vf_table import VFTable
     from repro.rtm.governor import Governor
     from repro.sim.config import SimulationConfig
     from repro.workload.application import Application
@@ -79,12 +86,9 @@ def simulate_schedule(
     totals, power sensor stepped through every frame, and the DVFS actuator
     holding the same transition history and final index.
     """
-    np = _np
-    if np is None:
-        raise SimulationError("the vectorised fast path requires numpy")
     if cluster.thermal_model.enabled:
         raise SimulationError(
-            "the vectorised fast path requires a disabled thermal model "
+            "the static-schedule fast path requires a disabled thermal model "
             "(temperature-dependent leakage needs the scalar engine)"
         )
     num_frames = application.num_frames
@@ -95,113 +99,122 @@ def simulate_schedule(
             f"static schedule has {len(schedule)} entries for "
             f"{num_frames} frames"
         )
-    table = cluster.vf_table
+    points = cluster.vf_table.points
     num_cores = cluster.num_cores
 
-    indices = np.asarray(schedule, dtype=np.intp)
-    if indices.size and (indices.min() < 0 or indices.max() >= len(table)):
+    indices = list(map(int, schedule))
+    if min(indices) < 0 or max(indices) >= len(points):
         raise SimulationError(
             f"static schedule contains out-of-range operating-point indices "
-            f"(table has {len(table)} points)"
+            f"(table has {len(points)} points)"
         )
 
-    # -- trace arrays ---------------------------------------------------------
+    # -- trace ------------------------------------------------------------------
     # The result's cycles_per_core shares each frame's own tuple when it
-    # already is the row the array holds (num_cores exact floats); any
-    # other row is read back from the array, as floats.
-    cycles = np.empty((num_frames, num_cores), dtype=np.float64)
-    deadlines = np.empty(num_frames, dtype=np.float64)
-    cycles_per_core = []
-    for row, frame in enumerate(application):
-        frame_cycles = frame.cycles_per_core(num_cores)
-        cycles[row] = frame_cycles
-        deadlines[row] = frame.deadline_s
-        if not (
-            type(frame_cycles) is tuple
-            and len(frame_cycles) == num_cores
-            and set(map(type, frame_cycles)) == {float}
-        ):
-            frame_cycles = tuple(cycles[row].tolist())
-        cycles_per_core.append(frame_cycles)
+    # already holds num_cores exact floats; any other row is read as floats.
+    cycles_rows = application.cycles_per_core(num_cores)
+    deadlines = list(map(float, map(attrgetter("deadline_s"), application)))
+    if not (
+        set(map(type, cycles_rows)) == {tuple}
+        and set(map(len, cycles_rows)) == {num_cores}
+        and set(map(type, chain.from_iterable(cycles_rows))) == {float}
+    ):
+        cycles_rows = [_float_row(row, num_cores) for row in cycles_rows]
 
-    points = table.points
-    seconds_per_cycle = np.array([p.seconds_per_cycle for p in points])
-    frequencies_hz = np.asarray(table.frequencies_hz)
-
-    # -- per-operating-point power tables (constant temperature) --------------
+    # -- per-operating-point constants (constant temperature) ------------------
     temperature_c = cluster.thermal_model.temperature_c
-    busy_list, idle_list = cluster.power_model.power_table(points, temperature_c)
-    busy_power_w = np.array(busy_list)
-    idle_power_w = np.array(idle_list)
-
-    # -- timing ----------------------------------------------------------------
-    busy_times = cycles * seconds_per_cycle[indices][:, None]
-    busy_max = busy_times.max(axis=1)
-    if config.idle_until_deadline:
-        intervals = np.maximum(busy_max, deadlines)
-    else:
-        intervals = busy_max
-    idle_times = intervals[:, None] - busy_times
-
-    # -- DVFS transitions ------------------------------------------------------
-    previous = np.empty_like(indices)
-    previous[0] = cluster.current_index
-    previous[1:] = indices[:-1]
-    changed = indices != previous
-    transition_latency = np.where(changed, cluster.dvfs.transition_latency_s, 0.0)
-    transition_energy = np.where(changed, cluster.dvfs.transition_energy_j, 0.0)
-
-    # -- energy ----------------------------------------------------------------
-    frame_busy_w = busy_power_w[indices]
+    busy_power_w, idle_power_w = cluster.power_model.power_table(points, temperature_c)
     if cluster.idle_at_min_opp:
-        frame_idle_w = idle_power_w[0]
-    else:
-        frame_idle_w = idle_power_w[indices]
-    core_uncore_energy = (
-        frame_busy_w * busy_times.sum(axis=1)
-        + frame_idle_w * idle_times.sum(axis=1)
-        + cluster.power_model.parameters.uncore_power_w * intervals
-    )
-    energies = core_uncore_energy + transition_energy
-    durations = intervals + transition_latency
-    average_powers = np.divide(
-        energies,
-        durations,
-        out=np.zeros_like(energies),
-        where=durations > 0,
-    )
+        idle_power_w = [idle_power_w[0]] * len(points)
+    uncore_power_w = cluster.power_model.parameters.uncore_power_w
+    seconds_per_cycle = [point.seconds_per_cycle for point in points]
+    pad = config.idle_until_deadline
+    overhead_s = governor.processing_overhead_s if config.charge_governor_overhead else None
+    latency_s = cluster.dvfs.transition_latency_s
+    transition_j = cluster.dvfs.transition_energy_j
+    # Below 8 values numpy.sum adds left to right from 0.0, so a frame's
+    # per-core sums are two running totals; wider rows go through
+    # pairwise_sum.
+    wide = num_cores >= 8
 
-    # -- overheads and deadlines ----------------------------------------------
-    if config.charge_governor_overhead:
-        overheads = governor.processing_overhead_s + transition_latency
-    else:
-        overheads = np.zeros(num_frames)
-    frame_times = busy_max + overheads
+    # -- one pass over the frames, in the scalar engine's order ----------------
+    busy_max: List[float] = []
+    intervals: List[float] = []
+    core_uncore_energy: List[float] = []
+    energies: List[float] = []
+    durations: List[float] = []
+    average_powers: List[float] = []
+    overheads: List[float] = []
+    timestamps: List[float] = []
+    transitions: List[DVFSTransition] = []
+    previous = cluster.current_index
+    now = cluster.time_s
+    for row, index, deadline in zip(cycles_rows, indices, deadlines):
+        frame_spc = seconds_per_cycle[index]
+        # max(row) x spc is the max over the per-core products: multiplying
+        # by a positive constant is monotonic under IEEE rounding.
+        busy = max(row) * frame_spc
+        interval = deadline if pad and deadline > busy else busy
+        if wide:
+            busy_times = [cycles * frame_spc for cycles in row]
+            busy_sum = pairwise_sum(busy_times)
+            idle_sum = pairwise_sum([interval - core_busy for core_busy in busy_times])
+        else:
+            busy_sum = idle_sum = 0.0
+            for cycles in row:
+                core_busy = cycles * frame_spc
+                busy_sum += core_busy
+                idle_sum += interval - core_busy
+        frame_energy = (
+            busy_power_w[index] * busy_sum
+            + idle_power_w[index] * idle_sum
+            + uncore_power_w * interval
+        )
+        if index != previous:
+            # Scalar runs record the change stamped at the frame's start.
+            transitions.append(
+                DVFSTransition(now, previous, index, latency_s, transition_j)
+            )
+            latency, energy = latency_s, frame_energy + transition_j
+        else:
+            # The stored energies add a 0.0 cost here (a -0.0 becomes 0.0).
+            latency, energy = 0.0, frame_energy + 0.0
+        previous = index
+        duration = interval + latency
+        now += duration
+        busy_max.append(busy)
+        intervals.append(interval)
+        core_uncore_energy.append(frame_energy)
+        energies.append(energy)
+        durations.append(duration)
+        average_powers.append(energy / duration if duration > 0 else 0.0)
+        overheads.append(0.0 if overhead_s is None else overhead_s + latency)
+        timestamps.append(now)
 
     # -- drive the stateful sensor through the trace ---------------------------
-    # Timestamps accumulate sequentially exactly as the scalar engine's
-    # cluster clock does: cumsum over [t0, d0, d1, ...] performs the same
-    # left-to-right adds (including the t0 + d0 association).
-    timestamps = np.cumsum(np.concatenate(((cluster.time_s,), durations)))[1:].tolist()
-    measured = cluster.power_sensor.measure_trace(average_powers.tolist(), timestamps)
+    # The loop's timestamps accumulate left to right exactly as the scalar
+    # engine's cluster clock does, starting from the cluster's current time.
+    measured = cluster.power_sensor.measure_trace(average_powers, timestamps)
 
     # -- columnar per-frame results (records materialise lazily) ---------------
-    frequency_mhz = np.array([point.frequency_mhz for point in points])
-    index_list = indices.tolist()
+    # Every column below except the sensor's holds computed floats, so each
+    # is an array('d') (a float subclass, say a numpy overhead, becomes a
+    # plain float on the way in).
+    frequency_mhz = [point.frequency_mhz for point in points]
     columns = FrameColumns(
         index=list(range(num_frames)),
-        operating_index=index_list,
-        frequency_mhz=float_column_of(frequency_mhz[indices]),
-        cycles_per_core=cycles_per_core,
-        busy_time_s=float_column_of(busy_max),
-        overhead_time_s=float_column_of(overheads),
-        frame_time_s=float_column_of(frame_times),
-        interval_s=float_column_of(durations),
-        deadline_s=float_column_of(deadlines),
-        energy_j=float_column_of(energies),
-        average_power_w=float_column_of(average_powers),
+        operating_index=indices,
+        frequency_mhz=array("d", [frequency_mhz[index] for index in indices]),
+        cycles_per_core=cycles_rows,
+        busy_time_s=array("d", busy_max),
+        overhead_time_s=array("d", overheads),
+        frame_time_s=array("d", map(add, busy_max, overheads)),
+        interval_s=array("d", durations),
+        deadline_s=array("d", deadlines),
+        energy_j=array("d", energies),
+        average_power_w=array("d", average_powers),
         measured_power_w=measured,
-        temperature_c=[temperature_c] * num_frames,
+        temperature_c=float_column([temperature_c]) * num_frames,
         explored=[False] * num_frames,
     )
     result = SimulationResult(
@@ -212,32 +225,14 @@ def simulate_schedule(
     )
 
     # -- leave the cluster in scalar-equivalent aggregate state ----------------
-    # Scalar runs record one DVFSTransition per actual change, stamped with
-    # the cluster time at the start of the frame; rebuild those records so
-    # the actuator's public counters report the same history.
-    frame_starts = [cluster.time_s] + timestamps[:-1]
-    previous_list = previous.tolist()
-    latency_s = cluster.dvfs.transition_latency_s
-    energy_j = cluster.dvfs.transition_energy_j
-    transitions = [
-        DVFSTransition(
-            frame_starts[row], previous_list[row], index_list[row], latency_s, energy_j
-        )
-        for row in np.nonzero(changed)[0].tolist()
-    ]
-    _sync_cluster(
+    sync_cluster(
         cluster,
-        np,
-        cycles=cycles,
-        busy_times=busy_times,
-        idle_times=idle_times,
-        frequencies_hz=frequencies_hz,
+        cycles_rows=cycles_rows,
         indices=indices,
         intervals=intervals,
         core_uncore_energy=core_uncore_energy,
-        transition_energy=transition_energy,
         transitions=transitions,
-        total_duration=float(durations.sum()),
+        total_duration=pairwise_sum(durations),
     )
 
     result.exploration_count = governor.exploration_count
@@ -245,56 +240,81 @@ def simulate_schedule(
     return result
 
 
-def float_column_of(values) -> Union[array, list]:
-    """A 1-D ndarray as a frame column, without boxing a float.
-
-    A float64 array is copied from its buffer into an ``array('d')``:
-    every value is an exact float, so :func:`~repro.sim.epoch.float_column`
-    keeps it an array.  Any other dtype goes through ``tolist()`` and
-    keeps its Python types (an int column stays ints).
-    """
-    if values.dtype != _np.float64:
-        return values.tolist()
-    column = array("d")
-    column.frombytes(memoryview(_np.ascontiguousarray(values)).cast("B"))
-    return column
+def _float_row(cycles: Sequence[float], num_cores: int) -> Tuple[float, ...]:
+    """One frame's per-core demand as a tuple of ``num_cores`` exact floats."""
+    if len(cycles) != num_cores:
+        raise SimulationError(
+            f"got {len(cycles)} per-core demands for a {num_cores}-core cluster"
+        )
+    if type(cycles) is tuple and set(map(type, cycles)) == {float}:
+        return cycles
+    return tuple(map(float, cycles))
 
 
-def _sync_cluster(
+def sync_cluster(
     cluster: "Cluster",
-    np,
     *,
-    cycles,
-    busy_times,
-    idle_times,
-    frequencies_hz,
-    indices,
-    intervals,
-    core_uncore_energy,
-    transition_energy,
+    cycles_rows: Sequence[Sequence[float]],
+    indices: Sequence[int],
+    intervals: Sequence[float],
+    core_uncore_energy: Sequence[float],
     transitions: List[DVFSTransition],
     total_duration: float,
 ) -> None:
-    """Credit the cluster's meters/PMUs/clock with the trace's aggregates."""
+    """Credit the cluster's meters/PMUs/clock with a run's aggregates.
+
+    ``indices`` and ``intervals`` are each frame's operating point and
+    padded interval (without DVFS latency), ``core_uncore_energy`` each
+    frame's energy without the transition cost.  The cluster's DVFS
+    actuator still holds the run's initial point; it is handed
+    ``transitions`` and moved to the last frame's point.  Totals over
+    frames are taken in ``numpy.sum``'s orders: pairwise for the meter,
+    left to right per core for the PMUs.  Each PMU adds its core's totals
+    when it is first read (:meth:`~repro.platform.pmu.PerformanceMonitoringUnit.account_run`).
+    """
     meter = cluster.energy_meter
-    total_interval = float(intervals.sum())
+    total_interval = pairwise_sum(intervals)
     if total_interval > 0:
-        meter.add_interval(
-            float(core_uncore_energy.sum()) / total_interval, total_interval
+        meter.add_interval(pairwise_sum(core_uncore_energy) / total_interval, total_interval)
+    transition_energy = 0.0
+    if transitions:
+        energy_j = cluster.dvfs.transition_energy_j
+        steps = zip(chain((cluster.current_index,), indices), indices)
+        transition_energy = pairwise_sum(
+            [energy_j if before != after else 0.0 for before, after in steps]
         )
-    meter.add_energy(float(transition_energy.sum()))
+    meter.add_energy(transition_energy)
 
-    idle_cycles = idle_times * frequencies_hz[indices][:, None]
-    per_core_cycles = cycles.sum(axis=0).tolist()
-    per_core_busy_s = busy_times.sum(axis=0).tolist()
-    per_core_idle_cycles = idle_cycles.sum(axis=0).tolist()
-    per_core_idle_s = idle_times.sum(axis=0).tolist()
+    table = cluster.vf_table
     for core_index, core in enumerate(cluster.cores):
-        core.pmu.account_busy(per_core_cycles[core_index], per_core_busy_s[core_index])
-        if per_core_idle_s[core_index] > 0:
-            core.pmu.account_idle(
-                per_core_idle_cycles[core_index], per_core_idle_s[core_index]
-            )
+        core.pmu.account_run(
+            partial(_core_totals, cycles_rows, core_index, indices, intervals, table)
+        )
 
-    cluster.dvfs.absorb_transitions(transitions, int(indices[-1]))
+    cluster.dvfs.absorb_transitions(transitions, indices[-1])
     cluster.advance_time(total_duration)
+
+
+def _core_totals(
+    cycles_rows: Sequence[Sequence[float]],
+    core_index: int,
+    indices: Sequence[int],
+    intervals: Sequence[float],
+    table: "VFTable",
+) -> Tuple[float, float, float, float]:
+    """One core's ``(busy_cycles, busy_s, idle_cycles, idle_s)`` over a run."""
+    points = table.points
+    frequencies_hz = table.frequencies_hz
+    cycles = [row[core_index] for row in cycles_rows]
+    busy_s = [
+        core_cycles * points[index].seconds_per_cycle
+        for core_cycles, index in zip(cycles, indices)
+    ]
+    idle_s = list(map(sub, intervals, busy_s))
+    idle_cycles = map(mul, idle_s, [frequencies_hz[index] for index in indices])
+    return (
+        reduce(add, cycles, 0.0),
+        reduce(add, busy_s, 0.0),
+        reduce(add, idle_cycles, 0.0),
+        reduce(add, idle_s, 0.0),
+    )

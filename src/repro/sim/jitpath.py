@@ -838,7 +838,9 @@ def simulate_closed_loop(
     max_cycles_arr = np.asarray(tables.max_cycles, dtype=np.float64)
     deadlines_arr = np.asarray(tables.deadlines_s, dtype=np.float64)
     spc_arr = np.asarray(tables.seconds_per_cycle, dtype=np.float64)
-    cycles_arr = np.asarray(tables.cycles, dtype=np.float64)
+    cycles_arr = np.asarray(cycles_tuples, dtype=np.float64).reshape(
+        num_frames, tables.num_cores
+    )
     frequencies_arr = np.asarray(tables.frequencies_hz, dtype=np.float64)
 
     thermal_model = cluster.thermal_model
@@ -960,7 +962,6 @@ def simulate_closed_loop(
     ]
 
     indices = out_opp.astype(np.intp)
-    rows = np.arange(num_frames)
     frequencies_mhz = np.asarray(tables.frequencies_mhz)
     columns = FrameColumns(
         index=list(range(num_frames)),
@@ -986,26 +987,19 @@ def simulate_closed_loop(
     )
 
     # -- leave the cluster in scalar-equivalent aggregate state ------------
-    table_cycles = tables.cycles
-    busy_times = table_cycles * spc_arr[indices][:, None]
-    intervals = tables.interval[rows, indices]
-    idle_times = intervals[:, None] - busy_times
-    previous_indices = np.empty_like(indices)
-    previous_indices[0] = initial_index
-    previous_indices[1:] = indices[:-1]
-    changed = indices != previous_indices
-    transition_energy = np.where(changed, transition_energy_j, 0.0)
-    fastpath._sync_cluster(
+    # Each frame's interval is its busy time padded to the deadline, as the
+    # kernel computed it.
+    pad_to_deadline = tables.idle_until_deadline
+    intervals = [
+        deadline if pad_to_deadline and deadline > busy else busy
+        for busy, deadline in zip(out_busy.tolist(), deadlines)
+    ]
+    fastpath.sync_cluster(
         cluster,
-        np,
-        cycles=table_cycles,
-        busy_times=busy_times,
-        idle_times=idle_times,
-        frequencies_hz=frequencies_arr,
-        indices=indices,
+        cycles_rows=cycles_tuples,
+        indices=out_opp.tolist(),
         intervals=intervals,
-        core_uncore_energy=out_core_uncore,
-        transition_energy=transition_energy,
+        core_uncore_energy=out_core_uncore.tolist(),
         transitions=transitions,
         total_duration=float(fp[_F_TIME]) - initial_time_s,
     )

@@ -2,7 +2,7 @@
 
 This is the universal fallback every fast engine is validated against: one
 :meth:`Cluster.execute_workload <repro.platform.cluster.Cluster.execute_workload>`
-call per frame, no precomputation, no NumPy requirement, correct for every
+call per frame, no precomputation, correct for every
 (cluster, governor, config) combination including thermally-coupled runs.
 It used to live inside :class:`~repro.sim.engine.SimulationEngine`; with
 engine selection moved to the engine ladder in :mod:`repro.sim.backends`

@@ -1,7 +1,7 @@
 """Table-driven closed-loop engine — O(1) physics per frame.
 
-The vectorised engine in :mod:`repro.sim.fastpath` eliminates the per-frame
-loop entirely, but only for governors whose schedule is knowable up front.
+The static-schedule engine in :mod:`repro.sim.fastpath` never consults a
+governor, but only for governors whose schedule is knowable up front.
 The paper's actual contribution — the closed-loop Q-learning RTM — and its
 Linux baselines (ondemand, conservative) cannot be vectorised: frame *i*'s
 operating point depends on what the governor observed during frame *i - 1*.
@@ -10,9 +10,10 @@ What *can* be precomputed is the physics.  One frame's physics is a pure
 function of ``(frame, operating point, junction temperature)``, and the
 temperature dependence is a *single scalar factor*:
 
-* timing (critical-path busy time, interval, DVFS costs) is temperature
-  independent and fully precomputed per (frame, operating point) in a
-  :class:`~repro.platform.cluster.WorkloadTable`;
+* timing is temperature independent: a frame's critical-path busy time
+  is its largest per-core demand times the point's seconds per cycle, both
+  precomputed in a :class:`~repro.platform.cluster.WorkloadTable`, and the
+  interval pads it to the deadline;
 * core power splits into a precomputed dynamic part plus a static part
   ``V * (leak_scale * exp(k3*(T-55)) + k4)`` whose only per-frame work is
   one ``math.exp`` shared by every operating point, paid only when the
@@ -47,21 +48,17 @@ temperatures, miss sets, exploration counts and Q-tables
 of this).
 
 The live :class:`~repro.platform.thermal.ThermalModel`, power sensor, DVFS
-actuator, meters and PMUs are left in scalar-equivalent aggregate state.
-Eligibility: NumPy importable (for the table precompute and the aggregate
-cluster sync); the scalar engine remains the universal fallback (see
-:mod:`repro.sim.backends`).
+actuator, meters and PMUs are left in scalar-equivalent aggregate state
+(:func:`repro.sim.fastpath.sync_cluster`).  The engine is plain Python and
+accepts every request (see :mod:`repro.sim.backends`).
 """
 
 from __future__ import annotations
 
+from array import array
 from math import exp
+from operator import add
 from typing import Callable, Dict, List, Optional, TYPE_CHECKING
-
-try:  # NumPy is optional: without it every run takes the scalar engine.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only on numpy-less installs
-    _np = None  # type: ignore[assignment]
 
 from repro.errors import InvalidOperatingPointError, SimulationError
 from repro.platform.cluster import WorkloadTable
@@ -95,7 +92,7 @@ def precompute_tables(
     per-worker cache exploits.
     """
     num_cores = cluster.num_cores
-    cycles = [frame.cycles_per_core(num_cores) for frame in application]
+    cycles = application.cycles_per_core(num_cores)
     deadlines = [frame.deadline_s for frame in application]
     return cluster.execute_workload_table(
         cycles, deadlines, idle_until_deadline=config.idle_until_deadline
@@ -122,9 +119,6 @@ def simulate_closed_loop(
     :func:`precompute_tables`); they are validated against the cluster's
     physics before use and rebuilt on mismatch.
     """
-    np = _np
-    if np is None:
-        raise SimulationError("the table-driven closed-loop engine requires numpy")
     num_frames = application.num_frames
     if num_frames == 0:
         raise SimulationError("cannot simulate an application with no frames")
@@ -180,8 +174,7 @@ def simulate_closed_loop(
     hint = FrameHint(cycles_per_core=cycles_tuples[0], deadline_s=deadlines[0])
     set_field = object.__setattr__
 
-    initial_index = cluster.current_index
-    current = initial_index
+    current = cluster.current_index
     initial_time_s = cluster.time_s
     time_s = initial_time_s
     previous: Optional[EpochObservation] = None
@@ -194,6 +187,7 @@ def simulate_closed_loop(
     col_opp: List[int] = []
     col_busy: List[float] = []
     col_overhead: List[float] = []
+    col_interval: List[float] = []
     col_duration: List[float] = []
     col_core_uncore: List[float] = []
     col_energy: List[float] = []
@@ -204,6 +198,7 @@ def simulate_closed_loop(
     opp_append = col_opp.append
     busy_append = col_busy.append
     overhead_append = col_overhead.append
+    interval_append = col_interval.append
     duration_append = col_duration.append
     core_uncore_append = col_core_uncore.append
     energy_append = col_energy.append
@@ -328,6 +323,7 @@ def simulate_closed_loop(
         opp_append(index)
         busy_append(busy)
         overhead_append(overhead)
+        interval_append(interval)
         duration_append(duration)
         core_uncore_append(core_uncore)
         energy_append(energy)
@@ -337,20 +333,17 @@ def simulate_closed_loop(
         explored_append(explored)
 
     # -- columnar result (records materialise lazily) --------------------------
-    indices = np.asarray(col_opp, dtype=np.intp)
-    busy_arr = np.asarray(col_busy)
-    overhead_arr = np.asarray(col_overhead)
-    frequencies_mhz = np.asarray(tables.frequencies_mhz)
+    frequencies_mhz = tables.frequencies_mhz
     columns = FrameColumns(
         index=list(range(num_frames)),
         operating_index=col_opp,
-        frequency_mhz=fastpath.float_column_of(frequencies_mhz[indices]),
+        frequency_mhz=array("d", [frequencies_mhz[index] for index in col_opp]),
         cycles_per_core=cycles_tuples,
         busy_time_s=col_busy,
         overhead_time_s=col_overhead,
-        frame_time_s=fastpath.float_column_of(busy_arr + overhead_arr),
+        frame_time_s=array("d", map(add, col_busy, col_overhead)),
         interval_s=col_duration,
-        deadline_s=fastpath.float_column_of(tables.deadlines_s),
+        deadline_s=array("d", deadlines),
         energy_j=col_energy,
         average_power_w=col_power,
         measured_power_w=col_measured,
@@ -365,28 +358,12 @@ def simulate_closed_loop(
     )
 
     # -- leave the cluster in scalar-equivalent aggregate state ----------------
-    cycles_arr = tables.cycles
-    spc_arr = np.asarray(tables.seconds_per_cycle)
-    rows = np.arange(num_frames)
-    busy_times = cycles_arr * spc_arr[indices][:, None]
-    intervals = tables.interval[rows, indices]
-    idle_times = intervals[:, None] - busy_times
-    previous_indices = np.empty_like(indices)
-    previous_indices[0] = initial_index
-    previous_indices[1:] = indices[:-1]
-    changed = indices != previous_indices
-    transition_energy = np.where(changed, transition_energy_j, 0.0)
-    fastpath._sync_cluster(
+    fastpath.sync_cluster(
         cluster,
-        np,
-        cycles=cycles_arr,
-        busy_times=busy_times,
-        idle_times=idle_times,
-        frequencies_hz=np.asarray(tables.frequencies_hz),
-        indices=indices,
-        intervals=intervals,
-        core_uncore_energy=np.asarray(col_core_uncore),
-        transition_energy=transition_energy,
+        cycles_rows=cycles_tuples,
+        indices=col_opp,
+        intervals=col_interval,
+        core_uncore_energy=col_core_uncore,
         transitions=transitions,
         total_duration=time_s - initial_time_s,
     )

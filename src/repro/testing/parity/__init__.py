@@ -26,7 +26,7 @@ This package turns that guarantee into executable infrastructure:
 
 :mod:`repro.testing.parity.fuzz`
     Property-based scenario generation (seeded stdlib ``random``,
-    numpy-optional): random V/F tables, frame traces, thermal modes,
+    numba-optional): random V/F tables, frame traces, thermal modes,
     governor configs and shard splits, asserting cross-backend parity plus
     global invariants on every sample.
 

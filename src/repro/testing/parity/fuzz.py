@@ -3,10 +3,9 @@
 Hand-written parity suites only cover the scenarios somebody thought of.
 This module samples the scenario space itself — random V/F tables, random
 frame traces, thermal modes, governor configurations and shard splits —
-from a seeded stdlib :mod:`random` generator (numpy-optional, mirroring
-:mod:`repro._compat`: without numpy only the scalar reference is eligible
-and the run still checks every other property), and asserts on every
-sample:
+from a seeded stdlib :mod:`random` generator (numba-optional, mirroring
+:mod:`repro._compat`: without numba ``jitpath`` is not eligible and the
+run still checks every other engine), and asserts on every sample:
 
 * **spec round-trip** — the fuzzed :class:`~repro.campaign.spec.ScenarioSpec`
   survives JSON serialisation unchanged (it is pure data);

@@ -11,7 +11,8 @@ run executes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence
+from operator import attrgetter
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import WorkloadError
 from repro.workload.task import Frame
@@ -92,6 +93,18 @@ class Application:
     def frames(self) -> Sequence[Frame]:
         """All frames, in execution order."""
         return tuple(self._frames)
+
+    def cycles_per_core(self, num_cores: int) -> List[Tuple[float, ...]]:
+        """Every frame's :meth:`~repro.workload.task.Frame.cycles_per_core`, in order.
+
+        When every frame runs one thread per core, each row is the frame's
+        own ``thread_cycles`` tuple (that method's identity mapping), read
+        without a call per frame.
+        """
+        rows = list(map(attrgetter("thread_cycles"), self._frames))
+        if set(map(len, rows)) == {num_cores}:
+            return rows
+        return [frame.cycles_per_core(num_cores) for frame in self._frames]
 
     @property
     def num_frames(self) -> int:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import gzip
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -46,6 +48,55 @@ def _numba_less_negotiation(monkeypatch):
 
 #: Committed inputs in formats nothing writes any more (see ``tests/data``).
 DATA_DIR = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(script: str, *args: str, cwd=None, env=None) -> dict:
+    """Run ``script`` in a fresh interpreter on this checkout's ``src``.
+
+    The script prints one JSON line last, which is returned.  ``env``
+    adds variables to the child's environment.  Like the in-process
+    ``_numba_less_negotiation`` fixture, the child negotiates engines on
+    the numba-less ladder (``REPRO_DISABLE_JIT=1``) unless ``env`` says
+    otherwise, so its picks do not flip when numba is installed.
+    """
+    environment = dict(os.environ, REPRO_DISABLE_JIT="1", **(env or {}))
+    environment["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), environment.get("PYTHONPATH")])
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        cwd=cwd,
+        env=environment,
+        capture_output=True,
+        text=True,
+    )
+    assert completed.returncode == 0, completed.stderr
+    return json.loads(completed.stdout.strip().splitlines()[-1])
+
+
+#: Run ondemand over 30 mpeg4 frames on the A15 cluster (thermal model on
+#: when the argument is ``thermal``) with numpy unimportable; print the
+#: engine and the energy and temperature columns.
+_ONDEMAND_WITHOUT_NUMPY = """
+import json, sys
+sys.modules["numpy"] = None
+from repro.governors.ondemand import OndemandGovernor
+from repro.platform.odroid_xu3 import build_a15_cluster
+from repro.sim.engine import SimulationEngine
+from repro.workload.video import mpeg4_application
+
+cluster = build_a15_cluster(enable_thermal=sys.argv[1] == "thermal")
+result = SimulationEngine(cluster).run(mpeg4_application(num_frames=30, seed=1), OndemandGovernor())
+columns = result.columns
+print(json.dumps({"engine": result.engine_used, "energy_j": list(columns.energy_j),
+                  "temperature_c": list(columns.temperature_c)}))
+"""
+
+
+def ondemand_without_numpy(thermal: bool) -> dict:
+    """:data:`_ONDEMAND_WITHOUT_NUMPY`'s report."""
+    return run_python(_ONDEMAND_WITHOUT_NUMPY, "thermal" if thermal else "isothermal")
 
 
 def legacy_bytes(name: str) -> bytes:

@@ -29,8 +29,6 @@ from repro.sim.results import SimulationResult
 from repro.workload.video import mpeg4_application
 from tests.conftest import legacy_bytes, saved_bytes, store_record, store_round_trip
 
-numpy = pytest.importorskip("numpy")
-
 
 def _request(governor=None, cluster=None, config=None):
     cluster = cluster or build_a15_cluster()
@@ -66,52 +64,30 @@ class TestRegistry:
 
 
 #: The ladder as a table, numba absent (the conftest default):
-#: (governor, thermal, tablepath numpy) -> (reason keyword of each engine
-#: that declines, the engine ``auto`` picks).
+#: (governor, thermal) -> (reason keyword of each engine that declines, the
+#: engine ``auto`` picks).  No rule depends on numpy: without it the picks
+#: are the same (``tests/test_metrics.py::TestWithoutNumpy``).
 _NO_JIT = "REPRO_DISABLE_JIT"
 LADDER = {
-    ("oracle", False, True): ({"jitpath": _NO_JIT}, "fastpath"),
-    ("oracle", False, False): ({"jitpath": _NO_JIT, "tablepath": "numpy"}, "fastpath"),
-    ("oracle", True, True): ({"fastpath": "thermal", "jitpath": _NO_JIT}, "tablepath"),
-    ("oracle", True, False): (
-        {"fastpath": "thermal", "jitpath": _NO_JIT, "tablepath": "numpy"},
-        "scalar",
-    ),
-    ("ondemand", False, True): (
-        {"fastpath": "static schedule", "jitpath": _NO_JIT},
-        "tablepath",
-    ),
-    ("ondemand", False, False): (
-        {"fastpath": "static schedule", "jitpath": _NO_JIT, "tablepath": "numpy"},
-        "scalar",
-    ),
-    ("ondemand", True, True): ({"fastpath": "thermal", "jitpath": _NO_JIT}, "tablepath"),
-    ("ondemand", True, False): (
-        {"fastpath": "thermal", "jitpath": _NO_JIT, "tablepath": "numpy"},
-        "scalar",
-    ),
+    ("oracle", False): ({"jitpath": _NO_JIT}, "fastpath"),
+    ("oracle", True): ({"fastpath": "thermal", "jitpath": _NO_JIT}, "tablepath"),
+    ("ondemand", False): ({"fastpath": "static schedule", "jitpath": _NO_JIT}, "tablepath"),
+    ("ondemand", True): ({"fastpath": "thermal", "jitpath": _NO_JIT}, "tablepath"),
 }
 
 
 class TestLadder:
     @pytest.mark.parametrize("prefer_fast_path", [True, False])
     @pytest.mark.parametrize(
-        "governor, thermal, has_numpy",
+        "governor, thermal",
         list(LADDER),
         ids=[
-            f"{governor}-{'thermal' if thermal else 'isothermal'}-"
-            f"{'numpy' if has_numpy else 'no-numpy'}"
-            for governor, thermal, has_numpy in LADDER
+            f"{governor}-{'thermal' if thermal else 'isothermal'}"
+            for governor, thermal in LADDER
         ],
     )
-    def test_rejection_reasons_and_pick(
-        self, monkeypatch, governor, thermal, has_numpy, prefer_fast_path
-    ):
-        from repro.sim import tablepath
-
-        if not has_numpy:
-            monkeypatch.setattr(tablepath, "_np", None)
-        declines, picked = LADDER[(governor, thermal, has_numpy)]
+    def test_rejection_reasons_and_pick(self, governor, thermal, prefer_fast_path):
+        declines, picked = LADDER[(governor, thermal)]
         factory = {"oracle": OracleGovernor, "ondemand": OndemandGovernor}[governor]
         request = _request(
             factory(),

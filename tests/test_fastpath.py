@@ -1,13 +1,16 @@
-"""Equivalence and selection tests for the vectorised fast path.
+"""Equivalence and selection tests for the static-schedule fast path.
 
 The contract under test: for every governor that exposes a static schedule,
-the NumPy trace engine must reproduce the scalar engine frame by frame —
+the static-schedule engine must reproduce the scalar engine frame by frame —
 energy and timing to 1e-9 relative tolerance, identical operating-point
 choices, identical deadline-miss sets — and the engine must fall back to
 the scalar loop whenever the governor or platform is ineligible.
 """
 
 from __future__ import annotations
+
+import random
+from itertools import accumulate
 
 import pytest
 
@@ -20,10 +23,10 @@ from repro.platform.odroid_xu3 import build_a15_cluster
 from repro.rtm.multicore import MultiCoreRLGovernor
 from repro.sim import fastpath
 from repro.sim.engine import SimulationConfig, SimulationEngine
+from repro.workload.task import Frame
+from repro.workload.application import Application, PerformanceRequirement
 from repro.workload.fft import fft_application
 from repro.workload.video import mpeg4_application
-
-numpy = pytest.importorskip("numpy")
 
 #: Governor factories whose schedules are observation-independent.
 ELIGIBLE_GOVERNORS = {
@@ -166,6 +169,54 @@ class TestFastPathEquivalence:
             )
 
 
+def _random_application(num_frames: int, num_threads: int, seed: int) -> Application:
+    """Frames with independent random per-thread demands around a 25 fps budget."""
+    rng = random.Random(seed)
+    requirement = PerformanceRequirement(frames_per_second=25.0)
+    frames = [
+        Frame(
+            index=i,
+            thread_cycles=tuple(rng.uniform(0.0, 4.0e7) for _ in range(num_threads)),
+            deadline_s=requirement.tref_s,
+        )
+        for i in range(num_frames)
+    ]
+    return Application(name="random", frames=frames, requirement=requirement)
+
+
+class TestFrameEnergyOrder:
+    @pytest.mark.parametrize("num_cores", [1, 4, 7, 8, 9, 12, 20])
+    def test_energy_is_numpys_row_reduction(self, num_cores):
+        """A frame's energy is ``busy_w * Σbusy + idle_w * Σidle + uncore *
+        interval`` with each per-core Σ in ``ndarray.sum(axis=1)``'s order,
+        below 8 cores and from 8 cores on."""
+        np = pytest.importorskip("numpy")
+        cluster = build_a15_cluster(num_cores=num_cores)
+        engine = SimulationEngine(cluster)
+        result = engine.run(_random_application(200, num_cores, seed=num_cores), OracleGovernor())
+        assert engine.engine_used == "fastpath"
+
+        columns = result.columns
+        points = cluster.vf_table.points
+        indices = np.asarray(columns.operating_index)
+        spc = np.array([point.seconds_per_cycle for point in points])[indices]
+        busy = np.asarray(columns.cycles_per_core) * spc[:, None]
+        interval = np.maximum(busy.max(axis=1), np.asarray(columns.deadline_s))
+        temperature_c = cluster.thermal_model.temperature_c
+        busy_w, idle_w = map(np.array, cluster.power_model.power_table(points, temperature_c))
+        frame_idle_w = idle_w[0] if cluster.idle_at_min_opp else idle_w[indices]
+        uncore_w = cluster.power_model.parameters.uncore_power_w
+        energy = (
+            busy_w[indices] * busy.sum(axis=1)
+            + frame_idle_w * (interval[:, None] - busy).sum(axis=1)
+            + uncore_w * interval
+        )
+        # A run starts from the fastest point (the cluster's reset state).
+        previous = np.concatenate(([len(points) - 1], indices[:-1]))
+        energy = energy + np.where(indices != previous, cluster.dvfs.transition_energy_j, 0.0)
+        assert list(columns.energy_j) == energy.tolist()
+
+
 class TestFastPathSelection:
     def test_closed_loop_governors_stay_on_scalar_engine(self):
         application = mpeg4_application(num_frames=30, seed=1)
@@ -226,20 +277,6 @@ class TestStaticScheduleProbe:
         assert performance.static_schedule(application) == [table_top] * 20
         assert powersave.static_schedule(application) == [0] * 20
         assert userspace.static_schedule(application) == [4] * 20
-
-    def test_vectorised_table_lookup_matches_scalar(self):
-        from repro.platform.odroid_xu3 import A15_VF_TABLE
-
-        application = mpeg4_application(num_frames=200, seed=8)
-        cycles = [max(frame.cycles_per_core(4)) for frame in application]
-        deadlines = [frame.deadline_s for frame in application]
-        vectorised = A15_VF_TABLE.lowest_indices_meeting(cycles, deadlines)
-        scalar = [
-            A15_VF_TABLE.lowest_index_meeting(c, d) for c, d in zip(cycles, deadlines)
-        ]
-        assert vectorised == scalar
-        with pytest.raises(ValueError):
-            A15_VF_TABLE.lowest_indices_meeting([1e6], [0.0])
 
     def test_oracle_schedule_matches_per_frame_decide(self):
         from repro.rtm.governor import FrameHint
@@ -328,3 +365,24 @@ class TestMeasureTrace:
         assert vector_sensor.measure_trace(powers, times) == expected
         # The held-over readings all repeat the first conversion.
         assert expected[1] == expected[0] and expected[2] == expected[0]
+
+    @pytest.mark.parametrize("resolution", [0.005, 0.0])
+    def test_long_trace_readings_and_state_match_the_loop(self, resolution):
+        """Quantised in one pass, 3000 readings (signed zeros and exact half
+        steps included) and the sensor's final state equal the per-frame
+        loop's, sign and type of every reading too."""
+        from repro.platform.sensors import PowerSensor
+
+        rng = random.Random(3)
+        powers = [
+            rng.choice((0.0, -0.0, 0.0025, 1.0075)) if i % 7 == 0 else rng.uniform(0.0, 6.0)
+            for i in range(3000)
+        ]
+        times = list(accumulate(rng.uniform(0.02, 0.05) for _ in range(3000)))
+        loop_sensor = PowerSensor(resolution_w=resolution)
+        expected = [loop_sensor.measure_w(p, t) for p, t in zip(powers, times)]
+        vector_sensor = PowerSensor(resolution_w=resolution)
+        readings = vector_sensor.measure_trace(powers, times)
+        assert list(map(repr, readings)) == list(map(repr, expected))
+        assert set(map(type, readings)) == {float}
+        assert vector_sensor.last_reading == loop_sensor.last_reading

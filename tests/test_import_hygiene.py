@@ -6,48 +6,26 @@ read ``sys.modules``.
 
 * Importing the CLI loads no numpy, no HTTP or process-pool stack, no
   distributed service or fault harness and no compiled kernels.
+* A whole campaign run (spec load, engines, summary, save) loads no numpy.
+  ``run_python`` pins the numba-less ladder: with numba installed,
+  ``jitpath`` would run the closed-loop scenarios, and it needs numpy.
 * A ``merge`` and a reload need neither numpy nor any engine, governor or
-  platform model.
+  platform model, and a legacy JSON blob reloads and renders its summary
+  without numpy.
 * A campaign run imports everything it uses before its spec has loaded, and
   a reload imports everything before its first pass.
 
 Every store here is jsonl (``--store json``, and ``CampaignResult.save``'s
-default): an Arrow store imports pyarrow on first use, and pyarrow may
-import numpy, so these checks would not hold for it.
+default); an Arrow store would also load pyarrow.
 """
 
 from __future__ import annotations
-
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 from repro.campaign.executor import run_campaign
 from repro.campaign.spec import CampaignSpec, FactorySpec
-
-SRC = Path(__file__).resolve().parents[1] / "src"
-
-
-def run_python(script: str, *args: str, cwd: Path) -> dict:
-    """Run ``script`` in a fresh interpreter; it prints one JSON line last."""
-    environment = dict(os.environ)
-    environment["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(SRC), environment.get("PYTHONPATH")])
-    )
-    completed = subprocess.run(
-        [sys.executable, "-c", script, *args],
-        cwd=cwd,
-        env=environment,
-        capture_output=True,
-        text=True,
-    )
-    assert completed.returncode == 0, completed.stderr
-    return json.loads(completed.stdout.strip().splitlines()[-1])
-
+from tests.conftest import legacy_bytes, run_python
 
 def small_campaign() -> CampaignSpec:
     return CampaignSpec.from_grid(
@@ -95,6 +73,49 @@ def test_cli_import_loads_no_run_service_or_pool_code(tmp_path):
         "repro.sim.jitpath",
     ):
         assert module not in loaded, f"importing the CLI loaded {module}"
+
+
+_CAMPAIGN_RUN = """
+import json, sys
+from repro.campaign import cli
+
+code = cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+
+def test_campaign_run_loads_no_numpy(shards):
+    report = run_python(
+        _CAMPAIGN_RUN, "spec.json", "--store", "json", "--output", "run.store", cwd=shards
+    )
+    assert report["code"] == 0
+    assert [module for module in report["modules"] if module.split(".")[0] == "numpy"] == []
+
+
+#: Reload the committed version-1 JSON blob and render its summary; print
+#: the text and the numpy modules loaded.  ``block`` makes numpy unimportable.
+_LEGACY_BLOB_SUMMARY = """
+import json, sys
+if sys.argv[1] == "block":
+    sys.modules["numpy"] = None
+from repro.analysis.reporting import format_campaign_summary
+from repro.campaign.results import CampaignResult
+
+text = format_campaign_summary(CampaignResult.load(sys.argv[2]))
+numpy = [name for name, module in sys.modules.items()
+         if name.split(".")[0] == "numpy" and module is not None]
+print(json.dumps({"text": text, "numpy": numpy}))
+"""
+
+
+def test_legacy_blob_summary_needs_no_numpy(tmp_path):
+    blob = tmp_path / "wire-format.v1.json"
+    blob.write_bytes(legacy_bytes("wire-format.v1.json"))
+    blob = str(blob)
+    blocked = run_python(_LEGACY_BLOB_SUMMARY, "block", blob, cwd=tmp_path)
+    allowed = run_python(_LEGACY_BLOB_SUMMARY, "allow", blob, cwd=tmp_path)
+    assert blocked["text"] and blocked == allowed
+    assert allowed["numpy"] == []
 
 
 _MERGE_WITHOUT_NUMPY = """

@@ -1,17 +1,16 @@
 """A run's aggregates: the result properties and the summary built on them.
 
 The :class:`~repro.sim.results.SimulationResult` properties are the one
-Python definition of every aggregate.  Without NumPy,
-:func:`~repro.sim.metrics.summarize_result` builds its summary from them;
-with NumPy it reduces the columns with ``np.sum``, the definition the
-result store writes, which matches the properties up to the last digits.
+Python definition of every aggregate.
+:func:`~repro.sim.metrics.summarize_result` reduces the same columns in
+``numpy.sum``'s pairwise order (:func:`~repro.sim.metrics.pairwise_sum`),
+the definition the result store writes, which matches the properties up to
+the last digits and is the same with or without numpy installed.
 """
 
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
+import filecmp
+import random
+from array import array
 
 import pytest
 
@@ -23,12 +22,15 @@ from repro.rtm.rl_governor import RLGovernor
 from repro.sim.comparison import energy_saving_percent
 from repro.sim.engine import SimulationEngine
 from repro.sim.epoch import DEADLINE_TOLERANCE_S, FrameRecord
-from repro.sim.metrics import MetricsSummary, summarize_result
+from repro.sim.metrics import (
+    MetricsSummary,
+    pairwise_sum,
+    summarize_result,
+)
 from repro.sim.results import SimulationResult
 from repro.testing.parity import smoke_parity_campaign
 from repro.workload.video import mpeg4_application
-
-SRC = Path(__file__).resolve().parents[1] / "src"
+from tests.conftest import run_python
 
 #: The summary fields that are result properties.
 PROPERTY_FIELDS = (
@@ -125,28 +127,75 @@ class TestEnergySaving:
             energy_saving_percent(1.0, 0.0)
 
 
-#: Run a campaign and reload its store, eagerly then lazily, with numpy
-#: blocked throughout; print each outcome's status, engine, stored metrics
-#: and the reloaded result's properties as one JSON line.
-_NUMPY_LESS_RUN = f"""
-import json
-import sys
+def numpy_summary(result: SimulationResult) -> MetricsSummary:
+    """The summary as numpy reduced the columns when it defined the stored bytes."""
+    np = pytest.importorskip("numpy")
+    columns = result.columns
+    num = result.num_frames
+    frame_times = np.asarray(columns.frame_time_s)
+    deadlines = np.asarray(columns.deadline_s)
+    operating = np.asarray(columns.operating_index)
+    total_energy = float(np.sum(np.asarray(columns.energy_j)))
+    total_time = float(np.sum(np.asarray(columns.interval_s)))
+    misses = int(np.count_nonzero(frame_times > deadlines + DEADLINE_TOLERANCE_S))
+    positive = deadlines > 0
+    slack = np.where(positive, (deadlines - frame_times) / np.where(positive, deadlines, 1.0), 0.0)
+    return MetricsSummary(
+        num_frames=num,
+        total_energy_j=total_energy,
+        total_time_s=total_time,
+        average_power_w=total_energy / total_time if total_time > 0 else 0.0,
+        average_frame_time_s=float(np.sum(frame_times)) / num,
+        average_frequency_mhz=float(np.sum(np.asarray(columns.frequency_mhz))) / num,
+        deadline_miss_ratio=misses / num,
+        mean_slack_ratio=float(np.sum(slack)) / num,
+        total_overhead_s=float(np.sum(np.asarray(columns.overhead_time_s))),
+        exploration_epochs=int(np.count_nonzero(np.asarray(columns.explored))),
+        dvfs_changes=int(np.count_nonzero(operating[1:] != operating[:-1])),
+    )
 
-sys.modules["numpy"] = None
-from repro.campaign.cli import main
-from repro.campaign.results import CampaignResult
 
-spec, output = sys.argv[1:]
-assert main([spec, "--store", "json", "--output", output, "--quiet"]) == 0
-outcomes = []
-for lazy in (False, True):
-    for outcome in CampaignResult.load(output, lazy=lazy):
-        result = outcome.result
-        properties = {{name: getattr(result, name) for name in {PROPERTY_FIELDS!r}}}
-        outcomes.append([outcome.status, result.engine_used, outcome.metrics, properties])
-assert sys.modules["numpy"] is None
-print(json.dumps(outcomes))
-"""
+class TestPairwiseSum:
+    """``pairwise_sum`` adds in exactly ``numpy.sum``'s order."""
+
+    @staticmethod
+    def _values(rng: random.Random, count: int) -> list:
+        # Signed values over nine decades, so the order of additions shows.
+        return [rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-4.0, 5.0) for _ in range(count)]
+
+    @pytest.mark.parametrize("lengths", [range(0, 301), (1000, 3000, 4097)], ids=["0-300", "long"])
+    def test_equals_numpy_sum(self, lengths):
+        np = pytest.importorskip("numpy")
+        rng = random.Random(2017)
+        for count in lengths:
+            values = self._values(rng, count)
+            expected = float(np.sum(np.asarray(values)))
+            assert pairwise_sum(values) == expected, count
+            assert pairwise_sum(array("d", values)) == expected, count
+
+    def test_rows_equal_numpy_axis_1_sums(self):
+        np = pytest.importorskip("numpy")
+        rng = random.Random(55)
+        for width in range(1, 17):
+            matrix = [self._values(rng, width) for _ in range(20)]
+            expected = np.asarray(matrix).sum(axis=1).tolist()
+            assert [pairwise_sum(row) for row in matrix] == expected, width
+
+    def test_plain_left_to_right_addition_differs(self):
+        """The order matters: a sequential sum misses numpy's in the last digits."""
+        rng = random.Random(7)
+        differs = 0
+        for _ in range(50):
+            values = self._values(rng, 200)
+            sequential = 0.0
+            for value in values:
+                sequential += value
+            differs += sequential != pairwise_sum(values)
+        assert differs > 0
+
+    def test_starts_from_positive_zero(self):
+        assert str(pairwise_sum([-0.0] * 3)) == "0.0"
+        assert str(pairwise_sum([-0.0] * 9)) == "0.0"
 
 
 class TestSummarizeResult:
@@ -159,45 +208,59 @@ class TestSummarizeResult:
             (RLGovernor, "scalar"),
         ],
     )
-    def test_python_summary_is_the_properties(self, monkeypatch, governor_factory, engine):
-        pytest.importorskip("numpy")
+    def test_summary_is_the_numpy_reduction(self, governor_factory, engine):
+        """The summary equals numpy's reduction exactly and the properties to 1e-12."""
         result = SimulationEngine(build_a15_cluster(), engine=engine).run(
-            mpeg4_application(num_frames=60, seed=3), governor_factory()
+            mpeg4_application(num_frames=600, seed=3), governor_factory()
         )
         assert result.engine_used == engine
-        stored = summarize_result(result)
-        monkeypatch.setitem(sys.modules, "numpy", None)
-        python = summarize_result(result)
+        summary = summarize_result(result)
+        assert summary == numpy_summary(result)
         for name in PROPERTY_FIELDS:
-            assert getattr(python, name) == getattr(result, name), name
-            assert getattr(stored, name) == pytest.approx(getattr(result, name), rel=1e-12)
-        assert python.average_frequency_mhz == pytest.approx(
-            stored.average_frequency_mhz, rel=1e-12
-        )
-        assert python.exploration_epochs == stored.exploration_epochs
-        assert python.dvfs_changes == stored.dvfs_changes
+            assert getattr(summary, name) == pytest.approx(getattr(result, name), rel=1e-12)
 
-    def test_numpy_less_campaign_stores_the_properties(self, tmp_path):
-        """A numpy-less campaign runs on ``scalar`` and stores the properties."""
+    def test_list_columns_are_read_as_floats(self):
+        """A float column that holds an int sums as numpy's float64 view did."""
+        result = make_result([0.030, 0.040, 0.050])
+        result.columns.overhead_time_s = [0, 0.25, 1]
+        assert type(result.columns.overhead_time_s) is list
+        assert summarize_result(result) == numpy_summary(result)
+
+
+#: Run the CLI on a spec, then reload its store eagerly and lazily; print
+#: each outcome's engine, the reloaded summaries and the numpy modules left
+#: in ``sys.modules`` as one JSON line.  ``block`` makes numpy unimportable.
+_CAMPAIGN_RUN = """
+import json
+import sys
+
+if sys.argv[1] == "block":
+    sys.modules["numpy"] = None
+from repro.campaign.cli import main
+from repro.campaign.results import CampaignResult
+
+spec, output = sys.argv[2:]
+assert main([spec, "--store", "json", "--output", output, "--quiet"]) == 0
+engines = [outcome.result.engine_used for outcome in CampaignResult.load(output)]
+for outcome in CampaignResult.load(output, lazy=True):
+    outcome.metrics_summary()
+numpy = [name for name, module in sys.modules.items()
+         if name.split(".")[0] == "numpy" and module is not None]
+print(json.dumps({"engines": engines, "numpy": numpy}))
+"""
+
+
+class TestWithoutNumpy:
+    def test_numpy_less_campaign_writes_the_same_store(self, tmp_path):
+        """With numpy unimportable a campaign negotiates the same engines and
+        writes a store ``cmp``-equal to the run with numpy installed."""
+        pytest.importorskip("numpy")
         campaign = smoke_parity_campaign(num_frames=100)
-        spec = tmp_path / "spec.json"
-        campaign.save(str(spec))
-        environment = dict(os.environ)
-        environment["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(SRC), environment.get("PYTHONPATH")])
-        )
-        completed = subprocess.run(
-            [sys.executable, "-c", _NUMPY_LESS_RUN, str(spec), str(tmp_path / "out.store")],
-            env=environment,
-            capture_output=True,
-            text=True,
-        )
-        assert completed.returncode == 0, completed.stderr
-        outcomes = json.loads(completed.stdout.strip().splitlines()[-1])
-        assert len(outcomes) == 2 * len(campaign.scenarios)
-        for status, engine_used, metrics, properties in outcomes:
-            assert status == "done"
-            assert engine_used == "scalar"
-            for name in PROPERTY_FIELDS:
-                assert metrics[name] == properties[name], name
-
+        spec = str(tmp_path / "spec.json")
+        campaign.save(spec)
+        blocked = run_python(_CAMPAIGN_RUN, "block", spec, "block.store", cwd=tmp_path)
+        allowed = run_python(_CAMPAIGN_RUN, "allow", spec, "allow.store", cwd=tmp_path)
+        assert len(blocked["engines"]) == len(campaign.scenarios)
+        assert set(blocked["engines"]) == {"fastpath", "tablepath"}
+        assert blocked == allowed == {"engines": blocked["engines"], "numpy": []}
+        assert filecmp.cmp(tmp_path / "block.store", tmp_path / "allow.store", shallow=False)

@@ -66,6 +66,39 @@ class TestPMU:
     def test_empty_sample_utilisation_is_zero(self):
         assert PMUSample(0.0, 0.0, 0.0, 0.0).utilisation == 0.0
 
+    def test_run_totals_are_added_when_first_needed(self):
+        """``account_run`` adds its totals once, at the next read or update,
+        exactly as account_busy then account_idle would."""
+        calls = []
+
+        def totals():
+            calls.append(1)
+            return (3e6, 0.003, 1e6, 0.001)
+
+        deferred, direct = PerformanceMonitoringUnit(), PerformanceMonitoringUnit()
+        deferred.account_run(totals)
+        assert calls == []
+        direct.account_busy(3e6, 0.003)
+        direct.account_idle(1e6, 0.001)
+        assert deferred.sample() == direct.sample()
+        assert deferred.busy_cycles == 3e6 and deferred.elapsed_time_s == 0.004
+        assert calls == [1]
+
+        # A later update lands after the run, in order.
+        deferred.account_run(totals)
+        deferred.account_busy(1e6, 0.001)
+        direct.account_busy(3e6, 0.003)
+        direct.account_idle(1e6, 0.001)
+        direct.account_busy(1e6, 0.001)
+        assert deferred.sample() == direct.sample()
+        assert calls == [1, 1]
+
+    def test_reset_drops_run_totals_uncomputed(self):
+        pmu = PerformanceMonitoringUnit()
+        pmu.account_run(lambda: pytest.fail("totals computed after a reset"))
+        pmu.reset()
+        assert pmu.sample() == PMUSample(0.0, 0.0, 0.0, 0.0)
+
 
 class TestPowerSensor:
     def test_quantisation(self):

@@ -28,9 +28,6 @@ from tests.conftest import (
     wire_campaign,
 )
 
-# The fresh runs compared with the committed blob must pick the engines
-# it names: without numpy negotiation picks another engine.
-pytest.importorskip("numpy")
 
 #: sha256 of ``CampaignResult.to_json()`` for :func:`wire_campaign`, as
 #: written by the record-at-a-time serialiser (``FrameRecord.to_dict`` per

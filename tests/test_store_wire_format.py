@@ -38,9 +38,6 @@ from repro.errors import ConfigurationError
 from repro.testing.parity.harness import paper_governors
 from tests.conftest import legacy_bytes, saved_bytes
 
-# The pinned digests name which engine ran each scenario: without numpy
-# the vectorised backend is absent and negotiation picks another engine.
-pytest.importorskip("numpy")
 
 #: sha256 of each file the fixture wrote in the old (insertion-order) line
 #: layout; ``shard0.store`` is the committed legacy shard.

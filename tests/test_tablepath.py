@@ -6,21 +6,21 @@ Linux policies) the table-driven engine in :mod:`repro.sim.tablepath` must
 reproduce the scalar engine frame by frame on an isothermal cluster — every
 float bit-identical, identical operating-point trajectories, identical
 deadline-miss sets, identical exploration counts and identical final
-Q-tables — and the engine must fall back to the scalar loop whenever NumPy
-is missing.  ``tests/test_thermalpath.py`` holds the same contract for
-thermally-enabled clusters.
+Q-tables — with or without numpy installed.  ``tests/test_thermalpath.py``
+holds the same contract for thermally-enabled clusters.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import PlatformError, SimulationError
+from repro.errors import PlatformError
 from repro.governors.conservative import ConservativeGovernor
 from repro.governors.multicore_dvfs import MultiCoreDVFSGovernor
 from repro.governors.ondemand import OndemandGovernor
 from repro.governors.oracle import OracleGovernor
 from repro.governors.shen_rl import ShenRLGovernor
+from repro.governors.userspace import UserspaceGovernor
 from repro.platform.odroid_xu3 import build_a15_cluster
 from repro.rtm.multicore import MultiCoreRLGovernor
 from repro.rtm.rl_governor import RLGovernor
@@ -28,9 +28,7 @@ from repro.sim import tablepath
 from repro.sim.engine import SimulationConfig, SimulationEngine
 from repro.workload.fft import fft_application
 from repro.workload.video import mpeg4_application
-from tests.conftest import store_round_trip
-
-numpy = pytest.importorskip("numpy")
+from tests.conftest import ondemand_without_numpy, store_round_trip
 
 #: Closed-loop governor factories (no static schedule; observation-driven).
 CLOSED_LOOP_GOVERNORS = {
@@ -224,23 +222,17 @@ class TestTablePathSelection:
         engine.run(mpeg4_application(num_frames=30, seed=1), OndemandGovernor())
         assert engine.engine_used == "scalar"
 
-    def test_numpy_missing_falls_back_to_scalar(self, monkeypatch):
-        from repro.sim import fastpath
-
-        monkeypatch.setattr(tablepath, "_np", None)
-        monkeypatch.setattr(fastpath, "_np", None)
-        cluster = build_a15_cluster()
-        engine = SimulationEngine(cluster)
-        result = engine.run(mpeg4_application(num_frames=30, seed=1), OndemandGovernor())
-        assert engine.engine_used != "tablepath"
-        assert result.num_frames == 30
-        with pytest.raises(SimulationError):
-            tablepath.simulate_closed_loop(
-                cluster,
-                mpeg4_application(num_frames=5, seed=1),
-                OndemandGovernor(),
-                SimulationConfig(),
-            )
+    def test_runs_without_numpy(self):
+        """With numpy unimportable the engine still negotiates and its
+        columns are bit-identical to a run with numpy installed."""
+        result = SimulationEngine(build_a15_cluster()).run(
+            mpeg4_application(num_frames=30, seed=1), OndemandGovernor()
+        )
+        assert ondemand_without_numpy(thermal=False) == {
+            "engine": "tablepath",
+            "energy_j": list(result.columns.energy_j),
+            "temperature_c": list(result.columns.temperature_c),
+        }
 
 
 class TestWorkloadTable:
@@ -280,14 +272,23 @@ class TestWorkloadTable:
         _assert_frame_by_frame_equivalent(scalar, table_result)
 
     def test_timing_matches_execute_workload(self):
-        """Busy time and interval equal the scalar execute_workload outputs."""
+        """Busy time and the loop's interval equal the scalar execute_workload outputs."""
         application = mpeg4_application(num_frames=25, seed=4)
         cluster = build_a15_cluster()
         tables = self._table(cluster, application)
         num_cores = cluster.num_cores
-        for frame_index, frame in enumerate(application):
-            per_core = frame.cycles_per_core(num_cores)
-            for point_index in (0, len(cluster.vf_table) // 2, len(cluster.vf_table) - 1):
+        for point_index in (0, len(cluster.vf_table) // 2, len(cluster.vf_table) - 1):
+            # Held at its starting point the loop makes no DVFS transition,
+            # so each interval_s is the loop's own padded interval.
+            engine = SimulationEngine(
+                build_a15_cluster(),
+                SimulationConfig(initial_operating_index=point_index),
+                engine="tablepath",
+                table_provider=lambda c, a, cfg: tables,
+            )
+            intervals = engine.run(application, UserspaceGovernor(point_index)).columns.interval_s
+            for frame_index, frame in enumerate(application):
+                per_core = frame.cycles_per_core(num_cores)
                 cluster.reset(point_index)
                 execution = cluster.execute_workload(
                     per_core, minimum_interval_s=frame.deadline_s
@@ -298,7 +299,7 @@ class TestWorkloadTable:
                 assert busy == max(
                     core.busy_time_s for core in execution.core_results
                 )
-                assert tables.interval[frame_index, point_index] == execution.duration_s
+                assert intervals[frame_index] == execution.duration_s
 
     def test_rejects_mismatched_trace(self):
         application = mpeg4_application(num_frames=5, seed=1)

@@ -95,6 +95,24 @@ class TestApplication:
         assert application.reference_time_s == pytest.approx(0.040)
         assert application.total_cycles == pytest.approx(sum(1e6 * (i + 1) for i in range(5)))
 
+    @pytest.mark.parametrize("num_cores", [1, 2, 3, 4, 6])
+    def test_cycles_per_core_is_each_frames(self, num_cores):
+        """Every frame's own mapping, sharing the frame's tuple when it has
+        one thread per core, for uniform and mixed thread counts."""
+        rng = random.Random(num_cores)
+        for counts in ([num_cores] * 6, [num_cores, 3, num_cores, 1, 4, num_cores]):
+            frames = [
+                Frame(index=i, thread_cycles=tuple(rng.uniform(1e6, 9e6) for _ in range(count)),
+                      deadline_s=0.04)
+                for i, count in enumerate(counts)
+            ]
+            rows = Application("demo", frames, PerformanceRequirement(25.0)).cycles_per_core(num_cores)
+            assert rows == [frame.cycles_per_core(num_cores) for frame in frames]
+            if set(counts) == {num_cores}:
+                assert all(row is frame.thread_cycles for row, frame in zip(rows, frames))
+        with pytest.raises(WorkloadError):
+            Application("demo", frames, PerformanceRequirement(25.0)).cycles_per_core(0)
+
     def test_frames_must_be_consecutively_numbered(self):
         frames = self._frames(3)
         frames[1] = Frame(index=7, thread_cycles=(1e6,), deadline_s=0.04)
