@@ -13,8 +13,8 @@ The package is organised in layers mirroring the paper's cross-layer view:
 * :mod:`repro.governors` — the baseline DVFS policies the paper compares
   against (ondemand, the multi-core DVFS learning controller, the UPD
   Q-learning manager, the Oracle, and the remaining stock Linux policies);
-* :mod:`repro.sim` — the closed-loop simulation engine and experiment
-  runner;
+* :mod:`repro.sim` — the closed-loop simulation engine, its results and
+  their aggregate metrics;
 * :mod:`repro.experiments` — one driver per paper table / figure;
 * :mod:`repro.analysis` — statistics and plain-text reporting helpers.
 
@@ -78,7 +78,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "PerformanceGovernor",
             "PowersaveGovernor",
         ),
-        "repro.sim": ("SimulationEngine", "SimulationConfig", "ExperimentRunner"),
+        "repro.sim": ("SimulationEngine", "SimulationConfig"),
         "repro.campaign": (
             "CampaignSpec",
             "ScenarioSpec",

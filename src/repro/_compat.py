@@ -16,6 +16,9 @@ a single process without reinstalling anything.
 columnar campaign result store (:mod:`repro.campaign.store`): pyarrow is
 an optional ``[arrow]`` extra, and ``REPRO_DISABLE_ARROW`` turns the
 Arrow encoding off without reinstalling.
+
+:func:`left_sum` is the one float summation the run path uses, because
+the builtin ``sum()`` of floats changed its rounding in Python 3.12.
 """
 
 from __future__ import annotations
@@ -23,9 +26,26 @@ from __future__ import annotations
 import importlib.util
 import os
 import sys
-from typing import Any, Dict
+from functools import reduce
+from operator import add
+from typing import Any, Dict, Iterable
 
 SLOTS: Dict[str, Any] = {"slots": True} if sys.version_info >= (3, 11) else {}
+
+
+def left_sum(values: Iterable[Any]) -> Any:
+    """Add ``values`` left to right from the int ``0``: ``sum()`` as of 3.10 and 3.11.
+
+    From Python 3.12 the builtin ``sum()`` of floats is compensated
+    (Neumaier), so its result can differ in the last digits from the
+    plain left-to-right sum, and a workload, a cluster's energy or a
+    learner's state built with it would differ between interpreters.
+    Every float sum on the run path goes through this function instead,
+    so one spec writes the same stored bytes on every supported Python.
+    Integer counts need no such care and keep the builtin.
+    """
+    return reduce(add, values, 0)
+
 
 #: True when numba is importable.  A cheap find_spec probe rather than a
 #: real import: importing numba costs seconds, which every process would

@@ -76,7 +76,7 @@ def format_campaign_summary(
             # Summaries without materialising per-frame records: the
             # metrics cached by the columnar store when present (no frame
             # access at all — a lazily loaded store stays on metadata),
-            # one array reduction per metric otherwise.
+            # the result's own summary, computed once, otherwise.
             summary = outcome.metrics_summary()
             normalized_performance = (
                 summary.average_frame_time_s / result.reference_time_s

@@ -35,7 +35,6 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional
 
 from repro.errors import SimulationError
 from repro.campaign.spec import CampaignSpec, ScenarioSpec
-from repro.sim import metrics as sim_metrics
 from repro.sim.metrics import MetricsSummary
 from repro.sim.results import SimulationResult
 
@@ -128,11 +127,6 @@ class ScenarioOutcome:
         not an ``__init__`` argument, invisible to equality and ``repr``,
         and never carried over by
         :func:`dataclasses.replace`.
-    summary:
-        The :class:`~repro.sim.metrics.MetricsSummary` that
-        :meth:`metrics_summary` returns, kept from its first computation
-        (there, or when the store encodes the record's ``metrics``) so an
-        outcome is summarised once.  A cache like :attr:`store_slot`.
     """
 
     scenario: ScenarioSpec
@@ -144,9 +138,6 @@ class ScenarioOutcome:
     attempts: int = 1
     metrics: Optional[Dict[str, Any]] = field(default=None, compare=False)
     store_slot: Optional[tuple] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    summary: Optional[MetricsSummary] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -198,24 +189,19 @@ class ScenarioOutcome:
         Prefers the cached :attr:`metrics` dict (stamped by the columnar
         store at write time — answering from it never touches the frames,
         which for a lazily loaded store means no disk read at all) and
-        falls back to :func:`~repro.sim.metrics.summarize_result` over the
-        result's columns, the summary the store writes.  The answer is
-        kept in :attr:`summary`.
+        falls back to the result's own summary
+        (:attr:`~repro.sim.results.SimulationResult.summary`, computed
+        once), the summary the store writes.
         ``None`` for failed outcomes.
         """
         if self.result is None:
             return None
-        if self.summary is None:
-            object.__setattr__(self, "summary", self._summarise())
-        return self.summary
-
-    def _summarise(self) -> MetricsSummary:
         if self.metrics is not None:
             try:
                 return MetricsSummary(**self.metrics)
             except TypeError:
                 pass  # unknown cache shape: recompute from the frames
-        return sim_metrics.summarize_result(self.result)
+        return self.result.summary
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioOutcome":

@@ -79,7 +79,6 @@ from repro.campaign.results import (
     quarantine_corrupt_file,
 )
 from repro.campaign.spec import CampaignSpec, ScenarioSpec
-from repro.sim.metrics import summarize_result
 
 #: Lease-grant response states.
 STATE_GRANTED = "granted"
@@ -580,7 +579,7 @@ def _submitted_outcome(record: Any) -> ScenarioOutcome:
     outcome = result_store.decode_record(record)
     if outcome.result is None:
         return replace(outcome, metrics=None)
-    return replace(outcome, metrics=asdict(summarize_result(outcome.result)))
+    return replace(outcome, metrics=asdict(outcome.result.summary))
 
 
 def dispatch_op(coordinator: Coordinator, request: Mapping[str, Any]) -> Dict[str, Any]:

@@ -125,7 +125,6 @@ from repro.campaign.results import (
 )
 from repro.campaign.spec import CampaignSpec, ScenarioSpec
 from repro.sim.epoch import FLOAT_COLUMN_NAMES, FRAME_COLUMN_NAMES, FrameColumns, float_column
-from repro.sim.metrics import summarize_result
 from repro.sim.results import SimulationResult
 
 #: First bytes of every columnar store file (followed by the JSON header).
@@ -425,20 +424,18 @@ def _outcome_record(outcome: ScenarioOutcome) -> Dict[str, Any]:
 
 
 def _outcome_metrics(outcome: ScenarioOutcome) -> Optional[Dict[str, Any]]:
-    """The record's ``metrics``: the outcome's cache, else summarised once.
+    """The record's ``metrics``: the outcome's cache, else the result's summary.
 
     Every record on disk can therefore answer summary queries without
-    its frames.  A summary computed here is kept on the outcome
-    (:attr:`ScenarioOutcome.summary`), so a later
+    its frames.  The result keeps its summary
+    (:attr:`~repro.sim.results.SimulationResult.summary`), so a later
     :meth:`~ScenarioOutcome.metrics_summary` does not compute it again.
     """
     if outcome.metrics is not None:
         return dict(outcome.metrics)
     if outcome.result is None:
         return None
-    if outcome.summary is None:
-        object.__setattr__(outcome, "summary", summarize_result(outcome.result))
-    return asdict(outcome.summary)
+    return asdict(outcome.result.summary)
 
 
 def outcome_digest(outcome: ScenarioOutcome) -> str:

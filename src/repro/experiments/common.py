@@ -17,9 +17,6 @@ from typing import Optional
 from repro.campaign.executor import CampaignExecutor, RetryPolicy
 from repro.campaign.results import CampaignResult
 from repro.campaign.spec import CampaignSpec, FactorySpec
-from repro.platform.cluster import Cluster
-from repro.platform.odroid_xu3 import build_a15_cluster
-from repro.sim.runner import ExperimentRunner
 
 
 def default_backend() -> str:
@@ -131,14 +128,6 @@ class ExperimentSettings:
     def cluster_spec(self) -> FactorySpec:
         """Declarative spec of the A15 cluster used by every experiment."""
         return FactorySpec.of("a15", num_cores=self.num_cores)
-
-    def make_runner(self) -> ExperimentRunner:
-        """Build a fresh A15-cluster experiment runner (single-run API)."""
-        return ExperimentRunner(cluster=self.make_cluster())
-
-    def make_cluster(self) -> Cluster:
-        """Build the A15 cluster model used by every experiment."""
-        return build_a15_cluster(num_cores=self.num_cores)
 
 
 #: Paper-reported values, kept next to the drivers so EXPERIMENTS.md and the

@@ -16,7 +16,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro._compat import SLOTS
+from repro._compat import SLOTS, left_sum
 from repro.errors import PlatformError
 from repro.platform.core import Core, CoreExecutionResult
 from repro.platform.dvfs import DVFSActuator, DVFSTransition
@@ -364,7 +364,7 @@ class Cluster:
         # charged for the whole interval.
         busy_power_w = self.core_power_w(index, True, temperature)
         idle_power_w = self.core_power_w(idle_index, False, temperature)
-        core_energy_j = sum(
+        core_energy_j = left_sum(
             busy_power_w * result.busy_time_s + idle_power_w * result.idle_time_s
             for result in core_results
         )

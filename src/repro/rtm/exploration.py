@@ -28,6 +28,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import List, Sequence
 
+from repro._compat import left_sum
 from repro.errors import ConfigurationError
 
 
@@ -106,7 +107,7 @@ class ExponentialPolicy(ActionSelectionPolicy):
         weights = [
             math.exp(-self.beta * (f / f_max) * slack) for f in frequencies_hz
         ]
-        total = sum(weights)
+        total = left_sum(weights)
         return [w / total for w in weights]
 
 

@@ -25,7 +25,7 @@ from array import array
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro._compat import SLOTS
+from repro._compat import SLOTS, left_sum
 from repro.errors import ConfigurationError
 
 
@@ -92,7 +92,7 @@ def _summarize(predicted: Sequence[float], actual: Sequence[float]) -> Mispredic
     under = sum(1 for p, a in zip(predicted, actual) if a > p)
     return MispredictionStats(
         num_epochs=len(actual),
-        mean_absolute_relative_error=sum(errors) / len(errors),
+        mean_absolute_relative_error=left_sum(errors) / len(errors),
         max_absolute_relative_error=max(errors),
         underprediction_fraction=under / len(actual),
     )
@@ -253,7 +253,7 @@ class NLMSPredictor(WorkloadPredictor):
         # (if we had a full window), then slide the window and predict.
         if len(self._history) == self.order and self._last_prediction is not None:
             error = actual - self._last_prediction
-            norm = sum(x * x for x in self._history) + 1e-12
+            norm = left_sum(x * x for x in self._history) + 1e-12
             self._weights = [
                 w + self.step_size * error * x / norm
                 for w, x in zip(self._weights, self._history)
@@ -263,7 +263,7 @@ class NLMSPredictor(WorkloadPredictor):
             self._history.pop(0)
         if len(self._history) < self.order:
             return actual
-        return sum(w * x for w, x in zip(self._weights, self._history))
+        return left_sum(w * x for w, x in zip(self._weights, self._history))
 
     def reset(self) -> None:
         super().reset()

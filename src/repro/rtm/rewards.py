@@ -23,6 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+from repro._compat import left_sum
 from repro.errors import ConfigurationError
 
 
@@ -163,7 +164,7 @@ class SlackTracker:
             self._running_sum += slack
             average = self._running_sum / (epochs * reference)
         else:
-            average = sum(slacks) / (len(slacks) * reference)
+            average = left_sum(slacks) / (len(slacks) * reference)
         self._history.append(average)
         self._slack_delta = average if epochs == 1 else average - self._last_average
         self._last_instantaneous_slack = slack / reference

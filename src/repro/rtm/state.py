@@ -13,6 +13,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
+from repro._compat import left_sum
 from repro.errors import ConfigurationError, StateSpaceError
 
 
@@ -235,7 +236,7 @@ class StateSpace:
             if capacity_cycles <= 0:
                 raise StateSpaceError("capacity_cycles must be positive for CAPACITY normalisation")
             return min(1.0, predicted_cycles / capacity_cycles)
-        total = sum(all_core_predictions)
+        total = left_sum(all_core_predictions)
         if total <= 0:
             return 0.0
         return min(1.0, predicted_cycles / total)

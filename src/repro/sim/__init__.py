@@ -37,7 +37,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "summarize_result",
             "frequency_histogram",
         ),
-        "repro.sim.runner": ("ExperimentRunner", "GovernorFactory"),
         "repro.sim.comparison": ("ComparisonRow", "compare_to_oracle"),
     },
 )

@@ -1,15 +1,16 @@
 """A run's aggregate metrics as one :class:`MetricsSummary`.
 
-The :class:`~repro.sim.results.SimulationResult` properties are the one
-Python definition of every aggregate.  :func:`summarize_result` reads the
-same columns but adds each float column with :func:`pairwise_sum`, the
-summation order of ``numpy.sum``, so its totals can differ from the
-properties' sequential sums in the last digits.  That order stays because
-stored bytes pin it: the result store writes this summary into every
-record's ``metrics``, and the e2ebench digest checks its
-``total_energy_j`` exactly.  Switching to the properties' order is a
-declared wire-format change.  Both orders are plain Python, so one result
-gives one summary with or without numpy installed.
+:func:`summarize_result` is the one definition of a run's aggregates.
+:class:`~repro.sim.results.SimulationResult` calls it once, keeps the
+summary as ``result.summary`` and answers every aggregate property from
+it; the result store writes it into every record's ``metrics``.
+
+Each float column is added in one order, :func:`pairwise_sum`: the
+pairwise order of ``numpy.sum``.  The summary was first taken with numpy,
+so that is the order every stored ``metrics`` value and the e2ebench
+digest hold; any other order would move them in the last digits.  It is
+plain float ``+`` in Python, so one result gives one summary on every
+interpreter, with or without numpy installed.
 """
 
 from __future__ import annotations

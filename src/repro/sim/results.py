@@ -8,10 +8,15 @@ result loaded through the result store or
 and gathered into columns once.  ``result.records`` hands out a fresh
 tuple of records on each call.
 
-The aggregate properties (totals, means, the deadline-miss ratio and the
-paper's normalisations) are the one Python definition of a run's
-aggregates, each summed over the columns;
-:func:`~repro.sim.metrics.summarize_result` builds its summary from them.
+A run's aggregates have one definition and one summation order:
+:func:`~repro.sim.metrics.summarize_result`, which adds in ``numpy.sum``'s
+pairwise order because that is the order stored ``metrics`` hold (see
+:mod:`repro.sim.metrics`).  It runs once per result, on first use, and is
+kept as :attr:`SimulationResult.summary`.  The aggregate
+properties (totals, means, the deadline-miss ratio) return its fields,
+and the paper's normalisations are formed from them, so a property of a
+reloaded result equals the ``metrics`` its store record holds, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -19,7 +24,8 @@ from __future__ import annotations
 from typing import Any, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
-from repro.sim.epoch import DEADLINE_TOLERANCE_S, FRAME_COLUMN_NAMES, FrameColumns, FrameRecord
+from repro.sim import metrics
+from repro.sim.epoch import FRAME_COLUMN_NAMES, FrameColumns, FrameRecord
 
 
 def _same_column(mine: Sequence[Any], theirs: Sequence[Any]) -> bool:
@@ -59,6 +65,10 @@ class SimulationResult:
         ``"thermalpath"``, and still load).  Stamped by
         :meth:`~repro.sim.engine.SimulationEngine.run`; empty for results
         built by hand or by calling an engine module directly.
+    summary:
+        The run's :class:`~repro.sim.metrics.MetricsSummary`, computed by
+        :func:`~repro.sim.metrics.summarize_result` on first use and kept.
+        Every aggregate property reads it.
     """
 
     __slots__ = (
@@ -69,6 +79,7 @@ class SimulationResult:
         "converged_epoch",
         "engine_used",
         "_columns",
+        "_summary",
     )
 
     def __init__(
@@ -95,6 +106,7 @@ class SimulationResult:
         if columns is None:
             columns = FrameColumns.from_records(records or ())
         self._columns = columns
+        self._summary: Optional[metrics.MetricsSummary] = None
 
     # -- per-frame data -----------------------------------------------------------
     @property
@@ -107,7 +119,14 @@ class SimulationResult:
         """The columnar per-frame data (never ``None``)."""
         return self._columns
 
-    # -- totals ------------------------------------------------------------------
+    # -- aggregates -------------------------------------------------------------
+    @property
+    def summary(self) -> metrics.MetricsSummary:
+        """The run's aggregates, summarised once (see :mod:`repro.sim.metrics`)."""
+        if self._summary is None:
+            self._summary = metrics.summarize_result(self)
+        return self._summary
+
     @property
     def num_frames(self) -> int:
         """Number of simulated decision epochs."""
@@ -116,28 +135,22 @@ class SimulationResult:
     @property
     def total_energy_j(self) -> float:
         """Total energy over the run."""
-        return sum(self._columns.energy_j)
+        return self.summary.total_energy_j
 
     @property
     def total_time_s(self) -> float:
         """Total wall-clock time of the run (sum of epoch intervals)."""
-        return sum(self._columns.interval_s)
+        return self.summary.total_time_s
 
     @property
     def average_power_w(self) -> float:
         """Mean power over the run."""
-        total_time = self.total_time_s
-        if total_time <= 0:
-            return 0.0
-        return self.total_energy_j / total_time
+        return self.summary.average_power_w
 
     @property
     def average_frame_time_s(self) -> float:
         """Mean per-frame execution time."""
-        frame_times = self._columns.frame_time_s
-        if not frame_times:
-            return 0.0
-        return sum(frame_times) / len(frame_times)
+        return self.summary.average_frame_time_s
 
     # -- the paper's normalised metrics ----------------------------------------------
     @property
@@ -155,32 +168,17 @@ class SimulationResult:
     @property
     def deadline_miss_ratio(self) -> float:
         """Fraction of frames that missed their deadline."""
-        frame_times = self._columns.frame_time_s
-        if not frame_times:
-            return 0.0
-        misses = sum(
-            1
-            for frame_time, deadline in zip(frame_times, self._columns.deadline_s)
-            if frame_time > deadline + DEADLINE_TOLERANCE_S
-        )
-        return misses / len(frame_times)
+        return self.summary.deadline_miss_ratio
 
     @property
     def mean_slack_ratio(self) -> float:
         """Mean per-frame slack ratio."""
-        frame_times = self._columns.frame_time_s
-        if not frame_times:
-            return 0.0
-        total = sum(
-            (deadline - frame_time) / deadline if deadline > 0 else 0.0
-            for frame_time, deadline in zip(frame_times, self._columns.deadline_s)
-        )
-        return total / len(frame_times)
+        return self.summary.mean_slack_ratio
 
     @property
     def total_overhead_s(self) -> float:
         """Total governor overhead charged over the run."""
-        return sum(self._columns.overhead_time_s)
+        return self.summary.total_overhead_s
 
     # -- legacy JSON blob --------------------------------------------------------------
     @classmethod

@@ -14,6 +14,7 @@ import random
 from abc import ABC, abstractmethod
 from typing import Sequence, Tuple
 
+from repro._compat import left_sum
 from repro.errors import WorkloadError
 
 
@@ -59,7 +60,7 @@ class ImbalancedSplit(ThreadSplitModel):
         if num_threads == 1 or self.imbalance == 0.0:
             return EvenSplit().split(total_cycles, num_threads, rng)
         weights = [rng.uniform(1.0 - self.imbalance, 1.0 + self.imbalance) for _ in range(num_threads)]
-        weight_sum = sum(weights)
+        weight_sum = left_sum(weights)
         return tuple(total_cycles * w / weight_sum for w in weights)
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
+from repro._compat import left_sum
 from repro.errors import WorkloadError
 from repro.workload.application import Application
 from repro.workload.generators import WorkloadGenerator, truncated_gauss
@@ -110,7 +111,7 @@ class VideoWorkloadModel(WorkloadGenerator):
         self.jitter_cv = jitter_cv
         self.forced_scene_change_frames = tuple(forced_scene_change_frames)
         # Normalise the GOP costs so the long-run mean equals mean_frame_cycles.
-        mean_cost = sum(self.frame_type_costs[ch] for ch in gop_pattern) / len(gop_pattern)
+        mean_cost = left_sum(self.frame_type_costs[ch] for ch in gop_pattern) / len(gop_pattern)
         self._base_cycles = mean_frame_cycles / mean_cost
         # Complexity random-walk state; reset whenever a fresh generate() starts
         # because frame_cycles() is always called with increasing indices from 0.

@@ -10,6 +10,7 @@ import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from typing import Callable, Dict
 
 import pytest
 
@@ -21,7 +22,8 @@ from repro.platform.cluster import Cluster
 from repro.platform.core import Core
 from repro.platform.odroid_xu3 import A15_VF_TABLE, build_a15_cluster
 from repro.platform.vf_table import OperatingPoint, VFTable
-from repro.rtm.governor import PlatformInfo
+from repro.rtm.governor import Governor, PlatformInfo
+from repro.sim.engine import SimulationEngine
 from repro.sim.results import SimulationResult
 from repro.testing.parity.harness import paper_governors
 from repro.workload.application import Application, PerformanceRequirement
@@ -172,6 +174,21 @@ def store_record(result: SimulationResult) -> dict:
 def store_round_trip(result: SimulationResult) -> SimulationResult:
     """``result`` saved as a store record and read back."""
     return result_store.decode_record(store_record(result)).result
+
+
+def run_governors(
+    application: Application, governors: Dict[str, Callable[[], Governor]]
+) -> Dict[str, SimulationResult]:
+    """Run a fresh governor from each factory over ``application``, keyed as given.
+
+    One engine on one A15 cluster serves every run; ``reset_cluster=True``
+    starts each from the cluster's initial state.
+    """
+    engine = SimulationEngine(build_a15_cluster())
+    return {
+        name: engine.run(application, factory(), reset_cluster=True)
+        for name, factory in governors.items()
+    }
 
 
 @pytest.fixture

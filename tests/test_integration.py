@@ -10,34 +10,35 @@ import pytest
 from repro.governors import (
     MultiCoreDVFSGovernor,
     OndemandGovernor,
+    OracleGovernor,
     PerformanceGovernor,
     PowersaveGovernor,
     ShenRLGovernor,
 )
 from repro.platform.odroid_xu3 import build_a15_cluster
 from repro.rtm import MultiCoreRLGovernor, RLGovernor, RLGovernorConfig
-from repro.sim import ExperimentRunner, SimulationEngine
+from repro.sim import SimulationEngine
 from repro.workload import FrameTrace
 from repro.workload.fft import fft_application
 from repro.workload.parsec import parsec_application
 from repro.workload.video import h264_football_application
+from tests.conftest import run_governors
 
 
 @pytest.fixture(scope="module")
 def football_runs():
     """One shared comparison run used by several assertions (kept short)."""
     application = h264_football_application(num_frames=700, seed=23)
-    runner = ExperimentRunner()
-    results = runner.run_with_oracle(
+    return run_governors(
         application,
         {
             "ondemand": OndemandGovernor,
             "performance": PerformanceGovernor,
             "proposed": MultiCoreRLGovernor,
             "multicore_dvfs": MultiCoreDVFSGovernor,
+            "oracle": OracleGovernor,
         },
     )
-    return results
 
 
 class TestGovernorEnergyOrdering:
@@ -139,17 +140,21 @@ class TestTraceReplayIntegration:
 class TestSeedReproducibility:
     def test_same_seed_same_results(self):
         application = h264_football_application(num_frames=200, seed=6)
-        runner = ExperimentRunner()
-        first = runner.run_one(application, lambda: MultiCoreRLGovernor(RLGovernorConfig(seed=1)))
-        second = runner.run_one(application, lambda: MultiCoreRLGovernor(RLGovernorConfig(seed=1)))
+        engine = SimulationEngine(build_a15_cluster())
+        first, second = (
+            engine.run(application, MultiCoreRLGovernor(config), reset_cluster=True)
+            for config in (RLGovernorConfig(seed=1), RLGovernorConfig(seed=1))
+        )
         assert first.total_energy_j == pytest.approx(second.total_energy_j)
         assert first.exploration_count == second.exploration_count
 
     def test_different_agent_seeds_explore_differently(self):
         application = h264_football_application(num_frames=200, seed=6)
-        runner = ExperimentRunner()
-        first = runner.run_one(application, lambda: MultiCoreRLGovernor(RLGovernorConfig(seed=1)))
-        second = runner.run_one(application, lambda: MultiCoreRLGovernor(RLGovernorConfig(seed=2)))
+        engine = SimulationEngine(build_a15_cluster())
+        first, second = (
+            engine.run(application, MultiCoreRLGovernor(config), reset_cluster=True)
+            for config in (RLGovernorConfig(seed=1), RLGovernorConfig(seed=2))
+        )
         first_actions = [r.operating_index for r in first.records[:100]]
         second_actions = [r.operating_index for r in second.records[:100]]
         assert first_actions != second_actions
@@ -158,9 +163,8 @@ class TestSeedReproducibility:
 class TestSingleVsMultiCoreFormulation:
     def test_both_formulations_learn_sane_policies(self):
         application = h264_football_application(num_frames=400, seed=17)
-        runner = ExperimentRunner()
-        single = runner.run_one(application, RLGovernor)
-        multi = runner.run_one(application, MultiCoreRLGovernor)
+        results = run_governors(application, {"single": RLGovernor, "multi": MultiCoreRLGovernor})
+        single, multi = results["single"], results["multi"]
         for result in (single, multi):
             assert result.deadline_miss_ratio < 0.5
             assert result.normalized_performance < 1.2

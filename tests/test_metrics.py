@@ -1,24 +1,28 @@
-"""A run's aggregates: the result properties and the summary built on them.
+"""A run's aggregates: one summary, and the result properties that read it.
 
-The :class:`~repro.sim.results.SimulationResult` properties are the one
-Python definition of every aggregate.
-:func:`~repro.sim.metrics.summarize_result` reduces the same columns in
-``numpy.sum``'s pairwise order (:func:`~repro.sim.metrics.pairwise_sum`),
-the definition the result store writes, which matches the properties up to
-the last digits and is the same with or without numpy installed.
+:func:`~repro.sim.metrics.summarize_result` is the one definition of every
+aggregate.  It reduces the columns in ``numpy.sum``'s pairwise order
+(:func:`~repro.sim.metrics.pairwise_sum`), the same with or without numpy
+installed.  A :class:`~repro.sim.results.SimulationResult` summarises
+itself once and answers its aggregate properties from that summary, which
+is also what the result store writes as a record's ``metrics``.
 """
 
 import filecmp
 import random
 from array import array
+from collections import Counter
 
 import pytest
 
+from repro.campaign import CampaignResult, run_campaign
+from repro.campaign import store as result_store
 from repro.errors import SimulationError
 from repro.governors.ondemand import OndemandGovernor
 from repro.governors.oracle import OracleGovernor
 from repro.platform.odroid_xu3 import build_a15_cluster
 from repro.rtm.rl_governor import RLGovernor
+from repro.sim import metrics
 from repro.sim.comparison import energy_saving_percent
 from repro.sim.engine import SimulationEngine
 from repro.sim.epoch import DEADLINE_TOLERANCE_S, FrameRecord
@@ -30,7 +34,7 @@ from repro.sim.metrics import (
 from repro.sim.results import SimulationResult
 from repro.testing.parity import smoke_parity_campaign
 from repro.workload.video import mpeg4_application
-from tests.conftest import run_python
+from tests.conftest import run_python, wire_campaign
 
 #: The summary fields that are result properties.
 PROPERTY_FIELDS = (
@@ -209,7 +213,7 @@ class TestSummarizeResult:
         ],
     )
     def test_summary_is_the_numpy_reduction(self, governor_factory, engine):
-        """The summary equals numpy's reduction exactly and the properties to 1e-12."""
+        """The summary equals numpy's reduction, and the properties the summary, exactly."""
         result = SimulationEngine(build_a15_cluster(), engine=engine).run(
             mpeg4_application(num_frames=600, seed=3), governor_factory()
         )
@@ -217,7 +221,7 @@ class TestSummarizeResult:
         summary = summarize_result(result)
         assert summary == numpy_summary(result)
         for name in PROPERTY_FIELDS:
-            assert getattr(summary, name) == pytest.approx(getattr(result, name), rel=1e-12)
+            assert getattr(result, name) == getattr(summary, name), name
 
     def test_list_columns_are_read_as_floats(self):
         """A float column that holds an int sums as numpy's float64 view did."""
@@ -225,6 +229,45 @@ class TestSummarizeResult:
         result.columns.overhead_time_s = [0, 0.25, 1]
         assert type(result.columns.overhead_time_s) is list
         assert summarize_result(result) == numpy_summary(result)
+
+
+class TestOneSummary:
+    """Every aggregate a result reports comes from its one summary."""
+
+    def test_reloaded_properties_equal_the_stored_metrics(self, tmp_path):
+        # wire_campaign runs the scalar, tablepath and fastpath engines.
+        path = str(tmp_path / "grid.store")
+        run_campaign(wire_campaign()).save(path)
+        loaded = CampaignResult.load(path)
+        assert {outcome.result.engine_used for outcome in loaded} == {
+            "scalar", "tablepath", "fastpath"
+        }
+        for outcome in loaded:
+            result, stored = outcome.result, outcome.metrics
+            for name in PROPERTY_FIELDS:
+                assert getattr(result, name) == stored[name], (outcome.label, name)
+            assert result.normalized_performance == (
+                stored["average_frame_time_s"] / result.reference_time_s
+            )
+
+    def test_one_summary_per_outcome(self, tmp_path, monkeypatch):
+        summarised = Counter()
+        summarize = metrics.summarize_result
+
+        def counting(result):
+            summarised[id(result)] += 1
+            return summarize(result)
+
+        monkeypatch.setattr(metrics, "summarize_result", counting)
+        store = run_campaign(wire_campaign())
+        result_store.save_store(store, str(tmp_path / "grid.store"), result_store.ENCODING_JSONL)
+        for outcome in store:
+            assert outcome.metrics_summary() is outcome.result.summary
+            for name in PROPERTY_FIELDS:
+                getattr(outcome.result, name)
+            outcome.result.normalized_performance
+        assert sorted(summarised) == sorted(id(outcome.result) for outcome in store)
+        assert set(summarised.values()) == {1}
 
 
 #: Run the CLI on a spec, then reload its store eagerly and lazily; print

@@ -1,4 +1,4 @@
-"""Tests for the simulation engine, results, metrics, runner and comparison."""
+"""Tests for the simulation engine, results, metrics and comparison."""
 
 import pytest
 
@@ -15,9 +15,8 @@ from repro.sim.engine import SimulationConfig, SimulationEngine
 from repro.sim.epoch import FrameRecord
 from repro.sim.metrics import frequency_histogram, summarize_result
 from repro.sim.results import SimulationResult
-from repro.sim.runner import ExperimentRunner
 from repro.workload.video import mpeg4_application
-from tests.conftest import make_constant_application
+from tests.conftest import make_constant_application, run_governors
 
 
 class TestSimulationEngine:
@@ -194,17 +193,26 @@ class TestMetrics:
         assert before + after == pytest.approx(result.total_energy_j)
 
 
-class TestRunnerAndComparison:
-    def test_run_with_oracle_adds_oracle_run(self, constant_application):
-        runner = ExperimentRunner()
-        results = runner.run_with_oracle(constant_application, {"ondemand": OndemandGovernor})
+class TestResetRunsAndComparison:
+    def test_reset_runs_equal_fresh_engine_runs(self, constant_application):
+        # reset_cluster=True starts each run of a shared engine from the
+        # cluster's initial state: every run equals one on a fresh engine.
+        results = run_governors(
+            constant_application, {"ondemand": OndemandGovernor, "oracle": OracleGovernor}
+        )
         assert set(results) == {"ondemand", "oracle"}
+        for name, governor in (("ondemand", OndemandGovernor), ("oracle", OracleGovernor)):
+            fresh = SimulationEngine(build_a15_cluster()).run(constant_application, governor())
+            assert results[name] == fresh
 
     def test_compare_to_oracle_rows(self, constant_application):
-        runner = ExperimentRunner()
-        results = runner.run_with_oracle(
+        results = run_governors(
             constant_application,
-            {"ondemand": OndemandGovernor, "performance": PerformanceGovernor},
+            {
+                "ondemand": OndemandGovernor,
+                "performance": PerformanceGovernor,
+                "oracle": OracleGovernor,
+            },
         )
         rows = compare_to_oracle(results, display_names={"ondemand": "Linux Ondemand [5]"})
         names = {row.methodology for row in rows}
@@ -213,14 +221,12 @@ class TestRunnerAndComparison:
         assert all(row.normalized_energy > 0 for row in rows)
 
     def test_compare_requires_oracle_key(self, constant_application):
-        runner = ExperimentRunner()
-        results = runner.run_many(constant_application, {"ondemand": OndemandGovernor})
+        results = run_governors(constant_application, {"ondemand": OndemandGovernor})
         with pytest.raises(SimulationError):
             compare_to_oracle(results)
 
     def test_pairwise_energy_saving(self, constant_application):
-        runner = ExperimentRunner()
-        results = runner.run_many(
+        results = run_governors(
             constant_application,
             {"performance": PerformanceGovernor, "oracle": OracleGovernor},
         )
@@ -229,13 +235,18 @@ class TestRunnerAndComparison:
         with pytest.raises(SimulationError):
             pairwise_energy_saving(results, "missing", "performance")
 
-    def test_run_many_requires_factories(self, constant_application):
-        with pytest.raises(SimulationError):
-            ExperimentRunner().run_many(constant_application, {})
-
-    def test_sweep_runs_each_application(self, constant_application, short_fft_application):
-        runner = ExperimentRunner()
-        results = runner.sweep([constant_application, short_fft_application], OndemandGovernor)
-        assert len(results) == 2
-        assert results[0].application_name == constant_application.name
-        assert results[1].application_name == short_fft_application.name
+    def test_one_engine_runs_each_application(
+        self, constant_application, short_fft_application
+    ):
+        engine = SimulationEngine(build_a15_cluster())
+        applications = (constant_application, short_fft_application)
+        results = [
+            engine.run(application, OndemandGovernor(), reset_cluster=True)
+            for application in applications
+        ]
+        assert [result.application_name for result in results] == [
+            application.name for application in applications
+        ]
+        assert results[1] == SimulationEngine(build_a15_cluster()).run(
+            short_fft_application, OndemandGovernor()
+        )

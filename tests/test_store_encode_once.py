@@ -5,17 +5,18 @@ outcome three times: the checkpoint append, the final checkpoint rewrite
 and the ``--output`` save.  The first write leaves a slot on the
 :class:`ScenarioOutcome` (file, offset, length, checksum) and the later
 ones copy those bytes back, so the encoder (:func:`encode_line` for jsonl,
-:func:`encode_record` for Arrow, and the ``summarize_result`` either calls
-for the cached metrics) runs once per outcome.  The slot must stay small,
+:func:`encode_record` for Arrow, and the ``summarize_result`` behind the
+cached metrics) runs once per outcome.  The slot must stay small,
 must be dropped when its file no longer holds the bytes, and must stay
 invisible to equality, ``repr`` and the bytes on disk.
 
 A jsonl line is itself one ``json.dumps`` of the record: its ``digest``
 hashes those same bytes and equals :func:`record_digest`.
 
-The summary behind a record's ``metrics`` is kept on the outcome, so
-:meth:`ScenarioOutcome.metrics_summary` after a save (or a save after
-it) summarises the frames once between them.
+The summary behind a record's ``metrics`` is kept on the outcome's
+result (``result.summary``), so :meth:`ScenarioOutcome.metrics_summary`
+after a save (or a save after it) summarises the frames once between
+them.
 """
 
 import filecmp
@@ -29,6 +30,7 @@ import pytest
 from repro.campaign import CampaignResult, CampaignSpec, FactorySpec, run_campaign
 from repro.campaign import store as result_store
 from repro.campaign.cli import main as cli_main
+from repro.sim import metrics
 from tests.conftest import saved_bytes
 
 FRAMES = 40
@@ -48,17 +50,21 @@ def small_campaign():
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Count calls of the store's encoders (as ``encode``) and summariser."""
+    """Count calls of the store's encoders (as ``encode``) and of the summariser."""
     counts = Counter()
-    for name in ("encode_line", "encode_record", "summarize_result"):
-        original = getattr(result_store, name)
+    for module, name in (
+        (result_store, "encode_line"),
+        (result_store, "encode_record"),
+        (metrics, "summarize_result"),
+    ):
+        original = getattr(module, name)
         key = "encode" if name.startswith("encode") else name
 
         def counting(*args, _key=key, _original=original, **kwargs):
             counts[_key] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(result_store, name, counting)
+        monkeypatch.setattr(module, name, counting)
     return counts
 
 
@@ -162,39 +168,27 @@ class TestSlot:
 class TestSummaryOnce:
     """The store's metrics and :meth:`metrics_summary` share one summary."""
 
-    @pytest.fixture
-    def summaries(self, monkeypatch):
-        from repro.sim import metrics
-
-        counts = Counter()
-        summarize = metrics.summarize_result
-        for module in (metrics, result_store):
-            def counting(result, _module=module.__name__):
-                counts[_module] += 1
-                return summarize(result)
-
-            monkeypatch.setattr(module, "summarize_result", counting)
-        return counts
-
-    def test_save_then_summary(self, outcome, summaries, tmp_path):
+    def test_save_then_summary(self, outcome, calls, tmp_path):
         path = save(outcome, tmp_path / "out.store")
         summary = outcome.metrics_summary()
         assert outcome.metrics_summary() is summary
-        assert sum(summaries.values()) == 1
+        assert calls["summarize_result"] == 1
         assert asdict(summary) == stored_record(path)["metrics"]
 
-    def test_summary_then_save(self, outcome, summaries, tmp_path):
+    def test_summary_then_save(self, outcome, calls, tmp_path):
         summary = outcome.metrics_summary()
         path = save(outcome, tmp_path / "out.store")
-        assert sum(summaries.values()) == 1
+        assert calls["summarize_result"] == 1
         assert asdict(summary) == stored_record(path)["metrics"]
 
-    def test_replace_summarises_afresh(self, outcome, summaries):
-        outcome.metrics_summary()
+    def test_replace_shares_the_result_summary(self, outcome, calls):
+        # The summary is the result's, so a replaced outcome that keeps the
+        # result keeps its summary too.
+        summary = outcome.metrics_summary()
         retried = replace(outcome, attempts=2)
-        assert retried.summary is None
-        retried.metrics_summary()
-        assert sum(summaries.values()) == 2
+        assert retried.result.summary is summary
+        assert retried.metrics_summary() is summary
+        assert calls["summarize_result"] == 1
 
 
 class TestOneDumpPerRecord:
