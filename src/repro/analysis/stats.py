@@ -9,12 +9,14 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
+from repro._compat import left_sum
+
 
 def mean(values: Sequence[float]) -> float:
     """Arithmetic mean; 0 for an empty sequence."""
     if not values:
         return 0.0
-    return sum(values) / len(values)
+    return left_sum(values) / len(values)
 
 
 def population_std(values: Sequence[float]) -> float:
@@ -22,7 +24,7 @@ def population_std(values: Sequence[float]) -> float:
     if len(values) < 2:
         return 0.0
     mu = mean(values)
-    return (sum((v - mu) ** 2 for v in values) / len(values)) ** 0.5
+    return (left_sum((v - mu) ** 2 for v in values) / len(values)) ** 0.5
 
 
 def coefficient_of_variation(values: Sequence[float]) -> float:

@@ -689,6 +689,10 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         pass  # progress is streamed by the serving loop, not per-request
 
 
+#: How often the coordinator's serve loop looks for a shutdown request.
+_SHUTDOWN_POLL_S = 0.05
+
+
 class CoordinatorServer(ThreadingHTTPServer):
     """HTTP front end of a :class:`Coordinator` (binds loopback by default)."""
 
@@ -708,9 +712,16 @@ class CoordinatorServer(ThreadingHTTPServer):
         return f"http://{host}:{port}"
 
     def start(self) -> None:
-        """Serve requests on a background daemon thread."""
+        """Serve requests on a background daemon thread.
+
+        The loop checks for :meth:`stop` every :data:`_SHUTDOWN_POLL_S`
+        seconds, so a stop returns within that long.
+        """
         self._thread = threading.Thread(
-            target=self.serve_forever, name="campaign-coordinator", daemon=True
+            target=self.serve_forever,
+            kwargs={"poll_interval": _SHUTDOWN_POLL_S},
+            name="campaign-coordinator",
+            daemon=True,
         )
         self._thread.start()
 

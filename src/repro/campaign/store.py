@@ -361,7 +361,12 @@ def _columns_from_lists(frames: Dict[str, Any]) -> FrameColumns:
 
 
 def _frames_for_deferred(frames: Dict[str, Any]) -> Dict[str, Any]:
-    """Shape raw decoded frames for :meth:`FrameColumns.from_deferred`."""
+    """Shape raw decoded frames for :meth:`FrameColumns.from_deferred`.
+
+    Only :func:`_unpacked_frames` under its own name: the deferred loaders
+    call it so that ``e2ebench/tracing.py`` can count deferred frame loads
+    by wrapping it.
+    """
     return _unpacked_frames(frames)
 
 
@@ -387,9 +392,10 @@ def record_digest(record: Dict[str, Any]) -> str:
     ``digest`` itself and the derived ``metrics`` summary.  Packing first
     gives one outcome the same digest whether its frames arrive as lists
     (a version-1 line, :func:`encode_record`'s dict) or packed.  Metrics
-    are excluded because NumPy's pairwise summation and the pure Python
-    fallback produce different float dust for the same frames, and a
-    derived cache must never make identical outcomes look conflicting.
+    are excluded because they are a derived cache of the frames
+    (:func:`~repro.sim.metrics.summarize_result`): the digest already
+    covers what they are computed from, and a cache written by another
+    version must never make identical outcomes look conflicting.
     """
     return hashlib.sha256(_canonical(_packed(_unsealed(record)))).hexdigest()
 

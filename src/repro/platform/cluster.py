@@ -473,16 +473,21 @@ class Cluster:
             throttle_c=thermal.throttle_c,
         )
 
-    def advance_time(self, duration_s: float) -> None:
-        """Advance the cluster clock by ``duration_s`` without executing work.
+    def advance_time_to(self, time_s: float) -> None:
+        """Move the cluster clock forward to ``time_s`` without executing work.
 
         Used by the engines that bypass the cluster model, which account
-        energy and PMU activity in aggregate and then move the clock once
-        for the whole trace (:func:`repro.sim.fastpath.sync_cluster`).
+        energy and PMU activity in aggregate and then set the clock once
+        for the whole trace (:func:`repro.sim.fastpath.sync_cluster`) to
+        the time their own loop reached.  Setting it, rather than adding
+        the trace's duration, leaves the clock the very float the scalar
+        engine's frame-by-frame additions reach.
         """
-        if duration_s < 0:
-            raise PlatformError(f"duration must be non-negative, got {duration_s}")
-        self._time_s += duration_s
+        if time_s < self._time_s:
+            raise PlatformError(
+                f"cannot move the clock back from {self._time_s} s to {time_s} s"
+            )
+        self._time_s = time_s
 
     # -- lifecycle ---------------------------------------------------------------
     def reset(self, operating_index: Optional[int] = None) -> None:

@@ -232,7 +232,7 @@ def simulate_schedule(
         intervals=intervals,
         core_uncore_energy=core_uncore_energy,
         transitions=transitions,
-        total_duration=pairwise_sum(durations),
+        end_time_s=now,
     )
 
     result.exploration_count = governor.exploration_count
@@ -259,7 +259,7 @@ def sync_cluster(
     intervals: Sequence[float],
     core_uncore_energy: Sequence[float],
     transitions: List[DVFSTransition],
-    total_duration: float,
+    end_time_s: float,
 ) -> None:
     """Credit the cluster's meters/PMUs/clock with a run's aggregates.
 
@@ -267,7 +267,8 @@ def sync_cluster(
     padded interval (without DVFS latency), ``core_uncore_energy`` each
     frame's energy without the transition cost.  The cluster's DVFS
     actuator still holds the run's initial point; it is handed
-    ``transitions`` and moved to the last frame's point.  Totals over
+    ``transitions`` and moved to the last frame's point, and the clock is
+    set to ``end_time_s``, the time the run's own loop reached.  Totals over
     frames are taken in ``numpy.sum``'s orders: pairwise for the meter,
     left to right per core for the PMUs.  Each PMU adds its core's totals
     when it is first read (:meth:`~repro.platform.pmu.PerformanceMonitoringUnit.account_run`).
@@ -292,7 +293,7 @@ def sync_cluster(
         )
 
     cluster.dvfs.absorb_transitions(transitions, indices[-1])
-    cluster.advance_time(total_duration)
+    cluster.advance_time_to(end_time_s)
 
 
 def _core_totals(

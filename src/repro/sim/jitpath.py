@@ -817,9 +817,8 @@ def simulate_closed_loop(
     transition_energy_j = dvfs.transition_energy_j
     sensor = cluster.power_sensor
     initial_index = cluster.current_index
-    initial_time_s = cluster.time_s
 
-    fp[_F_TIME] = initial_time_s
+    fp[_F_TIME] = cluster.time_s
     fp[_F_LATENCY] = latency_s
     fp[_F_TRANS_ENERGY] = transition_energy_j
     fp[_F_SAMPLE_PERIOD] = sensor.sample_period_s
@@ -1001,7 +1000,7 @@ def simulate_closed_loop(
         intervals=intervals,
         core_uncore_energy=out_core_uncore.tolist(),
         transitions=transitions,
-        total_duration=float(fp[_F_TIME]) - initial_time_s,
+        end_time_s=float(fp[_F_TIME]),
     )
     thermal_model.absorb_state(float(fp[_F_TEMPERATURE]), int(ip[_I_THROTTLE_TOTAL]))
 

@@ -44,8 +44,8 @@ stateful power sensor is *driven*, not re-implemented.  Deterministic
 governors therefore make the identical decision sequence, and the run
 matches the scalar engine frame by frame: identical floats, trajectories,
 temperatures, miss sets, exploration counts and Q-tables
-(``tests/test_tablepath.py`` and ``tests/test_thermalpath.py`` enforce all
-of this).
+(``tests/test_engine_equivalence.py`` enforces all of this, with the
+thermal model off and on).
 
 The live :class:`~repro.platform.thermal.ThermalModel`, power sensor, DVFS
 actuator, meters and PMUs are left in scalar-equivalent aggregate state
@@ -175,8 +175,7 @@ def simulate_closed_loop(
     set_field = object.__setattr__
 
     current = cluster.current_index
-    initial_time_s = cluster.time_s
-    time_s = initial_time_s
+    time_s = cluster.time_s
     previous: Optional[EpochObservation] = None
     previous_exploration = governor.exploration_count
     exploration_frozen = governor.exploration_frozen
@@ -365,7 +364,7 @@ def simulate_closed_loop(
         intervals=col_interval,
         core_uncore_energy=col_core_uncore,
         transitions=transitions,
-        total_duration=time_s - initial_time_s,
+        end_time_s=time_s,
     )
     thermal_model.absorb_state(temperature, throttle_total)
 

@@ -40,12 +40,19 @@ def _numba_less_negotiation(monkeypatch):
     (fastpath/tablepath/...), and those expectations must not flip when
     the optional ``jit`` extra happens to be installed (the CI ``jit`` job
     runs this same suite with numba present).  Tests that exercise the
-    compiled backend — :mod:`tests.test_jitpath` — opt back in by
-    monkeypatching ``HAVE_NUMBA = True`` after this fixture, which also
-    makes them runnable on numba-less machines (interpreted kernels are
-    bit-identical by construction).
+    compiled backend — :mod:`tests.test_jitpath` and
+    :mod:`tests.test_engine_equivalence` — opt back in with :func:`jit_on`,
+    which also makes them runnable on numba-less machines (interpreted
+    kernels are bit-identical by construction).
     """
     monkeypatch.setattr(_compat, "HAVE_NUMBA", False)
+
+
+@pytest.fixture
+def jit_on(monkeypatch):
+    """Make jitpath negotiable (interpreted kernels when numba is absent)."""
+    monkeypatch.setattr(_compat, "HAVE_NUMBA", True)
+    monkeypatch.delenv("REPRO_DISABLE_JIT", raising=False)
 
 
 #: Committed inputs in formats nothing writes any more (see ``tests/data``).

@@ -30,6 +30,7 @@ from repro.campaign import (
     run_campaign,
     run_campaign_service,
 )
+from repro.campaign import service
 from repro.campaign import store as result_store
 from repro.campaign.cli import main as cli_main
 from repro.campaign.service import (
@@ -542,7 +543,11 @@ class TestServeWorkCli:
         assert serve_rc["rc"] == 0
         assert saved_bytes(CampaignResult.load(output)) == saved_bytes(serial_store)
 
-    def test_work_against_nothing_fails(self, tmp_path):
+    def test_work_against_nothing_fails(self, tmp_path, monkeypatch):
+        # One immediate retry instead of the default backoff schedule.
+        monkeypatch.setattr(
+            service, "DEFAULT_RECONNECT", RetryPolicy(max_attempts=2, backoff_s=0.0)
+        )
         port = _free_port()  # nothing is listening on it
         rc = cli_main(
             ["work", "--coordinator", f"http://127.0.0.1:{port}", "--quiet"]

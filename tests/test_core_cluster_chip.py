@@ -94,6 +94,16 @@ class TestCluster:
         assert small_cluster.current_index == 2
         assert all(core.pmu.busy_cycles == 0.0 for core in small_cluster.cores)
 
+    def test_advance_time_to_sets_the_clock_forward_only(self, small_cluster):
+        start, end = 0.9762544985948622, 116.36131011477606
+        assert start + (end - start) != end  # a duration added back rounds
+        small_cluster.advance_time_to(start)
+        small_cluster.advance_time_to(end)
+        assert small_cluster.time_s == end
+        with pytest.raises(PlatformError):
+            small_cluster.advance_time_to(start)
+        assert small_cluster.time_s == end
+
     def test_idle_cluster_consumes_little_power(self, a15_cluster):
         a15_cluster.set_operating_index(18)
         result = a15_cluster.idle(duration_s=0.1)

@@ -1,10 +1,11 @@
-"""Equivalence and selection tests for the static-schedule fast path.
+"""Unit tests for the static-schedule fast path.
 
-The contract under test: for every governor that exposes a static schedule,
-the static-schedule engine must reproduce the scalar engine frame by frame —
-energy and timing to 1e-9 relative tolerance, identical operating-point
-choices, identical deadline-miss sets — and the engine must fall back to
-the scalar loop whenever the governor or platform is ineligible.
+Its frame-by-frame agreement with the scalar engine is one case of
+``tests/test_engine_equivalence.py``; which engine ``auto`` picks is
+``tests/test_backends.py::TestLadder``.  This file holds what is
+particular to the fast path: the per-core energy order of a frame, the
+schedule checks, the governors' schedule probe, the isothermal power memo
+and the sensor's one-pass ``measure_trace``.
 """
 
 from __future__ import annotations
@@ -20,153 +21,11 @@ from repro.governors.performance import PerformanceGovernor
 from repro.governors.powersave import PowersaveGovernor
 from repro.governors.userspace import UserspaceGovernor
 from repro.platform.odroid_xu3 import build_a15_cluster
-from repro.rtm.multicore import MultiCoreRLGovernor
 from repro.sim import fastpath
 from repro.sim.engine import SimulationConfig, SimulationEngine
 from repro.workload.task import Frame
 from repro.workload.application import Application, PerformanceRequirement
-from repro.workload.fft import fft_application
 from repro.workload.video import mpeg4_application
-
-#: Governor factories whose schedules are observation-independent.
-ELIGIBLE_GOVERNORS = {
-    "performance": PerformanceGovernor,
-    "powersave": PowersaveGovernor,
-    "userspace": lambda: UserspaceGovernor(index=9),
-    "oracle": OracleGovernor,
-}
-
-
-def _run_both(factory, application, **config_kwargs):
-    """Run ``application`` under ``factory()`` on both engines."""
-    scalar_engine = SimulationEngine(
-        build_a15_cluster(),
-        SimulationConfig(prefer_fast_path=False, **config_kwargs),
-    )
-    scalar = scalar_engine.run(application, factory())
-    assert scalar_engine.engine_used == "scalar"
-
-    fast_engine = SimulationEngine(
-        build_a15_cluster(),
-        SimulationConfig(prefer_fast_path=True, **config_kwargs),
-    )
-    fast = fast_engine.run(application, factory())
-    assert fast_engine.engine_used == "fastpath"
-    return scalar, fast, fast_engine
-
-
-def _assert_frame_by_frame_equivalent(scalar, fast):
-    assert fast.num_frames == scalar.num_frames
-    assert fast.governor_name == scalar.governor_name
-    assert fast.application_name == scalar.application_name
-    for fast_record, scalar_record in zip(fast.records, scalar.records):
-        assert fast_record.index == scalar_record.index
-        assert fast_record.operating_index == scalar_record.operating_index
-        assert fast_record.frequency_mhz == scalar_record.frequency_mhz
-        assert fast_record.cycles_per_core == scalar_record.cycles_per_core
-        assert fast_record.energy_j == pytest.approx(scalar_record.energy_j, rel=1e-9)
-        assert fast_record.busy_time_s == pytest.approx(
-            scalar_record.busy_time_s, rel=1e-9
-        )
-        assert fast_record.frame_time_s == pytest.approx(
-            scalar_record.frame_time_s, rel=1e-9
-        )
-        assert fast_record.interval_s == pytest.approx(
-            scalar_record.interval_s, rel=1e-9
-        )
-        assert fast_record.overhead_time_s == pytest.approx(
-            scalar_record.overhead_time_s, rel=1e-9, abs=1e-15
-        )
-        assert fast_record.average_power_w == pytest.approx(
-            scalar_record.average_power_w, rel=1e-9
-        )
-        assert fast_record.measured_power_w == pytest.approx(
-            scalar_record.measured_power_w, rel=1e-9, abs=1e-12
-        )
-    # Deadline-miss sets must be *identical*, not merely close.
-    scalar_misses = [r.index for r in scalar.records if not r.met_deadline]
-    fast_misses = [r.index for r in fast.records if not r.met_deadline]
-    assert fast_misses == scalar_misses
-    assert fast.total_energy_j == pytest.approx(scalar.total_energy_j, rel=1e-9)
-    assert fast.total_time_s == pytest.approx(scalar.total_time_s, rel=1e-9)
-
-
-class TestFastPathEquivalence:
-    @pytest.mark.parametrize("name", sorted(ELIGIBLE_GOVERNORS))
-    def test_matches_scalar_engine_frame_by_frame(self, name):
-        application = mpeg4_application(num_frames=250, seed=5)
-        scalar, fast, _ = _run_both(ELIGIBLE_GOVERNORS[name], application)
-        _assert_frame_by_frame_equivalent(scalar, fast)
-
-    @pytest.mark.parametrize("name", sorted(ELIGIBLE_GOVERNORS))
-    def test_matches_on_fft_without_deadline_padding(self, name):
-        application = fft_application(num_frames=150, seed=2)
-        scalar, fast, _ = _run_both(
-            ELIGIBLE_GOVERNORS[name], application, idle_until_deadline=False
-        )
-        _assert_frame_by_frame_equivalent(scalar, fast)
-
-    def test_matches_without_overhead_charging(self):
-        application = mpeg4_application(num_frames=120, seed=9)
-        scalar, fast, _ = _run_both(
-            OracleGovernor, application, charge_governor_overhead=False
-        )
-        _assert_frame_by_frame_equivalent(scalar, fast)
-        assert fast.total_overhead_s == 0.0
-
-    def test_matches_with_sensor_noise(self):
-        """The fast path drives the real sensor, so seeded noise matches too."""
-        application = mpeg4_application(num_frames=100, seed=3)
-
-        def run(prefer):
-            engine = SimulationEngine(
-                build_a15_cluster(sensor_noise_w=0.05, seed=42),
-                SimulationConfig(prefer_fast_path=prefer),
-            )
-            return engine.run(application, OracleGovernor()), engine
-
-        scalar, _ = run(False)
-        fast, fast_engine = run(True)
-        assert fast_engine.engine_used == "fastpath"
-        _assert_frame_by_frame_equivalent(scalar, fast)
-
-    def test_cluster_aggregate_state_synchronised(self):
-        application = mpeg4_application(num_frames=200, seed=5)
-        scalar, fast, fast_engine = _run_both(OracleGovernor, application)
-        cluster = fast_engine.cluster
-        assert cluster.total_energy_j == pytest.approx(fast.total_energy_j, rel=1e-6)
-        assert cluster.time_s == pytest.approx(fast.total_time_s, rel=1e-9)
-        assert cluster.current_index == fast.records[-1].operating_index
-        total_cycles = sum(r.total_cycles for r in fast.records)
-        pmu_cycles = sum(core.pmu.busy_cycles for core in cluster.cores)
-        assert pmu_cycles == pytest.approx(total_cycles, rel=1e-9)
-
-    def test_dvfs_transition_history_matches_scalar(self):
-        application = mpeg4_application(num_frames=200, seed=5)
-
-        def run(prefer):
-            engine = SimulationEngine(
-                build_a15_cluster(), SimulationConfig(prefer_fast_path=prefer)
-            )
-            engine.run(application, OracleGovernor())
-            return engine.cluster.dvfs
-
-        scalar_dvfs = run(False)
-        fast_dvfs = run(True)
-        assert fast_dvfs.transition_count == scalar_dvfs.transition_count
-        assert fast_dvfs.transition_count > 0  # the Oracle does transition
-        assert fast_dvfs.total_transition_energy_j == pytest.approx(
-            scalar_dvfs.total_transition_energy_j
-        )
-        assert fast_dvfs.total_transition_time_s == pytest.approx(
-            scalar_dvfs.total_transition_time_s
-        )
-        for fast_t, scalar_t in zip(fast_dvfs.transitions, scalar_dvfs.transitions):
-            assert fast_t.from_index == scalar_t.from_index
-            assert fast_t.to_index == scalar_t.to_index
-            assert fast_t.timestamp_s == pytest.approx(
-                scalar_t.timestamp_s, rel=1e-9, abs=1e-12
-            )
 
 
 def _random_application(num_frames: int, num_threads: int, seed: int) -> Application:
@@ -217,27 +76,7 @@ class TestFrameEnergyOrder:
         assert list(columns.energy_j) == energy.tolist()
 
 
-class TestFastPathSelection:
-    def test_closed_loop_governors_stay_on_scalar_engine(self):
-        application = mpeg4_application(num_frames=30, seed=1)
-        for factory in (OndemandGovernor, MultiCoreRLGovernor):
-            engine = SimulationEngine(build_a15_cluster())
-            engine.run(application, factory())
-            assert engine.engine_used == "tablepath"
-
-    def test_thermal_enabled_cluster_is_ineligible(self):
-        cluster = build_a15_cluster(enable_thermal=True)
-        engine = SimulationEngine(cluster)
-        engine.run(mpeg4_application(num_frames=30, seed=1), OracleGovernor())
-        assert engine.engine_used == "tablepath"
-
-    def test_prefer_fast_path_false_forces_scalar(self):
-        engine = SimulationEngine(
-            build_a15_cluster(), SimulationConfig(prefer_fast_path=False)
-        )
-        engine.run(mpeg4_application(num_frames=30, seed=1), OracleGovernor())
-        assert engine.engine_used == "scalar"
-
+class TestScheduleValidation:
     def test_schedule_length_mismatch_rejected(self):
         from repro.errors import SimulationError
 

@@ -1,25 +1,22 @@
-"""Bit-identity, negotiation and routing tests for the compiled JIT backend.
+"""Negotiation, routing and write-back tests for the compiled JIT backend.
 
 numba is *not* required here: the kernels in :mod:`repro.sim.jitpath` are
 plain Python functions that numba compiles when importable, so with
-:data:`repro._compat.HAVE_NUMBA` monkeypatched True they execute in
-interpreted mode through exactly the statements the compiled path runs.
-That makes the bit-identity contract testable on any box; the CI ``jit``
-job additionally proves the compiled mode (same kernels, numba-compiled)
-against the parity goldens.
+:data:`repro._compat.HAVE_NUMBA` monkeypatched True (the ``jit_on``
+fixture) they execute in interpreted mode through exactly the statements
+the compiled path runs.  The CI ``jit`` job additionally proves the
+compiled mode (same kernels, numba-compiled) against the parity goldens.
 
-Covers:
+Its bit-identity with the scalar engine (columns, exploration, Q-tables,
+RNG stream, transitions, cluster, sensor and thermal state) is part of
+``tests/test_engine_equivalence.py``.  This file covers:
 
-* exact equality — trajectories, per-frame floats, exploration sets,
-  Q-tables, visit counts, RNG stream position, transitions, cluster and
-  sensor state — against ``tablepath`` for every
-  supported governor family x {isothermal, thermal} x RL seeds;
+* the learning state the kernel writes back (slack tracker, predictor);
 * a jitpath-pinned sharded campaign == the unsharded campaign;
 * negotiation: ``auto`` prefers jitpath exactly when it is available and
-  the request is kernel-supported, falls through to the pre-PR selection
-  otherwise (numba absent, ``REPRO_DISABLE_JIT``, governor subclasses,
-  noisy sensors), and a pinned ``jitpath`` mismatch is a
-  clear :class:`~repro.errors.SimulationError`;
+  the request is kernel-supported, falls through otherwise (numba absent,
+  ``REPRO_DISABLE_JIT``, governor subclasses, noisy sensors), and a pinned
+  ``jitpath`` mismatch is a clear :class:`~repro.errors.SimulationError`;
 * the parity harness's ``eligible_engines`` includes jitpath as soon as
   it is available — no harness edits.
 """
@@ -34,12 +31,11 @@ from repro import _compat
 from repro.campaign import CampaignSpec, FactorySpec, ScenarioSpec, run_campaign
 from repro.campaign.registry import governor_factory
 from repro.errors import SimulationError
-from repro.governors.conservative import ConservativeGovernor
 from repro.governors.ondemand import OndemandGovernor
 from repro.governors.shen_rl import ShenRLGovernor
 from repro.platform.odroid_xu3 import build_a15_cluster
 from repro.rtm.governor import PlatformInfo
-from repro.rtm.rl_governor import RLGovernor, RLGovernorConfig
+from repro.rtm.rl_governor import RLGovernor
 from repro.sim import backends, jitpath
 from repro.sim.backends import EngineRequest
 from repro.sim.engine import SimulationConfig, SimulationEngine
@@ -49,40 +45,6 @@ from tests.conftest import merged_bytes, saved_bytes
 
 FRAMES = 240
 
-#: Every FrameColumns field, compared with ``==`` (never approx): the
-#: compiled path's contract is bit-identity, not tolerance.
-COLUMN_FIELDS = (
-    "index",
-    "operating_index",
-    "frequency_mhz",
-    "cycles_per_core",
-    "busy_time_s",
-    "overhead_time_s",
-    "frame_time_s",
-    "interval_s",
-    "deadline_s",
-    "energy_j",
-    "average_power_w",
-    "measured_power_w",
-    "temperature_c",
-    "explored",
-)
-
-GOVERNOR_FACTORIES = {
-    "ondemand": OndemandGovernor,
-    "conservative": ConservativeGovernor,
-    "rl-seed0": lambda: RLGovernor(RLGovernorConfig(seed=0)),
-    "rl-seed1": lambda: RLGovernor(RLGovernorConfig(seed=1)),
-    "rl-seed2": lambda: RLGovernor(RLGovernorConfig(seed=2)),
-}
-
-
-@pytest.fixture
-def jit_on(monkeypatch):
-    """Make jitpath negotiable (interpreted kernels when numba is absent)."""
-    monkeypatch.setattr(_compat, "HAVE_NUMBA", True)
-    monkeypatch.delenv("REPRO_DISABLE_JIT", raising=False)
-
 
 @pytest.fixture
 def jit_off(monkeypatch):
@@ -90,58 +52,13 @@ def jit_off(monkeypatch):
     monkeypatch.delenv("REPRO_DISABLE_JIT", raising=False)
 
 
-def _run_engine(engine_name, factory, thermal, num_frames=FRAMES):
-    application = mpeg4_application(num_frames=num_frames, seed=5)
-    cluster = build_a15_cluster(enable_thermal=thermal)
+def _run_governor(engine_name, factory):
+    """A fresh governor from ``factory`` after a run on ``engine_name``."""
     governor = factory()
-    engine = SimulationEngine(cluster, SimulationConfig(), engine=engine_name)
-    result = engine.run(application, governor)
+    engine = SimulationEngine(build_a15_cluster(), SimulationConfig(), engine=engine_name)
+    result = engine.run(mpeg4_application(num_frames=FRAMES, seed=5), governor)
     assert result.engine_used == engine_name
-    return result, governor, cluster
-
-
-def _assert_identical(reference, jit):
-    ref_result, ref_governor, ref_cluster = reference
-    jit_result, jit_governor, jit_cluster = jit
-    for field in COLUMN_FIELDS:
-        assert getattr(jit_result.columns, field) == getattr(
-            ref_result.columns, field
-        ), field
-    assert jit_result.exploration_count == ref_result.exploration_count
-    assert jit_result.converged_epoch == ref_result.converged_epoch
-    assert jit_cluster.dvfs.transitions == ref_cluster.dvfs.transitions
-    assert jit_cluster.time_s == ref_cluster.time_s
-    assert jit_cluster.total_energy_j == ref_cluster.total_energy_j
-    assert jit_cluster.current_index == ref_cluster.current_index
-    assert (
-        jit_cluster.thermal_model.temperature_c
-        == ref_cluster.thermal_model.temperature_c
-    )
-    ref_sensor, jit_sensor = ref_cluster.power_sensor, jit_cluster.power_sensor
-    assert jit_sensor._last_time_s == ref_sensor._last_time_s
-    assert jit_sensor._last_power_w == ref_sensor._last_power_w
-    assert jit_governor.decision_state() == ref_governor.decision_state()
-    if isinstance(ref_governor, RLGovernor):
-        ref_agent, jit_agent = ref_governor.agent, jit_governor.agent
-        assert jit_agent.qtable._values == ref_agent.qtable._values
-        assert jit_agent.qtable._visit_counts == ref_agent.qtable._visit_counts
-        assert jit_agent._rng.getstate() == ref_agent._rng.getstate()
-        assert (
-            jit_agent.epsilon_schedule._epsilon
-            == ref_agent.epsilon_schedule._epsilon
-        )
-        assert jit_governor.reward_history == ref_governor.reward_history
-
-
-class TestBitIdentity:
-    @pytest.mark.parametrize("thermal", [False, True], ids=["iso", "thermal"])
-    @pytest.mark.parametrize("name", sorted(GOVERNOR_FACTORIES))
-    def test_matches_table_engines_exactly(self, jit_on, name, thermal):
-        factory = GOVERNOR_FACTORIES[name]
-        reference = _run_engine("tablepath", factory, thermal)
-        jit = _run_engine("jitpath", factory, thermal)
-        _assert_identical(reference, jit)
-
+    return governor
 
 
 class TestLearningStateWriteBack:
@@ -155,8 +72,8 @@ class TestLearningStateWriteBack:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_tracker_and_predictor_reads_match_tablepath(self, jit_on, seed):
         factory = lambda: governor_factory("proposed-single")(seed=seed)
-        _, reference, _ = _run_engine("tablepath", factory, thermal=False)
-        _, jit, _ = _run_engine("jitpath", factory, thermal=False)
+        reference = _run_governor("tablepath", factory)
+        jit = _run_governor("jitpath", factory)
         ref_tracker, jit_tracker = reference.slack_tracker, jit.slack_tracker
         assert ref_tracker.epochs == FRAMES - 1
         for read in (
@@ -241,11 +158,6 @@ class TestNegotiation:
         noisy = build_a15_cluster(sensor_noise_w=0.01)
         assert backends.negotiate(_request(cluster=noisy)) == "tablepath"
 
-    def test_without_numba_selection_is_pre_pr(self, jit_off):
-        assert backends.negotiate(_request()) == "tablepath"
-        thermal = build_a15_cluster(enable_thermal=True)
-        assert backends.negotiate(_request(cluster=thermal)) == "tablepath"
-
     def test_without_numba_pin_is_clear_error(self, jit_off):
         with pytest.raises(SimulationError, match="numba"):
             backends.negotiate(_request(), engine="jitpath")
@@ -266,9 +178,6 @@ class TestNegotiation:
         names = eligible_engines(_ondemand_scenario())
         assert "jitpath" in names
         assert names.index("jitpath") < names.index("tablepath")
-
-    def test_parity_matrix_without_numba_is_pre_pr(self, jit_off):
-        assert eligible_engines(_ondemand_scenario()) == ["tablepath", "scalar"]
 
 
 class TestUnsupportedReason:

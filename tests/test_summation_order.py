@@ -16,6 +16,7 @@ import math
 import pytest
 
 from repro._compat import left_sum
+from repro.analysis.stats import mean, population_std
 from repro.campaign import CampaignResult, CampaignSpec, FactorySpec, run_campaign
 from repro.campaign import executor
 from repro.campaign import store as result_store
@@ -98,3 +99,12 @@ class TestCompensatedBuiltinSum:
     def test_h264_store_is_pinned(self, tmp_path):
         assert jsonl_sha256(run_campaign(h264_campaign()), tmp_path) == H264_STORE_SHA256
 
+    def test_table_statistics_add_left_to_right(self):
+        """The means and deviations of Tables II and III add left to right."""
+        values = [0.1] * 10 + [0.7]
+        mu = left_sum(values) / len(values)
+        assert mean([0.1] * 10) == left_sum([0.1] * 10) / 10
+        assert mean(values) == mu
+        assert population_std(values) == (
+            left_sum([(v - mu) ** 2 for v in values]) / len(values)
+        ) ** 0.5

@@ -1,234 +1,49 @@
-"""Equivalence, fallback and columnar-result tests for the table-driven engine.
+"""Unit tests for the table-driven engine, isothermal and thermal.
 
-The contract under test: for every *closed-loop* governor (the paper's
-Q-learning RTM in both formulations, the UPD baseline and the reactive
-Linux policies) the table-driven engine in :mod:`repro.sim.tablepath` must
-reproduce the scalar engine frame by frame on an isothermal cluster — every
-float bit-identical, identical operating-point trajectories, identical
-deadline-miss sets, identical exploration counts and identical final
-Q-tables — with or without numpy installed.  ``tests/test_thermalpath.py``
-holds the same contract for thermally-enabled clusters.
+Its frame-by-frame agreement with the scalar engine is part of
+``tests/test_engine_equivalence.py``; which engine ``auto`` picks is
+``tests/test_backends.py::TestLadder``.  This file holds what is
+particular to the table engine: its run without numpy, the workload table
+and its campaign cache, the per-epoch throttle events it reports, the
+columnar result it builds and the sensor's float path.  Most cases run
+with the thermal model off and on.
 """
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from repro.errors import PlatformError
-from repro.governors.conservative import ConservativeGovernor
-from repro.governors.multicore_dvfs import MultiCoreDVFSGovernor
 from repro.governors.ondemand import OndemandGovernor
-from repro.governors.oracle import OracleGovernor
-from repro.governors.shen_rl import ShenRLGovernor
 from repro.governors.userspace import UserspaceGovernor
+from repro.platform.cluster import WorkloadTable
 from repro.platform.odroid_xu3 import build_a15_cluster
-from repro.rtm.multicore import MultiCoreRLGovernor
-from repro.rtm.rl_governor import RLGovernor
+from repro.platform.thermal import ThermalModel, ThermalParameters
 from repro.sim import tablepath
 from repro.sim.engine import SimulationConfig, SimulationEngine
-from repro.workload.fft import fft_application
 from repro.workload.video import mpeg4_application
 from tests.conftest import ondemand_without_numpy, store_round_trip
 
-#: Closed-loop governor factories (no static schedule; observation-driven).
-CLOSED_LOOP_GOVERNORS = {
-    "ondemand": OndemandGovernor,
-    "conservative": ConservativeGovernor,
-    "rl": RLGovernor,
-    "rl-multicore": MultiCoreRLGovernor,
-    "shen-rl-upd": ShenRLGovernor,
-    "multicore-dvfs": MultiCoreDVFSGovernor,
-}
-
-FLOAT_FIELDS = (
-    "busy_time_s",
-    "overhead_time_s",
-    "frame_time_s",
-    "interval_s",
-    "deadline_s",
-    "energy_j",
-    "average_power_w",
-    "measured_power_w",
-    "temperature_c",
-)
+THERMAL = pytest.mark.parametrize("thermal", [False, True], ids=["iso", "thermal"])
 
 
-def _run_both(factory, application, **config_kwargs):
-    """Run ``application`` under ``factory()`` on both engines."""
-    scalar_governor = factory()
-    scalar_engine = SimulationEngine(
-        build_a15_cluster(),
-        SimulationConfig(prefer_fast_path=False, **config_kwargs),
+def _scalar_run(cluster, application):
+    return SimulationEngine(cluster, SimulationConfig(), engine="scalar").run(
+        application, OndemandGovernor()
     )
-    scalar = scalar_engine.run(application, scalar_governor)
-    assert scalar_engine.engine_used == "scalar"
-
-    table_governor = factory()
-    table_engine = SimulationEngine(
-        build_a15_cluster(),
-        SimulationConfig(prefer_fast_path=True, **config_kwargs),
-    )
-    table = table_engine.run(application, table_governor)
-    assert table_engine.engine_used == "tablepath"
-    return scalar, table, scalar_governor, table_governor, table_engine
-
-
-def _assert_frame_by_frame_equivalent(scalar, table):
-    assert table.num_frames == scalar.num_frames
-    assert table.governor_name == scalar.governor_name
-    assert table.application_name == scalar.application_name
-    for table_record, scalar_record in zip(table.records, scalar.records):
-        assert table_record.index == scalar_record.index
-        # The decision trajectory must be *identical*, not merely close.
-        assert table_record.operating_index == scalar_record.operating_index
-        assert table_record.frequency_mhz == scalar_record.frequency_mhz
-        assert table_record.cycles_per_core == scalar_record.cycles_per_core
-        assert table_record.explored == scalar_record.explored
-        for field in FLOAT_FIELDS:
-            assert getattr(table_record, field) == getattr(scalar_record, field), field
-    scalar_misses = [r.index for r in scalar.records if not r.met_deadline]
-    table_misses = [r.index for r in table.records if not r.met_deadline]
-    assert table_misses == scalar_misses
-    assert table.total_energy_j == scalar.total_energy_j
-    assert table.total_time_s == scalar.total_time_s
-
-
-class TestTablePathEquivalence:
-    @pytest.mark.parametrize("name", sorted(CLOSED_LOOP_GOVERNORS))
-    def test_matches_scalar_engine_frame_by_frame(self, name):
-        application = mpeg4_application(num_frames=400, seed=5)
-        scalar, table, _, _, _ = _run_both(CLOSED_LOOP_GOVERNORS[name], application)
-        _assert_frame_by_frame_equivalent(scalar, table)
-
-    @pytest.mark.parametrize("name", sorted(CLOSED_LOOP_GOVERNORS))
-    def test_matches_on_fft_without_deadline_padding(self, name):
-        application = fft_application(num_frames=150, seed=2)
-        scalar, table, _, _, _ = _run_both(
-            CLOSED_LOOP_GOVERNORS[name], application, idle_until_deadline=False
-        )
-        _assert_frame_by_frame_equivalent(scalar, table)
-
-    @pytest.mark.parametrize("name", ["rl", "rl-multicore", "shen-rl-upd"])
-    def test_learning_state_identical(self, name):
-        """Exploration counts, convergence epochs and final Q-tables match."""
-        application = mpeg4_application(num_frames=600, seed=7)
-        scalar, table, scalar_governor, table_governor, _ = _run_both(
-            CLOSED_LOOP_GOVERNORS[name], application
-        )
-        assert table.exploration_count == scalar.exploration_count
-        assert table.converged_epoch == scalar.converged_epoch
-        assert scalar.exploration_count > 0  # the run actually explored
-        scalar_qtable = scalar_governor.agent.qtable
-        table_qtable = table_governor.agent.qtable
-        for state in range(scalar_qtable.num_states):
-            assert table_qtable.row(state) == scalar_qtable.row(state)
-            for action in range(scalar_qtable.num_actions):
-                assert table_qtable.visit_count(state, action) == (
-                    scalar_qtable.visit_count(state, action)
-                )
-        assert scalar_governor.reward_history == table_governor.reward_history
-
-    def test_matches_without_overhead_charging(self):
-        application = mpeg4_application(num_frames=150, seed=9)
-        scalar, table, _, _, _ = _run_both(
-            OndemandGovernor, application, charge_governor_overhead=False
-        )
-        _assert_frame_by_frame_equivalent(scalar, table)
-        assert table.total_overhead_s == 0.0
-
-    def test_matches_with_sensor_noise(self):
-        """The table path drives the real sensor, so seeded noise matches too."""
-        application = mpeg4_application(num_frames=120, seed=3)
-
-        def run(prefer):
-            engine = SimulationEngine(
-                build_a15_cluster(sensor_noise_w=0.05, seed=42),
-                SimulationConfig(prefer_fast_path=prefer),
-            )
-            return engine.run(application, OndemandGovernor()), engine
-
-        scalar, _ = run(False)
-        table, table_engine = run(True)
-        assert table_engine.engine_used == "tablepath"
-        _assert_frame_by_frame_equivalent(scalar, table)
-
-    def test_cluster_aggregate_state_synchronised(self):
-        application = mpeg4_application(num_frames=300, seed=5)
-        _, table, _, _, engine = _run_both(RLGovernor, application)
-        cluster = engine.cluster
-        assert cluster.total_energy_j == pytest.approx(table.total_energy_j, rel=1e-6)
-        assert cluster.time_s == pytest.approx(table.total_time_s, rel=1e-9)
-        assert cluster.current_index == table.records[-1].operating_index
-        total_cycles = sum(r.total_cycles for r in table.records)
-        pmu_cycles = sum(core.pmu.busy_cycles for core in cluster.cores)
-        assert pmu_cycles == pytest.approx(total_cycles, rel=1e-9)
-
-    def test_dvfs_transition_history_matches_scalar(self):
-        application = mpeg4_application(num_frames=300, seed=5)
-
-        def run(prefer):
-            engine = SimulationEngine(
-                build_a15_cluster(), SimulationConfig(prefer_fast_path=prefer)
-            )
-            engine.run(application, OndemandGovernor())
-            return engine.cluster.dvfs
-
-        scalar_dvfs = run(False)
-        table_dvfs = run(True)
-        assert table_dvfs.transition_count == scalar_dvfs.transition_count
-        assert table_dvfs.transition_count > 0  # ondemand does transition
-        for table_t, scalar_t in zip(table_dvfs.transitions, scalar_dvfs.transitions):
-            assert table_t.from_index == scalar_t.from_index
-            assert table_t.to_index == scalar_t.to_index
-            assert table_t.timestamp_s == pytest.approx(
-                scalar_t.timestamp_s, rel=1e-9, abs=1e-12
-            )
-
-    def test_back_to_back_runs_without_reset_match_scalar(self):
-        """Persistent sensor/DVFS/clock state carries across runs identically."""
-        application = mpeg4_application(num_frames=100, seed=3)
-
-        def run(prefer):
-            engine = SimulationEngine(
-                build_a15_cluster(), SimulationConfig(prefer_fast_path=prefer)
-            )
-            engine.run(application, OndemandGovernor())
-            second = engine.run(application, OndemandGovernor(), reset_cluster=False)
-            return second, engine
-
-        scalar, scalar_engine = run(False)
-        table, table_engine = run(True)
-        assert table_engine.engine_used == "tablepath"
-        _assert_frame_by_frame_equivalent(scalar, table)
-        assert table_engine.cluster.time_s == scalar_engine.cluster.time_s
-        assert table_engine.cluster.current_index == scalar_engine.cluster.current_index
 
 
 class TestTablePathSelection:
-    def test_static_governors_still_take_vectorised_path(self):
-        engine = SimulationEngine(build_a15_cluster())
-        engine.run(mpeg4_application(num_frames=30, seed=1), OracleGovernor())
-        assert engine.engine_used == "fastpath"
-
-    def test_thermal_enabled_cluster_negotiates_tablepath(self):
-        engine = SimulationEngine(build_a15_cluster(enable_thermal=True))
-        engine.run(mpeg4_application(num_frames=30, seed=1), OndemandGovernor())
-        assert engine.engine_used == "tablepath"
-
-    def test_prefer_fast_path_false_forces_scalar(self):
-        engine = SimulationEngine(
-            build_a15_cluster(), SimulationConfig(prefer_fast_path=False)
-        )
-        engine.run(mpeg4_application(num_frames=30, seed=1), OndemandGovernor())
-        assert engine.engine_used == "scalar"
-
-    def test_runs_without_numpy(self):
+    @THERMAL
+    def test_runs_without_numpy(self, thermal):
         """With numpy unimportable the engine still negotiates and its
         columns are bit-identical to a run with numpy installed."""
-        result = SimulationEngine(build_a15_cluster()).run(
+        result = SimulationEngine(build_a15_cluster(enable_thermal=thermal)).run(
             mpeg4_application(num_frames=30, seed=1), OndemandGovernor()
         )
-        assert ondemand_without_numpy(thermal=False) == {
+        assert ondemand_without_numpy(thermal=thermal) == {
             "engine": "tablepath",
             "energy_j": list(result.columns.energy_j),
             "temperature_c": list(result.columns.temperature_c),
@@ -241,35 +56,40 @@ class TestWorkloadTable:
             cluster, application, config or SimulationConfig()
         )
 
-    def test_matches_validates_cluster_physics(self):
+    @THERMAL
+    def test_matches_validates_cluster_physics(self, thermal):
         application = mpeg4_application(num_frames=20, seed=1)
-        cluster = build_a15_cluster()
-        tables = self._table(cluster, application)
-        assert tables.matches(cluster, idle_until_deadline=True)
-        assert not tables.matches(cluster, idle_until_deadline=False)
-        other = build_a15_cluster()
+        tables = self._table(build_a15_cluster(enable_thermal=thermal), application)
+        assert isinstance(tables, WorkloadTable)
+        assert tables.matches(
+            build_a15_cluster(enable_thermal=thermal), idle_until_deadline=True
+        )
+        assert not tables.matches(
+            build_a15_cluster(enable_thermal=thermal), idle_until_deadline=False
+        )
+        other = build_a15_cluster(enable_thermal=thermal)
         other.idle_at_min_opp = False
         assert not tables.matches(other, idle_until_deadline=True)
-        smaller = build_a15_cluster(num_cores=2)
+        smaller = build_a15_cluster(num_cores=2, enable_thermal=thermal)
         assert not tables.matches(smaller, idle_until_deadline=True)
 
-    def test_mismatched_tables_are_rebuilt_not_trusted(self):
+    @THERMAL
+    def test_mismatched_tables_are_rebuilt_not_trusted(self, thermal):
         """A wrong-shaped cached table degrades to a rebuild, never bad data."""
         application = mpeg4_application(num_frames=40, seed=2)
-        other_app = mpeg4_application(num_frames=20, seed=2)
-        cluster = build_a15_cluster()
-        stale = self._table(cluster, other_app)
+        stale = self._table(
+            build_a15_cluster(enable_thermal=thermal),
+            mpeg4_application(num_frames=20, seed=2),
+        )
 
         engine = SimulationEngine(
-            build_a15_cluster(), table_provider=lambda c, a, cfg: stale
+            build_a15_cluster(enable_thermal=thermal),
+            engine="tablepath",
+            table_provider=lambda c, a, cfg: stale,
         )
         table_result = engine.run(application, OndemandGovernor())
-        assert engine.engine_used == "tablepath"
-
-        scalar = SimulationEngine(
-            build_a15_cluster(), SimulationConfig(prefer_fast_path=False)
-        ).run(application, OndemandGovernor())
-        _assert_frame_by_frame_equivalent(scalar, table_result)
+        scalar = _scalar_run(build_a15_cluster(enable_thermal=thermal), application)
+        assert table_result == scalar
 
     def test_timing_matches_execute_workload(self):
         """Busy time and the loop's interval equal the scalar execute_workload outputs."""
@@ -375,45 +195,177 @@ class TestColumnarResults:
         assert result.columns.energy_j[0] == records[0].energy_j
 
 
+def _cache_campaign(name, num_frames, governors, seeds, thermal):
+    from repro.campaign.spec import CampaignSpec, FactorySpec
+
+    return CampaignSpec.from_grid(
+        name=name,
+        applications=[FactorySpec.of("mpeg4", num_frames=num_frames)],
+        governors=[FactorySpec.of(governor) for governor in governors],
+        cluster=FactorySpec.of("a15", enable_thermal=thermal),
+        seeds=seeds,
+    )
+
+
 class TestCampaignTableCache:
-    def test_scenarios_sharing_application_reuse_tables(self):
+    @pytest.fixture(autouse=True)
+    def _empty_cache(self):
         from repro.campaign import executor as campaign_executor
-        from repro.campaign.spec import CampaignSpec, FactorySpec
 
         campaign_executor._TABLE_CACHE.clear()
-        campaign = CampaignSpec.from_grid(
-            name="cache-test",
-            applications=[FactorySpec.of("mpeg4", num_frames=40)],
-            governors=[FactorySpec.of("ondemand"), FactorySpec.of("conservative")],
-            seeds=[11],
+        campaign_executor.reset_table_cache_stats()
+        yield
+        campaign_executor._TABLE_CACHE.clear()
+        campaign_executor.reset_table_cache_stats()
+
+    @THERMAL
+    def test_scenarios_sharing_application_reuse_tables(self, thermal):
+        from repro.campaign import executor as campaign_executor
+
+        campaign = _cache_campaign(
+            "cache-test", 40, ["ondemand", "conservative"], [11], thermal
         )
         store = campaign_executor.run_campaign(campaign)
         assert len(campaign_executor._TABLE_CACHE) == 1  # one shared entry
+        (cached_tables,) = campaign_executor._TABLE_CACHE.values()
+        assert isinstance(cached_tables, WorkloadTable)
         assert all(outcome.ok for outcome in store)
+        assert all(outcome.result.engine_used == "tablepath" for outcome in store)
 
         # Cached-table results are identical to scalar-engine results.
-        scalar = SimulationEngine(
-            build_a15_cluster(), SimulationConfig(prefer_fast_path=False)
-        ).run(mpeg4_application(num_frames=40, seed=11), OndemandGovernor())
-        cached = store.outcome("ondemand").result
-        _assert_frame_by_frame_equivalent(scalar, cached)
+        scalar = _scalar_run(
+            build_a15_cluster(enable_thermal=thermal),
+            mpeg4_application(num_frames=40, seed=11),
+        )
+        assert store.outcome("ondemand").result == scalar
+
+    @THERMAL
+    def test_cached_table_is_read_only(self, thermal):
+        """Two scenarios sharing one cached table leave it untouched."""
+        from repro.campaign import executor as campaign_executor
+
+        campaign = _cache_campaign(
+            "readonly-test", 40, ["ondemand", "conservative"], [11], thermal
+        )
+        scenario = campaign.scenarios[0]
+        tables = campaign_executor._cached_table_provider(scenario)(
+            build_a15_cluster(enable_thermal=thermal),
+            campaign_executor._cached_application(scenario),
+            SimulationConfig(),
+        )
+        baseline = {
+            name: copy.deepcopy(getattr(tables, name))
+            for name in WorkloadTable.__slots__
+        }
+
+        campaign_executor.reset_table_cache_stats()
+        store = campaign_executor.run_campaign(campaign)
+
+        assert all(outcome.ok for outcome in store)
+        assert campaign_executor.table_cache_stats()["hits"] == 2
+        (cached,) = campaign_executor._TABLE_CACHE.values()
+        assert cached is tables
+        for name, before in baseline.items():
+            assert getattr(tables, name) == before, name
 
     def test_cache_is_bounded(self):
         from repro.campaign import executor as campaign_executor
-        from repro.campaign.spec import CampaignSpec, FactorySpec
 
-        campaign_executor._TABLE_CACHE.clear()
-        campaign = CampaignSpec.from_grid(
-            name="cache-bound-test",
-            applications=[FactorySpec.of("mpeg4", num_frames=10)],
-            governors=[FactorySpec.of("ondemand")],
-            seeds=list(range(campaign_executor._TABLE_CACHE_MAX_ENTRIES + 3)),
+        campaign = _cache_campaign(
+            "cache-bound-test",
+            10,
+            ["ondemand"],
+            list(range(campaign_executor._TABLE_CACHE_MAX_ENTRIES + 3)),
+            thermal=False,
         )
         campaign_executor.run_campaign(campaign)
         assert (
             len(campaign_executor._TABLE_CACHE)
             <= campaign_executor._TABLE_CACHE_MAX_ENTRIES
         )
+
+
+class _ThrottleSpy(OndemandGovernor):
+    """Records the per-epoch throttle_events each observation reports."""
+
+    def __init__(self):
+        super().__init__()
+        self.observed = []
+
+    def decide(self, previous, hint=None):
+        if previous is not None:
+            self.observed.append(previous.throttle_events)
+        return super().decide(previous, hint)
+
+
+class TestThrottleEvents:
+    def _hot_cluster(self, throttle_c):
+        cluster = build_a15_cluster(enable_thermal=True)
+        cluster.thermal_model = ThermalModel(
+            parameters=ThermalParameters(
+                ambient_c=30.0,
+                resistance_c_per_w=7.0,
+                capacitance_j_per_c=4.0,
+                initial_c=50.0,
+                throttle_c=throttle_c,
+            ),
+            enabled=True,
+        )
+        return cluster
+
+    def _mixed_threshold(self, application):
+        """A throttle threshold strictly inside the trajectory's range."""
+        result = _scalar_run(self._hot_cluster(1000.0), application)
+        temperatures = [r.temperature_c for r in result.records]
+        return (min(temperatures) + max(temperatures)) / 2.0
+
+    def test_mid_epoch_throttling_is_visible_per_epoch(self):
+        application = mpeg4_application(num_frames=300, seed=5)
+        threshold = self._mixed_threshold(application)
+
+        def run(engine_name):
+            cluster = self._hot_cluster(threshold)
+            governor = _ThrottleSpy()
+            engine = SimulationEngine(cluster, SimulationConfig(), engine=engine_name)
+            result = engine.run(application, governor)
+            return governor.observed, cluster.thermal_model.throttle_events, result
+
+        scalar_observed, scalar_total, scalar_result = run("scalar")
+        table_observed, table_total, _ = run("tablepath")
+        assert scalar_observed == table_observed
+        assert scalar_total == table_total
+        # The chosen threshold produces a *mixed* pattern: some epochs
+        # throttle, some do not — the edge case that used to be invisible.
+        assert 0 < sum(scalar_observed) < len(scalar_observed)
+        # The observation matches the recorded temperature trajectory: an
+        # epoch reports an event exactly when it ended at/above threshold.
+        for observed, record in zip(scalar_observed, scalar_result.records):
+            assert observed == (1 if record.temperature_c >= threshold else 0)
+
+    def test_disabled_thermal_model_reports_zero_events(self):
+        application = mpeg4_application(num_frames=50, seed=1)
+        governor = _ThrottleSpy()
+        SimulationEngine(build_a15_cluster(), SimulationConfig()).run(
+            application, governor
+        )
+        assert governor.observed
+        assert set(governor.observed) == {0}
+
+    def test_thermal_model_counts_and_resets(self):
+        model = ThermalModel(
+            parameters=ThermalParameters(initial_c=50.0, throttle_c=40.0),
+            enabled=True,
+        )
+        assert model.throttle_events == 0
+        model.step(5.0, 1.0)  # steady 65 C > threshold
+        assert model.throttle_events == 1
+        model.absorb_state(42.0, 3)
+        assert model.temperature_c == 42.0
+        assert model.throttle_events == 4
+        model.reset()
+        assert model.throttle_events == 0
+        with pytest.raises(ValueError):
+            model.absorb_state(42.0, -1)
 
 
 class TestSensorFastPath:
