@@ -484,9 +484,10 @@ def _serve_main(argv: Sequence[str]) -> int:
                 print(format_campaign_summary(coordinator.store), flush=True)
             time.sleep(0.05)
         # Let in-flight workers observe the drained state before the socket
-        # disappears (their next lease call returns "drained" cleanly).
+        # disappears: wait until every worker seen has been told, for at most
+        # a second (a killed worker never is).
         deadline = time.monotonic() + 1.0
-        while time.monotonic() < deadline:
+        while coordinator.workers_not_told_drained and time.monotonic() < deadline:
             time.sleep(0.05)
     except KeyboardInterrupt:
         print(

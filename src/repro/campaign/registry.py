@@ -161,7 +161,7 @@ def _rl_factory(governor_cls: type) -> GovernorFactory:
 
 register_governor("proposed", _rl_factory(MultiCoreRLGovernor))
 register_governor("proposed-single", _rl_factory(RLGovernor))
-register_governor("shen-upd", lambda **kw: ShenRLGovernor(RLGovernorConfig(**kw)) if kw else ShenRLGovernor())
+register_governor("shen-upd", _rl_factory(ShenRLGovernor))
 register_governor("ondemand", OndemandGovernor)
 register_governor("conservative", ConservativeGovernor)
 register_governor("performance", PerformanceGovernor)

@@ -66,7 +66,7 @@ from collections import deque
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Set, Tuple
 from urllib import request as urllib_request
 
 from repro.errors import ConfigurationError, ReproError, ServiceError
@@ -197,6 +197,8 @@ class Coordinator:
         self._lease_by_scenario: Dict[str, str] = {}
         self._lease_counter = 0
         self._workers_seen: Dict[str, float] = {}
+        #: Workers answered "drained" (a drained lease or submit); they stop.
+        self._workers_told_drained: Set[str] = set()
         self._events: Deque[ServiceEvent] = deque()
         self.stats = {
             "granted": 0,
@@ -323,6 +325,12 @@ class Coordinator:
         with self._lock:
             return all(sid in self.store.outcomes for sid in self._scenarios)
 
+    @property
+    def workers_not_told_drained(self) -> List[str]:
+        """Workers seen that no lease or submit has yet answered "drained"."""
+        with self._lock:
+            return sorted(set(self._workers_seen) - self._workers_told_drained)
+
     def _emit(self, kind: str, scenario_id: str, worker: str) -> None:
         self._events.append(
             ServiceEvent(
@@ -445,6 +453,7 @@ class Coordinator:
                     "leases": granted,
                 }
             if self.finished:
+                self._workers_told_drained.add(worker)
                 return {"ok": True, "state": STATE_DRAINED}
             # Backoff-delayed work (or work leased to other workers): tell
             # the worker when it is worth asking again.
@@ -514,6 +523,8 @@ class Coordinator:
                 self._journal()
                 self._emit("done" if outcome.ok else "failed", sid, worker)
             self._reap(now)
+            if self.finished:
+                self._workers_told_drained.add(worker)
             return {
                 "ok": True,
                 "accepted": not duplicate,
@@ -942,7 +953,10 @@ class WorkerSite:
                     },
                 )
                 if submit.get("drained"):
+                    # Every outcome still held is a duplicate, and the
+                    # coordinator may close as soon as it has said so.
                     stats.drained = True
+                    break
             if undelivered:
                 stats.stranded += self._strand(undelivered, campaign_name)
             if coordinator_lost or stats.drained:

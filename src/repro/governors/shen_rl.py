@@ -9,9 +9,11 @@ substantially more explorative decision epochs before its policy settles.
 
 Implementation-wise this baseline is therefore the proposed
 :class:`~repro.rtm.rl_governor.RLGovernor` with the exploration policy
-swapped for :class:`~repro.rtm.exploration.UniformPolicy`; everything else
-(EWMA prediction, state space, Bellman update, reward) is identical, which
-isolates the exploration-policy effect the paper reports.
+swapped for :class:`~repro.rtm.exploration.UniformPolicy`: its config is the
+given one with ``use_exponential_exploration`` turned off, and every other
+field (EWMA prediction, state space, slack window, Bellman update, reward)
+passes through unchanged, which isolates the exploration-policy effect the
+paper reports.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional
 
-from repro.rtm.qlearning import QLearningParameters
 from repro.rtm.rl_governor import RLGovernor, RLGovernorConfig
 
 
@@ -30,19 +31,7 @@ class ShenRLGovernor(RLGovernor):
 
     def __init__(self, config: Optional[RLGovernorConfig] = None) -> None:
         base = config or RLGovernorConfig()
-        upd_config = RLGovernorConfig(
-            workload_levels=base.workload_levels,
-            slack_levels=base.slack_levels,
-            ewma_gamma=base.ewma_gamma,
-            learning=replace(base.learning),
-            reward=base.reward,
-            exploration_beta=base.exploration_beta,
-            use_exponential_exploration=False,
-            overhead=base.overhead,
-            convergence_window=base.convergence_window,
-            seed=base.seed,
-        )
-        super().__init__(upd_config)
+        super().__init__(replace(base, use_exponential_exploration=False))
         self.name = "shen-rl-upd"
 
     def describe(self) -> str:
@@ -50,12 +39,3 @@ class ShenRLGovernor(RLGovernor):
             "shen-rl-upd: Q-learning RTM with uniform-probability (UPD) exploration "
             "(Shen et al., TODAES'13)"
         )
-
-
-def make_upd_learning_parameters() -> QLearningParameters:
-    """Learning parameters matching the proposed approach but with conventional ε decay.
-
-    Provided for ablations that want to study the ε schedule separately from
-    the exploration distribution.
-    """
-    return QLearningParameters(epsilon_decay_on_any_reward=True)

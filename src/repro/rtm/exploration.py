@@ -176,9 +176,7 @@ class EpsilonSchedule:
 
     def should_explore(self, rng: random.Random) -> bool:
         """Draw the explore-vs-exploit decision for this epoch."""
-        if self.is_exploiting:
-            return False
-        return rng.random() < self._epsilon
+        return not self.is_exploiting and rng.random() < self._epsilon
 
     def update(self, reward: float, confirmed: bool = True) -> float:
         """Decay ε according to eq. (6) and return the new value.
@@ -192,10 +190,13 @@ class EpsilonSchedule:
             greedy action (learnt knowledge was confirmed rather than
             contradicted).
         """
+        epsilon = self._epsilon
         if self.decay_on_any_reward or (reward > 0.0 and confirmed):
-            decayed = self._epsilon * math.exp(-self.alpha * (1.0 - self._epsilon))
-            self._epsilon = max(self.minimum_epsilon, decayed)
-        return self._epsilon
+            minimum = self.minimum_epsilon
+            decayed = epsilon * math.exp(-self.alpha * (1.0 - epsilon))
+            epsilon = decayed if decayed > minimum else minimum
+            self._epsilon = epsilon
+        return epsilon
 
     def reset(self) -> None:
         """Return ε to its initial value."""

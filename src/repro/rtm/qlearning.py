@@ -1,19 +1,23 @@
 """Q-learning agent implementing the paper's learning rule (eq. 3).
 
 The agent owns the Q-table, the exploration policy and the ε schedule, and
-exposes exactly the two operations the RTM performs at each decision epoch:
+exposes exactly the two operations the RTM performs, in this order, at each
+decision epoch; every learning governor calls them:
 
 * :meth:`QLearningAgent.update` — apply the Bellman optimality update for
   the previous state-action pair given the observed pay-off and the
-  predicted next state;
+  predicted next state, then decay ε (:meth:`EpsilonSchedule.update`);
 * :meth:`QLearningAgent.select_action` — choose the action for the next
   epoch, either by exploiting the greedy policy or by sampling the
-  exploration policy (EPD or UPD).
+  exploration policy (EPD or UPD), as :meth:`EpsilonSchedule.should_explore`
+  draws.
+
+``update`` keeps the Q-table's memoised per-row argmax current, so the
+greedy lookup is usually a list index.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -173,16 +177,31 @@ class QLearningAgent:
 
         Returns the new Q-value of (state, action).
         """
-        greedy_before = self.qtable.best_action(state)
-        confirmed = abs(action - greedy_before) <= 1
-        target = reward + self.parameters.discount * self.qtable.max_value(next_state)
-        new_value = self.qtable.update_towards(
-            state, action, target, self.parameters.learning_rate
-        )
-        self._last_update_changed_policy = self.qtable.best_action(state) != greedy_before
+        qtable = self.qtable
+        row = qtable._values[state]
+        greedy_before = qtable._greedy(state)
+        # The bootstrap maximum is read before the write (state may be next_state).
+        target = reward + self.parameters.discount * max(qtable._values[next_state])
+        learning_rate = self.parameters.learning_rate
+        old_value = row[action]
+        new_value = (1.0 - learning_rate) * old_value + learning_rate * target
+        row[action] = new_value
+        # Keep the memoised argmax (highest-index tie-break) current: it can
+        # only move to the written cell, unless that cell was the greedy one
+        # and dropped, which rescans the row.
+        greedy_after = greedy_before
+        if action != greedy_before:
+            best_value = row[greedy_before]
+            if new_value > best_value or (new_value == best_value and action > greedy_before):
+                greedy_after = qtable._best_action_cache[state] = action
+        elif new_value < old_value:
+            greedy_after = qtable._scan_best_action(state)
+        self._last_update_changed_policy = greedy_after != greedy_before
         self._update_count += 1
-        gate_reward = reward if progress_reward is None else progress_reward
-        self.epsilon_schedule.update(gate_reward, confirmed=confirmed)
+        self.epsilon_schedule.update(
+            reward if progress_reward is None else progress_reward,
+            confirmed=abs(action - greedy_before) <= 1,
+        )
         return new_value
 
     # -- action selection ------------------------------------------------------------------
@@ -191,129 +210,25 @@ class QLearningAgent:
 
         Returns ``(action_index, explored)`` where ``explored`` is True when
         the action came from the exploration policy rather than the greedy
-        Q-table lookup.
+        Q-table lookup (the row's memoised argmax).
         """
-        if self._exploitation_start is None and self.epsilon_schedule.is_exploiting:
+        schedule = self.epsilon_schedule
+        if self._exploitation_start is None and schedule.is_exploiting:
             self._exploitation_start = self._selection_count
         self._selection_count += 1
-        explore = self.epsilon_schedule.should_explore(self._rng)
+        qtable = self.qtable
+        explore = schedule.should_explore(self._rng)
         if explore:
             action = self.policy.sample(
-                self.qtable.num_actions,
-                self.action_frequencies_hz,
-                slack,
-                self._rng,
+                qtable.num_actions, self.action_frequencies_hz, slack, self._rng
             )
             self._exploration_draws += 1
         else:
-            action = self.qtable.best_action(state)
-        self.qtable.record_visit(state, action)
+            action = qtable._greedy(state)
+        # QTable.record_visit's increment, inline: the method call's range
+        # check adds about 0.1 us to every decide() of the replay benchmark.
+        qtable._visit_counts[state][action] += 1
         return action, explore
-
-    def update_and_select(
-        self,
-        state: int,
-        action: int,
-        reward: float,
-        next_state: int,
-        slack: float,
-        progress_reward: Optional[float] = None,
-    ) -> Tuple[int, bool, bool]:
-        """Fused :meth:`update` of (state, action) then :meth:`select_action` for ``next_state``.
-
-        Returns ``(next_action, explored, exploiting)``.  Semantically
-        identical to the two calls in sequence — the same IEEE operations
-        in the same order, the same rng draws — but the RTM's per-epoch hot
-        path pays one method dispatch instead of two, the ε schedule is
-        inlined, and the Q-table rows are scanned less:
-
-        * the greedy action after the Bellman update is derived from the
-          single changed cell when possible (the argmax can only move *to*
-          a written cell, or away from a written greedy cell that dropped);
-        * when exploiting, the greedy action of ``next_state`` comes from
-          the memoised per-row argmax or the row maximum already computed
-          for the bootstrap term.
-        """
-        qtable = self.qtable
-        values = qtable._values
-        best_cache = qtable._best_action_cache
-        parameters = self.parameters
-        row = values[state]
-        next_row = values[next_state]
-
-        # -- Bellman update (exactly :meth:`update`) ---------------------------
-        greedy_before = best_cache[state]
-        if greedy_before < 0:
-            greedy_before = qtable.best_action(state)
-        confirmed = abs(action - greedy_before) <= 1
-        next_best_value = max(next_row)
-        target = reward + parameters.discount * next_best_value
-        learning_rate = parameters.learning_rate
-        old_value = row[action]
-        new_value = (1.0 - learning_rate) * old_value + learning_rate * target
-        row[action] = new_value
-        if action == greedy_before:
-            if new_value >= old_value:
-                # The greedy cell did not decrease: every other cell is
-                # still <= it, and no higher-index tie can appear (the
-                # greedy was already the highest-index maximum).
-                greedy_after = greedy_before
-            else:
-                # The greedy cell itself dropped; the argmax may have moved.
-                best_cache[state] = -1
-                greedy_after = qtable.best_action(state)
-        else:
-            best_value = row[greedy_before]
-            if new_value > best_value or (
-                new_value == best_value and action > greedy_before
-            ):
-                greedy_after = action
-            else:
-                greedy_after = greedy_before
-        best_cache[state] = greedy_after
-        self._last_update_changed_policy = greedy_after != greedy_before
-        self._update_count += 1
-        gate_reward = reward if progress_reward is None else progress_reward
-
-        # -- ε decay (exactly EpsilonSchedule.update) --------------------------
-        schedule = self.epsilon_schedule
-        epsilon = schedule._epsilon
-        if schedule.decay_on_any_reward or (gate_reward > 0.0 and confirmed):
-            minimum = schedule.minimum_epsilon
-            decayed = epsilon * math.exp(-schedule.alpha * (1.0 - epsilon))
-            epsilon = decayed if decayed > minimum else minimum
-            schedule._epsilon = epsilon
-
-        # -- action selection (exactly :meth:`select_action`) ------------------
-        exploiting = epsilon <= schedule.minimum_epsilon
-        if exploiting and self._exploitation_start is None:
-            self._exploitation_start = self._selection_count
-        self._selection_count += 1
-        explore = (not exploiting) and self._rng.random() < epsilon
-        if explore:
-            next_action = self.policy.sample(
-                qtable.num_actions,
-                self.action_frequencies_hz,
-                slack,
-                self._rng,
-            )
-            self._exploration_draws += 1
-        elif state == next_state:
-            # The update wrote into this row; the pre-update maximum is
-            # stale, but the greedy action was just re-derived above.
-            next_action = greedy_after
-        else:
-            next_action = best_cache[next_state]
-            if next_action < 0:
-                best = next_best_value
-                next_action = 0
-                for candidate in range(len(next_row) - 1, -1, -1):
-                    if next_row[candidate] == best:
-                        next_action = candidate
-                        break
-                best_cache[next_state] = next_action
-        qtable._visit_counts[next_state][next_action] += 1
-        return next_action, explore, exploiting
 
     def greedy_action(self, state: int) -> int:
         """The current greedy action for ``state`` (no exploration, no bookkeeping)."""

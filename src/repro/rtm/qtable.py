@@ -32,10 +32,10 @@ class QTable:
         self._visit_counts: List[List[int]] = [
             [0] * num_actions for _ in range(num_states)
         ]
-        # Memoised highest-tie argmax per row (-1 = unknown).  best_action()
-        # runs several times per decision epoch; a row's greedy action only
-        # changes when the row is written, so writers invalidate (or, when
-        # they can derive it, refresh) the entry.
+        # Memoised highest-tie argmax per row (-1 = unknown).  A row's greedy
+        # action only changes when the row is written, so set() invalidates
+        # the entry and QLearningAgent.update refreshes it from the cell it
+        # wrote.
         self._best_action_cache: List[int] = [-1] * num_states
 
     # -- size ---------------------------------------------------------------------
@@ -77,35 +77,28 @@ class QTable:
         self._check(state)
         return tuple(self._values[state])
 
-    def max_value(self, state: int) -> float:
-        """Largest Q-value in ``state``'s row (the Bellman bootstrap term)."""
-        self._check(state)
-        return max(self._values[state])
-
-    def best_action(self, state: int, tie_break: str = "highest") -> int:
+    def best_action(self, state: int) -> int:
         """Index of the best action for ``state``.
 
-        Ties are broken towards the highest-index (fastest) action by
-        default, which is the performance-safe choice before any learning
-        has happened; ``tie_break="lowest"`` picks the slowest instead.
+        Ties are broken towards the highest-index (fastest) action, which is
+        the performance-safe choice before any learning has happened.
 
-        Runs several times per decision epoch in the RTM's hot loop, so the
-        scan is allocation-free (no candidate list is built) and the
-        default-tie-break result is memoised until the row is next written.
+        The result is memoised until the row is next written.
         """
         self._check(state)
-        row = self._values[state]
-        if tie_break == "lowest":
-            return row.index(max(row))
+        return self._greedy(state)
+
+    def _greedy(self, state: int) -> int:
+        """:meth:`best_action` without the range check (the learning hot path)."""
         cached = self._best_action_cache[state]
-        if cached >= 0:
-            return cached
-        best = max(row)
-        for action in range(len(row) - 1, -1, -1):
-            if row[action] == best:
-                self._best_action_cache[state] = action
-                return action
-        return 0  # pragma: no cover - max(row) always appears in row
+        return cached if cached >= 0 else self._scan_best_action(state)
+
+    def _scan_best_action(self, state: int) -> int:
+        """Scan ``state``'s row for its highest-index argmax and memoise it."""
+        row = self._values[state]
+        action = len(row) - 1 - row[::-1].index(max(row))
+        self._best_action_cache[state] = action
+        return action
 
     # -- learning bookkeeping ------------------------------------------------------------
     def record_visit(self, state: int, action: int) -> None:
@@ -125,21 +118,6 @@ class QTable:
     def visited_pair_count(self) -> int:
         """Number of state-action pairs visited at least once."""
         return sum(1 for counts in self._visit_counts for c in counts if c > 0)
-
-    def update_towards(self, state: int, action: int, target: float, learning_rate: float) -> float:
-        """Move Q(state, action) towards ``target`` by ``learning_rate`` and return the new value.
-
-        This implements the incremental form of the paper's eq. (3):
-        ``Q <- (1 - alpha) * Q + alpha * target``.
-        """
-        if not 0.0 < learning_rate <= 1.0:
-            raise ConfigurationError(f"learning rate must lie in (0, 1], got {learning_rate}")
-        self._check(state, action)
-        row = self._values[state]
-        new = (1.0 - learning_rate) * row[action] + learning_rate * target
-        row[action] = new
-        self._best_action_cache[state] = -1
-        return new
 
     # -- greedy policy as a whole ------------------------------------------------------------
     def greedy_policy(self) -> Tuple[int, ...]:

@@ -1,17 +1,18 @@
 """The proposed run-time manager as a DVFS governor (single-cluster formulation).
 
-This is the paper's contribution wired together: at each decision epoch the
-governor
+This is the paper's contribution wired together: at each decision epoch
+:meth:`RLGovernor.decide`
 
 1. computes the pay-off for the epoch that just finished (eqs. 4 and 5),
-2. updates the Q-table entry of the previous state-action pair (eq. 3),
-3. predicts the next epoch's workload with the EWMA filter (eq. 1),
-4. maps the prediction and the current average slack into a discrete state,
-5. selects the next V-F action — explorative (EPD, eq. 2) or greedy —
+2. predicts the next epoch's workload with the EWMA filter (eq. 1) and
+   maps it and the current average slack into a discrete state,
+3. updates the Q-table entry of the previous state-action pair (eq. 3),
+4. selects the next V-F action — explorative (EPD, eq. 2) or greedy —
    according to the ε schedule (eq. 6).
 
-The many-core variant with the shared Q-table and per-core round-robin
-updates lives in :mod:`repro.rtm.multicore`.
+Steps 3 and 4 are the agent's ``update`` and ``select_action``.  The
+many-core variant in :mod:`repro.rtm.multicore` reuses this ``decide`` and
+overrides only its two workload hooks.
 """
 
 from __future__ import annotations
@@ -90,16 +91,12 @@ class RLGovernor(Governor):
         self._predictor: Optional[WorkloadPredictor] = None
         self._slack_tracker: Optional[SlackTracker] = None
         self._state_space: Optional[StateSpace] = None
-        self._range_tracker = WorkloadRangeTracker()
-        self._convergence = ConvergenceDetector(
-            window=self.config.convergence_window, track_action_range=False
-        )
+        self._range_tracker: Optional[WorkloadRangeTracker] = None
+        self._convergence: Optional[ConvergenceDetector] = None
         self._pending_state: Optional[int] = None
         self._pending_action: Optional[int] = None
         self._last_overhead_s = 0.0
         self._reward_history: List[float] = []
-        self._overhead_learning_s = self.config.overhead.epoch_overhead_s(learning=True)
-        self._overhead_exploiting_s = self.config.overhead.epoch_overhead_s(learning=False)
 
     # -- lifecycle ------------------------------------------------------------------
     def setup(self, platform: PlatformInfo, requirement: PerformanceRequirement) -> None:
@@ -198,7 +195,8 @@ class RLGovernor(Governor):
     @property
     def converged_epoch(self) -> Optional[int]:
         """Epoch at which the learnt policy settled (Table III quantity)."""
-        return self._convergence.converged_epoch
+        convergence = self._convergence
+        return None if convergence is None else convergence.converged_epoch
 
     @property
     def processing_overhead_s(self) -> float:
@@ -237,6 +235,23 @@ class RLGovernor(Governor):
         return state
 
     # -- the per-epoch decision ------------------------------------------------------------
+    def _initial_workload(self) -> float:
+        """Normalised workload of the first state: full load, like the first action."""
+        return 1.0
+
+    def _observe_workload(self, previous: EpochObservation) -> float:
+        """Record the finished epoch and return the next one's normalised workload.
+
+        The prediction (eq. 1) is of the critical-path (largest per-core)
+        cycle count, which decides whether the shared V-F domain meets the
+        deadline, normalised to the application's characterised range (the
+        paper's pre-characterisation, performed online by the range tracker).
+        """
+        actual_workload = max(previous.cycles_per_core)
+        range_tracker = self._range_tracker
+        range_tracker.observe(actual_workload)
+        return range_tracker.normalise(self._predictor.observe(actual_workload))
+
     def decide(
         self,
         previous: Optional[EpochObservation],
@@ -244,13 +259,13 @@ class RLGovernor(Governor):
     ) -> int:
         agent = self._agent
         if agent is None:
-            raise ConfigurationError("RLGovernor used before setup()")
+            raise ConfigurationError(f"{type(self).__name__} used before setup()")
         if previous is None:
             # First epoch: nothing has been observed yet.  Start from the
             # fastest operating point (performance-safe) and remember the
             # state-action pair so it can be credited once the first
             # observation arrives.
-            initial_state = self.state_space.state_index(1.0, 0.0)
+            initial_state = self._state_space.state_index(self._initial_workload(), 0.0)
             initial_action = self.platform.num_actions - 1
             agent.qtable.record_visit(initial_state, initial_action)
             self._pending_state = initial_state
@@ -264,43 +279,29 @@ class RLGovernor(Governor):
         tracker = self._slack_tracker
         reward_params = self.config.reward
         average_slack = tracker.update(previous.busy_time_s, previous.overhead_time_s)
-        slack_delta = tracker.slack_delta
-        progress_reward = compute_reward(average_slack, slack_delta, reward_params)
+        progress_reward = compute_reward(average_slack, tracker.slack_delta, reward_params)
         reward = progress_reward
         instantaneous_slack = tracker.last_instantaneous_slack
         if instantaneous_slack < 0.0:
             reward -= reward_params.miss_penalty_weight * (-instantaneous_slack)
         self._reward_history.append(reward)
 
-        # (3) Predict the next epoch's workload (eq. 1) and map to a state.
-        # The single-cluster formulation tracks the critical-path (largest
-        # per-core) cycle count, since that decides whether the shared V-F
-        # domain meets the frame deadline; the prediction is normalised to
-        # the application's characterised range (the paper's
-        # pre-characterisation step, performed online by the range tracker)
-        # so the N workload levels resolve the range the application spans.
-        actual_workload = max(previous.cycles_per_core)
-        range_tracker = self._range_tracker
-        range_tracker.observe(actual_workload)
-        predicted_workload = self._predictor.observe(actual_workload)
+        # (2) Predict the next epoch's workload (eq. 1) and map to a state.
         next_state = self._state_space.state_index(
-            range_tracker.normalise(predicted_workload), average_slack
+            self._observe_workload(previous), average_slack
         )
 
-        # (2) Update the Q-table entry for the previous state-action (eq. 3)
-        # and select the action for the next epoch, in one fused agent call.
-        if self._pending_state is not None and self._pending_action is not None:
-            action, _sampled, exploiting = agent.update_and_select(
-                self._pending_state,
-                self._pending_action,
-                reward,
-                next_state,
-                average_slack,
-                progress_reward=progress_reward,
-            )
-        else:  # pragma: no cover - pending pair always exists after epoch 0
-            action, _sampled = agent.select_action(next_state, average_slack)
-            exploiting = agent.is_exploiting
+        # (3) Update the Q-table entry for the previous state-action (eq. 3),
+        # then (4) select the action for the next epoch (eqs. 2 and 6).
+        agent.update(
+            self._pending_state,
+            self._pending_action,
+            reward,
+            next_state,
+            progress_reward=progress_reward,
+        )
+        action, _explored = agent.select_action(next_state, average_slack)
+        exploiting = agent.epsilon_schedule.is_exploiting
         self._convergence.observe(
             action,
             explored=not exploiting,

@@ -20,8 +20,8 @@ Bit-identity to the scalar reference is the contract, not a tolerance:
   float arithmetic without ``fastmath``, which this module never enables);
 * the agent's ``random.Random`` stream is preserved exactly — uniforms are
   pre-drawn host-side from the live generator, the kernel consumes them in
-  the same order ``update_and_select`` would, and the generator is rewound
-  and replayed to the consumed count afterwards;
+  the order ``QLearningAgent.update`` then ``select_action`` would, and the
+  generator is rewound and replayed to the consumed count afterwards;
 * all governor/sensor/thermal hidden state is read before the kernel and
   written back afterwards, so a jitpath run leaves the governor, cluster,
   sensor and thermal model exactly as a scalar run would.
@@ -533,7 +533,7 @@ def _frame_loop(
                 slack_level = s_levels - 1
             next_state = workload_level[f] * s_levels + slack_level
 
-            # (2) QLearningAgent.update_and_select, statement for statement.
+            # (2) QLearningAgent.update then select_action, statement by statement.
             state = pending_state
             action = pending_action
             greedy_before = best_cache[state]

@@ -171,6 +171,24 @@ class TestCoordinatorProtocol:
         assert coordinator.lease("w0")["state"] == STATE_DRAINED
         assert saved_bytes(coordinator.result()) == saved_bytes(serial_store)
 
+    def test_workers_told_drained_by_lease_or_submit(self, campaign, serial_store):
+        coordinator, _ = make_coordinator(campaign)
+        outcomes = list(serial_store)
+        coordinator.lease("w0")
+        coordinator.submit("w1", None, outcomes[0])
+        coordinator.heartbeat("w2", [])
+        assert coordinator.workers_not_told_drained == ["w0", "w1", "w2"]
+        for outcome in outcomes[1:]:
+            response = coordinator.submit("w0", None, outcome)
+        assert response["drained"]
+        assert coordinator.workers_not_told_drained == ["w1", "w2"]
+        # A heartbeat's "drained" flag does not stop a worker; a lease does.
+        assert coordinator.heartbeat("w2", [])["drained"]
+        assert coordinator.lease("w1")["state"] == STATE_DRAINED
+        assert coordinator.workers_not_told_drained == ["w2"]
+        assert coordinator.lease("w2")["state"] == STATE_DRAINED
+        assert coordinator.workers_not_told_drained == []
+
     def test_result_before_drain_raises(self, campaign):
         coordinator, _ = make_coordinator(campaign)
         with pytest.raises(ServiceError, match="without a final outcome"):
@@ -390,7 +408,55 @@ class _SubmitLostClient:
         return self.inner.call(request)
 
 
+class _FinishedElsewhereClient:
+    """Another worker finishes the campaign just before this worker's first
+    submit; once the coordinator has answered "drained" it is gone."""
+
+    def __init__(self, coordinator, outcomes):
+        self.coordinator = coordinator
+        self.inner = LocalClient(coordinator)
+        self.outcomes = outcomes
+        self.submits = 0
+        self.told_drained = False
+
+    def call(self, request):
+        if request.get("op") != "submit":
+            return self.inner.call(request)
+        if self.told_drained:
+            raise ConnectionRefusedError("coordinator closed after the drain")
+        if self.submits == 0:
+            for outcome in self.outcomes:
+                self.coordinator.submit("other", None, outcome)
+        self.submits += 1
+        response = self.inner.call(request)
+        self.told_drained = response["drained"]
+        return response
+
+
 class TestWorkerDegradation:
+    def test_stops_submitting_once_told_drained(self, campaign, serial_store, tmp_path):
+        pair = CampaignSpec(name=campaign.name, scenarios=campaign.scenarios[:2])
+        coordinator, _ = make_coordinator(pair)
+        client = _FinishedElsewhereClient(
+            coordinator,
+            [serial_store.outcomes[s.scenario_id] for s in pair.scenarios],
+        )
+        fallback = tmp_path / "stranded.json"
+        stats = WorkerSite(
+            client,
+            worker_id="late",
+            lease_count=2,
+            reconnect=RetryPolicy(max_attempts=1),
+            fallback_path=str(fallback),
+            heartbeat_interval_s=None,
+        ).run()
+        # The first submit is a duplicate answered "drained"; the second
+        # outcome is one too, so it is neither submitted nor stranded.
+        assert client.submits == 1
+        assert stats.drained and stats.stranded == 0
+        assert not fallback.exists()
+        assert coordinator.workers_not_told_drained == []
+
     def test_unreachable_submit_strands_to_fallback(self, campaign, tmp_path):
         solo = CampaignSpec(name=campaign.name, scenarios=campaign.scenarios[:1])
         coordinator, _ = make_coordinator(solo)

@@ -1,13 +1,19 @@
 """Unit tests for the learning governors: the proposed RTM and the learning baselines."""
 
+from dataclasses import fields
+
 import pytest
 
+from repro.campaign import governor_factory
 from repro.errors import ConfigurationError
 from repro.governors.multicore_dvfs import MultiCoreDVFSGovernor, MultiCoreDVFSParameters
 from repro.governors.shen_rl import ShenRLGovernor
 from repro.rtm.exploration import ExponentialPolicy, UniformPolicy
 from repro.rtm.governor import EpochObservation
 from repro.rtm.multicore import MultiCoreRLGovernor
+from repro.rtm.overhead import OverheadModel
+from repro.rtm.qlearning import QLearningParameters
+from repro.rtm.rewards import RewardParameters
 from repro.rtm.rl_governor import RLGovernor, RLGovernorConfig
 from repro.rtm.state import WorkloadNormalisation
 
@@ -192,6 +198,31 @@ class TestShenRLGovernor:
         governor = ShenRLGovernor(RLGovernorConfig(workload_levels=3, slack_levels=3))
         governor.setup(platform_info, requirement_25fps)
         assert governor.state_space.num_states == 9
+
+    def test_registry_factory_passes_every_config_field_through(self):
+        """Every ``RLGovernorConfig`` field reaches ``shen-upd``; only EPD is switched off."""
+        kwargs = {
+            "workload_levels": 4,
+            "slack_levels": 3,
+            "ewma_gamma": 0.45,
+            "slack_window": None,
+            "learning": QLearningParameters(learning_rate=0.3, discount=0.2),
+            "reward": RewardParameters(slack_weight=2.0),
+            "exploration_beta": 3.0,
+            "use_exponential_exploration": True,
+            "use_total_share_normalisation": True,
+            "overhead": OverheadModel(learning_processing_s=1.0e-3),
+            "convergence_window": 7,
+            "seed": 11,
+        }
+        assert set(kwargs) == {f.name for f in fields(RLGovernorConfig)}
+        config = governor_factory("shen-upd")(**kwargs).config
+        assert config.use_exponential_exploration is False
+        defaults = RLGovernorConfig()
+        for name, value in kwargs.items():
+            if name != "use_exponential_exploration":
+                assert value != getattr(defaults, name), name  # a dropped field shows
+                assert getattr(config, name) == value, name
 
 
 class TestMultiCoreDVFSGovernor:

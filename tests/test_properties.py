@@ -10,6 +10,7 @@ from repro.platform.power import PowerModel
 from repro.platform.sensors import EnergyMeter
 from repro.rtm.exploration import EpsilonSchedule, ExponentialPolicy, UniformPolicy
 from repro.rtm.prediction import EWMAPredictor
+from repro.rtm.qlearning import QLearningAgent, QLearningParameters
 from repro.rtm.qtable import QTable
 from repro.rtm.rewards import SlackTracker, compute_reward
 from repro.rtm.state import Discretizer, StateSpace, WorkloadRangeTracker
@@ -93,11 +94,20 @@ class TestQTableProperties:
     )
     @settings(max_examples=50, deadline=None)
     def test_values_stay_within_target_envelope(self, updates, learning_rate):
-        """Q-values are convex combinations of 0 and the targets seen, so they stay bounded."""
-        table = QTable(10, 5)
+        """Q-values are convex combinations of 0 and the targets seen, so they stay bounded.
+
+        With no discount the agent's eq. (3) target is the pay-off itself.
+        """
+        agent = QLearningAgent(
+            10,
+            5,
+            action_frequencies_hz=FREQUENCIES[:5],
+            parameters=QLearningParameters(learning_rate=learning_rate, discount=0.0),
+        )
+        table = agent.qtable
         targets = [t for _, _, t in updates]
         for state, action, target in updates:
-            table.update_towards(state, action, target, learning_rate)
+            agent.update(state, action, target, next_state=state)
         lower, upper = min(0.0, min(targets)), max(0.0, max(targets))
         for state in range(10):
             for action in range(5):

@@ -1,5 +1,7 @@
 """Unit tests for the Q-learning agent, overhead model and convergence detector."""
 
+import random
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -110,6 +112,65 @@ class TestQLearningAgent:
             seed=0,
         )
         assert isinstance(agent.policy, UniformPolicy)
+
+
+def _highest_index_argmax(row) -> int:
+    best = max(row)
+    return max(index for index, value in enumerate(row) if value == best)
+
+
+class TestCachedArgmax:
+    """``update`` keeps the Q-table's memoised argmax equal to a fresh scan.
+
+    Seeded random sequences of ``update`` and ``QTable.set`` on a small
+    table whose values come from a few dyadic levels, so ties are common and
+    exact.  The test also asserts
+    that each sequence hit the cases the incremental rule distinguishes:
+    a tie with the greedy cell, a greedy cell that decreased, and an update
+    whose next state is its own state.
+    """
+
+    @pytest.mark.parametrize("learning_rate, discount", [(1.0, 0.0), (0.5, 0.0), (1.0, 0.5)])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_best_action_matches_a_fresh_scan_after_every_step(
+        self, seed, learning_rate, discount
+    ):
+        rng = random.Random(seed)
+        num_states, num_actions = 3, 4
+        agent = QLearningAgent(
+            num_states=num_states,
+            num_actions=num_actions,
+            action_frequencies_hz=FREQUENCIES[:num_actions],
+            parameters=QLearningParameters(learning_rate=learning_rate, discount=discount),
+            seed=seed,
+        )
+        table = agent.qtable
+        levels = (-1.0, -0.5, 0.0, 0.5, 1.0)
+        seen = {"tie": 0, "greedy_decreased": 0, "self_loop": 0}
+        for _ in range(400):
+            state = rng.randrange(num_states)
+            action = rng.randrange(num_actions)
+            operation = rng.random()
+            if operation < 0.7:
+                next_state = state if rng.random() < 0.3 else rng.randrange(num_states)
+                greedy_before = _highest_index_argmax(table.row(state))
+                old_value = table.get(state, action)
+                agent.update(state, action, rng.choice(levels), next_state)
+                row = table.row(state)
+                greedy_after = _highest_index_argmax(row)
+                assert agent.last_update_changed_policy == (greedy_after != greedy_before)
+                seen["self_loop"] += next_state == state
+                seen["greedy_decreased"] += (
+                    action == greedy_before and row[action] < old_value
+                )
+                seen["tie"] += action != greedy_before and row[action] == row[greedy_before]
+            else:
+                table.set(state, action, rng.choice(levels))
+            for row_index in range(num_states):
+                assert table.best_action(row_index) == _highest_index_argmax(
+                    table.row(row_index)
+                )
+        assert all(count > 0 for count in seen.values()), seen
 
 
 class TestOverheadModel:

@@ -140,7 +140,7 @@ class TestQTable:
         table = QTable(num_states=4, num_actions=3, initial_value=0.5)
         assert table.size == 12
         assert table.get(0, 0) == 0.5
-        assert table.max_value(2) == 0.5
+        assert max(table.row(2)) == 0.5
 
     def test_set_get_and_bounds(self):
         table = QTable(3, 2)
@@ -155,25 +155,8 @@ class TestQTable:
         table = QTable(1, 4)
         # All zero: tie-break selects the fastest (highest-index) action.
         assert table.best_action(0) == 3
-        assert table.best_action(0, tie_break="lowest") == 0
         table.set(0, 1, 1.0)
         assert table.best_action(0) == 1
-
-    def test_update_towards_matches_equation_3(self):
-        """Q <- (1 - alpha) * Q + alpha * (R + gamma * max Q(next))."""
-        table = QTable(2, 2)
-        table.set(0, 0, 1.0)
-        table.set(1, 1, 2.0)
-        alpha, gamma, reward = 0.5, 0.4, 0.7
-        target = reward + gamma * table.max_value(1)
-        new_value = table.update_towards(0, 0, target, alpha)
-        assert new_value == pytest.approx((1 - alpha) * 1.0 + alpha * target)
-        assert table.get(0, 0) == pytest.approx(new_value)
-
-    def test_update_towards_invalid_learning_rate(self):
-        table = QTable(1, 1)
-        with pytest.raises(ConfigurationError):
-            table.update_towards(0, 0, 1.0, 0.0)
 
     def test_visit_counters(self):
         table = QTable(2, 2)
