@@ -100,10 +100,14 @@ def test_bench_power_model(benchmark):
     model = PowerModel()
     points = list(A15_VF_TABLE)
 
+    uncore_w = model.parameters.uncore_power_w
+
     def step():
         total = 0.0
         for point in points:
-            total += model.cluster_power(point, [1.0, 0.7, 0.5, 0.2]).total_w
+            for utilisation in (1.0, 0.7, 0.5, 0.2):
+                total += model.core_power_w(point, utilisation)
+            total += uncore_w
         return total
 
     benchmark(step)

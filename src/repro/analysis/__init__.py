@@ -11,7 +11,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "coefficient_of_variation",
             "percentile",
             "windowed_mean",
-            "misprediction_percent",
         ),
         "repro.analysis.reporting": (
             "format_table",

@@ -66,22 +66,3 @@ def windowed_mean(values: Sequence[float], window: int) -> List[float]:
         start = max(0, index - window + 1)
         output.append(mean(values[start:index + 1]))
     return output
-
-
-def misprediction_percent(predicted: Sequence[float], actual: Sequence[float]) -> float:
-    """Mean absolute relative prediction error, as a percentage of the actual values.
-
-    This is the Fig. 3 headline statistic (the "~8% average misprediction
-    with respect to the average workload" in the first 100 frames).
-    """
-    if len(predicted) != len(actual):
-        raise ValueError("predicted and actual sequences must have equal length")
-    if not predicted:
-        return 0.0
-    errors = []
-    for p, a in zip(predicted, actual):
-        if a == 0:
-            errors.append(0.0)
-        else:
-            errors.append(abs(a - p) / abs(a))
-    return 100.0 * mean(errors)

@@ -12,9 +12,9 @@ can checkpoint to disk and *resume*: the executor skips any scenario whose
 stored outcome is ``done`` and re-runs the ``failed`` ones.
 :meth:`CampaignResult.save` is atomic (write-temp + ``os.replace``), so a
 crash mid-checkpoint can never truncate a previously good store.  The
-monolithic JSON blob of earlier releases is read-only
-(:meth:`CampaignResult.load`, :meth:`CampaignResult.from_dict`).
-Disjoint stores of the same campaign —
+monolithic JSON blob of earlier releases is read-only: the store reads
+it (:func:`repro.campaign.store.blob_store`), so this module knows no
+on-disk format.  Disjoint stores of the same campaign —
 e.g. the per-shard result files of a :meth:`CampaignSpec.shard` split —
 recombine on disk with :func:`repro.campaign.store.merge_store_files`.
 
@@ -27,11 +27,10 @@ normalisation consume.
 
 from __future__ import annotations
 
-import json
 import os
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Mapping, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro.errors import SimulationError
 from repro.campaign.spec import CampaignSpec, ScenarioSpec
@@ -203,20 +202,6 @@ class ScenarioOutcome:
                 pass  # unknown cache shape: recompute from the frames
         return self.result.summary
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioOutcome":
-        """Read one outcome of the legacy monolithic JSON blob."""
-        result = data.get("result")
-        return cls(
-            scenario=ScenarioSpec.from_dict(data["scenario"]),
-            result=SimulationResult.from_dict(result) if result is not None else None,
-            probe=data.get("probe"),
-            status=data.get("status", STATUS_DONE),
-            error=data.get("error"),
-            traceback=data.get("traceback"),
-            attempts=data.get("attempts", 1),
-        )
-
 
 @dataclass
 class CampaignResult:
@@ -342,19 +327,6 @@ class CampaignResult:
         return ordered
 
     # -- persistence --------------------------------------------------------------
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CampaignResult":
-        """Read a legacy monolithic JSON blob (``{"campaign_name", "outcomes"}``)."""
-        store = cls(campaign_name=data["campaign_name"])
-        for item in data.get("outcomes", []):
-            store.add(ScenarioOutcome.from_dict(item))
-        return store
-
-    @classmethod
-    def from_json(cls, text: str) -> "CampaignResult":
-        """Parse the text of a legacy monolithic JSON blob."""
-        return cls.from_dict(json.loads(text))
-
     def save(self, path: str, store: str = "json") -> None:
         """Atomically write the store (write-temp + ``os.replace``).
 
@@ -379,8 +351,7 @@ class CampaignResult:
         """
         if result_store.is_store_file(path):
             return result_store.load_store(path, lazy=lazy)
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_json(handle.read())
+        return result_store.load_blob(path)
 
     @classmethod
     def load_checkpoint(cls, path: str) -> Optional["CampaignResult"]:

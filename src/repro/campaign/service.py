@@ -263,7 +263,7 @@ class Coordinator:
                 if store is None:
                     store = CampaignResult(campaign_name=str(data["campaign_name"]))
             else:
-                store = CampaignResult.from_dict(data["results"])
+                store = result_store.blob_store(data["results"])
             attempts = {str(k): int(v) for k, v in data.get("attempts", {}).items()}
         except FileNotFoundError:
             return None

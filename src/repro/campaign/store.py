@@ -82,7 +82,10 @@ that reads only version 1 refuses a version-2 file with a
 :class:`~repro.errors.ConfigurationError` instead of quarantining it.
 
 The monolithic JSON blob of earlier releases (``{"campaign_name": ...,
-"outcomes": [...]}`` with per-frame row dicts) is read-only: it still
+"outcomes": [...]}`` with per-frame row dicts) is read-only, and this
+module is its one reader: :func:`blob_store` turns each outcome into the
+store record it stands for (frame rows become columns) and decodes that
+with :func:`decode_record`, like every other stored form.  It still
 loads, resumes and merges, but nothing writes it any more.  Version-1
 jsonl lines, in both the insertion-order and the sorted-key layout,
 load and merge too; a merge re-seals them as version-2 lines (frames
@@ -113,12 +116,14 @@ import sys
 from array import array
 from dataclasses import asdict, dataclass
 from itertools import chain
+from operator import itemgetter
 from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro._compat import HAVE_PYARROW, arrow_disabled
 from repro.errors import ConfigurationError, SimulationError
 from repro.campaign.results import (
     CORRUPT_CHECKPOINT_ERRORS,
+    STATUS_DONE,
     CampaignResult,
     ScenarioOutcome,
     quarantine_corrupt_file,
@@ -444,11 +449,6 @@ def _outcome_metrics(outcome: ScenarioOutcome) -> Optional[Dict[str, Any]]:
     return asdict(outcome.result.summary)
 
 
-def outcome_digest(outcome: ScenarioOutcome) -> str:
-    """The ``digest`` the outcome's store record carries (no metrics computed)."""
-    return record_digest(_outcome_record(outcome))
-
-
 def encode_record(outcome: ScenarioOutcome) -> Dict[str, Any]:
     """Serialise one outcome to a store record dict (columnar frames + digest).
 
@@ -511,7 +511,9 @@ def decode_record(
 ) -> ScenarioOutcome:
     """Rebuild a :class:`ScenarioOutcome` from a store record.
 
-    With ``frames_loader`` the result's columns are deferred
+    The one decoder of every stored form of an outcome: a jsonl line, an
+    Arrow row, a service submit and a legacy blob outcome
+    (:func:`blob_store`) all reach it as a record.  With ``frames_loader`` the result's columns are deferred
     (:meth:`FrameColumns.from_deferred`): the loader re-reads the frames
     from disk on first column access, so a lazily loaded store holds only
     outcome metadata and cached metrics in memory.
@@ -542,6 +544,65 @@ def decode_record(
         attempts=record.get("attempts", 1),
         metrics=record.get("metrics"),
     )
+
+
+# ---------------------------------------------------------------------------
+# The legacy monolithic JSON blob, read as the store records it stands for.
+# ---------------------------------------------------------------------------
+
+#: A blob frame dict's values as one row, in :data:`FRAME_COLUMN_NAMES` order.
+_blob_row = itemgetter(*FRAME_COLUMN_NAMES)
+#: The fields of a blob outcome that its store record keeps as they are.
+_BLOB_OUTCOME_FIELDS = ("scenario", "status", "attempts", "probe", "error", "traceback")
+
+
+def _blob_frames(rows: Sequence[Dict[str, Any]]) -> Dict[str, list]:
+    """A blob result's per-frame row dicts as a store record's frame columns.
+
+    Strict on every row, so a bad frame never yields a silently short or
+    dropped column: an unknown field raises ``TypeError`` and a missing
+    one ``KeyError`` (only ``explored`` has a default, ``False``).  A
+    ``cycles_per_core`` that is not a sequence raises ``TypeError`` when
+    :func:`decode_record` reads the columns.
+    """
+    gathered = []
+    for row in rows:
+        unknown = set(row).difference(FRAME_COLUMN_NAMES)
+        if unknown:
+            raise TypeError(f"unexpected frame field(s): {sorted(map(str, unknown))}")
+        gathered.append(_blob_row({"explored": False, **row}))
+    columns = zip(*gathered) if gathered else [()] * len(FRAME_COLUMN_NAMES)
+    return {name: list(column) for name, column in zip(FRAME_COLUMN_NAMES, columns)}
+
+
+def _blob_record(outcome: Dict[str, Any]) -> Dict[str, Any]:
+    """The store record (no ``metrics``/``digest``) a blob outcome stands for."""
+    record = {key: outcome[key] for key in _BLOB_OUTCOME_FIELDS if key in outcome}
+    record.setdefault("status", STATUS_DONE)
+    result = outcome.get("result")
+    if result is not None:
+        result_data = {key: value for key, value in result.items() if key != "records"}
+        result_data["frames"] = _blob_frames(result.get("records", []))
+        record["result"] = result_data
+    return record
+
+
+def blob_store(data: Dict[str, Any]) -> CampaignResult:
+    """Read a parsed legacy JSON blob (``{"campaign_name", "outcomes"}``).
+
+    Each outcome becomes its store record and is decoded by
+    :func:`decode_record`.  ``data`` is left as it was.
+    """
+    store = CampaignResult(campaign_name=data["campaign_name"])
+    for outcome in data.get("outcomes", []):
+        store.add(decode_record(_blob_record(outcome)))
+    return store
+
+
+def load_blob(path: str) -> CampaignResult:
+    """Read a legacy JSON blob file (:func:`blob_store`)."""
+    with open(path, "r", encoding="utf-8") as handle:
+        return blob_store(json.loads(handle.read()))
 
 
 # ---------------------------------------------------------------------------
@@ -999,12 +1060,7 @@ class StoreReader:
 # ---------------------------------------------------------------------------
 
 
-def save_store(
-    store: CampaignResult,
-    path: str,
-    encoding: str,
-    chunk_rows: int = STORE_CHUNK_ROWS,
-) -> None:
+def save_store(store: CampaignResult, path: str, encoding: str) -> None:
     """Atomically (re)write a whole store columnar (write-temp + ``os.replace``)."""
     temp_path = f"{path}.tmp"
     writer = StoreWriter.create(temp_path, store.campaign_name, encoding)
@@ -1013,7 +1069,7 @@ def save_store(
         batch: List[ScenarioOutcome] = []
         for outcome in store:
             batch.append(outcome)
-            if len(batch) >= chunk_rows:
+            if len(batch) >= STORE_CHUNK_ROWS:
                 writer.append_outcomes(batch)
                 batch = []
         writer.append_outcomes(batch)
@@ -1103,7 +1159,7 @@ def _iter_shard(path: str) -> Iterator[Tuple[str, Dict[str, Any], bytes]]:
         for record, _ in reader.iter_records(include_frames=True):
             yield reader.campaign_name, record, record_line(record)
         return
-    legacy = CampaignResult.load(path)
+    legacy = load_blob(path)
     for outcome in legacy:
         line = encode_line(outcome)
         yield legacy.campaign_name, json.loads(line), line
@@ -1112,7 +1168,7 @@ def _iter_shard(path: str) -> Iterator[Tuple[str, Dict[str, Any], bytes]]:
 def _shard_campaign_name(path: str) -> str:
     if is_store_file(path):
         return StoreReader(path).campaign_name
-    return CampaignResult.load(path).campaign_name
+    return load_blob(path).campaign_name
 
 
 def merge_store_files(

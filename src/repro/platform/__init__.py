@@ -23,7 +23,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "repro.platform.vf_table": ("OperatingPoint", "VFTable"),
-        "repro.platform.power": ("PowerModel", "PowerModelParameters", "PowerBreakdown"),
+        "repro.platform.power": ("PowerModel", "PowerModelParameters"),
         "repro.platform.pmu": ("PerformanceMonitoringUnit", "PMUSample"),
         "repro.platform.core": ("Core", "CoreExecutionResult"),
         "repro.platform.cluster": ("Cluster",),

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
-from repro._compat import SLOTS
 from repro.errors import ConfigurationError
 from repro.platform.vf_table import OperatingPoint
 
@@ -65,45 +64,14 @@ class PowerModelParameters:
                 raise ConfigurationError(f"{name} must be non-negative")
 
 
-@dataclass(frozen=True, **SLOTS)
-class PowerBreakdown:
-    """Power split into its dynamic and static components (watts)."""
-
-    dynamic_w: float
-    static_w: float
-    uncore_w: float = 0.0
-
-    @property
-    def total_w(self) -> float:
-        """Total power in watts."""
-        return self.dynamic_w + self.static_w + self.uncore_w
-
-    def __add__(self, other: "PowerBreakdown") -> "PowerBreakdown":
-        return PowerBreakdown(
-            dynamic_w=self.dynamic_w + other.dynamic_w,
-            static_w=self.static_w + other.static_w,
-            uncore_w=self.uncore_w + other.uncore_w,
-        )
-
-    def scaled(self, factor: float) -> "PowerBreakdown":
-        """Return a copy with every component multiplied by ``factor``."""
-        return PowerBreakdown(
-            dynamic_w=self.dynamic_w * factor,
-            static_w=self.static_w * factor,
-            uncore_w=self.uncore_w * factor,
-        )
-
-
-ZERO_POWER = PowerBreakdown(dynamic_w=0.0, static_w=0.0, uncore_w=0.0)
-
-
 @dataclass
 class PowerModel:
     """Per-core analytic power model.
 
     The model is intentionally stateless: callers pass the operating point,
-    utilisation and temperature for the interval of interest and receive a
-    :class:`PowerBreakdown`.
+    utilisation and temperature for the interval of interest.  A core's
+    power has one formula, :meth:`core_power_w` (dynamic plus static);
+    the cluster charges ``uncore_power_w`` once on top of its cores.
     """
 
     parameters: PowerModelParameters = field(default_factory=PowerModelParameters)
@@ -137,29 +105,19 @@ class PowerModel:
         )
         return point.voltage_v * leakage_current_a
 
-    def core_power(
-        self,
-        point: OperatingPoint,
-        utilisation: float,
-        temperature_c: float = 55.0,
-    ) -> PowerBreakdown:
-        """Total power of a single core (no uncore share)."""
-        return PowerBreakdown(
-            dynamic_w=self.dynamic_power_w(point, utilisation),
-            static_w=self.static_power_w(point, temperature_c),
-        )
-
     def core_power_w(
         self,
         point: OperatingPoint,
         utilisation: float,
         temperature_c: float = 55.0,
     ) -> float:
-        """Total single-core power as a plain float (no uncore share).
+        """Total single-core power in watts (no uncore share).
 
-        Identical value to ``core_power(...).total_w`` without allocating a
-        :class:`PowerBreakdown`; this is the entry point the simulator's
-        per-frame loop and the cluster's power cache use.
+        The one core-power formula.  The scalar engine evaluates it
+        through the cluster's power cache, fastpath through
+        :meth:`power_table`, and the table engine's decomposition
+        (:func:`repro.platform.cluster._power_decomposition`) repeats its
+        operations bit for bit.
         """
         return self.dynamic_power_w(point, utilisation) + self.static_power_w(
             point, temperature_c
@@ -181,46 +139,6 @@ class PowerModel:
         busy = [self.core_power_w(point, 1.0, temperature_c) for point in points]
         idle = [self.core_power_w(point, 0.0, temperature_c) for point in points]
         return busy, idle
-
-    def cluster_power(
-        self,
-        point: OperatingPoint,
-        utilisations: "list[float]",
-        temperature_c: float = 55.0,
-    ) -> PowerBreakdown:
-        """Total power of a cluster of cores sharing one V-F domain.
-
-        ``utilisations`` holds one entry per core in the cluster.
-        """
-        total = ZERO_POWER
-        for utilisation in utilisations:
-            total = total + self.core_power(point, utilisation, temperature_c)
-        return total + PowerBreakdown(
-            dynamic_w=0.0, static_w=0.0, uncore_w=self.parameters.uncore_power_w
-        )
-
-    # -- energy helpers ------------------------------------------------------
-    def energy_j(
-        self,
-        point: OperatingPoint,
-        utilisation: float,
-        duration_s: float,
-        temperature_c: float = 55.0,
-    ) -> float:
-        """Energy in joules drawn by one core over ``duration_s`` seconds."""
-        if duration_s < 0:
-            raise ValueError(f"duration must be non-negative, got {duration_s}")
-        return self.core_power(point, utilisation, temperature_c).total_w * duration_s
-
-    def energy_for_cycles_j(
-        self,
-        point: OperatingPoint,
-        cycles: float,
-        temperature_c: float = 55.0,
-    ) -> float:
-        """Energy to retire ``cycles`` busy cycles at ``point`` (utilisation 1)."""
-        duration = point.time_for_cycles(cycles)
-        return self.energy_j(point, 1.0, duration, temperature_c)
 
     # -- internals -----------------------------------------------------------
     @staticmethod

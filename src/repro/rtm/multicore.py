@@ -17,9 +17,11 @@ applies to the whole cluster; what rotates is which core's observed and
 predicted workload defines the state being learnt.
 
 Only the state's workload differs from the single-agent learner, so
-:class:`MultiCoreRLGovernor` inherits ``RLGovernor.decide`` and overrides
-its two workload hooks: ``_initial_workload`` (an even share per core) and
-``_observe_workload`` (per-core prediction, rotation and normalisation).
+:class:`MultiCoreRLGovernor` inherits ``RLGovernor.setup`` and
+``RLGovernor.decide`` and overrides their three workload hooks:
+``_setup_predictors`` (one predictor per core, no cluster-wide one),
+``_initial_workload`` (an even share per core) and ``_observe_workload``
+(per-core prediction, rotation and normalisation).
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from repro.rtm.governor import EpochObservation, PlatformInfo
 from repro.rtm.prediction import EWMAPredictor, WorkloadPredictor
 from repro.rtm.rl_governor import RLGovernor, RLGovernorConfig
 from repro.rtm.state import StateSpace, WorkloadNormalisation
-from repro.workload.application import PerformanceRequirement
 
 
 class MultiCoreRLGovernor(RLGovernor):
@@ -45,8 +46,11 @@ class MultiCoreRLGovernor(RLGovernor):
         self._round_robin_core = 0
 
     # -- lifecycle ---------------------------------------------------------------------
-    def setup(self, platform: PlatformInfo, requirement: PerformanceRequirement) -> None:
-        super().setup(platform, requirement)
+    def _setup_predictors(self, platform: PlatformInfo) -> None:
+        """One predictor per core, and the round robin restarts at core 0.
+
+        No cluster-wide predictor is built, so :attr:`predictor` raises.
+        """
         self._core_predictors = [
             EWMAPredictor(gamma=self.config.ewma_gamma) for _ in range(platform.num_cores)
         ]

@@ -111,7 +111,7 @@ class RLGovernor(Governor):
             policy=config.make_policy(),
             seed=config.seed,
         )
-        self._predictor = EWMAPredictor(gamma=config.ewma_gamma)
+        self._setup_predictors(platform)
         self._slack_tracker = SlackTracker(requirement.tref_s, window=config.slack_window)
         self._range_tracker = WorkloadRangeTracker()
         self._convergence = ConvergenceDetector(
@@ -125,6 +125,10 @@ class RLGovernor(Governor):
         # hot loop picks one of the two instead of re-deriving them.
         self._overhead_learning_s = config.overhead.epoch_overhead_s(learning=True)
         self._overhead_exploiting_s = config.overhead.epoch_overhead_s(learning=False)
+
+    def _setup_predictors(self, platform: PlatformInfo) -> None:
+        """Build the workload predictor(s): one for the cluster's critical path."""
+        self._predictor = EWMAPredictor(gamma=self.config.ewma_gamma)
 
     def _make_state_space(self) -> StateSpace:
         """State space used by the single-cluster formulation (capacity normalisation)."""
@@ -144,9 +148,12 @@ class RLGovernor(Governor):
 
     @property
     def predictor(self) -> WorkloadPredictor:
-        """The workload predictor (raises before setup)."""
+        """The workload predictor (raises before setup, and on a many-core learner)."""
         if self._predictor is None:
-            raise ConfigurationError("RLGovernor used before setup()")
+            raise ConfigurationError(
+                f"{type(self).__name__} has no single workload predictor "
+                "(before setup(); a many-core learner has core_predictors)"
+            )
         return self._predictor
 
     @property

@@ -5,8 +5,8 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import starmap
-from operator import attrgetter, itemgetter
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
+from operator import attrgetter
+from typing import Any, Dict, Iterable, Iterator, Sequence, Tuple, Union
 
 from repro._compat import SLOTS
 from repro.errors import SimulationError
@@ -68,13 +68,6 @@ class FrameRecord:
     measured_power_w: float
     temperature_c: float
     explored: bool = False
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FrameRecord":
-        """Read one frame dict of the legacy JSON blob."""
-        fields = dict(data)
-        fields["cycles_per_core"] = tuple(fields["cycles_per_core"])
-        return cls(**fields)
 
     @property
     def met_deadline(self) -> bool:
@@ -153,21 +146,9 @@ def float_column(values: Iterable[Any]) -> Union[array, list]:
     return values
 
 
-#: Read a frame dict's / a record's values as one row in
-#: :data:`FRAME_COLUMN_NAMES` order.
-_dict_row = itemgetter(*FRAME_COLUMN_NAMES)
+#: Read a record's values as one row in :data:`FRAME_COLUMN_NAMES` order.
 _record_row = attrgetter(*FRAME_COLUMN_NAMES)
 _CYCLES = FRAME_COLUMN_NAMES.index("cycles_per_core")
-
-
-def _complete_frame(frame: Mapping[str, Any]) -> Mapping[str, Any]:
-    """``frame`` with its one defaulted field filled in; unknown fields raise."""
-    unknown = set(frame).difference(FRAME_COLUMN_NAMES)
-    if unknown:
-        raise TypeError(f"unexpected frame field(s): {sorted(map(str, unknown))}")
-    if "explored" in frame:
-        return frame  # a required field is missing: reading the row raises KeyError
-    return {**frame, "explored": False}
 
 
 class FrameColumns:
@@ -182,9 +163,9 @@ class FrameColumns:
     records are materialised only when a caller reads ``result.records``;
     totals, metrics and reports read the columns directly.  Persistence
     stays columnar too: the result store (:mod:`repro.campaign.store`)
-    writes and reads frames as columns, and a legacy JSON blob's frame
-    dicts are gathered back with :meth:`from_dicts`, so a save/load round
-    trip allocates no ``FrameRecord`` either.
+    writes and reads frames as columns, including a legacy JSON blob's
+    frame dicts, so a save/load round trip allocates no ``FrameRecord``
+    either.  This module holds no serialisation code.
 
     The ten float columns (:data:`FLOAT_COLUMN_NAMES`) are ``array('d')``
     whenever :func:`float_column` allows it: non-empty and every value an
@@ -267,30 +248,9 @@ class FrameColumns:
         return self
 
     @classmethod
-    def from_dicts(cls, frames: Iterable[Mapping[str, Any]]) -> "FrameColumns":
-        """Gather the frame dicts of a legacy JSON blob into columns.
-
-        As strict as :meth:`FrameRecord.from_dict` is on each frame: a
-        missing field (only ``explored`` has a default, ``False``), an
-        unknown field or a ``cycles_per_core`` that is not a sequence
-        raises ``KeyError`` or ``TypeError``.  A bad frame therefore never
-        yields a silently shorter or dropped column.
-        """
-        width = len(FRAME_COLUMN_NAMES)
-        rows = []
-        for frame in frames:
-            if len(frame) != width:
-                frame = _complete_frame(frame)
-            rows.append(_dict_row(frame))
-        return cls._from_rows(rows)
-
-    @classmethod
     def from_records(cls, records: Iterable[FrameRecord]) -> "FrameColumns":
         """Gather records into columns (the inverse of :meth:`materialize`)."""
-        return cls._from_rows([_record_row(record) for record in records])
-
-    @classmethod
-    def _from_rows(cls, rows: List[Tuple[Any, ...]]) -> "FrameColumns":
+        rows = [_record_row(record) for record in records]
         if not rows:
             return cls(*[()] * len(FRAME_COLUMN_NAMES))
         columns = list(zip(*rows))

@@ -2,11 +2,11 @@
 
 :class:`SimulationResult` holds a run's per-frame data in one place: a
 :class:`~repro.sim.epoch.FrameColumns` (every engine's output, and every
-result loaded through the result store or
-:meth:`SimulationResult.from_dict`).  A list of
+result loaded through the result store).  A list of
 :class:`~repro.sim.epoch.FrameRecord` objects is accepted as an input form
 and gathered into columns once.  ``result.records`` hands out a fresh
-tuple of records on each call.
+tuple of records on each call.  Nothing here reads or writes a file: the
+result store (:mod:`repro.campaign.store`) owns every on-disk form.
 
 A run's aggregates have one definition and one summation order:
 :func:`~repro.sim.metrics.summarize_result`, which adds in ``numpy.sum``'s
@@ -21,7 +21,7 @@ bit.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Optional, Sequence, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.sim import metrics
@@ -179,26 +179,6 @@ class SimulationResult:
     def total_overhead_s(self) -> float:
         """Total governor overhead charged over the run."""
         return self.summary.total_overhead_s
-
-    # -- legacy JSON blob --------------------------------------------------------------
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SimulationResult":
-        """Read a result of the legacy JSON blob, as a columnar result.
-
-        Results are written only as store records
-        (:mod:`repro.campaign.store`); this reads the per-frame row dicts
-        earlier releases saved.  Each frame is validated by
-        :meth:`~repro.sim.epoch.FrameColumns.from_dicts`.
-        """
-        return cls(
-            governor_name=data["governor_name"],
-            application_name=data["application_name"],
-            reference_time_s=data["reference_time_s"],
-            columns=FrameColumns.from_dicts(data.get("records", [])),
-            exploration_count=data.get("exploration_count", 0),
-            converged_epoch=data.get("converged_epoch"),
-            engine_used=data.get("engine_used", ""),
-        )
 
     # -- slicing ------------------------------------------------------------------------
     def window(self, first_frame: int, last_frame: Optional[int] = None) -> "SimulationResult":

@@ -133,12 +133,9 @@ class Application:
         the applications' inherent workload variability; this statistic is
         the quantitative handle on that property.
         """
-        n = len(self._frames)
-        mean = self.mean_frame_cycles
-        if mean <= 0:
-            return 0.0
-        variance = sum((f.total_cycles - mean) ** 2 for f in self._frames) / n
-        return (variance ** 0.5) / mean
+        from repro.analysis.stats import coefficient_of_variation
+
+        return coefficient_of_variation([frame.total_cycles for frame in self._frames])
 
     def truncated(self, num_frames: int, name: Optional[str] = None) -> "Application":
         """Return a copy containing only the first ``num_frames`` frames."""

@@ -75,18 +75,16 @@ class FrameTrace:
     # -- statistics ---------------------------------------------------------------
     def summary(self) -> TraceSummary:
         """Compute summary statistics over the trace."""
+        from repro.analysis.stats import coefficient_of_variation, mean
+
         totals = [f.total_cycles for f in self.frames]
-        n = len(totals)
-        mean = sum(totals) / n
-        variance = sum((t - mean) ** 2 for t in totals) / n
-        cv = (variance ** 0.5) / mean if mean > 0 else 0.0
         return TraceSummary(
-            num_frames=n,
+            num_frames=len(totals),
             num_threads=self.frames[0].num_threads,
-            mean_total_cycles=mean,
+            mean_total_cycles=mean(totals),
             min_total_cycles=min(totals),
             max_total_cycles=max(totals),
-            coefficient_of_variation=cv,
+            coefficient_of_variation=coefficient_of_variation(totals),
             reference_time_s=self.reference_time_s,
         )
 

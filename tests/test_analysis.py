@@ -6,7 +6,6 @@ from repro.analysis.reporting import format_comparison_rows, format_table
 from repro.analysis.stats import (
     coefficient_of_variation,
     mean,
-    misprediction_percent,
     percentile,
     population_std,
     windowed_mean,
@@ -48,13 +47,6 @@ class TestStats:
         assert windowed_mean(values, 10) == pytest.approx([1.0, 1.5, 2.0, 2.5])
         with pytest.raises(ValueError):
             windowed_mean(values, 0)
-
-    def test_misprediction_percent(self):
-        assert misprediction_percent([90.0, 110.0], [100.0, 100.0]) == pytest.approx(10.0)
-        assert misprediction_percent([], []) == 0.0
-        assert misprediction_percent([5.0], [0.0]) == 0.0
-        with pytest.raises(ValueError):
-            misprediction_percent([1.0], [1.0, 2.0])
 
 
 class TestReporting:

@@ -452,7 +452,7 @@ class TestRemovedBatchpathBackend:
                 item["result"]["engine_used"] = legacy_engine
             with open(path, "w", encoding="utf-8") as handle:
                 json.dump(data, handle)
-            saved = CampaignResult.from_dict(data)
+            saved = result_store.blob_store(data)
         else:
             saved = run_campaign(self._campaign())
             for outcome in saved:

@@ -133,7 +133,7 @@ class TestScenarioOutcomeStatus:
         data = json.loads(legacy_bytes("wire-format.v1.json"))["outcomes"][0]
         del data["status"]
         del data["attempts"]
-        restored = ScenarioOutcome.from_dict(data)
+        (restored,) = result_store.blob_store({"campaign_name": "x", "outcomes": [data]})
         assert restored.ok and restored.status == "done" and restored.attempts == 1
 
     def test_done_outcome_requires_result(self):

@@ -167,8 +167,12 @@ class TestOdroidXU3Preset:
         chip = build_odroid_xu3()
         a15, a7 = chip.cluster("a15"), chip.cluster("a7")
         assert a15.vf_table.max_point.frequency_hz > a7.vf_table.max_point.frequency_hz
-        a15_power = a15.power_model.cluster_power(a15.vf_table.max_point, [1.0] * 4).total_w
-        a7_power = a7.power_model.cluster_power(a7.vf_table.max_point, [1.0] * 4).total_w
+        a15_power, a7_power = (
+            # Four busy cores plus the uncore, charged once per cluster.
+            4 * cluster.power_model.core_power_w(cluster.vf_table.max_point, 1.0)
+            + cluster.power_model.parameters.uncore_power_w
+            for cluster in (a15, a7)
+        )
         assert a15_power > a7_power
 
     def test_thermal_disabled_by_default(self):

@@ -139,6 +139,14 @@ class TestMultiCoreRLGovernor:
         governor.setup(platform_info, requirement_25fps)
         assert len(governor.core_predictors) == platform_info.num_cores
 
+    def test_no_single_predictor_is_built(self, platform_info, requirement_25fps):
+        # Only the per-core predictors are read, so no cluster-wide one exists.
+        governor = MultiCoreRLGovernor()
+        governor.setup(platform_info, requirement_25fps)
+        assert governor._predictor is None
+        with pytest.raises(ConfigurationError):
+            _ = governor.predictor
+
     def test_round_robin_core_rotates(self, platform_info, requirement_25fps):
         governor = MultiCoreRLGovernor()
         governor.setup(platform_info, requirement_25fps)

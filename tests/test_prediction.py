@@ -132,6 +132,17 @@ class TestMispredictionStats:
         assert stats.num_epochs == 0
         assert stats.mean_percent == 0.0
 
+    def test_mean_percent(self):
+        # The Fig. 3 statistic: mean |actual - predicted| / actual, in percent.
+        def mean_percent(predicted, actual):
+            pairs = enumerate(zip(predicted, actual))
+            records = [PredictionRecord(i, p, a) for i, (p, a) in pairs]
+            return summarize_mispredictions(records).mean_percent
+
+        assert mean_percent([90.0, 110.0], [100.0, 100.0]) == pytest.approx(10.0)
+        assert mean_percent([5.0], [0.0]) == 0.0
+        assert mean_percent([], []) == 0.0
+
     def test_windowed_stats(self):
         predictor = EWMAPredictor(gamma=0.6)
         values = [1e7] * 10 + [2e7] * 10

@@ -219,7 +219,9 @@ class TestEnergyBookkeepingProperties:
     def test_power_model_always_positive_and_monotone_in_utilisation(self, utilisation, index, temperature):
         model = PowerModel()
         point = A15_VF_TABLE[index]
-        breakdown = model.core_power(point, utilisation, temperature)
-        assert breakdown.dynamic_w > 0.0
-        assert breakdown.static_w > 0.0
+        dynamic_w = model.dynamic_power_w(point, utilisation)
+        static_w = model.static_power_w(point, temperature)
+        assert dynamic_w > 0.0
+        assert static_w > 0.0
+        assert model.core_power_w(point, utilisation, temperature) == dynamic_w + static_w
         assert model.dynamic_power_w(point, 1.0) >= model.dynamic_power_w(point, utilisation) - 1e-12

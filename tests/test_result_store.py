@@ -365,7 +365,7 @@ class TestStreamingMerge:
             ),
             encoding="utf-8",
         )
-        whole = CampaignResult.from_dict(blob)
+        whole = result_store.blob_store(blob)
         columnar = str(tmp_path / "shard1.bin")
         shard1 = CampaignResult(
             whole.campaign_name,

@@ -6,9 +6,11 @@ Results saved by earlier releases must still load, resume and merge, so
 ``tests/data/wire-format.v1.json.gz`` holds the blob the record-at-a-time
 serialiser (``FrameRecord.to_dict`` per frame) wrote for
 :func:`~tests.conftest.wire_campaign`.  These tests pin that file and hold
-the readers (``from_dict``) to its exact contents and strictness.
+its one reader (:func:`repro.campaign.store.blob_store`) to its exact
+contents and strictness.
 """
 
+import copy
 import hashlib
 import json
 
@@ -17,7 +19,6 @@ import pytest
 from repro import _compat
 from repro.campaign import CampaignExecutor, CampaignResult, Coordinator, run_campaign
 from repro.campaign import store as result_store
-from repro.campaign.results import CORRUPT_CHECKPOINT_ERRORS
 from repro.sim.epoch import FrameColumns, FrameRecord
 from repro.sim.results import SimulationResult
 from tests.conftest import (
@@ -63,6 +64,11 @@ def legacy_result(data, label):
     )
 
 
+def blob_result(data, label):
+    """The result labelled ``label`` of the blob ``data``, as the store reads it."""
+    return result_store.blob_store(data).result(label)
+
+
 @pytest.fixture(scope="module")
 def columnar(wire_store):
     result = wire_store.result("ondemand")
@@ -95,9 +101,9 @@ class TestPinnedBytes:
     def test_to_json_digest(self, legacy_text):
         assert hashlib.sha256(legacy_text.encode("utf-8")).hexdigest() == WIRE_SHA256
 
-    def test_from_json_round_trip_is_exact(self, wire_store, legacy_text):
+    def test_blob_round_trip_is_exact(self, wire_store, legacy_data):
         # The blob loads to exactly what a fresh run saves.
-        loaded = CampaignResult.from_json(legacy_text)
+        loaded = result_store.blob_store(legacy_data)
         assert saved_bytes(loaded) == saved_bytes(wire_store)
 
     def test_v1_checkpoint_resumes_and_is_rewritten_as_a_store(
@@ -140,6 +146,17 @@ class TestPinnedBytes:
         assert saved_bytes(sidecar) == saved_bytes(wire_store)
 
 
+class TestBlobReaderHasNoSideEffects:
+    def test_blob_is_left_unchanged_and_reads_the_same_twice(self, legacy_data):
+        baseline = copy.deepcopy(legacy_data)
+        first = result_store.blob_store(legacy_data)
+        assert legacy_data == baseline
+        second = result_store.blob_store(legacy_data)
+        assert legacy_data == baseline
+        assert first == second
+        assert saved_bytes(first) == saved_bytes(second)
+
+
 class TestTwoPathsAgree:
     def test_columnar_and_record_backed_serialise_identically(self, columnar):
         # ``records=`` input and ``columns=`` input save the same bytes.
@@ -155,12 +172,13 @@ class TestTwoPathsAgree:
         saved_bytes(outcome_of(columnar))
         assert columnar.columns is before
 
-    def test_from_dict_is_columnar_with_the_same_records(self, columnar, legacy_data):
+    def test_blob_is_columnar_with_the_same_records(self, columnar, legacy_data):
         data = legacy_result(legacy_data, "ondemand")
-        loaded = SimulationResult.from_dict(data)
+        loaded = blob_result(legacy_data, "ondemand")
         assert isinstance(loaded.columns, FrameColumns)
         assert loaded.records == tuple(
-            FrameRecord.from_dict(frame) for frame in data["records"]
+            FrameRecord(**{**frame, "cycles_per_core": tuple(frame["cycles_per_core"])})
+            for frame in data["records"]
         )
         assert saved_bytes(outcome_of(record_twin(loaded))) == saved_bytes(
             outcome_of(columnar)
@@ -176,15 +194,14 @@ class TestTwoPathsAgree:
         loaded = store_round_trip(empty)
         assert loaded.num_frames == 0
         assert loaded.records == ()
-        data = legacy_result(legacy_data, "ondemand")
-        data["records"] = []
-        assert SimulationResult.from_dict(data).num_frames == 0
+        legacy_result(legacy_data, "ondemand")["records"] = []
+        assert blob_result(legacy_data, "ondemand").num_frames == 0
 
     def test_explored_keeps_its_default(self, legacy_data):
         data = legacy_result(legacy_data, "ondemand")
         for frame in data["records"]:
             del frame["explored"]
-        loaded = SimulationResult.from_dict(data)
+        loaded = blob_result(legacy_data, "ondemand")
         assert not any(loaded.columns.explored)
 
 
@@ -205,11 +222,12 @@ def _corrupt_cycles(frame):
     frame["cycles_per_core"] = 3.0
 
 
+#: Each corruption of one frame dict, with the error the blob reader raises.
 CORRUPTIONS = {
-    "missing-field": _corrupt_missing,
-    "unknown-field": _corrupt_unknown,
-    "swapped-field": _corrupt_swapped,
-    "scalar-cycles": _corrupt_cycles,
+    "missing-field": (_corrupt_missing, KeyError),
+    "unknown-field": (_corrupt_unknown, TypeError),
+    "swapped-field": (_corrupt_swapped, TypeError),
+    "scalar-cycles": (_corrupt_cycles, TypeError),
 }
 
 
@@ -219,18 +237,19 @@ class TestFromDictStaysStrict:
         data = legacy_result(legacy_data, "ondemand")
         # One bad frame in the middle: a per-key column gather would turn
         # it into ragged (or silently short) columns instead of an error.
-        bad_frame = data["records"][len(data["records"]) // 2]
-        CORRUPTIONS[corruption](bad_frame)
-        with pytest.raises(CORRUPT_CHECKPOINT_ERRORS):
-            FrameRecord.from_dict(bad_frame)  # the record-at-a-time reference
-        with pytest.raises(CORRUPT_CHECKPOINT_ERRORS):
-            SimulationResult.from_dict(data)
+        # The exact type is asserted: CORRUPT_CHECKPOINT_ERRORS would also
+        # accept the AttributeError of a reader that does not exist.
+        corrupt, error = CORRUPTIONS[corruption]
+        corrupt(data["records"][len(data["records"]) // 2])
+        with pytest.raises(error) as raised:
+            result_store.blob_store(legacy_data)
+        assert type(raised.value) is error
 
     @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
     def test_checkpoint_with_corrupt_frame_is_quarantined(
         self, legacy_data, tmp_path, corruption
     ):
-        CORRUPTIONS[corruption](legacy_data["outcomes"][0]["result"]["records"][-1])
+        CORRUPTIONS[corruption][0](legacy_data["outcomes"][0]["result"]["records"][-1])
         path = tmp_path / "ckpt.json"
         path.write_text(json.dumps(legacy_data), encoding="utf-8")
         with pytest.warns(RuntimeWarning, match="quarantined"):

@@ -84,7 +84,7 @@ def test_left_sum_adds_left_to_right_from_int_zero():
 @pytest.mark.usefixtures("compensated_builtin_sum")
 class TestCompensatedBuiltinSum:
     def test_wire_campaign_saves_the_pinned_blob(self):
-        pinned = CampaignResult.from_json(legacy_bytes("wire-format.v1.json").decode("utf-8"))
+        pinned = result_store.blob_store(json.loads(legacy_bytes("wire-format.v1.json")))
         assert saved_bytes(run_campaign(wire_campaign())) == saved_bytes(pinned)
 
     def test_probe_payloads_are_pinned(self):
