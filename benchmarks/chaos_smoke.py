@@ -23,7 +23,10 @@ Usage (from any directory)::
 
 The child processes get the absolute ``src`` of this checkout as their
 ``PYTHONPATH``; the coordinator's standard error is kept in the work
-directory and printed when its banner does not arrive.
+directory and printed when its banner does not arrive.  Each try's work
+directory (``campaign-chaos-*`` in the system temp directory) is removed
+when the try passes or is retried; it is kept, and its path printed to
+standard error, only when the smoke fails.
 
 Exits non-zero on any divergence, so CI can gate on it directly.
 """
@@ -34,6 +37,7 @@ import argparse
 import filecmp
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -101,12 +105,29 @@ def _wait(proc, deadline: float) -> int:
 
 
 def _try_once(frames: int, deadline: float) -> Optional[bool]:
-    """One kill-and-recover run: whether its output matched, ``None`` if the kill missed."""
+    """One kill-and-recover run: whether its output matched, ``None`` if the kill missed.
+
+    The work directory is removed unless the try fails (a mismatch or an
+    error), in which case its path is printed to standard error.
+    """
     campaign = build_smoke_campaign(num_frames=frames)
     print(f"chaos smoke: {len(campaign)} scenarios, {frames} frames each")
     reference = run_campaign(campaign)
 
     workdir = tempfile.mkdtemp(prefix="campaign-chaos-")
+    identical = False
+    try:
+        identical = _kill_and_recover(campaign, reference, workdir, deadline)
+        return identical
+    finally:
+        if identical is False:
+            print(f"chaos smoke: work directory kept at {workdir}", file=sys.stderr)
+        else:
+            shutil.rmtree(workdir, ignore_errors=True)
+
+
+def _kill_and_recover(campaign, reference, workdir: str, deadline: float) -> Optional[bool]:
+    """:func:`_try_once`'s run in ``workdir``."""
     spec_path = os.path.join(workdir, "spec.json")
     output_path = os.path.join(workdir, "service.store")
     reference_path = os.path.join(workdir, "reference.store")

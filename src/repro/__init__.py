@@ -3,8 +3,8 @@ in Many-Core Systems" (Biswas et al., DATE 2017).
 
 The package is organised in layers mirroring the paper's cross-layer view:
 
-* :mod:`repro.platform` — the hardware substrate (an ODROID-XU3-class chip
-  model with DVFS, power, thermal and sensor models);
+* :mod:`repro.platform` — the hardware substrate (the ODROID-XU3's A15
+  cluster with DVFS, power, thermal and sensor models);
 * :mod:`repro.workload` — the application layer (frame-based periodic
   applications and stochastic workload models for video decoding, FFT and
   PARSEC / SPLASH-2-like benchmarks);
@@ -53,8 +53,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "VFTable",
             "PowerModel",
             "Cluster",
-            "Chip",
-            "build_odroid_xu3",
             "build_a15_cluster",
             "A15_VF_TABLE",
         ),

@@ -21,9 +21,6 @@ call:
   a lease/heartbeat :class:`Coordinator` with journalled crash-resume,
   the JSON-over-HTTP transport, pull-based :class:`WorkerSite`\\ s with
   graceful degradation, and :func:`run_campaign_service`;
-* :mod:`repro.campaign.faults` — the deterministic fault-injection
-  harness proving any fault schedule yields a result bit-identical to an
-  unsharded serial run;
 * :mod:`repro.campaign.cli` — the ``repro-campaign`` console entry point
   (run, ``--shard I/N``, and the ``merge`` / ``serve`` / ``work``
   subcommands).
@@ -31,7 +28,9 @@ call:
 The public API below is resolved lazily (PEP 562, :mod:`repro._lazy`):
 ``import repro.campaign`` runs this file only, and each name's module is
 imported when the name is first read, so a campaign run never loads the
-service or the fault harness, and a merge or a reload loads no engine.
+service, and a merge or a reload loads no engine.  The subpackage holds
+only what a campaign or the service runs: the fault-injection harness that
+proves the service is :mod:`repro.testing.faults`.
 
 Quickstart
 ----------
@@ -90,13 +89,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "WorkerSite",
             "WorkerStats",
             "run_campaign_service",
-        ),
-        "repro.campaign.faults": (
-            "FAULT_KINDS",
-            "FaultEvent",
-            "FaultRunReport",
-            "FaultSchedule",
-            "run_with_faults",
         ),
     },
 )

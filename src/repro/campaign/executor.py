@@ -2,7 +2,7 @@
 
 The unit of work is :func:`run_scenario` — a module-level function so the
 process-pool backend can pickle it.  Each invocation builds its *own*
-cluster from the scenario spec: clusters are stateful (meters, PMU, thermal
+cluster from the scenario spec: clusters are stateful (clock, sensor, thermal
 and DVFS history) and must never be shared between concurrent runs.
 Applications are immutable, so each worker builds one per (application,
 seed) and shares it across the scenarios that run it.

@@ -27,7 +27,7 @@ crashes, network partitions and ``kill -9``:
   pattern in :mod:`repro._compat`).  :class:`LocalClient` speaks the same
   protocol in-process (with a JSON round-trip, so wire behaviour and
   local behaviour cannot drift), which is what the fault-injection
-  harness in :mod:`repro.campaign.faults` instruments.
+  harness in :mod:`repro.testing.faults` instruments.
 * :class:`WorkerSite` — the pull-based worker loop.  It leases work,
   executes it through the *existing* campaign executor machinery (any
   registered executor backend: :class:`~repro.campaign.executor.SerialBackend`

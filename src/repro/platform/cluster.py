@@ -21,7 +21,7 @@ from repro.errors import PlatformError
 from repro.platform.core import Core, CoreExecutionResult
 from repro.platform.dvfs import DVFSActuator, DVFSTransition
 from repro.platform.power import PowerModel
-from repro.platform.sensors import EnergyMeter, PowerSensor
+from repro.platform.sensors import PowerSensor
 from repro.platform.thermal import ThermalModel
 from repro.platform.vf_table import OperatingPoint, VFTable
 
@@ -214,8 +214,8 @@ class Cluster:
         the cluster's DVFS setting.  If False, idle time is charged at the
         active operating point (pessimistic, no idle states).
 
-    The sensor and meter keep running totals and the last conversion only;
-    a run's per-frame readings live in its result's frame columns.
+    The sensor keeps its last conversion only; a run's per-frame readings
+    live in its result's frame columns.
 
     Core power is always evaluated at the exact junction temperature (see
     :meth:`core_power_w`).  With the thermal model disabled (the paper's
@@ -245,7 +245,6 @@ class Cluster:
         self.power_sensor = power_sensor or PowerSensor()
         self.dvfs = dvfs or DVFSActuator(table=vf_table)
         self.idle_at_min_opp = idle_at_min_opp
-        self.energy_meter = EnergyMeter()
         self._power_cache: Dict[Tuple[int, bool, float], float] = {}
         self._time_s = 0.0
 
@@ -269,11 +268,6 @@ class Cluster:
     def time_s(self) -> float:
         """Platform time accumulated by this cluster."""
         return self._time_s
-
-    @property
-    def total_energy_j(self) -> float:
-        """Total true energy consumed by the cluster so far."""
-        return self.energy_meter.energy_j
 
     # -- power cache -----------------------------------------------------------
     def core_power_w(self, index: int, busy: bool, temperature_c: float) -> float:
@@ -309,10 +303,6 @@ class Cluster:
     def set_operating_index(self, index: int) -> DVFSTransition:
         """Request operating point ``index`` (the governor-facing knob)."""
         return self.dvfs.request(index, timestamp_s=self._time_s)
-
-    def set_frequency(self, frequency_hz: float) -> DVFSTransition:
-        """Request the slowest operating point at least as fast as ``frequency_hz``."""
-        return self.dvfs.request_frequency(frequency_hz, timestamp_s=self._time_s)
 
     # -- execution ---------------------------------------------------------------
     def execute_workload(
@@ -384,12 +374,6 @@ class Cluster:
         measured_power_w = self.power_sensor.measure_w(
             true_average_power, self._time_s + duration_s
         )
-
-        self.energy_meter.add_interval(
-            (core_energy_j + uncore_energy_j) / interval_s if interval_s > 0 else 0.0,
-            interval_s,
-        )
-        self.energy_meter.add_energy(transition_energy)
         self._time_s += duration_s
 
         return ClusterExecutionResult(
@@ -405,10 +389,6 @@ class Cluster:
             total_busy_cycles=sum(demands),
             throttle_events=throttle_events,
         )
-
-    def idle(self, duration_s: float) -> ClusterExecutionResult:
-        """Let the cluster sit idle for ``duration_s`` at the current point."""
-        return self.execute_workload([0.0] * self.num_cores, minimum_interval_s=duration_s)
 
     def execute_workload_table(
         self,
@@ -476,12 +456,12 @@ class Cluster:
     def advance_time_to(self, time_s: float) -> None:
         """Move the cluster clock forward to ``time_s`` without executing work.
 
-        Used by the engines that bypass the cluster model, which account
-        energy and PMU activity in aggregate and then set the clock once
-        for the whole trace (:func:`repro.sim.fastpath.sync_cluster`) to
-        the time their own loop reached.  Setting it, rather than adding
-        the trace's duration, leaves the clock the very float the scalar
-        engine's frame-by-frame additions reach.
+        Used by the engines that bypass the cluster model, which set the
+        clock once for the whole trace
+        (:func:`repro.sim.fastpath.sync_cluster`) to the time their own
+        loop reached.  Setting it, rather than adding the trace's duration,
+        leaves the clock the very float the scalar engine's frame-by-frame
+        additions reach.
         """
         if time_s < self._time_s:
             raise PlatformError(
@@ -491,16 +471,13 @@ class Cluster:
 
     # -- lifecycle ---------------------------------------------------------------
     def reset(self, operating_index: Optional[int] = None) -> None:
-        """Reset all state: PMUs, meters, sensor, thermal and DVFS history.
+        """Reset all state: clock, sensor, thermal and DVFS history.
 
         ``operating_index`` selects the operating point after the reset;
         ``None`` returns the cluster to its power-on default (the fastest
         point).  The sensor's noise stream restarts from its seed, so
         back-to-back simulation runs start from identical state.
         """
-        for core in self.cores:
-            core.pmu.reset()
-        self.energy_meter.reset()
         self.power_sensor.reset()
         self.thermal_model.reset()
         if operating_index is None:

@@ -2,18 +2,16 @@
 
 A core executes *cycle demands*: a frame's share of work expressed as the
 number of CPU cycles it requires (which is exactly the quantity the paper's
-RTM observes through the PMU).  At a given operating point the execution
-time follows directly, and busy/idle accounting feeds the PMU and the power
-model.
+RTM observes each epoch).  At a given operating point the execution time
+follows directly, and the busy/idle split feeds the power model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro._compat import SLOTS
 from repro.errors import PlatformError
-from repro.platform.pmu import PerformanceMonitoringUnit
 from repro.platform.vf_table import OperatingPoint
 
 
@@ -68,7 +66,6 @@ class Core:
 
     core_id: int
     name: str = ""
-    pmu: PerformanceMonitoringUnit = field(default_factory=PerformanceMonitoringUnit)
 
     def __post_init__(self) -> None:
         if self.core_id < 0:
@@ -93,15 +90,11 @@ class Core:
             raise PlatformError(f"cycle demand must be non-negative, got {cycles}")
         busy_time = point.time_for_cycles(cycles)
         idle_time = max(0.0, interval_s - busy_time)
-        idle_cycles = idle_time * point.frequency_hz
-        self.pmu.account_busy(cycles, busy_time)
-        if idle_time > 0:
-            self.pmu.account_idle(idle_cycles, idle_time)
         return CoreExecutionResult(
             busy_time_s=busy_time,
             idle_time_s=idle_time,
             cycles=cycles,
-            idle_cycles=idle_cycles,
+            idle_cycles=idle_time * point.frequency_hz,
         )
 
     def __repr__(self) -> str:

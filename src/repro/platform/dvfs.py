@@ -27,11 +27,6 @@ class DVFSTransition:
     latency_s: float
     energy_j: float
 
-    @property
-    def is_upscale(self) -> bool:
-        """True if the transition increased frequency."""
-        return self.to_index > self.from_index
-
 
 @dataclass
 class DVFSActuator:
@@ -87,11 +82,6 @@ class DVFSActuator:
         return list(self._transitions)
 
     @property
-    def transition_count(self) -> int:
-        """Number of actual operating-point changes (same-point requests excluded)."""
-        return len(self._transitions)
-
-    @property
     def total_transition_time_s(self) -> float:
         """Cumulative stall time spent in transitions."""
         return sum(t.latency_s for t in self._transitions)
@@ -131,11 +121,6 @@ class DVFSActuator:
         self._current_index = index
         return transition
 
-    def request_frequency(self, frequency_hz: float, timestamp_s: float = 0.0) -> DVFSTransition:
-        """Request the slowest operating point at least as fast as ``frequency_hz``."""
-        index = self.table.nearest_index_for_frequency(frequency_hz)
-        return self.request(index, timestamp_s)
-
     def absorb_transitions(
         self, transitions: List[DVFSTransition], final_index: int
     ) -> None:
@@ -144,7 +129,7 @@ class DVFSActuator:
         Used by the engines that bypass the cluster model, which derive the
         per-frame transitions of a run rather than making per-frame
         :meth:`request` calls, then hand the records over
-        so ``transition_count`` / ``total_transition_*`` report the same
+        so ``transitions`` / ``total_transition_*`` report the same
         values a scalar run would.
         """
         if not 0 <= final_index < len(self.table):

@@ -3,20 +3,20 @@
 The paper's testbed is the ODROID-XU3 (Samsung Exynos 5422): four
 Cortex-A15 cores and four Cortex-A7 cores, each cluster with its own DVFS
 domain.  The experiments use only the A15 cluster, which exposes 19
-operating points from 200 MHz to 2000 MHz in 100 MHz steps.
+operating points from 200 MHz to 2000 MHz in 100 MHz steps, so that is the
+cluster modelled here.
 
 The voltage values below follow the shape of the Exynos 5422 ASV tables
-(~0.91 V at 200 MHz rising to ~1.36 V at 2 GHz for the big cluster, and
-~0.91-1.26 V for the LITTLE cluster).  Exact silicon bins differ per board;
-what matters for the reproduction is that the voltage rises super-linearly
-with frequency so that DVFS exhibits the familiar convex energy trade-off.
+(~0.91 V at 200 MHz rising to ~1.36 V at 2 GHz).  Exact silicon bins
+differ per board; what matters for the reproduction is that the voltage
+rises super-linearly with frequency so that DVFS exhibits the familiar
+convex energy trade-off.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.platform.chip import Chip
 from repro.platform.cluster import Cluster
 from repro.platform.core import Core
 from repro.platform.dvfs import DVFSActuator
@@ -49,34 +49,10 @@ _A15_OPPS_MHZ_V = (
     (2000, 1.3625),
 )
 
-#: Frequency (MHz) -> voltage (V) for the A7 (LITTLE) cluster: 13 OPPs,
-#: 200-1400 MHz in 100 MHz steps.
-_A7_OPPS_MHZ_V = (
-    (200, 0.9125),
-    (300, 0.9125),
-    (400, 0.9125),
-    (500, 0.9200),
-    (600, 0.9375),
-    (700, 0.9625),
-    (800, 0.9875),
-    (900, 1.0175),
-    (1000, 1.0500),
-    (1100, 1.0875),
-    (1200, 1.1325),
-    (1300, 1.1850),
-    (1400, 1.2600),
-)
-
 #: The A15 cluster's operating-point table (the paper's 19-entry action space).
 A15_VF_TABLE = VFTable(
     OperatingPoint(frequency_hz=mhz * 1e6, voltage_v=volts)
     for mhz, volts in _A15_OPPS_MHZ_V
-)
-
-#: The A7 cluster's operating-point table.
-A7_VF_TABLE = VFTable(
-    OperatingPoint(frequency_hz=mhz * 1e6, voltage_v=volts)
-    for mhz, volts in _A7_OPPS_MHZ_V
 )
 
 #: Power-model constants tuned for the A15 (big, out-of-order) core.
@@ -90,24 +66,11 @@ A15_POWER_PARAMETERS = PowerModelParameters(
     uncore_power_w=0.15,
 )
 
-#: Power-model constants tuned for the A7 (small, in-order) core.
-A7_POWER_PARAMETERS = PowerModelParameters(
-    effective_capacitance_f=1.0e-10,
-    leakage_k1_a=0.0030,
-    leakage_k2_per_v=1.70,
-    leakage_k3_per_c=0.014,
-    leakage_k4_a=0.002,
-    idle_activity_factor=0.06,
-    uncore_power_w=0.05,
-)
-
 #: Name of the cluster the paper's experiments run on.
 A15_CLUSTER_NAME = "a15"
-A7_CLUSTER_NAME = "a7"
 
-#: Number of cores per cluster on the Exynos 5422.
+#: Number of cores in the Exynos 5422's A15 cluster.
 A15_CORE_COUNT = 4
-A7_CORE_COUNT = 4
 
 
 def build_a15_cluster(
@@ -156,64 +119,4 @@ def build_a15_cluster(
             seed=seed,
         ),
         dvfs=DVFSActuator(table=A15_VF_TABLE),
-    )
-
-
-def build_a7_cluster(
-    num_cores: int = A7_CORE_COUNT,
-    enable_thermal: bool = False,
-    sensor_noise_w: float = 0.0,
-    seed: Optional[int] = 1,
-) -> Cluster:
-    """Build the A7 (LITTLE) cluster of the Exynos 5422."""
-    cores = [Core(core_id=i, name=f"A7-{i}") for i in range(num_cores)]
-    thermal = ThermalModel(
-        parameters=ThermalParameters(
-            ambient_c=30.0,
-            resistance_c_per_w=11.0,
-            capacitance_j_per_c=2.0,
-            initial_c=45.0,
-            throttle_c=95.0,
-        ),
-        enabled=enable_thermal,
-    )
-    return Cluster(
-        name=A7_CLUSTER_NAME,
-        cores=cores,
-        vf_table=A7_VF_TABLE,
-        power_model=PowerModel(parameters=A7_POWER_PARAMETERS),
-        thermal_model=thermal,
-        power_sensor=PowerSensor(
-            sample_period_s=0.01,
-            resolution_w=0.005,
-            noise_stddev_w=sensor_noise_w,
-            seed=seed,
-        ),
-        dvfs=DVFSActuator(table=A7_VF_TABLE),
-    )
-
-
-def build_odroid_xu3(
-    enable_thermal: bool = False,
-    sensor_noise_w: float = 0.0,
-    seed: Optional[int] = 0,
-) -> Chip:
-    """Build the complete Exynos 5422 chip (A15 + A7 clusters).
-
-    The paper's experiments use only the A15 cluster
-    (``chip.cluster("a15")``); the A7 cluster is included for completeness
-    and for heterogeneous extension scenarios.
-    """
-    return Chip(
-        name="odroid-xu3",
-        clusters=[
-            build_a15_cluster(
-                enable_thermal=enable_thermal, sensor_noise_w=sensor_noise_w, seed=seed
-            ),
-            build_a7_cluster(
-                enable_thermal=enable_thermal,
-                sensor_noise_w=sensor_noise_w,
-                seed=None if seed is None else seed + 1,
-            ),
-        ],
     )

@@ -1,14 +1,13 @@
-"""Power-sensor and energy-meter models.
+"""Power-sensor model.
 
 The ODROID-XU3 carries INA231 current/power monitors on the A15, A7, GPU and
 DRAM rails; the paper reads the A15 rail each frame and multiplies average
 power by execution time to obtain per-frame energy.  This module reproduces
-that measurement path: a sampled, quantised, optionally noisy power sensor
-and an integrating energy meter built on top of it.
+that measurement path: a sampled, quantised, optionally noisy power sensor.
 
-Neither component keeps a per-conversion history: a run's per-frame
-readings live in its result (``measured_power_w``, ``interval_s`` and
-``energy_j`` of :class:`~repro.sim.epoch.FrameColumns`).
+The sensor keeps only its last conversion, which the next run's holdover
+reads: a run's per-frame readings live in its result (``measured_power_w``,
+``interval_s`` and ``energy_j`` of :class:`~repro.sim.epoch.FrameColumns`).
 """
 
 from __future__ import annotations
@@ -66,12 +65,12 @@ class PowerSensor:
         self._rng = random.Random(self.seed)
 
     def measure_w(self, true_power_w: float, timestamp_s: float) -> float:
-        """Measure ``true_power_w`` at ``timestamp_s`` and return the power alone.
+        """Measure ``true_power_w`` at ``timestamp_s`` and return the reported power.
 
-        Identical semantics to :meth:`measure` — conversion-period holdover,
-        noise, quantisation, state updates — without allocating a
-        :class:`SensorReading`.  This is the entry point the simulators'
-        per-frame loops use.
+        If less than one sample period has elapsed since the previous
+        conversion the previous reading is returned unchanged, modelling the
+        sensor's conversion latency; otherwise the power is converted (noise,
+        then quantisation) and becomes :attr:`last_reading`.
         """
         if true_power_w < 0:
             raise ValueError(f"power must be non-negative, got {true_power_w}")
@@ -88,22 +87,12 @@ class PowerSensor:
         self._last_power_w = measured
         return measured
 
-    def measure(self, true_power_w: float, timestamp_s: float) -> SensorReading:
-        """Measure ``true_power_w`` at ``timestamp_s``.
-
-        If less than one sample period has elapsed since the previous
-        conversion the previous reading is returned unchanged, modelling the
-        sensor's conversion latency.
-        """
-        self.measure_w(true_power_w, timestamp_s)
-        return SensorReading(timestamp_s=self._last_time_s, power_w=self._last_power_w)
-
     def measure_trace(
         self, true_powers_w: Sequence[float], timestamps_s: Sequence[float]
     ) -> List[float]:
         """Measure a whole trace of (power, timestamp) pairs, in order.
 
-        Semantically identical to calling :meth:`measure` once per pair;
+        Semantically identical to calling :meth:`measure_w` once per pair;
         the static-schedule fast path uses it to step the sensor through a
         pre-computed trace.  When no noise is configured, no previous
         conversion is pending, no power is negative and every timestamp gap
@@ -157,50 +146,3 @@ class PowerSensor:
         self._last_power_w = 0.0
         self._rng = random.Random(self.seed)
 
-
-class EnergyMeter:
-    """Integrates power over time to produce energy totals.
-
-    The meter accepts exact (model-truth) power/duration pairs; it is used
-    both for the ground-truth energy accounting of the simulator and, via a
-    :class:`PowerSensor`, for the governor-visible measured energy.
-    """
-
-    def __init__(self) -> None:
-        self._energy_j = 0.0
-        self._elapsed_s = 0.0
-
-    def add_interval(self, power_w: float, duration_s: float) -> None:
-        """Accumulate ``power_w`` drawn for ``duration_s`` seconds."""
-        if power_w < 0 or duration_s < 0:
-            raise ValueError("power and duration must be non-negative")
-        self._energy_j += power_w * duration_s
-        self._elapsed_s += duration_s
-
-    def add_energy(self, energy_j: float) -> None:
-        """Accumulate a lump of energy (e.g. a DVFS transition cost)."""
-        if energy_j < 0:
-            raise ValueError("energy must be non-negative")
-        self._energy_j += energy_j
-
-    @property
-    def energy_j(self) -> float:
-        """Total accumulated energy in joules."""
-        return self._energy_j
-
-    @property
-    def elapsed_s(self) -> float:
-        """Total accumulated interval time in seconds."""
-        return self._elapsed_s
-
-    @property
-    def average_power_w(self) -> float:
-        """Mean power over all accumulated intervals (0 if no time elapsed)."""
-        if self._elapsed_s <= 0:
-            return 0.0
-        return self._energy_j / self._elapsed_s
-
-    def reset(self) -> None:
-        """Zero the meter."""
-        self._energy_j = 0.0
-        self._elapsed_s = 0.0

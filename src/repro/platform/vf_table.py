@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Tuple
 
 from repro._compat import SLOTS
 from repro.errors import ConfigurationError, InvalidOperatingPointError
@@ -136,21 +136,6 @@ class VFTable:
         """Fastest operating point."""
         return self._points[-1]
 
-    def index_of_frequency(self, frequency_hz: float, tolerance_hz: float = 1e3) -> int:
-        """Return the index of the point whose frequency matches ``frequency_hz``.
-
-        Raises
-        ------
-        InvalidOperatingPointError
-            If no point matches within ``tolerance_hz``.
-        """
-        for index, point in enumerate(self._points):
-            if abs(point.frequency_hz - frequency_hz) <= tolerance_hz:
-                return index
-        raise InvalidOperatingPointError(
-            f"frequency {frequency_hz / 1e6:.1f} MHz is not in the table"
-        )
-
     def clamp_index(self, index: int) -> int:
         """Clamp ``index`` into the valid range of the table."""
         return max(0, min(len(self) - 1, index))
@@ -183,9 +168,6 @@ class VFTable:
             len(self._points) - 1,
         )
 
-    def subset(self, indices: Sequence[int]) -> "VFTable":
-        """Return a new table containing only the points at ``indices``."""
-        return VFTable(self[i] for i in indices)
 
 
 def make_linear_vf_table(

@@ -5,7 +5,7 @@ performance requirements to the run-time layer through an API, and the RTM
 in the OS uses those requirements when controlling the hardware knobs.  This
 module is that API surface: applications register performance targets
 (frames per second or an explicit per-frame deadline), may update them as
-their needs change, and the RTM queries the currently active target at each
+their needs change, and the RTM queries the effective requirement at each
 decision epoch.
 
 It also supports the paper's stated future-work scenario — multiple
@@ -17,7 +17,7 @@ target the governor must satisfy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.errors import ConfigurationError
 from repro.workload.application import PerformanceRequirement
@@ -53,7 +53,6 @@ class RuntimeManagerAPI:
 
     def __init__(self) -> None:
         self._targets: Dict[str, PerformanceTarget] = {}
-        self._history: List[PerformanceTarget] = []
 
     # -- registration -------------------------------------------------------------
     def register(
@@ -75,39 +74,9 @@ class RuntimeManagerAPI:
             priority=priority,
         )
         self._targets[application_name] = target
-        self._history.append(target)
         return target
 
-    def unregister(self, application_name: str) -> None:
-        """Remove an application's target (no error if it was never registered)."""
-        self._targets.pop(application_name, None)
-
     # -- queries -----------------------------------------------------------------------
-    @property
-    def targets(self) -> List[PerformanceTarget]:
-        """All currently registered targets."""
-        return list(self._targets.values())
-
-    @property
-    def num_applications(self) -> int:
-        """Number of applications with an active target."""
-        return len(self._targets)
-
-    def target_for(self, application_name: str) -> PerformanceTarget:
-        """The target registered by ``application_name``.
-
-        Raises
-        ------
-        ConfigurationError
-            If the application never registered a target.
-        """
-        try:
-            return self._targets[application_name]
-        except KeyError as exc:
-            raise ConfigurationError(
-                f"application {application_name!r} has not registered a performance target"
-            ) from exc
-
     def effective_requirement(self) -> PerformanceRequirement:
         """The requirement the RTM must satisfy right now.
 
@@ -124,37 +93,3 @@ class RuntimeManagerAPI:
             raise ConfigurationError("no application has registered a performance target")
         tightest = min(self._targets.values(), key=lambda t: (t.tref_s, -t.priority))
         return tightest.requirement
-
-    @property
-    def registration_history(self) -> List[PerformanceTarget]:
-        """Every registration ever made, in order (for audit/diagnostics)."""
-        return list(self._history)
-
-
-#: Campaign-layer names re-exported here so application code that programs
-#: against the RTM API surface can also declare and run scenario sweeps.
-#: Resolved lazily (PEP 562) because :mod:`repro.campaign.registry` imports
-#: the RTM governors, which would otherwise be a circular import.
-_CAMPAIGN_EXPORTS = (
-    "CampaignSpec",
-    "ScenarioSpec",
-    "FactorySpec",
-    "CampaignResult",
-    "ScenarioOutcome",
-    "CampaignExecutor",
-    "run_campaign",
-    "register_application",
-    "register_governor",
-    "register_cluster",
-    "register_probe",
-)
-
-__all__ = ["PerformanceTarget", "RuntimeManagerAPI", *_CAMPAIGN_EXPORTS]
-
-
-def __getattr__(name: str):
-    if name in _CAMPAIGN_EXPORTS:
-        import repro.campaign as campaign
-
-        return getattr(campaign, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

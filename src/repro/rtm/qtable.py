@@ -9,13 +9,9 @@ between all cores for the same reason.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 from repro.errors import ConfigurationError, StateSpaceError
-
-PathLike = Union[str, Path]
 
 
 class QTable:
@@ -110,52 +106,6 @@ class QTable:
         """How many times (state, action) has been selected."""
         self._check(state, action)
         return self._visit_counts[state][action]
-
-    def visited_state_count(self) -> int:
-        """Number of states that have been visited at least once."""
-        return sum(1 for counts in self._visit_counts if any(c > 0 for c in counts))
-
-    def visited_pair_count(self) -> int:
-        """Number of state-action pairs visited at least once."""
-        return sum(1 for counts in self._visit_counts for c in counts if c > 0)
-
-    # -- greedy policy as a whole ------------------------------------------------------------
-    def greedy_policy(self) -> Tuple[int, ...]:
-        """The greedy action for every state."""
-        return tuple(self.best_action(s) for s in range(self._num_states))
-
-    # -- serialisation --------------------------------------------------------------------------
-    def to_json(self, path: PathLike) -> None:
-        """Persist the table (values and visit counts) to a JSON file."""
-        document = {
-            "num_states": self._num_states,
-            "num_actions": self._num_actions,
-            "values": self._values,
-            "visit_counts": self._visit_counts,
-        }
-        Path(path).write_text(json.dumps(document))
-
-    @classmethod
-    def from_json(cls, path: PathLike) -> "QTable":
-        """Load a table previously written by :meth:`to_json`."""
-        document = json.loads(Path(path).read_text())
-        table = cls(document["num_states"], document["num_actions"])
-        values = document["values"]
-        counts = document["visit_counts"]
-        if len(values) != table.num_states or any(
-            len(row) != table.num_actions for row in values
-        ):
-            raise ConfigurationError("Q-table file is inconsistent with its declared shape")
-        table._values = [list(map(float, row)) for row in values]
-        table._visit_counts = [list(map(int, row)) for row in counts]
-        return table
-
-    def copy(self) -> "QTable":
-        """Deep copy of the table."""
-        clone = QTable(self._num_states, self._num_actions)
-        clone._values = [list(row) for row in self._values]
-        clone._visit_counts = [list(row) for row in self._visit_counts]
-        return clone
 
     def __repr__(self) -> str:
         return f"QTable({self._num_states} states x {self._num_actions} actions)"

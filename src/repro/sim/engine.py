@@ -94,8 +94,8 @@ class SimulationEngine:
         governor:
             The DVFS policy under test; it is (re-)``setup()`` for this run.
         reset_cluster:
-            If True (default) the cluster's meters, PMUs, sensor (and its
-            noise stream), thermal state and DVFS history are reset before
+            If True (default) the cluster's clock, sensor (and its noise
+            stream), thermal state and DVFS history are reset before
             the run so results are independent of prior runs.
         """
         if application.num_frames == 0:

@@ -43,16 +43,16 @@ Thermally-enabled clusters negotiate to the table-driven engine in
 engine remains the universal fallback.  The rule itself lives in
 :func:`repro.sim.backends.rejection_reason`.
 
-:func:`sync_cluster` leaves a cluster in scalar-equivalent aggregate state
-after a run; every engine that bypasses the cluster model calls it.
+:func:`sync_cluster` leaves a cluster's DVFS actuator and clock where a
+scalar run leaves them; every engine that bypasses the cluster model calls
+it.
 """
 
 from __future__ import annotations
 
 from array import array
-from functools import partial, reduce
 from itertools import chain
-from operator import add, attrgetter, mul, sub
+from operator import add, attrgetter
 from typing import List, Sequence, TYPE_CHECKING, Tuple
 
 from repro.errors import SimulationError
@@ -63,7 +63,6 @@ from repro.sim.results import SimulationResult
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.platform.cluster import Cluster
-    from repro.platform.vf_table import VFTable
     from repro.rtm.governor import Governor
     from repro.sim.config import SimulationConfig
     from repro.workload.application import Application
@@ -81,10 +80,9 @@ def simulate_schedule(
     ``schedule`` holds one operating-point index per frame (typically from
     :meth:`~repro.rtm.governor.Governor.static_schedule`).  The cluster is
     used as-is — the caller resets it first, exactly as the scalar engine
-    does — and is left with the same aggregate state a scalar run produces:
-    clock advanced, energy meter and per-core PMUs credited with the trace
-    totals, power sensor stepped through every frame, and the DVFS actuator
-    holding the same transition history and final index.
+    does — and is left with the same state a scalar run produces: clock
+    advanced, power sensor stepped through every frame, and the DVFS
+    actuator holding the same transition history and final index.
     """
     if cluster.thermal_model.enabled:
         raise SimulationError(
@@ -139,8 +137,6 @@ def simulate_schedule(
 
     # -- one pass over the frames, in the scalar engine's order ----------------
     busy_max: List[float] = []
-    intervals: List[float] = []
-    core_uncore_energy: List[float] = []
     energies: List[float] = []
     durations: List[float] = []
     average_powers: List[float] = []
@@ -183,8 +179,6 @@ def simulate_schedule(
         duration = interval + latency
         now += duration
         busy_max.append(busy)
-        intervals.append(interval)
-        core_uncore_energy.append(frame_energy)
         energies.append(energy)
         durations.append(duration)
         average_powers.append(energy / duration if duration > 0 else 0.0)
@@ -224,16 +218,8 @@ def simulate_schedule(
         columns=columns,
     )
 
-    # -- leave the cluster in scalar-equivalent aggregate state ----------------
-    sync_cluster(
-        cluster,
-        cycles_rows=cycles_rows,
-        indices=indices,
-        intervals=intervals,
-        core_uncore_energy=core_uncore_energy,
-        transitions=transitions,
-        end_time_s=now,
-    )
+    # -- leave the cluster where a scalar run leaves it -------------------------
+    sync_cluster(cluster, indices=indices, transitions=transitions, end_time_s=now)
 
     result.exploration_count = governor.exploration_count
     result.converged_epoch = governor.converged_epoch
@@ -254,68 +240,16 @@ def _float_row(cycles: Sequence[float], num_cores: int) -> Tuple[float, ...]:
 def sync_cluster(
     cluster: "Cluster",
     *,
-    cycles_rows: Sequence[Sequence[float]],
     indices: Sequence[int],
-    intervals: Sequence[float],
-    core_uncore_energy: Sequence[float],
     transitions: List[DVFSTransition],
     end_time_s: float,
 ) -> None:
-    """Credit the cluster's meters/PMUs/clock with a run's aggregates.
+    """Hand a run's DVFS transitions and end time over to the cluster.
 
-    ``indices`` and ``intervals`` are each frame's operating point and
-    padded interval (without DVFS latency), ``core_uncore_energy`` each
-    frame's energy without the transition cost.  The cluster's DVFS
+    ``indices`` holds each frame's operating point.  The cluster's DVFS
     actuator still holds the run's initial point; it is handed
     ``transitions`` and moved to the last frame's point, and the clock is
-    set to ``end_time_s``, the time the run's own loop reached.  Totals over
-    frames are taken in ``numpy.sum``'s orders: pairwise for the meter,
-    left to right per core for the PMUs.  Each PMU adds its core's totals
-    when it is first read (:meth:`~repro.platform.pmu.PerformanceMonitoringUnit.account_run`).
+    set to ``end_time_s``, the time the run's own loop reached.
     """
-    meter = cluster.energy_meter
-    total_interval = pairwise_sum(intervals)
-    if total_interval > 0:
-        meter.add_interval(pairwise_sum(core_uncore_energy) / total_interval, total_interval)
-    transition_energy = 0.0
-    if transitions:
-        energy_j = cluster.dvfs.transition_energy_j
-        steps = zip(chain((cluster.current_index,), indices), indices)
-        transition_energy = pairwise_sum(
-            [energy_j if before != after else 0.0 for before, after in steps]
-        )
-    meter.add_energy(transition_energy)
-
-    table = cluster.vf_table
-    for core_index, core in enumerate(cluster.cores):
-        core.pmu.account_run(
-            partial(_core_totals, cycles_rows, core_index, indices, intervals, table)
-        )
-
     cluster.dvfs.absorb_transitions(transitions, indices[-1])
     cluster.advance_time_to(end_time_s)
-
-
-def _core_totals(
-    cycles_rows: Sequence[Sequence[float]],
-    core_index: int,
-    indices: Sequence[int],
-    intervals: Sequence[float],
-    table: "VFTable",
-) -> Tuple[float, float, float, float]:
-    """One core's ``(busy_cycles, busy_s, idle_cycles, idle_s)`` over a run."""
-    points = table.points
-    frequencies_hz = table.frequencies_hz
-    cycles = [row[core_index] for row in cycles_rows]
-    busy_s = [
-        core_cycles * points[index].seconds_per_cycle
-        for core_cycles, index in zip(cycles, indices)
-    ]
-    idle_s = list(map(sub, intervals, busy_s))
-    idle_cycles = map(mul, idle_s, [frequencies_hz[index] for index in indices])
-    return (
-        reduce(add, cycles, 0.0),
-        reduce(add, busy_s, 0.0),
-        reduce(add, idle_cycles, 0.0),
-        reduce(add, idle_s, 0.0),
-    )

@@ -985,20 +985,10 @@ def simulate_closed_loop(
         columns=columns,
     )
 
-    # -- leave the cluster in scalar-equivalent aggregate state ------------
-    # Each frame's interval is its busy time padded to the deadline, as the
-    # kernel computed it.
-    pad_to_deadline = tables.idle_until_deadline
-    intervals = [
-        deadline if pad_to_deadline and deadline > busy else busy
-        for busy, deadline in zip(out_busy.tolist(), deadlines)
-    ]
+    # -- leave the cluster where a scalar run leaves it ---------------------
     fastpath.sync_cluster(
         cluster,
-        cycles_rows=cycles_tuples,
         indices=out_opp.tolist(),
-        intervals=intervals,
-        core_uncore_energy=out_core_uncore.tolist(),
         transitions=transitions,
         end_time_s=float(fp[_F_TIME]),
     )

@@ -48,9 +48,10 @@ temperatures, miss sets, exploration counts and Q-tables
 thermal model off and on).
 
 The live :class:`~repro.platform.thermal.ThermalModel`, power sensor, DVFS
-actuator, meters and PMUs are left in scalar-equivalent aggregate state
-(:func:`repro.sim.fastpath.sync_cluster`).  The engine is plain Python and
-accepts every request (see :mod:`repro.sim.backends`).
+actuator and clock are left where a scalar run leaves them
+(:func:`repro.sim.fastpath.sync_cluster` hands over the DVFS transitions
+and the clock).  The engine is plain Python and accepts every request (see
+:mod:`repro.sim.backends`).
 """
 
 from __future__ import annotations
@@ -109,11 +110,10 @@ def simulate_closed_loop(
     """Run the closed governor loop with table-driven physics.
 
     The cluster is used as-is (the caller resets it first, exactly as the
-    scalar engine does) and is left in scalar-equivalent aggregate state:
-    clock advanced, energy meter and PMUs credited, power sensor stepped
-    through every frame, DVFS actuator holding the same transition history,
-    thermal model holding the trajectory's final temperature and
-    throttle-event count.
+    scalar engine does) and is left in the state a scalar run leaves it in:
+    clock advanced, power sensor stepped through every frame, DVFS actuator
+    holding the same transition history, thermal model holding the
+    trajectory's final temperature and throttle-event count.
 
     ``tables`` may be supplied by a caller that cached them (see
     :func:`precompute_tables`); they are validated against the cluster's
@@ -186,9 +186,7 @@ def simulate_closed_loop(
     col_opp: List[int] = []
     col_busy: List[float] = []
     col_overhead: List[float] = []
-    col_interval: List[float] = []
     col_duration: List[float] = []
-    col_core_uncore: List[float] = []
     col_energy: List[float] = []
     col_power: List[float] = []
     col_measured: List[float] = []
@@ -197,9 +195,7 @@ def simulate_closed_loop(
     opp_append = col_opp.append
     busy_append = col_busy.append
     overhead_append = col_overhead.append
-    interval_append = col_interval.append
     duration_append = col_duration.append
-    core_uncore_append = col_core_uncore.append
     energy_append = col_energy.append
     power_append = col_power.append
     measured_append = col_measured.append
@@ -257,8 +253,7 @@ def simulate_closed_loop(
         for core_cycles in cycles:
             core_busy = core_cycles * spc
             core_energy += busy_power * core_busy + idle_power * (interval - core_busy)
-        core_uncore = core_energy + uncore_power_w * interval
-        energy = core_uncore + frame_transition_energy
+        energy = core_energy + uncore_power_w * interval + frame_transition_energy
         duration = interval + transition_latency
         power = energy / duration if duration > 0 else 0.0
 
@@ -322,9 +317,7 @@ def simulate_closed_loop(
         opp_append(index)
         busy_append(busy)
         overhead_append(overhead)
-        interval_append(interval)
         duration_append(duration)
-        core_uncore_append(core_uncore)
         energy_append(energy)
         power_append(power)
         measured_append(measured)
@@ -356,15 +349,9 @@ def simulate_closed_loop(
         columns=columns,
     )
 
-    # -- leave the cluster in scalar-equivalent aggregate state ----------------
+    # -- leave the cluster where a scalar run leaves it -------------------------
     fastpath.sync_cluster(
-        cluster,
-        cycles_rows=cycles_tuples,
-        indices=col_opp,
-        intervals=col_interval,
-        core_uncore_energy=col_core_uncore,
-        transitions=transitions,
-        end_time_s=time_s,
+        cluster, indices=col_opp, transitions=transitions, end_time_s=time_s
     )
     thermal_model.absorb_state(temperature, throttle_total)
 

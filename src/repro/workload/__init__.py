@@ -10,9 +10,8 @@ multiple threads performing the work.  This subpackage provides
 * stochastic generators reproducing the workload *statistics* the paper's
   applications exhibit (:mod:`repro.workload.video`,
   :mod:`repro.workload.fft`, :mod:`repro.workload.parsec`,
-  :mod:`repro.workload.splash2`),
-* thread-split models (:mod:`repro.workload.threads`) and
-* trace containers with CSV/JSON round-trip (:mod:`repro.workload.trace`).
+  :mod:`repro.workload.splash2`), and
+* thread-split models (:mod:`repro.workload.threads`).
 """
 
 from repro._lazy import lazy_exports
@@ -34,6 +33,5 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "repro.workload.fft": ("FFTWorkloadModel", "fft_application"),
         "repro.workload.parsec": ("parsec_application", "PARSEC_BENCHMARKS"),
         "repro.workload.splash2": ("splash2_application", "SPLASH2_BENCHMARKS"),
-        "repro.workload.trace": ("FrameTrace", "TraceSummary"),
     },
 )

@@ -15,7 +15,7 @@ from repro.campaign import (
     RetryPolicy,
     run_campaign,
 )
-from repro.campaign.faults import (
+from repro.testing.faults import (
     FAULT_KINDS,
     FaultEvent,
     FaultSchedule,

@@ -28,8 +28,7 @@ class TestDVFSActuator:
         assert transition.to_index == 0
         assert transition.latency_s == pytest.approx(1e-4)
         assert transition.energy_j == pytest.approx(2e-4)
-        assert not transition.is_upscale
-        assert actuator.transition_count == 1
+        assert actuator.transitions == [transition]
 
     def test_same_point_request_is_free_and_unrecorded(self, small_vf_table):
         actuator = DVFSActuator(table=small_vf_table)
@@ -37,17 +36,12 @@ class TestDVFSActuator:
         transition = actuator.request(current)
         assert transition.latency_s == 0.0
         assert transition.energy_j == 0.0
-        assert actuator.transition_count == 0
+        assert actuator.transitions == []
 
     def test_out_of_range_request_rejected(self, small_vf_table):
         actuator = DVFSActuator(table=small_vf_table)
         with pytest.raises(InvalidOperatingPointError):
             actuator.request(17)
-
-    def test_request_frequency_rounds_up(self, small_vf_table):
-        actuator = DVFSActuator(table=small_vf_table)
-        actuator.request_frequency(1200e6)
-        assert actuator.current_point.frequency_hz == pytest.approx(1500e6)
 
     def test_cumulative_costs(self, small_vf_table):
         actuator = DVFSActuator(table=small_vf_table, transition_latency_s=1e-4,
@@ -62,12 +56,38 @@ class TestDVFSActuator:
         actuator = DVFSActuator(table=small_vf_table)
         actuator.request(0)
         actuator.reset(index=2)
-        assert actuator.transition_count == 0
+        assert actuator.transitions == []
         assert actuator.current_index == 2
 
     def test_negative_costs_rejected(self, small_vf_table):
         with pytest.raises(ConfigurationError):
             DVFSActuator(table=small_vf_table, transition_latency_s=-1.0)
+
+    def test_absorbed_transitions_follow_the_requested_ones(self, small_vf_table):
+        requested = DVFSActuator(table=small_vf_table, transition_latency_s=1e-4,
+                                 transition_energy_j=2e-4)
+        first = requested.request(1, timestamp_s=0.5)
+        second = requested.request(2, timestamp_s=1.0)
+        absorbed = DVFSActuator(table=small_vf_table, transition_latency_s=1e-4,
+                                transition_energy_j=2e-4)
+        absorbed.absorb_transitions([first], final_index=1)
+        absorbed.absorb_transitions([second], final_index=2)
+        assert absorbed.transitions == requested.transitions
+        assert absorbed.current_index == requested.current_index == 2
+        assert absorbed.total_transition_time_s == requested.total_transition_time_s
+        assert absorbed.total_transition_energy_j == requested.total_transition_energy_j
+
+    def test_absorbing_no_transitions_only_moves_the_point(self, small_vf_table):
+        actuator = DVFSActuator(table=small_vf_table)
+        actuator.absorb_transitions([], final_index=0)
+        assert actuator.transitions == []
+        assert actuator.current_index == 0
+
+    def test_absorb_rejects_out_of_range_final_point(self, small_vf_table):
+        actuator = DVFSActuator(table=small_vf_table)
+        with pytest.raises(InvalidOperatingPointError):
+            actuator.absorb_transitions([], final_index=len(small_vf_table))
+        assert actuator.current_index == len(small_vf_table) - 1
 
 
 class TestThermalModel:

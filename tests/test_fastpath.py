@@ -4,8 +4,9 @@ Its frame-by-frame agreement with the scalar engine is one case of
 ``tests/test_engine_equivalence.py``; which engine ``auto`` picks is
 ``tests/test_backends.py::TestLadder``.  This file holds what is
 particular to the fast path: the per-core energy order of a frame, the
-schedule checks, the governors' schedule probe, the isothermal power memo
-and the sensor's one-pass ``measure_trace``.
+schedule checks, the governors' schedule probe, the isothermal power memo,
+the sensor's one-pass ``measure_trace`` and ``sync_cluster``'s hand-over of
+a run's DVFS transitions and clock.
 """
 
 from __future__ import annotations
@@ -15,11 +16,13 @@ from itertools import accumulate
 
 import pytest
 
+from repro.errors import PlatformError
 from repro.governors.ondemand import OndemandGovernor
 from repro.governors.oracle import OracleGovernor
 from repro.governors.performance import PerformanceGovernor
 from repro.governors.powersave import PowersaveGovernor
 from repro.governors.userspace import UserspaceGovernor
+from repro.platform.dvfs import DVFSTransition
 from repro.platform.odroid_xu3 import build_a15_cluster
 from repro.sim import fastpath
 from repro.sim.engine import SimulationConfig, SimulationEngine
@@ -188,7 +191,7 @@ class TestMeasureTrace:
         powers = [1.0, 2.5, 0.013, 4.2, 3.3]
         times = [0.04 * (i + 1) for i in range(5)]
         loop_sensor = PowerSensor()
-        expected = [loop_sensor.measure(p, t).power_w for p, t in zip(powers, times)]
+        expected = [loop_sensor.measure_w(p, t) for p, t in zip(powers, times)]
         vector_sensor = PowerSensor()
         assert vector_sensor.measure_trace(powers, times) == expected
 
@@ -199,7 +202,7 @@ class TestMeasureTrace:
         powers = [1.0, 2.0, 3.0]
         times = [0.0, 0.004, 0.008]
         loop_sensor = PowerSensor(sample_period_s=0.01)
-        expected = [loop_sensor.measure(p, t).power_w for p, t in zip(powers, times)]
+        expected = [loop_sensor.measure_w(p, t) for p, t in zip(powers, times)]
         vector_sensor = PowerSensor(sample_period_s=0.01)
         assert vector_sensor.measure_trace(powers, times) == expected
         # The held-over readings all repeat the first conversion.
@@ -225,3 +228,29 @@ class TestMeasureTrace:
         assert list(map(repr, readings)) == list(map(repr, expected))
         assert set(map(type, readings)) == {float}
         assert vector_sensor.last_reading == loop_sensor.last_reading
+
+
+class TestSyncCluster:
+    def test_hands_over_transitions_point_and_clock(self):
+        cluster = build_a15_cluster()
+        transitions = [
+            DVFSTransition(timestamp_s=0.0, from_index=18, to_index=3,
+                           latency_s=1e-4, energy_j=2e-5),
+            DVFSTransition(timestamp_s=0.04, from_index=3, to_index=5,
+                           latency_s=1e-4, energy_j=2e-5),
+        ]
+        fastpath.sync_cluster(
+            cluster, indices=[3, 5, 5], transitions=transitions, end_time_s=0.12
+        )
+        assert cluster.dvfs.transitions == transitions
+        assert cluster.current_index == 5
+        assert cluster.time_s == 0.12
+        # The stored reading and the temperature are the engines' own to set.
+        assert cluster.power_sensor.last_reading is None
+        assert cluster.thermal_model.temperature_c == cluster.thermal_model.parameters.initial_c
+
+    def test_refuses_to_move_the_clock_back(self):
+        cluster = build_a15_cluster()
+        cluster.advance_time_to(1.0)
+        with pytest.raises(PlatformError, match="back"):
+            fastpath.sync_cluster(cluster, indices=[0], transitions=[], end_time_s=0.5)

@@ -1,8 +1,8 @@
 """Each subcommand imports only what it runs.
 
-Every check runs in a fresh interpreter, since this test process has long
-since imported the whole package.  Nothing here times anything: the checks
-read ``sys.modules``.
+Every check of ``sys.modules`` runs in a fresh interpreter, since this test
+process has long since imported the whole package.  Nothing here times
+anything: the checks read ``sys.modules`` and the exported names.
 
 * Importing the CLI loads no numpy, no HTTP or process-pool stack, no
   distributed service or fault harness and no compiled kernels.
@@ -14,6 +14,8 @@ read ``sys.modules``.
   without numpy.
 * A campaign run imports everything it uses before its spec has loaded, and
   a reload imports everything before its first pass.
+* ``repro.campaign`` exports no name of the fault-injection harness, which
+  lives in :mod:`repro.testing.faults` beside the parity harness.
 
 Every store here is jsonl (``--store json``, and ``CampaignResult.save``'s
 default); an Arrow store would also load pyarrow.
@@ -69,10 +71,26 @@ def test_cli_import_loads_no_run_service_or_pool_code(tmp_path):
         "multiprocessing",
         "concurrent.futures.process",
         "repro.campaign.service",
-        "repro.campaign.faults",
+        "repro.testing.faults",
         "repro.sim.jitpath",
     ):
         assert module not in loaded, f"importing the CLI loaded {module}"
+
+
+def test_campaign_exports_no_fault_injection_name():
+    import repro.campaign
+    from repro.testing import faults
+
+    defined = {
+        name
+        for name, value in vars(faults).items()
+        if not name.startswith("_") and getattr(value, "__module__", None) == faults.__name__
+    }
+    fault_names = defined | {"FAULT_KINDS"}
+    exported = set(repro.campaign.__all__) | set(dir(repro.campaign))
+    assert not fault_names & exported
+    with pytest.raises(AttributeError):
+        repro.campaign.run_with_faults
 
 
 _CAMPAIGN_RUN = """

@@ -18,7 +18,6 @@ from repro.governors import (
 from repro.platform.odroid_xu3 import build_a15_cluster
 from repro.rtm import MultiCoreRLGovernor, RLGovernor, RLGovernorConfig
 from repro.sim import SimulationEngine
-from repro.workload import FrameTrace
 from repro.workload.fft import fft_application
 from repro.workload.parsec import parsec_application
 from repro.workload.video import h264_football_application
@@ -121,20 +120,6 @@ class TestDifferentWorkloadClasses:
         result = engine.run(application, ShenRLGovernor())
         assert result.exploration_count > 0
         assert result.deadline_miss_ratio < 0.5
-
-
-class TestTraceReplayIntegration:
-    def test_trace_round_trip_yields_identical_simulation(self, tmp_path):
-        application = fft_application(num_frames=120, seed=8)
-        path = tmp_path / "fft.json"
-        FrameTrace.from_application(application).to_json(path)
-        replayed = FrameTrace.from_json(path).to_application()
-
-        engine = SimulationEngine(build_a15_cluster())
-        original = engine.run(application, OndemandGovernor())
-        repeated = engine.run(replayed, OndemandGovernor())
-        assert repeated.total_energy_j == pytest.approx(original.total_energy_j)
-        assert repeated.columns.frame_time_s == pytest.approx(original.columns.frame_time_s)
 
 
 class TestSeedReproducibility:

@@ -90,6 +90,55 @@ class TestLazyExports:
         assert config.SimulationConfig is repro.SimulationConfig
 
 
+#: Exports the package no longer has: the per-core PMU, the energy meter,
+#: the A7 cluster and the Chip, and the frame trace, none of which a
+#: campaign, an example or the CLI ever read.
+REMOVED_EXPORTS = [
+    ("repro", "Chip"),
+    ("repro", "build_odroid_xu3"),
+    ("repro.platform", "PerformanceMonitoringUnit"),
+    ("repro.platform", "PMUSample"),
+    ("repro.platform", "EnergyMeter"),
+    ("repro.platform", "Chip"),
+    ("repro.platform", "build_odroid_xu3"),
+    ("repro.platform", "build_a7_cluster"),
+    ("repro.platform", "A7_VF_TABLE"),
+    ("repro.workload", "FrameTrace"),
+    ("repro.workload", "TraceSummary"),
+]
+
+
+class TestRemovedSurface:
+    """The deleted API stays deleted: no export, module or second import path."""
+
+    @pytest.mark.parametrize("module, name", REMOVED_EXPORTS)
+    def test_removed_name_is_not_exported(self, module, name):
+        package = importlib.import_module(module)
+        assert name not in package.__all__
+        assert not hasattr(package, name)
+
+    @pytest.mark.parametrize(
+        "module",
+        [
+            "repro.platform.pmu",
+            "repro.platform.chip",
+            "repro.workload.trace",
+            "repro.campaign.faults",
+        ],
+    )
+    def test_removed_module_does_not_import(self, module):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+
+    def test_rtm_api_re_exports_no_campaign_name(self):
+        import repro.campaign
+        from repro.rtm import api
+
+        assert not set(repro.campaign.__all__) & set(dir(api))
+        with pytest.raises(AttributeError):
+            api.run_campaign
+
+
 class TestExceptionHierarchy:
     def test_all_errors_derive_from_repro_error(self):
         from repro import (

@@ -121,7 +121,6 @@ class TestEnergy:
         )
         assert result.duration_s == pytest.approx(point.time_for_cycles(5e7))
         assert result.energy_j == pytest.approx(power * result.duration_s)
-        assert cluster.total_energy_j == pytest.approx(result.energy_j)
 
     def test_negative_duration_rejected(self, model):
         # Work of negative length has a negative busy time: rejected, not priced.

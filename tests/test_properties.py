@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.platform.odroid_xu3 import A15_VF_TABLE
 from repro.platform.power import PowerModel
-from repro.platform.sensors import EnergyMeter
 from repro.rtm.exploration import EpsilonSchedule, ExponentialPolicy, UniformPolicy
 from repro.rtm.prediction import EWMAPredictor
 from repro.rtm.qlearning import QLearningAgent, QLearningParameters
@@ -196,23 +195,6 @@ class TestThreadSplitProperties:
 
 
 class TestEnergyBookkeepingProperties:
-    @given(
-        intervals=st.lists(
-            st.tuples(st.floats(0.0, 10.0, allow_nan=False), st.floats(0.0, 1.0, allow_nan=False)),
-            min_size=1,
-            max_size=40,
-        )
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_meter_total_is_sum_of_interval_energies(self, intervals):
-        meter = EnergyMeter()
-        expected = 0.0
-        for power, duration in intervals:
-            meter.add_interval(power, duration)
-            expected += power * duration
-        assert meter.energy_j >= 0.0
-        assert abs(meter.energy_j - expected) <= 1e-9 + 1e-9 * expected
-
     @given(utilisation=st.floats(0.0, 1.0, allow_nan=False), index=st.integers(0, 18),
            temperature=st.floats(25.0, 95.0, allow_nan=False))
     @settings(max_examples=80, deadline=None)

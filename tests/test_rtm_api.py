@@ -11,8 +11,8 @@ class TestRuntimeManagerAPI:
         api = RuntimeManagerAPI()
         target = api.register("decoder", frames_per_second=25.0)
         assert target.tref_s == pytest.approx(0.040)
-        assert api.num_applications == 1
-        assert api.target_for("decoder").application_name == "decoder"
+        assert target.application_name == "decoder"
+        assert api.effective_requirement() is target.requirement
 
     def test_explicit_reference_time(self):
         api = RuntimeManagerAPI()
@@ -27,23 +27,10 @@ class TestRuntimeManagerAPI:
 
     def test_re_registration_replaces_target(self):
         api = RuntimeManagerAPI()
-        api.register("video", frames_per_second=24.0)
         api.register("video", frames_per_second=30.0)
-        assert api.num_applications == 1
-        assert api.target_for("video").tref_s == pytest.approx(1.0 / 30.0)
-        assert len(api.registration_history) == 2
-
-    def test_unregister(self):
-        api = RuntimeManagerAPI()
-        api.register("video", 24.0)
-        api.unregister("video")
-        assert api.num_applications == 0
-        api.unregister("never-registered")  # silently ignored
-
-    def test_unknown_application_raises(self):
-        api = RuntimeManagerAPI()
-        with pytest.raises(ConfigurationError):
-            api.target_for("ghost")
+        api.register("video", frames_per_second=24.0)
+        # Had the 30 fps target been kept, it would still be the tightest.
+        assert api.effective_requirement().tref_s == pytest.approx(1.0 / 24.0)
 
     def test_effective_requirement_without_targets_raises(self):
         with pytest.raises(ConfigurationError):

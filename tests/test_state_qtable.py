@@ -164,32 +164,8 @@ class TestQTable:
         table.record_visit(0, 1)
         table.record_visit(1, 0)
         assert table.visit_count(0, 1) == 2
-        assert table.visited_state_count() == 2
-        assert table.visited_pair_count() == 2
-
-    def test_greedy_policy_vector(self):
-        table = QTable(3, 2)
-        table.set(1, 0, 5.0)
-        policy = table.greedy_policy()
-        assert len(policy) == 3
-        assert policy[1] == 0
-
-    def test_json_round_trip(self, tmp_path):
-        table = QTable(3, 4)
-        table.set(2, 1, 3.25)
-        table.record_visit(2, 1)
-        path = tmp_path / "qtable.json"
-        table.to_json(path)
-        loaded = QTable.from_json(path)
-        assert loaded.get(2, 1) == pytest.approx(3.25)
-        assert loaded.visit_count(2, 1) == 1
-        assert loaded.num_states == 3 and loaded.num_actions == 4
-
-    def test_copy_is_independent(self):
-        table = QTable(2, 2)
-        clone = table.copy()
-        clone.set(0, 0, 9.0)
-        assert table.get(0, 0) == 0.0
+        assert table.visit_count(1, 0) == 1
+        assert table.visit_count(1, 1) == 0
 
     def test_invalid_shape_rejected(self):
         with pytest.raises(ConfigurationError):

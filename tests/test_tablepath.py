@@ -369,17 +369,18 @@ class TestThrottleEvents:
 
 
 class TestSensorFastPath:
-    def test_measure_w_matches_measure(self):
-        from repro.platform.sensors import PowerSensor
+    def test_measure_w_records_each_conversion(self):
+        from repro.platform.sensors import PowerSensor, SensorReading
 
         a, b = PowerSensor(noise_stddev_w=0.01, seed=3), PowerSensor(
             noise_stddev_w=0.01, seed=3
         )
         powers = [1.0, 2.5, 0.013, 4.2, 3.3]
         times = [0.04 * (i + 1) for i in range(5)]
-        readings = [a.measure(p, t) for p, t in zip(powers, times)]
-        floats = [b.measure_w(p, t) for p, t in zip(powers, times)]
-        assert [r.power_w for r in readings] == floats
+        for power, time_s in zip(powers, times):
+            reading = a.measure_w(power, time_s)
+            assert a.last_reading == SensorReading(timestamp_s=time_s, power_w=reading)
+            assert b.measure_w(power, time_s) == reading
         assert a.last_reading == b.last_reading
 
     def test_holdover_preserved(self):

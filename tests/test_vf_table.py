@@ -61,11 +61,6 @@ class TestVFTable:
         with pytest.raises(InvalidOperatingPointError):
             _ = small_vf_table[99]
 
-    def test_index_of_frequency(self, small_vf_table):
-        assert small_vf_table.index_of_frequency(1000e6) == 1
-        with pytest.raises(InvalidOperatingPointError):
-            small_vf_table.index_of_frequency(1234e6)
-
     def test_clamp_index(self, small_vf_table):
         assert small_vf_table.clamp_index(-3) == 0
         assert small_vf_table.clamp_index(2) == 2
@@ -93,11 +88,6 @@ class TestVFTable:
         if index > 0:
             slower = a15_table[index - 1]
             assert slower.time_for_cycles(cycles) > deadline
-
-    def test_subset(self, small_vf_table):
-        subset = small_vf_table.subset([0, 2])
-        assert len(subset) == 2
-        assert subset.max_point.frequency_hz == 1500e6
 
     def test_equality(self, small_vf_table):
         clone = VFTable(list(small_vf_table))
