@@ -129,7 +129,13 @@ from repro.campaign.results import (
     quarantine_corrupt_file,
 )
 from repro.campaign.spec import CampaignSpec, ScenarioSpec
-from repro.sim.epoch import FLOAT_COLUMN_NAMES, FRAME_COLUMN_NAMES, FrameColumns, float_column
+from repro.sim.epoch import (
+    FLOAT_COLUMN_NAMES,
+    FRAME_COLUMN_NAMES,
+    FrameColumns,
+    float_column,
+    index_column,
+)
 from repro.sim.results import SimulationResult
 
 #: First bytes of every columnar store file (followed by the JSON header).
@@ -284,6 +290,8 @@ def _packed_frames(frames: Dict[str, Any]) -> Dict[str, Any]:
     for name, column in frames.items():
         if name == "cycles_per_core":
             packed[name] = _packed_cycles(column)
+        elif type(column) is range:
+            packed[name] = list(column)
         elif type(column) in (list, array):
             column = float_column(column)
             packed[name] = _pack_floats(column) if type(column) is array else column
@@ -302,9 +310,9 @@ def _packed(record: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def _listed(frames: Dict[str, Any]) -> Dict[str, Any]:
-    """The frames with every ``array('d')`` column as a list (JSON, Arrow)."""
+    """The frames with every ``array('d')`` or ``range`` column as a list (JSON, Arrow)."""
     return {
-        name: column.tolist() if type(column) is array else column
+        name: list(column) if type(column) in (array, range) else column
         for name, column in frames.items()
     }
 
@@ -314,6 +322,8 @@ def _unpacked_column(name: str, column: Any) -> Any:
         column = _unpack_floats(column)
     if name in FLOAT_COLUMN_NAMES:
         return float_column(column)
+    if name == "index":
+        return index_column(column)
     return column if type(column) is list else list(column)
 
 

@@ -98,7 +98,7 @@ class MultiCoreDVFSGovernor(Governor):
         self._round_robin_core = 0
         self._exploration_count = 0
         self._convergence = ConvergenceDetector(window=20)
-        self._last_overhead_s = 0.0
+        self.processing_overhead_s = 0.0
 
     # -- lifecycle --------------------------------------------------------------------
     def setup(self, platform: PlatformInfo, requirement: PerformanceRequirement) -> None:
@@ -113,7 +113,7 @@ class MultiCoreDVFSGovernor(Governor):
         self._round_robin_core = 0
         self._exploration_count = 0
         self._convergence = ConvergenceDetector(window=20)
-        self._last_overhead_s = 0.0
+        self.processing_overhead_s = 0.0
 
     # -- reporting ----------------------------------------------------------------------
     @property
@@ -125,11 +125,6 @@ class MultiCoreDVFSGovernor(Governor):
     def converged_epoch(self) -> Optional[int]:
         """Epoch at which the selected operating point settled (Table III quantity)."""
         return self._convergence.converged_epoch
-
-    @property
-    def processing_overhead_s(self) -> float:
-        """Per-epoch decision overhead charged to the application."""
-        return self._last_overhead_s
 
     # -- helpers --------------------------------------------------------------------------
     def _capacity_cycles(self) -> float:
@@ -154,7 +149,7 @@ class MultiCoreDVFSGovernor(Governor):
         table = self.platform.vf_table
         p = self.parameters
         if previous is None:
-            self._last_overhead_s = self.overhead.epoch_overhead_s(learning=True)
+            self.processing_overhead_s = self.overhead.epoch_overhead_s(learning=True)
             return len(table) - 1
 
         # Learn from the finished epoch: update the round-robin core's table
@@ -218,7 +213,7 @@ class MultiCoreDVFSGovernor(Governor):
             target = min(target, table.max_point.frequency_hz)
             action = table.nearest_index_for_frequency(target)
         self._convergence.observe(action, explored=still_learning)
-        self._last_overhead_s = self.overhead.epoch_overhead_s(learning=still_learning)
+        self.processing_overhead_s = self.overhead.epoch_overhead_s(learning=still_learning)
         return action
 
     def describe(self) -> str:

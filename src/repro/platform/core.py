@@ -27,29 +27,11 @@ class CoreExecutionResult:
         Time the core then spent idle waiting for the rest of the cluster.
     cycles:
         Busy cycles executed.
-    idle_cycles:
-        Cycles elapsed while idle (at the cluster frequency).
-    utilisation:
-        ``busy_time / (busy_time + idle_time)``; 0 when no time elapsed.
     """
 
     busy_time_s: float
     idle_time_s: float
     cycles: float
-    idle_cycles: float
-
-    @property
-    def total_time_s(self) -> float:
-        """Busy plus idle time."""
-        return self.busy_time_s + self.idle_time_s
-
-    @property
-    def utilisation(self) -> float:
-        """Fraction of the interval spent busy."""
-        total = self.total_time_s
-        if total <= 0:
-            return 0.0
-        return self.busy_time_s / total
 
 
 @dataclass
@@ -94,7 +76,6 @@ class Core:
             busy_time_s=busy_time,
             idle_time_s=idle_time,
             cycles=cycles,
-            idle_cycles=idle_time * point.frequency_hz,
         )
 
     def __repr__(self) -> str:

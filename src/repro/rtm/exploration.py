@@ -148,6 +148,13 @@ class EpsilonSchedule:
         If True, decay on every epoch regardless of the pay-off sign or
         confirmation (the conventional unconditional schedule, available for
         ablations).
+
+    ``is_exploiting`` is a stored flag, not a field: True once ε has
+    decayed to (or below) its floor.  Every write of ε (``__post_init__``,
+    :meth:`update`, :meth:`reset`) keeps it equal to
+    ``epsilon <= minimum_epsilon``, so the learner's hot path reads it as
+    an attribute instead of re-deriving it several times per epoch.  Code
+    that writes ε from outside (the jitpath write-back) must set it too.
     """
 
     initial_epsilon: float = 0.9
@@ -163,16 +170,12 @@ class EpsilonSchedule:
         if not 0.0 <= self.minimum_epsilon <= self.initial_epsilon:
             raise ConfigurationError("minimum_epsilon must lie in [0, initial_epsilon]")
         self._epsilon = self.initial_epsilon
+        self.is_exploiting = self.initial_epsilon <= self.minimum_epsilon
 
     @property
     def epsilon(self) -> float:
         """Current exploration probability."""
         return self._epsilon
-
-    @property
-    def is_exploiting(self) -> bool:
-        """True once ε has decayed to (or below) its floor."""
-        return self._epsilon <= self.minimum_epsilon
 
     def should_explore(self, rng: random.Random) -> bool:
         """Draw the explore-vs-exploit decision for this epoch."""
@@ -196,8 +199,10 @@ class EpsilonSchedule:
             decayed = epsilon * math.exp(-self.alpha * (1.0 - epsilon))
             epsilon = decayed if decayed > minimum else minimum
             self._epsilon = epsilon
+            self.is_exploiting = epsilon <= minimum
         return epsilon
 
     def reset(self) -> None:
         """Return ε to its initial value."""
         self._epsilon = self.initial_epsilon
+        self.is_exploiting = self.initial_epsilon <= self.minimum_epsilon

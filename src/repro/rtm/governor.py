@@ -49,14 +49,15 @@ class PlatformInfo:
         return self.vf_table.max_point.frequency_hz * reference_time_s
 
 
-@dataclass(frozen=True, **SLOTS)
+@dataclass(**SLOTS)
 class EpochObservation:
     """Everything a governor may observe about the epoch that just finished.
 
     An observation is valid only for the duration of the ``decide()`` call
-    it is passed to: the engines' hot loops reuse one instance and rebuild
-    its fields in place between epochs, so a governor must extract the
-    values it needs inside ``decide()`` rather than retain the object.
+    it is passed to: the engines' hot loops reuse one instance and assign
+    its fields in place between epochs (it is deliberately not frozen), so
+    a governor must extract the values it needs inside ``decide()`` rather
+    than retain the object, and must not write to it.
 
     Attributes
     ----------
@@ -123,7 +124,7 @@ class EpochObservation:
         return self.busy_time_s <= self.reference_time_s + 1e-12
 
 
-@dataclass(frozen=True, **SLOTS)
+@dataclass(**SLOTS)
 class FrameHint:
     """Perfect knowledge of the upcoming frame.
 
@@ -131,7 +132,7 @@ class FrameHint:
     The simulation engine always passes it so that the engine code does not
     need to special-case the Oracle.  Like :class:`EpochObservation`, a hint
     is valid only inside the ``decide()`` call it is passed to — the engines
-    reuse one instance and rebuild its fields in place between frames.
+    reuse one instance and assign its fields in place between frames.
     """
 
     cycles_per_core: Tuple[float, ...]
@@ -149,9 +150,13 @@ class Governor(ABC):
     #: Human-readable governor name used in reports and result tables.
     name: str = "governor"
 
-    #: Per-epoch decision-processing time charged as overhead (seconds).
-    #: Simple heuristic governors are essentially free; learning governors
-    #: override this with their :class:`~repro.rtm.overhead.OverheadModel`.
+    #: Decision-processing time charged as overhead to the epoch whose
+    #: operating point the last ``decide()`` chose (seconds).  A plain
+    #: attribute: simple heuristic governors are essentially free and keep
+    #: this class default; learning governors write their
+    #: :class:`~repro.rtm.overhead.OverheadModel`'s value on the instance in
+    #: every ``decide()``.  The closed-loop engines read it once per frame,
+    #: right after ``decide()``.
     processing_overhead_s: float = 0.0
 
     def __init__(self) -> None:

@@ -178,10 +178,17 @@ class QLearningAgent:
         Returns the new Q-value of (state, action).
         """
         qtable = self.qtable
-        row = qtable._values[state]
+        values = qtable._values
+        row = values[state]
         greedy_before = qtable._greedy(state)
-        # The bootstrap maximum is read before the write (state may be next_state).
-        target = reward + self.parameters.discount * max(qtable._values[next_state])
+        # The bootstrap maximum is read before the write (state may be
+        # next_state), from the next row's memoised argmax: that cell holds
+        # a value equal to max(row).  The two reads can differ only in the
+        # sign of a zero maximum, and reward + discount * (+-0.0) is the same
+        # float for every reward but -0.0, which compute_reward never
+        # returns with positive weights; so every target is bit-identical.
+        next_row = values[next_state]
+        target = reward + self.parameters.discount * next_row[qtable._greedy(next_state)]
         learning_rate = self.parameters.learning_rate
         old_value = row[action]
         new_value = (1.0 - learning_rate) * old_value + learning_rate * target

@@ -95,7 +95,7 @@ class RLGovernor(Governor):
         self._convergence: Optional[ConvergenceDetector] = None
         self._pending_state: Optional[int] = None
         self._pending_action: Optional[int] = None
-        self._last_overhead_s = 0.0
+        self.processing_overhead_s = 0.0
         self._reward_history: List[float] = []
 
     # -- lifecycle ------------------------------------------------------------------
@@ -119,7 +119,7 @@ class RLGovernor(Governor):
         )
         self._pending_state = None
         self._pending_action = None
-        self._last_overhead_s = 0.0
+        self.processing_overhead_s = 0.0
         self._reward_history = []
         # The per-epoch overheads are constants of the overhead model; the
         # hot loop picks one of the two instead of re-deriving them.
@@ -206,11 +206,6 @@ class RLGovernor(Governor):
         return None if convergence is None else convergence.converged_epoch
 
     @property
-    def processing_overhead_s(self) -> float:
-        """Per-epoch decision overhead charged to the application (T_OVH component)."""
-        return self._last_overhead_s
-
-    @property
     def reward_history(self) -> List[float]:
         """Pay-off computed at each decision epoch."""
         return list(self._reward_history)
@@ -277,7 +272,7 @@ class RLGovernor(Governor):
             agent.qtable.record_visit(initial_state, initial_action)
             self._pending_state = initial_state
             self._pending_action = initial_action
-            self._last_overhead_s = self._overhead_learning_s
+            self.processing_overhead_s = self._overhead_learning_s
             return initial_action
 
         # (1) Pay-off for the epoch that just finished (eqs. 4 and 5).  The
@@ -316,7 +311,7 @@ class RLGovernor(Governor):
         )
         self._pending_state = next_state
         self._pending_action = action
-        self._last_overhead_s = (
+        self.processing_overhead_s = (
             self._overhead_exploiting_s if exploiting else self._overhead_learning_s
         )
         return action

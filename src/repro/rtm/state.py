@@ -138,9 +138,14 @@ class WorkloadRangeTracker:
         Before any observation has been recorded (and whenever the range has
         collapsed to a point) every value maps to the middle of the range.
         """
-        if not self.has_observations:
-            return 0.5
-        low, high = self.bounds
+        # The cached bounds exist only once something was observed, and are
+        # what the learners find on nearly every epoch.
+        bounds = self._cached_bounds
+        if bounds is None:
+            if not self.has_observations:
+                return 0.5
+            bounds = self.bounds
+        low, high = bounds
         if high <= low:
             return 0.5
         fraction = (value - low) / (high - low)

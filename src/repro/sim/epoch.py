@@ -146,6 +146,34 @@ def float_column(values: Iterable[Any]) -> Union[array, list]:
     return values
 
 
+def index_column(values: Iterable[Any]) -> Union[range, list]:
+    """``values`` as ``range(n)`` when they are the ints ``0 .. n-1``, else a list.
+
+    The one rule for the type of the ``index`` column.  Every engine numbers
+    its frames from 0, and a ``range`` holds them in a few dozen bytes where
+    a list spends a pointer per frame plus a boxed ``int`` for each value
+    above 256.  Iterating, indexing, slicing and ``len()`` yield the same
+    ints either way, and the result store writes both as the same list.
+    Any other column (a window that does not start at frame 0, a reordered
+    one, or one holding a non-``int``) is copied into a list whose values
+    keep their types.
+    """
+    if type(values) is range and values.start == 0 and values.step == 1:
+        return values
+    values = list(values)
+    frames = len(values)
+    # Equal to 0 .. n-1, and ints: a float anywhere would make the sum a
+    # float, and a bool can equal a frame number only at position 0 or 1.
+    # (A reload runs this on every record: a type scan would cost 3x more.)
+    if (
+        values == [*range(frames)]
+        and type(sum(values)) is int
+        and all(type(value) is int for value in values[:2])
+    ):
+        return range(frames)
+    return values
+
+
 #: Read a record's values as one row in :data:`FRAME_COLUMN_NAMES` order.
 _record_row = attrgetter(*FRAME_COLUMN_NAMES)
 _CYCLES = FRAME_COLUMN_NAMES.index("cycles_per_core")
@@ -171,13 +199,15 @@ class FrameColumns:
     whenever :func:`float_column` allows it: non-empty and every value an
     exact ``float``.  An array holds each value in 8 bytes, where a list
     of floats spends 32 (a pointer plus a boxed ``float``).  The others
-    are lists: ``index``, ``operating_index`` and ``explored`` of native
-    scalars, ``cycles_per_core`` of per-core tuples, and a float column
-    holding an int or a bool, whose values keep their types.  Both forms
-    pickle (the campaign process-pool backend), and iterating or
-    ``sum()``-ing either yields the same Python floats in the same order
-    as iterating materialised records.  An array never equals a list
-    under ``==``; :class:`~repro.sim.results.SimulationResult` equality
+    are lists: ``operating_index`` and ``explored`` of native scalars,
+    ``cycles_per_core`` of per-core tuples, and a float column holding an
+    int or a bool, whose values keep their types.  ``index`` is a
+    ``range`` whenever :func:`index_column` allows it (frames numbered
+    from 0, as every engine numbers them), else a list.  Every form
+    pickles (the campaign process-pool backend), and iterating or
+    ``sum()``-ing any of them yields the same Python values in the same
+    order as iterating materialised records.  An array or a range never
+    equals a list under ``==``; :class:`~repro.sim.results.SimulationResult` equality
     compares the values.
 
     A deferred instance (:meth:`from_deferred`) postpones even building the
@@ -207,7 +237,7 @@ class FrameColumns:
         temperature_c: Sequence[float],
         explored: Sequence[bool],
     ) -> None:
-        self.index = list(index)
+        self.index = index_column(index)
         self.operating_index = list(operating_index)
         self.frequency_mhz = float_column(frequency_mhz)
         self.cycles_per_core = list(cycles_per_core)

@@ -196,7 +196,7 @@ def simulate_schedule(
     # plain float on the way in).
     frequency_mhz = [point.frequency_mhz for point in points]
     columns = FrameColumns(
-        index=list(range(num_frames)),
+        index=range(num_frames),
         operating_index=indices,
         frequency_mhz=array("d", [frequency_mhz[index] for index in indices]),
         cycles_per_core=cycles_rows,

@@ -67,7 +67,6 @@ from repro.rtm.rl_governor import RLGovernor
 from repro.sim import fastpath, tablepath
 from repro.sim.epoch import FrameColumns
 from repro.sim.results import SimulationResult
-from repro.sim.tablepath import static_processing_overhead
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.platform.cluster import Cluster
@@ -122,6 +121,24 @@ def _jit(func):
 def compiled() -> bool:
     """True when the kernels in this process are numba-compiled."""
     return _NJIT is not None
+
+
+def static_processing_overhead(governor: "Governor") -> Optional[float]:
+    """The governor's per-epoch overhead when hoistable, else ``None``.
+
+    The ondemand and conservative kernels charge one constant overhead per
+    frame.  Hoisting it is safe exactly when ``processing_overhead_s``
+    resolves to a plain float class attribute that is not shadowed on the
+    instance (learning governors write it on the instance in every
+    ``decide()``; the RL kernel carries that value itself).
+    """
+    descriptor = getattr(type(governor), "processing_overhead_s", None)
+    if not isinstance(descriptor, float):
+        return None
+    instance_dict = getattr(governor, "__dict__", None)
+    if instance_dict is not None and "processing_overhead_s" in instance_dict:
+        return None
+    return descriptor
 
 
 def unsupported_reason(
@@ -963,7 +980,7 @@ def simulate_closed_loop(
     indices = out_opp.astype(np.intp)
     frequencies_mhz = np.asarray(tables.frequencies_mhz)
     columns = FrameColumns(
-        index=list(range(num_frames)),
+        index=range(num_frames),
         operating_index=out_opp.tolist(),
         frequency_mhz=frequencies_mhz[indices].tolist(),
         cycles_per_core=cycles_tuples,
@@ -1189,10 +1206,12 @@ def _unpack_rl(
         None if exploitation_start < 0 else exploitation_start
     )
     agent._last_update_changed_policy = bool(ip[_I_LAST_CHANGED])
-    schedule._epsilon = float(fp[_F_EPSILON])
+    epsilon = float(fp[_F_EPSILON])
+    schedule._epsilon = epsilon
+    schedule.is_exploiting = epsilon <= schedule.minimum_epsilon
     governor._pending_state = int(ip[_I_PENDING_STATE])
     governor._pending_action = int(ip[_I_PENDING_ACTION])
-    governor._last_overhead_s = float(fp[_F_LAST_OVERHEAD])
+    governor.processing_overhead_s = float(fp[_F_LAST_OVERHEAD])
     governor._reward_history = out_reward[1:num_frames].tolist()
 
     tracker = governor._slack_tracker

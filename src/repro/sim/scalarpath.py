@@ -81,20 +81,14 @@ def simulate_scalar(
     The caller resets the cluster and sets the governor up first, exactly as
     for the fast engines.
     """
-    from repro.sim import tablepath
-
     previous_observation: Optional[EpochObservation] = None
     previous_exploration_count = governor.exploration_count
     exploration_frozen = governor.exploration_frozen
     charge_overhead = config.charge_governor_overhead
     idle_until_deadline = config.idle_until_deadline
-    # Hoisted per-frame constants: the processing overhead when it is a
-    # plain class attribute (non-learning governors), and one reusable
-    # FrameHint rebuilt in place (no governor retains hints beyond
-    # decide(); the Oracle, the only reader, consumes it immediately).
-    static_overhead = tablepath.static_processing_overhead(governor)
+    # One reusable FrameHint assigned in place (no governor retains hints
+    # beyond decide(); the Oracle, the only reader, consumes it immediately).
     hint: Optional[FrameHint] = None
-    set_hint = object.__setattr__
     records: List[FrameRecord] = []
     records_append = records.append
 
@@ -103,8 +97,8 @@ def simulate_scalar(
         if hint is None:
             hint = FrameHint(cycles_per_core=per_core, deadline_s=frame.deadline_s)
         else:
-            set_hint(hint, "cycles_per_core", per_core)
-            set_hint(hint, "deadline_s", frame.deadline_s)
+            hint.cycles_per_core = per_core
+            hint.deadline_s = frame.deadline_s
 
         operating_index = governor.decide(previous_observation, hint)
         transition = cluster.set_operating_index(operating_index)
@@ -118,10 +112,7 @@ def simulate_scalar(
 
         overhead = 0.0
         if charge_overhead:
-            if static_overhead is None:
-                overhead = governor.processing_overhead_s + transition.latency_s
-            else:
-                overhead = static_overhead + transition.latency_s
+            overhead = governor.processing_overhead_s + transition.latency_s
 
         if exploration_frozen:
             explored = False

@@ -34,6 +34,10 @@ never moves, so the loop pays one ``exp`` per run.  The per-frame loop is
 the governor's ``decide()`` plus a handful of list lookups and the per-core
 energy sum: no core model, no power-model call, no ``FrameRecord``
 allocation (results are columnar, see :class:`~repro.sim.epoch.FrameColumns`).
+The boundary with the governor is as cheap: one ``EpochObservation`` and
+one ``FrameHint`` are reused for the whole run, their fields assigned in
+place, and the charged overhead is one read of the governor's plain
+``processing_overhead_s`` attribute per frame.
 
 Every operation above uses the same IEEE arithmetic, in the same order, as
 the scalar :meth:`Cluster.execute_workload
@@ -167,12 +171,10 @@ def simulate_closed_loop(
     sensor_measure = cluster.power_sensor.measure_w
     charge_overhead = config.charge_governor_overhead
     decide = governor.decide
-    static_overhead = static_processing_overhead(governor)
 
-    # One reusable FrameHint / EpochObservation, rebuilt in place (both are
+    # One reusable FrameHint / EpochObservation, assigned in place (both are
     # documented as valid only inside the decide() call they are passed to).
     hint = FrameHint(cycles_per_core=cycles_tuples[0], deadline_s=deadlines[0])
-    set_field = object.__setattr__
 
     current = cluster.current_index
     time_s = cluster.time_s
@@ -204,8 +206,8 @@ def simulate_closed_loop(
 
     frame_rows = zip(cycles_tuples, max_cycles, deadlines)
     for frame_index, (cycles, frame_max_cycles, deadline) in enumerate(frame_rows):
-        set_field(hint, "cycles_per_core", cycles)
-        set_field(hint, "deadline_s", deadline)
+        hint.cycles_per_core = cycles
+        hint.deadline_s = deadline
 
         index = decide(previous, hint)
         if index != current:
@@ -275,10 +277,7 @@ def simulate_closed_loop(
         measured = sensor_measure(power, time_s)
 
         if charge_overhead:
-            if static_overhead is None:
-                overhead = governor.processing_overhead_s + transition_latency
-            else:
-                overhead = static_overhead + transition_latency
+            overhead = governor.processing_overhead_s + transition_latency
         else:
             overhead = 0.0
 
@@ -304,16 +303,16 @@ def simulate_closed_loop(
                 frame_throttle,
             )
         else:
-            set_field(previous, "epoch_index", frame_index)
-            set_field(previous, "cycles_per_core", cycles)
-            set_field(previous, "busy_time_s", busy)
-            set_field(previous, "interval_s", duration)
-            set_field(previous, "reference_time_s", deadline)
-            set_field(previous, "operating_index", index)
-            set_field(previous, "energy_j", energy)
-            set_field(previous, "measured_power_w", measured)
-            set_field(previous, "overhead_time_s", overhead)
-            set_field(previous, "throttle_events", frame_throttle)
+            previous.epoch_index = frame_index
+            previous.cycles_per_core = cycles
+            previous.busy_time_s = busy
+            previous.interval_s = duration
+            previous.reference_time_s = deadline
+            previous.operating_index = index
+            previous.energy_j = energy
+            previous.measured_power_w = measured
+            previous.overhead_time_s = overhead
+            previous.throttle_events = frame_throttle
         opp_append(index)
         busy_append(busy)
         overhead_append(overhead)
@@ -327,7 +326,7 @@ def simulate_closed_loop(
     # -- columnar result (records materialise lazily) --------------------------
     frequencies_mhz = tables.frequencies_mhz
     columns = FrameColumns(
-        index=list(range(num_frames)),
+        index=range(num_frames),
         operating_index=col_opp,
         frequency_mhz=array("d", [frequencies_mhz[index] for index in col_opp]),
         cycles_per_core=cycles_tuples,
@@ -359,19 +358,3 @@ def simulate_closed_loop(
     result.converged_epoch = governor.converged_epoch
     return result
 
-
-def static_processing_overhead(governor: "Governor") -> Optional[float]:
-    """The governor's per-epoch overhead when hoistable, else ``None``.
-
-    Hoisting is safe exactly when ``processing_overhead_s`` resolves to a
-    plain float class attribute that is not shadowed on the instance —
-    learning governors override it as a property (its value changes per
-    epoch) and must be read every frame.
-    """
-    descriptor = getattr(type(governor), "processing_overhead_s", None)
-    if not isinstance(descriptor, float):
-        return None
-    instance_dict = getattr(governor, "__dict__", None)
-    if instance_dict is not None and "processing_overhead_s" in instance_dict:
-        return None
-    return descriptor

@@ -19,6 +19,14 @@ fresh run, a second run of the application on the same cluster without a
 reset, or a run after a short one (so the clock starts at a time the
 run's own duration dwarfs).
 
+Beside the result, the comparison covers the governor's learnt and
+bookkeeping state: its decision snapshot, the overhead its last
+``decide()`` left in ``processing_overhead_s``, and for a learner the RNG
+position, ε and the stored exploiting flag, the exploration-phase length,
+the reward history and each Q-table row's greedy action (an engine that
+writes a learner's state back, as ``jitpath`` does, must leave every one
+of them as a scalar run does).
+
 Everything is compared with ``==`` except ``fastpath``'s ``energy_j`` and
 ``average_power_w`` columns, which it sums in another order than the
 scalar engine (factored per-core sums, pairwise over more than 8 cores):
@@ -132,10 +140,21 @@ def assert_matches_scalar(run: Run, reference: Run, engine: str) -> None:
             assert column == expected_column, (engine, name)
 
     assert run.governor.decision_state() == reference.governor.decision_state(), engine
+    assert (
+        run.governor.processing_overhead_s == reference.governor.processing_overhead_s
+    ), engine
     if isinstance(reference.governor, RLGovernor):
         agent, expected_agent = run.governor.agent, reference.governor.agent
         assert agent._rng.getstate() == expected_agent._rng.getstate(), engine
         assert agent.epsilon == expected_agent.epsilon, engine
+        assert agent.is_exploiting == expected_agent.is_exploiting, engine
+        assert (
+            agent.exploration_phase_length == expected_agent.exploration_phase_length
+        ), engine
+        table, expected_table = agent.qtable, expected_agent.qtable
+        assert [table.best_action(state) for state in range(table.num_states)] == [
+            expected_table.best_action(state) for state in range(expected_table.num_states)
+        ], engine
         assert run.governor.reward_history == reference.governor.reward_history, engine
 
     cluster, expected_cluster = run.cluster, reference.cluster

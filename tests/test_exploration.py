@@ -119,6 +119,31 @@ class TestEpsilonSchedule:
         schedule.reset()
         assert schedule.epsilon == pytest.approx(0.8)
 
+    def test_stored_exploiting_flag_follows_update_and_reset(self):
+        schedule = EpsilonSchedule(initial_epsilon=0.5, alpha=1.0, minimum_epsilon=0.05)
+        assert not schedule.is_exploiting
+        while not schedule.is_exploiting:
+            assert schedule.epsilon > schedule.minimum_epsilon
+            schedule.update(reward=1.0, confirmed=True)
+        assert schedule.epsilon == schedule.minimum_epsilon
+        schedule.update(reward=-1.0, confirmed=False)
+        assert schedule.is_exploiting
+        schedule.reset()
+        assert not schedule.is_exploiting and schedule.epsilon == 0.5
+
+    def test_flag_set_from_the_start_when_initial_equals_floor(self):
+        schedule = EpsilonSchedule(initial_epsilon=0.3, alpha=0.5, minimum_epsilon=0.3)
+        assert schedule.is_exploiting
+        schedule.update(reward=1.0, confirmed=True)
+        assert schedule.is_exploiting and schedule.epsilon == 0.3
+        schedule.reset()
+        assert schedule.is_exploiting
+
+    def test_zero_epsilon_exploits_from_the_start(self):
+        schedule = EpsilonSchedule(initial_epsilon=0.0, alpha=0.5, minimum_epsilon=0.0)
+        assert schedule.is_exploiting
+        assert not schedule.should_explore(random.Random(0))
+
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ConfigurationError):
             EpsilonSchedule(initial_epsilon=1.5)

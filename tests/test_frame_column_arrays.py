@@ -1,4 +1,5 @@
-"""Float frame columns held as ``array('d')`` from engine to store and back.
+"""Float frame columns held as ``array('d')``, and ``index`` as a ``range``,
+from engine to store and back.
 
 :func:`repro.sim.epoch.float_column` is the one rule for a float column's
 type: an ``array('d')`` (8 bytes per value) exactly when the column is
@@ -8,7 +9,9 @@ reload hold their float columns that way; a column that does not qualify
 writes the same line bytes as before arrays existed; equality and
 pickling do not depend on the representation; and
 :meth:`SimulationResult.window` slices columns instead of building
-records.
+records.  :func:`repro.sim.epoch.index_column` is the rule for ``index``:
+a ``range`` exactly when the values are the ints 0, 1, 2, ..., else a
+list whose values keep their types.
 """
 
 from __future__ import annotations
@@ -30,7 +33,13 @@ from repro.governors.ondemand import OndemandGovernor
 from repro.governors.oracle import OracleGovernor
 from repro.platform.odroid_xu3 import build_a15_cluster
 from repro.sim.engine import SimulationConfig, SimulationEngine
-from repro.sim.epoch import FLOAT_COLUMN_NAMES, FRAME_COLUMN_NAMES, FrameRecord, float_column
+from repro.sim.epoch import (
+    FLOAT_COLUMN_NAMES,
+    FRAME_COLUMN_NAMES,
+    FrameRecord,
+    float_column,
+    index_column,
+)
 from repro.sim.results import SimulationResult
 from repro.workload.video import mpeg4_application
 
@@ -56,7 +65,8 @@ def assert_array_columns(result: SimulationResult) -> None:
     for name in FLOAT_COLUMN_NAMES:
         column = getattr(columns, name)
         assert type(column) is array and column.typecode == "d", name
-    for name in ("index", "operating_index", "cycles_per_core", "explored"):
+    assert columns.index == range(result.num_frames)
+    for name in ("operating_index", "cycles_per_core", "explored"):
         assert type(getattr(columns, name)) is list, name
 
 
@@ -85,6 +95,25 @@ class TestFloatColumnRule:
     )
     def test_anything_else_stays_a_list(self, values):
         column = float_column(values)
+        assert type(column) is list and column == list(values)
+        assert [type(value) for value in column] == [type(value) for value in values]
+
+
+class TestIndexColumnRule:
+    @pytest.mark.parametrize(
+        "values", [[0, 1, 2], (0, 1, 2), range(3), [], [0]], ids=repr
+    )
+    def test_frame_numbers_from_zero_become_a_range(self, values):
+        assert index_column(values) == range(len(values))
+        assert type(index_column(values)) is range
+
+    @pytest.mark.parametrize(
+        "values",
+        [[1, 2], [0, 2], [2, 1, 0], range(1, 3), [0, 1.0, 2], [0, 1, 2.0], [False, 1], [0, True]],
+        ids=repr,
+    )
+    def test_anything_else_stays_a_list(self, values):
+        column = index_column(values)
         assert type(column) is list and column == list(values)
         assert [type(value) for value in column] == [type(value) for value in values]
 
@@ -272,3 +301,34 @@ class TestMemory:
             tracemalloc.stop()
         values = len(FLOAT_COLUMN_NAMES) * 3000
         assert 8 * values <= freed <= 8 * values + 128 * len(FLOAT_COLUMN_NAMES)
+
+    @pytest.mark.parametrize("reload", [False, True], ids=["engine", "reload"])
+    def test_index_column_retains_a_constant_size(self, tmp_path, reload):
+        """A 3000-frame result's ``index`` is ``range(3000)``, engine-built or
+        reloaded: it retains a range object and its stop, where a list of
+        the frame numbers retained 105 KiB (a slot per frame plus a boxed
+        ``int`` for each value above 256)."""
+        result = run(OndemandGovernor(), "tablepath", num_frames=3000)
+        if reload:
+            store = CampaignResult(campaign_name="arrays")
+            store.add(outcome_of(result))
+            path = str(tmp_path / "arrays.store")
+            result_store.save_store(store, path, result_store.ENCODING_JSONL)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            if reload:
+                (outcome,) = result_store.load_store(path, lazy=False)
+                result = outcome.result
+            else:
+                result = run(OndemandGovernor(), "tablepath", num_frames=3000)
+            columns = result.columns
+            assert columns.index == range(3000)
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            columns.index = None
+            gc.collect()
+            freed = before - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert 0 < freed < 256

@@ -149,6 +149,100 @@ class TestEpsilonScheduleProperties:
             assert 0.02 - 1e-12 <= current <= 0.9 + 1e-12
             previous = current
 
+    @given(
+        initial=st.floats(0.0, 1.0, allow_nan=False),
+        floor_share=st.floats(0.0, 1.0, allow_nan=False),
+        alpha=st.floats(0.05, 3.0, allow_nan=False),
+        operations=st.lists(
+            st.one_of(
+                st.none(),
+                st.tuples(st.floats(-1.0, 1.0, allow_nan=False), st.booleans()),
+            ),
+            max_size=60,
+        ),
+        any_reward=st.booleans(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_stored_exploiting_flag_tracks_epsilon(
+        self, initial, floor_share, alpha, operations, any_reward
+    ):
+        """Through construction, ``update`` and ``reset`` (``None``), the
+        stored flag equals ``epsilon <= minimum_epsilon``; a floor share of
+        1 makes the floor the initial value."""
+        schedule = EpsilonSchedule(
+            initial_epsilon=initial,
+            alpha=alpha,
+            minimum_epsilon=initial * floor_share,
+            decay_on_any_reward=any_reward,
+        )
+        assert schedule.is_exploiting == (schedule.epsilon <= schedule.minimum_epsilon)
+        for operation in operations:
+            if operation is None:
+                schedule.reset()
+            else:
+                schedule.update(*operation)
+            assert schedule.is_exploiting == (schedule.epsilon <= schedule.minimum_epsilon)
+
+
+def _bits(rows):
+    """Rows of floats as hex strings, so ``-0.0`` and ``0.0`` differ."""
+    return [[value.hex() for value in row] for row in rows]
+
+
+class TestBootstrapProperties:
+    """``QLearningAgent.update`` bootstraps from the next row's memoised
+    greedy cell; every new Q-value is bit-identical to a ``max(row)``
+    bootstrap.  Values come from a few levels, both zeros among them, so
+    ties (signed-zero ties too) are common.  Rewards exclude ``-0.0``,
+    which :func:`compute_reward` never returns (see below): that is the
+    one reward for which the sign of a zero bootstrap would show."""
+
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.integers(0, 2),
+                st.integers(0, 4),
+                st.sampled_from((-1.0, -0.5, 0.0, -0.0, 0.5, 1.0)),
+                st.integers(0, 2),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=80,
+        ),
+        learning_rate=st.sampled_from((1.0, 0.5, 0.25)),
+        discount=st.sampled_from((0.0, 0.4, 0.5)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_update_equals_a_max_bootstrap(self, steps, learning_rate, discount):
+        agent = QLearningAgent(
+            num_states=3,
+            num_actions=5,
+            action_frequencies_hz=FREQUENCIES[:5],
+            parameters=QLearningParameters(learning_rate=learning_rate, discount=discount),
+        )
+        reference = [[0.0] * 5 for _ in range(3)]
+        for state, action, value, next_state, overwrite in steps:
+            if overwrite:
+                agent.qtable.set(state, action, value)
+                reference[state][action] = value
+                continue
+            reward = 0.0 if value.hex() == (-0.0).hex() else value
+            target = reward + discount * max(reference[next_state])
+            expected = (1.0 - learning_rate) * reference[state][action] + learning_rate * target
+            reference[state][action] = expected
+            assert agent.update(state, action, reward, next_state).hex() == expected.hex()
+        assert _bits(agent.qtable._values) == _bits(reference)
+
+    @given(
+        average=st.floats(-2.0, 2.0, allow_nan=False),
+        delta=st.floats(-2.0, 2.0, allow_nan=False),
+        instantaneous=st.one_of(st.none(), st.floats(-2.0, 2.0, allow_nan=False)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_compute_reward_never_returns_negative_zero(self, average, delta, instantaneous):
+        reward = compute_reward(average, delta, instantaneous_slack=instantaneous)
+        assert reward.hex() != (-0.0).hex()
+
 
 class TestRewardProperties:
     @given(slack=slacks, delta=st.floats(-0.5, 0.5, allow_nan=False))

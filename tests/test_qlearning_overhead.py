@@ -65,8 +65,11 @@ class TestQLearningAgent:
         action, explored = agent.select_action(state=0, slack=0.3)
         assert explored
         assert agent.exploration_draws == 1
-        # Force the schedule to the floor and confirm greedy selection.
-        agent.epsilon_schedule._epsilon = agent.epsilon_schedule.minimum_epsilon
+        # Force the schedule to the floor (ε and its stored flag, as an
+        # external writer of ε must) and confirm greedy selection.
+        schedule = agent.epsilon_schedule
+        schedule._epsilon = schedule.minimum_epsilon
+        schedule.is_exploiting = True
         agent.qtable.set(0, 4, 5.0)
         action, explored = agent.select_action(state=0, slack=0.3)
         assert not explored
@@ -171,6 +174,78 @@ class TestCachedArgmax:
                     table.row(row_index)
                 )
         assert all(count > 0 for count in seen.values()), seen
+
+
+def _bootstrap_agent(learning_rate: float = 1.0, discount: float = 0.5) -> QLearningAgent:
+    return QLearningAgent(
+        num_states=3,
+        num_actions=5,
+        action_frequencies_hz=FREQUENCIES[:5],
+        parameters=QLearningParameters(learning_rate=learning_rate, discount=discount),
+    )
+
+
+def _max_bootstrap_value(agent: QLearningAgent, state, action, reward, next_state) -> float:
+    """The new Q-value of eq. (3) with the bootstrap read as ``max(row)``."""
+    parameters = agent.parameters
+    target = reward + parameters.discount * max(agent.qtable.row(next_state))
+    old_value = agent.qtable.get(state, action)
+    return (1.0 - parameters.learning_rate) * old_value + parameters.learning_rate * target
+
+
+class TestGreedyBootstrap:
+    """``update`` bootstraps from the next row's greedy cell, which holds ``max(row)``.
+
+    Each case compares the float bit for bit (``float.hex`` tells the two
+    zeros apart) with the value a ``max(row)`` bootstrap gives.
+    """
+
+    @pytest.mark.parametrize(
+        "next_row",
+        [
+            (1.0, 3.0, 3.0, 2.0, -1.0),
+            (3.0, 3.0, 3.0, 3.0, 3.0),
+            (-2.0, -1.0, -1.0, -1.5, -1.0),
+            (0.0, -0.0, -1.0, 0.0, -0.0),
+        ],
+        ids=["inner-tie", "all-equal", "negative-tie", "signed-zero-tie"],
+    )
+    def test_rows_with_ties(self, next_row):
+        agent = _bootstrap_agent()
+        for action, value in enumerate(next_row):
+            agent.qtable.set(2, action, value)
+        agent.qtable.best_action(2)  # memoise the highest-index argmax
+        assert agent.qtable._best_action_cache[2] >= 0
+        for reward in (0.75, -0.25, 0.0):
+            expected = _max_bootstrap_value(agent, 0, 1, reward, 2)
+            assert agent.update(0, 1, reward, 2).hex() == expected.hex()
+
+    def test_an_unknown_cache_entry_is_scanned(self):
+        agent = _bootstrap_agent()
+        agent.qtable.set(1, 0, 4.0)
+        agent.qtable.set(1, 3, 4.0)
+        assert agent.qtable._best_action_cache[1] == -1
+        expected = _max_bootstrap_value(agent, 0, 2, 1.0, 1)
+        assert agent.update(0, 2, 1.0, 1).hex() == expected.hex()
+        assert agent.qtable._best_action_cache[1] == 3
+
+    def test_after_set_lowers_the_greedy_cell(self):
+        agent = _bootstrap_agent()
+        agent.qtable.set(1, 4, 5.0)
+        agent.update(0, 0, 1.0, 1)  # memoises action 4 of row 1
+        assert agent.qtable._best_action_cache[1] == 4
+        agent.qtable.set(1, 4, -5.0)  # the memoised cell is no longer the maximum
+        agent.qtable.set(1, 2, 0.5)
+        expected = _max_bootstrap_value(agent, 0, 0, 1.0, 1)
+        assert agent.update(0, 0, 1.0, 1).hex() == expected.hex()
+        assert expected == 1.0 + 0.5 * 0.5
+
+    def test_self_loop_reads_the_row_before_the_write(self):
+        agent = _bootstrap_agent(learning_rate=0.5, discount=0.4)
+        agent.qtable.set(0, 3, 2.0)
+        expected = _max_bootstrap_value(agent, 0, 3, 1.0, 0)
+        assert agent.update(0, 3, 1.0, 0).hex() == expected.hex()
+        assert expected == 0.5 * 2.0 + 0.5 * (1.0 + 0.4 * 2.0)
 
 
 class TestOverheadModel:
