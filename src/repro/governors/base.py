@@ -71,4 +71,7 @@ def observed_load(observation: EpochObservation) -> float:
     if observation.interval_s <= 0:
         return 0.0
     load = observation.busy_time_s / observation.interval_s
-    return max(0.0, min(1.0, load))
+    # max(0.0, min(1.0, load)) as two comparisons, NaN and -0.0 included.
+    if not load < 1.0:
+        return 1.0
+    return load if load > 0.0 else 0.0

@@ -82,7 +82,11 @@ class MultiCoreDVFSParameters:
 
 
 class MultiCoreDVFSGovernor(Governor):
-    """Per-core learning-table DVFS controller with a conservative utilisation target."""
+    """Per-core learning-table DVFS controller with a conservative utilisation target.
+
+    ``exploration_count`` counts the epochs in which at least one core's
+    bin was still unlearnt.
+    """
 
     name = "multicore-dvfs"
 
@@ -96,7 +100,7 @@ class MultiCoreDVFSGovernor(Governor):
         self._frequency_tables: List[List[Optional[float]]] = []
         self._visit_counts: List[List[int]] = []
         self._round_robin_core = 0
-        self._exploration_count = 0
+        self.exploration_count = 0
         self._convergence = ConvergenceDetector(window=20)
         self.processing_overhead_s = 0.0
 
@@ -111,16 +115,11 @@ class MultiCoreDVFSGovernor(Governor):
         ]
         self._visit_counts = [[0] * p.workload_bins for _ in range(platform.num_cores)]
         self._round_robin_core = 0
-        self._exploration_count = 0
+        self.exploration_count = 0
         self._convergence = ConvergenceDetector(window=20)
         self.processing_overhead_s = 0.0
 
     # -- reporting ----------------------------------------------------------------------
-    @property
-    def exploration_count(self) -> int:
-        """Epochs in which at least one core's bin was still unlearnt."""
-        return self._exploration_count
-
     @property
     def converged_epoch(self) -> Optional[int]:
         """Epoch at which the selected operating point settled (Table III quantity)."""
@@ -197,7 +196,7 @@ class MultiCoreDVFSGovernor(Governor):
                 required_frequencies.append(learnt)
 
         if still_learning:
-            self._exploration_count += 1
+            self.exploration_count += 1
 
         # The shared V-F domain must satisfy the most demanding core, with the
         # controller's safety margin on top; a deadline miss in the previous

@@ -82,7 +82,8 @@ class PowerSensor:
             measured += self._rng.gauss(0.0, self.noise_stddev_w)
         if self.resolution_w > 0:
             measured = round(measured / self.resolution_w) * self.resolution_w
-        measured = max(0.0, measured)
+        if not measured > 0.0:  # max(0.0, measured), -0.0 and NaN included
+            measured = 0.0
         self._last_time_s = timestamp_s
         self._last_power_w = measured
         return measured

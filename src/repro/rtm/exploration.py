@@ -87,6 +87,12 @@ class ExponentialPolicy(ActionSelectionPolicy):
     beta:
         Sensitivity of the distribution to the slack; larger values
         concentrate the draw more sharply.
+
+    The exponent ``-beta * (f / f_max) * slack`` evaluates left to right,
+    so its slack-free prefix ``-beta * (f / f_max)`` is computed once and
+    kept with the ``beta`` and a copy of the frequency list it came from: a
+    call with the same ``beta`` and an equal list reuses it, and every
+    weight is bit-identical to the whole expression's.
     """
 
     name = "epd"
@@ -95,18 +101,25 @@ class ExponentialPolicy(ActionSelectionPolicy):
         if beta < 0:
             raise ConfigurationError(f"beta must be non-negative, got {beta}")
         self.beta = beta
+        self._exponent_beta = beta
+        self._exponent_frequencies: List[float] = []
+        self._exponents: List[float] = []
 
     def probabilities(self, num_actions: int, frequencies_hz: Sequence[float], slack: float) -> List[float]:
         if num_actions < 1:
             raise ConfigurationError("num_actions must be >= 1")
         if len(frequencies_hz) != num_actions:
             raise ConfigurationError("frequencies_hz must have one entry per action")
-        f_max = max(frequencies_hz)
-        if f_max <= 0:
-            raise ConfigurationError("frequencies must be positive")
-        weights = [
-            math.exp(-self.beta * (f / f_max) * slack) for f in frequencies_hz
-        ]
+        beta = self.beta
+        if frequencies_hz != self._exponent_frequencies or beta != self._exponent_beta:
+            f_max = max(frequencies_hz)
+            if f_max <= 0:
+                raise ConfigurationError("frequencies must be positive")
+            self._exponents = [-beta * (f / f_max) for f in frequencies_hz]
+            self._exponent_beta = beta
+            self._exponent_frequencies = list(frequencies_hz)
+        exp = math.exp
+        weights = [exp(exponent * slack) for exponent in self._exponents]
         total = left_sum(weights)
         return [w / total for w in weights]
 

@@ -102,23 +102,6 @@ class EpochObservation:
     throttle_events: int = 0
 
     @property
-    def max_cycles(self) -> float:
-        """Largest per-core busy cycle count (the epoch's critical-path workload)."""
-        return max(self.cycles_per_core)
-
-    @property
-    def total_cycles(self) -> float:
-        """Total busy cycles summed over all cores."""
-        return sum(self.cycles_per_core)
-
-    @property
-    def instantaneous_slack(self) -> float:
-        """Per-epoch slack ratio ``(Tref - T_i) / Tref`` (positive = finished early)."""
-        if self.reference_time_s <= 0:
-            return 0.0
-        return (self.reference_time_s - self.busy_time_s) / self.reference_time_s
-
-    @property
     def met_deadline(self) -> bool:
         """True when the frame finished within its reference time."""
         return self.busy_time_s <= self.reference_time_s + 1e-12
@@ -222,30 +205,13 @@ class Governor(ABC):
         return None
 
     # -- optional reporting hooks -------------------------------------------------
-    @property
-    def exploration_count(self) -> int:
-        """Number of explorative decisions taken so far (0 for non-learning governors)."""
-        return 0
-
-    @property
-    def exploration_frozen(self) -> bool:
-        """True once :attr:`exploration_count` can no longer change.
-
-        Engines poll ``exploration_count`` after every ``decide()`` to flag
-        explorative epochs in the per-frame records; once this property
-        returns True they stop polling for the rest of the run, which takes
-        the property-chain read out of the hot loop.  Frozen-ness must be
-        monotonic within a run.
-
-        The base implementation is safe by construction: it returns True
-        exactly when the governor still uses the base
-        :attr:`exploration_count` (pinned at 0), so a learning governor that
-        overrides the count without overriding this probe is simply polled
-        every frame.  Learning governors may override it to return True once
-        their exploration phase has ended for good (see
-        :class:`~repro.rtm.rl_governor.RLGovernor`).
-        """
-        return type(self).exploration_count is Governor.exploration_count
+    #: Number of explorative decisions taken so far.  A plain attribute,
+    #: like ``processing_overhead_s``: non-learning governors keep this
+    #: class default of 0, learning governors write their count on the
+    #: instance in every ``decide()``.  The closed-loop engines read it
+    #: once per frame, right after ``decide()``, and flag the frame as
+    #: explored when it grew.
+    exploration_count: int = 0
 
     @property
     def converged_epoch(self) -> Optional[int]:

@@ -19,9 +19,15 @@ predicted workload defines the state being learnt.
 Only the state's workload differs from the single-agent learner, so
 :class:`MultiCoreRLGovernor` inherits ``RLGovernor.setup`` and
 ``RLGovernor.decide`` and overrides their three workload hooks:
-``_setup_predictors`` (one predictor per core, no cluster-wide one),
+``_setup_predictors`` (one EWMA per core, no cluster-wide one),
 ``_initial_workload`` (an even share per core) and ``_observe_workload``
 (per-core prediction, rotation and normalisation).
+
+The per-core predictors are one :class:`~repro.rtm.prediction.EWMAVectorPredictor`:
+every epoch updates all cores' eq.-1 states in one expression and appends
+one row to two flat history columns.  :attr:`MultiCoreRLGovernor.core_predictors`
+reads each core back as its own predictor would hold it (the Fig. 3
+probe's records and misprediction statistics), bit for bit.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from typing import List, Optional
 
 from repro.errors import ConfigurationError
 from repro.rtm.governor import EpochObservation, PlatformInfo
-from repro.rtm.prediction import EWMAPredictor, WorkloadPredictor
+from repro.rtm.prediction import CorePredictorView, EWMAVectorPredictor
 from repro.rtm.rl_governor import RLGovernor, RLGovernorConfig
 from repro.rtm.state import StateSpace, WorkloadNormalisation
 
@@ -42,18 +48,18 @@ class MultiCoreRLGovernor(RLGovernor):
 
     def __init__(self, config: Optional[RLGovernorConfig] = None) -> None:
         super().__init__(config)
-        self._core_predictors: List[WorkloadPredictor] = []
+        self._core_prediction: Optional[EWMAVectorPredictor] = None
         self._round_robin_core = 0
 
     # -- lifecycle ---------------------------------------------------------------------
     def _setup_predictors(self, platform: PlatformInfo) -> None:
-        """One predictor per core, and the round robin restarts at core 0.
+        """One EWMA per core, and the round robin restarts at core 0.
 
         No cluster-wide predictor is built, so :attr:`predictor` raises.
         """
-        self._core_predictors = [
-            EWMAPredictor(gamma=self.config.ewma_gamma) for _ in range(platform.num_cores)
-        ]
+        self._core_prediction = EWMAVectorPredictor(
+            platform.num_cores, gamma=self.config.ewma_gamma
+        )
         self._round_robin_core = 0
 
     def _make_state_space(self) -> StateSpace:
@@ -79,11 +85,12 @@ class MultiCoreRLGovernor(RLGovernor):
 
     # -- introspection ---------------------------------------------------------------------
     @property
-    def core_predictors(self) -> List[WorkloadPredictor]:
+    def core_predictors(self) -> List[CorePredictorView]:
         """Per-core workload predictors (raises before setup)."""
-        if not self._core_predictors:
+        prediction = self._core_prediction
+        if prediction is None:
             raise ConfigurationError("MultiCoreRLGovernor used before setup()")
-        return self._core_predictors
+        return [prediction.core(core) for core in range(prediction.num_cores)]
 
     @property
     def round_robin_core(self) -> int:
@@ -104,13 +111,12 @@ class MultiCoreRLGovernor(RLGovernor):
         mapped onto the application's characterised workload range.
         """
         cycles = previous.cycles_per_core
-        predictors = self._core_predictors
-        num_cores = len(predictors)
-        if len(cycles) != num_cores:  # missing cores read as idle; extra ones are ignored
-            cycles = (tuple(cycles) + (0.0,) * num_cores)[:num_cores]
-        predictions = [
-            predictor.observe(core_cycles) for predictor, core_cycles in zip(predictors, cycles)
-        ]
+        prediction = self._core_prediction
+        num_cores = prediction.num_cores
+        if len(cycles) == num_cores:
+            predictions = prediction.observe(cycles)
+        else:  # missing cores read as idle; extra ones are ignored
+            predictions = prediction.observe((tuple(cycles) + (0.0,) * num_cores)[:num_cores])
         focus_core = self._round_robin_core
         self._round_robin_core = (focus_core + 1) % num_cores
         if self.config.use_total_share_normalisation:
@@ -120,7 +126,7 @@ class MultiCoreRLGovernor(RLGovernor):
                 all_core_predictions=predictions,
             )
         range_tracker = self._range_tracker
-        range_tracker.observe(previous.max_cycles)
+        range_tracker.observe(max(cycles))
         return range_tracker.normalise(max(predictions))
 
     def describe(self) -> str:

@@ -17,13 +17,18 @@ allocation.  :attr:`WorkloadPredictor.records` builds the
 :class:`PredictionRecord` view only when it is read, and
 :meth:`WorkloadPredictor.misprediction_stats` reads the columns directly,
 with the same arithmetic as :func:`summarize_mispredictions`.
+
+The many-core learner predicts every core at once with
+:class:`EWMAVectorPredictor`: eq. 1 over all cores in one expression, its
+history in two flat columns, and a :class:`CorePredictorView` per core that
+reads back exactly what one :class:`EWMAPredictor` per core would hold.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro._compat import SLOTS, left_sum
 from repro.errors import ConfigurationError
@@ -98,6 +103,28 @@ def _summarize(predicted: Sequence[float], actual: Sequence[float]) -> Mispredic
     )
 
 
+def _records(predicted: Sequence[float], actual: Sequence[float]) -> List[PredictionRecord]:
+    """The records of paired history columns; entry ``i`` is epoch ``i + 1``."""
+    return [
+        PredictionRecord(epoch_index=index, predicted=p, actual=a)
+        for index, (p, a) in enumerate(zip(predicted, actual), start=1)
+    ]
+
+
+def _window_stats(
+    predicted: Sequence[float],
+    actual: Sequence[float],
+    first_epoch: int,
+    last_epoch: Optional[int],
+) -> MispredictionStats:
+    """Misprediction statistics of paired history columns over ``[first_epoch, last_epoch)``."""
+    # Entry i holds epoch i + 1, so the window is one slice of each column.
+    count = len(actual)
+    start = max(first_epoch - 1, 0)
+    stop = count if last_epoch is None else max(min(last_epoch - 1, count), start)
+    return _summarize(predicted[start:stop], actual[start:stop])
+
+
 class WorkloadPredictor:
     """Predicts the next epoch's workload from the history of observed workloads.
 
@@ -117,7 +144,9 @@ class WorkloadPredictor:
 
         The step :meth:`observe` calls after recording the finished epoch.
         A predictor implements it, or overrides :meth:`observe` whole as
-        :class:`EWMAPredictor` does, whose ``observe`` is eq. 1's only home.
+        :class:`EWMAPredictor` does, whose ``observe`` is eq. 1's home for
+        one workload (:class:`EWMAVectorPredictor` is its home for one per
+        core).
         """
         raise NotImplementedError(f"{type(self).__name__} does not predict")
 
@@ -144,22 +173,13 @@ class WorkloadPredictor:
     @property
     def records(self) -> List[PredictionRecord]:
         """All predicted/actual pairs recorded so far, built from the columns."""
-        return [
-            PredictionRecord(epoch_index=index, predicted=predicted, actual=actual)
-            for index, (predicted, actual) in enumerate(
-                zip(self._predicted, self._actual), start=1
-            )
-        ]
+        return _records(self._predicted, self._actual)
 
     def misprediction_stats(
         self, first_epoch: int = 0, last_epoch: Optional[int] = None
     ) -> MispredictionStats:
         """Misprediction statistics restricted to ``[first_epoch, last_epoch)``."""
-        # Entry i holds epoch i + 1, so the window is one slice of each column.
-        count = len(self._actual)
-        start = max(first_epoch - 1, 0)
-        stop = count if last_epoch is None else max(min(last_epoch - 1, count), start)
-        return _summarize(self._predicted[start:stop], self._actual[start:stop])
+        return _window_stats(self._predicted, self._actual, first_epoch, last_epoch)
 
     def reset(self) -> None:
         """Forget all history."""
@@ -212,6 +232,133 @@ class EWMAPredictor(WorkloadPredictor):
     def reset(self) -> None:
         super().reset()
         self._state = None
+
+
+class EWMAVectorPredictor:
+    """Eq. 1 for every core at once: one :class:`EWMAPredictor` per core, vectorised.
+
+    :meth:`observe` takes one workload per core and updates every core's
+    state with ``gamma * actual + (1 - gamma) * state`` in one expression,
+    the operations :meth:`EWMAPredictor.observe` performs per core, so
+    each core's predictions are bit-identical to its own predictor's.
+
+    The history is two flat ``array('d')`` columns of ``num_cores``-wide
+    rows, one row per epoch that scored a prediction: row ``r`` holds each
+    core's prediction for that epoch and the workload observed in it.  A
+    core's history is every ``num_cores``-th entry from its first row on;
+    :meth:`core` returns a :class:`CorePredictorView` reading it back as
+    the core's own predictor would hold it.
+
+    A core observed for the first time (after construction or its view's
+    ``reset``) starts its state at the observed value and scores nothing;
+    when other cores do score that epoch its slot in the row is a
+    placeholder outside its history, which starts at the next row.  The
+    learner builds a new vector at every ``setup``, so there is no
+    whole-vector reset.
+    """
+
+    def __init__(self, num_cores: int, gamma: float = 0.6) -> None:
+        if num_cores < 1:
+            raise ConfigurationError(f"num_cores must be >= 1, got {num_cores}")
+        if not 0.0 < gamma <= 1.0:
+            raise ConfigurationError(f"EWMA gamma must lie in (0, 1], got {gamma}")
+        self.num_cores = num_cores
+        self.gamma = gamma
+        self._one_minus_gamma = 1.0 - gamma
+        self._predicted = array("d")
+        self._actual = array("d")
+        self._state: List[float] = [0.0] * num_cores
+        self._first_row = [0] * num_cores
+        #: Cores whose next observation is their first one.
+        self._fresh = set(range(num_cores))
+
+    def observe(self, actuals: Sequence[float]) -> List[float]:
+        """Record each core's observed workload and return every core's next prediction.
+
+        ``actuals`` holds one non-negative workload per core.  The returned
+        list is the predictor's state; it is replaced, never modified, by
+        the next call.
+        """
+        if len(actuals) != self.num_cores:
+            raise ValueError(f"expected {self.num_cores} workloads, got {len(actuals)}")
+        if min(actuals) < 0:
+            raise ValueError(f"observed workloads must be non-negative, got {actuals}")
+        if self._fresh:
+            return self._observe_first(actuals)
+        state = self._state
+        # fromlist copies a list in one pass; extend would iterate it.
+        self._predicted.fromlist(state)
+        self._actual.fromlist(list(actuals))
+        gamma = self.gamma
+        one_minus_gamma = self._one_minus_gamma
+        state = self._state = [
+            gamma * actual + one_minus_gamma * last for actual, last in zip(actuals, state)
+        ]
+        return state
+
+    def _observe_first(self, actuals: Sequence[float]) -> List[float]:
+        """:meth:`observe` for an epoch in which some core is observed for the first time."""
+        fresh = self._fresh
+        width = self.num_cores
+        if len(fresh) < width:
+            self._predicted.fromlist(self._state)
+            self._actual.fromlist(list(actuals))
+        rows = len(self._actual) // width
+        gamma = self.gamma
+        one_minus_gamma = self._one_minus_gamma
+        state = []
+        for core, (actual, last) in enumerate(zip(actuals, self._state)):
+            if core in fresh:
+                state.append(actual)
+                self._first_row[core] = rows
+            else:
+                state.append(gamma * actual + one_minus_gamma * last)
+        fresh.clear()
+        self._state = state
+        return state
+
+    def core(self, core: int) -> "CorePredictorView":
+        """The history of one core, as its own predictor holds it."""
+        if not 0 <= core < self.num_cores:
+            raise IndexError(f"core {core} out of range 0..{self.num_cores - 1}")
+        return CorePredictorView(self, core)
+
+
+class CorePredictorView:
+    """One core of an :class:`EWMAVectorPredictor`, read like its own :class:`EWMAPredictor`.
+
+    ``records``, ``misprediction_stats`` and ``reset`` behave exactly as on
+    an EWMA predictor that had observed that core's workloads; observing
+    goes through the vector, one row for all cores.
+    """
+
+    def __init__(self, vector: EWMAVectorPredictor, core: int) -> None:
+        self._vector = vector
+        self.core = core
+
+    def _columns(self) -> Tuple[array, array]:
+        vector = self._vector
+        width = vector.num_cores
+        start = vector._first_row[self.core] * width + self.core
+        return vector._predicted[start::width], vector._actual[start::width]
+
+    @property
+    def records(self) -> List[PredictionRecord]:
+        """The core's predicted/actual pairs so far, built from the vector's columns."""
+        return _records(*self._columns())
+
+    def misprediction_stats(
+        self, first_epoch: int = 0, last_epoch: Optional[int] = None
+    ) -> MispredictionStats:
+        """The core's misprediction statistics over ``[first_epoch, last_epoch)``."""
+        predicted, actual = self._columns()
+        return _window_stats(predicted, actual, first_epoch, last_epoch)
+
+    def reset(self) -> None:
+        """Forget this core's history and state; the other cores keep theirs."""
+        vector = self._vector
+        vector._first_row[self.core] = len(vector._actual) // vector.num_cores
+        vector._fresh.add(self.core)
 
 
 class LastValuePredictor(WorkloadPredictor):

@@ -77,7 +77,23 @@ class QLearningParameters:
 
 
 class QLearningAgent:
-    """Tabular Q-learning with pluggable exploration policy."""
+    """Tabular Q-learning with pluggable exploration policy.
+
+    Two per-epoch reads are plain attributes that the learning calls keep
+    current, so a governor reads each at the cost of an attribute load
+    (code that writes the agent's state from outside, the jitpath
+    write-back, sets them too):
+
+    ``exploration_phase_length``
+        Number of decision epochs spent in the exploration phase, the
+        paper's learning period: the epochs before the ε schedule has
+        decayed to its floor and the RTM switches to pure exploitation.
+        While the phase is still running it counts every
+        :meth:`select_action` so far.
+    ``last_update_changed_policy``
+        True if the most recent :meth:`update` changed its state's greedy
+        action.
+    """
 
     def __init__(
         self,
@@ -107,7 +123,8 @@ class QLearningAgent:
         self._update_count = 0
         self._selection_count = 0
         self._exploitation_start: Optional[int] = None
-        self._last_update_changed_policy = False
+        self.exploration_phase_length = 0
+        self.last_update_changed_policy = False
 
     # -- statistics -----------------------------------------------------------------
     @property
@@ -116,37 +133,14 @@ class QLearningAgent:
         return self._exploration_draws
 
     @property
-    def exploration_phase_length(self) -> int:
-        """Number of decision epochs spent in the exploration phase.
-
-        The exploration phase is the paper's learning period: the epochs
-        before the ε schedule has decayed to its floor and the RTM switches
-        to pure exploitation.  While the phase is still running this returns
-        the number of epochs elapsed so far.
-        """
-        if self._exploitation_start is None:
-            return self._selection_count
-        return self._exploitation_start
-
-    @property
     def update_count(self) -> int:
         """Number of Bellman updates applied so far."""
         return self._update_count
 
     @property
-    def last_update_changed_policy(self) -> bool:
-        """True if the most recent Bellman update changed its state's greedy action."""
-        return self._last_update_changed_policy
-
-    @property
     def epsilon(self) -> float:
         """Current exploration probability."""
         return self.epsilon_schedule.epsilon
-
-    @property
-    def is_exploiting(self) -> bool:
-        """True once the ε schedule has fully decayed."""
-        return self.epsilon_schedule.is_exploiting
 
     # -- learning -----------------------------------------------------------------------
     def update(
@@ -180,15 +174,23 @@ class QLearningAgent:
         qtable = self.qtable
         values = qtable._values
         row = values[state]
-        greedy_before = qtable._greedy(state)
+        # Greedy reads on this path take the memoised argmax from the list,
+        # or a scan that memoises it (QTable.best_action without the call
+        # and its range check).
+        best_action_cache = qtable._best_action_cache
+        greedy_before = best_action_cache[state]
+        if greedy_before < 0:
+            greedy_before = qtable._scan_best_action(state)
         # The bootstrap maximum is read before the write (state may be
         # next_state), from the next row's memoised argmax: that cell holds
         # a value equal to max(row).  The two reads can differ only in the
         # sign of a zero maximum, and reward + discount * (+-0.0) is the same
         # float for every reward but -0.0, which compute_reward never
         # returns with positive weights; so every target is bit-identical.
-        next_row = values[next_state]
-        target = reward + self.parameters.discount * next_row[qtable._greedy(next_state)]
+        next_greedy = best_action_cache[next_state]
+        if next_greedy < 0:
+            next_greedy = qtable._scan_best_action(next_state)
+        target = reward + self.parameters.discount * values[next_state][next_greedy]
         learning_rate = self.parameters.learning_rate
         old_value = row[action]
         new_value = (1.0 - learning_rate) * old_value + learning_rate * target
@@ -200,14 +202,14 @@ class QLearningAgent:
         if action != greedy_before:
             best_value = row[greedy_before]
             if new_value > best_value or (new_value == best_value and action > greedy_before):
-                greedy_after = qtable._best_action_cache[state] = action
+                greedy_after = best_action_cache[state] = action
         elif new_value < old_value:
             greedy_after = qtable._scan_best_action(state)
-        self._last_update_changed_policy = greedy_after != greedy_before
+        self.last_update_changed_policy = greedy_after != greedy_before
         self._update_count += 1
         self.epsilon_schedule.update(
             reward if progress_reward is None else progress_reward,
-            confirmed=abs(action - greedy_before) <= 1,
+            -1 <= action - greedy_before <= 1,
         )
         return new_value
 
@@ -220,8 +222,11 @@ class QLearningAgent:
         Q-table lookup (the row's memoised argmax).
         """
         schedule = self.epsilon_schedule
-        if self._exploitation_start is None and schedule.is_exploiting:
-            self._exploitation_start = self._selection_count
+        if self._exploitation_start is None:
+            if schedule.is_exploiting:
+                self._exploitation_start = self._selection_count
+            else:
+                self.exploration_phase_length = self._selection_count + 1
         self._selection_count += 1
         qtable = self.qtable
         explore = schedule.should_explore(self._rng)
@@ -231,7 +236,9 @@ class QLearningAgent:
             )
             self._exploration_draws += 1
         else:
-            action = qtable._greedy(state)
+            action = qtable._best_action_cache[state]
+            if action < 0:
+                action = qtable._scan_best_action(state)
         # QTable.record_visit's increment, inline: the method call's range
         # check adds about 0.1 us to every decide() of the replay benchmark.
         qtable._visit_counts[state][action] += 1
@@ -253,4 +260,5 @@ class QLearningAgent:
         self._update_count = 0
         self._selection_count = 0
         self._exploitation_start = None
-        self._last_update_changed_policy = False
+        self.exploration_phase_length = 0
+        self.last_update_changed_policy = False

@@ -82,10 +82,6 @@ class QTable:
         The result is memoised until the row is next written.
         """
         self._check(state)
-        return self._greedy(state)
-
-    def _greedy(self, state: int) -> int:
-        """:meth:`best_action` without the range check (the learning hot path)."""
         cached = self._best_action_cache[state]
         return cached if cached >= 0 else self._scan_best_action(state)
 

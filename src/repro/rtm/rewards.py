@@ -96,7 +96,9 @@ def compute_reward(
     if average_slack < 0.0:
         slack_term = -p.miss_penalty_weight * (-average_slack)
     else:
-        excess = max(0.0, average_slack - p.target_slack)
+        excess = average_slack - p.target_slack
+        if not excess > 0.0:  # max(0.0, excess), -0.0 and NaN included
+            excess = 0.0
         slack_term = p.slack_weight * (1.0 - p.overperformance_penalty * excess)
     reward = slack_term + p.delta_weight * slack_delta
     if instantaneous_slack is not None and instantaneous_slack < 0.0:
@@ -110,10 +112,18 @@ class SlackTracker:
     The tracker is fed the per-epoch execution time ``T_i`` (critical-path
     time of the frame) and the overhead ``T_OVH`` charged to the epoch, and
     maintains both the instantaneous and the running-average slack ratios.
-    Each :meth:`update` computes the epoch's instantaneous slack ratio and
-    the change in L once; the properties return the stored values, so a
-    governor reads them every epoch at the cost of an attribute load.  An
-    engine that computes the epochs elsewhere (the jitpath kernel) hands
+    Each :meth:`update` stores the epoch's two per-epoch reads as plain
+    attributes, so a governor reads them every epoch at the cost of an
+    attribute load:
+
+    ``last_instantaneous_slack``
+        Slack ratio of the most recent epoch alone (0 before any update).
+    ``slack_delta``
+        Change in the average slack ratio over the last epoch (the dL of
+        eq. 4); after the first epoch this is L itself (the change from no
+        history).
+
+    An engine that computes the epochs elsewhere (the jitpath kernel) hands
     the tracker its final state through :meth:`restore`, which derives the
     same stored values.
 
@@ -146,8 +156,8 @@ class SlackTracker:
         self._epochs = 0
         self._history: List[float] = []
         self._last_average = 0.0
-        self._slack_delta = 0.0
-        self._last_instantaneous_slack = 0.0
+        self.slack_delta = 0.0
+        self.last_instantaneous_slack = 0.0
 
     # -- updates -------------------------------------------------------------------
     def update(self, execution_time_s: float, overhead_time_s: float = 0.0) -> float:
@@ -166,8 +176,8 @@ class SlackTracker:
         else:
             average = left_sum(slacks) / (len(slacks) * reference)
         self._history.append(average)
-        self._slack_delta = average if epochs == 1 else average - self._last_average
-        self._last_instantaneous_slack = slack / reference
+        self.slack_delta = average if epochs == 1 else average - self._last_average
+        self.last_instantaneous_slack = slack / reference
         self._last_average = average
         return average
 
@@ -188,13 +198,13 @@ class SlackTracker:
         self._history = history
         if not history:
             self._last_average = 0.0
-            self._slack_delta = 0.0
-            self._last_instantaneous_slack = 0.0
+            self.slack_delta = 0.0
+            self.last_instantaneous_slack = 0.0
             return
         average = history[-1]
         self._last_average = average
-        self._slack_delta = average if len(history) == 1 else average - history[-2]
-        self._last_instantaneous_slack = self._slacks_s[-1] / self.reference_time_s
+        self.slack_delta = average if len(history) == 1 else average - history[-2]
+        self.last_instantaneous_slack = self._slacks_s[-1] / self.reference_time_s
 
     # -- reads -----------------------------------------------------------------------
     @property
@@ -203,22 +213,9 @@ class SlackTracker:
         return self._epochs
 
     @property
-    def last_instantaneous_slack(self) -> float:
-        """Slack ratio of the most recent epoch alone (0 before any update)."""
-        return self._last_instantaneous_slack
-
-    @property
     def average_slack(self) -> float:
         """The current average slack ratio L (0 before any update)."""
         return self._last_average
-
-    @property
-    def slack_delta(self) -> float:
-        """Change in the average slack ratio over the last epoch (the dL of eq. 4).
-
-        After the first epoch this is L itself (the change from no history).
-        """
-        return self._slack_delta
 
     @property
     def history(self) -> List[float]:
@@ -234,5 +231,5 @@ class SlackTracker:
         self._epochs = 0
         self._history.clear()
         self._last_average = 0.0
-        self._slack_delta = 0.0
-        self._last_instantaneous_slack = 0.0
+        self.slack_delta = 0.0
+        self.last_instantaneous_slack = 0.0

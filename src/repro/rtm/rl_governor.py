@@ -76,7 +76,14 @@ class RLGovernorConfig:
 
 
 class RLGovernor(Governor):
-    """The paper's Q-learning run-time manager for a single shared V-F domain."""
+    """The paper's Q-learning run-time manager for a single shared V-F domain.
+
+    ``exploration_count`` is the number of decision epochs spent in the
+    exploration phase (the Table II quantity): the learning period before
+    the ε schedule (eq. 6) decays to its floor and the RTM switches to pure
+    exploitation.  Each :meth:`decide` copies it from the agent's
+    ``exploration_phase_length``.
+    """
 
     name = "proposed-rl"
 
@@ -96,6 +103,7 @@ class RLGovernor(Governor):
         self._pending_state: Optional[int] = None
         self._pending_action: Optional[int] = None
         self.processing_overhead_s = 0.0
+        self.exploration_count = 0
         self._reward_history: List[float] = []
 
     # -- lifecycle ------------------------------------------------------------------
@@ -120,6 +128,7 @@ class RLGovernor(Governor):
         self._pending_state = None
         self._pending_action = None
         self.processing_overhead_s = 0.0
+        self.exploration_count = 0
         self._reward_history = []
         # The per-epoch overheads are constants of the overhead model; the
         # hot loop picks one of the two instead of re-deriving them.
@@ -171,33 +180,10 @@ class RLGovernor(Governor):
         return self._state_space
 
     @property
-    def exploration_count(self) -> int:
-        """Number of decision epochs spent in the exploration phase (Table II quantity).
-
-        The exploration phase is the learning period before the ε schedule
-        (eq. 6) decays to its floor and the RTM switches to pure
-        exploitation; the paper's Table II compares how many such epochs the
-        EPD- and UPD-guided learners need.
-        """
-        agent = self._agent
-        return 0 if agent is None else agent.exploration_phase_length
-
-    @property
     def exploration_draw_count(self) -> int:
         """Number of epochs whose action was sampled from the exploration policy."""
         agent = self._agent
         return 0 if agent is None else agent.exploration_draws
-
-    @property
-    def exploration_frozen(self) -> bool:
-        """True once the ε schedule has decayed for good (pure exploitation).
-
-        ε never rises within a run, so once the agent is exploiting the
-        exploration phase length is final and engines may stop polling
-        :attr:`exploration_count`.
-        """
-        agent = self._agent
-        return agent is not None and agent.is_exploiting
 
     @property
     def converged_epoch(self) -> Optional[int]:
@@ -314,6 +300,7 @@ class RLGovernor(Governor):
         self.processing_overhead_s = (
             self._overhead_exploiting_s if exploiting else self._overhead_learning_s
         )
+        self.exploration_count = agent.exploration_phase_length
         return action
 
     def describe(self) -> str:

@@ -149,7 +149,11 @@ class WorkloadRangeTracker:
         if high <= low:
             return 0.5
         fraction = (value - low) / (high - low)
-        return max(0.0, min(1.0, fraction))
+        # max(0.0, min(1.0, fraction)) as two comparisons: NaN maps to 1.0
+        # and -0.0 to 0.0, exactly as the builtins return them.
+        if not fraction < 1.0:
+            return 1.0
+        return fraction if fraction > 0.0 else 0.0
 
     def reset(self) -> None:
         """Forget the characterised range."""

@@ -894,7 +894,9 @@ def simulate_closed_loop(
         rl_state = _pack_rl(governor, cycles_tuples, num_frames, fp, ip, np)
 
     ip[_I_PREV_EXPLORATION] = governor.exploration_count
-    ip[_I_FROZEN] = 1 if governor.exploration_frozen else 0
+    # The explored-column poll may stop once the count can no longer move:
+    # for ondemand and conservative always, for a learner once ε is at its floor.
+    ip[_I_FROZEN] = 0 if kind == 2 and not governor.agent.epsilon_schedule.is_exploiting else 1
 
     if rl_state is not None:
         q_arr, visits_arr, cache_arr, wl_arr, uniforms, weights = rl_state[:6]
@@ -1116,7 +1118,7 @@ def _pack_rl(
     )
     ip[_I_EXPLORATION_DRAWS] = agent._exploration_draws
     ip[_I_UPDATE_COUNT] = agent._update_count
-    ip[_I_LAST_CHANGED] = 1 if agent._last_update_changed_policy else 0
+    ip[_I_LAST_CHANGED] = 1 if agent.last_update_changed_policy else 0
     # Frame 0's initial state (decide with previous=None): state_index(1.0, 0.0).
     ip[_I_PENDING_STATE] = state_space.state_index(1.0, 0.0)
     ip[_I_PENDING_ACTION] = qtable.num_actions - 1
@@ -1202,16 +1204,20 @@ def _unpack_rl(
     agent._update_count = int(ip[_I_UPDATE_COUNT])
     agent._selection_count = int(ip[_I_SELECTION_COUNT])
     exploitation_start = int(ip[_I_EXPLOITATION_START])
-    agent._exploitation_start = (
-        None if exploitation_start < 0 else exploitation_start
-    )
-    agent._last_update_changed_policy = bool(ip[_I_LAST_CHANGED])
+    if exploitation_start < 0:
+        agent._exploitation_start = None
+        agent.exploration_phase_length = agent._selection_count
+    else:
+        agent._exploitation_start = exploitation_start
+        agent.exploration_phase_length = exploitation_start
+    agent.last_update_changed_policy = bool(ip[_I_LAST_CHANGED])
     epsilon = float(fp[_F_EPSILON])
     schedule._epsilon = epsilon
     schedule.is_exploiting = epsilon <= schedule.minimum_epsilon
     governor._pending_state = int(ip[_I_PENDING_STATE])
     governor._pending_action = int(ip[_I_PENDING_ACTION])
     governor.processing_overhead_s = float(fp[_F_LAST_OVERHEAD])
+    governor.exploration_count = agent.exploration_phase_length
     governor._reward_history = out_reward[1:num_frames].tolist()
 
     tracker = governor._slack_tracker

@@ -83,7 +83,6 @@ def simulate_scalar(
     """
     previous_observation: Optional[EpochObservation] = None
     previous_exploration_count = governor.exploration_count
-    exploration_frozen = governor.exploration_frozen
     charge_overhead = config.charge_governor_overhead
     idle_until_deadline = config.idle_until_deadline
     # One reusable FrameHint assigned in place (no governor retains hints
@@ -114,13 +113,9 @@ def simulate_scalar(
         if charge_overhead:
             overhead = governor.processing_overhead_s + transition.latency_s
 
-        if exploration_frozen:
-            explored = False
-        else:
-            exploration_count = governor.exploration_count
-            explored = exploration_count > previous_exploration_count
-            previous_exploration_count = exploration_count
-            exploration_frozen = governor.exploration_frozen
+        exploration_count = governor.exploration_count
+        explored = exploration_count > previous_exploration_count
+        previous_exploration_count = exploration_count
 
         record, previous_observation = _epoch_outputs(
             frame_index=frame.index,

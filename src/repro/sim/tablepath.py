@@ -36,8 +36,9 @@ energy sum: no core model, no power-model call, no ``FrameRecord``
 allocation (results are columnar, see :class:`~repro.sim.epoch.FrameColumns`).
 The boundary with the governor is as cheap: one ``EpochObservation`` and
 one ``FrameHint`` are reused for the whole run, their fields assigned in
-place, and the charged overhead is one read of the governor's plain
-``processing_overhead_s`` attribute per frame.
+place, and the charged overhead and the explored flag are one read each
+of the governor's plain ``processing_overhead_s`` and
+``exploration_count`` attributes per frame.
 
 Every operation above uses the same IEEE arithmetic, in the same order, as
 the scalar :meth:`Cluster.execute_workload
@@ -180,7 +181,6 @@ def simulate_closed_loop(
     time_s = cluster.time_s
     previous: Optional[EpochObservation] = None
     previous_exploration = governor.exploration_count
-    exploration_frozen = governor.exploration_frozen
     transitions: List[DVFSTransition] = []
 
     # Column accumulators: lists of native scalars, which FrameColumns turns
@@ -281,13 +281,9 @@ def simulate_closed_loop(
         else:
             overhead = 0.0
 
-        if exploration_frozen:
-            explored = False
-        else:
-            exploration = governor.exploration_count
-            explored = exploration > previous_exploration
-            previous_exploration = exploration
-            exploration_frozen = governor.exploration_frozen
+        exploration = governor.exploration_count
+        explored = exploration > previous_exploration
+        previous_exploration = exploration
 
         if previous is None:
             previous = EpochObservation(

@@ -22,7 +22,9 @@ run's own duration dwarfs).
 Beside the result, the comparison covers the governor's learnt and
 bookkeeping state: its decision snapshot, the overhead its last
 ``decide()`` left in ``processing_overhead_s``, and for a learner the RNG
-position, ε and the stored exploiting flag, the exploration-phase length,
+position, ε and the stored exploiting flag, the exploration-phase length
+and ``exploration_count``, the last update's policy-change flag, the slack
+tracker's stored reads and history, every workload predictor's records,
 the reward history and each Q-table row's greedy action (an engine that
 writes a learner's state back, as ``jitpath`` does, must leave every one
 of them as a scalar run does).
@@ -35,12 +37,13 @@ they are held to ``rel=1e-9``.
 
 from __future__ import annotations
 
-from typing import Any, Dict, NamedTuple
+from typing import Any, Dict, List, NamedTuple
 
 import pytest
 
 from repro.campaign import registry
 from repro.campaign.spec import FactorySpec, ScenarioSpec
+from repro.rtm.multicore import MultiCoreRLGovernor
 from repro.rtm.rl_governor import RLGovernor
 from repro.sim.engine import SimulationConfig, SimulationEngine
 from repro.sim.epoch import FRAME_COLUMN_NAMES
@@ -126,6 +129,15 @@ def run_scenario(scenario: ScenarioSpec, engine: str, start: str) -> Run:
     return Run(result, governor, cluster)
 
 
+def predictor_histories(governor: RLGovernor) -> List[Any]:
+    """Every workload predictor's records."""
+    if isinstance(governor, MultiCoreRLGovernor):
+        predictors = governor.core_predictors
+    else:
+        predictors = [governor.predictor]
+    return [p.records for p in predictors]
+
+
 def assert_matches_scalar(run: Run, reference: Run, engine: str) -> None:
     """``run`` on ``engine`` left the same result and state as ``reference``."""
     result, expected = run.result, reference.result
@@ -147,7 +159,10 @@ def assert_matches_scalar(run: Run, reference: Run, engine: str) -> None:
         agent, expected_agent = run.governor.agent, reference.governor.agent
         assert agent._rng.getstate() == expected_agent._rng.getstate(), engine
         assert agent.epsilon == expected_agent.epsilon, engine
-        assert agent.is_exploiting == expected_agent.is_exploiting, engine
+        assert (
+            agent.epsilon_schedule.is_exploiting
+            == expected_agent.epsilon_schedule.is_exploiting
+        ), engine
         assert (
             agent.exploration_phase_length == expected_agent.exploration_phase_length
         ), engine
@@ -156,6 +171,18 @@ def assert_matches_scalar(run: Run, reference: Run, engine: str) -> None:
             expected_table.best_action(state) for state in range(expected_table.num_states)
         ], engine
         assert run.governor.reward_history == reference.governor.reward_history, engine
+        # The per-epoch reads decide() leaves in plain attributes: an engine
+        # that writes a learner back must set each of them.
+        assert run.governor.exploration_count == reference.governor.exploration_count, engine
+        assert (
+            agent.last_update_changed_policy == expected_agent.last_update_changed_policy
+        ), engine
+        tracker, expected_tracker = run.governor.slack_tracker, reference.governor.slack_tracker
+        for name in ("slack_delta", "last_instantaneous_slack", "average_slack", "history"):
+            assert getattr(tracker, name) == getattr(expected_tracker, name), (engine, name)
+        assert predictor_histories(run.governor) == predictor_histories(
+            reference.governor
+        ), engine
 
     cluster, expected_cluster = run.cluster, reference.cluster
     assert cluster.dvfs.transitions == expected_cluster.dvfs.transitions, engine
@@ -202,7 +229,7 @@ def test_matches_scalar(jit_on, governor, configuration, thermal, noise, start):
     if isinstance(reference.governor, RLGovernor):
         assert expected.exploration_count > 0
         if configuration == "mpeg4-long":
-            assert reference.governor.agent.is_exploiting
+            assert reference.governor.agent.epsilon_schedule.is_exploiting
             assert expected.converged_epoch is not None
     for engine, run in runs.items():
         assert_matches_scalar(run, reference, engine)

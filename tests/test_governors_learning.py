@@ -124,7 +124,7 @@ class TestRLGovernorBehaviour:
             governor, platform_info, requirement_25fps, epochs=400,
             busy_for_index=lambda i: demand / table[i].frequency_hz,
         )
-        assert governor.agent.is_exploiting
+        assert governor.agent.epsilon_schedule.is_exploiting
         assert 0 < governor.exploration_count < 400
 
     def test_describe_mentions_policy(self, platform_info, requirement_25fps):

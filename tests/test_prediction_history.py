@@ -5,7 +5,8 @@ a :class:`~repro.rtm.prediction.PredictionRecord`: the records (epoch,
 predicted, actual) and :meth:`WorkloadPredictor.misprediction_stats` over
 several windows, bit for bit, for EWMA, last-value and NLMS predictors,
 before and after ``reset``.  Also pins the ``rl-prediction`` probe output
-(the Fig. 3 series) and checks that a learning run builds no record
+(the Fig. 3 series), for every core of the many-core learner in both
+normalisation modes, and checks that a learning run builds no record
 until one is read.
 """
 
@@ -80,6 +81,21 @@ PROBE_SHA256 = {
     "proposed": "10d68386120166169d04feb78e9a25829992ead8c092d5055f8e92f0549d6dd0",
     "proposed-single": "10d68386120166169d04feb78e9a25829992ead8c092d5055f8e92f0549d6dd0",
     "shen-upd": "06616eb825eb5db68cb3edbfb781dc712ce03caf6aafe5bc00154c1483f756d8",
+}
+
+#: sha256 of the ``rl-prediction`` probe payload of :func:`core_probe_campaign`
+#: per (scenario label, probed core): ``proposed`` in its default capacity
+#: mode and in eq.-7 mode (``use_total_share_normalisation=True``), as one
+#: ``EWMAPredictor`` per core produced them.
+CORE_PROBE_SHA256 = {
+    ("proposed", 0): "10d68386120166169d04feb78e9a25829992ead8c092d5055f8e92f0549d6dd0",
+    ("proposed", 1): "573150df2b052ead734f40b338b89efa18fdef0bac895fce31fecf650c8f843b",
+    ("proposed", 2): "e1a94dd503153653a444427a7b413972d99dc2d42b698c23ecd8e5de277e23a0",
+    ("proposed", 3): "ca302da2280f33ca6ead77ef31e7162c417744ad8bc8e9394e83888e9ceda06c",
+    ("proposed-eq7", 0): "49a1dd6be6fa8235f3c78f2db729fb0d87de7de965b9ed0830ae9f7ea39d866d",
+    ("proposed-eq7", 1): "d5558a933868611ce2c78a9e4cb4b45a4bc72c2f434a56d94c896a8353793d81",
+    ("proposed-eq7", 2): "995b3cce9fc8531bbba1c955dc9a795568a3d34a6d4dae0eb514ad76c02ab4e8",
+    ("proposed-eq7", 3): "2aa47af8dee9d274d54df100a768d77e4255afa9ff6bdd541bd10e6f17b0a11f",
 }
 
 
@@ -203,3 +219,27 @@ def test_rl_prediction_probe_output_is_pinned():
         payload = json.dumps(outcome.probe, sort_keys=True).encode("utf-8")
         digests[outcome.label] = hashlib.sha256(payload).hexdigest()
     assert digests == PROBE_SHA256
+
+
+def core_probe_campaign(core):
+    return CampaignSpec.from_grid(
+        "fig3-core-probe",
+        applications=[FactorySpec.of("mpeg4", num_frames=120)],
+        governors={
+            "proposed": FactorySpec.of("proposed"),
+            "proposed-eq7": FactorySpec.of("proposed", use_total_share_normalisation=True),
+        },
+        seeds=(1,),
+        probe=FactorySpec.of("rl-prediction", core=core, early_window=50),
+    )
+
+
+@pytest.mark.parametrize("core", range(4))
+def test_rl_prediction_probe_of_every_core_is_pinned(core):
+    digests = {}
+    for outcome in run_campaign(core_probe_campaign(core)):
+        payload = json.dumps(outcome.probe, sort_keys=True).encode("utf-8")
+        digests[outcome.label, core] = hashlib.sha256(payload).hexdigest()
+    assert digests == {
+        key: digest for key, digest in CORE_PROBE_SHA256.items() if key[1] == core
+    }

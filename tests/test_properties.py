@@ -1,17 +1,19 @@
 """Property-based tests (hypothesis) on the core data structures and invariants."""
 
+import math
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.platform.odroid_xu3 import A15_VF_TABLE
 from repro.platform.power import PowerModel
 from repro.rtm.exploration import EpsilonSchedule, ExponentialPolicy, UniformPolicy
-from repro.rtm.prediction import EWMAPredictor
+from repro.rtm.prediction import EWMAPredictor, EWMAVectorPredictor
 from repro.rtm.qlearning import QLearningAgent, QLearningParameters
 from repro.rtm.qtable import QTable
-from repro.rtm.rewards import SlackTracker, compute_reward
+from repro.rtm.rewards import RewardParameters, SlackTracker, compute_reward
 from repro.rtm.state import Discretizer, StateSpace, WorkloadRangeTracker
 from repro.workload.threads import DominantThreadSplit, EvenSplit, ImbalancedSplit
 
@@ -80,6 +82,155 @@ class TestEWMAProperties:
         for value in values:
             prediction = predictor.observe(value)
             assert min(values) - 1e-6 <= prediction <= max(values) + 1e-6
+
+
+def _history(predictor):
+    """A predictor's records and window statistics, floats as hex strings."""
+    records = [(r.epoch_index, r.predicted.hex(), r.actual.hex()) for r in predictor.records]
+    windows = [(0, None), (0, 3), (2, 9), (5, None), (-1, 2), (4, 2), (40, None)]
+    stats = [predictor.misprediction_stats(first, last) for first, last in windows]
+    return records, [
+        (
+            s.num_epochs,
+            s.mean_absolute_relative_error.hex(),
+            s.max_absolute_relative_error.hex(),
+            s.underprediction_fraction.hex(),
+        )
+        for s in stats
+    ]
+
+
+#: Per-core workloads: zeros are common (idle cores, the 0-actual error branch).
+core_cycles = st.one_of(st.just(0.0), st.floats(0.0, 1e9, allow_nan=False))
+
+
+class TestEWMAVectorProperties:
+    """The many-core learner's vector EWMA equals one ``EWMAPredictor`` per core,
+    bit for bit: every prediction, each core's records and its windowed
+    misprediction statistics, through resets of single cores."""
+
+    @given(
+        num_cores=st.integers(1, 5),
+        gamma=st.floats(0.05, 1.0),
+        data=st.data(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_vector_equals_one_predictor_per_core(self, num_cores, gamma, data):
+        vector = EWMAVectorPredictor(num_cores, gamma=gamma)
+        predictors = [EWMAPredictor(gamma=gamma) for _ in range(num_cores)]
+        steps = data.draw(
+            st.lists(
+                st.one_of(
+                    st.tuples(st.just("observe"), st.lists(core_cycles, min_size=num_cores, max_size=num_cores)),
+                    st.tuples(st.just("reset"), st.integers(0, num_cores - 1)),
+                ),
+                max_size=40,
+            )
+        )
+        for kind, argument in steps:
+            if kind == "observe":
+                predictions = vector.observe(tuple(argument))
+                expected = [p.observe(value) for p, value in zip(predictors, argument)]
+                assert [float(x).hex() for x in predictions] == [float(x).hex() for x in expected]
+            else:
+                vector.core(argument).reset()
+                predictors[argument].reset()
+        for core, predictor in enumerate(predictors):
+            view = vector.core(core)
+            assert _history(view) == _history(predictor), core
+
+    @pytest.mark.parametrize("row", [(1.0, -1.0, 2.0), (1.0, 2.0), (1.0, 2.0, 3.0, 4.0)])
+    def test_rejects_a_negative_workload_or_a_row_of_the_wrong_width(self, row):
+        vector = EWMAVectorPredictor(3)
+        with pytest.raises(ValueError):
+            vector.observe(row)
+        assert vector.observe((1.0, 2.0, 3.0)) == [1.0, 2.0, 3.0]
+        assert vector.core(0).records == []
+
+
+edge_floats = st.one_of(
+    st.sampled_from((0.0, -0.0, 1.0, -1.0, math.nan)),
+    st.floats(-3.0, 3.0, allow_nan=False),
+)
+
+
+class TestClampsMatchTheBuiltins:
+    """The per-epoch clamps written as comparisons return what the
+    ``max``/``min`` builtins they replace return, bit for bit, ``-0.0``
+    and NaN included."""
+
+    @given(values=st.lists(positive_cycles, min_size=1, max_size=5), probe=positive_cycles)
+    @settings(max_examples=80, deadline=None)
+    def test_range_tracker_normalise(self, values, probe):
+        tracker = WorkloadRangeTracker()
+        for value in values:
+            tracker.observe(value)
+        low, high = tracker.bounds
+        expected = 0.5 if high <= low else max(0.0, min(1.0, (probe - low) / (high - low)))
+        assert tracker.normalise(probe).hex() == expected.hex()
+
+    @given(busy=edge_floats, interval=st.floats(0.001, 3.0))
+    @settings(max_examples=80, deadline=None)
+    def test_observed_load(self, busy, interval):
+        from repro.governors.base import observed_load
+        from repro.rtm.governor import EpochObservation
+
+        observation = EpochObservation(0, (1.0,), busy, interval, 1.0, 0, 0.0, 0.0)
+        expected = max(0.0, min(1.0, busy / interval))
+        assert observed_load(observation).hex() == expected.hex()
+
+    @given(average=edge_floats, delta=st.floats(-1.0, 1.0, allow_nan=False))
+    @settings(max_examples=120, deadline=None)
+    def test_compute_reward(self, average, delta):
+        p = RewardParameters()
+        if average < 0.0:
+            slack_term = -p.miss_penalty_weight * (-average)
+        else:
+            excess = max(0.0, average - p.target_slack)
+            slack_term = p.slack_weight * (1.0 - p.overperformance_penalty * excess)
+        expected = slack_term + p.delta_weight * delta
+        reward = compute_reward(average, delta, p)
+        assert reward.hex() == expected.hex()
+
+    @given(power=st.floats(0.0, 10.0), resolution=st.sampled_from((0.0, 0.005, 0.25)))
+    @settings(max_examples=80, deadline=None)
+    def test_sensor_floor(self, power, resolution):
+        from repro.platform.sensors import PowerSensor
+
+        sensor = PowerSensor(resolution_w=resolution)
+        measured = power if resolution == 0 else round(power / resolution) * resolution
+        assert sensor.measure_w(power, 1.0).hex() == max(0.0, measured).hex()
+
+
+class TestExponentialPolicyExponents:
+    """EPD's stored ``-beta * (f / f_max)`` gives the probabilities of the
+    whole eq.-2 expression, bit for bit, across calls with other frequency
+    lists and after ``beta`` changes."""
+
+    @given(
+        calls=st.lists(
+            st.tuples(
+                st.sampled_from((FREQUENCIES, FREQUENCIES[:5], [1.0, 3.0, 2.0])),
+                st.sampled_from((0.0, 6.0, 12.0)),
+                slacks,
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_probabilities_equal_the_whole_expression(self, calls):
+        policy = ExponentialPolicy()
+        for frequencies, beta, slack in calls:
+            policy.beta = beta
+            f_max = max(frequencies)
+            weights = [math.exp(-beta * (f / f_max) * slack) for f in frequencies]
+            total = 0
+            for weight in weights:
+                total += weight
+            expected = [w / total for w in weights]
+            got = policy.probabilities(len(frequencies), list(frequencies), slack)
+            assert [x.hex() for x in got] == [x.hex() for x in expected]
 
 
 class TestQTableProperties:

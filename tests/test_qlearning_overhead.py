@@ -80,9 +80,9 @@ class TestQLearningAgent:
         for i in range(200):
             agent.select_action(state=0, slack=0.1)
             agent.update(0, agent.greedy_action(0), reward=1.0, next_state=0)
-            if agent.is_exploiting and agent.exploration_phase_length < 200:
+            if agent.epsilon_schedule.is_exploiting and agent.exploration_phase_length < 200:
                 break
-        assert agent.is_exploiting
+        assert agent.epsilon_schedule.is_exploiting
         assert agent.exploration_phase_length < 200
 
     def test_policy_change_flag(self):
